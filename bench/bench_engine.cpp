@@ -183,6 +183,7 @@ sim::RunStats run_byz(NodeIndex n, std::uint64_t seed) {
 Cell measure(const std::string& workload, NodeIndex n, std::uint64_t seeds,
              unsigned threads) {
   std::vector<sim::RunStats> stats(seeds);
+  const bool rss_reset = bench::reset_peak_rss();
   const auto start = std::chrono::steady_clock::now();
   bench::parallel_jobs(
       seeds,
@@ -212,7 +213,7 @@ Cell measure(const std::string& workload, NodeIndex n, std::uint64_t seeds,
       std::chrono::duration<double, std::milli>(stop - start).count();
   cell.events_per_sec =
       cell.wall_ms > 0.0 ? cell.events / (cell.wall_ms / 1e3) : 0.0;
-  cell.peak_rss = bench::peak_rss_bytes();
+  cell.peak_rss = rss_reset ? bench::peak_rss_bytes() : 0;
   return cell;
 }
 
@@ -236,6 +237,7 @@ Cell measure_engine_threads(NodeIndex n, std::uint64_t seeds,
   obs::ShardProfile profile;
   plan.profile = &profile;
   std::vector<sim::RunStats> stats(seeds);
+  const bool rss_reset = bench::reset_peak_rss();
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < seeds; ++i) {
     stats[i] = run_cht(n, 7000 + 13 * i, /*with_crashes=*/false,
@@ -255,7 +257,7 @@ Cell measure_engine_threads(NodeIndex n, std::uint64_t seeds,
       std::chrono::duration<double, std::milli>(stop - start).count();
   cell.events_per_sec =
       cell.wall_ms > 0.0 ? cell.events / (cell.wall_ms / 1e3) : 0.0;
-  cell.peak_rss = bench::peak_rss_bytes();
+  cell.peak_rss = rss_reset ? bench::peak_rss_bytes() : 0;
   cell.barrier_share = obs::barrier_wait_share(profile.data());
   return cell;
 }
@@ -296,9 +298,9 @@ int run(int argc, char** argv) {
   for (const Workload& w : workloads) {
     for (NodeIndex n : w.sizes) {
       const Cell cell = measure(w.name, n, w.seeds, threads);
-      // The RSS probe feeds the bench_compare.py memory gate; a probe that
-      // silently starts returning 0 would pass every ceiling, so smoke runs
-      // (the CI configuration) assert the row is real.
+      // The RSS probe feeds the bench_compare.py memory gate; a null row
+      // would pass every ceiling, so smoke runs (the CI configuration)
+      // assert the per-cell reset worked and the row is real.
       if (smoke) {
         RENAMING_CHECK(cell.peak_rss > 0,
                        "peak_rss_bytes row must be populated");
@@ -319,7 +321,7 @@ int run(int argc, char** argv) {
                     .set("wall_ms", Json::num(cell.wall_ms, 1))
                     .set("events_per_sec",
                          Json::num(cell.events_per_sec, 0))
-                    .set("peak_rss_bytes", Json::integer(cell.peak_rss)));
+                    .set("peak_rss_bytes", bench::rss_json(cell.peak_rss)));
     }
   }
 
@@ -365,7 +367,7 @@ int run(int argc, char** argv) {
                   .set("events", Json::integer(cell.events))
                   .set("wall_ms", Json::num(cell.wall_ms, 1))
                   .set("events_per_sec", Json::num(cell.events_per_sec, 0))
-                  .set("peak_rss_bytes", Json::integer(cell.peak_rss))
+                  .set("peak_rss_bytes", bench::rss_json(cell.peak_rss))
                   .set("barrier_wait_share",
                        Json::num(cell.barrier_share, 3)));
   }

@@ -1,12 +1,14 @@
 // Experiment E9 — million-node mode (docs/PERFORMANCE.md §10).
 //
 // One simulated run at n = 2^20: the paper's crash and Byzantine renaming
-// protocols executed end to end in the sparse engine (lazy per-node
-// structures, implicit committee views, O(active) round loop), plus the
-// Table 1 quadratic baselines accounted in exact closed form (a simulated
+// protocols executed end to end in the engine (lazy per-node structures,
+// implicit committee views, O(active) round loop), plus the Table 1
+// quadratic baselines accounted in exact closed form (a simulated
 // CHT at n = 2^20 would ship ~2^40 messages per round — the closed form
 // yields the same RunStats in microseconds, see src/baselines/). Reported
 // per cell: wall_ms and peak_rss_bytes, the two axes this mode exists for.
+// The resident-set high-water mark is reset before every cell, so each
+// row's peak is its own (null where the reset is unsupported).
 //
 //   --smoke          n = 2^16 only (CI: ASan + RSS ceiling via
 //                    scripts/bench_compare.py)
@@ -41,9 +43,9 @@
 #include "byzantine/byz_renaming.h"
 #include "common/check.h"
 #include "common/math.h"
+#include "core/system.h"
 #include "crash/crash_renaming.h"
 #include "obs/progress.h"
-#include "sim/engine.h"
 #include "sim/wire_schema.h"
 
 namespace renaming {
@@ -93,6 +95,7 @@ class TeeBuf : public std::streambuf {
 
 template <typename Fn>
 Cell measure(const std::string& workload, NodeIndex n, Fn&& run) {
+  const bool rss_reset = bench::reset_peak_rss();
   const auto start = std::chrono::steady_clock::now();
   const sim::RunStats stats = run();
   const auto stop = std::chrono::steady_clock::now();
@@ -104,8 +107,7 @@ Cell measure(const std::string& workload, NodeIndex n, Fn&& run) {
   cell.bits = stats.total_bits;
   cell.wall_ms =
       std::chrono::duration<double, std::milli>(stop - start).count();
-  cell.peak_rss = bench::peak_rss_bytes();
-  RENAMING_CHECK(cell.peak_rss > 0, "peak RSS probe returned nothing");
+  cell.peak_rss = rss_reset ? bench::peak_rss_bytes() : 0;
   return cell;
 }
 
@@ -183,7 +185,7 @@ int run(int argc, char** argv) {
     cells.push_back(measure("cht-closed", n, [&] {
       const auto r = baselines::run_cht_renaming(
           cfg, nullptr, nullptr, nullptr, {},
-          /*closed_form_cutoff=*/sim::Engine::kSparseAutoCutoff);
+          /*closed_form_cutoff=*/kLargeSystemNodes);
       RENAMING_CHECK(r.closed_form, "cht cell must be closed-form");
       RENAMING_CHECK(r.report.ok(), "cht verifier rejected the run");
       return r.stats;
@@ -202,7 +204,7 @@ int run(int argc, char** argv) {
         const auto r = baselines::run_obg_renaming(
             cfg, {}, baselines::ObgByzBehaviour::kSplitAnnounce, nullptr,
             nullptr, {},
-            /*closed_form_cutoff=*/sim::Engine::kSparseAutoCutoff);
+            /*closed_form_cutoff=*/kLargeSystemNodes);
         RENAMING_CHECK(r.closed_form, "obg cell must be closed-form");
         RENAMING_CHECK(r.report.ok(), "obg verifier rejected the run");
         return r.stats;
@@ -215,6 +217,12 @@ int run(int argc, char** argv) {
     cells[2].closed_form = true;
 
     for (const Cell& cell : cells) {
+      // The CI RSS ceiling passes a null row, so smoke runs assert it is
+      // real (as bench_engine --smoke does).
+      if (smoke) {
+        RENAMING_CHECK(cell.peak_rss > 0,
+                       "peak_rss_bytes row must be populated");
+      }
       table.row({cell.workload, std::to_string(cell.n),
                  std::to_string(cell.rounds), human(cell.messages),
                  human(cell.bits), fixed(cell.wall_ms, 1),
@@ -226,13 +234,12 @@ int run(int argc, char** argv) {
                     .set("messages", Json::integer(cell.messages))
                     .set("bits", Json::integer(cell.bits))
                     .set("wall_ms", Json::num(cell.wall_ms, 1))
-                    .set("peak_rss_bytes", Json::integer(cell.peak_rss))
+                    .set("peak_rss_bytes", bench::rss_json(cell.peak_rss))
                     .set("closed_form", Json::boolean(cell.closed_form)));
     }
   }
 
-  std::printf("== E9: million-node mode (sparse engine; baselines in "
-              "closed form) ==\n");
+  std::printf("== E9: million-node mode (baselines in closed form) ==\n");
   table.print();
 
   if (json) {

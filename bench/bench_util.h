@@ -9,15 +9,16 @@
 // sim::parallel::ShardPlan, and either way its output is deterministic.
 #pragma once
 
-#include <sys/resource.h>
-
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/check.h"
+#include "obs/json.h"
 #include "sim/parallel/worker_pool.h"
 
 namespace renaming::bench {
@@ -129,10 +130,12 @@ class Json {
   static Json array() { return Json(Kind::kArray); }
   static Json str(std::string v) {
     Json j(Kind::kScalar);
-    j.scalar_ = "\"" + escape(v) + "\"";
+    j.scalar_ = "\"" + obs::json_escape(v) + "\"";
     return j;
   }
+  /// NaN and infinities have no JSON spelling; they become null.
   static Json num(double v, int digits = 3) {
+    if (!std::isfinite(v)) return null();
     Json j(Kind::kScalar);
     char buf[64];
     std::snprintf(buf, sizeof buf, "%.*f", digits, v);
@@ -147,6 +150,11 @@ class Json {
   static Json boolean(bool v) {
     Json j(Kind::kScalar);
     j.scalar_ = v ? "true" : "false";
+    return j;
+  }
+  static Json null() {
+    Json j(Kind::kScalar);
+    j.scalar_ = "null";
     return j;
   }
 
@@ -172,21 +180,6 @@ class Json {
   enum class Kind { kObject, kArray, kScalar };
   explicit Json(Kind kind) : kind_(kind) {}
 
-  static std::string escape(const std::string& s) {
-    std::string out;
-    for (char c : s) {
-      if (c == '"' || c == '\\') {
-        out += '\\';
-        out += c;
-      } else if (c == '\n') {
-        out += "\\n";
-      } else {
-        out += c;
-      }
-    }
-    return out;
-  }
-
   void write(std::string& out, int indent) const {
     const std::string pad(2 * static_cast<std::size_t>(indent), ' ');
     const std::string inner_pad(2 * static_cast<std::size_t>(indent + 1), ' ');
@@ -208,7 +201,7 @@ class Json {
         for (std::size_t i = 0; i < members_.size(); ++i) {
           out += inner_pad;
           if (kind_ == Kind::kObject) {
-            out += "\"" + escape(members_[i].first) + "\": ";
+            out += "\"" + obs::json_escape(members_[i].first) + "\": ";
           }
           members_[i].second.write(out, indent + 1);
           if (i + 1 < members_.size()) out += ",";
@@ -250,12 +243,36 @@ inline void parallel_jobs(std::size_t count, Fn&& fn, unsigned threads = 0) {
 // ---------------------------------------------------------------------------
 // Process metrics + tiny CLI-flag helpers
 
-/// Peak resident set size of this process, in bytes (Linux: ru_maxrss is
-/// reported in kilobytes). Returns 0 if the syscall fails.
+/// Resident-set high-water mark of this process in bytes (VmHWM from
+/// /proc/self/status, reported in KiB). Returns 0 where it is unavailable.
 inline std::uint64_t peak_rss_bytes() {
-  rusage usage{};
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
-  return static_cast<std::uint64_t>(usage.ru_maxrss) * 1024;
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmHWM:") {
+      std::uint64_t kib = 0;
+      status >> kib;
+      return kib * 1024;
+    }
+    status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+  }
+  return 0;
+}
+
+/// Resets the high-water mark to the current resident set (writes 5 to
+/// /proc/self/clear_refs), so the next peak_rss_bytes() is one cell's peak
+/// rather than the largest of every earlier cell. Returns false where the
+/// reset or the VmHWM read is unsupported; the harness then reports that
+/// cell's peak as null.
+inline bool reset_peak_rss() {
+  std::ofstream clear_refs("/proc/self/clear_refs");
+  if (!(clear_refs << "5" << std::flush)) return false;
+  return peak_rss_bytes() > 0;
+}
+
+/// A cell's peak_rss_bytes JSON value: 0 (no per-cell reset) is null.
+inline Json rss_json(std::uint64_t peak_rss) {
+  return peak_rss > 0 ? Json::integer(peak_rss) : Json::null();
 }
 
 inline bool has_flag(int argc, char** argv, const std::string& flag) {

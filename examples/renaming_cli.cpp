@@ -17,25 +17,22 @@
 // all cores; results byte-identical to --threads 1), --shards K (override
 // the shard count, default one per thread).
 //
-// Million-node mode (docs/PERFORMANCE.md §10):
-//   --mode dense|sparse|auto  engine memory layout (default auto: sparse at
-//                        n >= 8192). Byte-identical output either way;
-//                        dense at large n needs --force (it eagerly
-//                        allocates per-node state).
+// Million-node mode (docs/PERFORMANCE.md §10). A run with n >= 8192 nodes
+// (kLargeSystemNodes) counts as large and gets bounded defaults:
 //   --closed-form C      baselines (cht/obg) switch to exact closed-form
 //                        accounting at n >= C when failure-free and
-//                        journal-less (default: the sparse cutoff;
-//                        0 = always simulate).
+//                        journal-less (default: 8192; 0 = always simulate).
 //   --trace-cap M        forward at most M per-copy trace events, then
-//                        count drops (default above the sparse cutoff:
-//                        1000000; 0 = unbounded). A capped trace is not
+//                        count drops (default for large runs: 1000000;
+//                        0 = unbounded). A capped trace is not
 //                        byte-comparable to golden pins.
 //   --journal-rounds K   keep only the last K journal round records
 //                        (flight-recorder ring; run totals still cover the
-//                        whole run). Default above the sparse cutoff: 64;
+//                        whole run). Default for large runs: 64;
 //                        0 = unbounded.
-// The effective configuration (engine mode, trace/journal bounding) is
-// printed as a run header — to stderr under --csv so parsers stay happy.
+// The effective observer configuration (trace/journal bounding, attached
+// observers) is printed as a run header — to stderr under --csv so parsers
+// stay happy.
 //
 // Observability flags (all algorithms except lowerbound):
 //   --metrics-out FILE   phase-attributed metrics JSON (renaming-metrics-v1)
@@ -57,12 +54,11 @@
 //                        samples the --trace JSONL, as before)
 //   --provenance-horizon H   cause-retention ring: causes further than H
 //                        events back degrade to "(evicted)" in doctor why
-//                        (default above the sparse cutoff: 1000000;
-//                        0 = unbounded). With neither watch flag every
-//                        node is watched; combined with a provenance flag
-//                        the engine runs serial callbacks (deterministic
-//                        event order), so the exported bytes are identical
-//                        across --threads and dense/sparse modes.
+//                        (default for large runs: 1000000; 0 = unbounded).
+//                        With neither watch flag every node is watched;
+//                        combined with a provenance flag the engine runs
+//                        serial callbacks (deterministic event order), so
+//                        the exported bytes are identical across --threads.
 //
 // Live observability (docs/OBSERVABILITY.md §8):
 //   --progress-out FILE  stream a heartbeat (renaming-progress-v1 JSONL):
@@ -82,8 +78,8 @@
 //                        to one — profile a run without those flags to see
 //                        real shard parallelism.
 //   --telemetry-rounds K keep only the last K per-round telemetry samples
-//                        (default above the sparse cutoff: 4096; unbounded
-//                        below it). K must be a positive integer — an
+//                        (default for large runs: 4096; unbounded
+//                        otherwise). K must be a positive integer — an
 //                        explicit 0 or a negative value is a usage error,
 //                        as for the --progress-interval* cadences.
 // Exit code 0 iff the verifier accepted the outcome (and, with --audit,
@@ -94,6 +90,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "baselines/cht_crash.h"
 #include "baselines/claiming.h"
@@ -102,6 +99,7 @@
 #include "baselines/obg_byzantine.h"
 #include "byzantine/byz_renaming.h"
 #include "byzantine/strategies.h"
+#include "core/system.h"
 #include "crash/adversaries.h"
 #include "crash/crash_renaming.h"
 #include "lowerbound/anonymous.h"
@@ -112,7 +110,6 @@
 #include "obs/provenance.h"
 #include "obs/shard_profile.h"
 #include "obs/telemetry.h"
-#include "sim/engine.h"
 #include "sim/parallel/plan.h"
 #include "sim/parallel/worker_pool.h"
 #include "sim/trace.h"
@@ -323,8 +320,8 @@ int main(int argc, char** argv) {
   }
   const std::uint64_t n_raw = args.num("n", 128);
   // Validate before the narrowing below: NodeIndex is 32-bit and the
-  // engine's dense layout eagerly allocates per-node state, so an absurd
-  // or wrapped --n must die here, not as a bad_alloc three layers down.
+  // engine's setup allocates per-node flags, so an absurd or wrapped --n
+  // must die here, not as a bad_alloc three layers down.
   constexpr std::uint64_t kMaxNodes = 1ull << 24;  // 16M, ~16x the BENCH max
   if (n_raw == 0 || n_raw > kMaxNodes) {
     std::fprintf(stderr, "--n must be in [1, %llu]\n",
@@ -336,36 +333,10 @@ int main(int argc, char** argv) {
   const std::uint64_t N = args.num("namespace", 5ull * n * n);
   const auto cfg = SystemConfig::random(n, N, seed);
 
-  // Engine memory layout (docs/PERFORMANCE.md §10). The static default
-  // reaches every engine the run constructs, including the ones protocol
-  // entry points build internally; output is byte-identical across modes.
-  const std::string mode_str = args.str("mode", "auto");
-  sim::EngineMode mode = sim::EngineMode::kAuto;
-  if (mode_str == "dense") {
-    mode = sim::EngineMode::kDense;
-  } else if (mode_str == "sparse") {
-    mode = sim::EngineMode::kSparse;
-  } else if (mode_str != "auto") {
-    std::fprintf(stderr, "--mode must be dense, sparse or auto\n");
-    return usage();
-  }
-  if (mode == sim::EngineMode::kDense && n >= sim::Engine::kSparseAutoCutoff &&
-      !args.has("force")) {
-    std::fprintf(stderr,
-                 "--mode dense at n >= %u allocates per-node state eagerly; "
-                 "use --mode sparse (byte-identical output) or add --force\n",
-                 sim::Engine::kSparseAutoCutoff);
-    return usage();
-  }
-  sim::Engine::set_default_mode(mode);
-  const bool sparse_effective =
-      mode == sim::EngineMode::kSparse ||
-      (mode == sim::EngineMode::kAuto && n >= sim::Engine::kSparseAutoCutoff);
-
-  // Memory-bounded observability defaults: above the sparse cutoff a full
+  // Memory-bounded observability defaults: for a large run a full
   // per-copy trace or per-round journal would itself be O(n^2)-ish, so the
   // trace caps and the journal rings unless explicitly unbounded (0).
-  const bool big = n >= sim::Engine::kSparseAutoCutoff;
+  const bool big = n >= kLargeSystemNodes;
   const std::uint64_t trace_cap =
       args.num("trace-cap", big ? 1000000 : 0);
   const std::uint64_t journal_rounds = args.num("journal-rounds", big ? 64 : 0);
@@ -444,50 +415,40 @@ int main(int argc, char** argv) {
     profile->set_run_info(args.command);
   }
 
-  // Effective-configuration run header. Under --csv it goes to stderr so
-  // stdout stays machine-parseable.
+  // Effective-configuration run header, one entry per attached observer
+  // (none: no header). Under --csv it goes to stderr so stdout stays
+  // machine-parseable.
   {
-    FILE* hdr = args.has("csv") ? stderr : stdout;
-    std::fprintf(hdr, "engine %s", sparse_effective ? "sparse" : "dense");
-    if (mode == sim::EngineMode::kAuto) std::fprintf(hdr, " (auto)");
-    if (trace_sink != nullptr) {
-      if (trace_cap > 0) {
-        std::fprintf(hdr, ", trace capped(%llu)",
-                     static_cast<unsigned long long>(trace_cap));
-      } else {
-        std::fprintf(hdr, ", trace full");
-      }
+    std::string header;
+    const auto add = [&](const std::string& part) {
+      header += header.empty() ? part : ", " + part;
+    };
+    if (trace_sink != nullptr && trace_cap > 0) {
+      add("trace capped(" + std::to_string(trace_cap) + ")");
+    } else if (trace_sink != nullptr) {
+      add("trace full");
     }
-    if (journal != nullptr) {
-      if (journal_rounds > 0) {
-        std::fprintf(hdr, ", journal ring(%llu)",
-                     static_cast<unsigned long long>(journal_rounds));
-      } else {
-        std::fprintf(hdr, ", journal full");
-      }
+    if (journal != nullptr && journal_rounds > 0) {
+      add("journal ring(" + std::to_string(journal_rounds) + ")");
+    } else if (journal != nullptr) {
+      add("journal full");
     }
     if (telemetry != nullptr && telemetry_rounds > 0) {
-      std::fprintf(hdr, ", telemetry ring(%llu)",
-                   static_cast<unsigned long long>(telemetry_rounds));
+      add("telemetry ring(" + std::to_string(telemetry_rounds) + ")");
     }
-    if (progress != nullptr) {
-      std::fprintf(hdr, ", heartbeat");
+    if (progress != nullptr) add("heartbeat");
+    if (profile != nullptr) add("shard profile");
+    const std::uint64_t sample = args.num("trace-sample", 0);
+    if (provenance != nullptr && args.has("trace-nodes")) {
+      add("provenance watch(list)");
+    } else if (provenance != nullptr && sample > 0) {
+      add("provenance watch(sample " + std::to_string(sample) + ")");
+    } else if (provenance != nullptr) {
+      add("provenance full");
     }
-    if (profile != nullptr) {
-      std::fprintf(hdr, ", shard profile");
+    if (!header.empty()) {
+      std::fprintf(args.has("csv") ? stderr : stdout, "%s\n", header.c_str());
     }
-    if (provenance != nullptr) {
-      if (args.has("trace-nodes")) {
-        std::fprintf(hdr, ", provenance watch(list)");
-      } else if (args.num("trace-sample", 0) > 0) {
-        std::fprintf(hdr, ", provenance watch(sample %llu)",
-                     static_cast<unsigned long long>(
-                         args.num("trace-sample", 0)));
-      } else {
-        std::fprintf(hdr, ", provenance full");
-      }
-    }
-    std::fprintf(hdr, "\n");
   }
 
   // --threads T > 1 (0 = all cores) runs the engine's send/receive
@@ -612,7 +573,7 @@ int main(int argc, char** argv) {
     }
     if (args.command == "cht") {
       const auto cutoff = static_cast<NodeIndex>(
-          args.num("closed-form", sim::Engine::kSparseAutoCutoff));
+          args.num("closed-form", kLargeSystemNodes));
       const auto r = baselines::run_cht_renaming(
           cfg, std::move(adversary), telemetry.get(), journal.get(), plan,
           cutoff, progress.get(), provenance.get());
@@ -666,7 +627,7 @@ int main(int argc, char** argv) {
       byz.push_back((i * n) / (f + 1) + 1);
     }
     const auto cutoff = static_cast<NodeIndex>(
-        args.num("closed-form", sim::Engine::kSparseAutoCutoff));
+        args.num("closed-form", kLargeSystemNodes));
     const auto r = baselines::run_obg_renaming(
         cfg, byz, baselines::ObgByzBehaviour::kSplitAnnounce, telemetry.get(),
         journal.get(), plan, cutoff, progress.get(), provenance.get());

@@ -36,7 +36,7 @@ Knows the three benches CI pins (the "bench" key selects the rules):
   sanitizer or allocator change legitimately inflates it; CI's ASan job
   therefore gates on --rss-ceiling instead). --rss-ceiling BYTES is an
   absolute cap applied to EVERY fresh cell, baseline overlap or not —
-  this is the memory-regression tripwire for the sparse engine: a
+  this is the memory-regression tripwire for the engine: a
   reintroduced O(n) per-round allocation at n = 2^16 under ASan blows
   straight past it. `wall_ms` only warns.
 
@@ -194,7 +194,7 @@ def compare_million(fresh, base, threshold, rss_tolerance, rss_ceiling):
         rss = row.get("peak_rss_bytes")
         if rss_ceiling and rss and rss > rss_ceiling:
             fail(f"{cell}: peak_rss_bytes {rss} exceeds the absolute "
-                 f"ceiling {rss_ceiling} (memory regression in the sparse "
+                 f"ceiling {rss_ceiling} (memory regression in the "
                  "engine or observability caps)")
         if key not in baseline:
             continue

@@ -88,7 +88,7 @@ and suppression markers are tracked precisely per (line, rule).
                       table must not describe unregistered kinds.
   R12 full-width-alloc The engine's steady-state round loop must never
                       allocate full-width (O(n)) structures: that is what
-                      keeps million-node sparse runs at O(active) memory
+                      keeps million-node runs at O(active) memory
                       per round (docs/PERFORMANCE.md §10). In
                       sim/engine.cc every .reserve / .resize / .assign
                       call or container construction whose size expression

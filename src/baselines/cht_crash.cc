@@ -196,7 +196,9 @@ ChtRunResult run_cht_renaming(const SystemConfig& cfg,
   // nodes start done) — all of these always simulate.
   if (closed_form_cutoff > 0 && cfg.n >= closed_form_cutoff && cfg.n >= 2 &&
       budget == 0 && journal == nullptr && prov == nullptr) {
-    return closed_form_cht(cfg, telemetry);
+    // Folded like the engine's own pointer, so both paths charge nothing
+    // under RENAMING_NO_TELEMETRY.
+    return closed_form_cht(cfg, obs::kTelemetryEnabled ? telemetry : nullptr);
   }
   std::vector<std::unique_ptr<sim::Node>> nodes;
   nodes.reserve(cfg.n);

@@ -295,7 +295,9 @@ ObgRunResult run_obg_renaming(const SystemConfig& cfg,
   // decisions), or n < 2 (round-count edge cases) simulates.
   if (closed_form_cutoff > 0 && cfg.n >= closed_form_cutoff && cfg.n >= 2 &&
       byzantine.empty() && journal == nullptr && prov == nullptr) {
-    return closed_form_obg(cfg, telemetry);
+    // Folded like the engine's own pointer, so both paths charge nothing
+    // under RENAMING_NO_TELEMETRY.
+    return closed_form_obg(cfg, obs::kTelemetryEnabled ? telemetry : nullptr);
   }
   const Directory directory(cfg);
   std::vector<bool> is_byz(cfg.n, false);

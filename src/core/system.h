@@ -68,4 +68,11 @@ struct SystemConfig {
   }
 };
 
+/// From this many nodes on a run counts as large: the CLI and the
+/// million-node bench then default to memory-bounded observers (capped
+/// trace, journal and telemetry rings, provenance horizon) and to exact
+/// closed-form accounting for the quadratic baselines
+/// (docs/PERFORMANCE.md §10).
+inline constexpr NodeIndex kLargeSystemNodes = 8192;
+
 }  // namespace renaming

@@ -5,33 +5,12 @@
 #include <map>
 #include <string>
 
+#include "obs/json.h"
 #include "sim/message_names.h"
 
 namespace renaming::obs {
 
 namespace {
-
-// Minimal JSON string escaping; every string we emit is controlled ASCII,
-// this just keeps a stray quote from corrupting the document.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          out += ' ';
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
-}
 
 void write_histogram(std::ostream& out, const LogHistogram& h) {
   out << "{\"count\":" << h.count() << ",\"sum\":" << h.sum();

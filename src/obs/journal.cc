@@ -3,6 +3,7 @@
 #include <istream>
 #include <ostream>
 
+#include "obs/json.h"
 #include "sim/message_names.h"
 
 namespace renaming::obs {
@@ -245,7 +246,8 @@ bool read_journal_binary(std::istream& in, JournalData* data,
 
 void write_journal_jsonl(std::ostream& out, const JournalData& data) {
   out << "{\"schema\":\"renaming-journal-v1\",\"algorithm\":\""
-      << data.algorithm << "\",\"n\":" << data.n << ",\"f\":" << data.f
+      << json_escape(data.algorithm) << "\",\"n\":" << data.n
+      << ",\"f\":" << data.f
       << ",\"total_messages\":" << data.total_messages
       << ",\"total_bits\":" << data.total_bits
       << ",\"rounds\":" << data.rounds << ",\"crashes\":" << data.crashes

@@ -4,6 +4,7 @@
 
 #include <ostream>
 
+#include "obs/json.h"
 #include "obs/telemetry.h"  // now_ns(): the sanctioned clock
 
 namespace renaming::obs {
@@ -41,7 +42,7 @@ void Progress::begin_run(NodeIndex n) {
   last_sample_ns_ = run_begin_ns_;
   if (sink_ != nullptr) {
     *sink_ << "{\"schema\":\"" << kProgressSchema << "\",\"algorithm\":\""
-           << algorithm_ << "\",\"n\":" << n_ << "}\n";
+           << json_escape(algorithm_) << "\",\"n\":" << n_ << "}\n";
     sink_->flush();
   }
 }

@@ -17,10 +17,10 @@
 // fields (round, messages, bits, active set, crashes) are themselves
 // deterministic, and with a round-based cadence the set of sampled rounds
 // is too, so the deterministic projection of the stream is byte-identical
-// across thread counts and engine modes; a wall-clock cadence
-// (min_interval_ns > 0) trades that for bounded output on unknown-length
-// runs. Outbox occupancy is deterministic per engine mode but differs
-// between dense (always n) and sparse (tracks the active set) layouts.
+// across thread counts; a wall-clock cadence (min_interval_ns > 0) trades
+// that for bounded output on unknown-length runs. Outbox occupancy is
+// deterministic too, but it describes the engine's memory layout rather
+// than the protocol run, so the projection leaves it out.
 //
 // Bounded memory: the ring keeps the last `ring_capacity` snapshots no
 // matter how many rounds execute; the sink stream, if any, receives the
@@ -41,15 +41,15 @@ namespace renaming::obs {
 inline constexpr char kProgressSchema[] = "renaming-progress-v1";
 
 /// One heartbeat sample. Fields are split by the determinism contract
-/// above: everything before wall_ns is a pure function of the seed (given
-/// an engine mode), everything from wall_ns on is measured.
+/// above: everything before wall_ns is a pure function of the seed,
+/// everything from wall_ns on is measured.
 struct ProgressSnapshot {
   Round round = 0;
   std::uint64_t messages = 0;        ///< cumulative logical copies
   std::uint64_t bits = 0;            ///< cumulative wire bits
   std::uint64_t active_senders = 0;  ///< this round's active set
   std::uint64_t crashes = 0;         ///< cumulative adversary crashes
-  std::uint64_t outbox_live = 0;     ///< allocated outboxes (mode-dependent)
+  std::uint64_t outbox_live = 0;     ///< allocated outboxes (layout detail)
   std::int64_t wall_ns = 0;          ///< since begin_run
   std::int64_t round_wall_ns = 0;    ///< mean ns/round since last sample
   std::uint64_t peak_rss_bytes = 0;  ///< getrusage ru_maxrss
@@ -99,9 +99,9 @@ class Progress {
   std::uint64_t n() const { return n_; }
 
   /// Renders one snapshot as a JSONL record. `deterministic_only` drops
-  /// the measured fields (wall time, rate, RSS) AND the mode-dependent
+  /// the measured fields (wall time, rate, RSS) AND the layout-dependent
   /// outbox occupancy, leaving exactly the projection the golden pin
-  /// compares across thread counts and engine modes.
+  /// compares across thread counts.
   static void write_record(std::ostream& out, const ProgressSnapshot& s,
                            bool deterministic_only = false);
 

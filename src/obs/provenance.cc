@@ -4,6 +4,7 @@
 #include <istream>
 #include <ostream>
 
+#include "obs/json.h"
 #include "sim/message_names.h"
 
 namespace renaming::obs {
@@ -376,7 +377,8 @@ bool read_provenance_binary(std::istream& in, ProvenanceData* data,
 
 void write_provenance_jsonl(std::ostream& out, const ProvenanceData& data) {
   out << "{\"schema\":\"renaming-provenance-v1\",\"algorithm\":\""
-      << data.algorithm << "\",\"n\":" << data.n << ",\"f\":" << data.f
+      << json_escape(data.algorithm) << "\",\"n\":" << data.n
+      << ",\"f\":" << data.f
       << ",\"rounds\":" << data.rounds
       << ",\"watch_mode\":" << static_cast<unsigned>(data.watch_mode)
       << ",\"watch_stride\":" << data.watch_stride

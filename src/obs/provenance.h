@@ -11,7 +11,7 @@
 // Contract (mirrors the journal, docs/OBSERVABILITY.md §9):
 //   * deterministic: no wall clock, no unordered iteration — the exported
 //     bytes are a pure function of (algorithm, config, seed), byte-identical
-//     across --threads K and dense/sparse engine modes;
+//     across --threads K;
 //   * optional: a null recorder costs nothing, and like Telemetry the whole
 //     observer folds away under RENAMING_NO_TELEMETRY (entry points fold the
 //     pointer on obs::kTelemetryEnabled, so every hook is dead code);
@@ -109,7 +109,7 @@ struct ProvenanceOptions {
 /// The recorder. Plumbed like Telemetry: engine + protocol nodes hold a
 /// (possibly null, possibly folded) pointer and call the note_* hooks at
 /// order-pinned serial sites, so recording order — and therefore the
-/// exported bytes — is identical across thread counts and engine modes.
+/// exported bytes — is identical across thread counts.
 class Provenance {
  public:
   explicit Provenance(ProvenanceOptions opts = {});

@@ -32,9 +32,9 @@ namespace renaming::sim {
 /// Outbox::kBroadcast destination. Adversaries that reason about individual
 /// (dest, message) sends should use Outbox::size() for the logical count —
 /// that is the index space CrashOrder::keep addresses — and remember that a
-/// broadcast entry's recipients are 0..n-1 in order. In sparse engine mode
-/// a node that queued nothing this round presents as an empty outbox
-/// (OutboxTable::peek), exactly as its dense-mode outbox would look.
+/// broadcast entry's recipients are 0..n-1 in order. A node that queued
+/// nothing this round (and so may have no outbox allocated) presents as an
+/// empty outbox (OutboxTable::peek).
 struct AdversaryView {
   Round round = 0;
   NodeIndex n = 0;

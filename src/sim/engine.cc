@@ -72,23 +72,8 @@ void Engine::check_stats_consistent() const {
                  "adversary exceeded its declared crash budget");
 }
 
-EngineMode Engine::resolved_mode() const {
-  EngineMode m = mode_ != EngineMode::kAuto ? mode_ : default_mode_;
-  if (m != EngineMode::kAuto) {
-    return m;
-  }
-  return size() >= kSparseAutoCutoff ? EngineMode::kSparse : EngineMode::kDense;
-}
-
 RunStats Engine::run(Round max_rounds) {
   const NodeIndex n = size();
-  // Sparse mode (docs/PERFORMANCE.md §10): same round semantics, but
-  // per-node structures are allocated on first activity and the round loop
-  // never does O(n) work beyond what delivery itself requires. Every
-  // divergence from the dense layout below is branch-guarded on `sparse`
-  // and produces byte-identical observable output (traces, journal, stats,
-  // telemetry) — pinned by tests/sparse_equivalence_test.cc.
-  const bool sparse = resolved_mode() == EngineMode::kSparse;
 
   // Telemetry is observational: every hook below mirrors an accounting
   // site (stats/trace) without influencing behaviour. The constant fold
@@ -115,9 +100,9 @@ RunStats Engine::run(Round max_rounds) {
   // Decision provenance folds like telemetry (zero cost under
   // RENAMING_NO_TELEMETRY) but records like the journal: no wall clock,
   // hooks only at order-pinned serial sites, so its bytes are identical
-  // across thread counts and dense/sparse modes. The engine contributes
-  // only the boundary events nodes cannot see (spoof rejections, crashes);
-  // nodes record their own decisions through the same recorder.
+  // across thread counts. The engine contributes only the boundary events
+  // nodes cannot see (spoof rejections, crashes); nodes record their own
+  // decisions through the same recorder.
   obs::Provenance* const prov = obs::kTelemetryEnabled ? provenance_ : nullptr;
   if (prov != nullptr) {
     prov->begin_run(n);
@@ -129,17 +114,16 @@ RunStats Engine::run(Round max_rounds) {
   // ----- Engine setup. All full-width (O(n)) allocations live inside the
   // marker pair below; protocol_lint R12 bans them anywhere else in this
   // file so the steady-state round provably never allocates per-node
-  // vectors. Sparse mode trims setup to per-node *bytes* (flags and slot
-  // indices), never per-node objects.
+  // vectors. Setup holds per-node *bytes* (flags and slot indices), never
+  // per-node objects.
   // lint:engine-setup-begin
 
-  // Persistent round buffers (docs/PERFORMANCE.md): per-node outboxes
-  // (dense: all constructed now; sparse: allocated on first send and
-  // recycled, see sim/outbox_table.h) and one flat delivery arena,
-  // clear()ed per round, so the steady-state round has no per-message
-  // allocation at all.
+  // Persistent round buffers (docs/PERFORMANCE.md): per-node outboxes,
+  // allocated on first send and recycled (sim/outbox_table.h), and one
+  // flat delivery arena, clear()ed per round, so the steady-state round
+  // has no per-message allocation at all.
   OutboxTable outboxes;
-  outboxes.reset(n, sparse);
+  outboxes.reset(n);
   InboxArena inbox;
 
   // Idle fast path (docs/PERFORMANCE.md): a node's observable state only
@@ -151,7 +135,6 @@ RunStats Engine::run(Round max_rounds) {
   std::vector<char> node_done(n, 0);
   std::vector<char> active(n, 0);       // alive and not idle
   std::vector<NodeIndex> active_list;   // ascending; the round's work list
-  if (!sparse) active_list.reserve(n);
   std::uint64_t correct_remaining = 0;  // alive, non-Byzantine, not done
   for (NodeIndex v = 0; v < n; ++v) {
     node_done[v] = nodes_[v]->done() ? 1 : 0;
@@ -160,9 +143,8 @@ RunStats Engine::run(Round max_rounds) {
     if (alive_[v] && !byzantine_[v] && node_done[v] == 0) ++correct_remaining;
   }
   bool active_dirty = false;
-  // Sparse mode maintains active_list by merging newly activated nodes
-  // into the (sorted) previous list instead of rescanning [0, n); dense
-  // mode keeps the historical O(n) rebuild. Identical resulting lists.
+  // active_list is maintained by merging newly activated nodes into the
+  // (sorted) previous list instead of rescanning [0, n).
   std::vector<NodeIndex> activated;  // 0->1 transitions since last merge
   std::vector<NodeIndex> merge_scratch;
   std::vector<NodeIndex> senders;    // nodes whose send() ran this round
@@ -182,10 +164,6 @@ RunStats Engine::run(Round max_rounds) {
   // receives exactly the same messages in the same order, so one slot list
   // serves every recipient and delivery is O(#broadcasts), not O(n^2).
   std::vector<const Message*> shared_slots;
-  if (!sparse) {
-    alive_dests.reserve(n);
-    shared_slots.reserve(n);
-  }
 
   // lint:engine-setup-end
 
@@ -218,7 +196,7 @@ RunStats Engine::run(Round max_rounds) {
   struct ShardScratch {
     std::int64_t remaining_delta = 0;
     bool active_dirty = false;
-    std::vector<NodeIndex> activated;  // sparse mode: 0->1 transitions
+    std::vector<NodeIndex> activated;  // 0->1 transitions
     // Profiling stamps: each shard writes only its own slot inside the
     // pool callback; the caller reads them after the join.
     std::int64_t busy_begin_ns = 0;
@@ -251,8 +229,8 @@ RunStats Engine::run(Round max_rounds) {
   // Re-query a node whose callback just ran; the only places done()/idle()
   // may legally change. Writes node_done[v]/active[v] (distinct elements,
   // safe shard-parallel) and accumulates the two shared counters into the
-  // caller-provided scratch. Sparse mode additionally records activations
-  // so the active-list merge never has to rescan [0, n).
+  // caller-provided scratch. Activations are recorded too, so the
+  // active-list merge never has to rescan [0, n).
   auto refresh_into = [&](NodeIndex v, ShardScratch& scratch) {
     const bool d = nodes_[v]->done();
     if (d != (node_done[v] != 0)) {
@@ -263,7 +241,7 @@ RunStats Engine::run(Round max_rounds) {
     if (a != (active[v] != 0)) {
       active[v] = a ? 1 : 0;
       scratch.active_dirty = true;
-      if (sparse && a) scratch.activated.push_back(v);
+      if (a) scratch.activated.push_back(v);
     }
   };
   auto fold_scratch = [&](unsigned used_shards) {
@@ -335,41 +313,34 @@ RunStats Engine::run(Round max_rounds) {
 
     const std::int64_t merge_begin_ns = prof != nullptr ? obs::now_ns() : 0;
     if (active_dirty) {
-      if (!sparse) {
-        active_list.clear();
-        for (NodeIndex v = 0; v < n; ++v) {
-          if (alive_[v] && active[v] != 0) active_list.push_back(v);
+      // Merge the newly activated nodes into the sorted previous list,
+      // dropping anything that crashed or went idle since. Produces exactly
+      // the ascending v with alive_[v] && active[v] that a full rescan
+      // would, in O(|old| + |new| log |new|), never O(n).
+      std::sort(activated.begin(), activated.end());
+      activated.erase(std::unique(activated.begin(), activated.end()),
+                      activated.end());
+      merge_scratch.clear();
+      std::size_t i = 0;
+      std::size_t j = 0;
+      while (i < active_list.size() || j < activated.size()) {
+        NodeIndex v;
+        if (j == activated.size()) {
+          v = active_list[i++];
+        } else if (i == active_list.size()) {
+          v = activated[j++];
+        } else if (active_list[i] < activated[j]) {
+          v = active_list[i++];
+        } else if (activated[j] < active_list[i]) {
+          v = activated[j++];
+        } else {
+          v = active_list[i++];
+          ++j;
         }
-      } else {
-        // Merge the newly activated nodes into the sorted previous list,
-        // dropping anything that crashed or went idle since. Produces the
-        // exact list the dense rescan would: ascending v with
-        // alive_[v] && active[v]. O(|old| + |new| log |new|), never O(n).
-        std::sort(activated.begin(), activated.end());
-        activated.erase(std::unique(activated.begin(), activated.end()),
-                        activated.end());
-        merge_scratch.clear();
-        std::size_t i = 0;
-        std::size_t j = 0;
-        while (i < active_list.size() || j < activated.size()) {
-          NodeIndex v;
-          if (j == activated.size()) {
-            v = active_list[i++];
-          } else if (i == active_list.size()) {
-            v = activated[j++];
-          } else if (active_list[i] < activated[j]) {
-            v = active_list[i++];
-          } else if (activated[j] < active_list[i]) {
-            v = activated[j++];
-          } else {
-            v = active_list[i++];
-            ++j;
-          }
-          if (alive_[v] && active[v] != 0) merge_scratch.push_back(v);
-        }
-        std::swap(active_list, merge_scratch);
-        activated.clear();
+        if (alive_[v] && active[v] != 0) merge_scratch.push_back(v);
       }
+      std::swap(active_list, merge_scratch);
+      activated.clear();
       active_dirty = false;
     }
     if (prof != nullptr) {
@@ -386,12 +357,10 @@ RunStats Engine::run(Round max_rounds) {
     if (jrn != nullptr) jrn->note_active_senders(senders.size());
     // Shard-parallel: each node writes only its own outbox, and delivery
     // below walks the outboxes in ascending sender order regardless of
-    // which thread filled them. Lazy outbox allocation is serial-only, so
-    // sparse mode ensures every sender's outbox exists up front; after
-    // that, get() is safe from any shard.
-    if (outboxes.lazy()) {
-      for (NodeIndex v : senders) outboxes.ensure(v);
-    }
+    // which thread filled them. Outbox allocation is serial-only, so every
+    // sender's outbox is ensured up front; after that, get() is safe from
+    // any shard.
+    for (NodeIndex v : senders) outboxes.ensure(v);
     const unsigned send_shards = effective_shards(senders.size(), plan_shards);
     if (send_shards <= 1) {
       const std::int64_t begin_ns = prof != nullptr ? obs::now_ns() : 0;
@@ -439,10 +408,9 @@ RunStats Engine::run(Round max_rounds) {
       ++stats_.per_round.back().crashes;
       // Keep-indices address the logical per-recipient sequence, so a
       // victim's compressed broadcasts are expanded first; the adversary
-      // may cut a broadcast anywhere mid-fanout. ensure(): in sparse mode
-      // an idle victim has no outbox yet — it presents (correctly) as
-      // empty, so any non-empty keep list trips the check below exactly as
-      // it would in dense mode.
+      // may cut a broadcast anywhere mid-fanout. ensure(): an idle victim
+      // has no outbox yet — it presents (correctly) as empty, so any
+      // non-empty keep list trips the check below.
       Outbox& victim_box = outboxes.ensure(v);
       victim_box.expand();
       auto& entries = victim_box.entries();
@@ -700,13 +668,13 @@ RunStats Engine::run(Round max_rounds) {
 
     // End-of-round clear: only senders (including this round's victims,
     // whose kept entries were just delivered) can hold entries, so this
-    // restores the all-outboxes-empty invariant in O(senders). Sparse mode
-    // additionally returns the outboxes of nodes that just went quiet
-    // (crashed, done-and-idle) to the pool, keeping live outbox count at
-    // O(active) across the run.
+    // restores the all-outboxes-empty invariant in O(senders). The
+    // outboxes of nodes that just went quiet (crashed, done-and-idle) go
+    // back to the pool, keeping the live outbox count at O(active) across
+    // the run.
     for (NodeIndex v : senders) {
       outboxes.get(v).clear();
-      if (sparse && (!alive_[v] || active[v] == 0)) outboxes.release(v);
+      if (!alive_[v] || active[v] == 0) outboxes.release(v);
     }
     if (trace_ != nullptr) trace_->on_round_end(round, stats_.per_round.back());
     if (tel != nullptr) tel->on_round_end(round);

@@ -7,9 +7,15 @@
 // also enforces message authentication: a message whose claimed origin
 // differs from its true origin never reaches its destination (the attempt
 // is counted in the run statistics).
+//
+// Only nodes with traffic cost anything (docs/PERFORMANCE.md §10): per-node
+// outboxes are allocated on first send and recycled when their node goes
+// quiet, the round's work list is maintained by incremental sorted merges,
+// and delivery scratch shrinks by filtering in place. Setup holds per-node
+// bytes (flags and slot indices), never per-node objects, so a round where
+// only an O(log n) committee is active costs O(active + messages).
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -26,45 +32,12 @@
 
 namespace renaming::sim {
 
-/// Execution-layout mode (docs/PERFORMANCE.md §10). Dense is the historical
-/// layout: every per-node structure (outboxes, destination scratch, …) is
-/// materialized up front, so setup is O(n) Outbox constructions. Sparse
-/// generalizes the idle-node fast path into "only touch nodes with traffic":
-/// outboxes are allocated on first send and recycled when their node goes
-/// quiet, the active list is maintained by incremental sorted merges instead
-/// of O(n) rebuilds, and delivery scratch shrinks by filtering in place.
-/// Both modes produce byte-identical traces, journals, stats and telemetry
-/// (pinned by tests/sparse_equivalence_test.cc); kAuto picks sparse at
-/// n >= kSparseAutoCutoff.
-enum class EngineMode : std::uint8_t { kAuto, kDense, kSparse };
-
 class Engine {
  public:
-  /// kAuto resolves to sparse at or above this node count. All committed
-  /// small-n benches (n <= 4096) stay dense so their wall-clock baselines
-  /// keep meaning; a million-node run would spend seconds just constructing
-  /// dense outboxes.
-  static constexpr NodeIndex kSparseAutoCutoff = 8192;
-
   /// Takes ownership of the nodes (index i is node i) and, optionally, a
   /// crash adversary (defaults to no failures).
   Engine(std::vector<std::unique_ptr<Node>> nodes,
          std::unique_ptr<CrashAdversary> adversary = nullptr);
-
-  /// Selects the execution layout for subsequent run() calls. kAuto (the
-  /// default) defers to the process-wide default_mode(), then to the
-  /// kSparseAutoCutoff size rule.
-  void set_mode(EngineMode mode) { mode_ = mode; }
-
-  /// Process-wide mode override consulted by every Engine whose instance
-  /// mode is kAuto — this is how the CLI and the equivalence tests force a
-  /// layout without threading a parameter through all run_* entry points.
-  /// Not thread-safe; set it before spawning engines.
-  static void set_default_mode(EngineMode mode) { default_mode_ = mode; }
-  static EngineMode default_mode() { return default_mode_; }
-
-  /// The layout a run() would use right now, after resolving kAuto.
-  EngineMode resolved_mode() const;
 
   /// Attaches a non-owning trace sink receiving structured events during
   /// run(); pass nullptr to detach.
@@ -99,8 +72,8 @@ class Engine {
   /// spoof rejections (with the forged kind's wire-schema bits and copy
   /// count) and observed crashes — while protocol nodes record their
   /// decision events directly. Deterministic like the journal (bytes are a
-  /// pure function of the seeded run, identical across thread counts and
-  /// dense/sparse modes) but folded like telemetry: ignored under
+  /// pure function of the seeded run, identical across thread counts) but
+  /// folded like telemetry: ignored under
   /// RENAMING_NO_TELEMETRY. A live recorder forces the shard callbacks
   /// serial, exactly as a live telemetry does, so recording order is
   /// pinned by construction.
@@ -153,8 +126,6 @@ class Engine {
   obs::Progress* progress_ = nullptr;
   obs::Provenance* provenance_ = nullptr;
   parallel::ShardPlan plan_;
-  EngineMode mode_ = EngineMode::kAuto;
-  static inline EngineMode default_mode_ = EngineMode::kAuto;
 };
 
 }  // namespace renaming::sim

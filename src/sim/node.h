@@ -141,8 +141,8 @@ class Outbox {
   NodeIndex self() const { return self_; }
   NodeIndex fanout() const { return n_; }
 
-  /// Re-targets a pooled Outbox at another node (sparse engine mode recycles
-  /// a small pool of Outbox objects across the whole system instead of
+  /// Re-targets a pooled Outbox at another node (the engine recycles a
+  /// small pool of Outbox objects across the whole system instead of
   /// keeping n of them alive). The outbox must be clear().
   void rebind(NodeIndex self, NodeIndex n) {
     RENAMING_CHECK(queued_.empty(), "rebind of a non-empty outbox");

@@ -1,13 +1,10 @@
-// Dense-or-lazy table of per-node outboxes.
+// Lazily allocated table of per-node outboxes (docs/PERFORMANCE.md §10).
 //
-// The dense form is the historical engine layout: one Outbox per node,
-// constructed up front — setup cost and resident memory are O(n) Outbox
-// objects even when only a committee of O(log N) nodes ever sends. The lazy
-// form (sparse engine mode, docs/PERFORMANCE.md §10) keeps an O(n) slot
-// index (4 bytes/node) but allocates Outbox objects on first send activity
-// and recycles them through a free list when their node goes quiet, so the
-// number of live outboxes tracks the active set, not n. Both forms expose
-// identical per-outbox behaviour; the engine picks one at run() time.
+// Keeps an O(n) slot index (4 bytes/node) but allocates Outbox objects on
+// first send activity and recycles them through a free list when their node
+// goes quiet, so the number of live outboxes tracks the active set, not n —
+// a run where only a committee of O(log N) nodes ever sends never builds
+// O(n) Outbox objects.
 //
 // Not thread-safe: ensure()/release() mutate shared state and must only be
 // called from the engine's serial sections (the shard-parallel send phase
@@ -27,42 +24,30 @@ namespace renaming::sim {
 
 class OutboxTable {
  public:
-  /// Re-initializes the table for a system of `n` nodes. Dense mode
-  /// constructs all n outboxes now; lazy mode only the slot index.
-  void reset(NodeIndex n, bool lazy) {
+  /// Re-initializes the table for a system of `n` nodes: only the slot
+  /// index is built; outboxes come on first ensure().
+  void reset(NodeIndex n) {
     n_ = n;
-    lazy_ = lazy;
-    dense_.clear();
-    slots_.clear();
     pool_.clear();
     free_.clear();
-    if (lazy) {
-      slots_.assign(n, kNoSlot);
-    } else {
-      dense_.reserve(n);
-      for (NodeIndex v = 0; v < n; ++v) dense_.emplace_back(v, n);
-    }
+    slots_.assign(n, kNoSlot);
   }
 
-  bool lazy() const { return lazy_; }
   NodeIndex size() const { return n_; }
 
-  /// Number of currently allocated outboxes (n in dense mode). The sparse
-  /// engine's memory claim is that this tracks the active set.
-  std::size_t live() const {
-    return lazy_ ? pool_.size() - free_.size() : dense_.size();
-  }
+  /// Number of currently allocated outboxes. The engine's memory claim is
+  /// that this tracks the active set.
+  std::size_t live() const { return pool_.size() - free_.size(); }
 
   bool has(NodeIndex v) const {
     RENAMING_CHECK(v < n_, "outbox index out of range");
-    return !lazy_ || slots_[v] != kNoSlot;
+    return slots_[v] != kNoSlot;
   }
 
-  /// Returns node v's outbox, allocating (or recycling) one in lazy mode.
+  /// Returns node v's outbox, allocating (or recycling) one if it has none.
   /// Serial sections only.
   Outbox& ensure(NodeIndex v) {
     RENAMING_CHECK(v < n_, "outbox index out of range");
-    if (!lazy_) return dense_[v];
     std::uint32_t slot = slots_[v];
     if (slot == kNoSlot) {
       if (!free_.empty()) {
@@ -82,7 +67,7 @@ class OutboxTable {
   /// shards as long as distinct shards touch distinct v.
   Outbox& get(NodeIndex v) {
     RENAMING_CHECK(has(v), "get() of an unallocated outbox");
-    return lazy_ ? *pool_[slots_[v]] : dense_[v];
+    return *pool_[slots_[v]];
   }
 
   /// Read-only view for adversaries: nodes without an allocated outbox
@@ -90,7 +75,6 @@ class OutboxTable {
   /// sentinel — it is not bound to v).
   const Outbox& peek(NodeIndex v) const {
     RENAMING_CHECK(v < n_, "outbox index out of range");
-    if (!lazy_) return dense_[v];
     const std::uint32_t slot = slots_[v];
     if (slot == kNoSlot) {
       static const Outbox kEmpty(0, 0);
@@ -100,10 +84,10 @@ class OutboxTable {
   }
 
   /// Returns node v's (cleared) outbox to the free list so another node can
-  /// reuse it. No-op in dense mode. Serial sections only.
+  /// reuse it. Serial sections only.
   void release(NodeIndex v) {
     RENAMING_CHECK(v < n_, "outbox index out of range");
-    if (!lazy_ || slots_[v] == kNoSlot) return;
+    if (slots_[v] == kNoSlot) return;
     RENAMING_CHECK(pool_[slots_[v]]->entries().empty(),
                    "release of a non-empty outbox");
     free_.push_back(slots_[v]);
@@ -114,10 +98,7 @@ class OutboxTable {
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
   NodeIndex n_ = 0;
-  bool lazy_ = false;
-  /// Dense mode: outbox v lives at dense_[v].
-  std::vector<Outbox> dense_;
-  /// Lazy mode: slots_[v] indexes pool_, or kNoSlot when unallocated.
+  /// slots_[v] indexes pool_, or kNoSlot when unallocated.
   /// unique_ptr keeps outbox addresses stable across pool growth (the
   /// engine holds references across a round).
   std::vector<std::uint32_t> slots_;

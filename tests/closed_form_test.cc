@@ -147,6 +147,7 @@ TEST(ClosedForm, AuditGatesStillPass) {
   // The point of exact accounting: the Theorem 1.2/1.3-style budget
   // envelopes (obs/budget.h) audit closed-form runs just like simulated
   // ones, per-kind wire-schema cross-checks included.
+  if (!obs::kTelemetryEnabled) GTEST_SKIP() << "telemetry compiled out";
   const auto cfg = make_cfg(96, 10);
   {
     obs::Telemetry tel;

@@ -11,23 +11,13 @@
 #include "byzantine/strategies.h"
 #include "crash/adversaries.h"
 #include "crash/crash_renaming.h"
+#include "digest.h"
 #include "obs/journal.h"
 #include "obs/telemetry.h"
 #include "sim/trace.h"
 
 namespace renaming {
 namespace {
-
-/// FNV-1a over the JSONL trace text: one 64-bit pin for millions of trace
-/// bytes. Any reordering, dropped copy, or changed field shows up here.
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 /// Order-sensitive chain over the decided new names, in node order.
 std::uint64_t idsum(const std::vector<NodeOutcome>& outcomes) {

@@ -19,24 +19,18 @@
 #include "byzantine/strategies.h"
 #include "crash/adversaries.h"
 #include "crash/crash_renaming.h"
+#include "digest.h"
 #include "obs/doctor.h"
 #include "obs/journal.h"
 #include "obs/kind_registry.h"
+#include "obs/progress.h"
+#include "obs/provenance.h"
 #include "obs/telemetry.h"
 #include "sim/engine.h"
 #include "sim/trace.h"
 
 namespace renaming {
 namespace {
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 std::string to_bytes(const obs::JournalData& data) {
   std::ostringstream out;
@@ -193,6 +187,35 @@ TEST(Journal, JsonlCarriesHeaderKindNamesAndEvents) {
   EXPECT_NE(text.find("\"algorithm\":\"crash\""), std::string::npos);
   EXPECT_NE(text.find("\"name\":\"COMMITTEE\""), std::string::npos);
   EXPECT_NE(text.find("\"type\":\"crash\""), std::string::npos);
+}
+
+// The algorithm name comes back from binary artifacts of arbitrary bytes,
+// so every JSONL writer must escape it: no emitted line may carry a raw
+// control byte or a quote that ends the string early.
+TEST(Journal, JsonlWritersEscapeTheAlgorithmName) {
+  const std::string algorithm = "a\"b\\c\n\x01";
+  const std::string escaped = R"("algorithm":"a\"b\\c\n\u0001",)";
+  std::ostringstream out;
+  obs::JournalData journal;
+  journal.algorithm = algorithm;
+  obs::write_journal_jsonl(out, journal);
+  obs::ProvenanceData provenance;
+  provenance.algorithm = algorithm;
+  obs::write_provenance_jsonl(out, provenance);
+  obs::Progress progress;
+  progress.set_run_info(algorithm);
+  progress.set_sink(&out);
+  progress.begin_run(4);
+
+  std::istringstream lines(out.str());
+  std::string line;
+  int headers = 0;
+  while (std::getline(lines, line)) {
+    for (unsigned char c : line) ASSERT_GE(c, 0x20) << line;
+    EXPECT_NE(line.find(escaped), std::string::npos) << line;
+    ++headers;
+  }
+  EXPECT_EQ(headers, 3);  // journal, provenance and heartbeat headers
 }
 
 // --- kind registry agreement (satellite of the exhaustiveness guard) --------

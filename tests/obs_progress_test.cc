@@ -14,7 +14,8 @@
 //     journals and RunStats to the bare run at every shard count, and
 //     the heartbeat's deterministic projection (round, events, active
 //     set, crashes) is itself byte-identical across thread counts and
-//     engine modes. Wall time never leaks into deterministic output.
+//     matches a pin recorded from the retired dense engine layout. Wall
+//     time never leaks into deterministic output.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -24,12 +25,12 @@
 
 #include "crash/adversaries.h"
 #include "crash/crash_renaming.h"
+#include "digest.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/shard_profile.h"
 #include "obs/telemetry.h"
-#include "sim/engine.h"
 #include "sim/parallel/worker_pool.h"
 #include "sim/trace.h"
 
@@ -127,6 +128,7 @@ TEST(RoundRing, CapacityZeroIsUnbounded) {
 }
 
 TEST(Telemetry, PerRoundCapBoundsBothSeries) {
+  if (!obs::kTelemetryEnabled) GTEST_SKIP() << "telemetry compiled out";
   const NodeIndex n = 64;
   const auto cfg = SystemConfig::random(n, 5ull * n * n, 21);
   obs::Telemetry capped;
@@ -363,6 +365,7 @@ struct Artifacts {
   std::string trace;
   std::string journal;
   sim::RunStats stats;
+  std::vector<NodeOutcome> outcomes;
   std::string progress_det;  ///< deterministic projection of the heartbeat
 };
 
@@ -400,11 +403,12 @@ Artifacts run_crash(sim::parallel::ShardPlan plan, bool live) {
     EXPECT_EQ(profile.data().rounds, r.stats.rounds);
     EXPECT_EQ(progress.sampled(), r.stats.rounds);
   }
-  return Artifacts{trace_out.str(), journal_out.str(), r.stats,
+  return Artifacts{trace_out.str(), journal_out.str(), r.stats, r.outcomes,
                    deterministic_projection(progress)};
 }
 
 TEST(LiveObservability, ProfiledRunIsByteIdenticalToBareRun) {
+  if (!obs::kTelemetryEnabled) GTEST_SKIP() << "telemetry compiled out";
   const Artifacts bare = run_crash({}, /*live=*/false);
   ASSERT_GT(bare.stats.crashes, 0u);
   ASSERT_FALSE(bare.trace.empty());
@@ -426,6 +430,7 @@ TEST(LiveObservability, ProfiledRunIsByteIdenticalToBareRun) {
 }
 
 TEST(LiveObservability, HeartbeatProjectionIsIdenticalAcrossThreadCounts) {
+  if (!obs::kTelemetryEnabled) GTEST_SKIP() << "telemetry compiled out";
   const Artifacts serial = run_crash({}, /*live=*/true);
   ASSERT_FALSE(serial.progress_det.empty());
   sim::parallel::WorkerPool pool(4);
@@ -439,29 +444,18 @@ TEST(LiveObservability, HeartbeatProjectionIsIdenticalAcrossThreadCounts) {
   }
 }
 
-class ModeGuard {
- public:
-  explicit ModeGuard(sim::EngineMode mode) {
-    sim::Engine::set_default_mode(mode);
-  }
-  ~ModeGuard() { sim::Engine::set_default_mode(sim::EngineMode::kAuto); }
-};
-
-TEST(LiveObservability, HeartbeatProjectionIsIdenticalAcrossEngineModes) {
-  std::string dense;
-  {
-    ModeGuard guard(sim::EngineMode::kDense);
-    dense = run_crash({}, /*live=*/true).progress_det;
-  }
-  std::string sparse;
-  {
-    ModeGuard guard(sim::EngineMode::kSparse);
-    sparse = run_crash({}, /*live=*/true).progress_det;
-  }
-  ASSERT_FALSE(dense.empty());
-  EXPECT_EQ(dense, sparse)
-      << "the deterministic heartbeat projection is mode-dependent — a "
-         "measured or layout-dependent field leaked into it";
+// Recorded from the retired dense engine layout before the sparse layout
+// became the only one (tests/dense_reference_pins_test.cc): the heartbeat's
+// deterministic projection is layout-independent, so no measured or
+// layout-dependent field may leak into it.
+TEST(LiveObservability, HeartbeatProjectionMatchesDenseReferencePin) {
+  if (!obs::kTelemetryEnabled) GTEST_SKIP() << "telemetry compiled out";
+  const Artifacts a = run_crash({}, /*live=*/true);
+  expect_pin({fnv1a(a.trace), fnv1a(a.journal), run_digest(a.stats, a.outcomes),
+              fnv1a(a.progress_det)},
+             {5641220180203365453ull, 1344840486187522112ull,
+              13050478779517314994ull, 8040629698489115219ull},
+             "for the heartbeat run");
 }
 
 }  // namespace

@@ -2,11 +2,11 @@
 //
 // The recorder's contract mirrors the journal's determinism but rides the
 // telemetry fold: its exported RNPV bytes must be byte-identical across
-// shard counts K and dense/sparse engine modes (the engine forces serial
-// callbacks while a live recorder is attached), and under
-// RENAMING_NO_TELEMETRY every entry point folds the pointer to nullptr, so
-// a run with a recorder attached yields an EMPTY recording — zero events,
-// zero cost. Tests that assert on recorded content therefore gate on
+// shard counts K (the engine forces serial callbacks while a live recorder
+// is attached) and match a pin recorded from the retired dense engine
+// layout. Under RENAMING_NO_TELEMETRY every entry point folds the pointer
+// to nullptr, so a run with a recorder attached yields an EMPTY recording
+// — zero events, zero cost. Tests that assert on recorded content gate on
 // obs::kTelemetryEnabled and assert emptiness in the folded config, so
 // this file runs unchanged in both CI configurations.
 #include <gtest/gtest.h>
@@ -20,9 +20,9 @@
 #include "byzantine/strategies.h"
 #include "crash/adversaries.h"
 #include "crash/crash_renaming.h"
+#include "digest.h"
 #include "obs/doctor.h"
 #include "obs/provenance.h"
-#include "sim/engine.h"
 #include "sim/parallel/plan.h"
 #include "sim/parallel/worker_pool.h"
 
@@ -34,16 +34,6 @@ std::string to_bytes(const obs::ProvenanceData& data) {
   obs::write_provenance_binary(out, data);
   return out.str();
 }
-
-/// Forces the process-wide engine-mode default for one scope (same idiom
-/// as tests/sparse_equivalence_test.cc).
-class ModeGuard {
- public:
-  explicit ModeGuard(sim::EngineMode mode) {
-    sim::Engine::set_default_mode(mode);
-  }
-  ~ModeGuard() { sim::Engine::set_default_mode(sim::EngineMode::kAuto); }
-};
 
 /// Byzantine run with planted Spoofers — exercises protocol decision
 /// events, engine spoof rejections and mark_faulty in one recording.
@@ -100,16 +90,12 @@ TEST(Provenance, BytesIdenticalAcrossShardCounts) {
   }
 }
 
-TEST(Provenance, BytesIdenticalDenseVsSparse) {
-  std::string dense_byz, dense_crash;
-  {
-    ModeGuard guard(sim::EngineMode::kDense);
-    dense_byz = to_bytes(byz_prov(33));
-    dense_crash = to_bytes(crash_prov(33));
-  }
-  ModeGuard guard(sim::EngineMode::kSparse);
-  EXPECT_EQ(dense_byz, to_bytes(byz_prov(33)));
-  EXPECT_EQ(dense_crash, to_bytes(crash_prov(33)));
+// Recorded from the retired dense engine layout before the sparse layout
+// became the only one (tests/dense_reference_pins_test.cc).
+TEST(Provenance, BytesMatchDenseReferencePin) {
+  if (!obs::kTelemetryEnabled) GTEST_SKIP() << "recorder folded out";
+  EXPECT_EQ(fnv1a(to_bytes(byz_prov(33))), 9881905202335370662ull);
+  EXPECT_EQ(fnv1a(to_bytes(crash_prov(33))), 17291018302892518597ull);
 }
 
 TEST(Provenance, FoldsToEmptyUnderNoTelemetry) {

@@ -390,5 +390,47 @@ TEST(JsonlTrace, SamplingReducesMessageEvents) {
   EXPECT_LT(sampled, all / 50);
 }
 
+// An uncapped-equivalent CappedTrace (cap never hit) forwards every event:
+// the bytes stay pinnable and identical to the bare sink.
+TEST(CappedTrace, UntouchedCapKeepsTraceBytesIdentical) {
+  const NodeIndex n = 48;
+  const auto cfg = SystemConfig::random(n, 5ull * n * n, 7);
+  crash::CrashParams params;
+  params.election_constant = 3.0;
+  const auto run_with_cap = [&](bool capped) {
+    std::ostringstream out;
+    sim::JsonlTrace inner(out);
+    sim::CappedTrace cap(inner, 1ull << 40);
+    sim::TraceSink* sink = capped ? static_cast<sim::TraceSink*>(&cap)
+                                  : static_cast<sim::TraceSink*>(&inner);
+    const auto r = crash::run_crash_renaming(cfg, params, nullptr, sink);
+    EXPECT_TRUE(r.report.ok());
+    if (capped) {
+      EXPECT_EQ(cap.dropped(), 0u);
+      cap.assert_complete_for_pinning();  // must not abort: nothing dropped
+    }
+    return out.str();
+  };
+  EXPECT_EQ(run_with_cap(false), run_with_cap(true));
+}
+
+#if !defined(RENAMING_UNCHECKED) && defined(GTEST_HAS_DEATH_TEST)
+
+// The memory-bounded trace is NOT byte-comparable once it drops events;
+// feeding it to a golden-pin comparison must abort, not silently pass.
+TEST(CappedTraceDeathTest, RefusesPinningAfterDrops) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  sim::CountingTrace inner;
+  sim::CappedTrace capped(inner, 1);
+  const sim::Message m = sim::make_message(2, 42, 1, 2, 3);
+  capped.on_round_begin(1);
+  capped.on_message(1, m, 0, true);  // forwarded (1/1)
+  capped.on_message(1, m, 1, true);  // dropped
+  EXPECT_GT(capped.dropped(), 0u);
+  EXPECT_DEATH(capped.assert_complete_for_pinning(), "not pinnable");
+}
+
+#endif  // !defined(RENAMING_UNCHECKED) && defined(GTEST_HAS_DEATH_TEST)
+
 }  // namespace
 }  // namespace renaming
