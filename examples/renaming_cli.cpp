@@ -83,7 +83,9 @@
 //                        explicit 0 or a negative value is a usage error,
 //                        as for the --progress-interval* cadences.
 // Exit code 0 iff the verifier accepted the outcome (and, with --audit,
-// the budget auditor did too).
+// the budget auditor did too); 2 on a usage error or when an output file
+// cannot be written (the failed path is named on stderr).
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -190,47 +192,66 @@ void report(const Args& args, const std::string& algo,
   }
 }
 
-// Handles --journal-out / --journal-jsonl / --shard-profile-out /
-// --metrics-out / --perfetto-out / --audit for one finished run. Returns 0,
-// or 1 when --audit was requested and the run blew its budget.
+// Flushes an output stream. False, naming `path` on stderr, when the file
+// never opened or a write failed: a lost artifact is an error, not a skip.
+bool stream_ok(std::ofstream& out, const std::string& path) {
+  out.flush();
+  if (out) return true;
+  std::fprintf(stderr, "renaming_cli: cannot write %s\n", path.c_str());
+  return false;
+}
+
+// Writes the artifact for flag `key` when it was given.
+template <typename Write>
+bool write_artifact(const Args& args, const char* key, Write write) {
+  if (!args.has(key)) return true;
+  const std::string path = args.str(key, "");
+  std::ofstream out(path, std::ios::binary);
+  if (out) write(out);
+  return stream_ok(out, path);
+}
+
+// Handles --journal-out / --journal-jsonl / --provenance-out /
+// --provenance-jsonl / --shard-profile-out / --metrics-out /
+// --perfetto-out / --audit for one finished run. Returns 0, 1 when --audit
+// was requested and the run blew its budget, or 2 when an artifact could
+// not be written.
 int finish_observability(const Args& args, const obs::Telemetry* telemetry,
                          const obs::Journal* journal,
                          const obs::ShardProfile* profile,
                          const obs::Provenance* provenance,
                          const sim::RunStats& stats, const std::string& algo,
                          const SystemConfig& cfg, std::uint64_t f,
-                         double committee_constant = 0.0,
-                         std::uint32_t phase_multiplier = 3) {
+                         double committee_constant,
+                         std::uint32_t phase_multiplier) {
+  bool written = true;
   if (journal != nullptr) {
-    if (args.has("journal-out")) {
-      std::ofstream out(args.str("journal-out", "journal.bin"),
-                        std::ios::binary);
+    written &= write_artifact(args, "journal-out", [&](std::ostream& out) {
       obs::write_journal_binary(out, journal->data());
-    }
-    if (args.has("journal-jsonl")) {
-      std::ofstream out(args.str("journal-jsonl", "journal.jsonl"));
+    });
+    written &= write_artifact(args, "journal-jsonl", [&](std::ostream& out) {
       obs::write_journal_jsonl(out, journal->data());
-    }
+    });
   }
   obs::ProvenanceData pdata;
   if (provenance != nullptr) {
     pdata = provenance->data();
-    if (args.has("provenance-out")) {
-      std::ofstream out(args.str("provenance-out", "provenance.rnpv"),
-                        std::ios::binary);
+    written &= write_artifact(args, "provenance-out", [&](std::ostream& out) {
       obs::write_provenance_binary(out, pdata);
-    }
-    if (args.has("provenance-jsonl")) {
-      std::ofstream out(args.str("provenance-jsonl", "provenance.jsonl"));
-      obs::write_provenance_jsonl(out, pdata);
-    }
+    });
+    written &= write_artifact(args, "provenance-jsonl",
+                              [&](std::ostream& out) {
+                                obs::write_provenance_jsonl(out, pdata);
+                              });
   }
-  if (profile != nullptr && args.has("shard-profile-out")) {
-    std::ofstream out(args.str("shard-profile-out", "shards.rnsp"),
-                      std::ios::binary);
-    obs::write_shard_profile_binary(out, profile->data());
+  if (profile != nullptr) {
+    written &= write_artifact(args, "shard-profile-out",
+                              [&](std::ostream& out) {
+                                obs::write_shard_profile_binary(
+                                    out, profile->data());
+                              });
   }
-  if (telemetry == nullptr) return 0;
+  if (telemetry == nullptr) return written ? 0 : 2;
   obs::BudgetReport audit;
   bool audited = false;
   if (args.has("audit")) {
@@ -248,17 +269,16 @@ int finish_observability(const Args& args, const obs::Telemetry* telemetry,
       std::printf("%s", audit.summary().c_str());
     }
   }
-  if (args.has("metrics-out")) {
-    std::ofstream out(args.str("metrics-out", "metrics.json"));
+  written &= write_artifact(args, "metrics-out", [&](std::ostream& out) {
     obs::write_metrics_json(out, *telemetry, stats,
                             audited ? &audit : nullptr);
-  }
-  if (args.has("perfetto-out")) {
-    std::ofstream out(args.str("perfetto-out", "trace.perfetto.json"));
+  });
+  written &= write_artifact(args, "perfetto-out", [&](std::ostream& out) {
     obs::write_perfetto_trace(out, *telemetry, stats,
                               profile != nullptr ? &profile->data() : nullptr,
                               provenance != nullptr ? &pdata : nullptr);
-  }
+  });
+  if (!written) return 2;
   return audited && !audit.ok() ? 1 : 0;
 }
 
@@ -347,6 +367,7 @@ int main(int argc, char** argv) {
   sim::TraceSink* trace_sink = nullptr;
   if (args.has("trace")) {
     trace_file.open(args.str("trace", "trace.jsonl"));
+    if (!stream_ok(trace_file, args.str("trace", "trace.jsonl"))) return 2;
     trace = std::make_unique<sim::JsonlTrace>(trace_file,
                                               args.num("trace-sample", 1));
     trace_sink = trace.get();
@@ -404,6 +425,9 @@ int main(int argc, char** argv) {
         args.num("progress-interval-ms", 0) * 1000000ull);
     progress = std::make_unique<obs::Progress>(popts);
     progress_file.open(args.str("progress-out", "progress.jsonl"));
+    if (!stream_ok(progress_file, args.str("progress-out", "progress.jsonl"))) {
+      return 2;
+    }
     progress->set_sink(&progress_file);
   }
 
@@ -477,6 +501,27 @@ int main(int argc, char** argv) {
   }
   plan.profile = profile.get();
 
+  // Every run command ends here: write the end-of-run artifacts, check the
+  // streams that were live during the run, and fold the verdict (1), the
+  // audit (1) and any output failure (2) into the exit code.
+  const auto finish = [&](bool correct, const sim::RunStats& stats,
+                          const std::string& algo, std::uint64_t f,
+                          double committee_constant = 0.0,
+                          std::uint32_t phase_multiplier = 3) {
+    int rc = finish_observability(args, telemetry.get(), journal.get(),
+                                  profile.get(), provenance.get(), stats, algo,
+                                  cfg, f, committee_constant,
+                                  phase_multiplier);
+    if ((trace_sink != nullptr &&
+         !stream_ok(trace_file, args.str("trace", "trace.jsonl"))) ||
+        (progress != nullptr &&
+         !stream_ok(progress_file,
+                    args.str("progress-out", "progress.jsonl")))) {
+      rc = 2;
+    }
+    return std::max(rc, correct ? 0 : 1);
+  };
+
   if (args.command == "crash") {
     crash::CrashParams params;
     params.election_constant = args.real("constant", 2.0);
@@ -510,11 +555,8 @@ int main(int argc, char** argv) {
       std::printf("  trace         dropped %llu events past the cap\n",
                   static_cast<unsigned long long>(capped->dropped()));
     }
-    const int audit_rc = finish_observability(
-        args, telemetry.get(), journal.get(), profile.get(), provenance.get(),
-        r.stats, "crash", cfg, budget,
-        params.election_constant, params.phase_multiplier);
-    return r.report.ok() ? audit_rc : 1;
+    return finish(r.report.ok(), r.stats, "crash", budget,
+                  params.election_constant, params.phase_multiplier);
   }
 
   if (args.command == "byz") {
@@ -556,11 +598,9 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(capped->dropped()));
       }
     }
-    const int audit_rc = finish_observability(
-        args, telemetry.get(), journal.get(), profile.get(), provenance.get(),
-        r.stats, params.use_fingerprints ? "byz" : "byz-full", cfg,
-        byz.size(), params.pool_constant);
-    return r.report.ok(true) ? audit_rc : 1;
+    return finish(r.report.ok(true), r.stats,
+                  params.use_fingerprints ? "byz" : "byz-full", byz.size(),
+                  params.pool_constant);
   }
 
   if (args.command == "cht" || args.command == "early" ||
@@ -582,20 +622,14 @@ int main(int argc, char** argv) {
         std::printf("  accounting    closed-form (failure-free, n >= %u)\n",
                     cutoff);
       }
-      const int audit_rc = finish_observability(
-          args, telemetry.get(), journal.get(), profile.get(),
-          provenance.get(), r.stats, "cht", cfg, budget);
-      return r.report.ok() ? audit_rc : 1;
+      return finish(r.report.ok(), r.stats, "cht", budget);
     }
     if (args.command == "claiming") {
       const auto r = baselines::run_claiming_renaming(
           cfg, std::move(adversary), telemetry.get(), journal.get(), plan,
           progress.get(), provenance.get());
       report(args, "claiming", r.stats, r.report, n, r.stats.crashes);
-      const int audit_rc = finish_observability(
-          args, telemetry.get(), journal.get(), profile.get(),
-          provenance.get(), r.stats, "claiming", cfg, budget);
-      return r.report.ok() ? audit_rc : 1;
+      return finish(r.report.ok(), r.stats, "claiming", budget);
     }
     if (args.command == "early") {
       const auto r = baselines::run_early_deciding_renaming(
@@ -605,19 +639,13 @@ int main(int argc, char** argv) {
       if (!args.has("csv")) {
         std::printf("  decided by    round %u\n", r.max_decision_round);
       }
-      const int audit_rc = finish_observability(
-          args, telemetry.get(), journal.get(), profile.get(),
-          provenance.get(), r.stats, "early", cfg, budget);
-      return r.report.ok() ? audit_rc : 1;
+      return finish(r.report.ok(), r.stats, "early", budget);
     }
     const auto r = baselines::run_naive_renaming(
         cfg, std::move(adversary), telemetry.get(), journal.get(), plan,
         progress.get(), provenance.get());
     report(args, "naive", r.stats, r.report, n, r.stats.crashes);
-    const int audit_rc = finish_observability(
-        args, telemetry.get(), journal.get(), profile.get(), provenance.get(),
-        r.stats, "naive", cfg, budget);
-    return r.report.ok() ? audit_rc : 1;
+    return finish(r.report.ok(), r.stats, "naive", budget);
   }
 
   if (args.command == "obg") {
@@ -636,10 +664,7 @@ int main(int argc, char** argv) {
       std::printf("  accounting    closed-form (failure-free, n >= %u)\n",
                   cutoff);
     }
-    const int audit_rc = finish_observability(
-        args, telemetry.get(), journal.get(), profile.get(), provenance.get(),
-        r.stats, "obg", cfg, f);
-    return r.report.ok() ? audit_rc : 1;
+    return finish(r.report.ok(), r.stats, "obg", f);
   }
 
   if (args.command == "lowerbound") {

@@ -122,6 +122,14 @@ and suppression markers are tracked precisely per (line, rule).
                       Mirrors the three-way static_assert in
                       obs/kind_registry.h so the gap is caught even in
                       trees that lint before they compile.
+  R15 binary-io       One artifact codec. Under src/obs/, byte-level stream
+                      I/O — put_u*/get_u*/put_bytes/get_bytes-style
+                      helpers, and .put/.get/.read/.write/.gcount on a
+                      name declared with a stream type — lives in
+                      obs/binio.h only. Every RNMJ/RNSP/RNPV reader and
+                      writer goes through its Writer/Reader, so the
+                      shared header checks and length bounds cannot fork
+                      into private copies again.
 
 Findings can be suppressed per line with `// lint:allow(<rule>)` where
 <rule> is one of: nondeterminism, bits-width, unordered-iteration,
@@ -1264,6 +1272,66 @@ def check_wall_clock(files: list[SourceFile]) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
+# R15: one binary codec — byte-level stream I/O in src/obs/ lives in binio.h
+
+_BINIO_FILE = "obs/binio.h"
+_CODEC_HELPER_RE = re.compile(r"^(put|get)_(bytes|[ui](8|16|32|64))$")
+_STREAM_TYPES = {
+    "istream", "ostream", "iostream", "ifstream", "ofstream", "fstream",
+    "istringstream", "ostringstream", "stringstream",
+}
+_BYTE_IO_MEMBERS = {"put", "get", "read", "write", "gcount"}
+
+
+def _stream_names(sig: list[Token]) -> set[str]:
+    """Names declared with a stream type: `std::istream& in`,
+    `std::ofstream out(path)`, `std::ostream* sink`."""
+    names = set()
+    for i, t in enumerate(sig):
+        if t.text not in _STREAM_TYPES:
+            continue
+        j = i + 1
+        while j < len(sig) and sig[j].text in ("&", "&&", "*", "const"):
+            j += 1
+        if j < len(sig) and sig[j].kind == "id":
+            names.add(sig[j].text)
+    return names
+
+
+def check_binary_io(files: list[SourceFile]) -> list[Violation]:
+    out = []
+
+    def hit(f: SourceFile, line: int, what: str) -> None:
+        out.append(
+            Violation(
+                "binary-io",
+                f.path,
+                line,
+                f"{what} in src/obs/ outside {_BINIO_FILE}; artifact bytes "
+                "go through binio::Writer/Reader, the one codec "
+                "(docs/OBSERVABILITY.md \"Binary artifacts\")",
+            )
+        )
+
+    for f in files:
+        if not f.rel.startswith("obs/") or f.rel == _BINIO_FILE:
+            continue
+        sig = f.sig
+        streams = _stream_names(sig)
+        for i, t in enumerate(sig):
+            if t.kind != "id" or not seq_at(sig, i + 1, "("):
+                continue
+            if _CODEC_HELPER_RE.match(t.text):
+                hit(f, t.line, f"{t.text}() codec helper")
+            elif t.text in _BYTE_IO_MEMBERS and i >= 2 and \
+                    sig[i - 1].text in (".", "->") and \
+                    sig[i - 2].text in streams:
+                hit(f, t.line,
+                    f"{sig[i - 2].text}{sig[i - 1].text}{t.text}() byte I/O")
+    return out
+
+
+# ---------------------------------------------------------------------------
 # R5: headers are self-contained (with a content-hash cache)
 
 _INCLUDE_RE = re.compile(r'#\s*include\s*"([^"]+)"')
@@ -1394,6 +1462,7 @@ RULES = (
     "provenance-coverage",
     "full-width-alloc",
     "wall-clock",
+    "binary-io",
 )
 
 
@@ -1425,6 +1494,8 @@ def run_rules(files: list[SourceFile], src: Path, selected: list[str],
         raw += check_full_width_alloc(files)
     if "wall-clock" in selected:
         raw += check_wall_clock(files)
+    if "binary-io" in selected:
+        raw += check_binary_io(files)
     if "header-hygiene" in selected:
         raw += check_header_hygiene(files, src, compiler, cache_path)
 

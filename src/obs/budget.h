@@ -112,7 +112,8 @@ struct EnvelopeTerm {
 /// terms so a diagnosis can say WHICH term dominates the budget. For
 /// "byz"/"byz-full" the envelope is max(theorem shape, sum of the four
 /// structural terms); for everything else it is the sum of the returned
-/// terms. The largest value is the dominating term.
+/// terms. The largest value is the dominating term. No terms: the
+/// algorithm has no budget (audit_run aborts on it).
 std::vector<EnvelopeTerm> message_envelope_terms(const BudgetParams& params);
 
 }  // namespace renaming::obs

@@ -37,8 +37,8 @@ std::uint64_t record_digest(const JournalRound& r) {
   return d.value();
 }
 
-/// First round number of the records (journals record contiguous rounds;
-/// a bounded ring drops the front).
+/// First round number of the records (journals record consecutive rounds,
+/// which read_journal_binary enforces; a bounded ring drops the front).
 Round first_round(const JournalData& j) {
   return j.records.empty() ? 0 : j.records.front().round;
 }
@@ -46,10 +46,12 @@ Round last_round(const JournalData& j) {
   return j.records.empty() ? 0 : j.records.back().round;
 }
 
-const JournalRound* record_at(const JournalData& j, Round r) {
-  const Round lo = first_round(j);
-  if (j.records.empty() || r < lo || r > last_round(j)) return nullptr;
-  return &j.records[r - lo];
+const JournalRound& record_at(const JournalData& j, Round r) {
+  // Wraps to a huge index when r precedes the first record.
+  const std::size_t i = std::size_t{r} - first_round(j);
+  RENAMING_CHECK(i < j.records.size(),
+                 "journal records must hold consecutive rounds");
+  return j.records[i];
 }
 
 void describe_events(std::ostringstream& out, const JournalRound& r) {
@@ -102,8 +104,8 @@ DivergenceReport diagnose_divergence(const JournalData& a,
   std::vector<std::uint64_t> chain_a(len), chain_b(len);
   hashing::RollingDigest da, db;
   for (std::size_t i = 0; i < len; ++i) {
-    da.mix_digest(record_digest(*record_at(a, lo + static_cast<Round>(i))));
-    db.mix_digest(record_digest(*record_at(b, lo + static_cast<Round>(i))));
+    da.mix_digest(record_digest(record_at(a, lo + static_cast<Round>(i))));
+    db.mix_digest(record_digest(record_at(b, lo + static_cast<Round>(i))));
     chain_a[i] = da.value();
     chain_b[i] = db.value();
   }
@@ -160,8 +162,8 @@ DivergenceReport diagnose_divergence(const JournalData& a,
   const Round r = lo + static_cast<Round>(divergent);
   rep.verdict = DivergenceReport::Verdict::kDiverged;
   rep.first_divergent_round = r;
-  const JournalRound& ra = *record_at(a, r);
-  const JournalRound& rb = *record_at(b, r);
+  const JournalRound& ra = record_at(a, r);
+  const JournalRound& rb = record_at(b, r);
 
   out << "first divergent round: " << r << "  (bisected over rounds " << lo
       << ".." << hi << " in " << rep.probes << " digest probes)\n";
@@ -525,6 +527,21 @@ BlameReport diagnose_blame(const ProvenanceData& data) {
 AuditDiagnosis diagnose_audit(const BudgetParams& params,
                               const JournalData& journal) {
   AuditDiagnosis diag;
+  const std::vector<EnvelopeTerm> terms =
+      params.n == 0 ? std::vector<EnvelopeTerm>{}
+                    : message_envelope_terms(params);
+  if (!journal.complete()) {
+    diag.error = "recorded with a bounded ring (" +
+                 std::to_string(journal.dropped_rounds) +
+                 " rounds dropped); an audit needs the full run";
+  } else if (terms.empty()) {
+    diag.error = "no theory budget for algorithm '" + params.algorithm +
+                 "' at n=" + std::to_string(params.n);
+  }
+  if (!diag.error.empty()) {
+    diag.ok = false;
+    return diag;
+  }
   const sim::RunStats stats = stats_from_journal(journal);
   const std::array<PhaseTotals, kPhaseCount> phases =
       phases_from_journal(journal);
@@ -599,7 +616,6 @@ AuditDiagnosis diagnose_audit(const BudgetParams& params,
                      return x.overshoot > y.overshoot;
                    });
 
-  const std::vector<EnvelopeTerm> terms = message_envelope_terms(params);
   for (const EnvelopeTerm& t : terms) {
     if (t.value > diag.dominant_term_value) {
       diag.dominant_term_value = t.value;

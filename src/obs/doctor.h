@@ -42,6 +42,7 @@ struct KindDelta {
 };
 
 struct DivergenceReport {
+  /// The values are `renaming_doctor diff`'s exit codes.
   enum class Verdict : std::uint8_t {
     kIdentical = 0,
     kDiverged = 1,
@@ -83,6 +84,7 @@ struct PhaseBreakdown {
 
 struct AuditDiagnosis {
   bool ok = true;
+  std::string error;  ///< set (and nothing else) when no audit could run
   BudgetReport report;                 ///< the underlying audit
   std::vector<PhaseBreakdown> phases;  ///< violated first, by overshoot
   std::string dominant_term;           ///< largest message-envelope term
@@ -90,8 +92,8 @@ struct AuditDiagnosis {
   std::string explanation;             ///< human-readable, multi-line
 };
 
-/// Audits the journalled run against `params` (journal must be complete,
-/// i.e. recorded with an unbounded ring) and explains the verdict.
+/// Audits the journalled run against `params` and explains the verdict. A
+/// bounded-ring journal, n = 0 or an algorithm without a budget sets error.
 AuditDiagnosis diagnose_audit(const BudgetParams& params,
                               const JournalData& journal);
 

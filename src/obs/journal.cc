@@ -1,8 +1,10 @@
 #include "obs/journal.h"
 
 #include <istream>
+#include <limits>
 #include <ostream>
 
+#include "obs/binio.h"
 #include "obs/json.h"
 #include "sim/message_names.h"
 
@@ -77,168 +79,93 @@ void Journal::on_round_end(Round round) {
 
 // --- binary format ----------------------------------------------------------
 //
-// "RNMJ" magic, u32 version, then fixed-width little-endian fields in the
-// exact order of the struct definitions. The writer never emits padding and
-// the reader never trusts a length without stream checks, so a truncated or
-// corrupted file fails cleanly instead of aborting.
-
-namespace {
+// RNMJ v1: the shared obs/binio.h header, then fixed-width fields in the
+// exact order of the struct definitions (docs/OBSERVABILITY.md "Binary
+// artifacts").
 
 constexpr char kMagic[4] = {'R', 'N', 'M', 'J'};
 constexpr std::uint32_t kVersion = 1;
 
-void put_bytes(std::ostream& out, std::uint64_t v, int bytes) {
-  for (int i = 0; i < bytes; ++i) {
-    out.put(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-void put_u64(std::ostream& out, std::uint64_t v) { put_bytes(out, v, 8); }
-void put_u32(std::ostream& out, std::uint32_t v) { put_bytes(out, v, 4); }
-void put_u16(std::ostream& out, std::uint16_t v) { put_bytes(out, v, 2); }
-void put_u8(std::ostream& out, std::uint8_t v) { put_bytes(out, v, 1); }
-
-bool get_bytes(std::istream& in, std::uint64_t* v, int bytes) {
-  std::uint64_t out = 0;
-  for (int i = 0; i < bytes; ++i) {
-    const int ch = in.get();
-    if (ch < 0) return false;
-    out |= static_cast<std::uint64_t>(ch & 0xff) << (8 * i);
-  }
-  *v = out;
-  return true;
-}
-bool get_u64(std::istream& in, std::uint64_t* v) {
-  return get_bytes(in, v, 8);
-}
-bool get_u32(std::istream& in, std::uint32_t* v) {
-  std::uint64_t tmp = 0;
-  if (!get_bytes(in, &tmp, 4)) return false;
-  *v = static_cast<std::uint32_t>(tmp);
-  return true;
-}
-bool get_u16(std::istream& in, std::uint16_t* v) {
-  std::uint64_t tmp = 0;
-  if (!get_bytes(in, &tmp, 2)) return false;
-  *v = static_cast<std::uint16_t>(tmp);
-  return true;
-}
-bool get_u8(std::istream& in, std::uint8_t* v) {
-  std::uint64_t tmp = 0;
-  if (!get_bytes(in, &tmp, 1)) return false;
-  *v = static_cast<std::uint8_t>(tmp);
-  return true;
-}
-
-bool fail(std::string* error, const char* what) {
-  if (error != nullptr) *error = what;
-  return false;
-}
-
-}  // namespace
-
 void write_journal_binary(std::ostream& out, const JournalData& data) {
-  out.write(kMagic, 4);
-  put_u32(out, kVersion);
-  put_u32(out, static_cast<std::uint32_t>(data.algorithm.size()));
-  out.write(data.algorithm.data(),
-            static_cast<std::streamsize>(data.algorithm.size()));
-  put_u64(out, data.n);
-  put_u64(out, data.f);
-  put_u64(out, data.total_messages);
-  put_u64(out, data.total_bits);
-  put_u64(out, data.rounds);
-  put_u64(out, data.crashes);
-  put_u64(out, data.spoofs_rejected);
-  put_u32(out, data.max_message_bits);
-  put_u64(out, data.dropped_rounds);
-  put_u64(out, data.records.size());
+  binio::Writer w(out);
+  w.header(kMagic, kVersion, data.algorithm, data.n);
+  w.u64(data.f);
+  w.u64(data.total_messages);
+  w.u64(data.total_bits);
+  w.u64(data.rounds);
+  w.u64(data.crashes);
+  w.u64(data.spoofs_rejected);
+  w.u32(data.max_message_bits);
+  w.u64(data.dropped_rounds);
+  w.u64(data.records.size());
   for (const JournalRound& r : data.records) {
-    put_u64(out, r.round);
-    put_u64(out, r.fingerprint);
-    put_u64(out, r.messages);
-    put_u64(out, r.bits);
-    put_u32(out, r.max_message_bits);
-    put_u32(out, r.active_senders);
-    put_u32(out, static_cast<std::uint32_t>(r.kinds.size()));
+    w.u64(r.round);
+    w.u64(r.fingerprint);
+    w.u64(r.messages);
+    w.u64(r.bits);
+    w.u32(r.max_message_bits);
+    w.u32(r.active_senders);
+    w.u32(static_cast<std::uint32_t>(r.kinds.size()));
     for (const JournalKindCount& k : r.kinds) {
-      put_u16(out, k.kind);
-      put_u64(out, k.messages);
-      put_u64(out, k.bits);
+      w.u16(k.kind);
+      w.u64(k.messages);
+      w.u64(k.bits);
     }
-    put_u32(out, static_cast<std::uint32_t>(r.events.size()));
+    w.u32(static_cast<std::uint32_t>(r.events.size()));
     for (const JournalEvent& e : r.events) {
-      put_u8(out, static_cast<std::uint8_t>(e.kind));
-      put_u32(out, e.node);
-      put_u16(out, e.msg_kind);
+      w.u8(static_cast<std::uint8_t>(e.kind));
+      w.u32(e.node);
+      w.u16(e.msg_kind);
     }
   }
 }
 
 bool read_journal_binary(std::istream& in, JournalData* data,
                          std::string* error) {
-  char magic[4] = {};
-  in.read(magic, 4);
-  if (in.gcount() != 4 || magic[0] != kMagic[0] || magic[1] != kMagic[1] ||
-      magic[2] != kMagic[2] || magic[3] != kMagic[3]) {
-    return fail(error, "not a renaming journal (bad magic)");
-  }
-  std::uint32_t version = 0;
-  if (!get_u32(in, &version)) return fail(error, "truncated header");
-  if (version != kVersion) {
-    return fail(error, "unsupported journal version");
-  }
+  binio::Reader r(in, error);
   JournalData out;
-  std::uint32_t algo_len = 0;
-  if (!get_u32(in, &algo_len)) return fail(error, "truncated header");
-  if (algo_len > 4096) return fail(error, "implausible algorithm name");
-  out.algorithm.resize(algo_len);
-  in.read(out.algorithm.data(), algo_len);
-  if (in.gcount() != static_cast<std::streamsize>(algo_len)) {
-    return fail(error, "truncated header");
-  }
-  std::uint64_t record_count = 0;
-  if (!get_u64(in, &out.n) || !get_u64(in, &out.f) ||
-      !get_u64(in, &out.total_messages) || !get_u64(in, &out.total_bits) ||
-      !get_u64(in, &out.rounds) || !get_u64(in, &out.crashes) ||
-      !get_u64(in, &out.spoofs_rejected) ||
-      !get_u32(in, &out.max_message_bits) ||
-      !get_u64(in, &out.dropped_rounds) || !get_u64(in, &record_count)) {
-    return fail(error, "truncated header");
-  }
-  // Grow incrementally: a corrupt count must not turn into an allocation.
+  if (!r.header(kMagic, kVersion, &out.algorithm, &out.n)) return false;
+  out.f = r.u64();
+  out.total_messages = r.u64();
+  out.total_bits = r.u64();
+  out.rounds = r.u64();
+  out.crashes = r.u64();
+  out.spoofs_rejected = r.u64();
+  out.max_message_bits = r.u32();
+  out.dropped_rounds = r.u64();
+  const std::uint64_t record_count = r.u64();
+  if (!r.ok("header")) return false;
   for (std::uint64_t i = 0; i < record_count; ++i) {
-    JournalRound r;
-    std::uint64_t round64 = 0;
-    std::uint32_t kind_count = 0;
-    std::uint32_t event_count = 0;
-    if (!get_u64(in, &round64) || !get_u64(in, &r.fingerprint) ||
-        !get_u64(in, &r.messages) || !get_u64(in, &r.bits) ||
-        !get_u32(in, &r.max_message_bits) ||
-        !get_u32(in, &r.active_senders) || !get_u32(in, &kind_count)) {
-      return fail(error, "truncated record");
+    JournalRound rec;
+    const std::uint64_t round = r.u64();
+    rec.fingerprint = r.u64();
+    rec.messages = r.u64();
+    rec.bits = r.u64();
+    rec.max_message_bits = r.u32();
+    rec.active_senders = r.u32();
+    const std::uint32_t kind_count = r.u32();
+    if (!r.ok("record")) return false;
+    // The doctor finds a round's record by its offset from the first one.
+    if (round > std::numeric_limits<Round>::max() ||
+        (i > 0 && round != out.records.back().round + std::uint64_t{1})) {
+      return r.fail("record rounds out of range or not consecutive");
     }
-    r.round = static_cast<Round>(round64);
+    rec.round = static_cast<Round>(round);
+    // Braced initializers evaluate left to right: fields in file order.
     for (std::uint32_t k = 0; k < kind_count; ++k) {
-      JournalKindCount kc;
-      if (!get_u16(in, &kc.kind) || !get_u64(in, &kc.messages) ||
-          !get_u64(in, &kc.bits)) {
-        return fail(error, "truncated kind table");
-      }
-      r.kinds.push_back(kc);
+      rec.kinds.push_back({r.u16(), r.u64(), r.u64()});
+      if (!r.ok("kind table")) return false;
     }
-    if (!get_u32(in, &event_count)) return fail(error, "truncated record");
+    const std::uint32_t event_count = r.u32();
+    if (!r.ok("record")) return false;
     for (std::uint32_t e = 0; e < event_count; ++e) {
-      std::uint8_t ekind = 0;
-      JournalEvent ev;
-      if (!get_u8(in, &ekind) || !get_u32(in, &ev.node) ||
-          !get_u16(in, &ev.msg_kind)) {
-        return fail(error, "truncated event table");
-      }
-      if (ekind > 1) return fail(error, "unknown event kind");
-      ev.kind = static_cast<JournalEvent::Kind>(ekind);
-      r.events.push_back(ev);
+      const std::uint8_t kind = r.u8();
+      if (kind > 1) return r.fail("unknown event kind");
+      rec.events.push_back(
+          {static_cast<JournalEvent::Kind>(kind), r.u32(), r.u16()});
+      if (!r.ok("event table")) return false;
     }
-    out.records.push_back(std::move(r));
+    out.records.push_back(std::move(rec));
   }
   *data = std::move(out);
   return true;

@@ -181,7 +181,8 @@ class Journal {
 void write_journal_binary(std::ostream& out, const JournalData& data);
 
 /// Parses a write_journal_binary stream. Returns false (and sets *error if
-/// non-null) on a malformed or version-mismatched input.
+/// non-null) on a malformed or version-mismatched input, including records
+/// whose rounds are not consecutive.
 bool read_journal_binary(std::istream& in, JournalData* data,
                          std::string* error = nullptr);
 

@@ -102,7 +102,8 @@ constexpr bool no_phase_outside_shipped_kinds() {
 // the same domain.
 constexpr bool every_wire_schema_kind_has_provenance() {
   for (std::size_t i = 0; i < sim::wire::kWireSchemaCount; ++i) {
-    if (prov_entry_of_or_null(sim::wire::kWireSchemas[i].kind) == nullptr) {
+    if (prov_entry_index(sim::wire::kWireSchemas[i].kind) ==
+        kProvenanceKindCount) {
       return false;
     }
   }
@@ -122,7 +123,7 @@ constexpr bool every_provenance_kind_is_shipped() {
 
 constexpr bool every_shipped_kind_has_provenance() {
   for (sim::MsgKind k : kShippedKinds) {
-    if (prov_entry_of_or_null(k) == nullptr) return false;
+    if (prov_entry_index(k) == kProvenanceKindCount) return false;
   }
   return true;
 }

@@ -4,6 +4,7 @@
 #include <istream>
 #include <ostream>
 
+#include "obs/binio.h"
 #include "obs/json.h"
 #include "sim/message_names.h"
 
@@ -202,173 +203,90 @@ ProvenanceData Provenance::data() const {
 
 // --- binary format ----------------------------------------------------------
 //
-// "RNPV" magic, u32 version, then fixed-width little-endian fields in the
-// exact order of the struct definitions — same discipline as the journal's
-// RNMJ v1: no padding, every length stream-checked, incremental growth on
-// read so a corrupt count cannot become an allocation.
-
-namespace {
+// RNPV v1: the shared obs/binio.h header, then fixed-width fields in the
+// exact order of the struct definitions (docs/OBSERVABILITY.md "Binary
+// artifacts").
 
 constexpr char kMagic[4] = {'R', 'N', 'P', 'V'};
 constexpr std::uint32_t kVersion = 1;
 
-void put_bytes(std::ostream& out, std::uint64_t v, int bytes) {
-  for (int i = 0; i < bytes; ++i) {
-    out.put(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-void put_u64(std::ostream& out, std::uint64_t v) { put_bytes(out, v, 8); }
-void put_u32(std::ostream& out, std::uint32_t v) { put_bytes(out, v, 4); }
-void put_u16(std::ostream& out, std::uint16_t v) { put_bytes(out, v, 2); }
-void put_u8(std::ostream& out, std::uint8_t v) { put_bytes(out, v, 1); }
-
-bool get_bytes(std::istream& in, std::uint64_t* v, int bytes) {
-  std::uint64_t out = 0;
-  for (int i = 0; i < bytes; ++i) {
-    const int ch = in.get();
-    if (ch < 0) return false;
-    out |= static_cast<std::uint64_t>(ch & 0xff) << (8 * i);
-  }
-  *v = out;
-  return true;
-}
-bool get_u64(std::istream& in, std::uint64_t* v) {
-  return get_bytes(in, v, 8);
-}
-bool get_u32(std::istream& in, std::uint32_t* v) {
-  std::uint64_t tmp = 0;
-  if (!get_bytes(in, &tmp, 4)) return false;
-  *v = static_cast<std::uint32_t>(tmp);
-  return true;
-}
-bool get_u16(std::istream& in, std::uint16_t* v) {
-  std::uint64_t tmp = 0;
-  if (!get_bytes(in, &tmp, 2)) return false;
-  *v = static_cast<std::uint16_t>(tmp);
-  return true;
-}
-bool get_u8(std::istream& in, std::uint8_t* v) {
-  std::uint64_t tmp = 0;
-  if (!get_bytes(in, &tmp, 1)) return false;
-  *v = static_cast<std::uint8_t>(tmp);
-  return true;
-}
-
-bool fail(std::string* error, const char* what) {
-  if (error != nullptr) *error = what;
-  return false;
-}
-
-}  // namespace
-
 void write_provenance_binary(std::ostream& out, const ProvenanceData& data) {
-  out.write(kMagic, 4);
-  put_u32(out, kVersion);
-  put_u32(out, static_cast<std::uint32_t>(data.algorithm.size()));
-  out.write(data.algorithm.data(),
-            static_cast<std::streamsize>(data.algorithm.size()));
-  put_u64(out, data.n);
-  put_u64(out, data.f);
-  put_u32(out, data.rounds);
-  put_u8(out, data.watch_mode);
-  put_u32(out, data.watch_stride);
-  put_u64(out, data.horizon);
-  put_u64(out, data.recorded_events);
-  put_u64(out, data.dropped_events);
-  put_u32(out, static_cast<std::uint32_t>(data.watch_nodes.size()));
-  for (NodeIndex v : data.watch_nodes) put_u32(out, v);
-  put_u32(out, static_cast<std::uint32_t>(data.faulty.size()));
-  for (NodeIndex v : data.faulty) put_u32(out, v);
-  put_u64(out, data.events.size());
+  binio::Writer w(out);
+  w.header(kMagic, kVersion, data.algorithm, data.n);
+  w.u64(data.f);
+  w.u32(data.rounds);
+  w.u8(data.watch_mode);
+  w.u32(data.watch_stride);
+  w.u64(data.horizon);
+  w.u64(data.recorded_events);
+  w.u64(data.dropped_events);
+  w.u32(static_cast<std::uint32_t>(data.watch_nodes.size()));
+  for (NodeIndex v : data.watch_nodes) w.u32(v);
+  w.u32(static_cast<std::uint32_t>(data.faulty.size()));
+  for (NodeIndex v : data.faulty) w.u32(v);
+  w.u64(data.events.size());
   for (const ProvEvent& e : data.events) {
-    put_u64(out, e.id);
-    put_u32(out, e.round);
-    put_u32(out, e.node);
-    put_u32(out, e.subject);
-    put_u8(out, static_cast<std::uint8_t>(e.kind));
-    put_u16(out, e.msg_kind);
-    put_u64(out, e.a);
-    put_u64(out, e.b);
-    put_u16(out, e.causes_dropped);
-    put_u8(out, e.cause_count);
+    w.u64(e.id);
+    w.u32(e.round);
+    w.u32(e.node);
+    w.u32(e.subject);
+    w.u8(static_cast<std::uint8_t>(e.kind));
+    w.u16(e.msg_kind);
+    w.u64(e.a);
+    w.u64(e.b);
+    w.u16(e.causes_dropped);
+    w.u8(e.cause_count);
     for (std::uint8_t i = 0; i < e.cause_count; ++i) {
-      put_u32(out, e.causes[i].sender);
-      put_u16(out, e.causes[i].msg_kind);
-      put_u32(out, e.causes[i].bits);
-      put_u64(out, e.causes[i].event);
+      w.u32(e.causes[i].sender);
+      w.u16(e.causes[i].msg_kind);
+      w.u32(e.causes[i].bits);
+      w.u64(e.causes[i].event);
     }
   }
 }
 
 bool read_provenance_binary(std::istream& in, ProvenanceData* data,
                             std::string* error) {
-  char magic[4] = {};
-  in.read(magic, 4);
-  if (in.gcount() != 4 || magic[0] != kMagic[0] || magic[1] != kMagic[1] ||
-      magic[2] != kMagic[2] || magic[3] != kMagic[3]) {
-    return fail(error, "not a renaming provenance file (bad magic)");
-  }
-  std::uint32_t version = 0;
-  if (!get_u32(in, &version)) return fail(error, "truncated header");
-  if (version != kVersion) {
-    return fail(error, "unsupported provenance version");
-  }
+  binio::Reader r(in, error);
   ProvenanceData out;
-  std::uint32_t algo_len = 0;
-  if (!get_u32(in, &algo_len)) return fail(error, "truncated header");
-  if (algo_len > 4096) return fail(error, "implausible algorithm name");
-  out.algorithm.resize(algo_len);
-  in.read(out.algorithm.data(), algo_len);
-  if (in.gcount() != static_cast<std::streamsize>(algo_len)) {
-    return fail(error, "truncated header");
+  if (!r.header(kMagic, kVersion, &out.algorithm, &out.n)) return false;
+  out.f = r.u64();
+  out.rounds = r.u32();
+  out.watch_mode = r.u8();
+  out.watch_stride = r.u32();
+  out.horizon = r.u64();
+  out.recorded_events = r.u64();
+  out.dropped_events = r.u64();
+  if (!r.ok("header")) return false;
+  if (out.watch_mode > 2) return r.fail("unknown watch mode");
+  for (std::vector<NodeIndex>* nodes : {&out.watch_nodes, &out.faulty}) {
+    const std::uint32_t count = r.u32();
+    for (std::uint32_t i = 0; i < count && r.ok("node list"); ++i) {
+      nodes->push_back(r.u32());
+    }
   }
-  std::uint32_t watch_count = 0;
-  std::uint32_t faulty_count = 0;
-  std::uint64_t event_count = 0;
-  if (!get_u64(in, &out.n) || !get_u64(in, &out.f) ||
-      !get_u32(in, &out.rounds) || !get_u8(in, &out.watch_mode) ||
-      !get_u32(in, &out.watch_stride) || !get_u64(in, &out.horizon) ||
-      !get_u64(in, &out.recorded_events) ||
-      !get_u64(in, &out.dropped_events) || !get_u32(in, &watch_count)) {
-    return fail(error, "truncated header");
-  }
-  if (out.watch_mode > 2) return fail(error, "unknown watch mode");
-  // Grow incrementally: a corrupt count must not turn into an allocation.
-  for (std::uint32_t i = 0; i < watch_count; ++i) {
-    std::uint32_t v = 0;
-    if (!get_u32(in, &v)) return fail(error, "truncated watch list");
-    out.watch_nodes.push_back(v);
-  }
-  if (!get_u32(in, &faulty_count)) return fail(error, "truncated header");
-  for (std::uint32_t i = 0; i < faulty_count; ++i) {
-    std::uint32_t v = 0;
-    if (!get_u32(in, &v)) return fail(error, "truncated faulty list");
-    out.faulty.push_back(v);
-  }
-  if (!get_u64(in, &event_count)) return fail(error, "truncated header");
+  const std::uint64_t event_count = r.u64();
+  if (!r.ok("header")) return false;
   for (std::uint64_t i = 0; i < event_count; ++i) {
-    ProvEvent e;
-    std::uint8_t kind = 0;
-    if (!get_u64(in, &e.id) || !get_u32(in, &e.round) ||
-        !get_u32(in, &e.node) || !get_u32(in, &e.subject) ||
-        !get_u8(in, &kind) || !get_u16(in, &e.msg_kind) ||
-        !get_u64(in, &e.a) || !get_u64(in, &e.b) ||
-        !get_u16(in, &e.causes_dropped) || !get_u8(in, &e.cause_count)) {
-      return fail(error, "truncated event record");
+    // Braced initializers evaluate left to right: fields in file order.
+    ProvEvent e{r.u64(), r.u32(), r.u32(), r.u32(),
+                static_cast<ProvEventKind>(r.u8()), r.u16(), r.u64(),
+                r.u64(), r.u16(), r.u8(), {}};
+    if (!r.ok("event record")) return false;
+    if (static_cast<std::uint8_t>(e.kind) >= kProvEventKindCount) {
+      return r.fail("unknown event kind");
     }
-    if (kind >= kProvEventKindCount) return fail(error, "unknown event kind");
     if (e.cause_count > kMaxProvCauses) {
-      return fail(error, "implausible cause count");
+      return r.fail("implausible cause count");
     }
-    e.kind = static_cast<ProvEventKind>(kind);
+    // The doctor resolves cause links by binary search over the ids.
+    if (!out.events.empty() && e.id <= out.events.back().id) {
+      return r.fail("event ids not strictly ascending");
+    }
     for (std::uint8_t c = 0; c < e.cause_count; ++c) {
-      if (!get_u32(in, &e.causes[c].sender) ||
-          !get_u16(in, &e.causes[c].msg_kind) ||
-          !get_u32(in, &e.causes[c].bits) ||
-          !get_u64(in, &e.causes[c].event)) {
-        return fail(error, "truncated cause record");
-      }
+      e.causes[c] = {r.u32(), r.u16(), r.u32(), r.u64()};
     }
+    if (!r.ok("cause record")) return false;
     out.events.push_back(e);
   }
   *data = std::move(out);

@@ -202,7 +202,8 @@ class Provenance {
   std::vector<NodeIndex> faulty_;
 };
 
-/// RNPV v1 writers/readers (same idiom as the journal's RNMJ v1).
+/// RNPV v1 writers/readers over the shared obs/binio.h codec. The reader
+/// rejects event ids that are not strictly ascending.
 void write_provenance_binary(std::ostream& out, const ProvenanceData& data);
 bool read_provenance_binary(std::istream& in, ProvenanceData* data,
                             std::string* error);

@@ -76,13 +76,14 @@ inline constexpr ProvKindEntry kProvenanceKinds[] = {
 inline constexpr std::size_t kProvenanceKindCount =
     sizeof(kProvenanceKinds) / sizeof(kProvenanceKinds[0]);
 
-/// Attribution lookup; nullptr for unregistered kinds (constexpr-friendly so
-/// kind_registry.h can use it inside static_asserts).
-constexpr const ProvKindEntry* prov_entry_of_or_null(sim::MsgKind kind) {
-  for (std::size_t i = 0; i < kProvenanceKindCount; ++i) {
-    if (kProvenanceKinds[i].kind == kind) return &kProvenanceKinds[i];
-  }
-  return nullptr;
+/// Index of `kind`'s attribution row; kProvenanceKindCount when it has
+/// none. kind_registry.h uses it inside static_asserts, which must compare
+/// indices, not addresses: GCC 12 under -fsanitize=undefined cannot
+/// constant-evaluate `&kProvenanceKinds[i] == nullptr`.
+constexpr std::size_t prov_entry_index(sim::MsgKind kind) {
+  std::size_t i = 0;
+  while (i < kProvenanceKindCount && kProvenanceKinds[i].kind != kind) ++i;
+  return i;
 }
 
 }  // namespace renaming::obs

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <istream>
+#include <limits>
 #include <ostream>
+
+#include "obs/binio.h"
 
 namespace renaming::obs {
 
@@ -121,56 +124,18 @@ void ShardProfile::on_round_end(Round round) {
 
 // --- binary format ----------------------------------------------------------
 //
-// "RNSP" magic, u32 version, then fixed-width little-endian fields in
-// struct order — the same conventions as the journal format (journal.cc):
-// no padding, incremental growth on read, clean failure on truncation.
+// RNSP v1: the shared obs/binio.h header, then fixed-width fields in struct
+// order (docs/OBSERVABILITY.md "Binary artifacts").
 
 namespace {
 
 constexpr char kMagic[4] = {'R', 'N', 'S', 'P'};
 constexpr std::uint32_t kVersion = 1;
 
-void put_bytes(std::ostream& out, std::uint64_t v, int bytes) {
-  for (int i = 0; i < bytes; ++i) {
-    out.put(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-void put_u64(std::ostream& out, std::uint64_t v) { put_bytes(out, v, 8); }
-void put_u32(std::ostream& out, std::uint32_t v) { put_bytes(out, v, 4); }
-void put_i64(std::ostream& out, std::int64_t v) {
-  put_bytes(out, static_cast<std::uint64_t>(v), 8);
-}
-
-bool get_bytes(std::istream& in, std::uint64_t* v, int bytes) {
-  std::uint64_t out = 0;
-  for (int i = 0; i < bytes; ++i) {
-    const int ch = in.get();
-    if (ch < 0) return false;
-    out |= static_cast<std::uint64_t>(ch & 0xff) << (8 * i);
-  }
-  *v = out;
-  return true;
-}
-bool get_u64(std::istream& in, std::uint64_t* v) {
-  return get_bytes(in, v, 8);
-}
-bool get_u32(std::istream& in, std::uint32_t* v) {
-  std::uint64_t tmp = 0;
-  if (!get_bytes(in, &tmp, 4)) return false;
-  *v = static_cast<std::uint32_t>(tmp);
-  return true;
-}
-bool get_i64(std::istream& in, std::int64_t* v) {
-  std::uint64_t tmp = 0;
-  if (!get_bytes(in, &tmp, 8)) return false;
-  *v = static_cast<std::int64_t>(tmp);
-  return true;
-}
-
-bool fail(std::string* error, const char* what) {
-  if (error != nullptr) *error = what;
-  return false;
-}
+// The aggregates above sum at most 4 * kMaxShards ledger times in int64,
+// so a reader that bounds both keeps every sum from overflowing.
+constexpr std::uint32_t kMaxShards = 4096;
+constexpr std::int64_t kMaxShardNs = std::int64_t{1} << 49;  // ~6.5 days
 
 void append_ratio(std::string* out, double v) {
   // Two decimal places without <iostream> formatting state.
@@ -196,87 +161,64 @@ std::string format_ms(std::int64_t ns) {
 
 void write_shard_profile_binary(std::ostream& out,
                                 const ShardProfileData& data) {
-  out.write(kMagic, 4);
-  put_u32(out, kVersion);
-  put_u32(out, static_cast<std::uint32_t>(data.algorithm.size()));
-  out.write(data.algorithm.data(),
-            static_cast<std::streamsize>(data.algorithm.size()));
-  put_u64(out, data.n);
-  put_u32(out, data.shards);
-  put_u64(out, data.rounds);
-  put_u64(out, data.dropped_samples);
+  binio::Writer w(out);
+  w.header(kMagic, kVersion, data.algorithm, data.n);
+  w.u32(data.shards);
+  w.u64(data.rounds);
+  w.u64(data.dropped_samples);
   for (std::size_t p = 0; p < kShardPhaseCount; ++p) {
     for (const ShardPhaseTotals& t : data.totals[p]) {
-      put_i64(out, t.busy_ns);
-      put_i64(out, t.wait_ns);
-      put_u64(out, t.rounds);
+      w.i64(t.busy_ns);
+      w.i64(t.wait_ns);
+      w.u64(t.rounds);
     }
   }
-  put_u64(out, data.samples.size());
+  w.u64(data.samples.size());
   for (const ShardRoundSample& s : data.samples) {
-    put_u64(out, s.round);
-    for (std::int64_t v : s.busy_ns) put_i64(out, v);
-    for (std::int64_t v : s.wait_ns) put_i64(out, v);
+    w.u64(s.round);
+    for (std::int64_t v : s.busy_ns) w.i64(v);
+    for (std::int64_t v : s.wait_ns) w.i64(v);
   }
 }
 
 bool read_shard_profile_binary(std::istream& in, ShardProfileData* data,
                                std::string* error) {
-  char magic[4] = {};
-  in.read(magic, 4);
-  if (in.gcount() != 4 || magic[0] != kMagic[0] || magic[1] != kMagic[1] ||
-      magic[2] != kMagic[2] || magic[3] != kMagic[3]) {
-    return fail(error, "not a shard profile (bad magic)");
-  }
-  std::uint32_t version = 0;
-  if (!get_u32(in, &version)) return fail(error, "truncated header");
-  if (version != kVersion) {
-    return fail(error, "unsupported shard-profile version");
-  }
+  binio::Reader r(in, error);
   ShardProfileData out;
-  std::uint32_t algo_len = 0;
-  if (!get_u32(in, &algo_len)) return fail(error, "truncated header");
-  if (algo_len > 4096) return fail(error, "implausible algorithm name");
-  out.algorithm.resize(algo_len);
-  in.read(out.algorithm.data(), algo_len);
-  if (in.gcount() != static_cast<std::streamsize>(algo_len)) {
-    return fail(error, "truncated header");
-  }
-  if (!get_u64(in, &out.n) || !get_u32(in, &out.shards) ||
-      !get_u64(in, &out.rounds) || !get_u64(in, &out.dropped_samples)) {
-    return fail(error, "truncated header");
-  }
-  if (out.shards == 0 || out.shards > 65536) {
-    return fail(error, "implausible shard count");
+  if (!r.header(kMagic, kVersion, &out.algorithm, &out.n)) return false;
+  out.shards = r.u32();
+  out.rounds = r.u64();
+  out.dropped_samples = r.u64();
+  if (!r.ok("header")) return false;
+  if (out.shards == 0 || out.shards > kMaxShards) {
+    return r.fail("implausible shard count");
   }
   for (std::size_t p = 0; p < kShardPhaseCount; ++p) {
     for (std::uint32_t s = 0; s < out.shards; ++s) {
-      ShardPhaseTotals t;
-      if (!get_i64(in, &t.busy_ns) || !get_i64(in, &t.wait_ns) ||
-          !get_u64(in, &t.rounds)) {
-        return fail(error, "truncated totals");
+      const ShardPhaseTotals t{r.i64(), r.i64(), r.u64()};  // in file order
+      if (!r.ok("totals")) return false;
+      if (t.busy_ns < 0 || t.busy_ns >= kMaxShardNs || t.wait_ns < 0 ||
+          t.wait_ns >= kMaxShardNs) {
+        return r.fail("shard time out of range");
       }
       out.totals[p].push_back(t);
     }
   }
-  std::uint64_t sample_count = 0;
-  if (!get_u64(in, &sample_count)) return fail(error, "truncated header");
+  const std::uint64_t sample_count = r.u64();
+  if (!r.ok("header")) return false;
   const std::size_t lanes = kShardPhaseCount * out.shards;
-  // Grow incrementally: a corrupt count must not turn into an allocation.
   for (std::uint64_t i = 0; i < sample_count; ++i) {
     ShardRoundSample s;
-    std::uint64_t round64 = 0;
-    if (!get_u64(in, &round64)) return fail(error, "truncated sample");
-    s.round = static_cast<Round>(round64);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      std::int64_t v = 0;
-      if (!get_i64(in, &v)) return fail(error, "truncated sample");
-      s.busy_ns.push_back(v);
+    const std::uint64_t round = r.u64();  // a short read leaves 0
+    if (round > std::numeric_limits<Round>::max()) {
+      return r.fail("sample round out of range");
     }
-    for (std::size_t l = 0; l < lanes; ++l) {
-      std::int64_t v = 0;
-      if (!get_i64(in, &v)) return fail(error, "truncated sample");
-      s.wait_ns.push_back(v);
+    s.round = static_cast<Round>(round);
+    for (std::vector<std::int64_t>* lane : {&s.busy_ns, &s.wait_ns}) {
+      for (std::size_t l = 0; l < lanes; ++l) {
+        lane->push_back(r.i64());
+        if (!r.ok("sample")) return false;
+      }
     }
     out.samples.push_back(std::move(s));
   }

@@ -128,19 +128,28 @@ inline constexpr WireSchema kWireSchemas[] = {
 inline constexpr std::size_t kWireSchemaCount =
     sizeof(kWireSchemas) / sizeof(kWireSchemas[0]);
 
+/// Index of `kind` in kWireSchemas; kWireSchemaCount when unregistered.
+/// Constant evaluation only ever compares indices: GCC 12 under
+/// -fsanitize=undefined cannot constant-evaluate `&kWireSchemas[i] !=
+/// nullptr`, which broke every static_assert below.
+constexpr std::size_t schema_index(MsgKind kind) {
+  std::size_t i = 0;
+  while (i < kWireSchemaCount && kWireSchemas[i].kind != kind) ++i;
+  return i;
+}
+
 /// Schema lookup; nullptr for unregistered (bench-/test-local) kinds.
 constexpr const WireSchema* schema_of_or_null(MsgKind kind) {
-  for (const WireSchema& s : kWireSchemas) {
-    if (s.kind == kind) return &s;
-  }
-  return nullptr;
+  const std::size_t i = schema_index(kind);
+  return i < kWireSchemaCount ? &kWireSchemas[i] : nullptr;
 }
 
 /// Schema lookup for kinds that must be registered.
 constexpr const WireSchema& schema_of(MsgKind kind) {
-  const WireSchema* s = schema_of_or_null(kind);
-  RENAMING_CHECK(s != nullptr, "wire_schema: unregistered message kind");
-  return *s;
+  const std::size_t i = schema_index(kind);
+  RENAMING_CHECK(i < kWireSchemaCount,
+                 "wire_schema: unregistered message kind");
+  return kWireSchemas[i];
 }
 
 /// Closed-form width of one field.
@@ -234,7 +243,7 @@ constexpr bool streq(const char* a, const char* b) {
 
 constexpr bool every_registered_kind_has_schema() {
   for (MsgKind k : kRegisteredKinds) {
-    if (schema_of_or_null(k) == nullptr) return false;
+    if (schema_index(k) == kWireSchemaCount) return false;
   }
   return true;
 }

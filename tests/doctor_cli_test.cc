@@ -4,8 +4,9 @@
 // 2 = incomparable or I/O error. The library-level verdicts are covered by
 // obs_journal_test on full journals; this suite pins the BINARY's exit
 // codes on the inputs a diagnosis session actually meets: truncated files
-// (a run killed mid-write) and ring-mode journals (bounded --journal-rounds
-// recordings whose windows may or may not overlap). The binary path is
+// (a run killed mid-write), ring-mode journals (bounded --journal-rounds
+// recordings whose windows may or may not overlap) and journals whose
+// round numbers a corruption rewrote. The binary path is
 // injected at configure time (RENAMING_DOCTOR_BIN, tests/CMakeLists.txt).
 #include <gtest/gtest.h>
 
@@ -84,6 +85,30 @@ TEST(DoctorCli, DiffTruncatedJournalExitsTwo) {
   // bogus "identical" verdict.
   EXPECT_EQ(doctor_diff(cut, good), 2);
   EXPECT_EQ(doctor_diff(good, cut), 2);
+}
+
+// The doctor finds a round's record by its offset from the first record,
+// so the reader must refuse journals whose rounds are not consecutive.
+// Each case rewrites one record's round field of a valid journal.
+TEST(DoctorCli, DiffRejectsJournalWithAFarLastRound) {
+  const auto full = crash_journal(41);
+  obs::JournalData bad = full;
+  bad.records.back().round = 0xFFFFFFF0u;  // was: 2^32 digests allocated
+  const auto good = write_journal("dr_far_good.bin", full);
+  const auto corrupt = write_journal("dr_far_last.bin", bad);
+  EXPECT_EQ(doctor_diff(corrupt, good), 2);
+  EXPECT_EQ(doctor_diff(good, corrupt), 2);
+}
+
+TEST(DoctorCli, DiffRejectsJournalWithAZeroFirstRound) {
+  const auto full = crash_journal(41);
+  ASSERT_GT(full.records.front().round, 0u);
+  obs::JournalData bad = full;
+  bad.records.front().round = 0;  // was: "divergent at round 1"
+  const auto good = write_journal("dr_zero_good.bin", full);
+  const auto corrupt = write_journal("dr_zero_first.bin", bad);
+  EXPECT_EQ(doctor_diff(corrupt, good), 2);
+  EXPECT_EQ(doctor_diff(good, corrupt), 2);
 }
 
 TEST(DoctorCli, DiffRingJournalAgainstFullUsesTheOverlap) {

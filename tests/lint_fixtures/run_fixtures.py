@@ -43,6 +43,7 @@ CASES = {
     "provenance-coverage": "provenance-coverage",
     "full-width-alloc": "full-width-alloc",
     "wall-clock": "wall-clock",
+    "binary-io": "binary-io",
 }
 
 

@@ -337,28 +337,6 @@ TEST(ShardProfile, BinaryFormatRoundTrips) {
   EXPECT_NE(report.find("barrier_wait_share"), std::string::npos);
 }
 
-TEST(ShardProfile, BinaryReaderRejectsGarbageAndTruncation) {
-  obs::ShardProfileData data;
-  std::string error;
-  std::stringstream bad("not a shard profile at all");
-  EXPECT_FALSE(obs::read_shard_profile_binary(bad, &data, &error));
-  EXPECT_FALSE(error.empty());
-
-  obs::ShardProfile profile;
-  profile.begin_run(8, 1);
-  profile.on_round_begin(1);
-  profile.note_shard(obs::ShardPhase::kSend, 0, 1, 0);
-  profile.on_round_end(1);
-  profile.end_run(1);
-  std::stringstream buffer;
-  obs::write_shard_profile_binary(buffer, profile.data());
-  const std::string bytes = buffer.str();
-  std::stringstream truncated(bytes.substr(0, bytes.size() / 2));
-  error.clear();
-  EXPECT_FALSE(obs::read_shard_profile_binary(truncated, &data, &error));
-  EXPECT_FALSE(error.empty());
-}
-
 // --- the determinism contract, end to end --------------------------------
 
 struct Artifacts {

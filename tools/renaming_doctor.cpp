@@ -28,7 +28,8 @@
 //       decisions.
 //
 // Exit codes: 0 = identical / audit pass / chain found, 1 = diverged /
-// budget violation / node has no retained events, 2 = usage or I/O error.
+// budget violation / node has no retained events, 2 = usage or I/O error,
+// a file its reader rejects, or a journal explain cannot audit.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -56,18 +57,16 @@ int usage() {
   return 2;
 }
 
-bool load(const char* path, obs::JournalData* out) {
+// Parses the artifact at `path` with `read`; on failure names the file and
+// the reader's error on stderr (the caller exits 2).
+template <typename Data>
+bool load(const char* path, Data* out,
+          bool (*read)(std::istream&, Data*, std::string*)) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "renaming_doctor: cannot open %s\n", path);
-    return false;
-  }
-  std::string error;
-  if (!obs::read_journal_binary(in, out, &error)) {
-    std::fprintf(stderr, "renaming_doctor: %s: %s\n", path, error.c_str());
-    return false;
-  }
-  return true;
+  std::string error = "cannot open";
+  if (in && read(in, out, &error)) return true;
+  std::fprintf(stderr, "renaming_doctor: %s: %s\n", path, error.c_str());
+  return false;
 }
 
 double flag_real(int argc, char** argv, const char* name, double fallback) {
@@ -87,32 +86,19 @@ bool flag_set(int argc, char** argv, const char* name) {
 int cmd_diff(int argc, char** argv) {
   if (argc < 2) return usage();
   obs::JournalData a, b;
-  if (!load(argv[0], &a) || !load(argv[1], &b)) return 2;
+  if (!load(argv[0], &a, obs::read_journal_binary) ||
+      !load(argv[1], &b, obs::read_journal_binary)) {
+    return 2;
+  }
   const obs::DivergenceReport report = obs::diagnose_divergence(a, b);
   std::printf("%s", report.explanation.c_str());
-  switch (report.verdict) {
-    case obs::DivergenceReport::Verdict::kIdentical:
-      return 0;
-    case obs::DivergenceReport::Verdict::kDiverged:
-      return 1;
-    case obs::DivergenceReport::Verdict::kIncomparable:
-      return 2;
-  }
-  return 2;
+  return static_cast<int>(report.verdict);  // the values are the exit codes
 }
 
 int cmd_explain(int argc, char** argv) {
   if (argc < 1) return usage();
   obs::JournalData data;
-  if (!load(argv[0], &data)) return 2;
-  if (!data.complete()) {
-    std::fprintf(stderr,
-                 "renaming_doctor: %s was recorded with a bounded ring "
-                 "(%llu rounds dropped); an audit needs the full run\n",
-                 argv[0],
-                 static_cast<unsigned long long>(data.dropped_rounds));
-    return 2;
-  }
+  if (!load(argv[0], &data, obs::read_journal_binary)) return 2;
   obs::BudgetParams params;
   params.algorithm = data.algorithm;
   params.n = data.n;
@@ -126,6 +112,11 @@ int cmd_explain(int argc, char** argv) {
       flag_real(argc, argv, "--phase-multiplier", 3));
   params.slack = flag_real(argc, argv, "--slack", 1.0);
   const obs::AuditDiagnosis diagnosis = obs::diagnose_audit(params, data);
+  if (!diagnosis.error.empty()) {
+    std::fprintf(stderr, "renaming_doctor: %s: %s\n", argv[0],
+                 diagnosis.error.c_str());
+    return 2;
+  }
   std::printf("%s", diagnosis.explanation.c_str());
   return diagnosis.ok ? 0 : 1;
 }
@@ -133,7 +124,7 @@ int cmd_explain(int argc, char** argv) {
 int cmd_show(int argc, char** argv) {
   if (argc < 1) return usage();
   obs::JournalData data;
-  if (!load(argv[0], &data)) return 2;
+  if (!load(argv[0], &data, obs::read_journal_binary)) return 2;
   std::printf("journal %s  algorithm=%s n=%llu f=%llu\n", argv[0],
               data.algorithm.c_str(),
               static_cast<unsigned long long>(data.n),
@@ -167,20 +158,6 @@ int cmd_show(int argc, char** argv) {
   return 0;
 }
 
-bool load_provenance(const char* path, obs::ProvenanceData* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "renaming_doctor: cannot open %s\n", path);
-    return false;
-  }
-  std::string error;
-  if (!obs::read_provenance_binary(in, out, &error)) {
-    std::fprintf(stderr, "renaming_doctor: %s: %s\n", path, error.c_str());
-    return false;
-  }
-  return true;
-}
-
 int cmd_why(int argc, char** argv) {
   if (argc < 1) return usage();
   long long node = -1;
@@ -192,7 +169,7 @@ int cmd_why(int argc, char** argv) {
     return usage();
   }
   obs::ProvenanceData data;
-  if (!load_provenance(argv[0], &data)) return 2;
+  if (!load(argv[0], &data, obs::read_provenance_binary)) return 2;
   const obs::WhyReport report =
       obs::diagnose_why(data, static_cast<NodeIndex>(node));
   std::printf("%s", report.explanation.c_str());
@@ -202,7 +179,7 @@ int cmd_why(int argc, char** argv) {
 int cmd_blame(int argc, char** argv) {
   if (argc < 1) return usage();
   obs::ProvenanceData data;
-  if (!load_provenance(argv[0], &data)) return 2;
+  if (!load(argv[0], &data, obs::read_provenance_binary)) return 2;
   const obs::BlameReport report = obs::diagnose_blame(data);
   std::printf("%s", report.explanation.c_str());
   return 0;
@@ -210,17 +187,8 @@ int cmd_blame(int argc, char** argv) {
 
 int cmd_profile(int argc, char** argv) {
   if (argc < 1) return usage();
-  std::ifstream in(argv[0], std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "renaming_doctor: cannot open %s\n", argv[0]);
-    return 2;
-  }
   obs::ShardProfileData data;
-  std::string error;
-  if (!obs::read_shard_profile_binary(in, &data, &error)) {
-    std::fprintf(stderr, "renaming_doctor: %s: %s\n", argv[0], error.c_str());
-    return 2;
-  }
+  if (!load(argv[0], &data, obs::read_shard_profile_binary)) return 2;
   std::printf("%s", obs::describe_shard_profile(data).c_str());
   return 0;
 }
