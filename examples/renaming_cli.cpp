@@ -12,10 +12,11 @@
 //   renaming_cli naive     --n 128
 //   renaming_cli lowerbound --n 256 --budget 128 --trials 2000
 //
-// Common flags: --seed S, --csv, --trace FILE (JSONL event trace, crash/byz
-// only), --threads T (shard-parallel engine callbacks on T threads, 0 =
-// all cores; results byte-identical to --threads 1), --shards K (override
-// the shard count, default one per thread).
+// Common flags: --seed S, --csv, --trace FILE (JSONL event trace; crash and
+// byz only, a usage error elsewhere), --threads T (shard-parallel engine
+// callbacks on T threads, 0 = all cores; results byte-identical to
+// --threads 1), --shards K (override the shard count, default one per
+// thread).
 //
 // Million-node mode (docs/PERFORMANCE.md §10). A run with n >= 8192 nodes
 // (kLargeSystemNodes) counts as large and gets bounded defaults:
@@ -83,10 +84,13 @@
 //                        explicit 0 or a negative value is a usage error,
 //                        as for the --progress-interval* cadences.
 // Exit code 0 iff the verifier accepted the outcome (and, with --audit,
-// the budget auditor did too); 2 on a usage error or when an output file
-// cannot be written (the failed path is named on stderr).
+// the budget auditor did too); 2 on a usage error (including a numeric
+// flag whose value is not a number, named on stderr) or when an output
+// file cannot be written (the failed path is named on stderr).
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -120,22 +124,44 @@ namespace {
 
 using namespace renaming;
 
+// Parses the whole of `text` as a T; an empty string, trailing bytes, a
+// sign on an unsigned T or an out-of-range value make it fail.
+template <typename T>
+bool parse_whole(const std::string& text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && stop == end;
+}
+
 struct Args {
   std::string command;
   std::map<std::string, std::string> flags;
 
   bool has(const std::string& key) const { return flags.count(key) > 0; }
   std::uint64_t num(const std::string& key, std::uint64_t fallback) const {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::stoull(it->second);
+    return parsed(key, fallback, "a non-negative integer");
   }
   double real(const std::string& key, double fallback) const {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::stod(it->second);
+    return parsed(key, fallback, "a number");
   }
   std::string str(const std::string& key, const std::string& fallback) const {
     const auto it = flags.find(key);
     return it == flags.end() ? fallback : it->second;
+  }
+
+ private:
+  // A malformed numeric value is a usage error: exit 2, naming the flag.
+  template <typename T>
+  T parsed(const std::string& key, T fallback, const char* what) const {
+    const auto it = flags.find(key);
+    if (it == flags.end()) return fallback;
+    T value{};
+    if (!parse_whole(it->second, &value)) {
+      std::fprintf(stderr, "renaming_cli: --%s must be %s, got '%s'\n",
+                   key.c_str(), what, it->second.c_str());
+      std::exit(2);
+    }
+    return value;
   }
 };
 
@@ -291,18 +317,13 @@ int usage() {
 }
 
 // True iff `key`, when given, carries a positive integer. A zero cadence or
-// capacity is meaningless, and a negative value would wrap through stoull
-// into an absurd unsigned — both must die as usage errors, not as a
-// division by zero or a 2^64-round ring three layers down.
+// capacity is meaningless, and a negative value is not a count — both must
+// die as usage errors, not as a division by zero three layers down.
 bool positive_flag_ok(const Args& args, const std::string& key) {
   const auto it = args.flags.find(key);
-  if (it == args.flags.end()) return true;
-  if (it->second.empty() || it->second[0] == '-') return false;
-  try {
-    return std::stoull(it->second) > 0;
-  } catch (...) {
-    return false;
-  }
+  std::uint64_t value = 0;
+  return it == args.flags.end() ||
+         (parse_whole(it->second, &value) && value > 0);
 }
 
 // Parses --trace-nodes v1,v2,.. into a watch list; out-of-range entries
@@ -316,13 +337,9 @@ bool parse_watch_nodes(const std::string& csv, NodeIndex n,
         csv.substr(pos, comma == std::string::npos ? comma : comma - pos);
     pos = comma == std::string::npos ? csv.size() : comma + 1;
     if (tok.empty()) continue;
-    try {
-      const std::uint64_t v = std::stoull(tok);
-      if (v >= n) return false;
-      out->push_back(static_cast<NodeIndex>(v));
-    } catch (...) {
-      return false;
-    }
+    std::uint64_t v = 0;
+    if (!parse_whole(tok, &v) || v >= n) return false;
+    out->push_back(static_cast<NodeIndex>(v));
   }
   return true;
 }
@@ -331,6 +348,12 @@ bool parse_watch_nodes(const std::string& csv, NodeIndex n,
 
 int main(int argc, char** argv) {
   const Args args = parse(argc, argv);
+  // Only the two paper protocols feed a trace sink; elsewhere the file
+  // would be created and left empty.
+  if (args.has("trace") && args.command != "crash" && args.command != "byz") {
+    std::fprintf(stderr, "--trace is supported by crash and byz only\n");
+    return usage();
+  }
   for (const char* key :
        {"progress-interval", "progress-interval-ms", "telemetry-rounds"}) {
     if (!positive_flag_ok(args, key)) {
@@ -436,7 +459,6 @@ int main(int argc, char** argv) {
   std::unique_ptr<obs::ShardProfile> profile;
   if (args.has("shard-profile-out")) {
     profile = std::make_unique<obs::ShardProfile>();
-    profile->set_run_info(args.command);
   }
 
   // Effective-configuration run header, one entry per attached observer
@@ -479,9 +501,9 @@ int main(int argc, char** argv) {
   // callbacks shard-parallel on a persistent pool; output stays
   // byte-identical. Live telemetry (--audit/--metrics-out/--perfetto-out)
   // makes the engine fall back to serial callbacks on its own.
-  // Both flags are validated before the unsigned narrowing below: a
-  // negative value wraps through stoull to ~2^64, which would otherwise
-  // spawn that many threads / size per-run scratch by that many shards.
+  // Both flags are bounded before the unsigned narrowing below: a huge
+  // value would otherwise spawn that many threads / size per-run scratch
+  // by that many shards.
   const std::uint64_t threads_raw = args.num("threads", 1);
   const std::uint64_t shards_raw = args.num("shards", 0);
   constexpr std::uint64_t kMaxParallelism = 4096;

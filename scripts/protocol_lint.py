@@ -130,6 +130,12 @@ and suppression markers are tracked precisely per (line, rule).
                       writer goes through its Writer/Reader, so the
                       shared header checks and length bounds cannot fork
                       into private copies again.
+  R16 observer-fold   One observer lifecycle. Outside src/obs/ and
+                      src/sim/observers.h, src/ code must not reference
+                      kTelemetryEnabled or call set_run_info(): the
+                      RENAMING_NO_TELEMETRY fold and the run-info labelling
+                      live in sim::Observers (folded() / begin()), so a
+                      run_* entry point cannot drift from the others.
 
 Findings can be suppressed per line with `// lint:allow(<rule>)` where
 <rule> is one of: nondeterminism, bits-width, unordered-iteration,
@@ -1332,6 +1338,42 @@ def check_binary_io(files: list[SourceFile]) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
+# R16: one observer lifecycle — the telemetry fold and run-info labelling
+# live in sim/observers.h (and the obs layer that defines them)
+
+_OBSERVERS_FILE = "sim/observers.h"
+
+
+def check_observer_fold(files: list[SourceFile]) -> list[Violation]:
+    out = []
+    for f in files:
+        if f.rel.startswith("obs/") or f.rel == _OBSERVERS_FILE:
+            continue
+        sig = f.sig
+        for i, t in enumerate(sig):
+            if t.kind != "id":
+                continue
+            if t.text == "kTelemetryEnabled":
+                what = "kTelemetryEnabled reference"
+            elif t.text == "set_run_info" and seq_at(sig, i + 1, "("):
+                what = "set_run_info() call"
+            else:
+                continue
+            out.append(
+                Violation(
+                    "observer-fold",
+                    f.path,
+                    t.line,
+                    f"{what} outside {_OBSERVERS_FILE}; attach observers "
+                    "through sim::Observers, whose begin() folds them under "
+                    "RENAMING_NO_TELEMETRY and labels the run "
+                    "(docs/OBSERVABILITY.md \"Attaching observers\")",
+                )
+            )
+    return out
+
+
+# ---------------------------------------------------------------------------
 # R5: headers are self-contained (with a content-hash cache)
 
 _INCLUDE_RE = re.compile(r'#\s*include\s*"([^"]+)"')
@@ -1463,6 +1505,7 @@ RULES = (
     "full-width-alloc",
     "wall-clock",
     "binary-io",
+    "observer-fold",
 )
 
 
@@ -1496,6 +1539,8 @@ def run_rules(files: list[SourceFile], src: Path, selected: list[str],
         raw += check_wall_clock(files)
     if "binary-io" in selected:
         raw += check_binary_io(files)
+    if "observer-fold" in selected:
+        raw += check_observer_fold(files)
     if "header-hygiene" in selected:
         raw += check_header_hygiene(files, src, compiler, cache_path)
 

@@ -6,10 +6,6 @@
 #include "common/math.h"
 #include "core/interval.h"
 #include "sim/wire_schema.h"
-#include "obs/journal.h"
-#include "obs/progress.h"
-#include "obs/provenance.h"
-#include "obs/telemetry.h"
 #include "sim/engine.h"
 
 namespace renaming::baselines {
@@ -120,8 +116,11 @@ class ChtNode final : public sim::Node {
 // fast path uses — so stats and telemetry are bit-identical to the
 // simulated run (pinned by tests/closed_form_test.cc), and the Theorem
 // audit gates (obs/budget.h) see exactly the traffic the engine would have
-// charged. Quadratic cost becomes O(n log n) outcome assembly.
-ChtRunResult closed_form_cht(const SystemConfig& cfg, obs::Telemetry* tel) {
+// charged. The rounds drive the same observer lifecycle as the engine, so
+// the heartbeat and shard profile see every round too. Quadratic cost
+// becomes O(n log n) outcome assembly.
+ChtRunResult closed_form_cht(const SystemConfig& cfg,
+                             const sim::Observers& observers) {
   const NodeIndex n = cfg.n;
   const Round rounds = ceil_log2(n);
   const std::uint32_t bits =
@@ -137,22 +136,23 @@ ChtRunResult closed_form_cht(const SystemConfig& cfg, obs::Telemetry* tel) {
 
   ChtRunResult result;
   result.closed_form = true;
-  if (tel != nullptr) tel->begin_run(n);
+  obs::Telemetry* const tel = observers.telemetry;
+  observers.on_run_begin(n, /*shards=*/1);
   for (Round round = 1; round <= rounds; ++round) {
     result.stats.rounds = round;
     result.stats.per_round.push_back({});
+    observers.on_round_begin(round);
     if (tel != nullptr) {
-      tel->on_round_begin(round);
       tel->note_active_senders(n);
       tel->note_messages(kStatus, copies, bits);
     }
     result.stats.note_messages(copies, bits);
-    if (tel != nullptr) {
-      tel->note_inbox(n, n);  // shared inbox: n receivers, n broadcasts
-      tel->on_round_end(round);
-    }
+    if (tel != nullptr) tel->note_inbox(n, n);  // shared inbox
+    // Every node sends every round; no outbox table exists to occupy.
+    observers.on_round_end(round, result.stats, /*active_senders=*/n,
+                           /*outbox_live=*/0);
   }
-  if (tel != nullptr) tel->end_run(rounds);
+  observers.on_run_end(rounds);
 
   std::vector<OriginalId> sorted = cfg.ids;
   std::sort(sorted.begin(), sorted.end());
@@ -178,16 +178,14 @@ ChtRunResult run_cht_renaming(const SystemConfig& cfg,
                               obs::Provenance* provenance) {
   const std::uint64_t budget =
       adversary != nullptr ? adversary->budget() : 0;
-  if (telemetry != nullptr) {
-    telemetry->map_kind(kStatus, obs::PhaseId::kBaselineExchange);
-    telemetry->set_run_info("cht", cfg.n, budget);
-  }
-  if (journal != nullptr) journal->set_run_info("cht", cfg.n, budget);
-  if (progress != nullptr) progress->set_run_info("cht");
-  obs::Provenance* const prov = obs::kTelemetryEnabled ? provenance : nullptr;
-  if (prov != nullptr) {
-    prov->set_run_info("cht", cfg.n, budget);
-    prov->begin_run(cfg.n);
+  sim::Observers observers{.telemetry = telemetry,
+                           .journal = journal,
+                           .progress = progress,
+                           .provenance = provenance,
+                           .plan = plan};
+  observers.begin("cht", cfg.n, budget);
+  if (observers.telemetry != nullptr) {
+    observers.telemetry->map_kind(kStatus, obs::PhaseId::kBaselineExchange);
   }
   // A zero-budget adversary cannot crash anyone (the engine enforces the
   // budget), so the run is failure-free and the closed form is exact. A
@@ -195,22 +193,15 @@ ChtRunResult run_cht_renaming(const SystemConfig& cfg,
   // recorder real decision events; n < 2 runs end before round 1 (all
   // nodes start done) — all of these always simulate.
   if (closed_form_cutoff > 0 && cfg.n >= closed_form_cutoff && cfg.n >= 2 &&
-      budget == 0 && journal == nullptr && prov == nullptr) {
-    // Folded like the engine's own pointer, so both paths charge nothing
-    // under RENAMING_NO_TELEMETRY.
-    return closed_form_cht(cfg, obs::kTelemetryEnabled ? telemetry : nullptr);
+      budget == 0 && !observers.needs_simulation()) {
+    return closed_form_cht(cfg, observers);
   }
   std::vector<std::unique_ptr<sim::Node>> nodes;
   nodes.reserve(cfg.n);
   for (NodeIndex v = 0; v < cfg.n; ++v) {
-    nodes.push_back(std::make_unique<ChtNode>(v, cfg, prov));
+    nodes.push_back(std::make_unique<ChtNode>(v, cfg, observers.provenance));
   }
-  sim::Engine engine(std::move(nodes), std::move(adversary));
-  engine.set_telemetry(telemetry);
-  engine.set_journal(journal);
-  engine.set_progress(progress);
-  engine.set_provenance(prov);
-  engine.set_parallel(plan);
+  sim::Engine engine(std::move(nodes), std::move(adversary), observers);
 
   ChtRunResult result;
   result.stats = engine.run(ceil_log2(cfg.n) == 0 ? 1 : ceil_log2(cfg.n));

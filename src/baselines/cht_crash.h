@@ -48,9 +48,11 @@ struct ChtRunResult {
 /// `closed_form_cutoff` (0 = never): at n >= cutoff, a *failure-free* run
 /// (null adversary or zero budget) with no journal attached is accounted in
 /// closed form — the deterministic all-to-all execution is computed, not
-/// simulated, producing bit-for-bit the RunStats, outcomes and telemetry
-/// ledgers the engine would (pinned by tests/closed_form_test.cc), so the
-/// Theorem envelopes in obs::audit_run still gate million-node bench cells.
+/// simulated, producing bit-for-bit the RunStats, outcomes, telemetry
+/// ledgers and heartbeat records the engine would (pinned by
+/// tests/closed_form_test.cc), so the Theorem envelopes in obs::audit_run
+/// still gate million-node bench cells. The shard profile sees every round
+/// as one shard.
 /// Runs with failures, with a journal (whose fingerprints require real
 /// deliveries), or with a provenance recorder (whose causal events require
 /// real decisions) always simulate.

@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "obs/journal.h"
-#include "obs/progress.h"
-#include "obs/provenance.h"
-#include "obs/telemetry.h"
 #include "sim/engine.h"
 #include "sim/wire_schema.h"
 
@@ -101,30 +97,23 @@ EarlyDecidingRunResult run_early_deciding_renaming(
     obs::Telemetry* telemetry, obs::Journal* journal,
     sim::parallel::ShardPlan plan, obs::Progress* progress,
     obs::Provenance* provenance) {
-  const std::uint64_t budget =
-      adversary != nullptr ? adversary->budget() : 0;
-  if (telemetry != nullptr) {
-    telemetry->map_kind(kSet, obs::PhaseId::kBaselineExchange);
-    telemetry->set_run_info("early", cfg.n, budget);
-  }
-  if (journal != nullptr) journal->set_run_info("early", cfg.n, budget);
-  if (progress != nullptr) progress->set_run_info("early");
-  obs::Provenance* const prov = obs::kTelemetryEnabled ? provenance : nullptr;
-  if (prov != nullptr) {
-    prov->set_run_info("early", cfg.n, budget);
-    prov->begin_run(cfg.n);
+  sim::Observers observers{.telemetry = telemetry,
+                           .journal = journal,
+                           .progress = progress,
+                           .provenance = provenance,
+                           .plan = plan};
+  observers.begin("early", cfg.n,
+                  adversary != nullptr ? adversary->budget() : 0);
+  if (observers.telemetry != nullptr) {
+    observers.telemetry->map_kind(kSet, obs::PhaseId::kBaselineExchange);
   }
   std::vector<std::unique_ptr<sim::Node>> nodes;
   nodes.reserve(cfg.n);
   for (NodeIndex v = 0; v < cfg.n; ++v) {
-    nodes.push_back(std::make_unique<EarlyDecidingNode>(v, cfg, prov));
+    nodes.push_back(
+        std::make_unique<EarlyDecidingNode>(v, cfg, observers.provenance));
   }
-  sim::Engine engine(std::move(nodes), std::move(adversary));
-  engine.set_telemetry(telemetry);
-  engine.set_journal(journal);
-  engine.set_progress(progress);
-  engine.set_provenance(prov);
-  engine.set_parallel(plan);
+  sim::Engine engine(std::move(nodes), std::move(adversary), observers);
 
   EarlyDecidingRunResult result;
   // Every dirty round consumes a crash; 2n + 4 is a safe deterministic cap.

@@ -9,10 +9,6 @@
 #include "common/prng.h"
 #include "core/directory.h"
 #include "core/interval.h"
-#include "obs/journal.h"
-#include "obs/progress.h"
-#include "obs/provenance.h"
-#include "obs/telemetry.h"
 #include "sim/engine.h"
 #include "sim/wire_schema.h"
 
@@ -212,7 +208,8 @@ class ObgByzNode final : public ObgNode {
 // of its identity. Round schedule: 1 ANNOUNCE round, 2 VECTOR rounds, then
 // ceil_log2(n) HALVING rounds, each vector/halving payload carrying all n
 // identities. Exactness is pinned by tests/closed_form_test.cc.
-ObgRunResult closed_form_obg(const SystemConfig& cfg, obs::Telemetry* tel) {
+ObgRunResult closed_form_obg(const SystemConfig& cfg,
+                             const sim::Observers& observers) {
   const NodeIndex n = cfg.n;
   const sim::wire::WireContext ctx{cfg.n, cfg.namespace_size};
   const Round rounds = 3 + std::max<Round>(ceil_log2(cfg.n), 1);
@@ -228,7 +225,8 @@ ObgRunResult closed_form_obg(const SystemConfig& cfg, obs::Telemetry* tel) {
 
   ObgRunResult result;
   result.closed_form = true;
-  if (tel != nullptr) tel->begin_run(n);
+  obs::Telemetry* const tel = observers.telemetry;
+  observers.on_run_begin(n, /*shards=*/1);
   for (Round round = 1; round <= rounds; ++round) {
     const sim::MsgKind kind =
         round == 1 ? kAnnounce : (round <= 3 ? kVector : kHalving);
@@ -237,18 +235,18 @@ ObgRunResult closed_form_obg(const SystemConfig& cfg, obs::Telemetry* tel) {
                                    : sim::wire::wire_bits(kind, ctx, n);
     result.stats.rounds = round;
     result.stats.per_round.push_back({});
+    observers.on_round_begin(round);
     if (tel != nullptr) {
-      tel->on_round_begin(round);
       tel->note_active_senders(n);
       tel->note_messages(kind, copies, bits);
     }
     result.stats.note_messages(copies, bits);
-    if (tel != nullptr) {
-      tel->note_inbox(n, n);  // shared inbox: n receivers, n broadcasts
-      tel->on_round_end(round);
-    }
+    if (tel != nullptr) tel->note_inbox(n, n);  // shared inbox
+    // Every node sends every round; no outbox table exists to occupy.
+    observers.on_round_end(round, result.stats, /*active_senders=*/n,
+                           /*outbox_live=*/0);
   }
-  if (tel != nullptr) tel->end_run(rounds);
+  observers.on_run_end(rounds);
 
   std::vector<OriginalId> sorted = cfg.ids;
   std::sort(sorted.begin(), sorted.end());
@@ -273,31 +271,24 @@ ObgRunResult run_obg_renaming(const SystemConfig& cfg,
                               NodeIndex closed_form_cutoff,
                               obs::Progress* progress,
                               obs::Provenance* provenance) {
-  if (telemetry != nullptr) {
-    telemetry->map_kind(kAnnounce, obs::PhaseId::kBaselineExchange);
-    telemetry->map_kind(kVector, obs::PhaseId::kBaselineExchange);
-    telemetry->map_kind(kHalving, obs::PhaseId::kBaselineExchange);
-    telemetry->set_run_info("obg", cfg.n, byzantine.size());
-  }
-  if (journal != nullptr) {
-    journal->set_run_info("obg", cfg.n, byzantine.size());
-  }
-  if (progress != nullptr) progress->set_run_info("obg");
-  obs::Provenance* const prov = obs::kTelemetryEnabled ? provenance : nullptr;
-  if (prov != nullptr) {
-    prov->set_run_info("obg", cfg.n, byzantine.size());
-    prov->begin_run(cfg.n);
-    for (NodeIndex b : byzantine) prov->mark_faulty(b);
+  sim::Observers observers{.telemetry = telemetry,
+                           .journal = journal,
+                           .progress = progress,
+                           .provenance = provenance,
+                           .plan = plan};
+  observers.begin("obg", cfg.n, byzantine.size());
+  if (observers.telemetry != nullptr) {
+    for (sim::MsgKind kind : {kAnnounce, kVector, kHalving}) {
+      observers.telemetry->map_kind(kind, obs::PhaseId::kBaselineExchange);
+    }
   }
   // No Byzantine nodes means a fully deterministic all-to-all exchange the
   // closed form reproduces exactly; any adversary, a journal (fingerprints
   // need real deliveries), a provenance recorder (causal events need real
   // decisions), or n < 2 (round-count edge cases) simulates.
   if (closed_form_cutoff > 0 && cfg.n >= closed_form_cutoff && cfg.n >= 2 &&
-      byzantine.empty() && journal == nullptr && prov == nullptr) {
-    // Folded like the engine's own pointer, so both paths charge nothing
-    // under RENAMING_NO_TELEMETRY.
-    return closed_form_obg(cfg, obs::kTelemetryEnabled ? telemetry : nullptr);
+      byzantine.empty() && !observers.needs_simulation()) {
+    return closed_form_obg(cfg, observers);
   }
   const Directory directory(cfg);
   std::vector<bool> is_byz(cfg.n, false);
@@ -310,15 +301,11 @@ ObgRunResult run_obg_renaming(const SystemConfig& cfg,
       nodes.push_back(std::make_unique<ObgByzNode>(v, cfg, directory,
                                                    behaviour, cfg.seed));
     } else {
-      nodes.push_back(std::make_unique<ObgNode>(v, cfg, directory, prov));
+      nodes.push_back(std::make_unique<ObgNode>(v, cfg, directory,
+                                                observers.provenance));
     }
   }
-  sim::Engine engine(std::move(nodes));
-  engine.set_telemetry(telemetry);
-  engine.set_journal(journal);
-  engine.set_progress(progress);
-  engine.set_provenance(prov);
-  engine.set_parallel(plan);
+  sim::Engine engine(std::move(nodes), nullptr, observers);
   for (NodeIndex b : byzantine) engine.mark_byzantine(b);
 
   ObgRunResult result;

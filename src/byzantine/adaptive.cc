@@ -1,9 +1,5 @@
 #include "byzantine/adaptive.h"
 
-#include "obs/journal.h"
-#include "obs/progress.h"
-#include "obs/provenance.h"
-#include "obs/telemetry.h"
 #include "sim/engine.h"
 
 namespace renaming::byzantine {
@@ -11,44 +7,18 @@ namespace renaming::byzantine {
 AdaptiveRunResult run_adaptive_experiment(const SystemConfig& cfg,
                                           const ByzParams& params,
                                           std::uint64_t budget,
-                                          Round max_rounds,
-                                          obs::Telemetry* telemetry,
-                                          obs::Journal* journal,
-                                          sim::parallel::ShardPlan plan,
-                                          obs::Progress* progress,
-                                          obs::Provenance* provenance) {
-  // The plan is deliberately unused: try_corrupt_member hands out the
-  // corruption budget first-come-first-served in engine node order, so a
-  // shard-parallel receive phase would race on the controller and change
-  // which members turn. This experiment always runs serial (see header).
-  (void)plan;
+                                          Round max_rounds) {
   const Directory directory(cfg);
   AdaptiveController controller(budget);
   const auto coeff_cache = hashing::make_coefficient_cache(params.shared_seed);
 
-  if (telemetry != nullptr) {
-    register_byz_phases(*telemetry);
-    telemetry->set_run_info("byz-adaptive", cfg.n, budget);
-  }
-  if (journal != nullptr) journal->set_run_info("byz-adaptive", cfg.n, budget);
-  if (progress != nullptr) progress->set_run_info("byz-adaptive");
-  obs::Provenance* const prov = obs::kTelemetryEnabled ? provenance : nullptr;
-  if (prov != nullptr) {
-    prov->set_run_info("byz-adaptive", cfg.n, budget);
-    prov->begin_run(cfg.n);  // before nodes: ctors may record events
-  }
-
   std::vector<std::unique_ptr<sim::Node>> nodes;
   nodes.reserve(cfg.n);
   for (NodeIndex v = 0; v < cfg.n; ++v) {
-    nodes.push_back(std::make_unique<TurncoatNode>(
-        v, cfg, directory, params, controller, coeff_cache, telemetry, prov));
+    nodes.push_back(std::make_unique<TurncoatNode>(v, cfg, directory, params,
+                                                   controller, coeff_cache));
   }
   sim::Engine engine(std::move(nodes));
-  engine.set_telemetry(telemetry);
-  engine.set_journal(journal);
-  engine.set_progress(progress);
-  engine.set_provenance(prov);
 
   if (max_rounds == 0) {
     // A wrecked run never terminates on its own; keep the cap modest so
@@ -59,10 +29,6 @@ AdaptiveRunResult run_adaptive_experiment(const SystemConfig& cfg,
   AdaptiveRunResult result;
   result.stats = engine.run(max_rounds);
   result.corrupted = controller.spent();
-  if (prov != nullptr) {
-    // The adaptive adversary's picks are only known after the run.
-    for (NodeIndex b : controller.corrupted()) prov->mark_faulty(b);
-  }
 
   std::vector<NodeOutcome> outcomes;
   std::vector<bool> turned(cfg.n, false);

@@ -62,12 +62,9 @@ class TurncoatNode final : public sim::Node {
   TurncoatNode(NodeIndex self, const SystemConfig& cfg,
                const Directory& directory, const ByzParams& params,
                AdaptiveController& controller,
-               std::shared_ptr<const hashing::CoefficientCache> cache = nullptr,
-               obs::Telemetry* telemetry = nullptr,
-               obs::Provenance* provenance = nullptr)
+               std::shared_ptr<const hashing::CoefficientCache> cache = nullptr)
       : self_(self),
-        honest_(self, cfg, directory, params, std::move(cache), telemetry,
-                /*interner=*/nullptr, provenance),
+        honest_(self, cfg, directory, params, std::move(cache)),
         controller_(&controller) {}
 
   void send(Round round, sim::Outbox& out) override {
@@ -111,20 +108,13 @@ struct AdaptiveRunResult {
 
 /// Runs the Byzantine renaming where EVERY node is a potential turncoat
 /// and the adaptive adversary corrupts up to `budget` committee members
-/// the instant they are elected. `telemetry` (optional) is wired exactly
-/// as in run_byz_renaming; turned nodes simply stop producing spans.
-/// `plan` is accepted for interface uniformity but the callbacks always
-/// run serial: try_corrupt_member is first-come-first-served in engine
-/// node order, deliberately order-dependent cross-node state that a
-/// shard-parallel receive phase would both race on and reorder.
+/// the instant they are elected. Unobserved, and always serial:
+/// try_corrupt_member is first-come-first-served in engine node order,
+/// deliberately order-dependent cross-node state that a shard-parallel
+/// receive phase would both race on and reorder.
 AdaptiveRunResult run_adaptive_experiment(const SystemConfig& cfg,
                                           const ByzParams& params,
                                           std::uint64_t budget,
-                                          Round max_rounds = 0,
-                                          obs::Telemetry* telemetry = nullptr,
-                                          obs::Journal* journal = nullptr,
-                                          sim::parallel::ShardPlan plan = {},
-                                          obs::Progress* progress = nullptr,
-                                          obs::Provenance* provenance = nullptr);
+                                          Round max_rounds = 0);
 
 }  // namespace renaming::byzantine

@@ -5,10 +5,6 @@
 #include <memory>
 
 #include "common/check.h"
-#include "obs/journal.h"
-#include "obs/progress.h"
-#include "obs/provenance.h"
-#include "obs/telemetry.h"
 #include "sim/engine.h"
 
 namespace renaming::byzantine {
@@ -472,27 +468,16 @@ ByzRunResult run_byz_renaming(const SystemConfig& cfg, const ByzParams& params,
   std::vector<bool> is_byz(cfg.n, false);
   for (NodeIndex b : byzantine) is_byz[b] = true;
 
-  if (telemetry != nullptr) {
-    register_byz_phases(*telemetry);
-    telemetry->set_run_info(params.use_fingerprints ? "byz" : "byz-full",
-                            cfg.n, byzantine.size());
-  }
-  if (journal != nullptr) {
-    journal->set_run_info(params.use_fingerprints ? "byz" : "byz-full", cfg.n,
-                          byzantine.size());
-  }
-  if (progress != nullptr) {
-    progress->set_run_info(params.use_fingerprints ? "byz" : "byz-full");
-  }
-  // Folded like Telemetry: under RENAMING_NO_TELEMETRY every provenance
-  // hook below is statically dead.
-  obs::Provenance* const prov = obs::kTelemetryEnabled ? provenance : nullptr;
-  if (prov != nullptr) {
-    prov->set_run_info(params.use_fingerprints ? "byz" : "byz-full", cfg.n,
-                       byzantine.size());
-    prov->begin_run(cfg.n);  // before nodes: ctors may record events
-    for (NodeIndex b : byzantine) prov->mark_faulty(b);
-  }
+  sim::Observers observers{.trace = trace,
+                           .telemetry = telemetry,
+                           .journal = journal,
+                           .progress = progress,
+                           .provenance = provenance,
+                           .plan = plan};
+  observers.begin(params.use_fingerprints ? "byz" : "byz-full", cfg.n,
+                  byzantine.size());
+  obs::Telemetry* const tel = observers.telemetry;
+  if (tel != nullptr) register_byz_phases(*tel);
 
   // One coefficient cache for the whole run: every correct node holds the
   // same beacon seed, so the memo is shared knowledge, not a shortcut.
@@ -518,17 +503,11 @@ ByzRunResult run_byz_renaming(const SystemConfig& cfg, const ByzParams& params,
       nodes.push_back(factory(v, cfg, directory, params));
     } else {
       nodes.push_back(std::make_unique<ByzNode>(v, cfg, directory, params,
-                                                coeff_cache, telemetry,
-                                                interner, prov));
+                                                coeff_cache, tel, interner,
+                                                observers.provenance));
     }
   }
-  sim::Engine engine(std::move(nodes));
-  engine.set_trace(trace);
-  engine.set_telemetry(telemetry);
-  engine.set_journal(journal);
-  engine.set_progress(progress);
-  engine.set_provenance(prov);
-  engine.set_parallel(plan);
+  sim::Engine engine(std::move(nodes), nullptr, observers);
   for (NodeIndex b : byzantine) engine.mark_byzantine(b);
 
   if (max_rounds == 0) {
@@ -556,9 +535,7 @@ ByzRunResult run_byz_renaming(const SystemConfig& cfg, const ByzParams& params,
         result.loop_iterations =
             std::max(result.loop_iterations, node->loop_iterations());
       }
-      if (telemetry != nullptr && node->elected()) {
-        telemetry->label_node(v, "committee");
-      }
+      if (tel != nullptr && node->elected()) tel->label_node(v, "committee");
     }
     result.outcomes.push_back(o);
   }

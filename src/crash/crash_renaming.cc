@@ -8,10 +8,6 @@
 
 #include "common/check.h"
 
-#include "obs/journal.h"
-#include "obs/progress.h"
-#include "obs/provenance.h"
-#include "obs/telemetry.h"
 #include "sim/engine.h"
 
 namespace renaming::crash {
@@ -370,35 +366,24 @@ CrashRunResult run_crash_renaming(
     obs::Telemetry* telemetry, obs::Journal* journal,
     sim::parallel::ShardPlan plan, obs::Progress* progress,
     obs::Provenance* provenance) {
-  const std::uint64_t budget = adversary != nullptr ? adversary->budget() : 0;
-  // Provenance folds exactly like telemetry: under RENAMING_NO_TELEMETRY
-  // the pointer is nulled before any node or engine sees it, so every
-  // recording hook is dead code and the observer costs exactly zero.
-  obs::Provenance* const prov =
-      obs::kTelemetryEnabled ? provenance : nullptr;
-  if (telemetry != nullptr) {
-    register_crash_phases(*telemetry);
-    telemetry->set_run_info("crash", cfg.n, budget);
-  }
-  if (journal != nullptr) journal->set_run_info("crash", cfg.n, budget);
-  if (progress != nullptr) progress->set_run_info("crash");
-  if (prov != nullptr) {
-    prov->set_run_info("crash", cfg.n, budget);
-    prov->begin_run(cfg.n);  // before nodes: ctors record self-elections
+  sim::Observers observers{.trace = trace,
+                           .telemetry = telemetry,
+                           .journal = journal,
+                           .progress = progress,
+                           .provenance = provenance,
+                           .plan = plan};
+  observers.begin("crash", cfg.n,
+                  adversary != nullptr ? adversary->budget() : 0);
+  if (observers.telemetry != nullptr) {
+    register_crash_phases(*observers.telemetry);
   }
   std::vector<std::unique_ptr<sim::Node>> nodes;
   nodes.reserve(cfg.n);
   for (NodeIndex v = 0; v < cfg.n; ++v) {
-    nodes.push_back(
-        std::make_unique<CrashNode>(v, cfg, params, telemetry, prov));
+    nodes.push_back(std::make_unique<CrashNode>(
+        v, cfg, params, observers.telemetry, observers.provenance));
   }
-  sim::Engine engine(std::move(nodes), std::move(adversary));
-  engine.set_trace(trace);
-  engine.set_telemetry(telemetry);
-  engine.set_journal(journal);
-  engine.set_progress(progress);
-  engine.set_provenance(prov);
-  engine.set_parallel(plan);
+  sim::Engine engine(std::move(nodes), std::move(adversary), observers);
 
   const Round max_rounds =
       params.phase_multiplier * ceil_log2(cfg.n) * kSubrounds;

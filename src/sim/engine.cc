@@ -30,12 +30,14 @@ unsigned effective_shards(std::size_t items, unsigned shards) {
 }  // namespace
 
 Engine::Engine(std::vector<std::unique_ptr<Node>> nodes,
-               std::unique_ptr<CrashAdversary> adversary)
+               std::unique_ptr<CrashAdversary> adversary,
+               Observers observers)
     : nodes_(std::move(nodes)),
       adversary_(adversary ? std::move(adversary)
                            : std::make_unique<NoCrashAdversary>()),
       alive_(nodes_.size(), true),
-      byzantine_(nodes_.size(), false) {
+      byzantine_(nodes_.size(), false),
+      observers_(observers) {
   RENAMING_CHECK(!nodes_.empty(), "an engine needs at least one node");
   for (const std::unique_ptr<Node>& node : nodes_) {
     RENAMING_CHECK(node != nullptr, "every node slot must be populated");
@@ -75,37 +77,49 @@ void Engine::check_stats_consistent() const {
 RunStats Engine::run(Round max_rounds) {
   const NodeIndex n = size();
 
-  // Telemetry is observational: every hook below mirrors an accounting
-  // site (stats/trace) without influencing behaviour. The constant fold
-  // makes `tel` a compile-time nullptr under RENAMING_NO_TELEMETRY, so
-  // the instrumentation is dead-stripped entirely.
-  obs::Telemetry* const tel = obs::kTelemetryEnabled ? telemetry_ : nullptr;
-  if (tel != nullptr) tel->begin_run(n);
+  // Observers are observational: every hook below mirrors an accounting
+  // site (stats/trace) without influencing behaviour. The fold makes the
+  // telemetry-family pointers compile-time nullptrs under
+  // RENAMING_NO_TELEMETRY, so their hooks are dead-stripped; the trace and
+  // the journal never fold. Journal hooks fire once per *logical* outbox
+  // entry (never per broadcast copy), keeping the attached cost within the
+  // hot-path budget. Provenance records like the journal (no wall clock,
+  // hooks only at order-pinned serial sites): the engine contributes the
+  // boundary events nodes cannot see (spoof rejections, crashes) and the
+  // faulty set; nodes record their own decisions.
+  const Observers live = observers_.folded();
+  TraceSink* const trace = live.trace;
+  obs::Telemetry* const tel = live.telemetry;
+  obs::Journal* const jrn = live.journal;
+  obs::Provenance* const prov = live.provenance;
+  obs::ShardProfile* const prof = live.plan.profile;
 
-  // The journal is the deterministic counterpart: same observational
-  // guarantee, but its bytes must be identical across telemetry configs,
-  // so it deliberately does NOT fold with kTelemetryEnabled. Hooks fire
-  // once per *logical* outbox entry (never per broadcast copy), keeping
-  // the attached cost within the hot-path budget.
-  obs::Journal* const jrn = journal_;
-  if (jrn != nullptr) jrn->begin_run(n);
+  // Shard-parallel callback execution (docs/PERFORMANCE.md §9). The plan
+  // only parallelizes the two phases whose writes are per-node by
+  // construction — send (each node fills its own outbox) and receive (each
+  // node mutates its own state) — while the adversary and the whole
+  // delivery/accounting sweep stay on this thread in their original order,
+  // so stats, traces, journal bytes and delivery order cannot change by
+  // construction. A live telemetry or provenance forces the callbacks
+  // serial: PhaseScope spans and provenance events inside protocol node
+  // code mutate the shared recorder directly, the observers the engine
+  // does not mediate. (Under RENAMING_NO_TELEMETRY both fold to nullptr,
+  // so parallel execution is permitted again.)
+  parallel::WorkerPool* const pool = live.plan.pool;
+  unsigned plan_shards = 1;
+  if (pool != nullptr && tel == nullptr && prov == nullptr) {
+    plan_shards = live.plan.shards != 0 ? live.plan.shards : pool->threads();
+    if (plan_shards == 0) plan_shards = 1;
+    // A shard never holds fewer than one node, so K > n buys nothing —
+    // and the scratch vector below is sized by K, so an absurd --shards
+    // value (the CLI forwards it as a raw unsigned) must be capped here
+    // rather than turned into a multi-gigabyte allocation.
+    const unsigned max_shards = n != 0 ? n : 1;
+    if (plan_shards > max_shards) plan_shards = max_shards;
+  }
 
-  // The live heartbeat follows telemetry's contract (wall clock appears
-  // only in its own output) and telemetry's compile-out, but the journal's
-  // mediation model: the engine hands it counters at round end, so unlike
-  // a live Telemetry it never forces the shard callbacks serial.
-  obs::Progress* const prg = obs::kTelemetryEnabled ? progress_ : nullptr;
-  if (prg != nullptr) prg->begin_run(n);
-
-  // Decision provenance folds like telemetry (zero cost under
-  // RENAMING_NO_TELEMETRY) but records like the journal: no wall clock,
-  // hooks only at order-pinned serial sites, so its bytes are identical
-  // across thread counts. The engine contributes only the boundary events
-  // nodes cannot see (spoof rejections, crashes); nodes record their own
-  // decisions through the same recorder.
-  obs::Provenance* const prov = obs::kTelemetryEnabled ? provenance_ : nullptr;
+  live.on_run_begin(n, plan_shards);
   if (prov != nullptr) {
-    prov->begin_run(n);
     for (NodeIndex v = 0; v < n; ++v) {
       if (byzantine_[v]) prov->mark_faulty(v);
     }
@@ -167,29 +181,6 @@ RunStats Engine::run(Round max_rounds) {
 
   // lint:engine-setup-end
 
-  // Shard-parallel callback execution (docs/PERFORMANCE.md §9). The plan
-  // only parallelizes the two phases whose writes are per-node by
-  // construction — send (each node fills its own outbox) and receive (each
-  // node mutates its own state) — while the adversary and the whole
-  // delivery/accounting sweep stay on this thread in their original order,
-  // so stats, traces, journal bytes and delivery order cannot change by
-  // construction. A live telemetry forces the callbacks serial: PhaseScope
-  // spans inside protocol node code mutate the shared Telemetry directly,
-  // the one observer the engine does not mediate. (Under
-  // RENAMING_NO_TELEMETRY those spans compile out and `tel` folds to
-  // nullptr, so parallel execution is permitted again.)
-  parallel::WorkerPool* const pool = plan_.pool;
-  unsigned plan_shards = 1;
-  if (pool != nullptr && tel == nullptr && prov == nullptr) {
-    plan_shards = plan_.shards != 0 ? plan_.shards : pool->threads();
-    if (plan_shards == 0) plan_shards = 1;
-    // A shard never holds fewer than one node, so K > n buys nothing —
-    // and the scratch vector below is sized by K, so an absurd --shards
-    // value (the CLI forwards it as a raw unsigned) must be capped here
-    // rather than turned into a multi-gigabyte allocation.
-    const unsigned max_shards = n != 0 ? n : 1;
-    if (plan_shards > max_shards) plan_shards = max_shards;
-  }
   // Per-shard scratch for the done/active bookkeeping: shard s accumulates
   // its deltas here and the caller folds them in fixed order 0..K-1 (the
   // fold is a sum, but the fixed order keeps the argument trivial).
@@ -204,14 +195,11 @@ RunStats Engine::run(Round max_rounds) {
   };
   std::vector<ShardScratch> shard_scratch(plan_shards);
 
-  // Per-shard, per-phase profiler (obs/shard_profile.h). Observational
-  // like telemetry and folded out with it, but engine-mediated: shards
-  // stamp their own scratch slots and this thread folds after the join,
-  // so attaching a profile does NOT force the callbacks serial and cannot
-  // change a byte of output. Serial runs profile as one shard.
-  obs::ShardProfile* const prof =
-      obs::kTelemetryEnabled ? plan_.profile : nullptr;
-  if (prof != nullptr) prof->begin_run(n, plan_shards);
+  // Per-shard, per-phase profiler (obs/shard_profile.h). Folded like
+  // telemetry, but engine-mediated: shards stamp their own scratch slots
+  // and this thread folds after the join, so attaching a profile does NOT
+  // force the callbacks serial and cannot change a byte of output. Serial
+  // runs profile as one shard.
   // Reads the stamps of a just-joined parallel phase: busy is the shard's
   // callback window, wait is from its finish to the slowest finisher.
   auto fold_profile = [&](obs::ShardPhase phase, unsigned used_shards) {
@@ -306,10 +294,7 @@ RunStats Engine::run(Round max_rounds) {
     stats_.per_round.push_back({});
     for (NodeIndex v : victims) crashed_now[v] = 0;
     victims.clear();
-    if (trace_ != nullptr) trace_->on_round_begin(round);
-    if (tel != nullptr) tel->on_round_begin(round);
-    if (jrn != nullptr) jrn->on_round_begin(round);
-    if (prof != nullptr) prof->on_round_begin(round);
+    live.on_round_begin(round);
 
     const std::int64_t merge_begin_ns = prof != nullptr ? obs::now_ns() : 0;
     if (active_dirty) {
@@ -414,12 +399,7 @@ RunStats Engine::run(Round max_rounds) {
       Outbox& victim_box = outboxes.ensure(v);
       victim_box.expand();
       auto& entries = victim_box.entries();
-      if (trace_ != nullptr) {
-        trace_->on_crash(round, v, order.keep.size(), entries.size());
-      }
-      if (tel != nullptr) tel->note_crash(round, v);
-      if (jrn != nullptr) jrn->note_crash(round, v);
-      if (prov != nullptr) prov->note_crash(round, v);
+      live.on_crash(round, v, order.keep.size(), entries.size());
       // Retain only the messages the adversary lets escape.
       std::vector<std::pair<NodeIndex, Message>> kept;
       kept.reserve(order.keep.size());
@@ -456,7 +436,7 @@ RunStats Engine::run(Round max_rounds) {
 
     // Broadcast-only rounds use the shared inbox; the traced path falls
     // back to the general one so per-copy trace events keep their order.
-    bool broadcast_only = trace_ == nullptr;
+    bool broadcast_only = trace == nullptr;
     for (std::size_t i = 0; i < senders.size() && broadcast_only; ++i) {
       for (const auto& entry : outboxes.get(senders[i]).entries()) {
         if (entry.first != Outbox::kBroadcast) {
@@ -519,7 +499,7 @@ RunStats Engine::run(Round max_rounds) {
             }
             if (jrn != nullptr) jrn->note_unicast(msg, d);
             const bool delivered = !spoofed && alive_[d];
-            if (trace_ != nullptr) trace_->on_message(round, msg, d, delivered);
+            if (trace != nullptr) trace->on_message(round, msg, d, delivered);
             if (spoofed) {
               ++stats_.spoofs_rejected;
               continue;
@@ -546,7 +526,7 @@ RunStats Engine::run(Round max_rounds) {
           for (NodeIndex d : mdests) {
             stats_.note_message(msg.bits);
             const bool delivered = !spoofed && alive_[d];
-            if (trace_ != nullptr) trace_->on_message(round, msg, d, delivered);
+            if (trace != nullptr) trace->on_message(round, msg, d, delivered);
             if (spoofed) {
               ++stats_.spoofs_rejected;
             } else if (alive_[d]) {
@@ -572,7 +552,7 @@ RunStats Engine::run(Round max_rounds) {
             prov->note_spoof(round, v, msg.claimed_sender, msg.kind, msg.bits,
                              n);
           }
-          if (trace_ == nullptr) {
+          if (trace == nullptr) {
             stats_.note_messages(n, msg.bits);
             if (spoofed) {
               // Authentication (PKI assumption of Theorem 1.3): forged
@@ -588,7 +568,7 @@ RunStats Engine::run(Round max_rounds) {
             for (NodeIndex d = 0; d < n; ++d) {
               stats_.note_message(msg.bits);
               const bool delivered = !spoofed && alive_[d];
-              trace_->on_message(round, msg, d, delivered);
+              trace->on_message(round, msg, d, delivered);
               if (spoofed) {
                 ++stats_.spoofs_rejected;
               } else if (alive_[d]) {
@@ -612,7 +592,7 @@ RunStats Engine::run(Round max_rounds) {
                            1);
         }
         const bool delivered = !msg.spoofed() && alive_[dest];
-        if (trace_ != nullptr) trace_->on_message(round, msg, dest, delivered);
+        if (trace != nullptr) trace->on_message(round, msg, dest, delivered);
         if (msg.spoofed()) {
           ++stats_.spoofs_rejected;
           continue;
@@ -676,21 +656,10 @@ RunStats Engine::run(Round max_rounds) {
       outboxes.get(v).clear();
       if (!alive_[v] || active[v] == 0) outboxes.release(v);
     }
-    if (trace_ != nullptr) trace_->on_round_end(round, stats_.per_round.back());
-    if (tel != nullptr) tel->on_round_end(round);
-    if (jrn != nullptr) jrn->on_round_end(round);
-    if (prof != nullptr) prof->on_round_end(round);
-    if (prg != nullptr) {
-      prg->on_round_end(round, stats_.total_messages, stats_.total_bits,
-                        senders.size(), stats_.crashes, outboxes.live());
-    }
+    live.on_round_end(round, stats_, senders.size(), outboxes.live());
   }
 
-  if (tel != nullptr) tel->end_run(stats_.rounds);
-  if (jrn != nullptr) jrn->end_run(stats_.rounds);
-  if (prov != nullptr) prov->end_run(stats_.rounds);
-  if (prof != nullptr) prof->end_run(stats_.rounds);
-  if (prg != nullptr) prg->end_run(stats_.rounds);
+  live.on_run_end(stats_.rounds);
   check_stats_consistent();
   return stats_;
 }

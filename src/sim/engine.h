@@ -20,83 +20,37 @@
 #include <vector>
 
 #include "common/types.h"
-#include "obs/journal.h"
-#include "obs/progress.h"
-#include "obs/provenance.h"
-#include "obs/telemetry.h"
 #include "sim/adversary.h"
 #include "sim/node.h"
-#include "sim/parallel/plan.h"
+#include "sim/observers.h"
 #include "sim/stats.h"
-#include "sim/trace.h"
 
 namespace renaming::sim {
 
 class Engine {
  public:
   /// Takes ownership of the nodes (index i is node i) and, optionally, a
-  /// crash adversary (defaults to no failures).
-  Engine(std::vector<std::unique_ptr<Node>> nodes,
-         std::unique_ptr<CrashAdversary> adversary = nullptr);
-
-  /// Attaches a non-owning trace sink receiving structured events during
-  /// run(); pass nullptr to detach.
-  void set_trace(TraceSink* sink) { trace_ = sink; }
-
-  /// Attaches a non-owning telemetry object (obs/telemetry.h): every
-  /// message the engine accounts is also charged to the telemetry's
-  /// phase ledgers, and crashes/spoofs/rounds are recorded. Purely
-  /// observational — stats, traces and outcomes are byte-identical with
-  /// and without it. Ignored when built with RENAMING_NO_TELEMETRY.
-  void set_telemetry(obs::Telemetry* telemetry) { telemetry_ = telemetry; }
-
-  /// Attaches a non-owning flight-recorder journal (obs/journal.h): per
-  /// round the engine feeds it a rolling fingerprint of every logical
-  /// delivery plus per-kind counts, the active-sender count and the
-  /// adversary's crash/spoof events. Purely observational and fully
-  /// deterministic; unlike telemetry it is NOT compiled out under
-  /// RENAMING_NO_TELEMETRY, because journal bytes are pinned identical
-  /// across telemetry configs.
-  void set_journal(obs::Journal* journal) { journal_ = journal; }
-
-  /// Attaches a non-owning live-run heartbeat (obs/progress.h): at each
-  /// round end the engine offers it the cumulative counters, the round's
-  /// active-set size and the outbox-table occupancy; the heartbeat decides
-  /// whether to sample/stream per its cadence. Purely observational and —
-  /// unlike a live telemetry — engine-mediated, so it never forces the
-  /// shard-parallel callbacks serial. Ignored under RENAMING_NO_TELEMETRY.
-  void set_progress(obs::Progress* progress) { progress_ = progress; }
-
-  /// Attaches a non-owning decision-provenance recorder (obs/provenance.h):
-  /// the engine feeds it the causal boundary events only it can see —
-  /// spoof rejections (with the forged kind's wire-schema bits and copy
-  /// count) and observed crashes — while protocol nodes record their
-  /// decision events directly. Deterministic like the journal (bytes are a
-  /// pure function of the seeded run, identical across thread counts) but
-  /// folded like telemetry: ignored under
-  /// RENAMING_NO_TELEMETRY. A live recorder forces the shard callbacks
-  /// serial, exactly as a live telemetry does, so recording order is
-  /// pinned by construction.
-  void set_provenance(obs::Provenance* provenance) {
-    provenance_ = provenance;
-  }
-
-  /// Attaches a shard-parallel execution plan (sim/parallel/, see
-  /// docs/PERFORMANCE.md §9): the send and receive phases fan their
-  /// per-node callbacks across K contiguous shards of the round's node
-  /// list on the plan's worker pool, while every order-sensitive sweep
+  /// crash adversary (defaults to no failures) and the run's observers
+  /// (sim/observers.h). Observers are purely observational: stats, traces,
+  /// journal bytes and outcomes are byte-identical with and without them.
+  ///
+  /// The bundle's shard plan (docs/PERFORMANCE.md §9) fans the send and
+  /// receive callbacks across K contiguous shards of the round's node list
+  /// on the plan's worker pool, while every order-sensitive sweep
   /// (adversary, delivery, stats, traces, journal) stays on the calling
-  /// thread, and per-shard bookkeeping merges in fixed shard order
-  /// 0..K-1. Outcomes, RunStats, golden trace bytes, journal fingerprints
-  /// and telemetry ledgers are byte-identical at any thread/shard count.
-  /// A live telemetry (kTelemetryEnabled and set_telemetry attached)
-  /// forces the callbacks serial: PhaseScope spans inside node code are
-  /// the one observer not mediated by the engine. Default plan = serial.
-  void set_parallel(const parallel::ShardPlan& plan) { plan_ = plan; }
+  /// thread and per-shard bookkeeping merges in fixed shard order 0..K-1,
+  /// so output is byte-identical at any thread/shard count. A live
+  /// telemetry or provenance forces the callbacks serial: PhaseScope spans
+  /// and provenance events inside node code are the observers the engine
+  /// does not mediate. Default bundle = serial, unobserved.
+  Engine(std::vector<std::unique_ptr<Node>> nodes,
+         std::unique_ptr<CrashAdversary> adversary = nullptr,
+         Observers observers = {});
 
   /// Marks node `v` as Byzantine for accounting purposes (its Node
   /// implementation is expected to be an adversarial strategy). Byzantine
-  /// nodes never "crash"; they run for the whole execution.
+  /// nodes never "crash"; they run for the whole execution. An attached
+  /// provenance records them as faulty when the run begins.
   void mark_byzantine(NodeIndex v);
 
   /// Runs until every correct (non-Byzantine, alive) node reports done() or
@@ -120,12 +74,7 @@ class Engine {
   std::vector<bool> alive_;
   std::vector<bool> byzantine_;
   RunStats stats_;
-  TraceSink* trace_ = nullptr;
-  obs::Telemetry* telemetry_ = nullptr;
-  obs::Journal* journal_ = nullptr;
-  obs::Progress* progress_ = nullptr;
-  obs::Provenance* provenance_ = nullptr;
-  parallel::ShardPlan plan_;
+  Observers observers_;
 };
 
 }  // namespace renaming::sim

@@ -1,5 +1,5 @@
 // Shard-parallel execution plan, threaded from the CLIs and benches down
-// through every run_* entry point into Engine::set_parallel.
+// through every run_* entry point into the engine's sim::Observers bundle.
 //
 // Deliberately a plain value with a non-owning pool pointer: the caller
 // owns the WorkerPool (one per process is the norm) and may hand the same

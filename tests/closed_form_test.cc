@@ -1,12 +1,13 @@
 // Closed-form baseline accounting (docs/PERFORMANCE.md §10): past the
 // closed_form_cutoff, a failure-free CHT/OBG run is computed rather than
 // simulated. The contract is EXACT equivalence — RunStats, outcomes,
-// verification report and every telemetry ledger must be bit-identical to
-// the simulated run, so the million-node BENCH cells and their Theorem
-// audit gates (obs/budget.h) rest on accounting the engine itself would
-// have produced. These tests force the cutoff down to 1 at small n and
-// diff the two paths field by field, including non-power-of-two sizes
-// where the halving round count and interval splits are least forgiving.
+// verification report, every telemetry ledger and the heartbeat's
+// deterministic projection must be bit-identical to the simulated run, so
+// the million-node BENCH cells and their Theorem audit gates
+// (obs/budget.h) rest on accounting the engine itself would have produced.
+// These tests force the cutoff down to 1 at small n and diff the two paths
+// field by field, including non-power-of-two sizes where the halving round
+// count and interval splits are least forgiving.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -18,8 +19,11 @@
 #include "common/math.h"
 #include "obs/budget.h"
 #include "obs/journal.h"
+#include "obs/progress.h"
+#include "obs/shard_profile.h"
 #include "obs/telemetry.h"
 #include "sim/adversary.h"
+#include "sim/parallel/plan.h"
 
 namespace renaming::baselines {
 namespace {
@@ -56,6 +60,45 @@ void expect_same_telemetry(const obs::Telemetry& sim, const obs::Telemetry& cf,
   EXPECT_EQ(sim.f(), cf.f());
 }
 
+// The live observers a closed-form run must feed like the engine does: a
+// heartbeat and a shard profile, attached through the shard plan.
+struct LiveObservers {
+  obs::Progress progress;
+  obs::ShardProfile profile;
+  sim::parallel::ShardPlan plan() { return {.profile = &profile}; }
+};
+
+std::string heartbeat_projection(const obs::Progress& progress) {
+  std::ostringstream out;
+  for (const obs::ProgressSnapshot& s : progress.snapshots()) {
+    obs::Progress::write_record(out, s, /*deterministic_only=*/true);
+  }
+  return out.str();
+}
+
+// The heartbeat's deterministic projection (round/messages/bits/active/
+// crashes) matches the simulation, and the closed-form shard profile is a
+// valid RNSP artifact that reads back and renders.
+void expect_same_live_observers(const LiveObservers& sim,
+                                const LiveObservers& cf, NodeIndex n,
+                                Round rounds) {
+  EXPECT_EQ(heartbeat_projection(sim.progress),
+            heartbeat_projection(cf.progress))
+      << "n=" << n;
+  if (!obs::kTelemetryEnabled) return;  // both observers folded out
+  EXPECT_EQ(cf.progress.sampled(), rounds) << "n=" << n;
+  std::stringstream rnsp;
+  obs::write_shard_profile_binary(rnsp, cf.profile.data());
+  obs::ShardProfileData loaded;
+  std::string error;
+  ASSERT_TRUE(obs::read_shard_profile_binary(rnsp, &loaded, &error))
+      << "n=" << n << ": " << error;
+  EXPECT_EQ(loaded, cf.profile.data()) << "n=" << n;
+  EXPECT_EQ(loaded.shards, 1u) << "n=" << n;
+  EXPECT_EQ(loaded.rounds, rounds) << "n=" << n;
+  EXPECT_FALSE(obs::describe_shard_profile(loaded).empty()) << "n=" << n;
+}
+
 // The sizes deliberately include non-powers-of-two: ceil_log2 round counts
 // and uneven bot/top interval splits are where a closed form would drift
 // first if the halving analysis were sloppy.
@@ -66,15 +109,21 @@ TEST(ClosedFormCht, ExactlyMatchesSimulation) {
     const auto cfg = make_cfg(n, 1000 + n);
     obs::Telemetry sim_tel;
     obs::Telemetry cf_tel;
-    const auto sim = run_cht_renaming(cfg, nullptr, &sim_tel);
-    const auto cf = run_cht_renaming(cfg, nullptr, &cf_tel, nullptr, {},
-                                     /*closed_form_cutoff=*/1);
+    LiveObservers sim_live;
+    LiveObservers cf_live;
+    const auto sim =
+        run_cht_renaming(cfg, nullptr, &sim_tel, nullptr, sim_live.plan(),
+                         /*closed_form_cutoff=*/0, &sim_live.progress);
+    const auto cf =
+        run_cht_renaming(cfg, nullptr, &cf_tel, nullptr, cf_live.plan(),
+                         /*closed_form_cutoff=*/1, &cf_live.progress);
     EXPECT_FALSE(sim.closed_form) << "n=" << n;
     EXPECT_TRUE(cf.closed_form) << "n=" << n;
     EXPECT_EQ(sim.stats, cf.stats) << "n=" << n;
     expect_same_outcomes(sim.outcomes, cf.outcomes);
     EXPECT_TRUE(cf.report.ok()) << "n=" << n;
     expect_same_telemetry(sim_tel, cf_tel, {31});
+    expect_same_live_observers(sim_live, cf_live, n, cf.stats.rounds);
   }
 }
 
@@ -83,17 +132,21 @@ TEST(ClosedFormObg, ExactlyMatchesSimulation) {
     const auto cfg = make_cfg(n, 2000 + n);
     obs::Telemetry sim_tel;
     obs::Telemetry cf_tel;
-    const auto sim = run_obg_renaming(cfg, {}, ObgByzBehaviour::kSplitAnnounce,
-                                      &sim_tel);
-    const auto cf = run_obg_renaming(cfg, {}, ObgByzBehaviour::kSplitAnnounce,
-                                     &cf_tel, nullptr, {},
-                                     /*closed_form_cutoff=*/1);
+    LiveObservers sim_live;
+    LiveObservers cf_live;
+    const auto sim = run_obg_renaming(
+        cfg, {}, ObgByzBehaviour::kSplitAnnounce, &sim_tel, nullptr,
+        sim_live.plan(), /*closed_form_cutoff=*/0, &sim_live.progress);
+    const auto cf = run_obg_renaming(
+        cfg, {}, ObgByzBehaviour::kSplitAnnounce, &cf_tel, nullptr,
+        cf_live.plan(), /*closed_form_cutoff=*/1, &cf_live.progress);
     EXPECT_FALSE(sim.closed_form) << "n=" << n;
     EXPECT_TRUE(cf.closed_form) << "n=" << n;
     EXPECT_EQ(sim.stats, cf.stats) << "n=" << n;
     expect_same_outcomes(sim.outcomes, cf.outcomes);
     EXPECT_TRUE(cf.report.ok()) << "n=" << n;
     expect_same_telemetry(sim_tel, cf_tel, {40, 41, 42});
+    expect_same_live_observers(sim_live, cf_live, n, cf.stats.rounds);
   }
 }
 

@@ -100,11 +100,10 @@ Observed run_waves(bool use_broadcast, NodeIndex n, Round rounds,
     nodes.push_back(
         std::make_unique<WaveNode>(v, n, rounds, use_broadcast, spoof));
   }
-  Engine engine(std::move(nodes), std::move(adversary));
-  for (NodeIndex v : spoofers) engine.mark_byzantine(v);
   std::ostringstream out;
   JsonlTrace trace(out);
-  engine.set_trace(&trace);
+  Engine engine(std::move(nodes), std::move(adversary), {.trace = &trace});
+  for (NodeIndex v : spoofers) engine.mark_byzantine(v);
   Observed result;
   result.stats = engine.run(rounds + 5);
   result.jsonl = out.str();
@@ -396,11 +395,10 @@ Observed run_subset_casts(bool use_multicast, NodeIndex n, Round rounds,
     nodes.push_back(
         std::make_unique<SubsetCaster>(v, n, rounds, use_multicast, spoof));
   }
-  Engine engine(std::move(nodes), std::move(adversary));
-  for (NodeIndex v : spoofers) engine.mark_byzantine(v);
   std::ostringstream out;
   JsonlTrace trace(out);
-  engine.set_trace(&trace);
+  Engine engine(std::move(nodes), std::move(adversary), {.trace = &trace});
+  for (NodeIndex v : spoofers) engine.mark_byzantine(v);
   Observed result;
   result.stats = engine.run(rounds + 5);
   result.jsonl = out.str();
@@ -469,10 +467,9 @@ TEST(MulticastFastPath, MulticastToAllNodesMatchesBroadcast) {
     for (NodeIndex v = 0; v < n; ++v) {
       nodes.push_back(std::make_unique<AllCaster>(v, all, use_broadcast));
     }
-    Engine engine(std::move(nodes));
     std::ostringstream out;
     JsonlTrace trace(out);
-    engine.set_trace(&trace);
+    Engine engine(std::move(nodes), nullptr, {.trace = &trace});
     Observed result;
     result.stats = engine.run(5);
     result.jsonl = out.str();
@@ -592,10 +589,9 @@ TEST(IdleFastPath, SkippingIdleNodesIsObservationallyInvisible) {
         nodes.push_back(std::make_unique<NeverIdleNapNode>(v, n, 3, 8));
       }
     }
-    Engine engine(std::move(nodes), std::move(adversary));
     std::ostringstream out;
     JsonlTrace trace(out);
-    engine.set_trace(&trace);
+    Engine engine(std::move(nodes), std::move(adversary), {.trace = &trace});
     Observed result;
     result.stats = engine.run(20);
     result.jsonl = out.str();

@@ -1,0 +1,30 @@
+// The obs layer defines the fold constant and the run-info setters, so it
+// may name both.
+#pragma once
+
+#include <string>
+#include <utility>
+
+namespace renaming::obs {
+
+#ifdef RENAMING_NO_TELEMETRY
+inline constexpr bool kTelemetryEnabled = false;
+#else
+inline constexpr bool kTelemetryEnabled = true;
+#endif
+
+class Telemetry {
+ public:
+  void set_run_info(std::string algorithm, unsigned n, unsigned f) {
+    algorithm_ = std::move(algorithm);
+    n_ = n;
+    f_ = f;
+  }
+
+ private:
+  std::string algorithm_;
+  unsigned n_ = 0;
+  unsigned f_ = 0;
+};
+
+}  // namespace renaming::obs

@@ -1,0 +1,19 @@
+// The sanctioned home of the fold and the run-info labelling.
+#pragma once
+
+#include <string>
+
+#include "obs/telemetry.h"
+
+namespace renaming::sim {
+
+struct Observers {
+  obs::Telemetry* telemetry = nullptr;
+
+  void begin(const std::string& algorithm, unsigned n, unsigned f) {
+    if constexpr (!obs::kTelemetryEnabled) telemetry = nullptr;
+    if (telemetry != nullptr) telemetry->set_run_info(algorithm, n, f);
+  }
+};
+
+}  // namespace renaming::sim

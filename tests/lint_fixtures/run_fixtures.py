@@ -44,6 +44,7 @@ CASES = {
     "full-width-alloc": "full-width-alloc",
     "wall-clock": "wall-clock",
     "binary-io": "binary-io",
+    "observer-fold": "observer-fold",
 }
 
 

@@ -265,10 +265,9 @@ obs::JournalData probe_run(NodeIndex n, Round rounds, Round flip_round) {
     nodes.push_back(std::make_unique<ProbeNode>(
         v, rounds, v == 3 ? flip_round : Round{0}));
   }
-  sim::Engine engine(std::move(nodes));
   obs::Journal journal;
   journal.set_run_info("probe", n, 0);
-  engine.set_journal(&journal);
+  sim::Engine engine(std::move(nodes), nullptr, {.journal = &journal});
   engine.run(rounds);
   return journal.data();
 }

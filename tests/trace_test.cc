@@ -177,9 +177,8 @@ TEST(TraceContract, OneEventPerLogicalDestination) {
   for (NodeIndex v = 0; v < n; ++v) {
     nodes.push_back(std::make_unique<FanoutNode>(v, n, 1, false));
   }
-  sim::Engine engine(std::move(nodes));
   RecordingSink sink;
-  engine.set_trace(&sink);
+  sim::Engine engine(std::move(nodes), nullptr, {.trace = &sink});
   const auto stats = engine.run(1);
 
   // Broadcast sentinel -> n events; multicast sentinel -> |dests| events;
@@ -213,10 +212,10 @@ TEST(TraceContract, CopiesToCrashedNodesFireUndelivered) {
   for (NodeIndex v = 0; v < n; ++v) {
     nodes.push_back(std::make_unique<FanoutNode>(v, n, 2, false));
   }
-  sim::Engine engine(std::move(nodes),
-                     std::make_unique<SingleVictimAdversary>(victim));
   RecordingSink sink;
-  engine.set_trace(&sink);
+  sim::Engine engine(std::move(nodes),
+                     std::make_unique<SingleVictimAdversary>(victim),
+                     {.trace = &sink});
   engine.run(2);
 
   // The adversary strikes after round 1's sends but before its delivery
@@ -237,10 +236,9 @@ TEST(TraceContract, SpoofedBroadcastFiresUndeliveredPerCopy) {
   for (NodeIndex v = 0; v < n; ++v) {
     nodes.push_back(std::make_unique<FanoutNode>(v, n, 1, v == 3));
   }
-  sim::Engine engine(std::move(nodes));
-  engine.mark_byzantine(3);
   RecordingSink sink;
-  engine.set_trace(&sink);
+  sim::Engine engine(std::move(nodes), nullptr, {.trace = &sink});
+  engine.mark_byzantine(3);
   const auto stats = engine.run(1);
 
   // The forged broadcast is charged and traced once per copy, none
@@ -293,9 +291,8 @@ TEST(TraceContract, TracedRunMatchesSharedInboxFastPathStats) {
   sim::Engine fast(build());
   const auto fast_stats = fast.run(rounds);
 
-  sim::Engine traced_engine(build());
   RecordingSink sink;
-  traced_engine.set_trace(&sink);
+  sim::Engine traced_engine(build(), nullptr, {.trace = &sink});
   const auto traced_stats = traced_engine.run(rounds);
 
   EXPECT_EQ(fast_stats, traced_stats);
