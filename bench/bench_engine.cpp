@@ -51,6 +51,7 @@
 #include "obs/journal.h"
 #include "obs/progress.h"
 #include "obs/provenance.h"
+#include "obs/rss.h"
 #include "obs/shard_profile.h"
 #include "obs/telemetry.h"
 #include "sim/adversary.h"
@@ -213,7 +214,7 @@ Cell measure(const std::string& workload, NodeIndex n, std::uint64_t seeds,
       std::chrono::duration<double, std::milli>(stop - start).count();
   cell.events_per_sec =
       cell.wall_ms > 0.0 ? cell.events / (cell.wall_ms / 1e3) : 0.0;
-  cell.peak_rss = rss_reset ? bench::peak_rss_bytes() : 0;
+  cell.peak_rss = rss_reset ? obs::peak_rss_bytes() : 0;
   return cell;
 }
 
@@ -257,7 +258,7 @@ Cell measure_engine_threads(NodeIndex n, std::uint64_t seeds,
       std::chrono::duration<double, std::milli>(stop - start).count();
   cell.events_per_sec =
       cell.wall_ms > 0.0 ? cell.events / (cell.wall_ms / 1e3) : 0.0;
-  cell.peak_rss = rss_reset ? bench::peak_rss_bytes() : 0;
+  cell.peak_rss = rss_reset ? obs::peak_rss_bytes() : 0;
   cell.barrier_share = obs::barrier_wait_share(profile.data());
   return cell;
 }

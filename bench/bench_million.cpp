@@ -46,6 +46,7 @@
 #include "core/system.h"
 #include "crash/crash_renaming.h"
 #include "obs/progress.h"
+#include "obs/rss.h"
 #include "sim/wire_schema.h"
 
 namespace renaming {
@@ -107,7 +108,7 @@ Cell measure(const std::string& workload, NodeIndex n, Fn&& run) {
   cell.bits = stats.total_bits;
   cell.wall_ms =
       std::chrono::duration<double, std::milli>(stop - start).count();
-  cell.peak_rss = rss_reset ? bench::peak_rss_bytes() : 0;
+  cell.peak_rss = rss_reset ? obs::peak_rss_bytes() : 0;
   return cell;
 }
 

@@ -13,12 +13,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/check.h"
 #include "obs/json.h"
+#include "obs/rss.h"
 #include "sim/parallel/worker_pool.h"
 
 namespace renaming::bench {
@@ -243,31 +243,15 @@ inline void parallel_jobs(std::size_t count, Fn&& fn, unsigned threads = 0) {
 // ---------------------------------------------------------------------------
 // Process metrics + tiny CLI-flag helpers
 
-/// Resident-set high-water mark of this process in bytes (VmHWM from
-/// /proc/self/status, reported in KiB). Returns 0 where it is unavailable.
-inline std::uint64_t peak_rss_bytes() {
-  std::ifstream status("/proc/self/status");
-  std::string key;
-  while (status >> key) {
-    if (key == "VmHWM:") {
-      std::uint64_t kib = 0;
-      status >> kib;
-      return kib * 1024;
-    }
-    status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
-  }
-  return 0;
-}
-
 /// Resets the high-water mark to the current resident set (writes 5 to
-/// /proc/self/clear_refs), so the next peak_rss_bytes() is one cell's peak
-/// rather than the largest of every earlier cell. Returns false where the
-/// reset or the VmHWM read is unsupported; the harness then reports that
-/// cell's peak as null.
+/// /proc/self/clear_refs), so the next obs::peak_rss_bytes() (obs/rss.h) is
+/// one cell's peak rather than the largest of every earlier cell. Returns
+/// false where the reset or the VmHWM read is unsupported; the harness
+/// then reports that cell's peak as null.
 inline bool reset_peak_rss() {
   std::ofstream clear_refs("/proc/self/clear_refs");
   if (!(clear_refs << "5" << std::flush)) return false;
-  return peak_rss_bytes() > 0;
+  return obs::peak_rss_bytes() > 0;
 }
 
 /// A cell's peak_rss_bytes JSON value: 0 (no per-cell reset) is null.

@@ -1,7 +1,6 @@
 #include "crash/crash_renaming.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -28,24 +27,25 @@ obs::PhaseId phase_of_subround(std::uint32_t sub) {
   }
 }
 
-// Fenwick (binary indexed) tree over compressed interval endpoints, used by
-// committee_action's offline dominance count. Plain prefix sums, 1-based.
+// Fenwick (binary indexed) tree of counts over the endpoints 1..size,
+// indexed directly by endpoint value (no compression); committee_action's
+// dominance count keeps one per call, over hi in [1, n].
 class Fenwick {
  public:
   explicit Fenwick(std::size_t size) : tree_(size + 1, 0) {}
 
-  void add(std::size_t i) {
-    for (++i; i < tree_.size(); i += i & (~i + 1)) ++tree_[i];
+  void add(std::size_t i) {  // i in [1, size]
+    for (; i < tree_.size(); i += i & (~i + 1)) ++tree_[i];
   }
 
-  std::uint64_t prefix(std::size_t count) const {
+  std::uint64_t prefix(std::size_t i) const {  // count of added values <= i
     std::uint64_t total = 0;
-    for (std::size_t i = count; i > 0; i -= i & (~i + 1)) total += tree_[i];
+    for (; i > 0; i -= i & (~i + 1)) total += tree_[i];
     return total;
   }
 
  private:
-  std::vector<std::uint64_t> tree_;
+  std::vector<std::uint32_t> tree_;
 };
 
 }  // namespace
@@ -141,94 +141,85 @@ void CrashNode::committee_action(Round round, sim::Outbox& out) {
   // A committee member's mailbox holds one status per reporting node — up
   // to n of them — and the naive Figure 2 evaluation recomputes two counts
   // with an O(M) scan per status, an O(M^2) round that dominates every
-  // run past a few thousand nodes. Both counts are order statistics, so
-  // they precompute in O(M log M) and the per-status work drops to two
-  // binary searches. Exact for every input (no laminarity assumption):
+  // run past a few thousand nodes. Both counts are read off one sort of
+  // (lo, hi, id) keys, O(M log M + n) per call, exact for every input (no
+  // laminarity assumption):
   //
   //   rank(w)     = #{u : I_u == I_w and id_u <= id_w}
-  //                 -> sorted (lo, hi, id) triples + upper_bound.
+  //                 -> position of the last key with w's (lo, hi, id)
+  //                    within w's equal-(lo, hi) group (equal ids tie).
   //   occupied(w) = #{u : I_u subset_of bot(I_w)}
   //                 = #{u : lo_u >= bot.lo and hi_u <= bot.hi}
-  //                 -> offline 2D dominance count: statuses inserted in
-  //                    descending-lo order into a Fenwick tree over
-  //                    compressed hi values, queries answered in
-  //                    descending-bot.lo order.
-  const std::size_t total = mailbox_.size();
-  std::vector<std::array<std::uint64_t, 3>> by_interval;  // (lo, hi, id)
-  by_interval.reserve(total);
-  std::vector<std::uint64_t> his;  // compressed hi universe
-  his.reserve(total);
-  for (const Status& u : mailbox_) {
-    by_interval.push_back({u.interval.lo, u.interval.hi, u.id});
-    his.push_back(u.interval.hi);
-  }
-  std::sort(by_interval.begin(), by_interval.end());
-  std::sort(his.begin(), his.end());
-  his.erase(std::unique(his.begin(), his.end()), his.end());
-
-  // Queries: one per status that halves this subround, keyed by bot(I_w).
-  // bot.lo == I_w.lo, so descending bot.lo orders both sides of the sweep.
-  struct OccupiedQuery {
-    std::uint64_t bot_lo = 0;
-    std::uint64_t bot_hi = 0;
-    std::size_t status_index = 0;
+  //                 -> the keys read back to front one equal-lo block at a
+  //                    time: the block's hi values go into a Fenwick tree
+  //                    over hi in [1, n], then prefix(bot.hi) answers the
+  //                    block, since bot.lo == I_w.lo. It depends on I_w
+  //                    only, so each equal-(lo, hi) group asks once.
+  //
+  // The decisions land in `reply`, indexed by mailbox position: halving
+  // statuses start at kTop and the sweep moves those that fit to kBot.
+  // The replies then go out in mailbox order.
+  enum Reply : std::uint8_t { kEcho, kTop, kBot };
+  struct Key {
+    std::uint64_t interval;  // lo << 32 | hi (the decode check bounds both)
+    OriginalId id;
+    std::uint32_t status;  // mailbox index
   };
-  std::vector<OccupiedQuery> queries;
+  const std::size_t total = mailbox_.size();
+  std::vector<Key> keys;
+  keys.reserve(total);
+  std::vector<Reply> reply(total, kEcho);
+  for (std::size_t i = 0; i < total; ++i) {
+    const Status& u = mailbox_[i];
+    keys.push_back({u.interval.lo << 32 | u.interval.hi, u.id,
+                    static_cast<std::uint32_t>(i)});
+    if (!u.interval.singleton() && u.d == min_depth) reply[i] = kTop;
+  }
+  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+    return a.interval != b.interval ? a.interval < b.interval : a.id < b.id;
+  });
+
+  constexpr std::uint64_t kHiMask = 0xffffffffULL;
+  Fenwick hi_count(n_);
+  for (std::size_t block_end = total; block_end > 0;) {
+    const std::uint64_t lo = keys[block_end - 1].interval >> 32;
+    std::size_t block = block_end;
+    while (block > 0 && keys[block - 1].interval >> 32 == lo) {
+      hi_count.add(keys[--block].interval & kHiMask);
+    }
+    for (std::size_t group = block; group < block_end;) {
+      const std::uint64_t interval = keys[group].interval;
+      std::size_t group_end = group + 1;
+      while (group_end < block_end && keys[group_end].interval == interval) {
+        ++group_end;
+      }
+      const Interval shared(lo, interval & kHiMask);
+      if (!shared.singleton()) {
+        const Interval bot = shared.bot();
+        const std::uint64_t occupied = hi_count.prefix(bot.hi);
+        for (std::size_t run = group; run < group_end;) {
+          std::size_t run_end = run + 1;
+          while (run_end < group_end && keys[run_end].id == keys[run].id) {
+            ++run_end;
+          }
+          const std::uint64_t rank = run_end - group;
+          for (; run < run_end; ++run) {
+            Reply& r = reply[keys[run].status];
+            if (r == kTop && occupied + rank <= bot.size()) r = kBot;
+          }
+        }
+      }
+      group = group_end;
+    }
+    block_end = block;
+  }
+
   for (std::size_t i = 0; i < total; ++i) {
     const Status& w = mailbox_[i];
-    if (!w.interval.singleton() && w.d == min_depth) {
-      const Interval bot = w.interval.bot();
-      queries.push_back({bot.lo, bot.hi, i});
-    }
-  }
-  std::sort(queries.begin(), queries.end(),
-            [](const OccupiedQuery& a, const OccupiedQuery& b) {
-              return a.bot_lo > b.bot_lo;
-            });
-  std::vector<std::size_t> by_lo_desc(total);
-  for (std::size_t i = 0; i < total; ++i) by_lo_desc[i] = i;
-  std::sort(by_lo_desc.begin(), by_lo_desc.end(),
-            [&](std::size_t a, std::size_t b) {
-              return mailbox_[a].interval.lo > mailbox_[b].interval.lo;
-            });
-  std::vector<std::uint64_t> occupied_of(total, 0);
-  Fenwick fen(his.size());
-  std::size_t inserted = 0;
-  for (const OccupiedQuery& q : queries) {
-    while (inserted < total &&
-           mailbox_[by_lo_desc[inserted]].interval.lo >= q.bot_lo) {
-      const std::uint64_t hi = mailbox_[by_lo_desc[inserted]].interval.hi;
-      fen.add(static_cast<std::size_t>(
-          std::lower_bound(his.begin(), his.end(), hi) - his.begin()));
-      ++inserted;
-    }
-    const std::size_t below = static_cast<std::size_t>(
-        std::upper_bound(his.begin(), his.end(), q.bot_hi) - his.begin());
-    occupied_of[q.status_index] = fen.prefix(below);
-  }
-
-  for (const Status& w : mailbox_) {
     Interval reply_interval = w.interval;
     std::uint32_t reply_d = w.d;
-    if (!w.interval.singleton() && w.d == min_depth) {
-      // Halve: compare w's rank among same-interval nodes against the
-      // capacity of bot(I_w), counting nodes already inside bot(I_w).
-      const Interval bot = w.interval.bot();
-      const std::array<std::uint64_t, 3> key = {w.interval.lo, w.interval.hi,
-                                                w.id};
-      const std::uint64_t rank = static_cast<std::uint64_t>(
-          std::upper_bound(by_interval.begin(), by_interval.end(), key) -
-          std::lower_bound(by_interval.begin(), by_interval.end(),
-                           std::array<std::uint64_t, 3>{
-                               w.interval.lo, w.interval.hi, 0}));
-      const std::uint64_t occupied =
-          occupied_of[static_cast<std::size_t>(&w - mailbox_.data())];
-      RENAMING_CHECK(rank >= 1, "w's own status is in the mailbox");
-      if (occupied + rank <= bot.size()) {
-        reply_interval = bot;
-      } else {
-        reply_interval = w.interval.top();
-      }
+    if (reply[i] != kEcho) {
+      reply_interval = reply[i] == kBot ? w.interval.bot() : w.interval.top();
       reply_d = w.d + 1;
       if (provenance_ != nullptr) {
         // One vote per halving reply: the member decided reply_interval
@@ -266,6 +257,10 @@ void CrashNode::receive(Round round, sim::InboxView inbox) {
         mailbox_.clear();
         for (const sim::Message& m : inbox) {
           if (m.kind != static_cast<sim::MsgKind>(Tag::kStatus)) continue;
+          // Every crash-model status is honest; committee_action's sweep
+          // packs lo and hi into one word and indexes a tree by hi.
+          RENAMING_CHECK(1 <= m.w[1] && m.w[1] <= m.w[2] && m.w[2] <= n_,
+                         "status interval outside [1, n]");
           mailbox_.push_back(Status{
               m.w[0], Interval(m.w[1], m.w[2]),
               static_cast<std::uint32_t>(m.w[3]),

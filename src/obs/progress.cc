@@ -1,26 +1,12 @@
 #include "obs/progress.h"
 
-#include <sys/resource.h>
-
 #include <ostream>
 
 #include "obs/json.h"
+#include "obs/rss.h"
 #include "obs/telemetry.h"  // now_ns(): the sanctioned clock
 
 namespace renaming::obs {
-
-namespace {
-
-// Peak resident set so far, in bytes. Like the wall clock, a measured
-// quantity that appears only in progress output (ru_maxrss is reported in
-// KiB on Linux).
-std::uint64_t peak_rss_bytes() {
-  rusage usage{};
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
-  return static_cast<std::uint64_t>(usage.ru_maxrss) * 1024;
-}
-
-}  // namespace
 
 Progress::Progress() : Progress(Options{}) {}
 

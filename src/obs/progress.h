@@ -52,7 +52,7 @@ struct ProgressSnapshot {
   std::uint64_t outbox_live = 0;     ///< allocated outboxes (layout detail)
   std::int64_t wall_ns = 0;          ///< since begin_run
   std::int64_t round_wall_ns = 0;    ///< mean ns/round since last sample
-  std::uint64_t peak_rss_bytes = 0;  ///< getrusage ru_maxrss
+  std::uint64_t peak_rss_bytes = 0;  ///< VmHWM so far (obs/rss.h)
   double events_per_sec = 0.0;       ///< cumulative messages / wall
 };
 

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "crash/crash_renaming.h"
 
@@ -98,17 +101,26 @@ TEST(CrashNodeUnit, Round2ReportsOnlyToAnnouncedLinks) {
   EXPECT_EQ(dests, (std::vector<NodeIndex>{2, 3}));
 }
 
-// Drives one committee round-3 action with a crafted mailbox and decodes
-// the responses per recipient id.
+// Drives one committee round-3 action of `member` (node 0 of an n-node
+// system) with a crafted mailbox and returns its responses, expanded, in
+// send order.
+std::vector<std::pair<NodeIndex, sim::Message>> committee_round(
+    CrashNode& member, NodeIndex n, const std::vector<sim::Message>& statuses) {
+  member.receive(1, std::vector<sim::Message>{committee_notice(0, 100)});
+  member.receive(2, statuses);
+  sim::Outbox out(0, n);
+  member.send(3, out);
+  out.expand();
+  return out.entries();
+}
+
+// committee_round in the fixed n = 4 system, with the responses decoded
+// per recipient id.
 std::map<OriginalId, Interval> committee_halving(
     CrashNode& member, const std::vector<sim::Message>& statuses,
     std::map<OriginalId, std::uint32_t>* depths = nullptr) {
-  member.receive(1, std::vector<sim::Message>{committee_notice(0, 100)});
-  member.receive(2, statuses);
-  sim::Outbox out(0, 4);
-  member.send(3, out);
   std::map<OriginalId, Interval> replies;
-  for (const auto& [dest, msg] : out.entries()) {
+  for (const auto& [dest, msg] : committee_round(member, 4, statuses)) {
     EXPECT_EQ(msg.kind, static_cast<sim::MsgKind>(Tag::kResponse));
     replies[msg.w[0]] = Interval(msg.w[1], msg.w[2]);
     if (depths != nullptr) {
@@ -182,6 +194,115 @@ TEST(CrashNodeUnit, SingletonsDoNotPinMinimumDepth) {
   EXPECT_EQ(replies.at(300), Interval(3, 3));  // echoed, never "halved"
   EXPECT_EQ(depths.at(100), 3u);
 }
+
+// One reported status, as the brute-force evaluator below sees it.
+struct Reported {
+  NodeIndex link;
+  OriginalId id;
+  Interval interval;
+  std::uint32_t d;
+};
+
+// Figure 2 evaluated literally, O(M^2): each status at the minimum
+// undecided depth counts its rank among equal intervals (ids <= its own)
+// and the statuses already inside bot(I_w), then goes bot iff they fit.
+std::vector<std::pair<Interval, std::uint32_t>> figure2_replies(
+    const std::vector<Reported>& mailbox) {
+  std::uint32_t min_depth = std::numeric_limits<std::uint32_t>::max();
+  for (const Reported& s : mailbox) {
+    if (!s.interval.singleton()) min_depth = std::min(min_depth, s.d);
+  }
+  std::vector<std::pair<Interval, std::uint32_t>> replies;
+  for (const Reported& w : mailbox) {
+    if (w.interval.singleton() || w.d != min_depth) {
+      replies.emplace_back(w.interval, w.d);
+      continue;
+    }
+    const Interval bot = w.interval.bot();
+    std::uint64_t rank = 0;
+    std::uint64_t occupied = 0;
+    for (const Reported& u : mailbox) {
+      rank += u.interval == w.interval && u.id <= w.id ? 1 : 0;
+      occupied += u.interval.subset_of(bot) ? 1 : 0;
+    }
+    replies.emplace_back(
+        occupied + rank <= bot.size() ? bot : w.interval.top(), w.d + 1);
+  }
+  return replies;
+}
+
+// A random interval of [1, n]: a vertex of the interval tree at a random
+// depth (the laminar family honest runs produce), an arbitrary [lo, hi]
+// that need not nest with anything, or a singleton.
+Interval random_interval(Xoshiro256& rng, NodeIndex n) {
+  switch (rng.below(3)) {
+    case 0: {
+      Interval v(1, n);
+      for (std::uint64_t k = rng.below(7); k > 0 && !v.singleton(); --k) {
+        v = rng.below(2) == 0 ? v.bot() : v.top();
+      }
+      return v;
+    }
+    case 1: {
+      const std::uint64_t a = 1 + rng.below(n);
+      const std::uint64_t b = 1 + rng.below(n);
+      return Interval(std::min(a, b), std::max(a, b));
+    }
+    default: {
+      const std::uint64_t x = 1 + rng.below(n);
+      return Interval(x, x);
+    }
+  }
+}
+
+TEST(CrashNodeUnit, CommitteeSweepMatchesFigure2) {
+  Xoshiro256 rng(0x5eed);
+  for (int trial = 0; trial < 200; ++trial) {
+    SystemConfig cfg;
+    cfg.n = static_cast<NodeIndex>(2 + rng.below(63));  // n in [2, 64]
+    cfg.namespace_size = 1000;
+    for (NodeIndex v = 0; v < cfg.n; ++v) cfg.ids.push_back(100 * (v + 1));
+    cfg.seed = 1;
+    CrashNode member(0, cfg, always_elected());
+
+    // M statuses from distinct links; ids from a pool of about M/2 values
+    // so equal ids meet inside equal intervals.
+    const std::uint64_t m = 1 + rng.below(cfg.n);
+    std::vector<Reported> mailbox;
+    std::vector<sim::Message> inbox;
+    for (std::uint64_t j = 0; j < m; ++j) {
+      const Reported s{static_cast<NodeIndex>(j), 1 + rng.below(m / 2 + 1),
+                       random_interval(rng, cfg.n),
+                       static_cast<std::uint32_t>(rng.below(3))};
+      mailbox.push_back(s);
+      inbox.push_back(status(s.link, s.id, s.interval, s.d, 0));
+    }
+
+    const auto replies = committee_round(member, cfg.n, inbox);
+    const auto expected = figure2_replies(mailbox);
+    ASSERT_EQ(replies.size(), mailbox.size()) << "trial " << trial;
+    for (std::size_t j = 0; j < replies.size(); ++j) {
+      const auto& [dest, msg] = replies[j];
+      EXPECT_EQ(dest, mailbox[j].link) << "trial " << trial;  // mailbox order
+      EXPECT_EQ(msg.w[0], mailbox[j].id) << "trial " << trial;
+      EXPECT_EQ(Interval(msg.w[1], msg.w[2]), expected[j].first)
+          << "trial " << trial << " status " << j;
+      EXPECT_EQ(msg.w[3], expected[j].second)
+          << "trial " << trial << " status " << j;
+    }
+  }
+}
+
+#if !defined(RENAMING_UNCHECKED)
+TEST(CrashNodeUnitDeathTest, StatusOutsideTheNamespaceIsRejected) {
+  const auto cfg = fixed_config();  // n = 4
+  CrashNode member(0, cfg, always_elected());
+  member.receive(1, std::vector<sim::Message>{committee_notice(0, 100)});
+  EXPECT_DEATH(member.receive(2, std::vector<sim::Message>{
+                                     status(1, 200, Interval(1, 5), 0, 0)}),
+               "status interval outside");
+}
+#endif
 
 TEST(CrashNodeUnit, NodeAdoptsDeepestThenLeftmostResponse) {
   const auto cfg = fixed_config();

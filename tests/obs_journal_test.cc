@@ -10,6 +10,8 @@
 // round window.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -22,6 +24,7 @@
 #include "digest.h"
 #include "obs/doctor.h"
 #include "obs/journal.h"
+#include "obs/json.h"
 #include "obs/kind_registry.h"
 #include "obs/progress.h"
 #include "obs/provenance.h"
@@ -199,6 +202,134 @@ TEST(Journal, JsonlWritersEscapeTheAlgorithmName) {
     ++headers;
   }
   EXPECT_EQ(headers, 3);  // journal, provenance and heartbeat headers
+}
+
+// True iff `s` is valid UTF-8, decoded by bit pattern: each sequence has
+// the continuation bytes its lead announces and encodes a scalar value
+// (no overlong form, no surrogate, nothing past U+10FFFF).
+bool valid_utf8(const std::string& s) {
+  for (std::size_t i = 0; i < s.size();) {
+    const auto lead = static_cast<unsigned char>(s[i]);
+    std::size_t extra = 0;
+    std::uint32_t cp = lead;
+    std::uint32_t min_cp = 0;
+    if ((lead & 0xE0) == 0xC0) {
+      extra = 1, cp = lead & 0x1F, min_cp = 0x80;
+    } else if ((lead & 0xF0) == 0xE0) {
+      extra = 2, cp = lead & 0x0F, min_cp = 0x800;
+    } else if ((lead & 0xF8) == 0xF0) {
+      extra = 3, cp = lead & 0x07, min_cp = 0x10000;
+    } else if (lead >= 0x80) {
+      return false;  // a stray continuation byte or an invalid lead
+    }
+    if (i + extra >= s.size()) return false;  // truncated
+    for (std::size_t k = 1; k <= extra; ++k) {
+      const auto next = static_cast<unsigned char>(s[i + k]);
+      if ((next & 0xC0) != 0x80) return false;
+      cp = cp << 6 | (next & 0x3F);
+    }
+    if (cp < min_cp || cp > 0x10FFFF || (cp >= 0xD800 && cp <= 0xDFFF)) {
+      return false;
+    }
+    i += extra + 1;
+  }
+  return true;
+}
+
+// Undoes json_escape's escapes (\" \\ \n \t \u00XX) byte for byte.
+std::string json_unescape(const std::string& s) {
+  std::string out;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    if (s[i] != '\\') {
+      out += s[i];
+    } else if (s[i + 1] == 'u') {
+      out += static_cast<char>(std::stoi(s.substr(i + 4, 2), nullptr, 16));
+      i += 5;
+    } else {
+      const char e = s[++i];
+      out += e == 'n' ? '\n' : e == 't' ? '\t' : e;
+    }
+  }
+  return out;
+}
+
+std::string utf8_encode(std::uint32_t cp) {
+  std::string out;
+  if (cp < 0x80) {
+    out += static_cast<char>(cp);
+  } else if (cp < 0x800) {
+    out += static_cast<char>(0xC0 | cp >> 6);
+    out += static_cast<char>(0x80 | (cp & 0x3F));
+  } else if (cp < 0x10000) {
+    out += static_cast<char>(0xE0 | cp >> 12);
+    out += static_cast<char>(0x80 | (cp >> 6 & 0x3F));
+    out += static_cast<char>(0x80 | (cp & 0x3F));
+  } else {
+    out += static_cast<char>(0xF0 | cp >> 18);
+    out += static_cast<char>(0x80 | (cp >> 12 & 0x3F));
+    out += static_cast<char>(0x80 | (cp >> 6 & 0x3F));
+    out += static_cast<char>(0x80 | (cp & 0x3F));
+  }
+  return out;
+}
+
+// Names read back from artifacts are arbitrary bytes: the escaped form must
+// always be valid UTF-8 without a raw control byte, and lossless. Text that
+// is already valid (ASCII or multibyte, free of quotes, backslashes and
+// control bytes) is left exactly as it is, so existing artifacts keep their
+// bytes.
+TEST(JsonEscape, AnyBytesBecomeValidUtf8AndValidTextIsUnchanged) {
+  const auto check = [](const std::string& in) -> std::string {
+    const std::string out = obs::json_escape(in);
+    EXPECT_TRUE(valid_utf8(out)) << out;
+    EXPECT_TRUE(std::none_of(out.begin(), out.end(), [](char c) {
+      return static_cast<unsigned char>(c) < 0x20;
+    })) << out;
+    EXPECT_EQ(json_unescape(out), in) << out;
+    return out;
+  };
+  for (int b = 0; b < 256; ++b) {
+    const std::string in(1, static_cast<char>(b));
+    const std::string out = check(in);
+    if (b >= 0x20 && b < 0x80 && b != '"' && b != '\\') EXPECT_EQ(out, in);
+    if (b >= 0x80) EXPECT_EQ(out.size(), 6u) << b;  // \u00XX
+  }
+
+  // Boundary scalars of every length pass through unchanged...
+  for (const std::uint32_t cp :
+       {0x80u, 0x7FFu, 0x800u, 0xD7FFu, 0xE000u, 0xFFFDu, 0xFFFFu, 0x10000u,
+        0x10FFFFu}) {
+    const std::string in = "a" + utf8_encode(cp) + "z";
+    EXPECT_EQ(check(in), in) << cp;
+  }
+  // ...while overlongs, surrogates, values past U+10FFFF, invalid leads and
+  // truncated sequences have each of their bytes escaped.
+  for (const std::string& in :
+       {std::string("\xC0\xAF"), std::string("\xE0\x80\x80"),
+        std::string("\xED\xA0\x80"), std::string("\xF4\x90\x80\x80"),
+        std::string("\xF5\x80\x80\x80"), std::string("\xE2\x82"),
+        std::string("\xF0\x9F\x98")}) {
+    const std::string out = check(in);
+    EXPECT_EQ(out.size(), 6 * in.size()) << out;
+  }
+
+  Xoshiro256 rng(0xE5C);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string bytes;
+    std::string text;  // valid UTF-8, no byte json_escape rewrites
+    for (std::uint64_t k = rng.below(24); k > 0; --k) {
+      bytes += static_cast<char>(rng.below(256));
+      std::uint32_t cp = 0;
+      do {
+        cp = static_cast<std::uint32_t>(
+            rng.below(2) == 0 ? 0x20 + rng.below(0x60) : rng.below(0x110000));
+      } while (cp < 0x20 || cp == '"' || cp == '\\' ||
+               (cp >= 0xD800 && cp <= 0xDFFF));
+      text += utf8_encode(cp);
+    }
+    check(bytes);
+    EXPECT_EQ(check(text), text);
+  }
 }
 
 // --- kind registry agreement (satellite of the exhaustiveness guard) --------

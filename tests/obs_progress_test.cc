@@ -7,8 +7,9 @@
 //     address stability and ordered export; the RoundRing flight-recorder
 //     policy behind Telemetry::set_per_round_capacity;
 //   * the Progress heartbeat itself — round cadence, the closing
-//     catch-up sample, ring overwrite, and the deterministic_only
-//     projection of write_record;
+//     catch-up sample, ring overwrite, the deterministic_only
+//     projection of write_record, and a peak RSS that honours the
+//     per-cell high-water-mark reset;
 //   * the house determinism contract — a run with a Progress heartbeat
 //     AND a ShardProfile attached produces byte-identical traces,
 //     journals and RunStats to the bare run at every shard count, and
@@ -17,7 +18,10 @@
 //     matches a pin recorded from the retired dense engine layout. Wall
 //     time never leaks into deterministic output.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
+#include <cstring>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -29,6 +33,7 @@
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
+#include "obs/rss.h"
 #include "obs/shard_profile.h"
 #include "obs/telemetry.h"
 #include "sim/parallel/worker_pool.h"
@@ -233,6 +238,51 @@ TEST(Progress, SinkReceivesHeaderEverySampleAndDoneLine) {
   EXPECT_NE(text.find("\"algorithm\":\"unit\""), std::string::npos);
   EXPECT_NE(text.find("\"round\":1"), std::string::npos);
   EXPECT_NE(text.find("\"done\":true"), std::string::npos);
+}
+
+TEST(Progress, HeartbeatPeakRssIsMeasuredAndFollowsThePerCellReset) {
+  // Touch 64 MiB outside the allocator (so no allocator cache keeps it
+  // resident), release it, then reset the high-water mark the way the
+  // bench harnesses do before each cell.
+  constexpr std::size_t kBig = std::size_t{64} << 20;
+  void* big = mmap(nullptr, kBig, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(big, MAP_FAILED);
+  std::memset(big, 1, kBig);
+  munmap(big, kBig);
+  const std::uint64_t before_reset = obs::peak_rss_bytes();
+  ASSERT_GE(before_reset, kBig);
+
+  std::ostringstream out;
+  obs::Progress progress;
+  progress.set_sink(&out);
+  progress.begin_run(4);
+  progress.on_round_end(1, 10, 100, 4, 0, 4);
+  progress.end_run(1);
+  ASSERT_EQ(progress.snapshots().size(), 1u);
+  const obs::ProgressSnapshot s = progress.snapshots().front();
+  EXPECT_GT(s.peak_rss_bytes, 0u);
+  EXPECT_EQ(out.str().find("\"peak_rss_bytes\":0"), std::string::npos);
+  // The field is measured: the deterministic projection leaves it out.
+  std::ostringstream det;
+  obs::Progress::write_record(det, s, /*deterministic_only=*/true);
+  EXPECT_EQ(det.str().find("peak_rss"), std::string::npos);
+
+  std::ofstream clear_refs("/proc/self/clear_refs");
+  if (!(clear_refs << "5" << std::flush)) {
+    GTEST_SKIP() << "no /proc/self/clear_refs: the peak cannot be reset";
+  }
+  obs::Progress after;
+  after.begin_run(4);
+  after.on_round_end(1, 10, 100, 4, 0, 4);
+  ASSERT_EQ(after.snapshots().size(), 1u);
+  const std::uint64_t cell_peak = after.snapshots().front().peak_rss_bytes;
+  EXPECT_GT(cell_peak, 0u);
+  EXPECT_LT(cell_peak + kBig / 2, before_reset)
+      << "the heartbeat must read the reset peak, not the lifetime one";
+  // Same reader as the bench harnesses: no peak from before the reset, nor
+  // from the image this process was exec'd from, can raise the value.
+  EXPECT_LE(cell_peak, obs::peak_rss_bytes());
 }
 
 // --- ShardProfile: aggregation, metrics, binary format -------------------
