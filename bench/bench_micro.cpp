@@ -5,7 +5,9 @@
 // macro harnesses (T1, E1-E5) amortise.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "byzantine/identity_list.h"
 #include "common/bitvec.h"
@@ -98,6 +100,41 @@ void BM_IdentityListMixedOps(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IdentityListMixedOps)->Arg(1024)->Arg(16384)->Arg(262144);
+
+void BM_IdentityListBulkLoad(benchmark::State& state) {
+  // A committee member turning k round-2 reports (arrival order) into its
+  // list: insert:0 is the protocol's one sort plus assign_sorted, insert:1
+  // is k insert() calls. Coefficients come from a warm shared cache, as in
+  // a run, so the gap is the container's.
+  const std::uint64_t kN = 1 << 22;
+  const auto k = static_cast<std::size_t>(state.range(0));
+  const bool by_insert = state.range(1) != 0;
+  const auto cache = hashing::make_coefficient_cache(10);
+  Xoshiro256 rng(11);
+  std::vector<std::uint64_t> arrivals(k);
+  for (std::uint64_t& id : arrivals) {
+    id = 1 + rng.below(kN);
+    cache->coefficient(id);  // warm
+  }
+  std::vector<std::uint64_t> sorted;
+  for (auto _ : state) {
+    byzantine::IdentityList list(kN, cache);
+    if (by_insert) {
+      for (std::uint64_t id : arrivals) list.insert(id);
+    } else {
+      sorted = arrivals;
+      std::sort(sorted.begin(), sorted.end());
+      sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+      list.assign_sorted(sorted);
+    }
+    benchmark::DoNotOptimize(list.size());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(k));
+}
+BENCHMARK(BM_IdentityListBulkLoad)
+    ->ArgNames({"ids", "insert"})
+    ->ArgsProduct({{1024, 16384, 262144}, {0, 1}});
 
 void BM_RabinOfRangeSparse(benchmark::State& state) {
   // Sparse Rabin evaluation: cost scales with the number of set bits (the

@@ -180,15 +180,7 @@ void ByzNode::receive(Round round, sim::InboxView inbox) {
     }
     case Stage::kIdReport: {
       if (elected_) {
-        list_ = std::make_unique<IdentityList>(namespace_size_, coeff_cache_);
-        for (const sim::Message& m : inbox) {
-          if (m.kind != kind_of(Tag::kIdReport) || m.nwords < 1) continue;
-          const OriginalId claimed = m.w[0];
-          if (claimed < 1 || claimed > namespace_size_) continue;
-          if (!directory_->verify(m.sender, claimed)) continue;
-          list_->insert(claimed);
-          reporters_.emplace(claimed, m.sender);
-        }
+        load_reports(inbox);
         if (params_.use_fingerprints) {
           pending_.push_back(Interval(1, namespace_size_));
           start_iteration();
@@ -283,8 +275,7 @@ void ByzNode::receive(Round round, sim::InboxView inbox) {
                                 current_.lo, {});
       }
       list_->set(current_.lo, bit);
-      processed_[current_.lo] =
-          Processed{current_, bit ? 1ull : 0ull, /*dirty=*/false};
+      accept_current(bit ? 1 : 0, /*dirty=*/false);
       start_iteration();
       break;
     }
@@ -303,12 +294,11 @@ void ByzNode::receive(Round round, sim::InboxView inbox) {
           if (id >= 1 && id <= namespace_size_) ++counts[id];
         }
       }
-      auto merged =
-          std::make_unique<IdentityList>(namespace_size_, coeff_cache_);
-      for (const auto& [id, count] : counts) {
-        if (count >= view_->max_tolerated() + 1) merged->insert(id);
+      scratch_ids_.clear();
+      for (const auto& [id, count] : counts) {  // ascending ids
+        if (count >= view_->max_tolerated() + 1) scratch_ids_.push_back(id);
       }
-      list_ = std::move(merged);
+      list_->assign_sorted(scratch_ids_);
       if (provenance_ != nullptr) {
         // Ablation A2 merge: a = identities kept by the witness filter,
         // b = distinct identities seen across all vectors.
@@ -318,9 +308,8 @@ void ByzNode::receive(Round round, sim::InboxView inbox) {
                                 counts.size(), {});
       }
       iterations_ = 1;
-      processed_.clear();
-      processed_[1] = Processed{Interval(1, namespace_size_), list_->size(),
-                                /*dirty=*/false};
+      processed_.assign(1, Processed{Interval(1, namespace_size_),
+                                     list_->size(), /*dirty=*/false});
       stage_ = Stage::kDistribute;
       break;
     }
@@ -369,7 +358,37 @@ void ByzNode::split_current(Round round) {
 
 void ByzNode::accept_current(std::uint64_t agreed_count, bool dirty) {
   if (dirty) ++dirties_;
-  processed_[current_.lo] = Processed{current_, agreed_count, dirty};
+  // split_current() pushes top() under bot(), so the DFS finishes every
+  // segment left to right.
+  RENAMING_CHECK(
+      processed_.empty() || processed_.back().segment.hi < current_.lo,
+      "J-hat must grow in ascending segment order");
+  processed_.push_back(Processed{current_, agreed_count, dirty});
+}
+
+void ByzNode::load_reports(sim::InboxView inbox) {
+  reporters_.reserve(inbox.size());
+  for (const sim::Message& m : inbox) {
+    if (m.kind != kind_of(Tag::kIdReport) || m.nwords < 1) continue;
+    const OriginalId claimed = m.w[0];
+    if (claimed < 1 || claimed > namespace_size_) continue;
+    if (!directory_->verify(m.sender, claimed)) continue;
+    reporters_.push_back({claimed, m.sender});
+  }
+  // One sort per round; the stable sort keeps the first report per id.
+  std::stable_sort(
+      reporters_.begin(), reporters_.end(),
+      [](const Report& a, const Report& b) { return a.id < b.id; });
+  reporters_.erase(std::unique(reporters_.begin(), reporters_.end(),
+                               [](const Report& a, const Report& b) {
+                                 return a.id == b.id;
+                               }),
+                   reporters_.end());
+  scratch_ids_.clear();
+  scratch_ids_.reserve(reporters_.size());
+  for (const Report& r : reporters_) scratch_ids_.push_back(r.id);
+  list_ = std::make_unique<IdentityList>(namespace_size_, coeff_cache_);
+  list_->assign_sorted(scratch_ids_);
 }
 
 void ByzNode::distribute(Round round, sim::Outbox& out) {
@@ -378,16 +397,24 @@ void ByzNode::distribute(Round round, sim::Outbox& out) {
   // NEW(null) to the reporters it knows there).
   std::uint64_t before = 0;  // agreed ones before the current segment
   std::uint64_t ranks_sent = 0, nulls_sent = 0;
-  for (const auto& [lo, proc] : processed_) {
+  for (const Processed& proc : processed_) {
     scratch_ids_.clear();
     list_->append_ids_in(proc.segment, scratch_ids_);
     const auto& ids = scratch_ids_;
     const bool usable =
         !proc.dirty && static_cast<std::uint64_t>(ids.size()) == proc.count;
+    auto report = std::lower_bound(
+        reporters_.begin(), reporters_.end(), proc.segment.lo,
+        [](const Report& r, std::uint64_t lo) { return r.id < lo; });
     if (usable) {
       std::uint64_t offset = 0;
       for (std::uint64_t id : ids) {
-        const NodeIndex link = directory_->link_of(id);
+        while (report != reporters_.end() && report->id < id) ++report;
+        // An id nobody reported to me was added by singleton consensus:
+        // address it through the directory instead.
+        const NodeIndex link = report != reporters_.end() && report->id == id
+                                   ? report->link
+                                   : directory_->link_of(id);
         ++offset;
         if (link == kNoNode) continue;  // identity never joined: skip
         out.send(link, sim::wire::make_message(kind_of(Tag::kNew), wire_,
@@ -396,12 +423,12 @@ void ByzNode::distribute(Round round, sim::Outbox& out) {
       }
     } else {
       // NEW(null) to every reporter inside the dirty segment.
-      for (const auto& [id, link] : reporters_) {
-        if (proc.segment.contains(id)) {
-          out.send(link, sim::wire::make_message(kind_of(Tag::kNew), wire_,
-                                                 std::uint64_t{0}));
-          ++nulls_sent;
-        }
+      for (; report != reporters_.end() && report->id <= proc.segment.hi;
+           ++report) {
+        out.send(report->link,
+                 sim::wire::make_message(kind_of(Tag::kNew), wire_,
+                                         std::uint64_t{0}));
+        ++nulls_sent;
       }
     }
     before += proc.count;
@@ -420,33 +447,41 @@ void ByzNode::consider_new_messages(Round round, sim::InboxView inbox) {
     if (view_->index_of_link(m.sender) == consensus::CommitteeView::npos) {
       continue;  // only committee members distribute
     }
-    new_votes_.emplace(m.sender, m.w[0]);  // first message per sender wins
-    if (provenance_ != nullptr) new_vote_bits_.emplace(m.sender, m.bits);
+    const auto at = std::lower_bound(
+        new_votes_.begin(), new_votes_.end(), m.sender,
+        [](const Vote& v, NodeIndex sender) { return v.sender < sender; });
+    if (at != new_votes_.end() && at->sender == m.sender) continue;
+    new_votes_.insert(at, Vote{m.sender, m.bits, m.w[0]});  // first wins
   }
   if (new_votes_.size() * 2 <= view_->size()) return;  // need > half the view
 
   // Majority among the non-null votes is the true rank: correct holders of
-  // my segment number >= m - 2t >= t + 1 > |B|.
-  std::map<std::uint64_t, std::size_t> counts;
-  for (const auto& [sender, value] : new_votes_) {
-    if (value >= 1 && value <= n_) ++counts[value];
+  // my segment number >= m - 2t >= t + 1 > |B|. Ties go to the smallest
+  // value.
+  std::vector<std::uint64_t> values;
+  values.reserve(new_votes_.size());
+  for (const Vote& v : new_votes_) {
+    if (v.value >= 1 && v.value <= n_) values.push_back(v.value);
   }
-  const auto best =
-      std::max_element(counts.begin(), counts.end(),
-                       [](const auto& a, const auto& b) {
-                         return a.second < b.second;
-                       });
-  if (best != counts.end()) new_id_ = best->first;
+  std::sort(values.begin(), values.end());
+  std::size_t best_count = 0;
+  for (std::size_t run = 0; run < values.size();) {
+    std::size_t end = run;
+    while (end < values.size() && values[end] == values[run]) ++end;
+    if (end - run > best_count) {
+      best_count = end - run;
+      new_id_ = values[run];
+    }
+    run = end;
+  }
   if (provenance_ != nullptr && new_id_.has_value()) {
     // The final claim: a = the adopted rank, b = supporting vote count.
     // Causes = the committee members whose NEW(rank) votes formed the
     // majority (note_event keeps the first kMaxProvCauses, counts the rest).
     std::vector<obs::Provenance::Cause> causes;
-    for (const auto& [sender, value] : new_votes_) {
-      if (value != *new_id_) continue;
-      const auto bits = new_vote_bits_.find(sender);
-      causes.push_back({sender, kind_of(Tag::kNew),
-                        bits != new_vote_bits_.end() ? bits->second : 0});
+    for (const Vote& v : new_votes_) {
+      if (v.value != *new_id_) continue;
+      causes.push_back({v.sender, kind_of(Tag::kNew), v.bits});
     }
     provenance_->note_event(round, self_, obs::ProvEventKind::kNameClaim,
                             kind_of(Tag::kNew), *new_id_, causes.size(),

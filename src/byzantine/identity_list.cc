@@ -59,6 +59,27 @@ void IdentityList::split_bucket(std::size_t b) {
                   std::move(upper));
 }
 
+void IdentityList::assign_sorted(std::span<const std::uint64_t> ids) {
+  buckets_.clear();
+  buckets_.reserve((ids.size() + bucket_capacity_ - 1) / bucket_capacity_);
+  std::uint64_t prev = 0;
+  for (std::size_t at = 0; at < ids.size(); at += bucket_capacity_) {
+    Bucket& leaf = buckets_.emplace_back();
+    leaf.ids.assign(ids.begin() + static_cast<std::ptrdiff_t>(at),
+                    ids.begin() + static_cast<std::ptrdiff_t>(std::min(
+                                      ids.size(), at + bucket_capacity_)));
+    for (std::uint64_t id : leaf.ids) {
+      RENAMING_CHECK(id >= 1 && id <= namespace_size_,
+                     "identity outside the namespace");
+      RENAMING_CHECK(id > prev, "bulk-loaded ids must ascend strictly");
+      prev = id;
+      leaf.fingerprint = hashing::m61_add(leaf.fingerprint,
+                                          hash_.coefficient(id));
+    }
+  }
+  size_ = ids.size();
+}
+
 void IdentityList::insert(std::uint64_t id) {
   RENAMING_CHECK(id >= 1 && id <= namespace_size_,
                  "identity outside the namespace");

@@ -5,18 +5,25 @@
 // would cost Theta(N) memory, so this class stores the equivalent sparse
 // form as a bucketed ordered container: B-tree-style leaves of a few
 // hundred sorted ids, each carrying a SegmentSummary aggregate
-// <fingerprint, count> that is maintained *incrementally* on every
-// insert/set — m61 addition is an invertible group operation (Fact 3.2),
-// so a single-bit flip updates a bucket aggregate with one add/sub instead
-// of a global rebuild. insert/set/rank cost O(log(k/B) + B) and summarize
-// costs O(log(k/B) + buckets overlapped + B) for k stored ids and bucket
-// capacity B; there is no lazily rebuilt prefix table and no O(k) rebuild
-// anywhere on the hot path. Tests cross-check every operation against the
-// dense BitVec + the reference fingerprints in src/hashing.
+// <fingerprint, count>.
+//
+// A member's round-2 list is bulk-loaded: assign_sorted() cuts the sorted
+// ids into full leaves and sums each leaf's m61 aggregate once. Afterwards
+// the list changes only through set() after singleton consensus, and that
+// update is incremental — m61 addition is an invertible group operation
+// (Fact 3.2), so a single-bit flip updates a leaf aggregate with one
+// add/sub instead of a rebuild. The set-hash does not depend on the order
+// ids were added, so a bulk-loaded list and an insert-built one with the
+// same contents summarize identically. insert/set/rank cost
+// O(log(k/B) + B) and summarize costs O(log(k/B) + buckets overlapped + B)
+// for k stored ids and bucket capacity B. Tests cross-check every
+// operation against the dense BitVec + the reference fingerprints in
+// src/hashing.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/interval.h"
@@ -52,6 +59,12 @@ class IdentityList {
   IdentityList(std::uint64_t namespace_size,
                std::shared_ptr<const hashing::CoefficientCache> cache,
                std::size_t bucket_capacity = kDefaultBucketCapacity);
+
+  /// Replaces the contents with `ids`, which must be strictly ascending
+  /// and inside [1, N]: fills leaves to capacity and computes each leaf's
+  /// aggregate once. O(k) for k ids, against O(k (log(k/B) + B)) for k
+  /// insert() calls.
+  void assign_sorted(std::span<const std::uint64_t> ids);
 
   /// Record that identity `id` (1-based, <= N) is present. Idempotent.
   void insert(std::uint64_t id);

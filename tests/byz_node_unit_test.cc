@@ -183,6 +183,201 @@ TEST_F(ByzNodeDecisionTest, OutOfRangeValuesNeverWin) {
   EXPECT_EQ(*node_->new_id(), 2u);
 }
 
+TEST_F(ByzNodeDecisionTest, TwoWayTieDecidesTheSmallerValue) {
+  // 5 and 2 tie at two votes each; 5 arrives first, so the rule under test
+  // is "smallest among the most-voted", not "first seen". (Values must be
+  // ranks in [1, n] = [1, 6] to count at all.)
+  std::vector<sim::Message> votes = {
+      tagged(Tag::kNew, 1, 5), tagged(Tag::kNew, 2, 2),
+      tagged(Tag::kNew, 3, 5), tagged(Tag::kNew, 4, 2),
+  };
+  node_->receive(2, votes);
+  ASSERT_TRUE(node_->new_id().has_value());
+  EXPECT_EQ(*node_->new_id(), 2u);
+}
+
+TEST_F(ByzNodeDecisionTest, FirstNewPerSenderWins) {
+  // Sender 1 votes 4, then changes its mind to 6 in the same round and
+  // again in the next one. With the first vote kept, 4 wins 3:2; had a
+  // later vote replaced it, 6 would win 3:2.
+  node_->receive(2, std::vector<sim::Message>{tagged(Tag::kNew, 1, 4),
+                                              tagged(Tag::kNew, 1, 6),
+                                              tagged(Tag::kNew, 2, 4)});
+  EXPECT_FALSE(node_->new_id().has_value());  // two distinct senders so far
+  node_->receive(3, std::vector<sim::Message>{
+                        tagged(Tag::kNew, 1, 6), tagged(Tag::kNew, 3, 4),
+                        tagged(Tag::kNew, 4, 6), tagged(Tag::kNew, 5, 6)});
+  ASSERT_TRUE(node_->new_id().has_value());
+  EXPECT_EQ(*node_->new_id(), 4u);
+}
+
+using Sends = std::vector<std::pair<NodeIndex, std::uint64_t>>;
+
+// Drives a committee made of nodes 0..k-1 (k = members.size(), every one of
+// them elected) from their round-2 mailboxes to distribution, routing each
+// round's member-to-member traffic by hand. Returns, per member, its
+// distribution sends as (destination, NEW value) in send order.
+std::vector<Sends> run_committee(const SystemConfig& cfg,
+                                 const std::vector<ByzNode*>& members,
+                                 const std::vector<std::vector<sim::Message>>&
+                                     mailboxes) {
+  const NodeIndex k = static_cast<NodeIndex>(members.size());
+  std::vector<sim::Message> elects;
+  for (NodeIndex v = 0; v < k; ++v) {
+    elects.push_back(tagged(Tag::kElect, v, cfg.ids[v]));
+  }
+  for (NodeIndex v = 0; v < k; ++v) {
+    sim::Outbox out(v, cfg.n);
+    members[v]->send(1, out);
+    members[v]->receive(1, elects);
+    EXPECT_EQ(members[v]->view().size(), k);
+    sim::Outbox report(v, cfg.n);
+    members[v]->send(2, report);
+    members[v]->receive(2, mailboxes[v]);
+  }
+  std::vector<Sends> sent(k);
+  for (Round r = 3; r < 2000; ++r) {
+    std::vector<std::vector<sim::Message>> inbox(k);
+    bool all_done = true;
+    for (NodeIndex v = 0; v < k; ++v) {
+      if (members[v]->idle()) continue;
+      sim::Outbox out(v, cfg.n);
+      members[v]->send(r, out);
+      out.expand();
+      for (const auto& [dest, msg] : out.entries()) {
+        if (members[v]->idle()) {
+          EXPECT_EQ(msg.kind, static_cast<sim::MsgKind>(Tag::kNew));
+          sent[v].emplace_back(dest, msg.w[0]);
+        } else if (dest < k) {
+          inbox[dest].push_back(msg);
+          inbox[dest].back().sender = v;
+          inbox[dest].back().claimed_sender = v;
+        }
+      }
+      all_done &= members[v]->idle();
+    }
+    if (all_done) return sent;
+    for (NodeIndex v = 0; v < k; ++v) members[v]->receive(r, inbox[v]);
+  }
+  ADD_FAILURE() << "the committee never reached distribution";
+  return sent;
+}
+
+TEST(ByzNodeUnit, RoundTwoKeepsEachVerifiedReportOnce) {
+  auto cfg = fixed_config();
+  cfg.ids[5] = 1500;  // genuinely owned, but outside the namespace [1, 1000]
+  const Directory dir(cfg);
+  ByzNode node(0, cfg, dir, everyone_in_pool());
+  const auto sent = run_committee(
+      cfg, {&node},
+      {{
+          tagged(Tag::kIdReport, 3, 200),   // valid, arrives first
+          tagged(Tag::kIdReport, 1, 100),   // valid
+          tagged(Tag::kIdReport, 1, 100),   // the same sender reports twice
+          tagged(Tag::kIdReport, 2, 250),   // forged: node 2 owns 150
+          tagged(Tag::kIdReport, 5, 1500),  // out of the namespace
+          tagged(Tag::kIdReport, 0, 50),    // self
+      }});
+  // The list is {50, 100, 200}: one NEW(rank) per held identity, addressed
+  // to the node that reported it. A duplicate would shift the ranks, and an
+  // accepted forgery or out-of-namespace id would add a message.
+  EXPECT_EQ(sent[0], (Sends{{0, 1}, {1, 2}, {3, 3}}));
+  EXPECT_EQ(node.loop_iterations(), 1u);  // one member agrees at the root
+  EXPECT_EQ(node.segments_dirty(), 0u);
+
+  // The member's own NEW(1) names it.
+  std::vector<sim::Message> mine = {tagged(Tag::kNew, 0, 1)};
+  node.receive(1000, mine);
+  ASSERT_TRUE(node.new_id().has_value());
+  EXPECT_EQ(*node.new_id(), 1u);
+}
+
+TEST(ByzNodeUnit, IdentityAddedBySingletonConsensusIsStillAddressed) {
+  // Member 1 never hears node 3's report. The two members disagree on the
+  // root, split down to the singleton {200}, and phase-king (member 0 is
+  // the first king, and holds the bit) adds 200 to member 1's list. Member
+  // 1 must then address NEW(3) to node 3 although no report told it where.
+  const auto cfg = fixed_config();
+  const Directory dir(cfg);
+  ByzNode a(0, cfg, dir, everyone_in_pool());
+  ByzNode b(1, cfg, dir, everyone_in_pool());
+  const std::vector<sim::Message> heard_by_both = {
+      tagged(Tag::kIdReport, 0, 50), tagged(Tag::kIdReport, 1, 100)};
+  auto heard_by_a = heard_by_both;
+  heard_by_a.push_back(tagged(Tag::kIdReport, 3, 200));
+  const auto sent = run_committee(cfg, {&a, &b}, {heard_by_a, heard_by_both});
+  EXPECT_EQ(sent[0], (Sends{{0, 1}, {1, 2}, {3, 3}}));
+  EXPECT_EQ(sent[1], sent[0]);
+  EXPECT_GT(b.segments_split(), 0u);
+  EXPECT_EQ(a.loop_iterations(), b.loop_iterations());
+}
+
+TEST(ByzNodeUnit, DirtyMemberSendsNullToItsReportersOnly) {
+  // Four members tolerate t = 1. Member 3 alone misses node 4's report: one
+  // DIFF vote is below t + 1, so the root is accepted with the majority's
+  // count, member 3 marks it dirty and sends NEW(null) to each reporter it
+  // heard, in id order, while the others send every rank.
+  const auto cfg = fixed_config();
+  const Directory dir(cfg);
+  std::vector<std::unique_ptr<ByzNode>> nodes;
+  std::vector<ByzNode*> members;
+  for (NodeIndex v = 0; v < 4; ++v) {
+    nodes.push_back(
+        std::make_unique<ByzNode>(v, cfg, dir, everyone_in_pool()));
+    members.push_back(nodes.back().get());
+  }
+  std::vector<sim::Message> all;
+  for (NodeIndex v : {3, 1, 4, 0, 2}) {  // arrival order is not id order
+    all.push_back(tagged(Tag::kIdReport, v, cfg.ids[v]));
+  }
+  std::vector<sim::Message> missing_node4 = all;
+  missing_node4.erase(missing_node4.begin() + 2);
+  const auto sent =
+      run_committee(cfg, members, {all, all, all, missing_node4});
+  const Sends ranks = {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}};
+  for (NodeIndex v = 0; v < 3; ++v) {
+    EXPECT_EQ(sent[v], ranks) << "member " << v;
+    EXPECT_EQ(members[v]->segments_dirty(), 0u);
+  }
+  EXPECT_EQ(sent[3], (Sends{{0, 0}, {1, 0}, {2, 0}, {3, 0}}));
+  EXPECT_EQ(members[3]->segments_dirty(), 1u);
+}
+
+TEST(ByzNodeUnit, DirtySegmentPastTheFirstReachesOnlyItsOwnReporters) {
+  // Members 2 and 3 both miss node 4's report (id 250): two DIFF votes
+  // reach t + 1 = 2, so the segments holding 250 split down to the
+  // singleton, where consensus adds it. Member 3 alone also misses node 5
+  // (id 300); the segment [251, 500] holding it is accepted, and member 3
+  // marks it dirty. It heard no report inside that segment, so it sends
+  // no NEW(null) at all, while its ranks below 251 still go out.
+  const auto cfg = fixed_config();
+  const Directory dir(cfg);
+  std::vector<std::unique_ptr<ByzNode>> nodes;
+  std::vector<ByzNode*> members;
+  for (NodeIndex v = 0; v < 4; ++v) {
+    nodes.push_back(
+        std::make_unique<ByzNode>(v, cfg, dir, everyone_in_pool()));
+    members.push_back(nodes.back().get());
+  }
+  std::vector<sim::Message> all;
+  for (NodeIndex v = 0; v < cfg.n; ++v) {
+    all.push_back(tagged(Tag::kIdReport, v, cfg.ids[v]));
+  }
+  const std::vector<sim::Message> missing_250(all.begin(), all.begin() + 4);
+  std::vector<sim::Message> missing_250_only = missing_250;
+  missing_250_only.push_back(all[5]);
+  const auto sent = run_committee(
+      cfg, members, {all, all, missing_250_only, missing_250});
+  const Sends ranks = {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}};
+  for (NodeIndex v = 0; v < 3; ++v) {
+    EXPECT_EQ(sent[v], ranks) << "member " << v;
+    EXPECT_EQ(members[v]->segments_dirty(), 0u) << "member " << v;
+  }
+  EXPECT_EQ(sent[3], (Sends{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}}));
+  EXPECT_EQ(members[3]->segments_dirty(), 1u);
+  EXPECT_GT(members[3]->segments_split(), 0u);
+}
+
 TEST(ByzNodeUnit, FullExchangeAblationMergesByWitnessCount) {
   const auto cfg = fixed_config();
   const Directory dir(cfg);

@@ -2,6 +2,10 @@
 // reference SetFingerprint on random and adversarial contents.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "byzantine/identity_list.h"
 #include "common/bitvec.h"
 #include "common/prng.h"
@@ -241,6 +245,91 @@ TEST_F(IdentityListTest, DiffersAtSingleIdDetected) {
   EXPECT_EQ(a.summarize(j).count + 1, b.summarize(j).count);
   EXPECT_GT(depth, 5);
 }
+
+// Every observable of `a` equals that of `b` on random probes.
+void expect_same_observables(const IdentityList& a, const IdentityList& b,
+                             Xoshiro256& rng, std::uint64_t n,
+                             const std::string& where) {
+  ASSERT_EQ(a.size(), b.size()) << where;
+  ASSERT_EQ(a.to_vector(), b.to_vector()) << where;
+  ASSERT_EQ(a.summarize(Interval(1, n)), b.summarize(Interval(1, n)))
+      << where;
+  for (int trial = 0; trial < 60; ++trial) {
+    std::uint64_t lo = 1 + rng.below(n);
+    std::uint64_t hi = 1 + rng.below(n);
+    if (lo > hi) std::swap(lo, hi);
+    const Interval j(lo, hi);
+    ASSERT_EQ(a.summarize(j), b.summarize(j)) << where << " " << lo << ".."
+                                              << hi;
+    ASSERT_EQ(a.ids_in(j), b.ids_in(j)) << where;
+    ASSERT_EQ(a.rank(lo), b.rank(lo)) << where;
+    ASSERT_EQ(a.rank(hi), b.rank(hi)) << where;
+  }
+}
+
+TEST_F(IdentityListTest, BulkLoadEqualsInsertBuiltAndStaysEqualUnderFlips) {
+  // The round-2 list is bulk-loaded from sorted reports; the singleton
+  // consensus then flips single positions. Both must be invisible next to
+  // the same contents built one insert at a time, in arrival order.
+  Xoshiro256 rng(80);
+  for (const std::size_t capacity : {std::size_t{2}, std::size_t{8},
+                                     std::size_t{256}}) {
+    for (const std::size_t target :
+         {std::size_t{0}, std::size_t{1}, capacity, capacity + 1,
+          std::size_t{3 * 256 + 5}, std::size_t{3000}}) {
+      const std::string where = "capacity " + std::to_string(capacity) +
+                                " size " + std::to_string(target);
+      std::vector<std::uint64_t> arrivals;
+      while (arrivals.size() < target) arrivals.push_back(1 + rng.below(kN));
+      IdentityList inserted(kN, beacon_, capacity);
+      for (std::uint64_t id : arrivals) inserted.insert(id);
+      std::vector<std::uint64_t> sorted = arrivals;
+      std::sort(sorted.begin(), sorted.end());
+      sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+      IdentityList bulk(kN, beacon_, capacity);
+      bulk.insert(4999);  // assign_sorted replaces earlier contents
+      bulk.assign_sorted(sorted);
+      EXPECT_EQ(bulk.bucket_count(),
+                (sorted.size() + capacity - 1) / capacity)
+          << where << ": leaves are filled to capacity";
+      expect_same_observables(bulk, inserted, rng, kN, where);
+
+      const std::size_t leaves = bulk.bucket_count();
+      for (int flip = 0; flip < 400; ++flip) {
+        const std::uint64_t id = 1 + rng.below(kN);
+        const bool present = rng.chance(0.7);
+        bulk.set(id, present);
+        inserted.set(id, present);
+        if (flip % 50 == 49) {
+          expect_same_observables(bulk, inserted, rng, kN, where);
+        }
+      }
+      if (target > capacity) {
+        EXPECT_GT(bulk.bucket_count(), leaves)
+            << where << ": inserts into full leaves must have split them";
+      }
+      EXPECT_EQ(bulk.summarize(Interval(1, kN)).fingerprint,
+                reference_.of_ids(bulk.to_vector()))
+          << where;
+    }
+  }
+}
+
+#if !defined(RENAMING_UNCHECKED)
+using IdentityListDeathTest = IdentityListTest;
+
+TEST_F(IdentityListDeathTest, BulkLoadRejectsUnsortedDuplicateAndForeignIds) {
+  IdentityList list(kN, beacon_, 8);
+  const std::vector<std::uint64_t> unsorted = {3, 9, 7};
+  const std::vector<std::uint64_t> duplicate = {3, 9, 9, 12};
+  const std::vector<std::uint64_t> zero = {0, 4};
+  const std::vector<std::uint64_t> beyond = {4, kN + 1};
+  EXPECT_DEATH(list.assign_sorted(unsorted), "ascend strictly");
+  EXPECT_DEATH(list.assign_sorted(duplicate), "ascend strictly");
+  EXPECT_DEATH(list.assign_sorted(zero), "outside the namespace");
+  EXPECT_DEATH(list.assign_sorted(beyond), "outside the namespace");
+}
+#endif
 
 }  // namespace
 }  // namespace renaming::byzantine
