@@ -226,13 +226,6 @@ int sweep(int argc, char** argv) {
     Json doc = Json::object();
     doc.set("bench", Json::str("byz_scaling"))
         .set("smoke", Json::boolean(smoke))
-        .set("unchecked",
-#if defined(RENAMING_UNCHECKED)
-             Json::boolean(true)
-#else
-             Json::boolean(false)
-#endif
-                 )
         .set("rows", std::move(rows));
     std::ofstream out(out_path);
     if (!out) {

@@ -440,13 +440,6 @@ int run(int argc, char** argv) {
     Json doc = Json::object();
     doc.set("bench", Json::str("engine"))
         .set("smoke", Json::boolean(smoke))
-        .set("unchecked",
-#if defined(RENAMING_UNCHECKED)
-             Json::boolean(true)
-#else
-             Json::boolean(false)
-#endif
-                 )
         .set("telemetry_compiled_out",
              Json::boolean(!obs::kTelemetryEnabled))
         .set("rows", std::move(rows))

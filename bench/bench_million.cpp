@@ -247,13 +247,6 @@ int run(int argc, char** argv) {
     Json doc = Json::object();
     doc.set("bench", Json::str("million"))
         .set("smoke", Json::boolean(smoke))
-        .set("unchecked",
-#if defined(RENAMING_UNCHECKED)
-             Json::boolean(true)
-#else
-             Json::boolean(false)
-#endif
-                 )
         .set("rows", std::move(rows));
     std::ofstream out(out_path);
     if (!out) {

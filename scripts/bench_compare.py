@@ -115,7 +115,7 @@ def check_ratio(cell, field, fresh, base, threshold):
         return
     drift = abs(a - b) / b
     if drift > threshold:
-        warn(f"{cell}: {field} {b:.0f} -> {a:.0f} "
+        warn(f"{cell}: {field} {b:.3g} -> {a:.3g} "
              f"({100 * drift:.1f}% drift, threshold {100 * threshold:.0f}%)")
 
 
@@ -249,9 +249,6 @@ def main():
               f"{fresh.get('bench')!r} vs {base.get('bench')!r}",
               file=sys.stderr)
         return 2
-    if fresh.get("unchecked") != base.get("unchecked"):
-        warn("fresh and baseline were built with different "
-             "RENAMING_UNCHECKED settings; wall-clock drift is expected")
 
     kind = fresh.get("bench")
     if kind == "engine":

@@ -5,9 +5,7 @@
 // default build is RelWithDebInfo, where NDEBUG erases assert(); invariants
 // guarded by assert() therefore never ran in the builds that produce
 // EXPERIMENTS.md. RENAMING_CHECK closes that hole: it is evaluated in every
-// build type unless the benchmark-only RENAMING_UNCHECKED macro is defined
-// (see docs/TOOLING.md for the policy and CMakePresets.json for the
-// `release` preset that sets it).
+// build type, timing builds included (see docs/TOOLING.md for the policy).
 //
 // Usage:
 //   RENAMING_CHECK(i < size());
@@ -17,9 +15,6 @@
 // constant evaluation is a compile error (the failure branch calls a
 // non-constexpr function), and a failing check at runtime prints the
 // condition, location and optional message, then aborts.
-//
-// RENAMING_DCHECK is for hot-path checks that are too expensive even for
-// RelWithDebInfo; it compiles away unless RENAMING_DEBUG_CHECKS is defined.
 #pragma once
 
 #include <cstdio>
@@ -42,19 +37,7 @@ namespace renaming::detail {
 
 }  // namespace renaming::detail
 
-#if defined(RENAMING_UNCHECKED)
-// Benchmark builds: the condition still has to compile (so checked and
-// unchecked builds cannot drift apart) but is never evaluated.
-#define RENAMING_CHECK(cond, ...) static_cast<void>(false && (cond))
-#else
 #define RENAMING_CHECK(cond, ...)                                  \
   ((cond) ? static_cast<void>(0)                                   \
           : ::renaming::detail::check_failed(#cond, __FILE__, __LINE__, \
                                              "" __VA_ARGS__))
-#endif
-
-#if defined(RENAMING_DEBUG_CHECKS)
-#define RENAMING_DCHECK(cond, ...) RENAMING_CHECK(cond __VA_OPT__(, ) __VA_ARGS__)
-#else
-#define RENAMING_DCHECK(cond, ...) static_cast<void>(false && (cond))
-#endif

@@ -28,9 +28,8 @@ namespace {
 // Positive-run tests below need the engine/protocol hooks to actually
 // record traffic; with -DRENAMING_NO_TELEMETRY=ON the ledgers stay empty
 // while RunStats are real, so the exact double-entry lines cannot hold.
-// They auto-skip, same policy as the RENAMING_UNCHECKED death tests
-// (docs/TOOLING.md §1). The negative fixtures (over-budget, quadratic,
-// broken attribution, slack) run in every configuration.
+// They auto-skip (docs/TOOLING.md §1). The negative fixtures (over-budget,
+// quadratic, broken attribution, slack) run in every configuration.
 #define RENAMING_REQUIRE_TELEMETRY()                             \
   if constexpr (!obs::kTelemetryEnabled) {                       \
     GTEST_SKIP() << "telemetry compiled out "                    \

@@ -3,9 +3,7 @@
 // The repo's default build type is RelWithDebInfo, where NDEBUG erases
 // assert(); these death tests demonstrate that RENAMING_CHECK still fires
 // there — a violated engine invariant aborts instead of silently corrupting
-// the statistics the paper's theorems are checked against. Built with
-// RENAMING_UNCHECKED (the benchmark-only `release` preset) the checks are
-// compiled out and the death tests are skipped.
+// the statistics the paper's theorems are checked against.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -28,14 +26,6 @@ class QuietNode : public Node {
   void receive(Round, InboxView) override {}
   bool done() const override { return true; }
 };
-
-#if defined(RENAMING_UNCHECKED)
-
-TEST(CheckInvariants, SkippedInUncheckedBuilds) {
-  GTEST_SKIP() << "RENAMING_UNCHECKED build: invariants are compiled out";
-}
-
-#else  // the default: checks are live in every build type
 
 std::vector<std::unique_ptr<Node>> quiet_system(NodeIndex n) {
   std::vector<std::unique_ptr<Node>> nodes;
@@ -143,8 +133,6 @@ TEST(CheckInvariants, PassingChecksAreSideEffectFree) {
   RENAMING_CHECK(holds(), "never fires");
   EXPECT_EQ(evaluations, 1);
 }
-
-#endif  // RENAMING_UNCHECKED
 
 }  // namespace
 }  // namespace renaming::sim

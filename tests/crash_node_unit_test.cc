@@ -293,7 +293,6 @@ TEST(CrashNodeUnit, CommitteeSweepMatchesFigure2) {
   }
 }
 
-#if !defined(RENAMING_UNCHECKED)
 TEST(CrashNodeUnitDeathTest, StatusOutsideTheNamespaceIsRejected) {
   const auto cfg = fixed_config();  // n = 4
   CrashNode member(0, cfg, always_elected());
@@ -302,7 +301,6 @@ TEST(CrashNodeUnitDeathTest, StatusOutsideTheNamespaceIsRejected) {
                                      status(1, 200, Interval(1, 5), 0, 0)}),
                "status interval outside");
 }
-#endif
 
 TEST(CrashNodeUnit, NodeAdoptsDeepestThenLeftmostResponse) {
   const auto cfg = fixed_config();

@@ -17,6 +17,7 @@
 #include "byzantine/strategies.h"
 #include "crash/adversaries.h"
 #include "crash/crash_renaming.h"
+#include "json_check.h"
 #include "obs/journal.h"
 #include "obs/telemetry.h"
 #include "sim/trace.h"
@@ -86,7 +87,7 @@ TEST(Determinism, ByzantineExecutionIsAPureFunctionOfTheSeed) {
   obs::Telemetry telemetry;
   const Traced a = run_byz_once(9, &telemetry);
   const Traced b = run_byz_once(9, nullptr);
-  ASSERT_FALSE(a.jsonl.empty());
+  ASSERT_TRUE(json_check::IsJsonLines(a.jsonl));
   EXPECT_EQ(a.jsonl, b.jsonl) << "JSONL traces diverged for the same seed";
   EXPECT_EQ(a.stats, b.stats);
 }

@@ -315,7 +315,6 @@ TEST_F(IdentityListTest, BulkLoadEqualsInsertBuiltAndStaysEqualUnderFlips) {
   }
 }
 
-#if !defined(RENAMING_UNCHECKED)
 using IdentityListDeathTest = IdentityListTest;
 
 TEST_F(IdentityListDeathTest, BulkLoadRejectsUnsortedDuplicateAndForeignIds) {
@@ -329,7 +328,6 @@ TEST_F(IdentityListDeathTest, BulkLoadRejectsUnsortedDuplicateAndForeignIds) {
   EXPECT_DEATH(list.assign_sorted(zero), "outside the namespace");
   EXPECT_DEATH(list.assign_sorted(beyond), "outside the namespace");
 }
-#endif
 
 }  // namespace
 }  // namespace renaming::byzantine

@@ -10,7 +10,6 @@
 // round window.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <sstream>
@@ -22,6 +21,7 @@
 #include "crash/adversaries.h"
 #include "crash/crash_renaming.h"
 #include "digest.h"
+#include "json_check.h"
 #include "obs/doctor.h"
 #include "obs/journal.h"
 #include "obs/json.h"
@@ -168,6 +168,7 @@ TEST(Journal, JsonlCarriesHeaderKindNamesAndEvents) {
   std::ostringstream out;
   obs::write_journal_jsonl(out, data);
   const std::string text = out.str();
+  EXPECT_TRUE(json_check::IsJsonLines(text));
   EXPECT_NE(text.find("\"schema\":\"renaming-journal-v1\""),
             std::string::npos);
   EXPECT_NE(text.find("\"algorithm\":\"crash\""), std::string::npos);
@@ -193,6 +194,7 @@ TEST(Journal, JsonlWritersEscapeTheAlgorithmName) {
   progress.set_sink(&out);
   progress.begin_run(4);
 
+  EXPECT_TRUE(json_check::IsJsonLines(out.str()));
   std::istringstream lines(out.str());
   std::string line;
   int headers = 0;
@@ -202,38 +204,6 @@ TEST(Journal, JsonlWritersEscapeTheAlgorithmName) {
     ++headers;
   }
   EXPECT_EQ(headers, 3);  // journal, provenance and heartbeat headers
-}
-
-// True iff `s` is valid UTF-8, decoded by bit pattern: each sequence has
-// the continuation bytes its lead announces and encodes a scalar value
-// (no overlong form, no surrogate, nothing past U+10FFFF).
-bool valid_utf8(const std::string& s) {
-  for (std::size_t i = 0; i < s.size();) {
-    const auto lead = static_cast<unsigned char>(s[i]);
-    std::size_t extra = 0;
-    std::uint32_t cp = lead;
-    std::uint32_t min_cp = 0;
-    if ((lead & 0xE0) == 0xC0) {
-      extra = 1, cp = lead & 0x1F, min_cp = 0x80;
-    } else if ((lead & 0xF0) == 0xE0) {
-      extra = 2, cp = lead & 0x0F, min_cp = 0x800;
-    } else if ((lead & 0xF8) == 0xF0) {
-      extra = 3, cp = lead & 0x07, min_cp = 0x10000;
-    } else if (lead >= 0x80) {
-      return false;  // a stray continuation byte or an invalid lead
-    }
-    if (i + extra >= s.size()) return false;  // truncated
-    for (std::size_t k = 1; k <= extra; ++k) {
-      const auto next = static_cast<unsigned char>(s[i + k]);
-      if ((next & 0xC0) != 0x80) return false;
-      cp = cp << 6 | (next & 0x3F);
-    }
-    if (cp < min_cp || cp > 0x10FFFF || (cp >= 0xD800 && cp <= 0xDFFF)) {
-      return false;
-    }
-    i += extra + 1;
-  }
-  return true;
 }
 
 // Undoes json_escape's escapes (\" \\ \n \t \u00XX) byte for byte.
@@ -281,10 +251,8 @@ std::string utf8_encode(std::uint32_t cp) {
 TEST(JsonEscape, AnyBytesBecomeValidUtf8AndValidTextIsUnchanged) {
   const auto check = [](const std::string& in) -> std::string {
     const std::string out = obs::json_escape(in);
-    EXPECT_TRUE(valid_utf8(out)) << out;
-    EXPECT_TRUE(std::none_of(out.begin(), out.end(), [](char c) {
-      return static_cast<unsigned char>(c) < 0x20;
-    })) << out;
+    // As a JSON string: valid UTF-8, no raw control byte, valid escapes.
+    EXPECT_TRUE(json_check::IsJson('"' + out + '"'));
     EXPECT_EQ(json_unescape(out), in) << out;
     return out;
   };
@@ -330,6 +298,35 @@ TEST(JsonEscape, AnyBytesBecomeValidUtf8AndValidTextIsUnchanged) {
     check(bytes);
     EXPECT_EQ(check(text), text);
   }
+}
+
+// The RFC 8259 checker the exporter tests lean on (json_check.h) must
+// accept what the grammar allows and reject a hand-rolled writer's near
+// misses.
+TEST(JsonCheck, AcceptsNestingEscapesNumbersAndUtf8) {
+  for (const char* ok :
+       {"{}", " [ ] ", "0", "-0.5e+10", "1E-3", "true", "null",
+        R"({"a":[1,{"b":[[],{}]},"x"],"c":false})",
+        R"("\" \\ \/ \b \f \n \r \t \u00e9")",
+        "\"caf\xc3\xa9 \xe2\x82\xac \xf0\x9f\x98\x80\"",
+        "{ \"k\" :\t\r\n\"v\" }"}) {
+    EXPECT_TRUE(json_check::IsJson(ok));
+  }
+}
+
+TEST(JsonCheck, RejectsNearMissesAndAPlantedBadLine) {
+  for (const char* bad :
+       {"", "{", "[1,]", R"({"a":1,})", "{a:1}", R"({'a':1})", R"({"a" 1})",
+        "nan", "inf", "-inf", "NaN", "01", "1.", ".5", "+1", "1e", "tru",
+        "\"unterminated", R"("bad \x escape")", R"("\u12")",
+        "\"tab\there\"", "\"\xc3\"", "\"\xed\xa0\x80\"", "1 2"}) {
+    EXPECT_FALSE(json_check::IsJson(bad)) << bad;
+  }
+  EXPECT_TRUE(json_check::IsJsonLines("{\"a\":1}\n[2]\n"));
+  EXPECT_FALSE(json_check::IsJsonLines(""));
+  EXPECT_FALSE(json_check::IsJsonLines("{\"a\":1}"));  // no final newline
+  EXPECT_FALSE(json_check::IsJsonLines("{\"a\":1}\n\n[2]\n"));
+  EXPECT_FALSE(json_check::IsJsonLines("{\"a\":1}\n{\"b\":nan}\n[2]\n"));
 }
 
 // --- kind registry agreement (satellite of the exhaustiveness guard) --------

@@ -30,6 +30,7 @@
 #include "crash/adversaries.h"
 #include "crash/crash_renaming.h"
 #include "digest.h"
+#include "json_check.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
@@ -233,6 +234,7 @@ TEST(Progress, SinkReceivesHeaderEverySampleAndDoneLine) {
   progress.on_round_end(1, 10, 100, 4, 0, 4);
   progress.end_run(1);
   const std::string text = out.str();
+  EXPECT_TRUE(json_check::IsJsonLines(text));
   EXPECT_NE(text.find("\"schema\":\"renaming-progress-v1\""),
             std::string::npos);
   EXPECT_NE(text.find("\"algorithm\":\"unit\""), std::string::npos);
@@ -461,6 +463,7 @@ TEST(LiveObservability, HeartbeatProjectionIsIdenticalAcrossThreadCounts) {
   if (!obs::kTelemetryEnabled) GTEST_SKIP() << "telemetry compiled out";
   const Artifacts serial = run_crash({}, /*live=*/true);
   ASSERT_FALSE(serial.progress_det.empty());
+  EXPECT_TRUE(json_check::IsJsonLines(serial.progress_det));
   sim::parallel::WorkerPool pool(4);
   for (unsigned shards : {1u, 2u, 8u}) {
     sim::parallel::ShardPlan plan;

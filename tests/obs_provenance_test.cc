@@ -21,6 +21,7 @@
 #include "crash/adversaries.h"
 #include "crash/crash_renaming.h"
 #include "digest.h"
+#include "json_check.h"
 #include "obs/doctor.h"
 #include "obs/provenance.h"
 #include "sim/parallel/plan.h"
@@ -203,6 +204,9 @@ TEST(Provenance, BinaryRoundTrips) {
   EXPECT_EQ(back.faulty, data.faulty);
   EXPECT_EQ(back.events, data.events);
   EXPECT_EQ(to_bytes(back), bytes);
+  std::ostringstream jsonl;
+  obs::write_provenance_jsonl(jsonl, data);
+  EXPECT_TRUE(json_check::IsJsonLines(jsonl.str()));
 }
 
 // --- renaming_doctor why / blame -------------------------------------------

@@ -10,7 +10,6 @@
 // and determinism_test.cc; this file covers what telemetry itself reports.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -20,6 +19,7 @@
 #include "byzantine/strategies.h"
 #include "crash/adversaries.h"
 #include "crash/crash_renaming.h"
+#include "json_check.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
@@ -28,10 +28,9 @@ namespace renaming {
 namespace {
 
 // Tests below that rely on recorded data auto-skip when the hooks are
-// compiled out with -DRENAMING_NO_TELEMETRY=ON — same policy as the
-// RENAMING_UNCHECKED death tests (docs/TOOLING.md §1). The instrument
-// tests still run: the classes exist either way, only the engine and
-// PhaseScope call sites are dead-stripped.
+// compiled out with -DRENAMING_NO_TELEMETRY=ON (docs/TOOLING.md §1). The
+// instrument tests still run: the classes exist either way, only the engine
+// and PhaseScope call sites are dead-stripped.
 #define RENAMING_REQUIRE_TELEMETRY()                             \
   if constexpr (!obs::kTelemetryEnabled) {                       \
     GTEST_SKIP() << "telemetry compiled out "                    \
@@ -283,12 +282,7 @@ TEST(Exporters, MetricsJsonContainsTheExpectedSections) {
   EXPECT_NE(json.find("\"name\":\"STATUS\""), std::string::npos);
   EXPECT_NE(json.find("\"counters\":{"), std::string::npos);
   EXPECT_NE(json.find("\"histograms\":{"), std::string::npos);
-  // Balanced braces/brackets — cheap well-formedness guard without a JSON
-  // parser dependency (no string we emit contains braces).
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            std::count(json.begin(), json.end(), '}'));
-  EXPECT_EQ(std::count(json.begin(), json.end(), '['),
-            std::count(json.begin(), json.end(), ']'));
+  EXPECT_TRUE(json_check::IsJson(json));
 }
 
 TEST(Exporters, PerfettoTraceContainsSpansInstantsAndCounters) {
@@ -314,10 +308,7 @@ TEST(Exporters, PerfettoTraceContainsSpansInstantsAndCounters) {
   EXPECT_NE(trace.find("\"name\":\"crash\""), std::string::npos);  // instants
   EXPECT_NE(trace.find("\"ph\":\"C\""), std::string::npos);  // counters
   EXPECT_NE(trace.find("\"name\":\"committee-announce\""), std::string::npos);
-  EXPECT_EQ(std::count(trace.begin(), trace.end(), '{'),
-            std::count(trace.begin(), trace.end(), '}'));
-  EXPECT_EQ(std::count(trace.begin(), trace.end(), '['),
-            std::count(trace.begin(), trace.end(), ']'));
+  EXPECT_TRUE(json_check::IsJson(trace));
 }
 
 }  // namespace

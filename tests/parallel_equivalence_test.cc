@@ -226,8 +226,6 @@ TEST(ParallelEquivalence, WorkerPoolBackToBackRunsLoseNoTasks) {
 
 // --- misuse checks -------------------------------------------------------
 
-#if !defined(RENAMING_UNCHECKED)
-
 TEST(ParallelEquivalenceDeathTest, PartitionRejectsZeroShards) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(sim::parallel::Partition(16, 0),
@@ -258,8 +256,6 @@ TEST(ParallelEquivalenceDeathTest, WorkerPoolRunIsNotReentrant) {
       },
       "not reentrant");
 }
-
-#endif  // !defined(RENAMING_UNCHECKED)
 
 }  // namespace
 }  // namespace renaming

@@ -15,7 +15,6 @@
 namespace renaming {
 namespace {
 
-#if !defined(RENAMING_UNCHECKED)
 TEST(StatsAccountingDeathTest, NoteMessageBeforeAnyRoundAborts) {
   // per_round.back() on an empty vector was undefined behaviour; now it is
   // a RENAMING_CHECK abort in every build type, including RelWithDebInfo.
@@ -29,7 +28,6 @@ TEST(StatsAccountingDeathTest, ZeroBitMessageAborts) {
   stats.per_round.push_back({});
   EXPECT_DEATH(stats.note_message(0), "wire size");
 }
-#endif
 
 TEST(StatsAccounting, NoteMessageUpdatesTotalsAndCurrentRound) {
   sim::RunStats stats;

@@ -11,6 +11,7 @@
 #include "byzantine/strategies.h"
 #include "crash/adversaries.h"
 #include "crash/crash_renaming.h"
+#include "json_check.h"
 #include "sim/engine.h"
 #include "sim/message_names.h"
 #include "sim/trace.h"
@@ -344,13 +345,11 @@ TEST(JsonlTrace, EmitsWellFormedLines) {
   auto adversary = std::make_unique<sim::RandomCrashAdversary>(2, 0.2, 8);
   crash::run_crash_renaming(cfg, params, std::move(adversary), &trace);
   const std::string text = out.str();
-  ASSERT_FALSE(text.empty());
+  ASSERT_TRUE(json_check::IsJsonLines(text));
   std::istringstream lines(text);
   std::string line;
   int rounds = 0, round_ends = 0, messages = 0;
   while (std::getline(lines, line)) {
-    ASSERT_EQ(line.front(), '{') << line;
-    ASSERT_EQ(line.back(), '}') << line;
     ASSERT_NE(line.find("\"event\":"), std::string::npos) << line;
     rounds += line.find("\"event\":\"round\"") != std::string::npos;
     round_ends += line.find("\"event\":\"round_end\"") != std::string::npos;
@@ -411,7 +410,7 @@ TEST(CappedTrace, UntouchedCapKeepsTraceBytesIdentical) {
   EXPECT_EQ(run_with_cap(false), run_with_cap(true));
 }
 
-#if !defined(RENAMING_UNCHECKED) && defined(GTEST_HAS_DEATH_TEST)
+#if defined(GTEST_HAS_DEATH_TEST)
 
 // The memory-bounded trace is NOT byte-comparable once it drops events;
 // feeding it to a golden-pin comparison must abort, not silently pass.
@@ -427,7 +426,7 @@ TEST(CappedTraceDeathTest, RefusesPinningAfterDrops) {
   EXPECT_DEATH(capped.assert_complete_for_pinning(), "not pinnable");
 }
 
-#endif  // !defined(RENAMING_UNCHECKED) && defined(GTEST_HAS_DEATH_TEST)
+#endif  // defined(GTEST_HAS_DEATH_TEST)
 
 }  // namespace
 }  // namespace renaming
