@@ -80,12 +80,13 @@ and suppression markers are tracked precisely per (line, rule).
                       nothing is itself an error: stale markers hide the
                       next real finding on that line. Markers naming an
                       unknown rule are reported too (typo protection).
-  R11 kind-coverage   Every kind in sim::kRegisteredKinds must have a
-                      wire-schema entry in sim/wire_schema.h AND a protocol
-                      dispatch declaration (an `enum class ... :
-                      sim::MsgKind` enumerator or a file-local `constexpr
-                      sim::MsgKind`) somewhere under src/ — and the schema
-                      table must not describe unregistered kinds.
+  R11 kind-coverage   Every row of the message-kind table (kWireSchemas
+                      in sim/wire_schema.h, the one declaration of a
+                      shipped kind's name, phase and wire layout) must
+                      have a protocol dispatch declaration for its kind
+                      (an `enum class ... : sim::MsgKind` enumerator or a
+                      file-local `constexpr sim::MsgKind`) somewhere under
+                      src/.
   R12 full-width-alloc The engine's steady-state round loop must never
                       allocate full-width (O(n)) structures: that is what
                       keeps million-node runs at O(active) memory
@@ -111,17 +112,6 @@ and suppression markers are tracked precisely per (line, rule).
                       from. (R1 already catches the `::now()` call sites;
                       this rule catches duration arithmetic, includes and
                       POSIX clocks that R1's pattern misses.)
-  R14 provenance-coverage  Every kind in sim::wire::kWireSchemas carries a
-                      decision payload, so every one of them must have an
-                      attribution row in obs::kProvenanceKinds
-                      (obs/provenance_kinds.h) — that table is how
-                      `renaming_doctor why` labels a cause hop, and a
-                      missing row silently degrades a causal chain to
-                      "unattributed". The converse holds too: a provenance
-                      row for a kind with no wire schema is dead vocabulary.
-                      Mirrors the three-way static_assert in
-                      obs/kind_registry.h so the gap is caught even in
-                      trees that lint before they compile.
   R15 binary-io       One artifact codec. Under src/obs/, byte-level stream
                       I/O — put_u*/get_u*/put_bytes/get_bytes-style
                       helpers, and .put/.get/.read/.write/.gcount on a
@@ -138,9 +128,9 @@ and suppression markers are tracked precisely per (line, rule).
                       run_* entry point cannot drift from the others.
 
 Findings can be suppressed per line with `// lint:allow(<rule>)` where
-<rule> is one of: nondeterminism, bits-width, unordered-iteration,
-threading, dense-of-range, raw-output, wire-schema, full-width-alloc,
-wall-clock.
+<rule> is one of: nondeterminism, msgkind, bits-width,
+unordered-iteration, threading, dense-of-range, raw-output, wire-schema,
+full-width-alloc, wall-clock.
 Suppressions are tracked: a marker that matches no finding fails R10.
 
 Exit status: 0 if clean, 1 if any violation, 2 on usage error.
@@ -961,9 +951,8 @@ def check_wire_schema(files: list[SourceFile]) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
-# R11: every registered kind has a schema entry and a dispatch declaration
+# R11: every message-kind table row has a dispatch declaration
 
-_REGISTRY_FILE = "sim/message_names.h"
 _SCHEMA_FILE = "sim/wire_schema.h"
 
 
@@ -972,114 +961,6 @@ def _int_literal(text: str) -> int | None:
         return int(text.rstrip("uUlL"), 0)
     except ValueError:
         return None
-
-
-def _registered_kinds(f: SourceFile) -> tuple[dict[int, int], int]:
-    """Parses `kRegisteredKinds[] = { ... }`; returns ({kind: line}, line)."""
-    sig = f.sig
-    for i, t in enumerate(sig):
-        if t.text != "kRegisteredKinds":
-            continue
-        j = i + 1
-        while j < len(sig) and sig[j].text != "{":
-            if sig[j].text == ";":
-                break
-            j += 1
-        if j >= len(sig) or sig[j].text != "{":
-            continue
-        end = balanced_end(sig, j, "{", "}")
-        kinds = {}
-        for tk in sig[j + 1 : end - 1]:
-            if tk.kind == "num":
-                v = _int_literal(tk.text)
-                if v is not None:
-                    kinds[v] = tk.line
-        return kinds, t.line
-    return {}, 0
-
-
-def _schema_kinds(f: SourceFile) -> dict[int, int]:
-    """Parses kWireSchemas: the first number of each top-level {...} entry."""
-    return _table_kinds(f, "kWireSchemas")
-
-
-def _declared_kinds(files: list[SourceFile]) -> dict[int, str]:
-    """All kind values declared by a Tag enumerator or constexpr MsgKind."""
-    declared: dict[int, str] = {}
-    for f in files:
-        sig = f.sig
-        for _, enumerators, (lo, hi) in _tag_enums(f):
-            for name, _, decl_idx in enumerators:
-                if decl_idx + 2 < len(sig) and \
-                        sig[decl_idx + 1].text == "=" and \
-                        sig[decl_idx + 2].kind == "num":
-                    v = _int_literal(sig[decl_idx + 2].text)
-                    if v is not None:
-                        declared.setdefault(v, f"{f.rel} ({name})")
-        for name, _, val_idx in _constexpr_kinds(f):
-            if val_idx < len(sig) and sig[val_idx].kind == "num":
-                v = _int_literal(sig[val_idx].text)
-                if v is not None:
-                    declared.setdefault(v, f"{f.rel} ({name})")
-    return declared
-
-
-def check_kind_coverage(files: list[SourceFile]) -> list[Violation]:
-    registry_file = next((f for f in files if f.rel == _REGISTRY_FILE), None)
-    schema_file = next((f for f in files if f.rel == _SCHEMA_FILE), None)
-    if registry_file is None:
-        return []  # nothing to pin against (fixture trees without a registry)
-    registered, registry_line = _registered_kinds(registry_file)
-    if not registered:
-        return []
-    out = []
-    schema = _schema_kinds(schema_file) if schema_file is not None else {}
-    declared = _declared_kinds(files)
-    for kind, line in sorted(registered.items()):
-        if kind not in schema:
-            out.append(
-                Violation(
-                    "kind-coverage",
-                    registry_file.path,
-                    line,
-                    f"registered kind {kind} has no wire-schema entry in "
-                    f"{_SCHEMA_FILE} (kWireSchemas)",
-                )
-            )
-        if kind not in declared:
-            out.append(
-                Violation(
-                    "kind-coverage",
-                    registry_file.path,
-                    line,
-                    f"registered kind {kind} has no dispatch declaration "
-                    "anywhere under src/ (expected an `enum class ... : "
-                    "sim::MsgKind` enumerator or a `constexpr sim::MsgKind`)",
-                )
-            )
-    for kind, line in sorted(schema.items()):
-        if kind not in registered:
-            out.append(
-                Violation(
-                    "kind-coverage",
-                    schema_file.path,
-                    line,
-                    f"wire-schema entry for kind {kind} which is not in "
-                    f"sim::kRegisteredKinds ({_REGISTRY_FILE} line "
-                    f"{registry_line})",
-                )
-            )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# R12: the engine round loop never allocates full-width structures
-
-_ENGINE_FILE = "sim/engine.cc"
-_ALLOC_MEMBERS = {"reserve", "resize", "assign"}
-_SETUP_BEGIN = "lint:engine-setup-begin"
-_SETUP_END = "lint:engine-setup-end"
-_CONTAINERS = {"vector", "deque", "valarray", "basic_string", "string"}
 
 
 def _table_kinds(f: SourceFile, table: str) -> dict[int, int]:
@@ -1114,47 +995,55 @@ def _table_kinds(f: SourceFile, table: str) -> dict[int, int]:
     return {}
 
 
-# ---------------------------------------------------------------------------
-# R14: every wire-schema kind has a provenance attribution entry
+def _declared_kinds(files: list[SourceFile]) -> dict[int, str]:
+    """All kind values declared by a Tag enumerator or constexpr MsgKind."""
+    declared: dict[int, str] = {}
+    for f in files:
+        sig = f.sig
+        for _, enumerators, (lo, hi) in _tag_enums(f):
+            for name, _, decl_idx in enumerators:
+                if decl_idx + 2 < len(sig) and \
+                        sig[decl_idx + 1].text == "=" and \
+                        sig[decl_idx + 2].kind == "num":
+                    v = _int_literal(sig[decl_idx + 2].text)
+                    if v is not None:
+                        declared.setdefault(v, f"{f.rel} ({name})")
+        for name, _, val_idx in _constexpr_kinds(f):
+            if val_idx < len(sig) and sig[val_idx].kind == "num":
+                v = _int_literal(sig[val_idx].text)
+                if v is not None:
+                    declared.setdefault(v, f"{f.rel} ({name})")
+    return declared
 
-_PROV_FILE = "obs/provenance_kinds.h"
 
-
-def check_provenance_coverage(files: list[SourceFile]) -> list[Violation]:
-    prov_file = next((f for f in files if f.rel == _PROV_FILE), None)
+def check_kind_coverage(files: list[SourceFile]) -> list[Violation]:
     schema_file = next((f for f in files if f.rel == _SCHEMA_FILE), None)
-    if prov_file is None or schema_file is None:
-        return []  # fixture trees without both tables have nothing to pin
-    prov = _table_kinds(prov_file, "kProvenanceKinds")
-    schema = _schema_kinds(schema_file)
-    if not prov or not schema:
-        return []
-    out = []
-    for kind, line in sorted(schema.items()):
-        if kind not in prov:
-            out.append(
-                Violation(
-                    "provenance-coverage",
-                    schema_file.path,
-                    line,
-                    f"wire-schema kind {kind} has no attribution entry in "
-                    f"obs::kProvenanceKinds ({_PROV_FILE}) — renaming_doctor "
-                    "why cannot label its cause hops",
-                )
-            )
-    for kind, line in sorted(prov.items()):
-        if kind not in schema:
-            out.append(
-                Violation(
-                    "provenance-coverage",
-                    prov_file.path,
-                    line,
-                    f"provenance attribution for kind {kind} which has no "
-                    f"wire-schema entry in {_SCHEMA_FILE} (kWireSchemas) — "
-                    "dead vocabulary",
-                )
-            )
-    return out
+    if schema_file is None:
+        return []  # nothing to pin against (fixture trees without a table)
+    rows = _table_kinds(schema_file, "kWireSchemas")
+    declared = _declared_kinds(files)
+    return [
+        Violation(
+            "kind-coverage",
+            schema_file.path,
+            line,
+            f"message-kind table row for kind {kind} has no dispatch "
+            "declaration anywhere under src/ (expected an `enum class ... : "
+            "sim::MsgKind` enumerator or a `constexpr sim::MsgKind`)",
+        )
+        for kind, line in sorted(rows.items())
+        if kind not in declared
+    ]
+
+
+# ---------------------------------------------------------------------------
+# R12: the engine round loop never allocates full-width structures
+
+_ENGINE_FILE = "sim/engine.cc"
+_ALLOC_MEMBERS = {"reserve", "resize", "assign"}
+_SETUP_BEGIN = "lint:engine-setup-begin"
+_SETUP_END = "lint:engine-setup-end"
+_CONTAINERS = {"vector", "deque", "valarray", "basic_string", "string"}
 
 
 def _mentions_node_count(tokens: list[Token]) -> bool:
@@ -1501,7 +1390,6 @@ RULES = (
     "wire-schema",
     "stale-allow",
     "kind-coverage",
-    "provenance-coverage",
     "full-width-alloc",
     "wall-clock",
     "binary-io",
@@ -1531,8 +1419,6 @@ def run_rules(files: list[SourceFile], src: Path, selected: list[str],
         raw += check_wire_schema(files)
     if "kind-coverage" in selected:
         raw += check_kind_coverage(files)
-    if "provenance-coverage" in selected:
-        raw += check_provenance_coverage(files)
     if "full-width-alloc" in selected:
         raw += check_full_width_alloc(files)
     if "wall-clock" in selected:

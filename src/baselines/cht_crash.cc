@@ -184,9 +184,6 @@ ChtRunResult run_cht_renaming(const SystemConfig& cfg,
                            .provenance = provenance,
                            .plan = plan};
   observers.begin("cht", cfg.n, budget);
-  if (observers.telemetry != nullptr) {
-    observers.telemetry->map_kind(kStatus, obs::PhaseId::kBaselineExchange);
-  }
   // A zero-budget adversary cannot crash anyone (the engine enforces the
   // budget), so the run is failure-free and the closed form is exact. A
   // journal needs real deliveries for its fingerprints, a provenance

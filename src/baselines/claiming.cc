@@ -130,10 +130,6 @@ ClaimingRunResult run_claiming_renaming(
                            .plan = plan};
   observers.begin("claiming", cfg.n,
                   adversary != nullptr ? adversary->budget() : 0);
-  if (observers.telemetry != nullptr) {
-    observers.telemetry->map_kind(kClaim, obs::PhaseId::kBaselineExchange);
-    observers.telemetry->map_kind(kOwned, obs::PhaseId::kBaselineExchange);
-  }
   std::vector<std::unique_ptr<sim::Node>> nodes;
   nodes.reserve(cfg.n);
   for (NodeIndex v = 0; v < cfg.n; ++v) {

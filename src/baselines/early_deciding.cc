@@ -104,9 +104,6 @@ EarlyDecidingRunResult run_early_deciding_renaming(
                            .plan = plan};
   observers.begin("early", cfg.n,
                   adversary != nullptr ? adversary->budget() : 0);
-  if (observers.telemetry != nullptr) {
-    observers.telemetry->map_kind(kSet, obs::PhaseId::kBaselineExchange);
-  }
   std::vector<std::unique_ptr<sim::Node>> nodes;
   nodes.reserve(cfg.n);
   for (NodeIndex v = 0; v < cfg.n; ++v) {

@@ -79,9 +79,6 @@ NaiveRunResult run_naive_renaming(const SystemConfig& cfg,
                            .plan = plan};
   observers.begin("naive", cfg.n,
                   adversary != nullptr ? adversary->budget() : 0);
-  if (observers.telemetry != nullptr) {
-    observers.telemetry->map_kind(kId, obs::PhaseId::kBaselineExchange);
-  }
   std::vector<std::unique_ptr<sim::Node>> nodes;
   nodes.reserve(cfg.n);
   for (NodeIndex v = 0; v < cfg.n; ++v) {

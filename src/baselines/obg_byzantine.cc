@@ -277,11 +277,6 @@ ObgRunResult run_obg_renaming(const SystemConfig& cfg,
                            .provenance = provenance,
                            .plan = plan};
   observers.begin("obg", cfg.n, byzantine.size());
-  if (observers.telemetry != nullptr) {
-    for (sim::MsgKind kind : {kAnnounce, kVector, kHalving}) {
-      observers.telemetry->map_kind(kind, obs::PhaseId::kBaselineExchange);
-    }
-  }
   // No Byzantine nodes means a fully deterministic all-to-all exchange the
   // closed form reproduces exactly; any adversary, a journal (fingerprints
   // need real deliveries), a provenance recorder (causal events need real

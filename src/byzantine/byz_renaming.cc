@@ -52,17 +52,6 @@ obs::PhaseId ByzNode::phase_of(Stage stage) {
   return obs::PhaseId::kUnattributed;
 }
 
-void register_byz_phases(obs::Telemetry& telemetry) {
-  telemetry.map_kind(kind_of(Tag::kElect), obs::PhaseId::kCommitteeElection);
-  telemetry.map_kind(kind_of(Tag::kIdReport),
-                     obs::PhaseId::kIdentityAggregation);
-  telemetry.map_kind(kind_of(Tag::kValidator), consensus::Validator::kPhase);
-  telemetry.map_kind(kind_of(Tag::kConsensus), consensus::PhaseKing::kPhase);
-  telemetry.map_kind(kind_of(Tag::kDiff), obs::PhaseId::kDiffExchange);
-  telemetry.map_kind(kind_of(Tag::kNew), obs::PhaseId::kDistribution);
-  telemetry.map_kind(kind_of(Tag::kVector), obs::PhaseId::kFullVectorExchange);
-}
-
 std::uint32_t ByzNode::fingerprint_bits() const {
   // <fingerprint (61), count (log n), control>: O(log N) since N >= n.
   return sim::wire::wire_bits(kind_of(Tag::kValidator), wire_);
@@ -512,7 +501,6 @@ ByzRunResult run_byz_renaming(const SystemConfig& cfg, const ByzParams& params,
   observers.begin(params.use_fingerprints ? "byz" : "byz-full", cfg.n,
                   byzantine.size());
   obs::Telemetry* const tel = observers.telemetry;
-  if (tel != nullptr) register_byz_phases(*tel);
 
   // One coefficient cache for the whole run: every correct node holds the
   // same beacon seed, so the memo is shared knowledge, not a shortcut.

@@ -282,9 +282,4 @@ ByzRunResult run_byz_renaming(const SystemConfig& cfg, const ByzParams& params,
                               obs::Progress* progress = nullptr,
                               obs::Provenance* provenance = nullptr);
 
-/// Registers the Byzantine protocol's MsgKind -> PhaseId mapping with
-/// `telemetry` (the central phase-id table of obs/phase.h). Exposed so
-/// harnesses running nodes on a bare engine attribute identically.
-void register_byz_phases(obs::Telemetry& telemetry);
-
 }  // namespace renaming::byzantine

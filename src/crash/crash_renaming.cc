@@ -346,15 +346,6 @@ void CrashNode::node_action(Round round, sim::InboxView inbox) {
   }
 }
 
-void register_crash_phases(obs::Telemetry& telemetry) {
-  telemetry.map_kind(static_cast<sim::MsgKind>(Tag::kCommittee),
-                     obs::PhaseId::kCommitteeAnnounce);
-  telemetry.map_kind(static_cast<sim::MsgKind>(Tag::kStatus),
-                     obs::PhaseId::kStatusReport);
-  telemetry.map_kind(static_cast<sim::MsgKind>(Tag::kResponse),
-                     obs::PhaseId::kCommitteeResponse);
-}
-
 CrashRunResult run_crash_renaming(
     const SystemConfig& cfg, const CrashParams& params,
     std::unique_ptr<sim::CrashAdversary> adversary, sim::TraceSink* trace,
@@ -369,9 +360,6 @@ CrashRunResult run_crash_renaming(
                            .plan = plan};
   observers.begin("crash", cfg.n,
                   adversary != nullptr ? adversary->budget() : 0);
-  if (observers.telemetry != nullptr) {
-    register_crash_phases(*observers.telemetry);
-  }
   std::vector<std::unique_ptr<sim::Node>> nodes;
   nodes.reserve(cfg.n);
   for (NodeIndex v = 0; v < cfg.n; ++v) {

@@ -168,8 +168,4 @@ CrashRunResult run_crash_renaming(
     obs::Progress* progress = nullptr,
     obs::Provenance* provenance = nullptr);
 
-/// Registers the crash protocol's MsgKind -> PhaseId mapping with
-/// `telemetry` (the central phase-id table of obs/phase.h).
-void register_crash_phases(obs::Telemetry& telemetry);
-
 }  // namespace renaming::crash

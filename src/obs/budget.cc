@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "common/math.h"
-#include "sim/message_names.h"
 #include "sim/wire_schema.h"
 
 namespace renaming::obs {
@@ -126,7 +125,7 @@ struct Auditor {
   /// runtime half of the schema contract, catching any call site that
   /// bypasses sim/wire_schema.h with a stale hand-written width. Variable
   /// kinds are skipped (their width rides the per-message payload count);
-  /// unregistered kinds are skipped (bench-/test-local probes).
+  /// kinds without a table row are skipped (bench-/test-local probes).
   void schema_check() {
     if (kinds == nullptr || !honest_wire(p)) return;
     const sim::wire::WireContext ctx = wire_ctx(p);
@@ -315,7 +314,8 @@ BudgetReport audit_run(const BudgetParams& params, const sim::RunStats& stats,
     phases[i] = telemetry->phase(static_cast<PhaseId>(i));
   }
   std::vector<KindTotals> kinds;
-  for (sim::MsgKind k : sim::kRegisteredKinds) {
+  for (const sim::wire::WireSchema& row : sim::wire::kWireSchemas) {
+    const sim::MsgKind k = row.kind;
     if (telemetry->kind_messages(k) == 0) continue;
     kinds.push_back({k, telemetry->kind_messages(k), telemetry->kind_bits(k)});
   }

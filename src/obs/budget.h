@@ -94,7 +94,7 @@ BudgetReport audit_run(const BudgetParams& params, const sim::RunStats& stats,
 
 /// Same audit, but with the per-phase and per-kind ledgers supplied
 /// directly. The doctor uses this to audit a deserialized journal (whose
-/// ledgers are re-derived via obs/kind_registry.h and
+/// ledgers are re-derived via sim::canonical_phase and
 /// doctor.h:kinds_from_journal) with no Telemetry object in sight. A null
 /// `kinds` skips the wire-schema lines.
 BudgetReport audit_run(const BudgetParams& params, const sim::RunStats& stats,

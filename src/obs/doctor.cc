@@ -6,8 +6,7 @@
 
 #include "common/check.h"
 #include "hashing/digest.h"
-#include "obs/kind_registry.h"
-#include "sim/message_names.h"
+#include "sim/wire_schema.h"
 
 namespace renaming::obs {
 
@@ -249,7 +248,7 @@ std::array<PhaseTotals, kPhaseCount> phases_from_journal(
   for (const JournalRound& r : data.records) {
     for (const JournalKindCount& k : r.kinds) {
       PhaseTotals& t =
-          phases[static_cast<std::size_t>(canonical_phase(k.kind))];
+          phases[static_cast<std::size_t>(sim::canonical_phase(k.kind))];
       t.messages += k.messages;
       t.bits += k.bits;
     }
@@ -575,7 +574,7 @@ AuditDiagnosis diagnose_audit(const BudgetParams& params,
     for (const JournalRound& r : journal.records) {
       std::uint64_t m = 0;
       for (const JournalKindCount& k : r.kinds) {
-        if (canonical_phase(k.kind) == pb.phase) m += k.messages;
+        if (sim::canonical_phase(k.kind) == pb.phase) m += k.messages;
       }
       per_round.push_back(m);
       total += m;

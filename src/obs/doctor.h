@@ -12,7 +12,7 @@
 //     fingerprint moved — same volume, different contents/order).
 //   * diagnose_audit(params, journal): re-runs the BudgetAuditor on stats
 //     and per-phase ledgers reconstructed from the journal (via the
-//     canonical kind registry), ranks phases by envelope overshoot with a
+//     message-kind table), ranks phases by envelope overshoot with a
 //     per-round traffic breakdown, and names the dominating theorem term.
 //   * diagnose_why(provenance, node): renders node v's causal chain from
 //     initial ID to final name, expanding retained cause events and
@@ -101,8 +101,10 @@ AuditDiagnosis diagnose_audit(const BudgetParams& params,
 /// (byzantine count is not journalled and stays 0; the auditor ignores it).
 sim::RunStats stats_from_journal(const JournalData& data);
 
-/// Per-phase ledgers re-derived through obs/kind_registry.h — identical to
-/// what a live Telemetry would have accumulated on the same run.
+/// Per-phase ledgers re-derived through sim::canonical_phase (the
+/// message-kind table in sim/wire_schema.h) — identical to what a live
+/// Telemetry would have accumulated on the same run, because Telemetry
+/// seeds its attribution from the same rows.
 std::array<PhaseTotals, kPhaseCount> phases_from_journal(
     const JournalData& data);
 

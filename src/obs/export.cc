@@ -6,7 +6,7 @@
 #include <string>
 
 #include "obs/json.h"
-#include "sim/message_names.h"
+#include "sim/wire_schema.h"
 
 namespace renaming::obs {
 

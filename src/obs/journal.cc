@@ -6,7 +6,7 @@
 
 #include "obs/binio.h"
 #include "obs/json.h"
-#include "sim/message_names.h"
+#include "sim/wire_schema.h"
 
 namespace renaming::obs {
 

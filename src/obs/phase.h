@@ -3,11 +3,13 @@
 // Every message, bit and wall-clock microsecond a run spends is attributed
 // to exactly one logical protocol phase. The attribution has two sources:
 //
-//   * message kinds: each run_* entry point registers its protocol's
-//     MsgKind -> PhaseId mapping with the Telemetry object, and the engine
-//     charges every message it accounts to the mapped phase. Since every
-//     message carries a kind, the per-phase ledgers sum exactly to the
-//     RunStats totals (double-entry, pinned by tests).
+//   * message kinds: each row of the message-kind table (sim/wire_schema.h)
+//     names its kind's PhaseId; every Telemetry is seeded from the rows
+//     when it is constructed, and the engine charges every message it
+//     accounts to its kind's phase (kinds without a row go to
+//     kUnattributed). Since every message carries a kind, the per-phase
+//     ledgers sum exactly to the RunStats totals (double-entry, pinned by
+//     tests).
 //   * PhaseScope spans: protocol nodes open a scope around their stage
 //     logic, which both records a per-node span (for the Perfetto export)
 //     and attributes the callback's wall time to the phase.
@@ -22,7 +24,7 @@
 namespace renaming::obs {
 
 enum class PhaseId : std::uint8_t {
-  kUnattributed = 0,  ///< kind not registered with the telemetry object
+  kUnattributed = 0,  ///< kind without a row in the message-kind table
 
   // Byzantine algorithm (Section 3, Figure 4).
   kCommitteeElection,       ///< ELECT broadcast + pool-coin filtering

@@ -2,6 +2,8 @@
 
 #include <chrono>
 
+#include "sim/wire_schema.h"
+
 namespace renaming::obs {
 
 std::int64_t now_ns() {
@@ -23,7 +25,11 @@ Telemetry::Telemetry()
       active_senders_(&registry_.gauge("active_senders")),
       message_bits_(&registry_.histogram("message_bits")),
       inbox_occupancy_(&registry_.histogram("inbox_occupancy")),
-      round_wall_ns_(&registry_.histogram("round_wall_ns")) {}
+      round_wall_ns_(&registry_.histogram("round_wall_ns")) {
+  for (const sim::wire::WireSchema& row : sim::wire::kWireSchemas) {
+    kind_phase_[row.kind] = static_cast<std::uint8_t>(row.phase);
+  }
+}
 
 void Telemetry::end_run(Round last_round) {
   run_wall_ns_ = now_ns() - run_begin_ns_;

@@ -114,15 +114,14 @@ struct Instant {
 
 class Telemetry {
  public:
+  /// Seeds the kind -> phase attribution from the message-kind table
+  /// (sim::canonical_phase), so Telemetry and the journal/doctor charge
+  /// every kind alike. Kinds without a row are charged to kUnattributed,
+  /// which keeps the double-entry property for arbitrary (including
+  /// adversarial) traffic.
   Telemetry();
 
   // --- setup (cold path; called by run_* entry points) -------------------
-  /// Registers a message kind as belonging to `phase`; unregistered kinds
-  /// are charged to kUnattributed so the double-entry property holds for
-  /// arbitrary (including adversarial) traffic.
-  void map_kind(sim::MsgKind kind, PhaseId phase) {
-    kind_phase_[kind] = static_cast<std::uint8_t>(phase);
-  }
   void set_run_info(std::string algorithm, std::uint64_t n, std::uint64_t f) {
     algorithm_ = std::move(algorithm);
     n_ = n;

@@ -11,7 +11,7 @@
 #include "common/check.h"
 #include "common/types.h"
 #include "sim/message.h"
-#include "sim/message_names.h"
+#include "sim/wire_schema.h"
 #include "sim/stats.h"
 
 namespace renaming::sim {
@@ -55,8 +55,9 @@ class CountingTrace final : public TraceSink {
   std::uint64_t crashes() const { return crashes_; }
   const std::map<MsgKind, std::uint64_t>& by_kind() const { return sent_; }
 
-  /// One line per kind with its canonical name (sim/message_names.h):
+  /// One line per kind with its canonical name (sim/wire_schema.h):
   ///   STATUS(2): 1234 msgs, 56789 bits, 7 undelivered
+  /// A kind without a table row prints as `?(<kind>)`.
   void report(std::ostream& out) const {
     for (const auto& [kind, count] : sent_) {
       out << message_name(kind) << "(" << kind << "): " << count << " msgs, "

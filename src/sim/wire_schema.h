@@ -1,19 +1,29 @@
-// Central declarative wire schema: the single source of truth for every
-// shipped message kind's bit layout.
+// The message-kind table: the one declaration of every shipped message
+// kind. A row gives the kind's number, its stable wire-protocol name, the
+// obs::PhaseId its traffic is charged to, and its bit layout; everything
+// else about a kind is a lookup on its row:
 //
-// The paper's headline claim is subquadratic *bits* (Theorems 1.2/1.3), so
-// each Message declares its wire size and the engine sums the declarations
-// into RunStats/Telemetry/Journal. Before this table existed, the declared
-// widths were hand-written literals scattered across the protocol files;
-// one stale literal silently falsifies every BudgetAuditor gate and
-// BENCH_* cell. Here each kind instead lists its named fields with
-// closed-form widths parameterized by (n, namespace_size), the constexpr
-// wire_bits() evaluator folds them, and:
+//   * message_name()     — traces, CountingTrace, exporters, the doctor;
+//   * canonical_phase()  — the journal/doctor phase ledgers, and the
+//                           kind -> phase array every obs::Telemetry is
+//                           seeded with when it is constructed;
+//   * wire_bits() / make_message() — declared widths.
+//
+// Adding a kind touches one row here plus the protocol's own `Tag`
+// enumerator (or file-local `constexpr sim::MsgKind`); lint rule R11
+// (scripts/protocol_lint.py) checks that every row has that declaration,
+// and tests/trace_test.cc pins the names against the Tag enums.
+//
+// Widths. The paper's headline claim is subquadratic *bits* (Theorems
+// 1.2/1.3), so each Message declares its wire size and the engine sums the
+// declarations into RunStats/Telemetry/Journal. One stale hand-written
+// width silently falsifies every BudgetAuditor gate and BENCH_* cell, so
+// each kind instead lists its named fields with closed-form widths
+// parameterized by (n, namespace_size), the constexpr wire_bits()
+// evaluator folds them, and:
 //
 //   * protocols obtain widths ONLY through wire_bits()/make_message()
-//     (enforced statically by lint rule R9, scripts/protocol_lint.py);
-//   * the registry static_asserts below pin the table against
-//     sim/message_names.h, so a kind cannot ship without a schema;
+//     (enforced statically by lint rule R9);
 //   * BudgetAuditor cross-checks each honest run's per-kind emitted bits
 //     against the closed forms at runtime (obs/budget.h), and
 //     tests/wire_schema_test.cc pins the equivalence per protocol.
@@ -34,8 +44,8 @@
 
 #include "common/check.h"
 #include "common/math.h"
+#include "obs/phase.h"
 #include "sim/message.h"
-#include "sim/message_names.h"
 
 namespace renaming::sim::wire {
 
@@ -62,12 +72,13 @@ struct WireField {
 
 inline constexpr std::size_t kMaxWireFields = 5;
 
-/// Declared layout of one message kind. For `variable` kinds the single
+/// One row of the message-kind table. For `variable` kinds the single
 /// field describes the per-element width of the shipped set.
 struct WireSchema {
   MsgKind kind = 0;
-  const char* name = nullptr;  ///< must match sim::message_name(kind)
+  const char* name = nullptr;  ///< stable wire-protocol name
   bool variable = false;
+  obs::PhaseId phase = obs::PhaseId::kUnattributed;  ///< ledger it feeds
   std::size_t field_count = 0;
   WireField fields[kMaxWireFields]{};
 };
@@ -75,18 +86,20 @@ struct WireSchema {
 /// Bulk payloads clamp here so the width fits Message::bits (uint32_t).
 inline constexpr std::uint32_t kVariableBitsCap = 1u << 30;
 
-/// The schema table, ascending by kind; one entry per registered kind
-/// (static_asserts below pin both directions against kRegisteredKinds).
+/// The message-kind table, ascending by kind. Bench- and test-local kinds
+/// get no row; one that reuses a row's number (bench_engine's ping is 41)
+/// is named and attributed as that row.
 inline constexpr WireSchema kWireSchemas[] = {
     // crash/crash_renaming.h (Tag) — Figure 1-3 message formats.
-    {1, "COMMITTEE", false, 1, {{"id", Width::kLogNamespace}}},
-    {2, "STATUS", false, 5,
+    {1, "COMMITTEE", false, obs::PhaseId::kCommitteeAnnounce, 1,
+     {{"id", Width::kLogNamespace}}},
+    {2, "STATUS", false, obs::PhaseId::kStatusReport, 5,
      {{"id", Width::kLogNamespace},
       {"interval_lo", Width::kLogN},
       {"interval_hi", Width::kLogN},
       {"depth", Width::kConst8},
       {"phase", Width::kConst8}}},
-    {3, "RESPONSE", false, 5,
+    {3, "RESPONSE", false, obs::PhaseId::kCommitteeResponse, 5,
      {{"id", Width::kLogNamespace},
       {"interval_lo", Width::kLogN},
       {"interval_hi", Width::kLogN},
@@ -95,40 +108,48 @@ inline constexpr WireSchema kWireSchemas[] = {
     // byzantine/byz_renaming.h (Tag). The four control kinds (ELECT,
     // ID_REPORT, CONSENSUS, DIFF) share one layout: an identity-sized
     // value plus a 16-bit session/subkind control word.
-    {10, "ELECT", false, 2,
+    {10, "ELECT", false, obs::PhaseId::kCommitteeElection, 2,
      {{"id", Width::kLogNamespace}, {"control", Width::kConst16}}},
-    {11, "ID_REPORT", false, 2,
+    {11, "ID_REPORT", false, obs::PhaseId::kIdentityAggregation, 2,
      {{"id", Width::kLogNamespace}, {"control", Width::kConst16}}},
-    {12, "VALIDATOR", false, 3,
+    {12, "VALIDATOR", false, obs::PhaseId::kFingerprintValidation, 3,
      {{"fingerprint", Width::kConst61},
       {"count", Width::kLogNPlus1},
       {"control", Width::kConst16}}},
-    {13, "CONSENSUS", false, 2,
+    {13, "CONSENSUS", false, obs::PhaseId::kConsensus, 2,
      {{"value", Width::kLogNamespace}, {"control", Width::kConst16}}},
-    {14, "DIFF", false, 2,
+    {14, "DIFF", false, obs::PhaseId::kDiffExchange, 2,
      {{"payload", Width::kLogNamespace}, {"control", Width::kConst16}}},
-    {15, "NEW", false, 2,
+    {15, "NEW", false, obs::PhaseId::kDistribution, 2,
      {{"rank", Width::kLogNPlus1}, {"control", Width::kConst8}}},
-    {16, "VECTOR", true, 1, {{"identity", Width::kLogNamespace}}},
-    // baselines (Table 1).
-    {30, "NAIVE_ID", false, 1, {{"id", Width::kLogNamespace}}},
-    {31, "CHT_STATUS", false, 3,
+    {16, "VECTOR", true, obs::PhaseId::kFullVectorExchange, 1,
+     {{"identity", Width::kLogNamespace}}},
+    // baselines (Table 1), each declared in its own baselines/*.cc:
+    // naive 30, cht_crash 31, obg_byzantine 40-42, early_deciding 45,
+    // claiming 50-51.
+    {30, "NAIVE_ID", false, obs::PhaseId::kBaselineExchange, 1,
+     {{"id", Width::kLogNamespace}}},
+    {31, "CHT_STATUS", false, obs::PhaseId::kBaselineExchange, 3,
      {{"id", Width::kLogNamespace},
       {"interval_lo", Width::kLogN},
       {"interval_hi", Width::kLogN}}},
-    {40, "OBG_ANNOUNCE", false, 1, {{"id", Width::kLogNamespace}}},
-    {41, "OBG_VECTOR", true, 1, {{"identity", Width::kLogNamespace}}},
-    {42, "OBG_HALVING", true, 1, {{"identity", Width::kLogNamespace}}},
-    {45, "EARLY_SET", true, 1, {{"identity", Width::kLogNamespace}}},
-    {50, "CLAIM", false, 2,
+    {40, "OBG_ANNOUNCE", false, obs::PhaseId::kBaselineExchange, 1,
+     {{"id", Width::kLogNamespace}}},
+    {41, "OBG_VECTOR", true, obs::PhaseId::kBaselineExchange, 1,
+     {{"identity", Width::kLogNamespace}}},
+    {42, "OBG_HALVING", true, obs::PhaseId::kBaselineExchange, 1,
+     {{"identity", Width::kLogNamespace}}},
+    {45, "EARLY_SET", true, obs::PhaseId::kBaselineExchange, 1,
+     {{"identity", Width::kLogNamespace}}},
+    {50, "CLAIM", false, obs::PhaseId::kBaselineExchange, 2,
      {{"id", Width::kLogNamespace}, {"slot", Width::kLogN}}},
-    {51, "OWNED", false, 2,
+    {51, "OWNED", false, obs::PhaseId::kBaselineExchange, 2,
      {{"id", Width::kLogNamespace}, {"slot", Width::kLogN}}},
 };
 inline constexpr std::size_t kWireSchemaCount =
     sizeof(kWireSchemas) / sizeof(kWireSchemas[0]);
 
-/// Index of `kind` in kWireSchemas; kWireSchemaCount when unregistered.
+/// Index of `kind` in kWireSchemas; kWireSchemaCount when it has no row.
 /// Constant evaluation only ever compares indices: GCC 12 under
 /// -fsanitize=undefined cannot constant-evaluate `&kWireSchemas[i] !=
 /// nullptr`, which broke every static_assert below.
@@ -138,17 +159,17 @@ constexpr std::size_t schema_index(MsgKind kind) {
   return i;
 }
 
-/// Schema lookup; nullptr for unregistered (bench-/test-local) kinds.
+/// Schema lookup; nullptr for kinds without a row (bench-/test-local).
 constexpr const WireSchema* schema_of_or_null(MsgKind kind) {
   const std::size_t i = schema_index(kind);
   return i < kWireSchemaCount ? &kWireSchemas[i] : nullptr;
 }
 
-/// Schema lookup for kinds that must be registered.
+/// Schema lookup for kinds that must have a row.
 constexpr const WireSchema& schema_of(MsgKind kind) {
   const std::size_t i = schema_index(kind);
   RENAMING_CHECK(i < kWireSchemaCount,
-                 "wire_schema: unregistered message kind");
+                 "wire_schema: message kind without a row");
   return kWireSchemas[i];
 }
 
@@ -232,36 +253,15 @@ inline constexpr std::uint32_t kSpoofProbeBits = 32;
 
 namespace detail {
 
-constexpr bool streq(const char* a, const char* b) {
-  if (a == nullptr || b == nullptr) return a == b;
-  while (*a != '\0' && *a == *b) {
-    ++a;
-    ++b;
-  }
-  return *a == *b;
-}
-
-constexpr bool every_registered_kind_has_schema() {
-  for (MsgKind k : kRegisteredKinds) {
-    if (schema_index(k) == kWireSchemaCount) return false;
-  }
-  return true;
-}
-
-constexpr bool every_schema_kind_is_registered_and_named() {
-  for (const WireSchema& s : kWireSchemas) {
-    bool registered = false;
-    for (MsgKind k : kRegisteredKinds) registered = registered || (k == s.kind);
-    if (!registered) return false;
-    if (!streq(s.name, message_name(s.kind))) return false;
-  }
-  return true;
-}
-
-constexpr bool schemas_sorted_and_well_formed() {
+constexpr bool rows_sorted_and_well_formed() {
   for (std::size_t i = 0; i < kWireSchemaCount; ++i) {
     const WireSchema& s = kWireSchemas[i];
     if (i > 0 && kWireSchemas[i - 1].kind >= s.kind) return false;
+    if (s.name == nullptr) return false;
+    if (s.phase == obs::PhaseId::kUnattributed ||
+        s.phase >= obs::PhaseId::kCount) {
+      return false;
+    }
     if (s.field_count == 0 || s.field_count > kMaxWireFields) return false;
     if (s.variable && s.field_count != 1) return false;
     for (std::size_t j = 0; j < s.field_count; ++j) {
@@ -291,14 +291,10 @@ constexpr bool control_kinds_share_layout() {
 
 }  // namespace detail
 
-static_assert(detail::every_registered_kind_has_schema(),
-              "every kind in sim::kRegisteredKinds needs a wire schema");
-static_assert(detail::every_schema_kind_is_registered_and_named(),
-              "every wire schema must describe a registered kind and carry "
-              "its canonical sim/message_names.h name");
-static_assert(detail::schemas_sorted_and_well_formed(),
-              "kWireSchemas must be ascending by kind with well-formed "
-              "field lists");
+static_assert(detail::rows_sorted_and_well_formed(),
+              "kWireSchemas must be ascending by kind, and every row needs a "
+              "name, a phase other than kUnattributed and a well-formed "
+              "field list");
 static_assert(detail::control_kinds_share_layout(),
               "the byz control kinds (ELECT/ID_REPORT/CONSENSUS/DIFF) must "
               "share one field layout");
@@ -322,3 +318,22 @@ static_assert(wire_bits(31, detail::kPinCtx) == 26);   // logN + 2 logn
 static_assert(wire_bits(50, detail::kPinCtx) == 20);   // logN + logn
 
 }  // namespace renaming::sim::wire
+
+namespace renaming::sim {
+
+/// Stable wire-protocol name of `kind`: its row's name. A kind without a
+/// row renders as "?", which CountingTrace::report prints as `?(<kind>)`.
+constexpr const char* message_name(MsgKind kind) {
+  const std::size_t i = wire::schema_index(kind);
+  return i < wire::kWireSchemaCount ? wire::kWireSchemas[i].name : "?";
+}
+
+/// The phase ledger `kind`'s traffic is charged to: its row's phase. Kinds
+/// without a row (bench-local or adversarial) fall to kUnattributed.
+constexpr obs::PhaseId canonical_phase(MsgKind kind) {
+  const std::size_t i = wire::schema_index(kind);
+  return i < wire::kWireSchemaCount ? wire::kWireSchemas[i].phase
+                                    : obs::PhaseId::kUnattributed;
+}
+
+}  // namespace renaming::sim

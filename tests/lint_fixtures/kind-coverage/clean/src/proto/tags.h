@@ -1,5 +1,5 @@
 #pragma once
-#include "sim/message_names.h"
+#include "sim/wire_schema.h"
 enum class Tag : sim::MsgKind {
   kPing = 1,
   kPong = 2,

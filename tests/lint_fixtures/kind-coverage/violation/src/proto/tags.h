@@ -1,7 +1,6 @@
 #pragma once
-#include "sim/message_names.h"
+#include "sim/wire_schema.h"
 enum class Tag : sim::MsgKind {
   kPing = 1,
   kPong = 2,
-  // kind 7 is registered but has no dispatch declaration anywhere
 };

@@ -1,10 +1,12 @@
 #pragma once
-#include "sim/message_names.h"
+namespace sim {
+using MsgKind = unsigned short;
+}  // namespace sim
 namespace sim::wire {
 struct WireSchema { MsgKind kind; const char* name; };
 inline constexpr WireSchema kWireSchemas[] = {
     {1, "PING"},
     {2, "PONG"},
-    {9, "GHOST"},  // not registered
+    {7, "GHOST"},  // no Tag enumerator or constexpr MsgKind declares kind 7
 };
 }  // namespace sim::wire

@@ -40,7 +40,6 @@ CASES = {
     "wire-schema": "wire-schema",
     "stale-allow": "nondeterminism,stale-allow",
     "kind-coverage": "kind-coverage",
-    "provenance-coverage": "provenance-coverage",
     "full-width-alloc": "full-width-alloc",
     "wall-clock": "wall-clock",
     "binary-io": "binary-io",

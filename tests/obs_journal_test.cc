@@ -25,7 +25,6 @@
 #include "obs/doctor.h"
 #include "obs/journal.h"
 #include "obs/json.h"
-#include "obs/kind_registry.h"
 #include "obs/progress.h"
 #include "obs/provenance.h"
 #include "obs/telemetry.h"
@@ -329,7 +328,24 @@ TEST(JsonCheck, RejectsNearMissesAndAPlantedBadLine) {
   EXPECT_FALSE(json_check::IsJsonLines("{\"a\":1}\n{\"b\":nan}\n[2]\n"));
 }
 
-// --- kind registry agreement (satellite of the exhaustiveness guard) --------
+// --- one attribution for Telemetry and the journal ---------------------------
+
+/// The per-phase ledgers the doctor re-derives from `journal` equal the
+/// live Telemetry ledgers. Under -DRENAMING_NO_TELEMETRY the live ledgers
+/// are dead-stripped, so there is nothing to compare.
+void expect_phase_ledgers_agree(const obs::JournalData& journal,
+                                const obs::Telemetry& telemetry) {
+  if constexpr (obs::kTelemetryEnabled) {
+    const auto phases = obs::phases_from_journal(journal);
+    for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
+      const auto id = static_cast<obs::PhaseId>(i);
+      EXPECT_EQ(phases[i].messages, telemetry.phase(id).messages)
+          << obs::phase_name(id);
+      EXPECT_EQ(phases[i].bits, telemetry.phase(id).bits)
+          << obs::phase_name(id);
+    }
+  }
+}
 
 TEST(Journal, CanonicalRegistryMatchesLiveTelemetryLedgers) {
   const NodeIndex n = 48;
@@ -340,19 +356,8 @@ TEST(Journal, CanonicalRegistryMatchesLiveTelemetryLedgers) {
   obs::Journal journal;
   const auto result = crash::run_crash_renaming(cfg, params, nullptr, nullptr,
                                                 &telemetry, &journal);
-  // The telemetry cross-check needs live ledgers; under
-  // -DRENAMING_NO_TELEMETRY they are dead-stripped, but the journal-vs-
-  // RunStats reconciliation below must hold in both configs.
-  if constexpr (obs::kTelemetryEnabled) {
-    const auto phases = obs::phases_from_journal(journal.data());
-    for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
-      const auto id = static_cast<obs::PhaseId>(i);
-      EXPECT_EQ(phases[i].messages, telemetry.phase(id).messages)
-          << obs::phase_name(id);
-      EXPECT_EQ(phases[i].bits, telemetry.phase(id).bits)
-          << obs::phase_name(id);
-    }
-  }
+  expect_phase_ledgers_agree(journal.data(), telemetry);
+  // The journal-vs-RunStats reconciliation holds in both configs.
   const auto stats = obs::stats_from_journal(journal.data());
   EXPECT_EQ(stats.total_messages, result.stats.total_messages);
   EXPECT_EQ(stats.total_bits, result.stats.total_bits);
@@ -398,6 +403,28 @@ obs::JournalData probe_run(NodeIndex n, Round rounds, Round flip_round) {
   sim::Engine engine(std::move(nodes), nullptr, {.journal = &journal});
   engine.run(rounds);
   return journal.data();
+}
+
+TEST(Journal, TelemetryAndJournalAgreeOnAnyKind) {
+  // A bare engine runs no run_* entry point, yet Telemetry and the journal
+  // must charge the probe's kind (41, a message-kind table row) to the same
+  // phase, because both read it from that row.
+  const NodeIndex n = 8;
+  const Round rounds = 3;
+  std::vector<std::unique_ptr<sim::Node>> nodes;
+  for (NodeIndex v = 0; v < n; ++v) {
+    nodes.push_back(std::make_unique<ProbeNode>(v, rounds));
+  }
+  obs::Telemetry telemetry;
+  obs::Journal journal;
+  sim::Engine engine(std::move(nodes), nullptr,
+                     {.telemetry = &telemetry, .journal = &journal});
+  engine.run(rounds);
+  const auto phases = obs::phases_from_journal(journal.data());
+  EXPECT_EQ(phases[static_cast<std::size_t>(obs::PhaseId::kBaselineExchange)]
+                .messages,
+            std::uint64_t{n} * n * rounds);
+  expect_phase_ledgers_agree(journal.data(), telemetry);
 }
 
 TEST(Doctor, BisectsASingleFlippedPayloadBitToItsRound) {

@@ -23,6 +23,7 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
+#include "sim/wire_schema.h"
 
 namespace renaming {
 namespace {
@@ -229,6 +230,16 @@ TEST(Telemetry, UnregisteredKindsFallBackToUnattributed) {
   EXPECT_EQ(t.phase(obs::PhaseId::kUnattributed).messages, 5u);
   EXPECT_EQ(t.phase(obs::PhaseId::kUnattributed).bits, 5u * 32u);
   EXPECT_EQ(t.kind_messages(777), 5u);
+  EXPECT_EQ(t.phase_of_kind(777), obs::PhaseId::kUnattributed);
+}
+
+TEST(Telemetry, FreshObjectAttributesEveryTableRow) {
+  // No run_* entry point has touched this object: the kind -> phase
+  // attribution comes from the message-kind table alone.
+  const obs::Telemetry t;
+  for (const sim::wire::WireSchema& row : sim::wire::kWireSchemas) {
+    EXPECT_EQ(t.phase_of_kind(row.kind), row.phase) << row.name;
+  }
   EXPECT_EQ(t.phase_of_kind(777), obs::PhaseId::kUnattributed);
 }
 

@@ -13,7 +13,7 @@
 #include "crash/crash_renaming.h"
 #include "json_check.h"
 #include "sim/engine.h"
-#include "sim/message_names.h"
+#include "sim/wire_schema.h"
 #include "sim/trace.h"
 
 namespace renaming {
@@ -307,8 +307,9 @@ TEST(TraceContract, TracedRunMatchesSharedInboxFastPathStats) {
 }
 
 TEST(MessageNames, CanonicalTableMatchesProtocolTags) {
-  // The literal switch in sim/message_names.h deliberately avoids protocol
-  // includes; this pin keeps it honest against the real Tag enums.
+  // The message-kind table in sim/wire_schema.h writes kinds as literals
+  // and avoids protocol includes; this pin keeps it honest against the
+  // real Tag enums.
   using sim::message_name;
   EXPECT_STREQ(message_name(static_cast<sim::MsgKind>(crash::Tag::kCommittee)),
                "COMMITTEE");
@@ -355,7 +356,7 @@ TEST(JsonlTrace, EmitsWellFormedLines) {
     round_ends += line.find("\"event\":\"round_end\"") != std::string::npos;
     if (line.find("\"event\":\"message\"") != std::string::npos) {
       ++messages;
-      // Every message event names its kind canonically (message_names.h).
+      // Every message event names its kind canonically (sim/wire_schema.h).
       EXPECT_NE(line.find("\"kind_name\":\""), std::string::npos) << line;
     }
   }

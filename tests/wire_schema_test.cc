@@ -26,7 +26,6 @@
 #include "crash/adversaries.h"
 #include "crash/crash_renaming.h"
 #include "obs/telemetry.h"
-#include "sim/message_names.h"
 #include "sim/wire_schema.h"
 
 namespace renaming {
@@ -49,21 +48,19 @@ namespace {
 void expect_ledger_matches_schema(const obs::Telemetry& telemetry,
                                   const SystemConfig& cfg) {
   const sim::wire::WireContext ctx{cfg.n, cfg.namespace_size};
-  for (sim::MsgKind kind : sim::kRegisteredKinds) {
-    const std::uint64_t messages = telemetry.kind_messages(kind);
+  for (const sim::wire::WireSchema& schema : sim::wire::kWireSchemas) {
+    const std::uint64_t messages = telemetry.kind_messages(schema.kind);
     if (messages == 0) continue;
-    const sim::wire::WireSchema* schema = sim::wire::schema_of_or_null(kind);
-    ASSERT_NE(schema, nullptr) << "kind " << kind;
-    const std::uint64_t bits = telemetry.kind_bits(kind);
-    if (schema->variable) {
+    const std::uint64_t bits = telemetry.kind_bits(schema.kind);
+    if (schema.variable) {
       const std::uint64_t per =
-          sim::wire::width_bits(schema->fields[0].width, ctx);
-      EXPECT_GE(bits, messages * per) << schema->name;
-      EXPECT_EQ(bits % per, 0u) << schema->name;
-      EXPECT_LE(bits, messages * sim::wire::kVariableBitsCap) << schema->name;
+          sim::wire::width_bits(schema.fields[0].width, ctx);
+      EXPECT_GE(bits, messages * per) << schema.name;
+      EXPECT_EQ(bits % per, 0u) << schema.name;
+      EXPECT_LE(bits, messages * sim::wire::kVariableBitsCap) << schema.name;
     } else {
-      EXPECT_EQ(bits, messages * sim::wire::wire_bits(kind, ctx))
-          << schema->name << " at n=" << cfg.n;
+      EXPECT_EQ(bits, messages * sim::wire::wire_bits(schema.kind, ctx))
+          << schema.name << " at n=" << cfg.n;
     }
   }
 }
@@ -91,12 +88,6 @@ TEST(WireSchema, VariableWidthFloorAndClamp) {
   // Oversized payloads clamp at the cap instead of overflowing uint32_t.
   EXPECT_EQ(sim::wire::wire_bits(16, ctx, 1ull << 40),
             sim::wire::kVariableBitsCap);
-}
-
-TEST(WireSchema, SchemaNamesMatchMessageRegistry) {
-  for (const sim::wire::WireSchema& s : sim::wire::kWireSchemas) {
-    EXPECT_STREQ(s.name, sim::message_name(s.kind));
-  }
 }
 
 TEST(WireSchema, CrashRunLedgerMatchesSchema) {

@@ -39,7 +39,7 @@
 #include "obs/journal.h"
 #include "obs/provenance.h"
 #include "obs/shard_profile.h"
-#include "sim/message_names.h"
+#include "sim/wire_schema.h"
 
 namespace {
 
