@@ -26,9 +26,7 @@ class EarlyDecidingNode final : public sim::Node {
   void send(Round, sim::Outbox& out) override {
     // Decided nodes keep broadcasting: stragglers that missed a partial
     // broadcast converge to the decided set through these echoes.
-    out.broadcast(sim::wire::make_blob_message(
-        kSet, wire_,
-        std::make_shared<const std::vector<std::uint64_t>>(known_)));
+    out.broadcast(sim::wire::make_blob_message(kSet, wire_, out, known_));
   }
 
   void receive(Round round, sim::InboxView inbox) override {

@@ -20,12 +20,6 @@ constexpr sim::MsgKind kAnnounce = 40;
 constexpr sim::MsgKind kVector = 41;
 constexpr sim::MsgKind kHalving = 42;
 
-std::shared_ptr<const std::vector<std::uint64_t>> to_blob(
-    const std::vector<OriginalId>& ids) {
-  return std::make_shared<const std::vector<std::uint64_t>>(ids.begin(),
-                                                            ids.end());
-}
-
 class ObgNode : public sim::Node {
  public:
   ObgNode(NodeIndex self, const SystemConfig& cfg, const Directory& directory,
@@ -44,12 +38,12 @@ class ObgNode : public sim::Node {
       out.broadcast(sim::wire::make_message(kAnnounce, wire_, id_));
     } else if (round == 2 || round == 3) {
       // Full candidate vector: the Omega(n log N)-bit message of [34].
-      out.broadcast(sim::wire::make_blob_message(kVector, wire_,
-                                                 to_blob(candidates_)));
+      out.broadcast(
+          sim::wire::make_blob_message(kVector, wire_, out, candidates_));
     } else {
-      out.broadcast(sim::wire::make_blob_message(kHalving, wire_,
-                                                 to_blob(candidates_), id_,
-                                                 interval_.lo, interval_.hi));
+      out.broadcast(sim::wire::make_blob_message(kHalving, wire_, out,
+                                                 candidates_, id_, interval_.lo,
+                                                 interval_.hi));
     }
   }
 
@@ -188,8 +182,8 @@ class ObgByzNode final : public ObgNode {
       std::vector<OriginalId> padded = candidates_;
       for (int k = 0; k < 8; ++k) padded.push_back(1 + rng_.below(1u << 20));
       normalize(padded);
-      out.broadcast(sim::wire::make_blob_message(kVector, wire_,
-                                                 to_blob(padded)));
+      out.broadcast(
+          sim::wire::make_blob_message(kVector, wire_, out, std::move(padded)));
       return;
     }
     ObgNode::send(round, out);

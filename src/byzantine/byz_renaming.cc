@@ -107,10 +107,8 @@ void ByzNode::send(Round round, sim::Outbox& out) {
       // the Omega(n log N)-bit pattern the fingerprint loop replaces.
       consensus::broadcast_to_committee(
           *view_, out,
-          sim::wire::make_blob_message(
-              kind_of(Tag::kVector), wire_,
-              std::make_shared<const std::vector<std::uint64_t>>(
-                  list_->to_vector())));
+          sim::wire::make_blob_message(kind_of(Tag::kVector), wire_, out,
+                                       list_->to_vector()));
       break;
     }
     case Stage::kDiffExchange:

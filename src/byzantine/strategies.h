@@ -52,13 +52,16 @@ class CorruptedNode : public sim::Node {
         rng_(SplitMix64(cfg.seed ^ 0xBADBADULL).next() + self) {}
 
   void send(Round round, sim::Outbox& out) override {
-    sim::Outbox staged(self_, n_);
-    honest_.send(round, staged);
+    // Last round's staged blobs (ablation A2's identity vectors) were read
+    // through `out` during that round's receive phase; only now are they
+    // dead.
+    staged_.clear();
+    honest_.send(round, staged_);
     // The strategies tamper per recipient (split a report, equivocate to a
     // random half): expand any compressed broadcast into the per-recipient
     // entries so entry indices mean "one message to one destination".
-    staged.expand();
-    corrupt(round, staged, out);
+    staged_.expand();
+    corrupt(round, staged_, out);
   }
 
   void receive(Round round, sim::InboxView inbox) override {
@@ -75,6 +78,11 @@ class CorruptedNode : public sim::Node {
   NodeIndex n_;
   ByzNode honest_;
   Xoshiro256 rng_;
+
+ private:
+  /// The honest core's outbox, reused across rounds. It owns the blobs of
+  /// the messages corrupt() forwards to the engine's outbox.
+  sim::Outbox staged_{self_, n_};
 };
 
 /// Reports its identity to only the even-indexed committee members.

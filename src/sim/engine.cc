@@ -404,9 +404,14 @@ RunStats Engine::run(Round max_rounds) {
       std::vector<std::pair<NodeIndex, Message>> kept;
       kept.reserve(order.keep.size());
       std::sort(order.keep.begin(), order.keep.end());
-      for (std::uint32_t idx : order.keep) {
+      for (std::size_t i = 0; i < order.keep.size(); ++i) {
+        const std::uint32_t idx = order.keep[i];
         RENAMING_CHECK(idx < entries.size(),
                        "crash order keeps a message that was never queued");
+        // A crash only omits messages: a repeated index would deliver (and
+        // count) one send twice.
+        RENAMING_CHECK(i == 0 || order.keep[i - 1] < idx,
+                       "crash order keeps a message twice");
         kept.push_back(std::move(entries[idx]));
       }
       entries = std::move(kept);

@@ -13,11 +13,20 @@
 // different origin by setting `claimed_sender`; the engine drops such
 // messages and counts the attempt, which is exactly the guarantee a PKI
 // with certificate chains provides in the paper's discussion (Section 3.2).
+//
+// Layout (docs/PERFORMANCE.md "Message layout"): one 64-byte cache line —
+// a 16-byte header (origins, kind, word count, wire size), five inline
+// payload words and one blob pointer — so an outbox entry
+// pair<NodeIndex, Message> is 72 bytes. A blob (the bulk payload of the
+// Omega(n)-bit baselines and ablation A2) is owned by the Outbox that
+// queued it (sim/node.h, wire::make_blob_message) and stays valid until
+// that outbox's end-of-round clear(), i.e. through the round's receive
+// phase; copies of a Message share the pointer, never the ownership.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -29,25 +38,31 @@ namespace renaming::sim {
 /// converted to this width; tags only need to be unique per protocol.
 using MsgKind = std::uint16_t;
 
-/// Maximum number of inline payload words. Chosen so that every
+/// Maximum number of inline payload words: the widest fixed layout in
+/// `kWireSchemas` (crash STATUS/RESPONSE, the validator vote). Every
 /// O(log N)-bit message of the paper's two algorithms fits without heap
 /// allocation; bulk payloads (baselines that ship Omega(n)-bit messages)
-/// use the shared `blob`.
-inline constexpr std::size_t kInlineWords = 6;
+/// use the outbox-owned `blob`.
+inline constexpr std::size_t kInlineWords = 5;
 
 struct Message {
   NodeIndex sender = kNoNode;          ///< True origin, stamped by engine.
   NodeIndex claimed_sender = kNoNode;  ///< Origin claimed by the sender.
   MsgKind kind = 0;
   std::uint8_t nwords = 0;             ///< Meaningful entries of `w`.
-  std::array<std::uint64_t, kInlineWords> w{};
-  /// Optional bulk payload, shared between the copies a broadcast creates.
-  std::shared_ptr<const std::vector<std::uint64_t>> blob;
   /// Declared wire size in bits (for complexity accounting). Must be > 0.
   std::uint32_t bits = 0;
+  std::array<std::uint64_t, kInlineWords> w{};
+  /// Optional bulk payload, owned by the queuing Outbox until its clear();
+  /// every copy a broadcast creates points at the same vector.
+  const std::vector<std::uint64_t>* blob = nullptr;
 
   bool spoofed() const { return claimed_sender != sender; }
 };
+
+static_assert(sizeof(Message) == 64, "a Message is one cache line");
+static_assert(sizeof(std::pair<NodeIndex, Message>) == 72,
+              "an outbox entry is a destination plus one Message");
 
 /// Convenience builder for small (inline) messages.
 template <typename... Words>

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <forward_list>
 #include <span>
 #include <utility>
 #include <vector>
@@ -45,6 +46,12 @@ namespace renaming::sim {
 /// are defined over the expanded per-recipient sequence — call expand()
 /// first to materialize it; the expansion is byte-equivalent to what the
 /// individual send() calls would have queued.
+///
+/// Blob ownership (docs/PERFORMANCE.md "Message layout"): own_blob() keeps
+/// a bulk payload alive until this outbox's next clear(). The engine clears
+/// an outbox only after the round's receive phase, so a blob a message
+/// points at is readable by every recipient for the whole round, and by
+/// nobody after it.
 class Outbox {
  public:
   /// Destination sentinel of a compressed broadcast entry: the message goes
@@ -120,6 +127,14 @@ class Outbox {
     queued_.emplace_back(kBroadcast, std::move(m));
   }
 
+  /// Takes ownership of a bulk payload until the next clear() and returns
+  /// the pointer a Message::blob carries (wire::make_blob_message). The
+  /// address stays stable while further blobs are added.
+  const std::vector<std::uint64_t>* own_blob(
+      std::vector<std::uint64_t> payload) {
+    return &blobs_.emplace_front(std::move(payload));
+  }
+
   /// Number of *logical* (per-recipient) messages queued: a broadcast entry
   /// counts n, a multicast or repeat entry its destination count. This is
   /// the index space of CrashOrder::keep.
@@ -183,12 +198,13 @@ class Outbox {
     mspans_.clear();
   }
 
-  /// Drops all queued entries but keeps the allocation: the engine reuses
-  /// one Outbox per node across all rounds.
+  /// Drops all queued entries and owned blobs but keeps the entry
+  /// allocation: the engine reuses one Outbox per node across all rounds.
   void clear() {
     queued_.clear();
     mdests_.clear();
     mspans_.clear();
+    blobs_.clear();
   }
 
   /// Engine access: the queued (dest, message) entries, in send order. A
@@ -209,7 +225,7 @@ class Outbox {
 
  private:
   /// True when the two messages are indistinguishable on the wire: same
-  /// origin claim, kind, declared bits, inline words and (shared) blob.
+  /// origin claim, kind, declared bits, inline words and blob address.
   static bool same_payload(const Message& a, const Message& b) {
     if (a.kind != b.kind || a.bits != b.bits || a.nwords != b.nwords ||
         a.claimed_sender != b.claimed_sender || a.blob != b.blob) {
@@ -229,6 +245,10 @@ class Outbox {
   /// mdests_.
   std::vector<NodeIndex> mdests_;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> mspans_;
+  /// Payloads behind the queued messages' blob pointers (own_blob()). A
+  /// node list: stable addresses, and one pointer of Outbox footprint for
+  /// the many outboxes that never carry a blob.
+  std::forward_list<std::vector<std::uint64_t>> blobs_;
 };
 
 class Node {

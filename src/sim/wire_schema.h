@@ -38,7 +38,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -46,6 +45,7 @@
 #include "common/math.h"
 #include "obs/phase.h"
 #include "sim/message.h"
+#include "sim/node.h"
 
 namespace renaming::sim::wire {
 
@@ -70,7 +70,8 @@ struct WireField {
   Width width = Width::kConst8;
 };
 
-inline constexpr std::size_t kMaxWireFields = 5;
+/// A fixed layout's fields travel as Message::w's inline words.
+inline constexpr std::size_t kMaxWireFields = kInlineWords;
 
 /// One row of the message-kind table. For `variable` kinds the single
 /// field describes the per-element width of the shipped set.
@@ -221,15 +222,16 @@ Message make_message(MsgKind kind, const WireContext& ctx, Words... words) {
 }
 
 /// Schema-deriving builder for variable-width kinds: the width follows the
-/// blob's element count.
+/// payload's element count. `owner` — the outbox the message is queued on —
+/// keeps the payload until its end-of-round clear(); receivers copy what
+/// they keep.
 template <typename... Words>
-Message make_blob_message(
-    MsgKind kind, const WireContext& ctx,
-    std::shared_ptr<const std::vector<std::uint64_t>> blob, Words... words) {
-  RENAMING_CHECK(blob != nullptr, "blob message without a blob");
+Message make_blob_message(MsgKind kind, const WireContext& ctx,
+                          Outbox& owner, std::vector<std::uint64_t> payload,
+                          Words... words) {
   Message m =
-      sim::make_message(kind, wire_bits(kind, ctx, blob->size()), words...);
-  m.blob = std::move(blob);
+      sim::make_message(kind, wire_bits(kind, ctx, payload.size()), words...);
+  m.blob = owner.own_blob(std::move(payload));
   return m;
 }
 
@@ -289,6 +291,16 @@ constexpr bool control_kinds_share_layout() {
   return true;
 }
 
+constexpr std::size_t widest_fixed_layout() {
+  std::size_t widest = 0;
+  for (std::size_t i = 0; i < kWireSchemaCount; ++i) {
+    if (!kWireSchemas[i].variable) {
+      widest = std::max(widest, kWireSchemas[i].field_count);
+    }
+  }
+  return widest;
+}
+
 }  // namespace detail
 
 static_assert(detail::rows_sorted_and_well_formed(),
@@ -298,6 +310,10 @@ static_assert(detail::rows_sorted_and_well_formed(),
 static_assert(detail::control_kinds_share_layout(),
               "the byz control kinds (ELECT/ID_REPORT/CONSENSUS/DIFF) must "
               "share one field layout");
+static_assert(detail::widest_fixed_layout() == kInlineWords,
+              "Message::w holds exactly the widest fixed layout: a wider "
+              "row would not fit inline, a narrower table wastes bytes of "
+              "every queued message");
 
 // Closed-form pins at a concrete context (n = 48, N = 5*48*48): these are
 // the exact widths the pre-schema literals produced, and the golden trace

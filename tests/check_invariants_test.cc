@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/bitvec.h"
@@ -114,6 +115,52 @@ TEST(CheckInvariantsDeathTest, AdversaryCrashingUnknownNodeAborts) {
   nodes.push_back(std::make_unique<BusyNode>());
   Engine engine(std::move(nodes), std::make_unique<RogueAdversary>());
   EXPECT_DEATH(engine.run(1), "outside the system");
+}
+
+// Node 0 queues one unicast per round; the adversary crashes it in round 1
+// with a fixed keep list. A crash may only omit messages, so a keep list
+// that names one message twice, or a message that was never queued, must
+// abort instead of inventing a delivery.
+class KeepListAdversary final : public CrashAdversary {
+ public:
+  explicit KeepListAdversary(std::vector<std::uint32_t> keep)
+      : keep_(std::move(keep)) {}
+  std::vector<CrashOrder> decide(const AdversaryView&) override {
+    CrashOrder o;
+    o.victim = 0;
+    o.keep = keep_;
+    return {o};
+  }
+  std::uint64_t budget() const override { return 1; }
+
+ private:
+  std::vector<std::uint32_t> keep_;
+};
+
+class UnicastNode final : public QuietNode {
+ public:
+  void send(Round, Outbox& out) override {
+    out.send(1, make_message(kPing, 8, std::uint64_t{7}));
+  }
+  bool done() const override { return false; }
+};
+
+Engine crash_unicast_system(std::vector<std::uint32_t> keep) {
+  std::vector<std::unique_ptr<Node>> nodes;
+  nodes.push_back(std::make_unique<UnicastNode>());
+  nodes.push_back(std::make_unique<QuietNode>());
+  return Engine(std::move(nodes),
+                std::make_unique<KeepListAdversary>(std::move(keep)));
+}
+
+TEST(CheckInvariantsDeathTest, CrashOrderKeepingAMessageTwiceAborts) {
+  Engine engine = crash_unicast_system({0, 0});
+  EXPECT_DEATH(engine.run(1), "keeps a message twice");
+}
+
+TEST(CheckInvariantsDeathTest, CrashOrderKeepingAnUnqueuedMessageAborts) {
+  Engine engine = crash_unicast_system({1});
+  EXPECT_DEATH(engine.run(1), "never queued");
 }
 
 TEST(CheckInvariantsDeathTest, BitVecBoundsAreCheckedInEveryBuild) {

@@ -7,12 +7,15 @@
 // telemetry per-kind ledgers — for every K, because everything
 // order-sensitive (adversary, delivery, accounting, observers) stays on
 // the caller thread and per-shard scratch folds in fixed shard order.
-// These tests pin that contract on the three engine paths with different
+// These tests pin that contract on the four engine paths with different
 // delivery shapes:
 //   * crash renaming under a mid-send CommitteeHunter (outbox expansion,
 //     partial delivery, the adversary's keep-index slow path);
 //   * Byzantine renaming with Spoofer nodes (authentication rejections in
 //     the delivery sweep — spoofs_rejected is asserted nonzero);
+//   * Byzantine renaming in the full-vector ablation (A2) under
+//     SplitReporter and LyingMember nodes (VECTOR blobs owned by the
+//     corrupted nodes' staged outboxes, read by every shard's receivers);
 //   * the CHT baseline (untraced broadcast-only rounds: the shared-inbox
 //     fast path).
 // Plus the RNG-stream pin (outcomes identical across K — shard count must
@@ -141,6 +144,67 @@ TEST(ParallelEquivalence, ByzantineSpoofingIsByteIdenticalAtAnyShardCount) {
   sim::parallel::WorkerPool pool(4);
   for (unsigned shards : kShardCounts) {
     expect_identical(serial, run_byz(plan_for(&pool, shards)), shards);
+  }
+}
+
+// --- Ablation A2 under corrupted members: outbox-owned blobs ------------
+
+// Byzantine nodes of the full-vector runs: with pool_constant 4 at n = 144
+// several of them sit on the committee, so their staged outboxes own the
+// VECTOR blobs that every correct member reads in the same round.
+const std::vector<NodeIndex> kFullVectorByzantine = {3, 17, 50, 64, 97, 120};
+
+Artifacts run_byz_full_vectors(sim::parallel::ShardPlan plan,
+                               byzantine::ByzStrategyFactory factory) {
+  const NodeIndex n = 144;
+  const auto cfg = SystemConfig::random(n, 5ull * n * n, 93);
+  byzantine::ByzParams params;
+  params.pool_constant = 4.0;
+  params.shared_seed = 93;
+  params.use_fingerprints = false;
+  std::ostringstream trace_out;
+  sim::JsonlTrace trace(trace_out);
+  obs::Journal journal;
+  const auto r = byzantine::run_byz_renaming(cfg, params, kFullVectorByzantine,
+                                             factory, 0, &trace, nullptr,
+                                             &journal, plan);
+  EXPECT_TRUE(r.report.ok(/*require_order=*/false))
+      << (r.report.violations.empty() ? "" : r.report.violations[0]);
+  return Artifacts{trace_out.str(), journal_bytes(journal), r.stats,
+                   r.outcomes};
+}
+
+// True when some Byzantine node's VECTOR blob reached the wire, i.e. a
+// corrupted committee member forwarded a message whose payload its staged
+// outbox owns.
+bool byzantine_sent_vector(const std::string& trace) {
+  std::istringstream lines(trace);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("\"kind_name\":\"VECTOR\"") == std::string::npos) continue;
+    for (NodeIndex b : kFullVectorByzantine) {
+      if (line.find("\"from\":" + std::to_string(b) + ",") !=
+          std::string::npos) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+TEST(ParallelEquivalence,
+     ByzantineFullVectorBlobsAreByteIdenticalAtAnyShardCount) {
+  sim::parallel::WorkerPool pool(4);
+  for (byzantine::ByzStrategyFactory factory :
+       {&byzantine::SplitReporter::make, &byzantine::LyingMember::make}) {
+    const Artifacts serial = run_byz_full_vectors({}, factory);
+    ASSERT_TRUE(byzantine_sent_vector(serial.trace))
+        << "no corrupted member shipped a VECTOR blob; the staged-outbox "
+           "ownership path went unexercised";
+    for (unsigned shards : kShardCounts) {
+      expect_identical(serial,
+                       run_byz_full_vectors(plan_for(&pool, shards), factory),
+                       shards);
+    }
   }
 }
 
