@@ -71,12 +71,6 @@ void ablation_reelection() {
   table.print();
 }
 
-std::vector<NodeIndex> spread_byz(NodeIndex n, NodeIndex f) {
-  std::vector<NodeIndex> byz;
-  for (NodeIndex i = 0; i < f; ++i) byz.push_back((i * n) / (f + 1) + 1);
-  return byz;
-}
-
 void ablation_fingerprints() {
   Table table({"n", "f", "variant", "rounds", "msgs", "bits", "max msg bits",
                "ok"});
@@ -90,7 +84,7 @@ void ablation_fingerprints() {
       params.shared_seed = 29;
       params.use_fingerprints = fingerprints;
       const auto result = byzantine::run_byz_renaming(
-          cfg, params, spread_byz(n, f), &byzantine::SplitReporter::make);
+          cfg, params, spread_faulty(n, f), &byzantine::SplitReporter::make);
       table.row({std::to_string(n), std::to_string(f),
                  fingerprints ? "fingerprint d&c (paper)"
                               : "full vectors (ablated)",
@@ -128,11 +122,8 @@ void adaptive_vs_static() {
                r.report.ok() ? "correct" : "WRECKED"});
   }
   {
-    std::vector<NodeIndex> byz;
-    const NodeIndex f = 64;
-    for (NodeIndex i = 0; i < f; ++i) byz.push_back((i * n) / (f + 1) + 1);
     const auto r = byzantine::run_byz_renaming(
-        cfg, params, byz,
+        cfg, params, spread_faulty(n, 64),
         [](NodeIndex, const SystemConfig&, const Directory&,
            const byzantine::ByzParams&) -> std::unique_ptr<sim::Node> {
           return std::make_unique<byzantine::SilentNode>();

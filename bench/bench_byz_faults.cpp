@@ -17,12 +17,6 @@ using bench::fixed;
 using bench::human;
 using bench::Table;
 
-std::vector<NodeIndex> spread_byz(NodeIndex n, NodeIndex f) {
-  std::vector<NodeIndex> byz;
-  for (NodeIndex i = 0; i < f; ++i) byz.push_back((i * n) / (f + 1) + 1);
-  return byz;
-}
-
 void sweep(NodeIndex n) {
   byzantine::ByzParams params;
   params.pool_constant = 3.0;
@@ -38,7 +32,7 @@ void sweep(NodeIndex n) {
     if (f >= n / 4) continue;
     const auto cfg = SystemConfig::random(n, N, 1100 + n + f);
     const auto result = byzantine::run_byz_renaming(
-        cfg, params, spread_byz(n, f), &byzantine::SplitReporter::make);
+        cfg, params, spread_faulty(n, f), &byzantine::SplitReporter::make);
     const double logn = ceil_log2(n);
     const double denom = f * logN * logn * logn * logn + n * logn;
     table.row({std::to_string(f), std::to_string(result.loop_iterations),

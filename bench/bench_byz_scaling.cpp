@@ -33,12 +33,6 @@ using bench::human;
 using bench::Json;
 using bench::Table;
 
-std::vector<NodeIndex> spread_byz(NodeIndex n, NodeIndex f) {
-  std::vector<NodeIndex> byz;
-  for (NodeIndex i = 0; i < f; ++i) byz.push_back((i * n) / (f + 1) + 1);
-  return byz;
-}
-
 // One {phase, messages, bits, wall_us} object per phase that saw traffic
 // or wall time; the message/bit ledgers sum exactly to the run totals
 // (the telemetry double-entry property, pinned in obs_telemetry_test.cc).
@@ -84,12 +78,12 @@ int sweep(int argc, char** argv) {
       const NodeIndex f = mode == 0 ? 0 : ceil_log2(n);
       const std::uint64_t N = static_cast<std::uint64_t>(n) * n * 5;
       const auto cfg = SystemConfig::random(n, N, 2200 + n + mode);
-      const auto byz = spread_byz(n, f);
+      const auto byz = spread_faulty(n, f);
       obs::Telemetry telemetry;
       const auto start = std::chrono::steady_clock::now();
       const auto ours = byzantine::run_byz_renaming(
-          cfg, params, byz, &byzantine::SplitReporter::make, 0, nullptr,
-          &telemetry);
+          cfg, params, byz, &byzantine::SplitReporter::make, 0,
+          {.telemetry = &telemetry});
       const auto stop = std::chrono::steady_clock::now();
       const double wall_ms =
           std::chrono::duration<double, std::milli>(stop - start).count();
@@ -169,7 +163,7 @@ int sweep(int argc, char** argv) {
     const NodeIndex f = ceil_log2(n);
     const std::uint64_t N = static_cast<std::uint64_t>(n) * n * 5;
     const auto cfg = SystemConfig::random(n, N, 2200 + n + 1);
-    const auto byz = spread_byz(n, f);
+    const auto byz = spread_faulty(n, f);
     const std::vector<unsigned> counts =
         smoke ? std::vector<unsigned>{1, 2}
               : std::vector<unsigned>{1, 2, 4, 8};
@@ -186,8 +180,7 @@ int sweep(int argc, char** argv) {
       }
       const auto start = std::chrono::steady_clock::now();
       const auto r = byzantine::run_byz_renaming(
-          cfg, params, byz, &byzantine::SplitReporter::make, 0, nullptr,
-          nullptr, nullptr, plan);
+          cfg, params, byz, &byzantine::SplitReporter::make, 0, {.plan = plan});
       const auto stop = std::chrono::steady_clock::now();
       const double wall_ms =
           std::chrono::duration<double, std::milli>(stop - start).count();

@@ -153,9 +153,12 @@ sim::RunStats run_cht(NodeIndex n, std::uint64_t seed, bool with_crashes,
   prov_opts.horizon = 1 << 16;
   obs::Provenance provenance(prov_opts);
   auto result = baselines::run_cht_renaming(
-      cfg, std::move(adversary), with_telemetry ? &telemetry : nullptr,
-      with_journal ? &journal : nullptr, plan, /*closed_form_cutoff=*/0,
-      with_live ? &progress : nullptr, with_prov ? &provenance : nullptr);
+      cfg, std::move(adversary), /*closed_form_cutoff=*/0,
+      {.telemetry = with_telemetry ? &telemetry : nullptr,
+       .journal = with_journal ? &journal : nullptr,
+       .progress = with_live ? &progress : nullptr,
+       .provenance = with_prov ? &provenance : nullptr,
+       .plan = plan});
   if (!result.report.ok()) {
     std::printf("WARNING: cht verifier failed at n=%u seed=%llu\n", n,
                 static_cast<unsigned long long>(seed));
@@ -170,9 +173,7 @@ sim::RunStats run_byz(NodeIndex n, std::uint64_t seed) {
   params.pool_constant = 3.0;
   params.shared_seed = seed;
   const NodeIndex f = ceil_log2(n);
-  std::vector<NodeIndex> byz;
-  for (NodeIndex i = 0; i < f; ++i) byz.push_back((i * n) / (f + 1) + 1);
-  auto result = byzantine::run_byz_renaming(cfg, params, byz,
+  auto result = byzantine::run_byz_renaming(cfg, params, spread_faulty(n, f),
                                             &byzantine::SplitReporter::make);
   if (!result.report.ok(true)) {
     std::printf("WARNING: byz verifier failed at n=%u seed=%llu\n", n,

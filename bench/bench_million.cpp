@@ -162,9 +162,8 @@ int run(int argc, char** argv) {
     cells.push_back(measure("crash", n, [&] {
       crash::CrashParams params;
       params.election_constant = election_constant;
-      const auto r = crash::run_crash_renaming(cfg, params, nullptr, nullptr,
-                                               nullptr, nullptr, {},
-                                               progress.get());
+      const auto r = crash::run_crash_renaming(
+          cfg, params, nullptr, {.progress = progress.get()});
       RENAMING_CHECK(r.report.ok(), "crash verifier rejected the run");
       return r.stats;
     }));
@@ -174,8 +173,7 @@ int run(int argc, char** argv) {
       params.pool_constant = pool_constant;
       params.shared_seed = kSeed;
       const auto r = byzantine::run_byz_renaming(
-          cfg, params, {}, nullptr, 0, nullptr, nullptr, nullptr, {},
-          progress.get());
+          cfg, params, {}, nullptr, 0, {.progress = progress.get()});
       RENAMING_CHECK(r.report.ok(true), "byz verifier rejected the run");
       return r.stats;
     }));
@@ -185,8 +183,7 @@ int run(int argc, char** argv) {
     // config change can never silently turn these into real simulations.
     cells.push_back(measure("cht-closed", n, [&] {
       const auto r = baselines::run_cht_renaming(
-          cfg, nullptr, nullptr, nullptr, {},
-          /*closed_form_cutoff=*/kLargeSystemNodes);
+          cfg, nullptr, /*closed_form_cutoff=*/kLargeSystemNodes);
       RENAMING_CHECK(r.closed_form, "cht cell must be closed-form");
       RENAMING_CHECK(r.report.ok(), "cht verifier rejected the run");
       return r.stats;
@@ -203,8 +200,7 @@ int run(int argc, char** argv) {
     if (obg_fits) {
       cells.push_back(measure("obg-closed", n, [&] {
         const auto r = baselines::run_obg_renaming(
-            cfg, {}, baselines::ObgByzBehaviour::kSplitAnnounce, nullptr,
-            nullptr, {},
+            cfg, {}, baselines::ObgByzBehaviour::kSplitAnnounce,
             /*closed_form_cutoff=*/kLargeSystemNodes);
         RENAMING_CHECK(r.closed_form, "obg cell must be closed-form");
         RENAMING_CHECK(r.report.ok(), "obg verifier rejected the run");

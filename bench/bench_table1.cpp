@@ -29,12 +29,6 @@ using bench::fixed;
 using bench::human;
 using bench::Table;
 
-std::vector<NodeIndex> spread_byz(NodeIndex n, NodeIndex f) {
-  std::vector<NodeIndex> byz;
-  for (NodeIndex i = 0; i < f; ++i) byz.push_back((i * n) / (f + 1) + 1);
-  return byz;
-}
-
 void run_for(NodeIndex n, std::uint64_t seed) {
   const std::uint64_t N = static_cast<std::uint64_t>(n) * n * 5;
   const auto cfg = SystemConfig::random(n, N, seed);
@@ -98,7 +92,7 @@ void run_for(NodeIndex n, std::uint64_t seed) {
   {  // OBG all-to-all Byzantine, f = 0 and f = n/8.
     auto r = baselines::run_obg_renaming(cfg);
     emit("OBG all-to-all (big msgs)", "byzantine", 0, r.stats, r.report);
-    r = baselines::run_obg_renaming(cfg, spread_byz(n, f_byz),
+    r = baselines::run_obg_renaming(cfg, spread_faulty(n, f_byz),
                                     baselines::ObgByzBehaviour::kSplitAnnounce);
     emit("OBG all-to-all (big msgs)", "byzantine", f_byz, r.stats, r.report);
   }
@@ -108,7 +102,7 @@ void run_for(NodeIndex n, std::uint64_t seed) {
     params.shared_seed = seed;
     auto r = byzantine::run_byz_renaming(cfg, params);
     emit("OURS byzantine (fingerprint)", "byzantine", 0, r.stats, r.report);
-    r = byzantine::run_byz_renaming(cfg, params, spread_byz(n, f_byz),
+    r = byzantine::run_byz_renaming(cfg, params, spread_faulty(n, f_byz),
                                     &byzantine::SplitReporter::make);
     emit("OURS byzantine (fingerprint)", "byzantine", f_byz, r.stats,
          r.report);

@@ -64,10 +64,8 @@ void byz_variance() {
       byzantine::ByzParams params;
       params.pool_constant = 3.0;
       params.shared_seed = 100 + s;
-      std::vector<NodeIndex> byz;
-      for (NodeIndex i = 0; i < f; ++i) byz.push_back((i * n) / (f + 1) + 1);
       const auto r = byzantine::run_byz_renaming(
-          cfg, params, byz, &byzantine::SplitReporter::make);
+          cfg, params, spread_faulty(n, f), &byzantine::SplitReporter::make);
       failures += r.report.ok(true) ? 0 : 1;
       msgs.add(static_cast<double>(r.stats.total_messages));
       iters.add(r.loop_iterations);

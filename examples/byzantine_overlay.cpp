@@ -50,9 +50,8 @@ int main() {
 
   bool all_ok = true;
   for (const Scenario& s : scenarios) {
-    std::vector<NodeIndex> byz;
-    for (NodeIndex i = 0; i < s.f; ++i) byz.push_back((i * n) / (s.f + 1) + 1);
-    const auto run = byzantine::run_byz_renaming(cfg, params, byz, s.factory);
+    const auto run = byzantine::run_byz_renaming(
+        cfg, params, spread_faulty(n, s.f), s.factory);
     all_ok = all_ok && run.report.ok(/*require_order=*/true);
     std::printf("%-26s %-6u %-8u %-10llu %-12u %-8s %-8s\n", s.name, s.f,
                 run.stats.rounds,

@@ -85,8 +85,10 @@
 //                        as for the --progress-interval* cadences.
 // Exit code 0 iff the verifier accepted the outcome (and, with --audit,
 // the budget auditor did too); 2 on a usage error (including a numeric
-// flag whose value is not a number, named on stderr) or when an output
-// file cannot be written (the failed path is named on stderr).
+// flag whose value is not a number, named on stderr, an unknown
+// --adversary even when --budget is 0, and byz/obg with --f >= --n) or
+// when an output file cannot be written (the failed path is named on
+// stderr).
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
@@ -116,6 +118,7 @@
 #include "obs/provenance.h"
 #include "obs/shard_profile.h"
 #include "obs/telemetry.h"
+#include "sim/observers.h"
 #include "sim/parallel/plan.h"
 #include "sim/parallel/worker_pool.h"
 #include "sim/trace.h"
@@ -348,8 +351,8 @@ bool parse_watch_nodes(const std::string& csv, NodeIndex n,
 
 int main(int argc, char** argv) {
   const Args args = parse(argc, argv);
-  // Only the two paper protocols feed a trace sink; elsewhere the file
-  // would be created and left empty.
+  // The CLI offers --trace for the two paper protocols only, although the
+  // baselines accept a trace through the same observer bundle.
   if (args.has("trace") && args.command != "crash" && args.command != "byz") {
     std::fprintf(stderr, "--trace is supported by crash and byz only\n");
     return usage();
@@ -372,6 +375,22 @@ int main(int argc, char** argv) {
     return usage();
   }
   const NodeIndex n = static_cast<NodeIndex>(n_raw);
+  // Checked before any artifact file is opened. byz and obg spread the f
+  // faulty nodes over [1, n).
+  if ((args.command == "byz" || args.command == "obg") &&
+      args.num("f", 0) >= n) {
+    std::fprintf(stderr, "--f must be below --n\n");
+    return usage();
+  }
+  if (args.command == "crash") {
+    const std::string kind = args.str("adversary", "hunter");
+    if (kind != "hunter" && kind != "midresponse" && kind != "random" &&
+        kind != "chaos") {
+      std::fprintf(stderr, "--adversary must be one of hunter, midresponse, "
+                           "random, chaos\n");
+      return usage();
+    }
+  }
   const std::uint64_t seed = args.num("seed", 1);
   const std::uint64_t N = args.num("namespace", 5ull * n * n);
   const auto cfg = SystemConfig::random(n, N, seed);
@@ -522,6 +541,12 @@ int main(int argc, char** argv) {
     plan.shards = static_cast<unsigned>(shards_raw);
   }
   plan.profile = profile.get();
+  const sim::Observers observers{.trace = trace_sink,
+                                 .telemetry = telemetry.get(),
+                                 .journal = journal.get(),
+                                 .progress = progress.get(),
+                                 .provenance = provenance.get(),
+                                 .plan = plan};
 
   // Every run command ends here: write the end-of-run artifacts, check the
   // streams that were live during the run, and fold the verdict (1), the
@@ -562,16 +587,13 @@ int main(int argc, char** argv) {
       } else if (kind == "random") {
         adversary = std::make_unique<sim::RandomCrashAdversary>(budget, 0.1,
                                                                 seed * 7);
-      } else if (kind == "chaos") {
+      } else {
         adversary = std::make_unique<sim::ChaosCrashAdversary>(budget, 0.1,
                                                                seed * 7);
-      } else {
-        return usage();
       }
     }
-    const auto r = crash::run_crash_renaming(
-        cfg, params, std::move(adversary), trace_sink, telemetry.get(),
-        journal.get(), plan, progress.get(), provenance.get());
+    const auto r = crash::run_crash_renaming(cfg, params, std::move(adversary),
+                                             observers);
     report(args, "crash", r.stats, r.report, n, r.stats.crashes);
     if (capped != nullptr && capped->dropped() > 0 && !args.has("csv")) {
       std::printf("  trace         dropped %llu events past the cap\n",
@@ -586,11 +608,8 @@ int main(int argc, char** argv) {
     params.pool_constant = args.real("pool", 3.0);
     params.shared_seed = args.num("beacon", seed);
     params.use_fingerprints = !args.has("full-vectors");
-    const NodeIndex f = static_cast<NodeIndex>(args.num("f", 0));
-    std::vector<NodeIndex> byz;
-    for (NodeIndex i = 0; i < f && f < n; ++i) {
-      byz.push_back((i * n) / (f + 1) + 1);
-    }
+    const auto f = static_cast<NodeIndex>(args.num("f", 0));
+    const std::vector<NodeIndex> byz = spread_faulty(n, f);
     byzantine::ByzStrategyFactory factory = nullptr;
     const std::string strategy = args.str("strategy", "split");
     if (strategy == "split") {
@@ -607,11 +626,8 @@ int main(int argc, char** argv) {
     } else {
       return usage();
     }
-    const auto r = byzantine::run_byz_renaming(cfg, params, byz, factory, 0,
-                                               trace_sink, telemetry.get(),
-                                               journal.get(), plan,
-                                               progress.get(),
-                                               provenance.get());
+    const auto r =
+        byzantine::run_byz_renaming(cfg, params, byz, factory, 0, observers);
     report(args, "byz", r.stats, r.report, n, byz.size());
     if (!args.has("csv")) {
       std::printf("  loop iters    %u\n", r.loop_iterations);
@@ -636,9 +652,8 @@ int main(int argc, char** argv) {
     if (args.command == "cht") {
       const auto cutoff = static_cast<NodeIndex>(
           args.num("closed-form", kLargeSystemNodes));
-      const auto r = baselines::run_cht_renaming(
-          cfg, std::move(adversary), telemetry.get(), journal.get(), plan,
-          cutoff, progress.get(), provenance.get());
+      const auto r = baselines::run_cht_renaming(cfg, std::move(adversary),
+                                                 cutoff, observers);
       report(args, "cht", r.stats, r.report, n, r.stats.crashes);
       if (r.closed_form && !args.has("csv")) {
         std::printf("  accounting    closed-form (failure-free, n >= %u)\n",
@@ -648,39 +663,32 @@ int main(int argc, char** argv) {
     }
     if (args.command == "claiming") {
       const auto r = baselines::run_claiming_renaming(
-          cfg, std::move(adversary), telemetry.get(), journal.get(), plan,
-          progress.get(), provenance.get());
+          cfg, std::move(adversary), observers);
       report(args, "claiming", r.stats, r.report, n, r.stats.crashes);
       return finish(r.report.ok(), r.stats, "claiming", budget);
     }
     if (args.command == "early") {
       const auto r = baselines::run_early_deciding_renaming(
-          cfg, std::move(adversary), telemetry.get(), journal.get(), plan,
-          progress.get(), provenance.get());
+          cfg, std::move(adversary), observers);
       report(args, "early", r.stats, r.report, n, r.stats.crashes);
       if (!args.has("csv")) {
         std::printf("  decided by    round %u\n", r.max_decision_round);
       }
       return finish(r.report.ok(), r.stats, "early", budget);
     }
-    const auto r = baselines::run_naive_renaming(
-        cfg, std::move(adversary), telemetry.get(), journal.get(), plan,
-        progress.get(), provenance.get());
+    const auto r =
+        baselines::run_naive_renaming(cfg, std::move(adversary), observers);
     report(args, "naive", r.stats, r.report, n, r.stats.crashes);
     return finish(r.report.ok(), r.stats, "naive", budget);
   }
 
   if (args.command == "obg") {
-    const NodeIndex f = static_cast<NodeIndex>(args.num("f", 0));
-    std::vector<NodeIndex> byz;
-    for (NodeIndex i = 0; i < f && f < n; ++i) {
-      byz.push_back((i * n) / (f + 1) + 1);
-    }
+    const auto f = static_cast<NodeIndex>(args.num("f", 0));
     const auto cutoff = static_cast<NodeIndex>(
         args.num("closed-form", kLargeSystemNodes));
     const auto r = baselines::run_obg_renaming(
-        cfg, byz, baselines::ObgByzBehaviour::kSplitAnnounce, telemetry.get(),
-        journal.get(), plan, cutoff, progress.get(), provenance.get());
+        cfg, spread_faulty(n, f), baselines::ObgByzBehaviour::kSplitAnnounce,
+        cutoff, observers);
     report(args, "obg", r.stats, r.report, n, f);
     if (r.closed_form && !args.has("csv")) {
       std::printf("  accounting    closed-form (failure-free, n >= %u)\n",

@@ -171,24 +171,17 @@ ChtRunResult closed_form_cht(const SystemConfig& cfg,
 
 ChtRunResult run_cht_renaming(const SystemConfig& cfg,
                               std::unique_ptr<sim::CrashAdversary> adversary,
-                              obs::Telemetry* telemetry, obs::Journal* journal,
-                              sim::parallel::ShardPlan plan,
                               NodeIndex closed_form_cutoff,
-                              obs::Progress* progress,
-                              obs::Provenance* provenance) {
+                              sim::Observers observers) {
   const std::uint64_t budget =
       adversary != nullptr ? adversary->budget() : 0;
-  sim::Observers observers{.telemetry = telemetry,
-                           .journal = journal,
-                           .progress = progress,
-                           .provenance = provenance,
-                           .plan = plan};
   observers.begin("cht", cfg.n, budget);
   // A zero-budget adversary cannot crash anyone (the engine enforces the
   // budget), so the run is failure-free and the closed form is exact. A
-  // journal needs real deliveries for its fingerprints, a provenance
-  // recorder real decision events; n < 2 runs end before round 1 (all
-  // nodes start done) — all of these always simulate.
+  // trace or a journal needs real deliveries for its records and
+  // fingerprints, a provenance recorder real decision events; n < 2 runs
+  // end before round 1 (all nodes start done) — all of these always
+  // simulate.
   if (closed_form_cutoff > 0 && cfg.n >= closed_form_cutoff && cfg.n >= 2 &&
       budget == 0 && !observers.needs_simulation()) {
     return closed_form_cht(cfg, observers);

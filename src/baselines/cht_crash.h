@@ -20,15 +20,8 @@
 #include "core/verifier.h"
 #include "sim/adversary.h"
 #include "sim/node.h"
-#include "sim/parallel/plan.h"
+#include "sim/observers.h"
 #include "sim/stats.h"
-
-namespace renaming::obs {
-class Telemetry;   // obs/telemetry.h; optional, observational only
-class Journal;     // obs/journal.h; deterministic flight recorder
-class Progress;    // obs/progress.h; live run heartbeat
-class Provenance;  // obs/provenance.h; causal decision recorder
-}
 
 namespace renaming::baselines {
 
@@ -42,7 +35,7 @@ struct ChtRunResult {
   bool closed_form = false;
 };
 
-/// `telemetry` (optional) attributes all traffic to the baseline-exchange
+/// `observers.telemetry` attributes all traffic to the baseline-exchange
 /// phase (baselines have no sub-phase structure worth spans).
 ///
 /// `closed_form_cutoff` (0 = never): at n >= cutoff, a *failure-free* run
@@ -53,15 +46,12 @@ struct ChtRunResult {
 /// tests/closed_form_test.cc), so the Theorem envelopes in obs::audit_run
 /// still gate million-node bench cells. The shard profile sees every round
 /// as one shard.
-/// Runs with failures, with a journal (whose fingerprints require real
-/// deliveries), or with a provenance recorder (whose causal events require
-/// real decisions) always simulate.
+/// Runs with failures, with a trace or a journal (whose records and
+/// fingerprints require real deliveries), or with a provenance recorder
+/// (whose causal events require real decisions) always simulate.
 ChtRunResult run_cht_renaming(
     const SystemConfig& cfg,
     std::unique_ptr<sim::CrashAdversary> adversary = nullptr,
-    obs::Telemetry* telemetry = nullptr,
-    obs::Journal* journal = nullptr, sim::parallel::ShardPlan plan = {},
-    NodeIndex closed_form_cutoff = 0, obs::Progress* progress = nullptr,
-    obs::Provenance* provenance = nullptr);
+    NodeIndex closed_form_cutoff = 0, sim::Observers observers = {});
 
 }  // namespace renaming::baselines

@@ -120,14 +120,7 @@ class ClaimingNode final : public sim::Node {
 
 ClaimingRunResult run_claiming_renaming(
     const SystemConfig& cfg, std::unique_ptr<sim::CrashAdversary> adversary,
-    obs::Telemetry* telemetry, obs::Journal* journal,
-    sim::parallel::ShardPlan plan, obs::Progress* progress,
-    obs::Provenance* provenance) {
-  sim::Observers observers{.telemetry = telemetry,
-                           .journal = journal,
-                           .progress = progress,
-                           .provenance = provenance,
-                           .plan = plan};
+    sim::Observers observers) {
   observers.begin("claiming", cfg.n,
                   adversary != nullptr ? adversary->budget() : 0);
   std::vector<std::unique_ptr<sim::Node>> nodes;

@@ -92,14 +92,7 @@ class EarlyDecidingNode final : public sim::Node {
 
 EarlyDecidingRunResult run_early_deciding_renaming(
     const SystemConfig& cfg, std::unique_ptr<sim::CrashAdversary> adversary,
-    obs::Telemetry* telemetry, obs::Journal* journal,
-    sim::parallel::ShardPlan plan, obs::Progress* progress,
-    obs::Provenance* provenance) {
-  sim::Observers observers{.telemetry = telemetry,
-                           .journal = journal,
-                           .progress = progress,
-                           .provenance = provenance,
-                           .plan = plan};
+    sim::Observers observers) {
   observers.begin("early", cfg.n,
                   adversary != nullptr ? adversary->budget() : 0);
   std::vector<std::unique_ptr<sim::Node>> nodes;

@@ -12,15 +12,8 @@
 #include "core/verifier.h"
 #include "sim/adversary.h"
 #include "sim/node.h"
-#include "sim/parallel/plan.h"
+#include "sim/observers.h"
 #include "sim/stats.h"
-
-namespace renaming::obs {
-class Telemetry;   // obs/telemetry.h; optional, observational only
-class Journal;     // obs/journal.h; deterministic flight recorder
-class Progress;    // obs/progress.h; live run heartbeat
-class Provenance;  // obs/provenance.h; causal decision recorder
-}
 
 namespace renaming::baselines {
 
@@ -30,14 +23,11 @@ struct NaiveRunResult {
   VerifyReport report;
 };
 
-/// `telemetry` (optional) attributes all traffic to the baseline-exchange
+/// `observers.telemetry` attributes all traffic to the baseline-exchange
 /// phase.
 NaiveRunResult run_naive_renaming(
     const SystemConfig& cfg,
     std::unique_ptr<sim::CrashAdversary> adversary = nullptr,
-    obs::Telemetry* telemetry = nullptr,
-    obs::Journal* journal = nullptr, sim::parallel::ShardPlan plan = {},
-    obs::Progress* progress = nullptr,
-    obs::Provenance* provenance = nullptr);
+    sim::Observers observers = {});
 
 }  // namespace renaming::baselines

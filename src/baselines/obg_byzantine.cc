@@ -260,28 +260,20 @@ ObgRunResult closed_form_obg(const SystemConfig& cfg,
 ObgRunResult run_obg_renaming(const SystemConfig& cfg,
                               const std::vector<NodeIndex>& byzantine,
                               ObgByzBehaviour behaviour,
-                              obs::Telemetry* telemetry, obs::Journal* journal,
-                              sim::parallel::ShardPlan plan,
                               NodeIndex closed_form_cutoff,
-                              obs::Progress* progress,
-                              obs::Provenance* provenance) {
-  sim::Observers observers{.telemetry = telemetry,
-                           .journal = journal,
-                           .progress = progress,
-                           .provenance = provenance,
-                           .plan = plan};
+                              sim::Observers observers) {
   observers.begin("obg", cfg.n, byzantine.size());
   // No Byzantine nodes means a fully deterministic all-to-all exchange the
-  // closed form reproduces exactly; any adversary, a journal (fingerprints
-  // need real deliveries), a provenance recorder (causal events need real
-  // decisions), or n < 2 (round-count edge cases) simulates.
+  // closed form reproduces exactly; any adversary, a trace or a journal
+  // (records and fingerprints need real deliveries), a provenance recorder
+  // (causal events need real decisions), or n < 2 (round-count edge cases)
+  // simulates.
   if (closed_form_cutoff > 0 && cfg.n >= closed_form_cutoff && cfg.n >= 2 &&
       byzantine.empty() && !observers.needs_simulation()) {
     return closed_form_obg(cfg, observers);
   }
   const Directory directory(cfg);
-  std::vector<bool> is_byz(cfg.n, false);
-  for (NodeIndex b : byzantine) is_byz[b] = true;
+  const std::vector<bool> is_byz = faulty_mask(cfg.n, byzantine);
 
   std::vector<std::unique_ptr<sim::Node>> nodes;
   nodes.reserve(cfg.n);

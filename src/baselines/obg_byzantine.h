@@ -30,15 +30,8 @@
 #include "core/system.h"
 #include "core/verifier.h"
 #include "sim/node.h"
-#include "sim/parallel/plan.h"
+#include "sim/observers.h"
 #include "sim/stats.h"
-
-namespace renaming::obs {
-class Telemetry;   // obs/telemetry.h; optional, observational only
-class Journal;     // obs/journal.h; deterministic flight recorder
-class Progress;    // obs/progress.h; live run heartbeat
-class Provenance;  // obs/provenance.h; causal decision recorder
-}
 
 namespace renaming::baselines {
 
@@ -58,21 +51,19 @@ enum class ObgByzBehaviour {
   kForgeIds,      ///< pad vectors with phantom identities
 };
 
-/// `telemetry` (optional) attributes all traffic to the baseline-exchange
+/// Every index in `byzantine` must be < n and listed once.
+/// `observers.telemetry` attributes all traffic to the baseline-exchange
 /// phase.
 ///
 /// `closed_form_cutoff` (0 = never): at n >= cutoff, a run with NO
-/// Byzantine nodes and no journal attached is accounted in closed form —
-/// see run_cht_renaming; the exact-equivalence contract is identical.
+/// Byzantine nodes and no trace, journal or provenance attached is
+/// accounted in closed form — see run_cht_renaming; the exact-equivalence
+/// contract is identical.
 ObgRunResult run_obg_renaming(const SystemConfig& cfg,
                               const std::vector<NodeIndex>& byzantine = {},
                               ObgByzBehaviour behaviour =
                                   ObgByzBehaviour::kSplitAnnounce,
-                              obs::Telemetry* telemetry = nullptr,
-                              obs::Journal* journal = nullptr,
-                              sim::parallel::ShardPlan plan = {},
                               NodeIndex closed_form_cutoff = 0,
-                              obs::Progress* progress = nullptr,
-                              obs::Provenance* provenance = nullptr);
+                              sim::Observers observers = {});
 
 }  // namespace renaming::baselines

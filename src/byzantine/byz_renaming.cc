@@ -479,23 +479,11 @@ void ByzNode::consider_new_messages(Round round, sim::InboxView inbox) {
 ByzRunResult run_byz_renaming(const SystemConfig& cfg, const ByzParams& params,
                               const std::vector<NodeIndex>& byzantine,
                               ByzStrategyFactory factory, Round max_rounds,
-                              sim::TraceSink* trace,
-                              obs::Telemetry* telemetry,
-                              obs::Journal* journal,
-                              sim::parallel::ShardPlan plan,
-                              obs::Progress* progress,
-                              obs::Provenance* provenance) {
+                              sim::Observers observers) {
   const Directory directory(cfg);
 
-  std::vector<bool> is_byz(cfg.n, false);
-  for (NodeIndex b : byzantine) is_byz[b] = true;
+  const std::vector<bool> is_byz = faulty_mask(cfg.n, byzantine);
 
-  sim::Observers observers{.trace = trace,
-                           .telemetry = telemetry,
-                           .journal = journal,
-                           .progress = progress,
-                           .provenance = provenance,
-                           .plan = plan};
   observers.begin(params.use_fingerprints ? "byz" : "byz-full", cfg.n,
                   byzantine.size());
   obs::Telemetry* const tel = observers.telemetry;
@@ -506,7 +494,7 @@ ByzRunResult run_byz_renaming(const SystemConfig& cfg, const ByzParams& params,
   // several threads at once, so the cache runs in its stateless mode
   // (same coefficients, recomputed per call) instead.
   const auto coeff_cache = hashing::make_coefficient_cache(
-      params.shared_seed, /*memoize=*/!plan.active());
+      params.shared_seed, /*memoize=*/!observers.plan.active());
 
   // Run-wide committee-view pool, same thread-safety policy as the cache:
   // interning happens inside receive(), which a shard plan may run in
@@ -515,7 +503,7 @@ ByzRunResult run_byz_renaming(const SystemConfig& cfg, const ByzParams& params,
   // outlive every node holding one.
   consensus::ViewInterner view_interner;
   consensus::ViewInterner* const interner =
-      plan.active() ? nullptr : &view_interner;
+      observers.plan.active() ? nullptr : &view_interner;
 
   std::vector<std::unique_ptr<sim::Node>> nodes;
   nodes.reserve(cfg.n);

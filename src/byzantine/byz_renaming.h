@@ -54,17 +54,9 @@
 #include "byzantine/identity_list.h"
 #include "obs/phase.h"
 #include "sim/node.h"
-#include "sim/parallel/plan.h"
+#include "sim/observers.h"
 #include "sim/stats.h"
-#include "sim/trace.h"
 #include "sim/wire_schema.h"
-
-namespace renaming::obs {
-class Telemetry;   // obs/telemetry.h; nodes hold a non-owning pointer
-class Journal;     // obs/journal.h; deterministic flight recorder
-class Progress;    // obs/progress.h; live run heartbeat
-class Provenance;  // obs/provenance.h; causal decision recorder
-}
 
 namespace renaming::byzantine {
 
@@ -268,18 +260,26 @@ using ByzStrategyFactory = std::unique_ptr<sim::Node> (*)(
 
 /// Runs the protocol with `byzantine[i]` nodes replaced by `factory`
 /// products. `max_rounds` of 0 derives a generous cap from the Lemma 3.10
-/// iteration bound. `telemetry` (optional) is attached to the engine and
-/// to every honest node, its kind -> phase table registered, and after the
-/// run committee members get a "committee" track label.
+/// iteration bound. Every index in `byzantine` must be < n and listed
+/// once. `observers` attach to the engine; their telemetry and provenance
+/// also reach every honest node, and after the run committee members get
+/// a "committee" telemetry track label.
 ByzRunResult run_byz_renaming(const SystemConfig& cfg, const ByzParams& params,
                               const std::vector<NodeIndex>& byzantine = {},
                               ByzStrategyFactory factory = nullptr,
                               Round max_rounds = 0,
-                              sim::TraceSink* trace = nullptr,
-                              obs::Telemetry* telemetry = nullptr,
-                              obs::Journal* journal = nullptr,
-                              sim::parallel::ShardPlan plan = {},
-                              obs::Progress* progress = nullptr,
-                              obs::Provenance* provenance = nullptr);
+                              sim::Observers observers = {});
+
+/// Positional form for renaming_bench/renaming_bench.cpp, its only caller;
+/// delete it once that file passes a sim::Observers.
+inline ByzRunResult run_byz_renaming(
+    const SystemConfig& cfg, const ByzParams& params,
+    const std::vector<NodeIndex>& byzantine, ByzStrategyFactory factory,
+    Round max_rounds, sim::TraceSink* trace, obs::Telemetry* telemetry,
+    obs::Journal* journal, sim::parallel::ShardPlan plan) {
+  return run_byz_renaming(cfg, params, byzantine, factory, max_rounds,
+                          {.trace = trace, .telemetry = telemetry,
+                           .journal = journal, .plan = plan});
+}
 
 }  // namespace renaming::byzantine

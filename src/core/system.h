@@ -75,4 +75,30 @@ struct SystemConfig {
 /// (docs/PERFORMANCE.md §10).
 inline constexpr NodeIndex kLargeSystemNodes = 8192;
 
+/// `f` < n faulty node indices spread evenly over [1, n), strictly
+/// ascending: the i-th is i * n / (f + 1) + 1, in 64-bit arithmetic so
+/// i * n cannot wrap.
+inline std::vector<NodeIndex> spread_faulty(NodeIndex n, NodeIndex f) {
+  RENAMING_CHECK(f < n, "cannot spread f >= n faulty nodes");
+  std::vector<NodeIndex> faulty;
+  faulty.reserve(f);
+  for (std::uint64_t i = 0; i < f; ++i) {
+    faulty.push_back(static_cast<NodeIndex>(i * n / (f + 1ULL) + 1));
+  }
+  return faulty;
+}
+
+/// mask[v] is true iff v is listed in `faulty`; every listed index must be
+/// < n and listed once.
+inline std::vector<bool> faulty_mask(NodeIndex n,
+                                     const std::vector<NodeIndex>& faulty) {
+  std::vector<bool> mask(n, false);
+  for (const NodeIndex v : faulty) {
+    RENAMING_CHECK(v < n, "faulty node index is not below n");
+    RENAMING_CHECK(!mask[v], "faulty node index listed twice");
+    mask[v] = true;
+  }
+  return mask;
+}
+
 }  // namespace renaming

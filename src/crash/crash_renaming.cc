@@ -348,16 +348,8 @@ void CrashNode::node_action(Round round, sim::InboxView inbox) {
 
 CrashRunResult run_crash_renaming(
     const SystemConfig& cfg, const CrashParams& params,
-    std::unique_ptr<sim::CrashAdversary> adversary, sim::TraceSink* trace,
-    obs::Telemetry* telemetry, obs::Journal* journal,
-    sim::parallel::ShardPlan plan, obs::Progress* progress,
-    obs::Provenance* provenance) {
-  sim::Observers observers{.trace = trace,
-                           .telemetry = telemetry,
-                           .journal = journal,
-                           .progress = progress,
-                           .provenance = provenance,
-                           .plan = plan};
+    std::unique_ptr<sim::CrashAdversary> adversary,
+    sim::Observers observers) {
   observers.begin("crash", cfg.n,
                   adversary != nullptr ? adversary->budget() : 0);
   std::vector<std::unique_ptr<sim::Node>> nodes;

@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/math.h"
@@ -45,17 +46,9 @@
 #include "obs/phase.h"
 #include "sim/adversary.h"
 #include "sim/node.h"
-#include "sim/parallel/plan.h"
+#include "sim/observers.h"
 #include "sim/stats.h"
-#include "sim/trace.h"
 #include "sim/wire_schema.h"
-
-namespace renaming::obs {
-class Telemetry;   // obs/telemetry.h; nodes hold a non-owning pointer
-class Journal;     // obs/journal.h; deterministic flight recorder
-class Progress;    // obs/progress.h; live run heartbeat
-class Provenance;  // obs/provenance.h; causal decision recorder
-}
 
 namespace renaming::crash {
 
@@ -157,15 +150,23 @@ struct CrashRunResult {
 };
 
 /// Builds the system, runs it against `adversary` (nullptr = failure-free),
-/// verifies the outcome and returns stats + report. `telemetry` (optional)
-/// is attached to the engine and every node; its kind -> phase table is
-/// registered before the run.
+/// verifies the outcome and returns stats + report. `observers` attach to
+/// the engine; their telemetry and provenance also reach every node.
 CrashRunResult run_crash_renaming(
     const SystemConfig& cfg, const CrashParams& params,
     std::unique_ptr<sim::CrashAdversary> adversary = nullptr,
-    sim::TraceSink* trace = nullptr, obs::Telemetry* telemetry = nullptr,
-    obs::Journal* journal = nullptr, sim::parallel::ShardPlan plan = {},
-    obs::Progress* progress = nullptr,
-    obs::Provenance* provenance = nullptr);
+    sim::Observers observers = {});
+
+/// Positional form for renaming_bench/renaming_bench.cpp, its only caller;
+/// delete it once that file passes a sim::Observers.
+inline CrashRunResult run_crash_renaming(
+    const SystemConfig& cfg, const CrashParams& params,
+    std::unique_ptr<sim::CrashAdversary> adversary, sim::TraceSink* trace,
+    obs::Telemetry* telemetry, obs::Journal* journal,
+    sim::parallel::ShardPlan plan) {
+  return run_crash_renaming(cfg, params, std::move(adversary),
+                            {.trace = trace, .telemetry = telemetry,
+                             .journal = journal, .plan = plan});
+}
 
 }  // namespace renaming::crash

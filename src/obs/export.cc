@@ -63,7 +63,7 @@ void write_metrics_json(std::ostream& out, const Telemetry& telemetry,
   }
   out << "]";
 
-  // Per-kind counts with canonical names (sim/message_names.h).
+  // Per-kind counts with canonical names (sim/wire_schema.h).
   out << ",\"kinds\":[";
   first = true;
   for (std::uint32_t k = 0; k < 65536; ++k) {

@@ -1,7 +1,7 @@
 // Deterministic flight-recorder journal (docs/OBSERVABILITY.md §7).
 //
-// One Journal per run, explicitly wired like Telemetry (sim::Observers,
-// every run_* entry point takes a trailing pointer). Per round it records a
+// One Journal per run, explicitly wired like Telemetry (a field of the
+// sim::Observers every run_* entry point takes). Per round it records a
 // compact digest: an order-sensitive m61 rolling fingerprint of the round's
 // deliveries (hashing/digest.h), per-kind message/bit counts, the active
 // sender-set size, and the adversary's deterministic instants (crashes,

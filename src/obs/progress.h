@@ -1,7 +1,7 @@
 // Live run heartbeat (docs/OBSERVABILITY.md §8).
 //
 // One Progress object per run, explicitly wired like Telemetry
-// (sim::Observers, a trailing pointer on every run_* entry point).
+// (a field of the sim::Observers every run_* entry point takes).
 // While the run executes it samples a compact snapshot — round number,
 // cumulative message/bit counters, active-set size, outbox-table
 // occupancy, wall time, peak RSS — into a fixed-size ring and, when a sink

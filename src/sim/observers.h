@@ -1,10 +1,11 @@
 // The run observers as one value, and the one place their lifecycle lives
 // (docs/OBSERVABILITY.md "Attaching observers").
 //
-// Every run_* entry point fills one Observers, calls begin() before it
-// builds its nodes, and hands the bundle to sim::Engine; the closed-form
-// baseline paths drive the same fan-outs themselves. The bundle owns the
-// policy every entry point used to repeat:
+// Every run_* entry point takes one Observers as its last parameter, calls
+// begin() before it builds its nodes, and hands the bundle to sim::Engine;
+// callers name what they attach ({.telemetry = &tel, .plan = plan}). The
+// closed-form baseline paths drive the same fan-outs themselves. The
+// bundle owns the policy every entry point used to repeat:
 //  * the RENAMING_NO_TELEMETRY fold — telemetry, progress, provenance and
 //    the shard profile compile out; the trace and the journal never fold,
 //    because their bytes are pinned identical across telemetry configs;

@@ -1,5 +1,5 @@
-// Shard-parallel execution plan, threaded from the CLIs and benches down
-// through every run_* entry point into the engine's sim::Observers bundle.
+// Shard-parallel execution plan: the `plan` field of the sim::Observers
+// bundle every run_* entry point takes and hands to the engine.
 //
 // Deliberately a plain value with a non-owning pool pointer: the caller
 // owns the WorkerPool (one per process is the norm) and may hand the same

@@ -49,10 +49,8 @@ TEST(Adaptive, StaticAdversaryWithSameBudgetFails) {
   const NodeIndex f =
       std::min<NodeIndex>(static_cast<NodeIndex>(adaptive.corrupted),
                           (n / 3) - 1);
-  std::vector<NodeIndex> byz;
-  for (NodeIndex i = 0; i < f; ++i) byz.push_back((i * n) / (f + 1) + 1);
   const auto static_run = run_byz_renaming(
-      cfg, params_for_test(), byz,
+      cfg, params_for_test(), spread_faulty(n, f),
       [](NodeIndex, const SystemConfig&, const Directory&,
          const ByzParams&) -> std::unique_ptr<sim::Node> {
         return std::make_unique<SilentNode>();

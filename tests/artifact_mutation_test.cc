@@ -155,9 +155,8 @@ obs::JournalData crash_journal() {
   auto adversary = std::make_unique<crash::CommitteeHunter>(
       12, crash::CommitteeHunter::Mode::kMidResponse, 41, 0.5);
   obs::Journal journal;
-  crash::run_crash_renaming(cfg, params, std::move(adversary),
-                            /*trace=*/nullptr, /*telemetry=*/nullptr,
-                            &journal);
+  crash::run_crash_renaming(
+      cfg, params, std::move(adversary), {.journal = &journal});
   return journal.data();
 }
 
@@ -232,11 +231,9 @@ obs::ProvenanceData byz_provenance() {
   obs::ProvenanceOptions opts;
   opts.sample = 8;
   obs::Provenance prov(opts);
-  byzantine::run_byz_renaming(cfg, params, {1, 7, 23},
-                              &byzantine::Spoofer::make, 0,
-                              /*trace=*/nullptr, /*telemetry=*/nullptr,
-                              /*journal=*/nullptr, {}, /*progress=*/nullptr,
-                              &prov);
+  byzantine::run_byz_renaming(
+      cfg, params, {1, 7, 23}, &byzantine::Spoofer::make, 0,
+      {.provenance = &prov});
   return prov.data();
 }
 

@@ -102,6 +102,16 @@ TEST(ObgByzantine, BigMessagesAreItsSignature) {
 }
 
 
+TEST(ObgByzantineDeathTest, RejectsAFaultyIndexListedTwice) {
+  const auto cfg = SystemConfig::random(16, 16 * 16 * 5, 1);
+  EXPECT_DEATH(run_obg_renaming(cfg, {3, 3}), "faulty node index listed twice");
+}
+
+TEST(ObgByzantineDeathTest, RejectsAFaultyIndexOutsideTheSystem) {
+  const auto cfg = SystemConfig::random(16, 16 * 16 * 5, 1);
+  EXPECT_DEATH(run_obg_renaming(cfg, {16}), "faulty node index is not below n");
+}
+
 TEST(EarlyDeciding, FaultFreeDecidesInTwoRounds) {
   for (NodeIndex n : {4u, 32u, 128u}) {
     const auto cfg = SystemConfig::random(n, static_cast<std::uint64_t>(n) * n * 5, n + 9);

@@ -57,7 +57,7 @@ TEST(BudgetAuditor, CrashRunPassesTheorem12Envelope) {
   auto adversary = std::make_unique<crash::CommitteeHunter>(
       16, crash::CommitteeHunter::Mode::kMidResponse, 9, 0.5);
   const auto result = crash::run_crash_renaming(
-      cfg, params, std::move(adversary), nullptr, &telemetry);
+      cfg, params, std::move(adversary), {.telemetry = &telemetry});
   ASSERT_TRUE(result.report.ok());
 
   auto p = base_params("crash", cfg, 16);
@@ -85,8 +85,8 @@ TEST(BudgetAuditor, ByzantineRunPassesTheorem13Envelope) {
   params.shared_seed = 4242;
   obs::Telemetry telemetry;
   const auto result = byzantine::run_byz_renaming(
-      cfg, params, {5, 23, 41}, &byzantine::SplitReporter::make, 0, nullptr,
-      &telemetry);
+      cfg, params, {5, 23, 41}, &byzantine::SplitReporter::make, 0,
+      {.telemetry = &telemetry});
   ASSERT_TRUE(result.report.ok(true));
 
   auto p = base_params("byz", cfg, 3);
@@ -104,8 +104,8 @@ TEST(BudgetAuditor, FullVectorAblationPassesItsOwnWiderEnvelope) {
   params.shared_seed = 8;
   params.use_fingerprints = false;  // ablation A2
   obs::Telemetry telemetry;
-  const auto result = byzantine::run_byz_renaming(cfg, params, {}, nullptr, 0,
-                                                  nullptr, &telemetry);
+  const auto result = byzantine::run_byz_renaming(
+      cfg, params, {}, nullptr, 0, {.telemetry = &telemetry});
   ASSERT_TRUE(result.report.ok(true));
 
   auto p = base_params("byz-full", cfg, 0);
@@ -120,34 +120,38 @@ TEST(BudgetAuditor, AllBaselinesPassTheirTable1Envelopes) {
   const auto cfg = SystemConfig::random(n, 5ull * n * n, 29);
   {
     obs::Telemetry t;
-    const auto r = baselines::run_naive_renaming(cfg, nullptr, &t);
+    const auto r = baselines::run_naive_renaming(
+        cfg, nullptr, {.telemetry = &t});
     const auto rep = obs::audit_run(base_params("naive", cfg, 0), r.stats, &t);
     EXPECT_TRUE(rep.ok()) << rep.summary();
   }
   {
     obs::Telemetry t;
-    const auto r = baselines::run_cht_renaming(cfg, nullptr, &t);
+    const auto r = baselines::run_cht_renaming(
+        cfg, nullptr, /*closed_form_cutoff=*/0, {.telemetry = &t});
     const auto rep = obs::audit_run(base_params("cht", cfg, 0), r.stats, &t);
     EXPECT_TRUE(rep.ok()) << rep.summary();
   }
   {
     obs::Telemetry t;
     const auto r = baselines::run_obg_renaming(
-        cfg, {3, 11}, baselines::ObgByzBehaviour::kSplitAnnounce, &t);
+        cfg, {3, 11}, baselines::ObgByzBehaviour::kSplitAnnounce,
+        /*closed_form_cutoff=*/0, {.telemetry = &t});
     const auto rep = obs::audit_run(base_params("obg", cfg, 2), r.stats, &t);
     EXPECT_TRUE(rep.ok()) << rep.summary();
   }
   {
     obs::Telemetry t;
     auto adversary = std::make_unique<sim::RandomCrashAdversary>(4, 0.02, 31);
-    const auto r =
-        baselines::run_early_deciding_renaming(cfg, std::move(adversary), &t);
+    const auto r = baselines::run_early_deciding_renaming(
+        cfg, std::move(adversary), {.telemetry = &t});
     const auto rep = obs::audit_run(base_params("early", cfg, 4), r.stats, &t);
     EXPECT_TRUE(rep.ok()) << rep.summary();
   }
   {
     obs::Telemetry t;
-    const auto r = baselines::run_claiming_renaming(cfg, nullptr, &t);
+    const auto r = baselines::run_claiming_renaming(
+        cfg, nullptr, {.telemetry = &t});
     const auto rep =
         obs::audit_run(base_params("claiming", cfg, 0), r.stats, &t);
     EXPECT_TRUE(rep.ok()) << rep.summary();

@@ -171,6 +171,18 @@ TEST(ByzRenaming, PaperConstantFullCommitteeAlsoWorks) {
 }
 
 
+TEST(ByzRenamingDeathTest, RejectsAFaultyIndexListedTwice) {
+  const auto cfg = SystemConfig::random(16, 16 * 16 * 5, 1);
+  EXPECT_DEATH(run_byz_renaming(cfg, test_params(), {3, 3}, silent_factory),
+               "faulty node index listed twice");
+}
+
+TEST(ByzRenamingDeathTest, RejectsAFaultyIndexOutsideTheSystem) {
+  const auto cfg = SystemConfig::random(16, 16 * 16 * 5, 1);
+  EXPECT_DEATH(run_byz_renaming(cfg, test_params(), {16}, silent_factory),
+               "faulty node index is not below n");
+}
+
 TEST(ByzRenaming, PoolProbabilityFormula) {
   ByzParams paper;  // pool_constant = 0 selects the paper's constant
   // 8 / ((1 - 3 eps) eps^2) with eps = 1/12: 8 / ((3/4)(1/144)) = 1536.

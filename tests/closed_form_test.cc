@@ -111,12 +111,16 @@ TEST(ClosedFormCht, ExactlyMatchesSimulation) {
     obs::Telemetry cf_tel;
     LiveObservers sim_live;
     LiveObservers cf_live;
-    const auto sim =
-        run_cht_renaming(cfg, nullptr, &sim_tel, nullptr, sim_live.plan(),
-                         /*closed_form_cutoff=*/0, &sim_live.progress);
-    const auto cf =
-        run_cht_renaming(cfg, nullptr, &cf_tel, nullptr, cf_live.plan(),
-                         /*closed_form_cutoff=*/1, &cf_live.progress);
+    const auto sim = run_cht_renaming(
+        cfg, nullptr, /*closed_form_cutoff=*/0,
+        {.telemetry = &sim_tel,
+         .progress = &sim_live.progress,
+         .plan = sim_live.plan()});
+    const auto cf = run_cht_renaming(
+        cfg, nullptr, /*closed_form_cutoff=*/1,
+        {.telemetry = &cf_tel,
+         .progress = &cf_live.progress,
+         .plan = cf_live.plan()});
     EXPECT_FALSE(sim.closed_form) << "n=" << n;
     EXPECT_TRUE(cf.closed_form) << "n=" << n;
     EXPECT_EQ(sim.stats, cf.stats) << "n=" << n;
@@ -135,11 +139,15 @@ TEST(ClosedFormObg, ExactlyMatchesSimulation) {
     LiveObservers sim_live;
     LiveObservers cf_live;
     const auto sim = run_obg_renaming(
-        cfg, {}, ObgByzBehaviour::kSplitAnnounce, &sim_tel, nullptr,
-        sim_live.plan(), /*closed_form_cutoff=*/0, &sim_live.progress);
+        cfg, {}, ObgByzBehaviour::kSplitAnnounce, /*closed_form_cutoff=*/0,
+        {.telemetry = &sim_tel,
+         .progress = &sim_live.progress,
+         .plan = sim_live.plan()});
     const auto cf = run_obg_renaming(
-        cfg, {}, ObgByzBehaviour::kSplitAnnounce, &cf_tel, nullptr,
-        cf_live.plan(), /*closed_form_cutoff=*/1, &cf_live.progress);
+        cfg, {}, ObgByzBehaviour::kSplitAnnounce, /*closed_form_cutoff=*/1,
+        {.telemetry = &cf_tel,
+         .progress = &cf_live.progress,
+         .plan = cf_live.plan()});
     EXPECT_FALSE(sim.closed_form) << "n=" << n;
     EXPECT_TRUE(cf.closed_form) << "n=" << n;
     EXPECT_EQ(sim.stats, cf.stats) << "n=" << n;
@@ -152,12 +160,10 @@ TEST(ClosedFormObg, ExactlyMatchesSimulation) {
 
 TEST(ClosedForm, BelowCutoffSimulates) {
   const auto cfg = make_cfg(48, 7);
-  const auto cht = run_cht_renaming(cfg, nullptr, nullptr, nullptr, {},
-                                    /*closed_form_cutoff=*/49);
+  const auto cht = run_cht_renaming(cfg, nullptr, /*closed_form_cutoff=*/49);
   EXPECT_FALSE(cht.closed_form);
-  const auto obg = run_obg_renaming(cfg, {}, ObgByzBehaviour::kSplitAnnounce,
-                                    nullptr, nullptr, {},
-                                    /*closed_form_cutoff=*/49);
+  const auto obg = run_obg_renaming(
+      cfg, {}, ObgByzBehaviour::kSplitAnnounce, /*closed_form_cutoff=*/49);
   EXPECT_FALSE(obg.closed_form);
 }
 
@@ -166,13 +172,12 @@ TEST(ClosedForm, FailuresForceSimulation) {
   // execution adversary-dependent: the closed form must refuse.
   const auto cfg = make_cfg(48, 8);
   auto adversary = std::make_unique<sim::RandomCrashAdversary>(4, 0.5, 11);
-  const auto cht = run_cht_renaming(cfg, std::move(adversary), nullptr,
-                                    nullptr, {}, /*closed_form_cutoff=*/1);
+  const auto cht = run_cht_renaming(
+      cfg, std::move(adversary), /*closed_form_cutoff=*/1);
   EXPECT_FALSE(cht.closed_form);
   EXPECT_TRUE(cht.report.ok());
-  const auto obg = run_obg_renaming(cfg, {3, 17}, ObgByzBehaviour::kForgeIds,
-                                    nullptr, nullptr, {},
-                                    /*closed_form_cutoff=*/1);
+  const auto obg = run_obg_renaming(
+      cfg, {3, 17}, ObgByzBehaviour::kForgeIds, /*closed_form_cutoff=*/1);
   EXPECT_FALSE(obg.closed_form);
 }
 
@@ -183,9 +188,10 @@ TEST(ClosedForm, JournalForcesSimulation) {
   const auto cfg = make_cfg(48, 9);
   obs::Journal plain;
   obs::Journal gated;
-  const auto sim = run_cht_renaming(cfg, nullptr, nullptr, &plain);
-  const auto cf = run_cht_renaming(cfg, nullptr, nullptr, &gated, {},
-                                   /*closed_form_cutoff=*/1);
+  const auto sim = run_cht_renaming(cfg, nullptr, /*closed_form_cutoff=*/0,
+                                    {.journal = &plain});
+  const auto cf = run_cht_renaming(
+      cfg, nullptr, /*closed_form_cutoff=*/1, {.journal = &gated});
   EXPECT_FALSE(sim.closed_form);
   EXPECT_FALSE(cf.closed_form);
   EXPECT_EQ(sim.stats, cf.stats);
@@ -204,8 +210,8 @@ TEST(ClosedForm, AuditGatesStillPass) {
   const auto cfg = make_cfg(96, 10);
   {
     obs::Telemetry tel;
-    const auto r = run_cht_renaming(cfg, nullptr, &tel, nullptr, {},
-                                    /*closed_form_cutoff=*/1);
+    const auto r = run_cht_renaming(
+        cfg, nullptr, /*closed_form_cutoff=*/1, {.telemetry = &tel});
     ASSERT_TRUE(r.closed_form);
     obs::BudgetParams p;
     p.algorithm = "cht";
@@ -217,9 +223,9 @@ TEST(ClosedForm, AuditGatesStillPass) {
   }
   {
     obs::Telemetry tel;
-    const auto r = run_obg_renaming(cfg, {}, ObgByzBehaviour::kSplitAnnounce,
-                                    &tel, nullptr, {},
-                                    /*closed_form_cutoff=*/1);
+    const auto r = run_obg_renaming(
+        cfg, {}, ObgByzBehaviour::kSplitAnnounce, /*closed_form_cutoff=*/1,
+        {.telemetry = &tel});
     ASSERT_TRUE(r.closed_form);
     obs::BudgetParams p;
     p.algorithm = "obg";

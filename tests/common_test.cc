@@ -3,6 +3,7 @@
 
 #include <set>
 #include <unordered_set>
+#include <vector>
 
 #include "common/bitvec.h"
 #include "common/math.h"
@@ -233,6 +234,23 @@ TEST(SystemConfig, DeterministicGivenSeed) {
   const auto a = SystemConfig::random(100, 10000, 77);
   const auto b = SystemConfig::random(100, 10000, 77);
   EXPECT_EQ(a.ids, b.ids);
+}
+
+TEST(SpreadFaulty, KeepsTheEvenSpreadAtSmallN) {
+  EXPECT_EQ(spread_faulty(64, 3), (std::vector<NodeIndex>{1, 17, 33}));
+  EXPECT_TRUE(spread_faulty(64, 0).empty());
+}
+
+TEST(SpreadFaulty, StaysDistinctWhereIndexTimesNOverflows32Bits) {
+  // 4999 * 2^20 needs 33 bits; in 32-bit arithmetic 904 of these repeat.
+  const NodeIndex n = 1u << 20;
+  const auto faulty = spread_faulty(n, 5000);
+  ASSERT_EQ(faulty.size(), 5000u);
+  EXPECT_GE(faulty.front(), 1u);
+  EXPECT_LT(faulty.back(), n);
+  for (std::size_t i = 1; i < faulty.size(); ++i) {
+    ASSERT_LT(faulty[i - 1], faulty[i]) << "i=" << i;
+  }
 }
 
 TEST(Verifier, AcceptsPerfectRenaming) {

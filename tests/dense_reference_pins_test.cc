@@ -76,8 +76,9 @@ PinnedRun run_crash(NodeIndex n, bool chaos) {
   sim::JsonlTrace trace(trace_out);
   obs::Journal journal;
   obs::Telemetry telemetry;
-  const auto r = crash::run_crash_renaming(cfg, params, std::move(adversary),
-                                           &trace, &telemetry, &journal, {});
+  const auto r = crash::run_crash_renaming(
+      cfg, params, std::move(adversary),
+      {.trace = &trace, .telemetry = &telemetry, .journal = &journal});
   return digest(trace_out.str(), journal, r, telemetry);
 }
 
@@ -91,9 +92,9 @@ PinnedRun run_byz(NodeIndex n) {
   sim::JsonlTrace trace(trace_out);
   obs::Journal journal;
   obs::Telemetry telemetry;
-  const auto r = byzantine::run_byz_renaming(cfg, params, byz,
-                                             &byzantine::Spoofer::make, 0,
-                                             &trace, &telemetry, &journal, {});
+  const auto r = byzantine::run_byz_renaming(
+      cfg, params, byz, &byzantine::Spoofer::make, 0,
+      {.trace = &trace, .telemetry = &telemetry, .journal = &journal});
   return digest(trace_out.str(), journal, r, telemetry);
 }
 
@@ -101,8 +102,9 @@ PinnedRun run_cht(NodeIndex n) {
   const auto cfg = SystemConfig::random(n, 5ull * n * n, 55 + n);
   obs::Journal journal;
   obs::Telemetry telemetry;
-  const auto r =
-      baselines::run_cht_renaming(cfg, nullptr, &telemetry, &journal, {});
+  const auto r = baselines::run_cht_renaming(
+      cfg, nullptr, /*closed_form_cutoff=*/0,
+      {.telemetry = &telemetry, .journal = &journal});
   return digest(std::string(), journal, r, telemetry);
 }
 

@@ -46,8 +46,10 @@ Traced run_crash_once(std::uint64_t seed, obs::Telemetry* telemetry) {
   sim::JsonlTrace trace(out);
   obs::Journal journal;
   const auto result = crash::run_crash_renaming(
-      cfg, params, std::move(adversary), &trace, telemetry,
-      telemetry != nullptr ? &journal : nullptr);
+      cfg, params, std::move(adversary),
+      {.trace = &trace,
+       .telemetry = telemetry,
+       .journal = telemetry != nullptr ? &journal : nullptr});
   return Traced{out.str(), result.stats};
 }
 
@@ -61,8 +63,10 @@ Traced run_byz_once(std::uint64_t seed, obs::Telemetry* telemetry) {
   sim::JsonlTrace trace(out);
   obs::Journal journal;
   const auto result = byzantine::run_byz_renaming(
-      cfg, params, {1, 7, 23}, &byzantine::LyingMember::make, 0, &trace,
-      telemetry, telemetry != nullptr ? &journal : nullptr);
+      cfg, params, {1, 7, 23}, &byzantine::LyingMember::make, 0,
+      {.trace = &trace,
+       .telemetry = telemetry,
+       .journal = telemetry != nullptr ? &journal : nullptr});
   return Traced{out.str(), result.stats};
 }
 

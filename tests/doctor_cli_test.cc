@@ -33,9 +33,8 @@ obs::JournalData crash_journal(std::uint64_t seed, std::size_t capacity = 0) {
   auto adversary = std::make_unique<crash::CommitteeHunter>(
       12, crash::CommitteeHunter::Mode::kMidResponse, seed, 0.5);
   obs::Journal journal(capacity);
-  crash::run_crash_renaming(cfg, params, std::move(adversary),
-                            /*trace=*/nullptr, /*telemetry=*/nullptr,
-                            &journal);
+  crash::run_crash_renaming(
+      cfg, params, std::move(adversary), {.journal = &journal});
   return journal.data();
 }
 

@@ -37,7 +37,8 @@ TEST(Golden, CrashRunIsBitStable) {
   // obs/telemetry.h, pinned.
   obs::Telemetry telemetry;
   const auto a =
-      crash::run_crash_renaming(cfg, params, nullptr, nullptr, &telemetry);
+      crash::run_crash_renaming(cfg, params, nullptr,
+                                {.telemetry = &telemetry});
   const auto b = crash::run_crash_renaming(cfg, params);
   ASSERT_TRUE(a.report.ok());
   EXPECT_EQ(a.stats.total_messages, b.stats.total_messages);
@@ -59,8 +60,8 @@ TEST(Golden, ByzantineRunIsBitStable) {
   const std::vector<NodeIndex> byz = {5, 23, 41};
   obs::Telemetry telemetry;  // live on `a` only; see CrashRunIsBitStable
   const auto a = byzantine::run_byz_renaming(
-      cfg, params, byz, &byzantine::SplitReporter::make, 0, nullptr,
-      &telemetry);
+      cfg, params, byz, &byzantine::SplitReporter::make, 0,
+      {.telemetry = &telemetry});
   const auto b = byzantine::run_byz_renaming(cfg, params, byz,
                                              &byzantine::SplitReporter::make);
   ASSERT_TRUE(a.report.ok(true));
@@ -94,8 +95,8 @@ TEST(Golden, ByzantineTraceBytesArePinned48) {
   // proof that the journal is observationally invisible too.
   obs::Journal journal;
   const auto r = byzantine::run_byz_renaming(
-      cfg, params, byz, &byzantine::SplitReporter::make, 0, &trace,
-      &telemetry, &journal);
+      cfg, params, byz, &byzantine::SplitReporter::make, 0,
+      {.trace = &trace, .telemetry = &telemetry, .journal = &journal});
   ASSERT_TRUE(r.report.ok(true));
   EXPECT_EQ(journal.data().total_messages, r.stats.total_messages);
   EXPECT_EQ(r.stats.total_messages, 646590u);
@@ -117,8 +118,8 @@ TEST(Golden, ByzantineTraceBytesArePinned96) {
   sim::JsonlTrace trace(trace_out);
   obs::Telemetry telemetry;
   const auto r = byzantine::run_byz_renaming(
-      cfg, params, byz, &byzantine::DoubleDealer::make, 0, &trace,
-      &telemetry);
+      cfg, params, byz, &byzantine::DoubleDealer::make, 0,
+      {.trace = &trace, .telemetry = &telemetry});
   ASSERT_TRUE(r.report.ok(true));
   EXPECT_EQ(r.stats.total_messages, 1680144u);
   EXPECT_EQ(r.stats.total_bits, 60015360u);

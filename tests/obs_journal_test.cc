@@ -56,8 +56,10 @@ obs::JournalData crash_journal(std::uint64_t seed, bool with_telemetry,
   sim::JsonlTrace trace(trace_out);
   obs::Journal journal(capacity);
   const auto result = crash::run_crash_renaming(
-      cfg, params, std::move(adversary), with_trace ? &trace : nullptr,
-      with_telemetry ? &telemetry : nullptr, &journal);
+      cfg, params, std::move(adversary),
+      {.trace = with_trace ? &trace : nullptr,
+       .telemetry = with_telemetry ? &telemetry : nullptr,
+       .journal = &journal});
   if (stats_out != nullptr) *stats_out = result.stats;
   return journal.data();
 }
@@ -73,10 +75,11 @@ obs::JournalData byz_journal(std::uint64_t seed, bool with_telemetry,
   std::ostringstream trace_out;
   sim::JsonlTrace trace(trace_out);
   obs::Journal journal;
-  byzantine::run_byz_renaming(cfg, params, {1, 7, 23},
-                              &byzantine::Spoofer::make, 0,
-                              with_trace ? &trace : nullptr,
-                              with_telemetry ? &telemetry : nullptr, &journal);
+  byzantine::run_byz_renaming(
+      cfg, params, {1, 7, 23}, &byzantine::Spoofer::make, 0,
+      {.trace = with_trace ? &trace : nullptr,
+       .telemetry = with_telemetry ? &telemetry : nullptr,
+       .journal = &journal});
   return journal.data();
 }
 
@@ -354,8 +357,8 @@ TEST(Journal, CanonicalRegistryMatchesLiveTelemetryLedgers) {
   params.election_constant = 3.0;
   obs::Telemetry telemetry;
   obs::Journal journal;
-  const auto result = crash::run_crash_renaming(cfg, params, nullptr, nullptr,
-                                                &telemetry, &journal);
+  const auto result = crash::run_crash_renaming(
+      cfg, params, nullptr, {.telemetry = &telemetry, .journal = &journal});
   expect_phase_ledgers_agree(journal.data(), telemetry);
   // The journal-vs-RunStats reconciliation holds in both configs.
   const auto stats = obs::stats_from_journal(journal.data());

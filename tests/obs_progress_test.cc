@@ -142,8 +142,8 @@ TEST(Telemetry, PerRoundCapBoundsBothSeries) {
   obs::Telemetry full;
   crash::CrashParams params;
   const auto run_with = [&](obs::Telemetry* telemetry) {
-    return crash::run_crash_renaming(cfg, params, nullptr, nullptr,
-                                     telemetry);
+    return crash::run_crash_renaming(
+        cfg, params, nullptr, {.telemetry = telemetry});
   };
   const auto a = run_with(&capped);
   const auto b = run_with(&full);
@@ -425,8 +425,11 @@ Artifacts run_crash(sim::parallel::ShardPlan plan, bool live) {
   obs::ShardProfile profile;
   if (live) plan.profile = &profile;
   const auto r = crash::run_crash_renaming(
-      cfg, params, std::move(adversary), &trace, nullptr, &journal, plan,
-      live ? &progress : nullptr);
+      cfg, params, std::move(adversary),
+      {.trace = &trace,
+       .journal = &journal,
+       .progress = live ? &progress : nullptr,
+       .plan = plan});
   std::ostringstream journal_out;
   obs::write_journal_binary(journal_out, journal.data());
   if (live) {

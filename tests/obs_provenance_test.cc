@@ -47,11 +47,9 @@ obs::ProvenanceData byz_prov(std::uint64_t seed,
   params.pool_constant = 4.0;
   params.shared_seed = seed;
   obs::Provenance prov(opts);
-  byzantine::run_byz_renaming(cfg, params, {1, 7, 23},
-                              &byzantine::Spoofer::make, 0,
-                              /*trace=*/nullptr, /*telemetry=*/nullptr,
-                              /*journal=*/nullptr, plan,
-                              /*progress=*/nullptr, &prov);
+  byzantine::run_byz_renaming(
+      cfg, params, {1, 7, 23}, &byzantine::Spoofer::make, 0,
+      {.provenance = &prov, .plan = plan});
   return prov.data();
 }
 
@@ -67,10 +65,8 @@ obs::ProvenanceData crash_prov(std::uint64_t seed,
   auto adversary = std::make_unique<crash::CommitteeHunter>(
       12, crash::CommitteeHunter::Mode::kMidResponse, seed, 0.5);
   obs::Provenance prov(opts);
-  crash::run_crash_renaming(cfg, params, std::move(adversary),
-                            /*trace=*/nullptr, /*telemetry=*/nullptr,
-                            /*journal=*/nullptr, plan, /*progress=*/nullptr,
-                            &prov);
+  crash::run_crash_renaming(
+      cfg, params, std::move(adversary), {.provenance = &prov, .plan = plan});
   return prov.data();
 }
 

@@ -134,7 +134,7 @@ TEST(Telemetry, CrashRunPhasesReconcileExactlyWithRunStats) {
   auto adversary = std::make_unique<crash::CommitteeHunter>(
       16, crash::CommitteeHunter::Mode::kMidResponse, 7, 0.5);
   const auto result = crash::run_crash_renaming(
-      cfg, params, std::move(adversary), nullptr, &telemetry);
+      cfg, params, std::move(adversary), {.telemetry = &telemetry});
   ASSERT_TRUE(result.report.ok());
 
   EXPECT_EQ(phase_message_sum(telemetry), result.stats.total_messages);
@@ -179,7 +179,8 @@ TEST(Telemetry, ByzantineRunPhasesReconcileEvenUnderSpoofing) {
   params.shared_seed = 5;
   obs::Telemetry telemetry;
   const auto result = byzantine::run_byz_renaming(
-      cfg, params, {2, 9}, &byzantine::Spoofer::make, 0, nullptr, &telemetry);
+      cfg, params, {2, 9}, &byzantine::Spoofer::make, 0,
+      {.telemetry = &telemetry});
   ASSERT_TRUE(result.report.ok(true));
   ASSERT_GT(result.stats.spoofs_rejected, 0u);
 
@@ -210,7 +211,8 @@ TEST(Telemetry, BaselineRunMapsEverythingToBaselineExchange) {
   const NodeIndex n = 32;
   const auto cfg = SystemConfig::random(n, 5ull * n * n, 3);
   obs::Telemetry telemetry;
-  const auto result = baselines::run_cht_renaming(cfg, nullptr, &telemetry);
+  const auto result = baselines::run_cht_renaming(
+      cfg, nullptr, /*closed_form_cutoff=*/0, {.telemetry = &telemetry});
   ASSERT_TRUE(result.report.ok());
   EXPECT_EQ(telemetry.algorithm(), "cht");
   EXPECT_EQ(telemetry.phase(obs::PhaseId::kBaselineExchange).messages,
@@ -279,7 +281,8 @@ TEST(Exporters, MetricsJsonContainsTheExpectedSections) {
   params.election_constant = 2.0;
   obs::Telemetry telemetry;
   const auto result =
-      crash::run_crash_renaming(cfg, params, nullptr, nullptr, &telemetry);
+      crash::run_crash_renaming(cfg, params, nullptr,
+                                {.telemetry = &telemetry});
   ASSERT_TRUE(result.report.ok());
 
   std::ostringstream out;
@@ -306,7 +309,7 @@ TEST(Exporters, PerfettoTraceContainsSpansInstantsAndCounters) {
   auto adversary = std::make_unique<crash::CommitteeHunter>(
       12, crash::CommitteeHunter::Mode::kMidResponse, 5, 0.5);
   const auto result = crash::run_crash_renaming(
-      cfg, params, std::move(adversary), nullptr, &telemetry);
+      cfg, params, std::move(adversary), {.telemetry = &telemetry});
   ASSERT_TRUE(result.report.ok());
   ASSERT_GT(result.stats.crashes, 0u);
 

@@ -101,8 +101,9 @@ Artifacts run_crash(sim::parallel::ShardPlan plan) {
   std::ostringstream trace_out;
   sim::JsonlTrace trace(trace_out);
   obs::Journal journal;
-  const auto r = crash::run_crash_renaming(cfg, params, std::move(adversary),
-                                           &trace, nullptr, &journal, plan);
+  const auto r = crash::run_crash_renaming(
+      cfg, params, std::move(adversary),
+      {.trace = &trace, .journal = &journal, .plan = plan});
   return Artifacts{trace_out.str(), journal_bytes(journal), r.stats,
                    r.outcomes};
 }
@@ -130,8 +131,8 @@ Artifacts run_byz(sim::parallel::ShardPlan plan) {
   sim::JsonlTrace trace(trace_out);
   obs::Journal journal;
   const auto r = byzantine::run_byz_renaming(
-      cfg, params, {3, 50, 97, 120}, &byzantine::Spoofer::make, 0, &trace,
-      nullptr, &journal, plan);
+      cfg, params, {3, 50, 97, 120}, &byzantine::Spoofer::make, 0,
+      {.trace = &trace, .journal = &journal, .plan = plan});
   return Artifacts{trace_out.str(), journal_bytes(journal), r.stats,
                    r.outcomes};
 }
@@ -165,9 +166,9 @@ Artifacts run_byz_full_vectors(sim::parallel::ShardPlan plan,
   std::ostringstream trace_out;
   sim::JsonlTrace trace(trace_out);
   obs::Journal journal;
-  const auto r = byzantine::run_byz_renaming(cfg, params, kFullVectorByzantine,
-                                             factory, 0, &trace, nullptr,
-                                             &journal, plan);
+  const auto r = byzantine::run_byz_renaming(
+      cfg, params, kFullVectorByzantine, factory, 0,
+      {.trace = &trace, .journal = &journal, .plan = plan});
   EXPECT_TRUE(r.report.ok(/*require_order=*/false))
       << (r.report.violations.empty() ? "" : r.report.violations[0]);
   return Artifacts{trace_out.str(), journal_bytes(journal), r.stats,
@@ -214,8 +215,9 @@ Artifacts run_cht(sim::parallel::ShardPlan plan) {
   const NodeIndex n = 256;
   const auto cfg = SystemConfig::random(n, 5ull * n * n, 55);
   obs::Journal journal;
-  const auto r =
-      baselines::run_cht_renaming(cfg, nullptr, nullptr, &journal, plan);
+  const auto r = baselines::run_cht_renaming(
+      cfg, nullptr, /*closed_form_cutoff=*/0,
+      {.journal = &journal, .plan = plan});
   return Artifacts{std::string(), journal_bytes(journal), r.stats,
                    r.outcomes};
 }
@@ -244,8 +246,9 @@ TEST(ParallelEquivalence, TelemetryKindLedgersMatchSerialUnderAPlan) {
                             obs::Telemetry* telemetry) {
     auto adversary = std::make_unique<crash::CommitteeHunter>(
         24, crash::CommitteeHunter::Mode::kMidResponse, 33, 0.5);
-    return crash::run_crash_renaming(cfg, params, std::move(adversary),
-                                     nullptr, telemetry, nullptr, plan);
+    return crash::run_crash_renaming(
+        cfg, params, std::move(adversary),
+        {.telemetry = telemetry, .plan = plan});
   };
   obs::Telemetry serial_tel;
   const auto serial = run_with({}, &serial_tel);

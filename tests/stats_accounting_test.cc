@@ -114,7 +114,7 @@ TEST(StatsAccounting, CountingTraceReconcilesWithRunStatsUnderSpoofing) {
   params.shared_seed = 5;
   sim::CountingTrace trace;
   const auto result = byzantine::run_byz_renaming(
-      cfg, params, {2, 9}, &byzantine::Spoofer::make, 0, &trace);
+      cfg, params, {2, 9}, &byzantine::Spoofer::make, 0, {.trace = &trace});
   ASSERT_TRUE(result.report.ok(true));
   EXPECT_GT(result.stats.spoofs_rejected, 0u);
 

@@ -27,8 +27,8 @@ TEST(CountingTrace, AgreesWithEngineStats) {
   sim::CountingTrace trace;
   auto adversary = std::make_unique<crash::CommitteeHunter>(
       16, crash::CommitteeHunter::Mode::kMidResponse, 3, 0.5);
-  const auto result = crash::run_crash_renaming(cfg, params,
-                                                std::move(adversary), &trace);
+  const auto result = crash::run_crash_renaming(
+      cfg, params, std::move(adversary), {.trace = &trace});
   ASSERT_TRUE(result.report.ok());
   EXPECT_EQ(trace.total(), result.stats.total_messages);
   EXPECT_EQ(trace.crashes(), result.stats.crashes);
@@ -48,7 +48,7 @@ TEST(CountingTrace, BreaksDownCrashProtocolTraffic) {
   params.election_constant = 2.0;
   sim::CountingTrace trace;
   const auto result =
-      crash::run_crash_renaming(cfg, params, nullptr, &trace);
+      crash::run_crash_renaming(cfg, params, nullptr, {.trace = &trace});
   ASSERT_TRUE(result.report.ok());
   const auto kind = [](crash::Tag t) { return static_cast<sim::MsgKind>(t); };
   // All three tags present; statuses and responses pair up one-to-one in a
@@ -68,7 +68,8 @@ TEST(CountingTrace, SeesByzantineProtocolKinds) {
   params.shared_seed = 9;
   sim::CountingTrace trace;
   const auto result = byzantine::run_byz_renaming(
-      cfg, params, {1, 17}, &byzantine::SplitReporter::make, 0, &trace);
+      cfg, params, {1, 17}, &byzantine::SplitReporter::make, 0,
+      {.trace = &trace});
   ASSERT_TRUE(result.report.ok(true));
   const auto kind = [](byzantine::Tag t) {
     return static_cast<sim::MsgKind>(t);
@@ -344,7 +345,8 @@ TEST(JsonlTrace, EmitsWellFormedLines) {
   std::ostringstream out;
   sim::JsonlTrace trace(out, /*message_sample=*/10);
   auto adversary = std::make_unique<sim::RandomCrashAdversary>(2, 0.2, 8);
-  crash::run_crash_renaming(cfg, params, std::move(adversary), &trace);
+  crash::run_crash_renaming(
+      cfg, params, std::move(adversary), {.trace = &trace});
   const std::string text = out.str();
   ASSERT_TRUE(json_check::IsJsonLines(text));
   std::istringstream lines(text);
@@ -372,7 +374,7 @@ TEST(JsonlTrace, SamplingReducesMessageEvents) {
   auto count_messages = [&](std::uint64_t sample) {
     std::ostringstream out;
     sim::JsonlTrace trace(out, sample);
-    crash::run_crash_renaming(cfg, params, nullptr, &trace);
+    crash::run_crash_renaming(cfg, params, nullptr, {.trace = &trace});
     std::istringstream lines(out.str());
     std::string line;
     int messages = 0;
@@ -400,7 +402,8 @@ TEST(CappedTrace, UntouchedCapKeepsTraceBytesIdentical) {
     sim::CappedTrace cap(inner, 1ull << 40);
     sim::TraceSink* sink = capped ? static_cast<sim::TraceSink*>(&cap)
                                   : static_cast<sim::TraceSink*>(&inner);
-    const auto r = crash::run_crash_renaming(cfg, params, nullptr, sink);
+    const auto r = crash::run_crash_renaming(
+        cfg, params, nullptr, {.trace = sink});
     EXPECT_TRUE(r.report.ok());
     if (capped) {
       EXPECT_EQ(cap.dropped(), 0u);

@@ -102,7 +102,7 @@ TEST(WireSchema, CrashRunLedgerMatchesSchema) {
     auto adversary = std::make_unique<crash::CommitteeHunter>(
         16, crash::CommitteeHunter::Mode::kMidResponse, 9, 0.5);
     const auto result = crash::run_crash_renaming(
-        cfg, params, std::move(adversary), nullptr, &telemetry);
+        cfg, params, std::move(adversary), {.telemetry = &telemetry});
     ASSERT_TRUE(result.report.ok());
     expect_ledger_matches_schema(telemetry, cfg);
   }
@@ -113,8 +113,8 @@ TEST(WireSchema, CrashRunLedgerMatchesSchema) {
     crash::CrashParams params;
     params.election_constant = 3.0;
     obs::Telemetry telemetry;
-    const auto result =
-        crash::run_crash_renaming(cfg, params, nullptr, nullptr, &telemetry);
+    const auto result = crash::run_crash_renaming(
+        cfg, params, nullptr, {.telemetry = &telemetry});
     ASSERT_TRUE(result.report.ok());
     expect_ledger_matches_schema(telemetry, cfg);
   }
@@ -130,8 +130,8 @@ TEST(WireSchema, ByzantineHonestRunLedgerMatchesSchema) {
     params.pool_constant = 4.0;
     params.shared_seed = 4242;
     obs::Telemetry telemetry;
-    const auto result = byzantine::run_byz_renaming(cfg, params, {}, nullptr,
-                                                    0, nullptr, &telemetry);
+    const auto result = byzantine::run_byz_renaming(
+        cfg, params, {}, nullptr, 0, {.telemetry = &telemetry});
     ASSERT_TRUE(result.report.ok(true));
     expect_ledger_matches_schema(telemetry, cfg);
   }
@@ -143,19 +143,22 @@ TEST(WireSchema, BaselineRunLedgersMatchSchema) {
     const auto cfg = SystemConfig::random(n, 5ull * n * n, 29u + n);
     {
       obs::Telemetry t;
-      const auto r = baselines::run_naive_renaming(cfg, nullptr, &t);
+      const auto r = baselines::run_naive_renaming(
+          cfg, nullptr, {.telemetry = &t});
       ASSERT_TRUE(r.report.ok());
       expect_ledger_matches_schema(t, cfg);
     }
     {
       obs::Telemetry t;
-      const auto r = baselines::run_cht_renaming(cfg, nullptr, &t);
+      const auto r = baselines::run_cht_renaming(
+          cfg, nullptr, /*closed_form_cutoff=*/0, {.telemetry = &t});
       ASSERT_TRUE(r.report.ok());
       expect_ledger_matches_schema(t, cfg);
     }
     {
       obs::Telemetry t;
-      const auto r = baselines::run_claiming_renaming(cfg, nullptr, &t);
+      const auto r = baselines::run_claiming_renaming(
+          cfg, nullptr, {.telemetry = &t});
       ASSERT_TRUE(r.report.ok());
       expect_ledger_matches_schema(t, cfg);
     }
@@ -164,13 +167,15 @@ TEST(WireSchema, BaselineRunLedgersMatchSchema) {
       // OBG_VECTOR / OBG_HALVING kinds.
       obs::Telemetry t;
       const auto r = baselines::run_obg_renaming(
-          cfg, {}, baselines::ObgByzBehaviour::kSilent, &t);
+          cfg, {}, baselines::ObgByzBehaviour::kSilent,
+          /*closed_form_cutoff=*/0, {.telemetry = &t});
       ASSERT_TRUE(r.report.ok());
       expect_ledger_matches_schema(t, cfg);
     }
     {
       obs::Telemetry t;
-      const auto r = baselines::run_early_deciding_renaming(cfg, nullptr, &t);
+      const auto r = baselines::run_early_deciding_renaming(
+          cfg, nullptr, {.telemetry = &t});
       ASSERT_TRUE(r.report.ok());
       expect_ledger_matches_schema(t, cfg);
     }
