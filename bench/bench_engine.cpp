@@ -16,18 +16,15 @@
 //   * cht-jrn    — cht with a flight-recorder obs::Journal attached: the
 //                  per-delivery fingerprint + count overhead, against the
 //                  same plain cht cell (journal_overhead in the JSON;
-//                  budget: < 2%, and the journal is NOT compiled out by
-//                  RENAMING_NO_TELEMETRY);
+//                  budget: < 2%);
 //   * cht-live   — cht with the live-observability pair attached: a
 //                  ring-only obs::Progress heartbeat plus an
 //                  obs::ShardProfile on the shard plan (live_obs_overhead
-//                  in the JSON; budget: < 2%, both are compiled out by
-//                  RENAMING_NO_TELEMETRY so the pair reads as noise there);
+//                  in the JSON; budget: < 2%);
 //   * cht-prov   — cht with a watch-set obs::Provenance recorder attached
 //                  (8 sampled watch nodes, bounded horizon): the causal
 //                  decision-event cost (provenance_overhead in the JSON;
-//                  budget: < 2% with the watch-set, exactly 0 under
-//                  RENAMING_NO_TELEMETRY where the pointer folds away);
+//                  budget: < 2% with the watch-set);
 //   * byz        — the full Byzantine renaming protocol (committee
 //                  multicast, identity-list summaries, fingerprint
 //                  consensus): the protocol-side hot path end to end.
@@ -384,9 +381,7 @@ int run(int argc, char** argv) {
   // instrumented BACK-TO-BACK (drift cancels within a pair) and the
   // reported overhead is the median pair ratio (spikes drop out). The
   // sweep's cht-tel / cht-jrn rows above still pin the deterministic
-  // events/rounds. With RENAMING_NO_TELEMETRY the telemetry pair runs
-  // identical code and reads as noise around 0; the journal is never
-  // compiled out, so cht-jrn measures its real cost in both configs.
+  // events/rounds.
   const auto paired_overhead = [threads](const std::string& workload,
                                          const char* label, NodeIndex n,
                                          std::uint64_t seeds) {
@@ -431,9 +426,6 @@ int run(int argc, char** argv) {
       paired_overhead("cht-jrn", "journal", overhead_n, overhead_seeds);
   Json live_overhead =
       paired_overhead("cht-live", "live_obs", overhead_n, overhead_seeds);
-  // Provenance rides the telemetry fold: with RENAMING_NO_TELEMETRY the
-  // recorder pointer folds to nullptr before any node sees it, so this
-  // pair runs identical code and must read as noise around 0.
   Json provenance_overhead =
       paired_overhead("cht-prov", "provenance", overhead_n, overhead_seeds);
 
@@ -441,8 +433,6 @@ int run(int argc, char** argv) {
     Json doc = Json::object();
     doc.set("bench", Json::str("engine"))
         .set("smoke", Json::boolean(smoke))
-        .set("telemetry_compiled_out",
-             Json::boolean(!obs::kTelemetryEnabled))
         .set("rows", std::move(rows))
         .set("telemetry_overhead", std::move(overhead))
         .set("journal_overhead", std::move(journal_overhead))

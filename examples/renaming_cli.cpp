@@ -347,6 +347,20 @@ bool parse_watch_nodes(const std::string& csv, NodeIndex n,
   return true;
 }
 
+// The byz --strategy names; nullptr for an unknown one.
+byzantine::ByzStrategyFactory strategy_factory(const std::string& name) {
+  if (name == "split") return &byzantine::SplitReporter::make;
+  if (name == "lying") return &byzantine::LyingMember::make;
+  if (name == "spoof") return &byzantine::Spoofer::make;
+  if (name == "silent") {
+    return [](NodeIndex, const SystemConfig&, const Directory&,
+              const byzantine::ByzParams&) -> std::unique_ptr<sim::Node> {
+      return std::make_unique<byzantine::SilentNode>();
+    };
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -390,6 +404,12 @@ int main(int argc, char** argv) {
                            "random, chaos\n");
       return usage();
     }
+  }
+  if (args.command == "byz" &&
+      strategy_factory(args.str("strategy", "split")) == nullptr) {
+    std::fprintf(stderr,
+                 "--strategy must be one of split, lying, spoof, silent\n");
+    return usage();
   }
   const std::uint64_t seed = args.num("seed", 1);
   const std::uint64_t N = args.num("namespace", 5ull * n * n);
@@ -610,22 +630,8 @@ int main(int argc, char** argv) {
     params.use_fingerprints = !args.has("full-vectors");
     const auto f = static_cast<NodeIndex>(args.num("f", 0));
     const std::vector<NodeIndex> byz = spread_faulty(n, f);
-    byzantine::ByzStrategyFactory factory = nullptr;
-    const std::string strategy = args.str("strategy", "split");
-    if (strategy == "split") {
-      factory = &byzantine::SplitReporter::make;
-    } else if (strategy == "lying") {
-      factory = &byzantine::LyingMember::make;
-    } else if (strategy == "spoof") {
-      factory = &byzantine::Spoofer::make;
-    } else if (strategy == "silent") {
-      factory = [](NodeIndex, const SystemConfig&, const Directory&,
-                   const byzantine::ByzParams&) -> std::unique_ptr<sim::Node> {
-        return std::make_unique<byzantine::SilentNode>();
-      };
-    } else {
-      return usage();
-    }
+    const byzantine::ByzStrategyFactory factory =
+        strategy_factory(args.str("strategy", "split"));
     const auto r =
         byzantine::run_byz_renaming(cfg, params, byz, factory, 0, observers);
     report(args, "byz", r.stats, r.report, n, byz.size());

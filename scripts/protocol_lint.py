@@ -120,12 +120,11 @@ and suppression markers are tracked precisely per (line, rule).
                       writer goes through its Writer/Reader, so the
                       shared header checks and length bounds cannot fork
                       into private copies again.
-  R16 observer-fold   One observer lifecycle. Outside src/obs/ and
-                      src/sim/observers.h, src/ code must not reference
-                      kTelemetryEnabled or call set_run_info(): the
-                      RENAMING_NO_TELEMETRY fold and the run-info labelling
-                      live in sim::Observers (folded() / begin()), so a
-                      run_* entry point cannot drift from the others.
+  R16 run-info        One observer lifecycle. Outside src/obs/ and
+                      src/sim/observers.h, src/ code must not call
+                      set_run_info(): the run-info labelling lives in
+                      sim::Observers::begin(), so a run_* entry point
+                      cannot drift from the others.
 
 Findings can be suppressed per line with `// lint:allow(<rule>)` where
 <rule> is one of: nondeterminism, msgkind, bits-width,
@@ -1227,36 +1226,30 @@ def check_binary_io(files: list[SourceFile]) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
-# R16: one observer lifecycle — the telemetry fold and run-info labelling
-# live in sim/observers.h (and the obs layer that defines them)
+# R16: one observer lifecycle — run-info labelling lives in sim/observers.h
+# (and the obs layer that defines it)
 
 _OBSERVERS_FILE = "sim/observers.h"
 
 
-def check_observer_fold(files: list[SourceFile]) -> list[Violation]:
+def check_run_info(files: list[SourceFile]) -> list[Violation]:
     out = []
     for f in files:
         if f.rel.startswith("obs/") or f.rel == _OBSERVERS_FILE:
             continue
         sig = f.sig
         for i, t in enumerate(sig):
-            if t.kind != "id":
-                continue
-            if t.text == "kTelemetryEnabled":
-                what = "kTelemetryEnabled reference"
-            elif t.text == "set_run_info" and seq_at(sig, i + 1, "("):
-                what = "set_run_info() call"
-            else:
+            if t.kind != "id" or t.text != "set_run_info" or \
+                    not seq_at(sig, i + 1, "("):
                 continue
             out.append(
                 Violation(
-                    "observer-fold",
+                    "run-info",
                     f.path,
                     t.line,
-                    f"{what} outside {_OBSERVERS_FILE}; attach observers "
-                    "through sim::Observers, whose begin() folds them under "
-                    "RENAMING_NO_TELEMETRY and labels the run "
-                    "(docs/OBSERVABILITY.md \"Attaching observers\")",
+                    f"set_run_info() call outside {_OBSERVERS_FILE}; attach "
+                    "observers through sim::Observers, whose begin() labels "
+                    "the run (docs/OBSERVABILITY.md \"Attaching observers\")",
                 )
             )
     return out
@@ -1393,7 +1386,7 @@ RULES = (
     "full-width-alloc",
     "wall-clock",
     "binary-io",
-    "observer-fold",
+    "run-info",
 )
 
 
@@ -1425,8 +1418,8 @@ def run_rules(files: list[SourceFile], src: Path, selected: list[str],
         raw += check_wall_clock(files)
     if "binary-io" in selected:
         raw += check_binary_io(files)
-    if "observer-fold" in selected:
-        raw += check_observer_fold(files)
+    if "run-info" in selected:
+        raw += check_run_info(files)
     if "header-hygiene" in selected:
         raw += check_header_hygiene(files, src, compiler, cache_path)
 

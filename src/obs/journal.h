@@ -10,15 +10,13 @@
 // doctor (obs/doctor.h) drills in from there.
 //
 // Determinism contract — stricter than Telemetry's: the journal records NO
-// wall clocks at all, so its bytes are identical across machines, across
-// telemetry on/off, and across RENAMING_NO_TELEMETRY configs (telemetry is
-// nondeterministic-by-design in its wall fields; the journal exists so the
-// deterministic remainder can be diffed). It is observational like every
-// obs/ object: a live journal never changes stats, traces or outcomes.
-// Because its output must NOT vary across telemetry configs, the journal
-// is deliberately not behind kTelemetryEnabled: the engine hooks are
-// plain null-checks, and the fingerprint is computed once per *logical*
-// outbox entry (never per broadcast copy), keeping the attached overhead
+// wall clocks at all, so its bytes are identical across machines and
+// across telemetry on/off (telemetry is nondeterministic-by-design in its
+// wall fields; the journal exists so the deterministic remainder can be
+// diffed). It is observational like every obs/ object: a live journal
+// never changes stats, traces or outcomes. The engine hooks are plain
+// null-checks, and the fingerprint is computed once per *logical* outbox
+// entry (never per broadcast copy), keeping the attached overhead
 // under the 2% hot-path budget (docs/PERFORMANCE.md §8).
 //
 // Bounded mode: a capacity of K keeps only the last K round records (the

@@ -24,9 +24,7 @@
 //
 // Bounded memory: the ring keeps the last `ring_capacity` snapshots no
 // matter how many rounds execute; the sink stream, if any, receives the
-// full sampled history. Compiled out under RENAMING_NO_TELEMETRY exactly
-// like telemetry: the engine folds its progress pointer to nullptr, so
-// the per-round cost is zero.
+// full sampled history.
 #pragma once
 
 #include <cstdint>

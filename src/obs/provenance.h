@@ -12,9 +12,7 @@
 //   * deterministic: no wall clock, no unordered iteration — the exported
 //     bytes are a pure function of (algorithm, config, seed), byte-identical
 //     across --threads K;
-//   * optional: a null recorder costs nothing, and like Telemetry the whole
-//     observer folds away under RENAMING_NO_TELEMETRY (entry points fold the
-//     pointer on obs::kTelemetryEnabled, so every hook is dead code);
+//   * optional: a null recorder costs nothing;
 //   * bounded: million-node mode attaches a watch-set (--trace-nodes /
 //     --trace-sample) — only events at watched nodes plus their transitive
 //     causes within a ring of `horizon` recent events are retained; evicted
@@ -107,9 +105,9 @@ struct ProvenanceOptions {
 };
 
 /// The recorder. Plumbed like Telemetry: engine + protocol nodes hold a
-/// (possibly null, possibly folded) pointer and call the note_* hooks at
-/// order-pinned serial sites, so recording order — and therefore the
-/// exported bytes — is identical across thread counts.
+/// (possibly null) pointer and call the note_* hooks at order-pinned
+/// serial sites, so recording order — and therefore the exported bytes —
+/// is identical across thread counts.
 class Provenance {
  public:
   explicit Provenance(ProvenanceOptions opts = {});

@@ -18,10 +18,9 @@
 // Perfetto per-shard tracks, the doctor's report), never in traces,
 // journals, stats or outcomes; byte-identity of those with profiling on
 // and off at every thread count is pinned by tests/obs_progress_test.cc.
-// Compiled out under RENAMING_NO_TELEMETRY (sim::Observers folds the
-// pointer to nullptr). Note that a live Telemetry forces the engine
-// callbacks serial (see sim::Engine's constructor); the profile then
-// records what really ran — one shard.
+// A live Telemetry or Provenance forces the engine callbacks serial (see
+// sim::Engine::run); the profile then records what really ran — one
+// shard.
 //
 // Bounded memory: totals are O(shards); the per-round samples feeding the
 // Perfetto tracks live in a ring of the last `ring_capacity` rounds.

@@ -12,12 +12,6 @@
 // tests). The only nondeterministic quantities it records are wall-clock
 // durations, which appear exclusively in telemetry output (metrics JSON,
 // Perfetto), never in traces or RunStats.
-//
-// Compile-out: configuring with -DRENAMING_NO_TELEMETRY=ON defines
-// RENAMING_NO_TELEMETRY, turning kTelemetryEnabled into false. Every hot
-// call site (engine delivery loops, PhaseScope) guards with it via
-// `if constexpr` / constant-folded pointers, so the instrumented code is
-// dead-stripped and the overhead is exactly zero.
 #pragma once
 
 #include <array>
@@ -33,12 +27,6 @@
 #include "sim/message.h"
 
 namespace renaming::obs {
-
-#if defined(RENAMING_NO_TELEMETRY)
-inline constexpr bool kTelemetryEnabled = false;
-#else
-inline constexpr bool kTelemetryEnabled = true;
-#endif
 
 /// Monotonic wall clock in nanoseconds. The ONLY clock read in src/ —
 /// telemetry output is the one sanctioned nondeterministic surface (see
@@ -302,29 +290,20 @@ class Telemetry {
 
 /// RAII span: protocols open one around their per-callback stage logic.
 /// Records the node's phase transition (for spans) and attributes the
-/// callback's wall time to the phase. Compiled out entirely under
-/// RENAMING_NO_TELEMETRY; a null telemetry pointer makes it a no-op.
+/// callback's wall time to the phase. A null telemetry pointer makes it a
+/// no-op.
 class PhaseScope {
  public:
   PhaseScope(Telemetry* telemetry, NodeIndex node, PhaseId phase, Round round)
-      : telemetry_(nullptr), phase_(phase) {
-    if constexpr (kTelemetryEnabled) {
-      if (telemetry == nullptr) return;
-      telemetry_ = telemetry;
-      telemetry_->enter_phase(node, phase, round);
-      start_ns_ = now_ns();
-    } else {
-      (void)telemetry;
-      (void)node;
-      (void)round;
-    }
+      : telemetry_(telemetry), phase_(phase) {
+    if (telemetry_ == nullptr) return;
+    telemetry_->enter_phase(node, phase, round);
+    start_ns_ = now_ns();
   }
 
   ~PhaseScope() {
-    if constexpr (kTelemetryEnabled) {
-      if (telemetry_ == nullptr) return;
-      telemetry_->add_phase_wall(phase_, now_ns() - start_ns_);
-    }
+    if (telemetry_ == nullptr) return;
+    telemetry_->add_phase_wall(phase_, now_ns() - start_ns_);
   }
 
   PhaseScope(const PhaseScope&) = delete;

@@ -78,21 +78,18 @@ RunStats Engine::run(Round max_rounds) {
   const NodeIndex n = size();
 
   // Observers are observational: every hook below mirrors an accounting
-  // site (stats/trace) without influencing behaviour. The fold makes the
-  // telemetry-family pointers compile-time nullptrs under
-  // RENAMING_NO_TELEMETRY, so their hooks are dead-stripped; the trace and
-  // the journal never fold. Journal hooks fire once per *logical* outbox
-  // entry (never per broadcast copy), keeping the attached cost within the
-  // hot-path budget. Provenance records like the journal (no wall clock,
-  // hooks only at order-pinned serial sites): the engine contributes the
-  // boundary events nodes cannot see (spoof rejections, crashes) and the
-  // faulty set; nodes record their own decisions.
-  const Observers live = observers_.folded();
-  TraceSink* const trace = live.trace;
-  obs::Telemetry* const tel = live.telemetry;
-  obs::Journal* const jrn = live.journal;
-  obs::Provenance* const prov = live.provenance;
-  obs::ShardProfile* const prof = live.plan.profile;
+  // site (stats/trace) without influencing behaviour. Journal hooks fire
+  // once per *logical* outbox entry (never per broadcast copy), keeping the
+  // attached cost within the hot-path budget. Provenance records like the
+  // journal (no wall clock, hooks only at order-pinned serial sites): the
+  // engine contributes the boundary events nodes cannot see (spoof
+  // rejections, crashes) and the faulty set; nodes record their own
+  // decisions.
+  TraceSink* const trace = observers_.trace;
+  obs::Telemetry* const tel = observers_.telemetry;
+  obs::Journal* const jrn = observers_.journal;
+  obs::Provenance* const prov = observers_.provenance;
+  obs::ShardProfile* const prof = observers_.plan.profile;
 
   // Shard-parallel callback execution (docs/PERFORMANCE.md §9). The plan
   // only parallelizes the two phases whose writes are per-node by
@@ -103,12 +100,12 @@ RunStats Engine::run(Round max_rounds) {
   // construction. A live telemetry or provenance forces the callbacks
   // serial: PhaseScope spans and provenance events inside protocol node
   // code mutate the shared recorder directly, the observers the engine
-  // does not mediate. (Under RENAMING_NO_TELEMETRY both fold to nullptr,
-  // so parallel execution is permitted again.)
-  parallel::WorkerPool* const pool = live.plan.pool;
+  // does not mediate.
+  parallel::WorkerPool* const pool = observers_.plan.pool;
   unsigned plan_shards = 1;
   if (pool != nullptr && tel == nullptr && prov == nullptr) {
-    plan_shards = live.plan.shards != 0 ? live.plan.shards : pool->threads();
+    plan_shards = observers_.plan.shards != 0 ? observers_.plan.shards
+                                              : pool->threads();
     if (plan_shards == 0) plan_shards = 1;
     // A shard never holds fewer than one node, so K > n buys nothing —
     // and the scratch vector below is sized by K, so an absurd --shards
@@ -118,7 +115,7 @@ RunStats Engine::run(Round max_rounds) {
     if (plan_shards > max_shards) plan_shards = max_shards;
   }
 
-  live.on_run_begin(n, plan_shards);
+  observers_.on_run_begin(n, plan_shards);
   if (prov != nullptr) {
     for (NodeIndex v = 0; v < n; ++v) {
       if (byzantine_[v]) prov->mark_faulty(v);
@@ -195,11 +192,11 @@ RunStats Engine::run(Round max_rounds) {
   };
   std::vector<ShardScratch> shard_scratch(plan_shards);
 
-  // Per-shard, per-phase profiler (obs/shard_profile.h). Folded like
-  // telemetry, but engine-mediated: shards stamp their own scratch slots
-  // and this thread folds after the join, so attaching a profile does NOT
-  // force the callbacks serial and cannot change a byte of output. Serial
-  // runs profile as one shard.
+  // Per-shard, per-phase profiler (obs/shard_profile.h). Engine-mediated,
+  // unlike telemetry: shards stamp their own scratch slots and this thread
+  // folds after the join, so attaching a profile does NOT force the
+  // callbacks serial and cannot change a byte of output. Serial runs
+  // profile as one shard.
   // Reads the stamps of a just-joined parallel phase: busy is the shard's
   // callback window, wait is from its finish to the slowest finisher.
   auto fold_profile = [&](obs::ShardPhase phase, unsigned used_shards) {
@@ -294,7 +291,7 @@ RunStats Engine::run(Round max_rounds) {
     stats_.per_round.push_back({});
     for (NodeIndex v : victims) crashed_now[v] = 0;
     victims.clear();
-    live.on_round_begin(round);
+    observers_.on_round_begin(round);
 
     const std::int64_t merge_begin_ns = prof != nullptr ? obs::now_ns() : 0;
     if (active_dirty) {
@@ -399,7 +396,7 @@ RunStats Engine::run(Round max_rounds) {
       Outbox& victim_box = outboxes.ensure(v);
       victim_box.expand();
       auto& entries = victim_box.entries();
-      live.on_crash(round, v, order.keep.size(), entries.size());
+      observers_.on_crash(round, v, order.keep.size(), entries.size());
       // Retain only the messages the adversary lets escape.
       std::vector<std::pair<NodeIndex, Message>> kept;
       kept.reserve(order.keep.size());
@@ -661,10 +658,10 @@ RunStats Engine::run(Round max_rounds) {
       outboxes.get(v).clear();
       if (!alive_[v] || active[v] == 0) outboxes.release(v);
     }
-    live.on_round_end(round, stats_, senders.size(), outboxes.live());
+    observers_.on_round_end(round, stats_, senders.size(), outboxes.live());
   }
 
-  live.on_run_end(stats_.rounds);
+  observers_.on_run_end(stats_.rounds);
   check_stats_consistent();
   return stats_;
 }

@@ -6,9 +6,6 @@
 // callers name what they attach ({.telemetry = &tel, .plan = plan}). The
 // closed-form baseline paths drive the same fan-outs themselves. The
 // bundle owns the policy every entry point used to repeat:
-//  * the RENAMING_NO_TELEMETRY fold — telemetry, progress, provenance and
-//    the shard profile compile out; the trace and the journal never fold,
-//    because their bytes are pinned identical across telemetry configs;
 //  * run info — begin() labels every attached observer and begins
 //    provenance before node construction (node constructors record
 //    self-elections);
@@ -41,25 +38,10 @@ struct Observers {
   /// Pool, shard count and shard profile (sim/parallel/plan.h).
   parallel::ShardPlan plan = {};
 
-  /// This bundle with the RENAMING_NO_TELEMETRY fold applied. A local
-  /// copy's pointers are then compile-time nullptrs, so every hook behind
-  /// them is dead code.
-  Observers folded() const {
-    Observers o = *this;
-    if constexpr (!obs::kTelemetryEnabled) {
-      o.telemetry = nullptr;
-      o.progress = nullptr;
-      o.provenance = nullptr;
-      o.plan.profile = nullptr;
-    }
-    return o;
-  }
-
-  /// Applies the fold, labels every attached observer with the run's
-  /// algorithm, n and f, and begins provenance. Call before constructing
-  /// nodes, and hand nodes the bundle's (folded) pointers.
-  void begin(const std::string& algorithm, NodeIndex n, std::uint64_t f) {
-    *this = folded();
+  /// Labels every attached observer with the run's algorithm, n and f,
+  /// and begins provenance. Call before constructing nodes.
+  void begin(const std::string& algorithm, NodeIndex n,
+             std::uint64_t f) const {
     if (telemetry != nullptr) telemetry->set_run_info(algorithm, n, f);
     if (journal != nullptr) journal->set_run_info(algorithm, n, f);
     if (progress != nullptr) progress->set_run_info(algorithm);

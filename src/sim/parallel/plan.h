@@ -27,8 +27,8 @@ struct ShardPlan {
   /// observational: the engine stamps shard windows into its own scratch
   /// and folds them here from the calling thread, so attaching a profile
   /// perturbs no bytes and — unlike a live Telemetry — does NOT force the
-  /// callbacks serial. Ignored under RENAMING_NO_TELEMETRY. A serial run
-  /// (pool == nullptr) profiles too, as one shard.
+  /// callbacks serial. A serial run (pool == nullptr) profiles too, as one
+  /// shard.
   obs::ShardProfile* profile = nullptr;
 
   bool active() const { return pool != nullptr; }

@@ -25,18 +25,6 @@
 namespace renaming {
 namespace {
 
-// Positive-run tests below need the engine/protocol hooks to actually
-// record traffic; with -DRENAMING_NO_TELEMETRY=ON the ledgers stay empty
-// while RunStats are real, so the exact double-entry lines cannot hold.
-// They auto-skip (docs/TOOLING.md §1). The negative fixtures (over-budget,
-// quadratic, broken attribution, slack) run in every configuration.
-#define RENAMING_REQUIRE_TELEMETRY()                             \
-  if constexpr (!obs::kTelemetryEnabled) {                       \
-    GTEST_SKIP() << "telemetry compiled out "                    \
-                    "(RENAMING_NO_TELEMETRY)";                   \
-  }                                                              \
-  static_assert(true, "")
-
 obs::BudgetParams base_params(const std::string& algorithm,
                               const SystemConfig& cfg, std::uint64_t f) {
   obs::BudgetParams p;
@@ -48,7 +36,6 @@ obs::BudgetParams base_params(const std::string& algorithm,
 }
 
 TEST(BudgetAuditor, CrashRunPassesTheorem12Envelope) {
-  RENAMING_REQUIRE_TELEMETRY();
   const NodeIndex n = 64;
   const auto cfg = SystemConfig::random(n, 5ull * n * n, 17);
   crash::CrashParams params;
@@ -77,7 +64,6 @@ TEST(BudgetAuditor, CrashRunPassesTheorem12Envelope) {
 }
 
 TEST(BudgetAuditor, ByzantineRunPassesTheorem13Envelope) {
-  RENAMING_REQUIRE_TELEMETRY();
   const NodeIndex n = 48;
   const auto cfg = SystemConfig::random(n, 5ull * n * n, 777);
   byzantine::ByzParams params;
@@ -96,7 +82,6 @@ TEST(BudgetAuditor, ByzantineRunPassesTheorem13Envelope) {
 }
 
 TEST(BudgetAuditor, FullVectorAblationPassesItsOwnWiderEnvelope) {
-  RENAMING_REQUIRE_TELEMETRY();
   const NodeIndex n = 40;
   const auto cfg = SystemConfig::random(n, 5ull * n * n, 23);
   byzantine::ByzParams params;
@@ -115,7 +100,6 @@ TEST(BudgetAuditor, FullVectorAblationPassesItsOwnWiderEnvelope) {
 }
 
 TEST(BudgetAuditor, AllBaselinesPassTheirTable1Envelopes) {
-  RENAMING_REQUIRE_TELEMETRY();
   const NodeIndex n = 48;
   const auto cfg = SystemConfig::random(n, 5ull * n * n, 29);
   {

@@ -85,7 +85,6 @@ void expect_same_live_observers(const LiveObservers& sim,
   EXPECT_EQ(heartbeat_projection(sim.progress),
             heartbeat_projection(cf.progress))
       << "n=" << n;
-  if (!obs::kTelemetryEnabled) return;  // both observers folded out
   EXPECT_EQ(cf.progress.sampled(), rounds) << "n=" << n;
   std::stringstream rnsp;
   obs::write_shard_profile_binary(rnsp, cf.profile.data());
@@ -206,7 +205,6 @@ TEST(ClosedForm, AuditGatesStillPass) {
   // The point of exact accounting: the Theorem 1.2/1.3-style budget
   // envelopes (obs/budget.h) audit closed-form runs just like simulated
   // ones, per-kind wire-schema cross-checks included.
-  if (!obs::kTelemetryEnabled) GTEST_SKIP() << "telemetry compiled out";
   const auto cfg = make_cfg(96, 10);
   {
     obs::Telemetry tel;

@@ -4,9 +4,8 @@
 // values, so a test can assert "this run still produces exactly the bytes
 // it produced when the pin was captured" without committing the artifacts
 // themselves. Each Digests field covers one artifact family. `observed`
-// holds the observers that fold away under RENAMING_NO_TELEMETRY (telemetry
-// ledgers, provenance bytes, the heartbeat projection), so expect_pin()
-// checks it only where those observers are compiled in.
+// holds the remaining observers' output: telemetry ledgers, provenance
+// bytes and the heartbeat projection.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -69,7 +68,7 @@ struct Digests {
   std::uint64_t trace = 0;     ///< JSONL trace text
   std::uint64_t journal = 0;   ///< binary journal bytes
   std::uint64_t run = 0;       ///< run_digest(): RunStats and outcomes
-  std::uint64_t observed = 0;  ///< telemetry-folded observer output
+  std::uint64_t observed = 0;  ///< telemetry, provenance, heartbeat
 };
 
 inline void expect_pin(const Digests& got, const Digests& pin,
@@ -78,10 +77,8 @@ inline void expect_pin(const Digests& got, const Digests& pin,
   EXPECT_EQ(got.journal, pin.journal)
       << "journal bytes left the pin " << where;
   EXPECT_EQ(got.run, pin.run) << "RunStats/outcomes left the pin " << where;
-  if (obs::kTelemetryEnabled) {
-    EXPECT_EQ(got.observed, pin.observed)
-        << "observer output left the pin " << where;
-  }
+  EXPECT_EQ(got.observed, pin.observed)
+      << "observer output left the pin " << where;
 }
 
 }  // namespace renaming

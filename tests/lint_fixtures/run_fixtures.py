@@ -43,7 +43,7 @@ CASES = {
     "full-width-alloc": "full-width-alloc",
     "wall-clock": "wall-clock",
     "binary-io": "binary-io",
-    "observer-fold": "observer-fold",
+    "run-info": "run-info",
 }
 
 

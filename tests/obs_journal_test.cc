@@ -2,9 +2,9 @@
 //
 // The journal's contract is stricter than telemetry's: its bytes must be
 // identical whatever other observers are attached (telemetry, traces) and
-// whatever the build config (RENAMING_NO_TELEMETRY) — this file runs
-// unchanged in both CI configs and pins one golden journal digest so the
-// two configs cross-check each other. On top sit the doctor tests: a
+// whatever the build config — this file pins one golden journal digest so
+// the CI configs (dev and the sanitizer presets) cross-check each other.
+// On top sit the doctor tests: a
 // seeded single-bit perturbation must be localized to its exact round, and
 // a forced budget failure must be explained with the guilty phase and its
 // round window.
@@ -106,11 +106,9 @@ TEST(Journal, ByzantineBytesIdenticalWhateverOtherObserversAttach) {
 }
 
 TEST(Journal, GoldenJournalIsPinnedAcrossBuildConfigs) {
-  // This constant must hold in BOTH CI configs (default and
-  // RENAMING_NO_TELEMETRY): the journal is deliberately not compiled out,
-  // and its bytes may not depend on the telemetry build flag. If a change
-  // to the journal format or the protocol moves it intentionally, update
-  // the pin in the same commit.
+  // This constant must hold in every CI config (dev and the sanitizer
+  // presets). If a change to the journal format or the protocol moves it
+  // intentionally, update the pin in the same commit.
   const auto data = crash_journal(48, false, false);
   EXPECT_EQ(fnv1a(to_bytes(data)), 3075384459333091917ull);
 }
@@ -261,8 +259,12 @@ TEST(JsonEscape, AnyBytesBecomeValidUtf8AndValidTextIsUnchanged) {
   for (int b = 0; b < 256; ++b) {
     const std::string in(1, static_cast<char>(b));
     const std::string out = check(in);
-    if (b >= 0x20 && b < 0x80 && b != '"' && b != '\\') EXPECT_EQ(out, in);
-    if (b >= 0x80) EXPECT_EQ(out.size(), 6u) << b;  // \u00XX
+    if (b >= 0x20 && b < 0x80 && b != '"' && b != '\\') {
+      EXPECT_EQ(out, in);
+    }
+    if (b >= 0x80) {
+      EXPECT_EQ(out.size(), 6u) << b;  // \u00XX
+    }
   }
 
   // Boundary scalars of every length pass through unchanged...
@@ -334,19 +336,16 @@ TEST(JsonCheck, RejectsNearMissesAndAPlantedBadLine) {
 // --- one attribution for Telemetry and the journal ---------------------------
 
 /// The per-phase ledgers the doctor re-derives from `journal` equal the
-/// live Telemetry ledgers. Under -DRENAMING_NO_TELEMETRY the live ledgers
-/// are dead-stripped, so there is nothing to compare.
+/// live Telemetry ledgers.
 void expect_phase_ledgers_agree(const obs::JournalData& journal,
                                 const obs::Telemetry& telemetry) {
-  if constexpr (obs::kTelemetryEnabled) {
-    const auto phases = obs::phases_from_journal(journal);
-    for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
-      const auto id = static_cast<obs::PhaseId>(i);
-      EXPECT_EQ(phases[i].messages, telemetry.phase(id).messages)
-          << obs::phase_name(id);
-      EXPECT_EQ(phases[i].bits, telemetry.phase(id).bits)
-          << obs::phase_name(id);
-    }
+  const auto phases = obs::phases_from_journal(journal);
+  for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
+    const auto id = static_cast<obs::PhaseId>(i);
+    EXPECT_EQ(phases[i].messages, telemetry.phase(id).messages)
+        << obs::phase_name(id);
+    EXPECT_EQ(phases[i].bits, telemetry.phase(id).bits)
+        << obs::phase_name(id);
   }
 }
 
@@ -360,7 +359,7 @@ TEST(Journal, CanonicalRegistryMatchesLiveTelemetryLedgers) {
   const auto result = crash::run_crash_renaming(
       cfg, params, nullptr, {.telemetry = &telemetry, .journal = &journal});
   expect_phase_ledgers_agree(journal.data(), telemetry);
-  // The journal-vs-RunStats reconciliation holds in both configs.
+  // The journal also reconciles with RunStats.
   const auto stats = obs::stats_from_journal(journal.data());
   EXPECT_EQ(stats.total_messages, result.stats.total_messages);
   EXPECT_EQ(stats.total_bits, result.stats.total_bits);

@@ -134,7 +134,6 @@ TEST(RoundRing, CapacityZeroIsUnbounded) {
 }
 
 TEST(Telemetry, PerRoundCapBoundsBothSeries) {
-  if (!obs::kTelemetryEnabled) GTEST_SKIP() << "telemetry compiled out";
   const NodeIndex n = 64;
   const auto cfg = SystemConfig::random(n, 5ull * n * n, 21);
   obs::Telemetry capped;
@@ -441,7 +440,6 @@ Artifacts run_crash(sim::parallel::ShardPlan plan, bool live) {
 }
 
 TEST(LiveObservability, ProfiledRunIsByteIdenticalToBareRun) {
-  if (!obs::kTelemetryEnabled) GTEST_SKIP() << "telemetry compiled out";
   const Artifacts bare = run_crash({}, /*live=*/false);
   ASSERT_GT(bare.stats.crashes, 0u);
   ASSERT_FALSE(bare.trace.empty());
@@ -463,7 +461,6 @@ TEST(LiveObservability, ProfiledRunIsByteIdenticalToBareRun) {
 }
 
 TEST(LiveObservability, HeartbeatProjectionIsIdenticalAcrossThreadCounts) {
-  if (!obs::kTelemetryEnabled) GTEST_SKIP() << "telemetry compiled out";
   const Artifacts serial = run_crash({}, /*live=*/true);
   ASSERT_FALSE(serial.progress_det.empty());
   EXPECT_TRUE(json_check::IsJsonLines(serial.progress_det));
@@ -483,7 +480,6 @@ TEST(LiveObservability, HeartbeatProjectionIsIdenticalAcrossThreadCounts) {
 // deterministic projection is layout-independent, so no measured or
 // layout-dependent field may leak into it.
 TEST(LiveObservability, HeartbeatProjectionMatchesDenseReferencePin) {
-  if (!obs::kTelemetryEnabled) GTEST_SKIP() << "telemetry compiled out";
   const Artifacts a = run_crash({}, /*live=*/true);
   expect_pin({fnv1a(a.trace), fnv1a(a.journal), run_digest(a.stats, a.outcomes),
               fnv1a(a.progress_det)},

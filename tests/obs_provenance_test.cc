@@ -1,14 +1,9 @@
 // Decision-provenance tests (obs/provenance.h, obs/doctor.h why/blame).
 //
-// The recorder's contract mirrors the journal's determinism but rides the
-// telemetry fold: its exported RNPV bytes must be byte-identical across
-// shard counts K (the engine forces serial callbacks while a live recorder
-// is attached) and match a pin recorded from the retired dense engine
-// layout. Under RENAMING_NO_TELEMETRY every entry point folds the pointer
-// to nullptr, so a run with a recorder attached yields an EMPTY recording
-// — zero events, zero cost. Tests that assert on recorded content gate on
-// obs::kTelemetryEnabled and assert emptiness in the folded config, so
-// this file runs unchanged in both CI configurations.
+// The recorder's contract mirrors the journal's determinism: its exported
+// RNPV bytes must be byte-identical across shard counts K (the engine
+// forces serial callbacks while a live recorder is attached) and match a
+// pin recorded from the retired dense engine layout.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -90,25 +85,16 @@ TEST(Provenance, BytesIdenticalAcrossShardCounts) {
 // Recorded from the retired dense engine layout before the sparse layout
 // became the only one (tests/dense_reference_pins_test.cc).
 TEST(Provenance, BytesMatchDenseReferencePin) {
-  if (!obs::kTelemetryEnabled) GTEST_SKIP() << "recorder folded out";
   EXPECT_EQ(fnv1a(to_bytes(byz_prov(33))), 9881905202335370662ull);
   EXPECT_EQ(fnv1a(to_bytes(crash_prov(33))), 17291018302892518597ull);
 }
 
-TEST(Provenance, FoldsToEmptyUnderNoTelemetry) {
+TEST(Provenance, AttachedRecorderRecordsTheRun) {
   const auto data = byz_prov(21);
-  if (obs::kTelemetryEnabled) {
-    EXPECT_GT(data.recorded_events, 0u);
-    EXPECT_FALSE(data.events.empty());
-    EXPECT_EQ(data.algorithm, "byz");
-    EXPECT_EQ(data.faulty, (std::vector<NodeIndex>{1, 7, 23}));
-  } else {
-    // The entry point folds the pointer before any node or the engine
-    // sees it: not a single event, not even run identity.
-    EXPECT_EQ(data.recorded_events, 0u);
-    EXPECT_TRUE(data.events.empty());
-    EXPECT_TRUE(data.faulty.empty());
-  }
+  EXPECT_GT(data.recorded_events, 0u);
+  EXPECT_FALSE(data.events.empty());
+  EXPECT_EQ(data.algorithm, "byz");
+  EXPECT_EQ(data.faulty, (std::vector<NodeIndex>{1, 7, 23}));
 }
 
 // --- watch-set + horizon bounding ------------------------------------------
@@ -173,7 +159,6 @@ TEST(Provenance, SampleModeWatchesStridedNodes) {
 }
 
 TEST(Provenance, WatchSetBoundsARealRun) {
-  if (!obs::kTelemetryEnabled) GTEST_SKIP() << "recorder folded out";
   const auto full = byz_prov(21);
   obs::ProvenanceOptions opts;
   opts.sample = 8;
@@ -208,7 +193,6 @@ TEST(Provenance, BinaryRoundTrips) {
 // --- renaming_doctor why / blame -------------------------------------------
 
 TEST(ProvenanceDoctor, WhyRendersACausalChain) {
-  if (!obs::kTelemetryEnabled) GTEST_SKIP() << "recorder folded out";
   const auto data = byz_prov(21);
   const auto report = obs::diagnose_why(data, 0);
   EXPECT_TRUE(report.found);
@@ -219,7 +203,6 @@ TEST(ProvenanceDoctor, WhyRendersACausalChain) {
 }
 
 TEST(ProvenanceDoctor, WhyReportsUnwatchedNodes) {
-  if (!obs::kTelemetryEnabled) GTEST_SKIP() << "recorder folded out";
   obs::ProvenanceOptions opts;
   opts.watch_nodes = {0};
   const auto data = byz_prov(21, opts);
@@ -244,10 +227,6 @@ TEST(ProvenanceDoctor, WhyReportsUnwatchedNodes) {
 TEST(ProvenanceDoctor, BlameNamesThePlantedSpoofers) {
   const auto data = byz_prov(21);
   const auto report = obs::diagnose_blame(data);
-  if (!obs::kTelemetryEnabled) {
-    EXPECT_TRUE(report.ranking.empty());
-    return;
-  }
   ASSERT_FALSE(report.ranking.empty());
   // Every ranked node is a planted Spoofer (the engine attributes spoof
   // rejections to the TRUE transport origin, not the claimed sender).

@@ -28,17 +28,6 @@
 namespace renaming {
 namespace {
 
-// Tests below that rely on recorded data auto-skip when the hooks are
-// compiled out with -DRENAMING_NO_TELEMETRY=ON (docs/TOOLING.md §1). The
-// instrument tests still run: the classes exist either way, only the engine
-// and PhaseScope call sites are dead-stripped.
-#define RENAMING_REQUIRE_TELEMETRY()                             \
-  if constexpr (!obs::kTelemetryEnabled) {                       \
-    GTEST_SKIP() << "telemetry compiled out "                    \
-                    "(RENAMING_NO_TELEMETRY)";                   \
-  }                                                              \
-  static_assert(true, "")
-
 // --- instruments ------------------------------------------------------------
 
 TEST(Metrics, CounterAccumulates) {
@@ -125,7 +114,6 @@ std::uint64_t phase_bit_sum(const obs::Telemetry& t) {
 }
 
 TEST(Telemetry, CrashRunPhasesReconcileExactlyWithRunStats) {
-  RENAMING_REQUIRE_TELEMETRY();
   const NodeIndex n = 64;
   const auto cfg = SystemConfig::random(n, 5ull * n * n, 12);
   crash::CrashParams params;
@@ -171,7 +159,6 @@ TEST(Telemetry, CrashRunPhasesReconcileExactlyWithRunStats) {
 }
 
 TEST(Telemetry, ByzantineRunPhasesReconcileEvenUnderSpoofing) {
-  RENAMING_REQUIRE_TELEMETRY();
   const NodeIndex n = 36;
   const auto cfg = SystemConfig::random(n, 5ull * n * n, 11);
   byzantine::ByzParams params;
@@ -207,7 +194,6 @@ TEST(Telemetry, ByzantineRunPhasesReconcileEvenUnderSpoofing) {
 }
 
 TEST(Telemetry, BaselineRunMapsEverythingToBaselineExchange) {
-  RENAMING_REQUIRE_TELEMETRY();
   const NodeIndex n = 32;
   const auto cfg = SystemConfig::random(n, 5ull * n * n, 3);
   obs::Telemetry telemetry;
@@ -246,7 +232,6 @@ TEST(Telemetry, FreshObjectAttributesEveryTableRow) {
 }
 
 TEST(Telemetry, PhaseScopeRecordsSpansAndNullIsANoOp) {
-  RENAMING_REQUIRE_TELEMETRY();
   obs::Telemetry t;
   t.begin_run(3);
   {
@@ -274,7 +259,6 @@ TEST(Telemetry, PhaseScopeRecordsSpansAndNullIsANoOp) {
 // --- exporters --------------------------------------------------------------
 
 TEST(Exporters, MetricsJsonContainsTheExpectedSections) {
-  RENAMING_REQUIRE_TELEMETRY();
   const NodeIndex n = 32;
   const auto cfg = SystemConfig::random(n, 5ull * n * n, 13);
   crash::CrashParams params;
@@ -300,7 +284,6 @@ TEST(Exporters, MetricsJsonContainsTheExpectedSections) {
 }
 
 TEST(Exporters, PerfettoTraceContainsSpansInstantsAndCounters) {
-  RENAMING_REQUIRE_TELEMETRY();
   const NodeIndex n = 48;
   const auto cfg = SystemConfig::random(n, 5ull * n * n, 14);
   crash::CrashParams params;

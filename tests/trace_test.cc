@@ -249,7 +249,9 @@ TEST(TraceContract, SpoofedBroadcastFiresUndeliveredPerCopy) {
   EXPECT_EQ(sink.count(kBcast, false), n);
   EXPECT_EQ(sink.count(kBcast, true), n);  // node 0's honest broadcast
   for (const SinkEvent& e : sink.events) {
-    if (!e.delivered) EXPECT_EQ(e.from, 3u);
+    if (!e.delivered) {
+      EXPECT_EQ(e.from, 3u);
+    }
   }
 }
 

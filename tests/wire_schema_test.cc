@@ -31,16 +31,6 @@
 namespace renaming {
 namespace {
 
-// The ledger-equivalence tests need telemetry to actually record; with
-// -DRENAMING_NO_TELEMETRY=ON the per-kind ledgers stay empty. Same skip
-// policy as the budget auditor tests (docs/TOOLING.md §1).
-#define RENAMING_REQUIRE_TELEMETRY()                             \
-  if constexpr (!obs::kTelemetryEnabled) {                       \
-    GTEST_SKIP() << "telemetry compiled out "                    \
-                    "(RENAMING_NO_TELEMETRY)";                   \
-  }                                                              \
-  static_assert(true, "")
-
 // Every kind a run touched must book bits consistent with its schema:
 // fixed layouts exactly, bulk identity sets as a positive multiple of the
 // per-element width (exactness per message needs the payload count, which
@@ -91,7 +81,6 @@ TEST(WireSchema, VariableWidthFloorAndClamp) {
 }
 
 TEST(WireSchema, CrashRunLedgerMatchesSchema) {
-  RENAMING_REQUIRE_TELEMETRY();
   // Point 1: faulty run (crash-model wire stays honest under crashes).
   {
     const NodeIndex n = 64;
@@ -121,7 +110,6 @@ TEST(WireSchema, CrashRunLedgerMatchesSchema) {
 }
 
 TEST(WireSchema, ByzantineHonestRunLedgerMatchesSchema) {
-  RENAMING_REQUIRE_TELEMETRY();
   // f = 0 on purpose: adversarial strategies self-declare widths (the
   // named probe constants), so per-kind exactness only holds honest-wire.
   for (const NodeIndex n : {NodeIndex{48}, NodeIndex{80}}) {
@@ -138,7 +126,6 @@ TEST(WireSchema, ByzantineHonestRunLedgerMatchesSchema) {
 }
 
 TEST(WireSchema, BaselineRunLedgersMatchSchema) {
-  RENAMING_REQUIRE_TELEMETRY();
   for (const NodeIndex n : {NodeIndex{48}, NodeIndex{72}}) {
     const auto cfg = SystemConfig::random(n, 5ull * n * n, 29u + n);
     {
