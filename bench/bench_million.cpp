@@ -6,9 +6,9 @@
 // quadratic baselines accounted in exact closed form (a simulated
 // CHT at n = 2^20 would ship ~2^40 messages per round — the closed form
 // yields the same RunStats in microseconds, see src/baselines/). Reported
-// per cell: wall_ms and peak_rss_bytes, the two axes this mode exists for.
-// The resident-set high-water mark is reset before every cell, so each
-// row's peak is its own (null where the reset is unsupported).
+// per cell (bench_util.h Row): wall_s and peak_rss_bytes, the two axes
+// this mode exists for. The resident-set high-water mark is reset before
+// every cell, so each row's peak is its own.
 //
 //   --smoke          n = 2^16 only (CI: ASan + RSS ceiling via
 //                    scripts/bench_compare.py)
@@ -18,17 +18,15 @@
 //                    million-smoke liveness signal
 //   --progress-out F same heartbeat to a file (artifact-friendly); with
 //                    --progress too, the stream is teed to both
-//   --constant C     crash election constant (default 1.0: committee
-//                    ~ log n, the scale knob that keeps RESPONSE fan-out
-//                    at c * n, not n^2)
-//   --pool C         byz pool constant (default 1.0: committee ~ log n)
+//
+// Both committee constants are 1.0 (committee ~ log n): the scale that
+// keeps the crash RESPONSE fan-out at c * n, not n^2.
 //
 // Failure-free runs: the point is scale, not adversary coverage (that is
 // what the n <= 4096 benches and the test suite are for); a failure-free
 // run exercises the whole protocol machinery — election, status/response
 // fan-out, fingerprint consensus loop, distribution — at full width.
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -46,27 +44,12 @@
 #include "core/system.h"
 #include "crash/crash_renaming.h"
 #include "obs/progress.h"
-#include "obs/rss.h"
 #include "sim/wire_schema.h"
 
 namespace renaming {
 namespace {
 
-using bench::fixed;
-using bench::human;
-using bench::Json;
-using bench::Table;
-
-struct Cell {
-  std::string workload;
-  NodeIndex n = 0;
-  std::uint64_t rounds = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t bits = 0;
-  double wall_ms = 0.0;
-  std::uint64_t peak_rss = 0;
-  bool closed_form = false;
-};
+using bench::Row;
 
 // Duplicates the heartbeat to stderr and a file when both --progress and
 // --progress-out are given (live log line + artifact from one stream).
@@ -94,33 +77,11 @@ class TeeBuf : public std::streambuf {
   std::streambuf* b_;
 };
 
-template <typename Fn>
-Cell measure(const std::string& workload, NodeIndex n, Fn&& run) {
-  const bool rss_reset = bench::reset_peak_rss();
-  const auto start = std::chrono::steady_clock::now();
-  const sim::RunStats stats = run();
-  const auto stop = std::chrono::steady_clock::now();
-  Cell cell;
-  cell.workload = workload;
-  cell.n = n;
-  cell.rounds = stats.rounds;
-  cell.messages = stats.total_messages;
-  cell.bits = stats.total_bits;
-  cell.wall_ms =
-      std::chrono::duration<double, std::milli>(stop - start).count();
-  cell.peak_rss = rss_reset ? obs::peak_rss_bytes() : 0;
-  return cell;
-}
-
 int run(int argc, char** argv) {
   const bool smoke = bench::has_flag(argc, argv, "--smoke");
   const bool json = bench::has_flag(argc, argv, "--json");
   const std::string out_path =
       bench::flag_value(argc, argv, "--out", "BENCH_million.json");
-  const double election_constant =
-      std::stod(bench::flag_value(argc, argv, "--constant", "1.0"));
-  const double pool_constant =
-      std::stod(bench::flag_value(argc, argv, "--pool", "1.0"));
 
   // Live heartbeat for the simulated cells (closed-form cells finish in
   // microseconds and never enter the engine, so they emit nothing).
@@ -151,26 +112,23 @@ int run(int argc, char** argv) {
             : std::vector<NodeIndex>{1u << 16, 1u << 20};
   constexpr std::uint64_t kSeed = 9001;
 
-  Table table({"workload", "n", "rounds", "messages", "bits", "wall ms",
-               "peak rss"});
-  Json rows = Json::array();
+  std::vector<Row> rows;
   for (NodeIndex n : sizes) {
     const auto cfg =
         SystemConfig::random(n, static_cast<std::uint64_t>(n) * n * 5, kSeed);
-    std::vector<Cell> cells;
 
-    cells.push_back(measure("crash", n, [&] {
+    rows.push_back(bench::measure({.workload = "crash", .n = n}, [&] {
       crash::CrashParams params;
-      params.election_constant = election_constant;
+      params.election_constant = 1.0;
       const auto r = crash::run_crash_renaming(
           cfg, params, nullptr, {.progress = progress.get()});
       RENAMING_CHECK(r.report.ok(), "crash verifier rejected the run");
       return r.stats;
     }));
 
-    cells.push_back(measure("byz", n, [&] {
+    rows.push_back(bench::measure({.workload = "byz", .n = n}, [&] {
       byzantine::ByzParams params;
-      params.pool_constant = pool_constant;
+      params.pool_constant = 1.0;
       params.shared_seed = kSeed;
       const auto r = byzantine::run_byz_renaming(
           cfg, params, {}, nullptr, 0, {.progress = progress.get()});
@@ -181,7 +139,7 @@ int run(int argc, char** argv) {
     // Table 1 contrast cells: exact closed-form accounting (the engine
     // would need ~n^2 deliveries per round). closed_form is asserted so a
     // config change can never silently turn these into real simulations.
-    cells.push_back(measure("cht-closed", n, [&] {
+    rows.push_back(bench::measure({.workload = "cht-closed", .n = n}, [&] {
       const auto r = baselines::run_cht_renaming(
           cfg, nullptr, /*closed_form_cutoff=*/kLargeSystemNodes);
       RENAMING_CHECK(r.closed_form, "cht cell must be closed-form");
@@ -198,7 +156,7 @@ int run(int argc, char** argv) {
         sim::wire::wire_bits(41, {n, cfg.namespace_size}, n) <=
         UINT64_MAX / obg_copies / obg_rounds;
     if (obg_fits) {
-      cells.push_back(measure("obg-closed", n, [&] {
+      rows.push_back(bench::measure({.workload = "obg-closed", .n = n}, [&] {
         const auto r = baselines::run_obg_renaming(
             cfg, {}, baselines::ObgByzBehaviour::kSplitAnnounce,
             /*closed_form_cutoff=*/kLargeSystemNodes);
@@ -206,53 +164,14 @@ int run(int argc, char** argv) {
         RENAMING_CHECK(r.report.ok(), "obg verifier rejected the run");
         return r.stats;
       }));
-      cells.back().closed_form = true;
     } else {
       std::printf("note: obg-closed omitted at n=%u — total bits would "
                   "overflow 64-bit accounting (~n^3 log N)\n", n);
     }
-    cells[2].closed_form = true;
-
-    for (const Cell& cell : cells) {
-      // The CI RSS ceiling passes a null row, so smoke runs assert it is
-      // real (as bench_engine --smoke does).
-      if (smoke) {
-        RENAMING_CHECK(cell.peak_rss > 0,
-                       "peak_rss_bytes row must be populated");
-      }
-      table.row({cell.workload, std::to_string(cell.n),
-                 std::to_string(cell.rounds), human(cell.messages),
-                 human(cell.bits), fixed(cell.wall_ms, 1),
-                 human(cell.peak_rss)});
-      rows.push(Json::object()
-                    .set("workload", Json::str(cell.workload))
-                    .set("n", Json::integer(cell.n))
-                    .set("rounds", Json::integer(cell.rounds))
-                    .set("messages", Json::integer(cell.messages))
-                    .set("bits", Json::integer(cell.bits))
-                    .set("wall_ms", Json::num(cell.wall_ms, 1))
-                    .set("peak_rss_bytes", bench::rss_json(cell.peak_rss))
-                    .set("closed_form", Json::boolean(cell.closed_form)));
-    }
   }
 
-  std::printf("== E9: million-node mode (baselines in closed form) ==\n");
-  table.print();
-
-  if (json) {
-    Json doc = Json::object();
-    doc.set("bench", Json::str("million"))
-        .set("smoke", Json::boolean(smoke))
-        .set("rows", std::move(rows));
-    std::ofstream out(out_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
-      return 1;
-    }
-    out << doc.dump();
-    std::printf("wrote %s\n", out_path.c_str());
-  }
-  return 0;
+  bench::print_rows("E9: million-node mode (baselines in closed form)", rows);
+  return json ? bench::write_json("million", smoke, rows, out_path) : 0;
 }
 
 }  // namespace

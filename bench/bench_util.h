@@ -9,6 +9,7 @@
 // sim::parallel::ShardPlan, and either way its output is deterministic.
 #pragma once
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -17,9 +18,13 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/types.h"
 #include "obs/json.h"
+#include "obs/phase.h"
 #include "obs/rss.h"
+#include "obs/telemetry.h"
 #include "sim/parallel/worker_pool.h"
+#include "sim/stats.h"
 
 namespace renaming::bench {
 
@@ -220,6 +225,94 @@ class Json {
 };
 
 // ---------------------------------------------------------------------------
+// The benchmark row: every JSON bench writes BENCH_*.json as a list of these,
+// and scripts/bench_compare.py reads them with one keyed compare.
+
+/// The module prefix renaming_bench gives each protocol phase.
+inline const char* phase_module(obs::PhaseId p) {
+  switch (p) {
+    case obs::PhaseId::kCommitteeAnnounce:
+    case obs::PhaseId::kStatusReport:
+    case obs::PhaseId::kCommitteeResponse:
+      return "crash";
+    case obs::PhaseId::kFingerprintValidation:
+    case obs::PhaseId::kConsensus:
+      return "consensus";
+    case obs::PhaseId::kBaselineExchange:
+      return "baselines";
+    case obs::PhaseId::kUnattributed:
+      return "sim";
+    default:
+      return "byzantine";
+  }
+}
+
+/// One benchmark cell. The key is (workload, n, f, threads); a method or
+/// variant goes in the workload name ("cht-mt", "byz-mt", "obg-closed").
+/// rounds/messages/bits are exact and belong to the cell's FIRST seed, so
+/// a smoke cell and a full cell with the same key compare exactly; wall_s
+/// covers every seed. `layers` uses renaming_bench's metric names
+/// ("byzantine.<phase>.msgs", "sim.parallel.barrier_wait_share",
+/// "obs.overhead_pct", ...): names ending in .msgs or .bits are exact,
+/// names ending in _s are wall times.
+struct Row {
+  struct Layer {
+    std::string name;
+    double value = 0.0;
+    int digits = 3;  ///< printed decimals; 0 for the exact counts
+  };
+
+  std::string workload;
+  NodeIndex n = 0;
+  NodeIndex f = 0;
+  unsigned threads = 1;  ///< engine threads per simulation (1 = serial)
+  std::uint64_t seeds = 1;
+  std::uint64_t rounds = 0;
+  std::uint64_t messages = 0;
+  std::uint64_t bits = 0;
+  double wall_s = 0.0;
+  std::uint64_t peak_rss_bytes = 0;  ///< this cell's own high-water mark
+  std::vector<Layer> layers = {};
+
+  void layer(std::string name, double value, int digits = 3) {
+    layers.push_back({std::move(name), value, digits});
+  }
+
+  /// Per-phase msgs/bits/wall_s layers for every phase that saw traffic or
+  /// wall time; the msgs and bits ledgers sum to the run totals.
+  void phase_layers(const obs::Telemetry& telemetry) {
+    for (std::size_t p = 0; p < obs::kPhaseCount; ++p) {
+      const auto id = static_cast<obs::PhaseId>(p);
+      const obs::PhaseTotals& t = telemetry.phase(id);
+      if (t.messages == 0 && t.bits == 0 && t.wall_ns == 0) continue;
+      const std::string prefix =
+          std::string(phase_module(id)) + "." + obs::phase_name(id) + ".";
+      layer(prefix + "msgs", static_cast<double>(t.messages), 0);
+      layer(prefix + "bits", static_cast<double>(t.bits), 0);
+      layer(prefix + "wall_s", static_cast<double>(t.wall_ns) / 1e9, 6);
+    }
+  }
+
+  Json json() const {
+    Json l = Json::object();
+    for (const Layer& x : layers) l.set(x.name, Json::num(x.value, x.digits));
+    Json row = Json::object();
+    row.set("workload", Json::str(workload))
+        .set("n", Json::integer(n))
+        .set("f", Json::integer(f))
+        .set("threads", Json::integer(threads))
+        .set("seeds", Json::integer(seeds))
+        .set("rounds", Json::integer(rounds))
+        .set("messages", Json::integer(messages))
+        .set("bits", Json::integer(bits))
+        .set("wall_s", Json::num(wall_s, 6))
+        .set("peak_rss_bytes", Json::integer(peak_rss_bytes))
+        .set("layers", std::move(l));
+    return row;
+  }
+};
+
+// ---------------------------------------------------------------------------
 // Seed-level parallelism for the harness drivers
 
 /// The process-wide pool the harness drivers share; sized to the machine.
@@ -246,17 +339,78 @@ inline void parallel_jobs(std::size_t count, Fn&& fn, unsigned threads = 0) {
 /// Resets the high-water mark to the current resident set (writes 5 to
 /// /proc/self/clear_refs), so the next obs::peak_rss_bytes() (obs/rss.h) is
 /// one cell's peak rather than the largest of every earlier cell. Returns
-/// false where the reset or the VmHWM read is unsupported; the harness
-/// then reports that cell's peak as null.
+/// false where the reset or the VmHWM read is unsupported.
 inline bool reset_peak_rss() {
   std::ofstream clear_refs("/proc/self/clear_refs");
   if (!(clear_refs << "5" << std::flush)) return false;
   return obs::peak_rss_bytes() > 0;
 }
 
-/// A cell's peak_rss_bytes JSON value: 0 (no per-cell reset) is null.
-inline Json rss_json(std::uint64_t peak_rss) {
-  return peak_rss > 0 ? Json::integer(peak_rss) : Json::null();
+/// Measures one cell: resets the RSS high-water mark, times `run` (which
+/// runs every seed and returns the FIRST seed's RunStats) and fills the
+/// counts, wall_s and peak_rss_bytes of `row` (0 where the reset is
+/// unsupported).
+template <typename Fn>
+Row measure(Row row, Fn&& run) {
+  const bool rss_reset = reset_peak_rss();
+  const auto start = std::chrono::steady_clock::now();
+  const sim::RunStats stats = run();
+  const auto stop = std::chrono::steady_clock::now();
+  row.rounds = stats.rounds;
+  row.messages = stats.total_messages;
+  row.bits = stats.total_bits;
+  row.wall_s = std::chrono::duration<double>(stop - start).count();
+  row.peak_rss_bytes = rss_reset ? obs::peak_rss_bytes() : 0;
+  return row;
+}
+
+/// Prints the rows as one table; of the layers it shows only the sim.* and
+/// obs.* ones (the per-phase ledgers stay in the JSON).
+inline void print_rows(const char* title, const std::vector<Row>& rows) {
+  Table table({"workload", "n", "f", "threads", "seeds", "rounds",
+               "messages", "bits", "msgs/n", "bits/n", "wall s", "peak rss",
+               "layers"});
+  for (const Row& r : rows) {
+    std::string notes;
+    for (const Row::Layer& l : r.layers) {
+      if (l.name.rfind("sim.", 0) != 0 && l.name.rfind("obs.", 0) != 0) {
+        continue;
+      }
+      notes += (notes.empty() ? "" : " ") + l.name + "=" +
+               fixed(l.value, l.digits);
+    }
+    table.row({r.workload, std::to_string(r.n), std::to_string(r.f),
+               std::to_string(r.threads), std::to_string(r.seeds),
+               std::to_string(r.rounds), human(r.messages), human(r.bits),
+               fixed(static_cast<double>(r.messages) / r.n, 1),
+               fixed(static_cast<double>(r.bits) / r.n, 1),
+               fixed(r.wall_s, 3), human(r.peak_rss_bytes), notes});
+  }
+  std::printf("== %s ==\n", title);
+  table.print();
+}
+
+/// Writes {"bench", "smoke", "rows"} to `path`; 0 on success. Every row
+/// must carry its own peak: a row without one would pass any RSS gate.
+inline int write_json(const char* bench, bool smoke,
+                      const std::vector<Row>& rows, const std::string& path) {
+  Json list = Json::array();
+  for (const Row& r : rows) {
+    RENAMING_CHECK(r.peak_rss_bytes > 0,
+                   "peak_rss_bytes needs the per-cell high-water reset");
+    list.push(r.json());
+  }
+  Json doc = Json::object();
+  doc.set("bench", Json::str(bench))
+      .set("smoke", Json::boolean(smoke))
+      .set("rows", std::move(list));
+  std::ofstream out(path);
+  if (!(out << doc.dump())) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return 1;
+  }
+  std::printf("wrote %s\n", path.c_str());
+  return 0;
 }
 
 inline bool has_flag(int argc, char** argv, const std::string& flag) {

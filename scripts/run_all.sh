@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Build, test, and regenerate every experiment (DESIGN.md section 3).
+# Build (Release), test, and regenerate every experiment (DESIGN.md
+# section 3), including the committed BENCH_engine.json,
+# BENCH_byz_scaling.json and BENCH_million.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-cmake -B build -G Ninja
+cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=Release
 cmake --build build
 ctest --test-dir build --output-on-failure
 
@@ -26,12 +28,18 @@ fi
 ./build/tools/renaming_doctor explain "$jdir/a.bin"
 
 timings=()
-for b in build/bench/*; do
-  echo "===== $(basename "$b") ====="
+for b in build/bench/bench_*; do
+  name=$(basename "$b")
+  args=()
+  case "$name" in
+    bench_engine | bench_byz_scaling | bench_million)
+      args=(--json --out "BENCH_${name#bench_}.json") ;;
+  esac
+  echo "===== $name ====="
   start=$(date +%s.%N)
-  "$b"
+  "$b" "${args[@]}"
   end=$(date +%s.%N)
-  timings+=("$(awk -v n="$(basename "$b")" -v s="$start" -v e="$end" \
+  timings+=("$(awk -v n="$name" -v s="$start" -v e="$end" \
     'BEGIN { printf "%-24s %8.1fs", n, e - s }')")
 done
 echo "===== wall-clock summary ====="
