@@ -24,7 +24,8 @@
 //                  (8 sampled watch nodes, bounded horizon);
 //   * cht-mt     — cht on a shard-parallel engine of 1, 2, 4, 8 threads.
 // The four observer cells carry their paired overhead against plain cht
-// as the obs.overhead_pct layer (budget: < 2%, see docs/PERFORMANCE.md);
+// as the obs.overhead_pct layer, with its quartiles as obs.overhead_p25_pct
+// and obs.overhead_p75_pct (budget: < 2%, see docs/PERFORMANCE.md);
 // the cht-mt cells carry sim.parallel.speedup and barrier_wait_share.
 //
 // Independent seeds run in parallel (bench_util.h pool); each simulation
@@ -233,26 +234,40 @@ int run(int argc, char** argv) {
   // attached. Two sweep cells are measured many seconds apart, so on a
   // shared host their ratio is dominated by machine drift, not by the
   // instrumentation; instead each repetition here times base and
-  // instrumented BACK-TO-BACK (drift cancels within a pair) and the
-  // overhead is the median pair ratio (spikes drop out). The row itself
-  // is the last pair's instrumented cell.
+  // instrumented BACK-TO-BACK (drift cancels within a pair), alternating
+  // which of the two runs first so neither side always inherits the
+  // other's cache and heap state. The overhead is the median pair ratio
+  // with its quartiles beside it; a cell is over the 2% budget only when
+  // its lower quartile is. The row itself is the last pair's instrumented
+  // cell.
   const NodeIndex overhead_n = smoke ? 512 : 2048;
   const std::uint64_t overhead_seeds = smoke ? 2 : 4;
+  const int pairs = smoke ? 5 : 21;
   for (const char* workload : {"cht-tel", "cht-jrn", "cht-live", "cht-prov"}) {
-    constexpr int kPairs = 5;
-    std::vector<double> ratios;
+    std::vector<double> pcts;
     Row row;
-    for (int p = 0; p < kPairs; ++p) {
-      const Row base = measure("cht", overhead_n, overhead_seeds, threads);
-      row = measure(workload, overhead_n, overhead_seeds, threads);
-      ratios.push_back(row.wall_s / base.wall_s);
+    for (int p = 0; p < pairs; ++p) {
+      Row base;
+      if (p % 2 == 0) {
+        base = measure("cht", overhead_n, overhead_seeds, threads);
+        row = measure(workload, overhead_n, overhead_seeds, threads);
+      } else {
+        row = measure(workload, overhead_n, overhead_seeds, threads);
+        base = measure("cht", overhead_n, overhead_seeds, threads);
+      }
+      pcts.push_back(100.0 * (row.wall_s / base.wall_s - 1.0));
     }
-    std::sort(ratios.begin(), ratios.end());
-    const double pct = 100.0 * (ratios[kPairs / 2] - 1.0);
-    std::printf("%s overhead at cht n=%u: %.2f%% (median of %d back-to-back "
-                "pairs; budget < 2%%)\n",
-                workload, overhead_n, pct, kPairs);
+    std::sort(pcts.begin(), pcts.end());
+    const double p25 = pcts[pcts.size() / 4];
+    const double pct = pcts[pcts.size() / 2];
+    const double p75 = pcts[pcts.size() * 3 / 4];
+    std::printf("%s overhead at cht n=%u: %.2f%% [%.2f, %.2f] (median "
+                "[quartiles] of %d alternating pairs; budget < 2%%)%s\n",
+                workload, overhead_n, pct, p25, p75, pairs,
+                p25 > 2.0 ? " over budget" : "");
     row.layer("obs.overhead_pct", pct, 2);
+    row.layer("obs.overhead_p25_pct", p25, 2);
+    row.layer("obs.overhead_p75_pct", p75, 2);
     rows.push_back(row);
   }
 

@@ -42,21 +42,6 @@ void BM_BeaconCoefficient(benchmark::State& state) {
 }
 BENCHMARK(BM_BeaconCoefficient);
 
-void BM_CachedCoefficient(benchmark::State& state) {
-  // The shared per-run cache: after warmup every lookup is one vector read
-  // instead of a rejection-sampled beacon evaluation.
-  const auto cache = hashing::make_coefficient_cache(1);
-  hashing::SetFingerprint fp(cache);
-  const std::uint64_t kUniverse = 1 << 16;
-  for (std::uint64_t i = 1; i <= kUniverse; ++i) fp.coefficient(i);  // warm
-  std::uint64_t i = 1;
-  for (auto _ : state) {
-    i = 1 + (i * 2654435761u) % kUniverse;
-    benchmark::DoNotOptimize(fp.coefficient(i));
-  }
-}
-BENCHMARK(BM_CachedCoefficient);
-
 void BM_IdentityListSummarize(benchmark::State& state) {
   const std::uint64_t kN = 1 << 22;
   hashing::SharedRandomness beacon(2);
@@ -104,21 +89,18 @@ BENCHMARK(BM_IdentityListMixedOps)->Arg(1024)->Arg(16384)->Arg(262144);
 void BM_IdentityListBulkLoad(benchmark::State& state) {
   // A committee member turning k round-2 reports (arrival order) into its
   // list: insert:0 is the protocol's one sort plus assign_sorted, insert:1
-  // is k insert() calls. Coefficients come from a warm shared cache, as in
-  // a run, so the gap is the container's.
+  // is k insert() calls. Both draw coefficients from the beacon, as in a
+  // run, so the gap is the container's.
   const std::uint64_t kN = 1 << 22;
   const auto k = static_cast<std::size_t>(state.range(0));
   const bool by_insert = state.range(1) != 0;
-  const auto cache = hashing::make_coefficient_cache(10);
+  hashing::SharedRandomness beacon(10);
   Xoshiro256 rng(11);
   std::vector<std::uint64_t> arrivals(k);
-  for (std::uint64_t& id : arrivals) {
-    id = 1 + rng.below(kN);
-    cache->coefficient(id);  // warm
-  }
+  for (std::uint64_t& id : arrivals) id = 1 + rng.below(kN);
   std::vector<std::uint64_t> sorted;
   for (auto _ : state) {
-    byzantine::IdentityList list(kN, cache);
+    byzantine::IdentityList list(kN, beacon);
     if (by_insert) {
       for (std::uint64_t id : arrivals) list.insert(id);
     } else {

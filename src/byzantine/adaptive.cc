@@ -10,13 +10,12 @@ AdaptiveRunResult run_adaptive_experiment(const SystemConfig& cfg,
                                           Round max_rounds) {
   const Directory directory(cfg);
   AdaptiveController controller(budget);
-  const auto coeff_cache = hashing::make_coefficient_cache(params.shared_seed);
 
   std::vector<std::unique_ptr<sim::Node>> nodes;
   nodes.reserve(cfg.n);
   for (NodeIndex v = 0; v < cfg.n; ++v) {
     nodes.push_back(std::make_unique<TurncoatNode>(v, cfg, directory, params,
-                                                   controller, coeff_cache));
+                                                   controller));
   }
   sim::Engine engine(std::move(nodes));
 

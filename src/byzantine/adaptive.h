@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "byzantine/byz_renaming.h"
@@ -61,10 +60,9 @@ class TurncoatNode final : public sim::Node {
  public:
   TurncoatNode(NodeIndex self, const SystemConfig& cfg,
                const Directory& directory, const ByzParams& params,
-               AdaptiveController& controller,
-               std::shared_ptr<const hashing::CoefficientCache> cache = nullptr)
+               AdaptiveController& controller)
       : self_(self),
-        honest_(self, cfg, directory, params, std::move(cache)),
+        honest_(self, cfg, directory, params),
         controller_(&controller) {}
 
   void send(Round round, sim::Outbox& out) override {

@@ -17,7 +17,6 @@ constexpr sim::MsgKind kind_of(Tag t) { return static_cast<sim::MsgKind>(t); }
 
 ByzNode::ByzNode(NodeIndex self, const SystemConfig& cfg,
                  const Directory& directory, ByzParams params,
-                 std::shared_ptr<const hashing::CoefficientCache> cache,
                  obs::Telemetry* telemetry, consensus::ViewInterner* interner,
                  obs::Provenance* provenance)
     : self_(self),
@@ -28,9 +27,6 @@ ByzNode::ByzNode(NodeIndex self, const SystemConfig& cfg,
       directory_(&directory),
       params_(params),
       beacon_(params.shared_seed),
-      coeff_cache_(cache != nullptr
-                       ? std::move(cache)
-                       : hashing::make_coefficient_cache(params.shared_seed)),
       telemetry_(telemetry),
       interner_(interner),
       provenance_(provenance),
@@ -374,7 +370,7 @@ void ByzNode::load_reports(sim::InboxView inbox) {
   scratch_ids_.clear();
   scratch_ids_.reserve(reporters_.size());
   for (const Report& r : reporters_) scratch_ids_.push_back(r.id);
-  list_ = std::make_unique<IdentityList>(namespace_size_, coeff_cache_);
+  list_ = std::make_unique<IdentityList>(namespace_size_, beacon_);
   list_->assign_sorted(scratch_ids_);
 }
 
@@ -488,17 +484,9 @@ ByzRunResult run_byz_renaming(const SystemConfig& cfg, const ByzParams& params,
                   byzantine.size());
   obs::Telemetry* const tel = observers.telemetry;
 
-  // One coefficient cache for the whole run: every correct node holds the
-  // same beacon seed, so the memo is shared knowledge, not a shortcut.
-  // Under a shard-parallel plan the memo table would be written from
-  // several threads at once, so the cache runs in its stateless mode
-  // (same coefficients, recomputed per call) instead.
-  const auto coeff_cache = hashing::make_coefficient_cache(
-      params.shared_seed, /*memoize=*/!observers.plan.active());
-
-  // Run-wide committee-view pool, same thread-safety policy as the cache:
-  // interning happens inside receive(), which a shard plan may run in
-  // parallel, so the pool only exists on serial runs. Declared before the
+  // Run-wide committee-view pool: interning happens inside receive(),
+  // which a shard plan may run in parallel, so the pool only exists on
+  // serial runs. Declared before the
   // nodes (and the engine that owns them) so the views it hands out
   // outlive every node holding one.
   consensus::ViewInterner view_interner;
@@ -512,7 +500,7 @@ ByzRunResult run_byz_renaming(const SystemConfig& cfg, const ByzParams& params,
       nodes.push_back(factory(v, cfg, directory, params));
     } else {
       nodes.push_back(std::make_unique<ByzNode>(v, cfg, directory, params,
-                                                coeff_cache, tel, interner,
+                                                tel, interner,
                                                 observers.provenance));
     }
   }

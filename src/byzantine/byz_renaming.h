@@ -49,7 +49,6 @@
 #include "core/interval.h"
 #include "core/system.h"
 #include "core/verifier.h"
-#include "hashing/coefficient_cache.h"
 #include "hashing/shared_random.h"
 #include "byzantine/identity_list.h"
 #include "obs/phase.h"
@@ -100,9 +99,9 @@ enum class Tag : sim::MsgKind {
 
 class ByzNode : public sim::Node {
  public:
-  /// `cache` is the run-wide fingerprint-coefficient cache; when null the
-  /// node builds a private one from params.shared_seed (same values, just
-  /// not shared — used by strategy wrappers constructed via the factory).
+  /// Fingerprint coefficients are drawn from the stateless beacon of
+  /// params.shared_seed on every query (hashing/fingerprint.h), so a node
+  /// needs no run-wide state to agree with the others on them.
   /// `interner` (optional) is the run-wide committee-view pool
   /// (consensus::ViewInterner): honest nodes deriving the same view then
   /// share one immutable CommitteeView instead of storing n private copies,
@@ -117,9 +116,7 @@ class ByzNode : public sim::Node {
   /// majority claim — with cause links to the deliveries that produced
   /// them; also purely observational.
   ByzNode(NodeIndex self, const SystemConfig& cfg, const Directory& directory,
-          ByzParams params,
-          std::shared_ptr<const hashing::CoefficientCache> cache = nullptr,
-          obs::Telemetry* telemetry = nullptr,
+          ByzParams params, obs::Telemetry* telemetry = nullptr,
           consensus::ViewInterner* interner = nullptr,
           obs::Provenance* provenance = nullptr);
 
@@ -201,10 +198,6 @@ class ByzNode : public sim::Node {
   const Directory* directory_;
   ByzParams params_;
   hashing::SharedRandomness beacon_;
-  // Run-wide memo of the beacon's rejection-sampled hash coefficients
-  // (hashing/coefficient_cache.h): every node of a run shares one cache,
-  // sound because the beacon seed is common knowledge (Fact 3.2).
-  std::shared_ptr<const hashing::CoefficientCache> coeff_cache_;
   obs::Telemetry* telemetry_;  // non-owning, may be null
   consensus::ViewInterner* interner_;  // non-owning, may be null
   obs::Provenance* provenance_;  // non-owning, may be null

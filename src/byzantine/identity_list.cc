@@ -17,16 +17,6 @@ IdentityList::IdentityList(std::uint64_t namespace_size,
   RENAMING_CHECK(bucket_capacity_ >= 2, "bucket capacity too small to split");
 }
 
-IdentityList::IdentityList(
-    std::uint64_t namespace_size,
-    std::shared_ptr<const hashing::CoefficientCache> cache,
-    std::size_t bucket_capacity)
-    : namespace_size_(namespace_size),
-      hash_(std::move(cache)),
-      bucket_capacity_(bucket_capacity) {
-  RENAMING_CHECK(bucket_capacity_ >= 2, "bucket capacity too small to split");
-}
-
 std::size_t IdentityList::bucket_for(std::uint64_t bound) const {
   std::size_t lo = 0;
   std::size_t hi = buckets_.size();

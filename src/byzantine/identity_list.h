@@ -22,12 +22,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "core/interval.h"
-#include "hashing/coefficient_cache.h"
 #include "hashing/fingerprint.h"
 #include "hashing/shared_random.h"
 
@@ -49,15 +47,9 @@ class IdentityList {
 
   /// `namespace_size` is N; coefficients come from the shared beacon so
   /// that all correct members evaluate the same hash function (Fact 3.2).
-  /// The beacon must outlive the list.
+  /// The list keeps its own copy of the beacon (one seed).
   IdentityList(std::uint64_t namespace_size,
                const hashing::SharedRandomness& beacon,
-               std::size_t bucket_capacity = kDefaultBucketCapacity);
-
-  /// Cache-backed form: all lists of one run share `cache`, so each
-  /// position's rejection-sampled coefficient is derived once per run.
-  IdentityList(std::uint64_t namespace_size,
-               std::shared_ptr<const hashing::CoefficientCache> cache,
                std::size_t bucket_capacity = kDefaultBucketCapacity);
 
   /// Replaces the contents with `ids`, which must be strictly ascending

@@ -100,9 +100,9 @@ class CommitteeView {
 /// that fabricate per-node views simply intern distinct lists and share
 /// nothing — correctness never depends on sharing.
 ///
-/// Not thread-safe: callers only intern from engine-serial sections (the
-/// run_* entry points skip the interner when a shard plan is active, the
-/// same policy as the coefficient cache's memoization).
+/// Not thread-safe: it is the one piece of cross-node shared mutable state
+/// in a Byzantine run, so callers only intern from engine-serial sections
+/// (the run_* entry points skip the interner when a shard plan is active).
 class ViewInterner {
  public:
   std::shared_ptr<const CommitteeView> intern(std::vector<Member> members) {

@@ -6,9 +6,10 @@
 // correct committee members evaluate the *same* random hash function:
 //
 //  * SetFingerprint — H(L[l..r]) = sum over set positions i in [l,r] of
-//    c_i mod (2^61-1), with per-position coefficients c_i drawn lazily from
-//    the beacon (optionally through a per-run CoefficientCache, see
-//    hashing/coefficient_cache.h). Position-sensitive within the fixed
+//    c_i mod (2^61-1), with per-position coefficients c_i drawn from the
+//    beacon on every query: the beacon is stateless, so c_i is a pure
+//    function of (seed, i) and no table of them is kept or shared
+//    between nodes or threads. Position-sensitive within the fixed
 //    namespace, computable in O(ones), and homomorphic under single-bit
 //    flips — m61 addition is an invertible group operation, which is what
 //    lets byzantine/identity_list.h maintain per-bucket aggregates
@@ -29,31 +30,39 @@
 
 #include <bit>
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <utility>
 
 #include "common/bitvec.h"
-#include "hashing/coefficient_cache.h"
 #include "hashing/mersenne61.h"
 #include "hashing/shared_random.h"
 
 namespace renaming::hashing {
 
+/// Draws the coefficient for namespace position `i` (1-based identity)
+/// directly from the beacon: rejection sampling keeps the value uniform in
+/// [0, p).
+inline std::uint64_t sample_coefficient(const SharedRandomness& beacon,
+                                        std::uint64_t i) {
+  std::uint64_t salt = 0;
+  for (;;) {
+    const std::uint64_t c =
+        beacon.value(SharedRandomness::Domain::kHashCoefficients,
+                     i + (salt << 48)) &
+        kMersenne61;
+    if (c != kMersenne61) return c;  // c == p would be out of field range
+    ++salt;
+  }
+}
+
 class SetFingerprint {
  public:
-  explicit SetFingerprint(const SharedRandomness& beacon) : beacon_(&beacon) {}
-
-  /// Cache-backed form: coefficients are memoized once per run in `cache`,
-  /// shared across every node holding the same beacon seed. The cache
-  /// already embeds a beacon copy, so no external beacon is needed.
-  explicit SetFingerprint(std::shared_ptr<const CoefficientCache> cache)
-      : cache_(std::move(cache)) {}
+  /// Copies the beacon (it is just a seed), so the fingerprint never
+  /// dangles and is safe to use from any thread.
+  explicit SetFingerprint(const SharedRandomness& beacon) : beacon_(beacon) {}
 
   /// Coefficient for namespace position `i` (1-based original identity).
   std::uint64_t coefficient(std::uint64_t i) const {
-    if (cache_ != nullptr) return cache_->coefficient(i);
-    return sample_coefficient(*beacon_, i);
+    return sample_coefficient(beacon_, i);
   }
 
   /// Fingerprint of the set positions of `bits` restricted to [lo, hi]
@@ -76,11 +85,8 @@ class SetFingerprint {
     return h;
   }
 
-  const CoefficientCache* cache() const { return cache_.get(); }
-
  private:
-  const SharedRandomness* beacon_ = nullptr;
-  std::shared_ptr<const CoefficientCache> cache_;
+  SharedRandomness beacon_;
 };
 
 class RabinFingerprint {

@@ -181,8 +181,9 @@ class Telemetry {
     instants_.push_back({Instant::Kind::kCrash, round, victim, 0});
   }
 
-  /// One instant per forged *logical* outbox entry (the stats count every
-  /// rejected copy; the instant marks the attempt).
+  /// One instant per forged send() call (each copy of a coalesced repeat
+  /// counts) and per forged *logical* multicast or broadcast entry (the
+  /// stats count every rejected copy; the instant marks the attempt).
   void note_spoof(Round round, NodeIndex sender, sim::MsgKind kind) {
     spoof_attempts_->add(1);
     instants_.push_back({Instant::Kind::kSpoofRejected, round, sender, kind});

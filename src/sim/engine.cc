@@ -1,6 +1,8 @@
 #include "sim/engine.h"
 
 #include <algorithm>
+#include <span>
+#include <utility>
 
 #include "common/check.h"
 #include "obs/shard_profile.h"
@@ -79,8 +81,9 @@ RunStats Engine::run(Round max_rounds) {
 
   // Observers are observational: every hook below mirrors an accounting
   // site (stats/trace) without influencing behaviour. Journal hooks fire
-  // once per *logical* outbox entry (never per broadcast copy), keeping the
-  // attached cost within the hot-path budget. Provenance records like the
+  // once per copy of a unicast or repeat and once per *logical* multicast
+  // or broadcast entry (never per broadcast copy), keeping the attached
+  // cost within the hot-path budget. Provenance records like the
   // journal (no wall clock, hooks only at order-pinned serial sites): the
   // engine contributes the boundary events nodes cannot see (spoof
   // rejections, crashes) and the faulty set; nodes record their own
@@ -91,16 +94,16 @@ RunStats Engine::run(Round max_rounds) {
   obs::Provenance* const prov = observers_.provenance;
   obs::ShardProfile* const prof = observers_.plan.profile;
 
-  // Shard-parallel callback execution (docs/PERFORMANCE.md §9). The plan
-  // only parallelizes the two phases whose writes are per-node by
-  // construction — send (each node fills its own outbox) and receive (each
-  // node mutates its own state) — while the adversary and the whole
-  // delivery/accounting sweep stay on this thread in their original order,
-  // so stats, traces, journal bytes and delivery order cannot change by
-  // construction. A live telemetry or provenance forces the callbacks
-  // serial: PhaseScope spans and provenance events inside protocol node
-  // code mutate the shared recorder directly, the observers the engine
-  // does not mediate.
+  // Shard-parallel callback execution (docs/PERFORMANCE.md §9). Only the
+  // two phases whose writes are per-node by construction fan out — send
+  // (each node fills its own outbox) and receive (each node mutates its
+  // own state) — while the adversary and the whole delivery/accounting
+  // sweep stay on this thread in their original order, so stats, traces,
+  // journal bytes and delivery order cannot change by construction. A
+  // serial run is K = 1 of the same fan-out. A live telemetry or
+  // provenance forces K = 1: PhaseScope spans and provenance events inside
+  // protocol node code mutate the shared recorder directly, the observers
+  // the engine does not mediate.
   parallel::WorkerPool* const pool = observers_.plan.pool;
   unsigned plan_shards = 1;
   if (pool != nullptr && tel == nullptr && prov == nullptr) {
@@ -147,13 +150,24 @@ RunStats Engine::run(Round max_rounds) {
   std::vector<char> active(n, 0);       // alive and not idle
   std::vector<NodeIndex> active_list;   // ascending; the round's work list
   std::uint64_t correct_remaining = 0;  // alive, non-Byzantine, not done
+  // Ascending list of alive destinations: the broadcast fast path iterates
+  // it instead of bit-testing alive_ per recipient. Maintained by
+  // filtering crashed nodes out in place (identical bytes to a rebuild, no
+  // O(n) rescan per crash round). Ascending order keeps delivery order
+  // identical to n individual sends.
+  std::vector<NodeIndex> alive_dests;
+  // [0, n): the destination list of every broadcast entry.
+  std::vector<NodeIndex> all_dests(n);
   for (NodeIndex v = 0; v < n; ++v) {
     node_done[v] = nodes_[v]->done() ? 1 : 0;
     active[v] = (alive_[v] && !nodes_[v]->idle()) ? 1 : 0;
     if (active[v] != 0) active_list.push_back(v);
     if (alive_[v] && !byzantine_[v] && node_done[v] == 0) ++correct_remaining;
+    if (alive_[v]) alive_dests.push_back(v);
+    all_dests[v] = v;
   }
   bool active_dirty = false;
+  bool alive_dests_dirty = false;
   // active_list is maintained by merging newly activated nodes into the
   // (sorted) previous list instead of rescanning [0, n).
   std::vector<NodeIndex> activated;  // 0->1 transitions since last merge
@@ -162,14 +176,6 @@ RunStats Engine::run(Round max_rounds) {
   std::vector<NodeIndex> receivers;  // nodes whose receive() must run
   std::vector<NodeIndex> victims;    // crashed this round
   std::vector<char> crashed_now(n, 0);
-  // Ascending list of alive destinations: the broadcast fast path iterates
-  // it instead of bit-testing alive_ per recipient. Built by one full scan
-  // on first use, then maintained by filtering crashed nodes out in place
-  // (identical bytes to a rebuild, no O(n) rescan per crash round).
-  // Ascending order keeps delivery order identical to n individual sends.
-  std::vector<NodeIndex> alive_dests;
-  bool alive_dests_dirty = true;
-  bool alive_dests_primed = false;
   // Shared inbox for broadcast-only rounds: when every queued entry is a
   // broadcast (the steady state of all-to-all protocols) each alive node
   // receives exactly the same messages in the same order, so one slot list
@@ -178,44 +184,69 @@ RunStats Engine::run(Round max_rounds) {
 
   // lint:engine-setup-end
 
-  // Per-shard scratch for the done/active bookkeeping: shard s accumulates
-  // its deltas here and the caller folds them in fixed order 0..K-1 (the
-  // fold is a sum, but the fixed order keeps the argument trivial).
+  // Per-shard scratch: shard s writes only its own slot inside a phase
+  // (done/active deltas and profile stamps), and fan_out folds the slots
+  // in fixed order 0..K-1 after the phase.
   struct ShardScratch {
     std::int64_t remaining_delta = 0;
     bool active_dirty = false;
     std::vector<NodeIndex> activated;  // 0->1 transitions
-    // Profiling stamps: each shard writes only its own slot inside the
-    // pool callback; the caller reads them after the join.
     std::int64_t busy_begin_ns = 0;
     std::int64_t busy_end_ns = 0;
   };
   std::vector<ShardScratch> shard_scratch(plan_shards);
 
-  // Per-shard, per-phase profiler (obs/shard_profile.h). Engine-mediated,
-  // unlike telemetry: shards stamp their own scratch slots and this thread
-  // folds after the join, so attaching a profile does NOT force the
-  // callbacks serial and cannot change a byte of output. Serial runs
-  // profile as one shard.
-  // Reads the stamps of a just-joined parallel phase: busy is the shard's
-  // callback window, wait is from its finish to the slowest finisher.
-  auto fold_profile = [&](obs::ShardPhase phase, unsigned used_shards) {
+  // The one way send() and receive() run: body(v, scratch) for every node
+  // of an ascending list, over K contiguous shards on the pool. K = 1 is
+  // the same shard body inline on this thread. The fold is the whole
+  // determinism argument, so it is written once: scratch in shard order,
+  // then the per-shard profile (obs/shard_profile.h) — busy is a shard's
+  // callback window, wait is from its finish to the slowest finisher. A
+  // profile is engine-mediated, so attaching one never forces K = 1.
+  auto fan_out = [&](obs::ShardPhase phase, const std::vector<NodeIndex>& list,
+                     auto&& body) {
+    const unsigned k = effective_shards(list.size(), plan_shards);
+    const parallel::Partition part(list.size(), k);
+    auto shard = [&](std::size_t s) {
+      ShardScratch& scratch = shard_scratch[s];
+      if (prof != nullptr) scratch.busy_begin_ns = obs::now_ns();
+      const auto r = part.range(static_cast<unsigned>(s));
+      for (std::size_t i = r.begin; i < r.end; ++i) body(list[i], scratch);
+      if (prof != nullptr) scratch.busy_end_ns = obs::now_ns();
+    };
+    if (k == 1) {
+      shard(0);
+    } else {
+      pool->run(k, shard);
+    }
     std::int64_t join_ns = 0;
-    for (unsigned s = 0; s < used_shards; ++s) {
+    for (unsigned s = 0; s < k; ++s) {
       join_ns = std::max(join_ns, shard_scratch[s].busy_end_ns);
     }
-    for (unsigned s = 0; s < used_shards; ++s) {
-      const ShardScratch& scratch = shard_scratch[s];
-      prof->note_shard(phase, s, scratch.busy_end_ns - scratch.busy_begin_ns,
-                       join_ns - scratch.busy_end_ns);
+    for (unsigned s = 0; s < k; ++s) {
+      ShardScratch& scratch = shard_scratch[s];
+      if (prof != nullptr) {
+        prof->note_shard(phase, s, scratch.busy_end_ns - scratch.busy_begin_ns,
+                         join_ns - scratch.busy_end_ns);
+      }
+      correct_remaining = static_cast<std::uint64_t>(
+          static_cast<std::int64_t>(correct_remaining) +
+          scratch.remaining_delta);
+      if (scratch.active_dirty) active_dirty = true;
+      activated.insert(activated.end(), scratch.activated.begin(),
+                       scratch.activated.end());
+      scratch.remaining_delta = 0;
+      scratch.active_dirty = false;
+      scratch.activated.clear();
     }
   };
 
-  // Re-query a node whose callback just ran; the only places done()/idle()
-  // may legally change. Writes node_done[v]/active[v] (distinct elements,
-  // safe shard-parallel) and accumulates the two shared counters into the
-  // caller-provided scratch. Activations are recorded too, so the
-  // active-list merge never has to rescan [0, n).
+  // Re-query a node whose receive() just ran; the only place done()/idle()
+  // may legally change (every alive sender also receives). Writes
+  // node_done[v]/active[v] (distinct elements, safe shard-parallel) and
+  // accumulates the two shared counters into the shard's scratch.
+  // Activations are recorded too, so the active-list merge never has to
+  // rescan [0, n).
   auto refresh_into = [&](NodeIndex v, ShardScratch& scratch) {
     const bool d = nodes_[v]->done();
     if (d != (node_done[v] != 0)) {
@@ -229,60 +260,18 @@ RunStats Engine::run(Round max_rounds) {
       if (a) scratch.activated.push_back(v);
     }
   };
-  auto fold_scratch = [&](unsigned used_shards) {
-    for (unsigned s = 0; s < used_shards; ++s) {
-      ShardScratch& scratch = shard_scratch[s];
-      correct_remaining = static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(correct_remaining) +
-          scratch.remaining_delta);
-      if (scratch.active_dirty) active_dirty = true;
-      activated.insert(activated.end(), scratch.activated.begin(),
-                       scratch.activated.end());
-      scratch.remaining_delta = 0;
-      scratch.active_dirty = false;
-      scratch.activated.clear();
-    }
-  };
-  auto refresh = [&](NodeIndex v) {
-    if (!alive_[v]) return;
-    refresh_into(v, shard_scratch[0]);
-    fold_scratch(1);
-  };
 
-  // Runs receive() + bookkeeping for an ascending node list (all entries
-  // alive), shard-parallel when the list is big enough to pay for the
-  // fork/join. `view_of(v)` supplies each node's inbox view; `note` is the
-  // serial-only telemetry hook (tel != nullptr implies K == 1).
-  auto receive_all = [&](const std::vector<NodeIndex>& list, auto&& view_of,
-                         bool note, Round round) {
-    const unsigned k = effective_shards(list.size(), plan_shards);
-    if (k <= 1) {
-      const std::int64_t begin_ns = prof != nullptr ? obs::now_ns() : 0;
-      for (NodeIndex v : list) {
-        if (note && tel != nullptr) tel->note_inbox(1, view_of(v).size());
-        nodes_[v]->receive(round, view_of(v));
-        refresh(v);
-      }
-      if (prof != nullptr) {
-        prof->note_shard(obs::ShardPhase::kReceive, 0, obs::now_ns() - begin_ns,
-                         0);
-      }
-      return;
+  // The destinations of one queued entry, in delivery order: a unicast's
+  // own link, a multicast's or repeat's list, a broadcast's [0, n). `mc`
+  // counts the sender's multicast and repeat entries walked so far.
+  auto dests_of = [&](const Outbox& ob,
+                      const std::pair<NodeIndex, Message>& entry,
+                      std::size_t& mc) -> std::span<const NodeIndex> {
+    if (entry.first == Outbox::kBroadcast) return all_dests;
+    if (entry.first == Outbox::kMulticast || entry.first == Outbox::kRepeat) {
+      return ob.multicast_dests(mc++);
     }
-    const parallel::Partition part(list.size(), k);
-    pool->run(k, [&](std::size_t s) {
-      ShardScratch& scratch = shard_scratch[s];
-      if (prof != nullptr) scratch.busy_begin_ns = obs::now_ns();
-      const auto r = part.range(static_cast<unsigned>(s));
-      for (std::size_t i = r.begin; i < r.end; ++i) {
-        const NodeIndex v = list[i];
-        nodes_[v]->receive(round, view_of(v));
-        refresh_into(v, scratch);
-      }
-      if (prof != nullptr) scratch.busy_end_ns = obs::now_ns();
-    });
-    if (prof != nullptr) fold_profile(obs::ShardPhase::kReceive, k);
-    fold_scratch(k);
+    return {&entry.first, 1};
   };
 
   for (Round round = 1; round <= max_rounds; ++round) {
@@ -337,34 +326,14 @@ RunStats Engine::run(Round max_rounds) {
     senders = active_list;
     if (tel != nullptr) tel->note_active_senders(senders.size());
     if (jrn != nullptr) jrn->note_active_senders(senders.size());
-    // Shard-parallel: each node writes only its own outbox, and delivery
-    // below walks the outboxes in ascending sender order regardless of
-    // which thread filled them. Outbox allocation is serial-only, so every
-    // sender's outbox is ensured up front; after that, get() is safe from
-    // any shard.
+    // Each node writes only its own outbox, and delivery below walks the
+    // outboxes in ascending sender order regardless of which thread filled
+    // them. Outbox allocation is serial-only, so every sender's outbox is
+    // ensured up front; after that, get() is safe from any shard.
     for (NodeIndex v : senders) outboxes.ensure(v);
-    const unsigned send_shards = effective_shards(senders.size(), plan_shards);
-    if (send_shards <= 1) {
-      const std::int64_t begin_ns = prof != nullptr ? obs::now_ns() : 0;
-      for (NodeIndex v : senders) nodes_[v]->send(round, outboxes.get(v));
-      if (prof != nullptr) {
-        prof->note_shard(obs::ShardPhase::kSend, 0, obs::now_ns() - begin_ns,
-                         0);
-      }
-    } else {
-      const parallel::Partition part(senders.size(), send_shards);
-      pool->run(send_shards, [&](std::size_t s) {
-        ShardScratch& scratch = shard_scratch[s];
-        if (prof != nullptr) scratch.busy_begin_ns = obs::now_ns();
-        const auto r = part.range(static_cast<unsigned>(s));
-        for (std::size_t i = r.begin; i < r.end; ++i) {
-          const NodeIndex v = senders[i];
-          nodes_[v]->send(round, outboxes.get(v));
-        }
-        if (prof != nullptr) scratch.busy_end_ns = obs::now_ns();
-      });
-      if (prof != nullptr) fold_profile(obs::ShardPhase::kSend, send_shards);
-    }
+    fan_out(obs::ShardPhase::kSend, senders, [&](NodeIndex v, ShardScratch&) {
+      nodes_[v]->send(round, outboxes.get(v));
+    });
 
     // --- Adversary phase: Eve may crash nodes, possibly mid-send. ------
     // Profiled together with delivery below as the serial kDeliver lane:
@@ -421,18 +390,9 @@ RunStats Engine::run(Round max_rounds) {
     // delivering every copy individually. Only the senders' outboxes can
     // hold entries, so both passes iterate `senders` (ascending).
     if (alive_dests_dirty) {
-      if (!alive_dests_primed) {
-        alive_dests.clear();
-        for (NodeIndex d = 0; d < n; ++d) {
-          if (alive_[d]) alive_dests.push_back(d);
-        }
-        alive_dests_primed = true;
-      } else {
-        // Nodes only ever leave the alive set, so filtering the previous
-        // (ascending) list in place yields exactly what a rescan would.
-        std::erase_if(alive_dests,
-                      [&](NodeIndex d) { return !alive_[d]; });
-      }
+      // Nodes only ever leave the alive set, so filtering the previous
+      // (ascending) list in place yields exactly what a rescan would.
+      std::erase_if(alive_dests, [&](NodeIndex d) { return !alive_[d]; });
       alive_dests_dirty = false;
     }
 
@@ -454,15 +414,11 @@ RunStats Engine::run(Round max_rounds) {
         const Outbox& ob = outboxes.get(v);
         std::size_t mc = 0;
         for (const auto& entry : ob.entries()) {
+          const std::span<const NodeIndex> dests = dests_of(ob, entry, mc);
           if (entry.first == Outbox::kBroadcast) {
             inbox.expect_broadcast();
-          } else if (entry.first == Outbox::kMulticast ||
-                     entry.first == Outbox::kRepeat) {
-            for (NodeIndex d : ob.multicast_dests(mc++)) {
-              inbox.expect_unicast(d);
-            }
           } else {
-            inbox.expect_unicast(entry.first);
+            for (NodeIndex d : dests) inbox.expect_unicast(d);
           }
         }
       }
@@ -475,131 +431,62 @@ RunStats Engine::run(Round max_rounds) {
       // round's victims may still have (adversary-kept) entries.
       RENAMING_CHECK(alive_[v] || crashed_now[v] != 0,
                      "crashed node sent messages after falling");
-      Outbox& sender_box = outboxes.get(v);
+      const Outbox& ob = outboxes.get(v);
       std::size_t mc = 0;
-      for (auto& [dest, msg] : sender_box.entries()) {
+      for (const auto& entry : ob.entries()) {
+        const Message& msg = entry.second;
         RENAMING_CHECK(msg.sender == v, "engine stamps the true origin");
         RENAMING_CHECK(msg.bits > 0,
                        "every message must declare a wire size");
-        if (dest == Outbox::kRepeat) {
-          // Repeat fast path: one stored message for a run of identical
-          // unicasts, but *per-copy* accounting in exactly the unicast
-          // path's order — stats, telemetry, journal and trace bytes are
-          // indistinguishable from the uncoalesced send() sequence.
-          const bool spoofed = msg.spoofed();
-          const auto rdests = sender_box.multicast_dests(mc++);
-          if (prov != nullptr && spoofed) {
-            prov->note_spoof(round, v, msg.claimed_sender, msg.kind, msg.bits,
-                             rdests.size());
+        const std::span<const NodeIndex> dests = dests_of(ob, entry, mc);
+        const bool spoofed = msg.spoofed();
+        // Journal entries and spoof instants are per copy for a unicast and
+        // a repeat (a coalesced repeat is indistinguishable from its
+        // send() sequence), and per logical entry for a multicast and a
+        // broadcast, which keeps those fast paths O(1) per entry.
+        const bool per_copy = entry.first != Outbox::kMulticast &&
+                              entry.first != Outbox::kBroadcast;
+        // Every copy left the sender: it counts toward complexity even if
+        // its destination has crashed (the sender still paid for it).
+        stats_.note_messages(dests.size(), msg.bits);
+        if (tel != nullptr) {
+          tel->note_messages(msg.kind, dests.size(), msg.bits);
+          const std::size_t instants = per_copy ? dests.size() : 1;
+          for (std::size_t i = 0; spoofed && i < instants; ++i) {
+            tel->note_spoof(round, v, msg.kind);
           }
-          for (NodeIndex d : rdests) {
-            RENAMING_CHECK(d < n, "message addressed outside the system");
-            stats_.note_message(msg.bits);
-            if (tel != nullptr) {
-              tel->note_messages(msg.kind, 1, msg.bits);
-              if (spoofed) tel->note_spoof(round, v, msg.kind);
-            }
-            if (jrn != nullptr) jrn->note_unicast(msg, d);
-            const bool delivered = !spoofed && alive_[d];
-            if (trace != nullptr) trace->on_message(round, msg, d, delivered);
-            if (spoofed) {
-              ++stats_.spoofs_rejected;
-              continue;
-            }
+        }
+        if (jrn != nullptr) {
+          if (per_copy) {
+            for (NodeIndex d : dests) jrn->note_unicast(msg, d);
+          } else if (entry.first == Outbox::kMulticast) {
+            jrn->note_multicast(msg, dests);
+          } else {
+            jrn->note_broadcast(msg, n);
+          }
+        }
+        if (prov != nullptr && spoofed) {
+          prov->note_spoof(round, v, msg.claimed_sender, msg.kind, msg.bits,
+                           dests.size());
+        }
+        if (trace != nullptr) {
+          for (NodeIndex d : dests) {
+            trace->on_message(round, msg, d, !spoofed && alive_[d]);
+          }
+        }
+        if (spoofed) {
+          // Authentication (PKI assumption of Theorem 1.3): forged origins
+          // are detected by every receiver and discarded.
+          stats_.spoofs_rejected += dests.size();
+        } else if (entry.first != Outbox::kBroadcast) {
+          for (NodeIndex d : dests) {
             if (alive_[d]) inbox.deliver(d, msg);
           }
-          continue;
+        } else if (broadcast_only) {
+          shared_slots.push_back(&msg);
+        } else {
+          inbox.deliver_broadcast(msg, alive_dests);
         }
-        if (dest == Outbox::kMulticast) {
-          // Multicast fast path: one stored message, per-copy accounting
-          // and delivery in destination-list order — byte-equivalent to
-          // the expanded unicast sequence.
-          const bool spoofed = msg.spoofed();
-          const auto mdests = sender_box.multicast_dests(mc++);
-          if (tel != nullptr) {
-            tel->note_messages(msg.kind, mdests.size(), msg.bits);
-            if (spoofed) tel->note_spoof(round, v, msg.kind);
-          }
-          if (jrn != nullptr) jrn->note_multicast(msg, mdests);
-          if (prov != nullptr && spoofed) {
-            prov->note_spoof(round, v, msg.claimed_sender, msg.kind, msg.bits,
-                             mdests.size());
-          }
-          for (NodeIndex d : mdests) {
-            stats_.note_message(msg.bits);
-            const bool delivered = !spoofed && alive_[d];
-            if (trace != nullptr) trace->on_message(round, msg, d, delivered);
-            if (spoofed) {
-              ++stats_.spoofs_rejected;
-            } else if (alive_[d]) {
-              inbox.deliver(d, msg);
-            }
-          }
-          continue;
-        }
-        if (dest == Outbox::kBroadcast) {
-          // Broadcast fast path: one stored message, per-recipient
-          // accounting, zero copies. The sender paid for all n copies even
-          // if some destinations have crashed.
-          const bool spoofed = msg.spoofed();
-          if (tel != nullptr) {
-            tel->note_messages(msg.kind, n, msg.bits);
-            if (spoofed) tel->note_spoof(round, v, msg.kind);
-          }
-          // One digest update per logical entry, shared by the traced and
-          // untraced paths so the journal bytes do not depend on which
-          // delivery path ran.
-          if (jrn != nullptr) jrn->note_broadcast(msg, n);
-          if (prov != nullptr && spoofed) {
-            prov->note_spoof(round, v, msg.claimed_sender, msg.kind, msg.bits,
-                             n);
-          }
-          if (trace == nullptr) {
-            stats_.note_messages(n, msg.bits);
-            if (spoofed) {
-              // Authentication (PKI assumption of Theorem 1.3): forged
-              // origins are detected by every receiver and discarded.
-              stats_.spoofs_rejected += n;
-            } else if (broadcast_only) {
-              shared_slots.push_back(&msg);
-            } else {
-              inbox.deliver_broadcast(msg, alive_dests);
-            }
-          } else {
-            // Tracing observes every logical copy, in fanout order.
-            for (NodeIndex d = 0; d < n; ++d) {
-              stats_.note_message(msg.bits);
-              const bool delivered = !spoofed && alive_[d];
-              trace->on_message(round, msg, d, delivered);
-              if (spoofed) {
-                ++stats_.spoofs_rejected;
-              } else if (alive_[d]) {
-                inbox.deliver(d, msg);
-              }
-            }
-          }
-          continue;
-        }
-        RENAMING_CHECK(dest < n, "message addressed outside the system");
-        // The message left the sender: it counts toward complexity even if
-        // the destination has crashed (the sender still paid for it).
-        stats_.note_message(msg.bits);
-        if (tel != nullptr) {
-          tel->note_messages(msg.kind, 1, msg.bits);
-          if (msg.spoofed()) tel->note_spoof(round, v, msg.kind);
-        }
-        if (jrn != nullptr) jrn->note_unicast(msg, dest);
-        if (prov != nullptr && msg.spoofed()) {
-          prov->note_spoof(round, v, msg.claimed_sender, msg.kind, msg.bits,
-                           1);
-        }
-        const bool delivered = !msg.spoofed() && alive_[dest];
-        if (trace != nullptr) trace->on_message(round, msg, dest, delivered);
-        if (msg.spoofed()) {
-          ++stats_.spoofs_rejected;
-          continue;
-        }
-        if (alive_[dest]) inbox.deliver(dest, msg);
       }
     }
     if (prof != nullptr) {
@@ -613,40 +500,32 @@ RunStats Engine::run(Round max_rounds) {
     // whose send() ran (even with an empty inbox — stage machines may
     // advance on silence) plus every idle node that was actually addressed;
     // an idle node with an empty inbox is a no-op by contract and skipped.
+    // A shared broadcast inbox addresses every alive node.
     const InboxView shared_view(shared_slots.data(), shared_slots.size());
-    if (broadcast_only) {
-      if (!shared_slots.empty()) {
-        if (tel != nullptr) {
-          tel->note_inbox(alive_dests.size(), shared_view.size());
-        }
-        receive_all(
-            alive_dests, [&](NodeIndex) { return shared_view; },
-            /*note=*/false, round);
-      } else {
-        receivers.clear();
-        for (NodeIndex v : senders) {
-          if (alive_[v]) receivers.push_back(v);
-        }
-        receive_all(
-            receivers, [&](NodeIndex) { return shared_view; },
-            /*note=*/true, round);
-      }
-    } else {
+    const std::vector<NodeIndex>* receive_list = &alive_dests;
+    if (!broadcast_only || shared_slots.empty()) {
+      receive_list = &receivers;
       receivers.clear();
       for (NodeIndex v : senders) {
         if (alive_[v]) receivers.push_back(v);
       }
-      for (NodeIndex v : inbox.touched()) {
-        // active[v] == 1 exactly for the alive senders collected above.
-        if (alive_[v] && active[v] == 0 && !inbox.view(v).empty()) {
-          receivers.push_back(v);
+      if (!broadcast_only) {
+        for (NodeIndex v : inbox.touched()) {
+          // active[v] == 1 exactly for the alive senders collected above.
+          if (alive_[v] && active[v] == 0 && !inbox.view(v).empty()) {
+            receivers.push_back(v);
+          }
         }
+        std::sort(receivers.begin(), receivers.end());
       }
-      std::sort(receivers.begin(), receivers.end());
-      receive_all(
-          receivers, [&](NodeIndex v) { return inbox.view(v); },
-          /*note=*/true, round);
     }
+    fan_out(obs::ShardPhase::kReceive, *receive_list,
+            [&](NodeIndex v, ShardScratch& scratch) {
+              const InboxView in = broadcast_only ? shared_view : inbox.view(v);
+              if (tel != nullptr) tel->note_inbox(1, in.size());
+              nodes_[v]->receive(round, in);
+              refresh_into(v, scratch);
+            });
 
     // End-of-round clear: only senders (including this round's victims,
     // whose kept entries were just delivered) can hold entries, so this

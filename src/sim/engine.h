@@ -34,15 +34,16 @@ class Engine {
   /// (sim/observers.h). Observers are purely observational: stats, traces,
   /// journal bytes and outcomes are byte-identical with and without them.
   ///
-  /// The bundle's shard plan (docs/PERFORMANCE.md §9) fans the send and
-  /// receive callbacks across K contiguous shards of the round's node list
-  /// on the plan's worker pool, while every order-sensitive sweep
-  /// (adversary, delivery, stats, traces, journal) stays on the calling
-  /// thread and per-shard bookkeeping merges in fixed shard order 0..K-1,
-  /// so output is byte-identical at any thread/shard count. A live
-  /// telemetry or provenance forces the callbacks serial: PhaseScope spans
+  /// Send and receive callbacks run through one fan-out over K contiguous
+  /// shards of the round's node list; the bundle's shard plan
+  /// (docs/PERFORMANCE.md §9) sets K and the worker pool, and a serial run
+  /// is K = 1, the same shard body inline on the calling thread. Every
+  /// order-sensitive sweep (adversary, delivery, stats, traces, journal)
+  /// stays on the calling thread and per-shard bookkeeping folds in fixed
+  /// shard order 0..K-1, so output is byte-identical at any thread/shard
+  /// count. A live telemetry or provenance forces K = 1: PhaseScope spans
   /// and provenance events inside node code are the observers the engine
-  /// does not mediate. Default bundle = serial, unobserved.
+  /// does not mediate. Default bundle = K = 1, unobserved.
   Engine(std::vector<std::unique_ptr<Node>> nodes,
          std::unique_ptr<CrashAdversary> adversary = nullptr,
          Observers observers = {});

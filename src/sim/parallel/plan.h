@@ -3,10 +3,11 @@
 //
 // Deliberately a plain value with a non-owning pool pointer: the caller
 // owns the WorkerPool (one per process is the norm) and may hand the same
-// plan to many runs. A default-constructed plan means serial execution —
-// every entry point's behaviour with `{}` is byte-identical to the
-// pre-parallel engine. This header stays free of threading includes so the
-// protocol headers that embed it remain cheap to compile and lint.
+// plan to many runs. A default-constructed plan runs every phase as K = 1
+// of the engine's one shard fan-out, inline on the calling thread; output
+// is byte-identical at any K. This header stays free of threading
+// includes so the protocol headers that embed it remain cheap to compile
+// and lint.
 #pragma once
 
 namespace renaming::obs {
@@ -18,7 +19,7 @@ namespace renaming::sim::parallel {
 class WorkerPool;
 
 struct ShardPlan {
-  /// Pool to fan callbacks across; nullptr = serial execution.
+  /// Pool to fan callbacks across; nullptr = K = 1 on the calling thread.
   WorkerPool* pool = nullptr;
   /// Shard count K; 0 = the pool's thread count. The engine merges shard
   /// results in fixed order 0..K-1, so any K yields identical bytes.
@@ -27,8 +28,7 @@ struct ShardPlan {
   /// observational: the engine stamps shard windows into its own scratch
   /// and folds them here from the calling thread, so attaching a profile
   /// perturbs no bytes and — unlike a live Telemetry — does NOT force the
-  /// callbacks serial. A serial run (pool == nullptr) profiles too, as one
-  /// shard.
+  /// callbacks serial. A run without a pool profiles too, as K = 1.
   obs::ShardProfile* profile = nullptr;
 
   bool active() const { return pool != nullptr; }

@@ -18,8 +18,11 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "obs/journal.h"
+#include "obs/telemetry.h"
 #include "sim/adversary.h"
 #include "sim/engine.h"
 #include "sim/inbox.h"
@@ -432,6 +435,52 @@ TEST(MulticastFastPath, MatchesSendLoopWithSpoofedMulticasts) {
   const Observed seed = run_subset_casts(false, 7, 3, nullptr, {2});
   EXPECT_GT(fast.stats.spoofs_rejected, 0u);
   expect_equivalent(fast, seed);
+}
+
+TEST(MulticastFastPath, SpoofRecordsArePerCopyForRepeatPerEntryForMulticast) {
+  // The send() loop coalesces into one kRepeat entry, which keeps unicast
+  // fidelity: one telemetry instant and one journal event per forged
+  // send() call. A multicast is one logical entry, so it gets one of each.
+  // The rejected-copy count is per copy either way.
+  const NodeIndex n = 9;
+  const Round rounds = 3;
+  const NodeIndex spoofer = 0;  // its subset is {0, 3, 6}
+  const std::uint64_t subset = 3;
+  auto run = [&](bool use_multicast) {
+    std::vector<std::unique_ptr<Node>> nodes;
+    for (NodeIndex v = 0; v < n; ++v) {
+      nodes.push_back(std::make_unique<SubsetCaster>(v, n, rounds,
+                                                     use_multicast,
+                                                     v == spoofer));
+    }
+    obs::Telemetry tel;
+    obs::Journal jrn;
+    Engine engine(std::move(nodes), nullptr,
+                  {.telemetry = &tel, .journal = &jrn});
+    engine.mark_byzantine(spoofer);
+    const RunStats stats = engine.run(rounds + 5);
+    EXPECT_EQ(stats.rounds, rounds);
+    std::uint64_t instants = 0;
+    for (const auto& i : tel.instants()) {
+      if (i.kind == obs::Instant::Kind::kSpoofRejected) {
+        EXPECT_EQ(i.node, spoofer);
+        ++instants;
+      }
+    }
+    std::uint64_t events = 0;
+    for (const obs::JournalRound& r : jrn.data().records) {
+      for (const obs::JournalEvent& e : r.events) {
+        if (e.kind == obs::JournalEvent::Kind::kSpoofRejected) ++events;
+      }
+    }
+    EXPECT_EQ(stats.spoofs_rejected, rounds * subset);
+    EXPECT_EQ(jrn.data().spoofs_rejected, rounds * subset);
+    return std::pair{instants, events};
+  };
+  const std::uint64_t per_copy = rounds * subset;
+  const std::uint64_t per_entry = rounds;
+  EXPECT_EQ(run(/*use_multicast=*/false), std::pair(per_copy, per_copy));
+  EXPECT_EQ(run(/*use_multicast=*/true), std::pair(per_entry, per_entry));
 }
 
 TEST(MulticastFastPath, MulticastToAllNodesMatchesBroadcast) {

@@ -198,32 +198,6 @@ TEST_F(IdentityListTest, BucketCapacityIsObservationallyInvisible) {
   }
 }
 
-TEST_F(IdentityListTest, SharedCacheMatchesPrivateBeaconInstance) {
-  // One memoized coefficient cache shared across lists (the per-run cache
-  // of run_byz_renaming) must produce the same hashes as a private
-  // beacon-backed instance with the same seed.
-  const auto cache = hashing::make_coefficient_cache(4242);
-  hashing::SharedRandomness beacon(4242);
-  IdentityList cached(kN, cache), direct(kN, beacon);
-  IdentityList cached2(kN, cache);  // second list sharing the same cache
-  Xoshiro256 rng(79);
-  for (int i = 0; i < 400; ++i) {
-    const std::uint64_t id = 1 + rng.below(kN);
-    cached.insert(id);
-    direct.insert(id);
-    cached2.insert(id);
-  }
-  for (int trial = 0; trial < 100; ++trial) {
-    std::uint64_t lo = 1 + rng.below(kN);
-    std::uint64_t hi = 1 + rng.below(kN);
-    if (lo > hi) std::swap(lo, hi);
-    const Interval j(lo, hi);
-    ASSERT_EQ(cached.summarize(j), direct.summarize(j));
-    ASSERT_EQ(cached2.summarize(j), direct.summarize(j));
-  }
-  EXPECT_GT(cache->materialized(), 0u);
-}
-
 TEST_F(IdentityListTest, DiffersAtSingleIdDetected) {
   IdentityList a(kN, beacon_), b(kN, beacon_);
   for (std::uint64_t id = 5; id <= kN; id += 13) {
