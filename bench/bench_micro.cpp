@@ -1,8 +1,8 @@
 // Experiment M1 — google-benchmark microbenchmarks of the hot primitives:
 // segment fingerprints and ranks on the sparse identity list, dense BitVec
-// range popcounts, Mersenne-61 ops, engine round overhead, and a full
-// PhaseKing instance. These bound the per-round simulation cost that the
-// macro harnesses (T1, E1-E5) amortise.
+// range popcounts, Mersenne-61 ops, engine round overhead, the cost of
+// queuing one unicast, and a full PhaseKing instance. These bound the
+// per-round simulation cost that the macro harnesses (T1, E1-E5) amortise.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -18,6 +18,8 @@
 #include "hashing/mersenne61.h"
 #include "hashing/shared_random.h"
 #include "sim/engine.h"
+#include "sim/node.h"
+#include "sim/wire_schema.h"
 
 namespace renaming {
 namespace {
@@ -168,6 +170,32 @@ void BM_EngineRoundAllToAll(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * n);
 }
 BENCHMARK(BM_EngineRoundAllToAll)->Arg(64)->Arg(256)->Arg(1024);
+
+void BM_OutboxUnicast(benchmark::State& state) {
+  // Per-message build cost of a committee's reply loop: 8192 distinct
+  // RESPONSE unicasts (none coalesce) queued either as
+  // out.send(d, wire::make_message(...)) (arg 0) or built in their queue
+  // slot by wire::send (arg 1).
+  constexpr NodeIndex kReplies = 8192;
+  const bool in_place = state.range(0) != 0;
+  const sim::wire::WireContext ctx{kReplies, 5ull * kReplies * kReplies};
+  const auto kind = static_cast<sim::MsgKind>(crash::Tag::kResponse);
+  sim::Outbox out(0, kReplies);
+  for (auto _ : state) {
+    out.clear();
+    for (NodeIndex d = 0; d < kReplies; ++d) {
+      const std::uint64_t id = 7 * std::uint64_t{d} + 1;
+      if (in_place) {
+        sim::wire::send(out, d, kind, ctx, id, 1, kReplies, 3, 0);
+      } else {
+        out.send(d, sim::wire::make_message(kind, ctx, id, 1, kReplies, 3, 0));
+      }
+    }
+    benchmark::DoNotOptimize(out.entries().data());
+  }
+  state.SetItemsProcessed(state.iterations() * kReplies);
+}
+BENCHMARK(BM_OutboxUnicast)->Arg(0)->Arg(1);
 
 void BM_CrashRenamingEndToEnd(benchmark::State& state) {
   const NodeIndex n = static_cast<NodeIndex>(state.range(0));

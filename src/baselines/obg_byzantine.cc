@@ -171,9 +171,9 @@ class ObgByzNode final : public ObgNode {
     if (behaviour_ == ObgByzBehaviour::kSilent) return;
     if (behaviour_ == ObgByzBehaviour::kSplitAnnounce && round == 1) {
       // Announce to the even half only: the view-splitting attack.
-      for (NodeIndex d = 0; d < n_; d += 2) {
-        out.send(d, sim::wire::make_message(kAnnounce, wire_, id_));
-      }
+      const sim::Message announce =
+          sim::wire::make_message(kAnnounce, wire_, id_);
+      for (NodeIndex d = 0; d < n_; d += 2) out.send(d, announce);
       return;
     }
     if (behaviour_ == ObgByzBehaviour::kForgeIds &&

@@ -84,12 +84,15 @@ void ByzNode::send(Round round, sim::Outbox& out) {
       }
       break;
     }
-    case Stage::kIdReport:
+    case Stage::kIdReport: {
+      // One report for every member: built once, queued as one repeat.
+      const sim::Message report =
+          sim::wire::make_message(kind_of(Tag::kIdReport), wire_, id_);
       for (const consensus::Member& m : view_->members()) {
-        out.send(m.link, sim::wire::make_message(kind_of(Tag::kIdReport),
-                                                 wire_, id_));
+        out.send(m.link, report);
       }
       break;
+    }
     case Stage::kValidator:
       validator_->send(step_, out);
       break;
@@ -400,17 +403,17 @@ void ByzNode::distribute(Round round, sim::Outbox& out) {
                                    : directory_->link_of(id);
         ++offset;
         if (link == kNoNode) continue;  // identity never joined: skip
-        out.send(link, sim::wire::make_message(kind_of(Tag::kNew), wire_,
-                                               before + offset));
+        sim::wire::send(out, link, kind_of(Tag::kNew), wire_,
+                        before + offset);
         ++ranks_sent;
       }
     } else {
       // NEW(null) to every reporter inside the dirty segment.
+      const sim::Message null_new = sim::wire::make_message(
+          kind_of(Tag::kNew), wire_, std::uint64_t{0});
       for (; report != reporters_.end() && report->id <= proc.segment.hi;
            ++report) {
-        out.send(report->link,
-                 sim::wire::make_message(kind_of(Tag::kNew), wire_,
-                                         std::uint64_t{0}));
+        out.send(report->link, null_new);
         ++nulls_sent;
       }
     }

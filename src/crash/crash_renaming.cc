@@ -61,6 +61,14 @@ void counting_pass(const std::vector<std::uint32_t>& from,
   for (const std::uint32_t i : from) to[start[key(i)]++] = i;
 }
 
+// Figure 3's order on round-3 responses: d descending, then lo ascending.
+bool response_before(const sim::Message& a, const sim::Message& b) {
+  const auto da = static_cast<std::uint32_t>(a.w[3]);
+  const auto db = static_cast<std::uint32_t>(b.w[3]);
+  if (da != db) return da > db;
+  return a.w[1] < b.w[1];
+}
+
 }  // namespace
 
 CrashNode::CrashNode(NodeIndex self, const SystemConfig& cfg,
@@ -118,15 +126,17 @@ void CrashNode::send(Round round, sim::Outbox& out) {
             static_cast<sim::MsgKind>(Tag::kCommittee), wire_, id_));
       }
       break;
-    case 2:
+    case 2: {
       // Report status to every link that announced committee membership
-      // (Figure 1 lines 6-7). Note this includes ourselves if elected.
-      for (NodeIndex link : announced_committee_) {
-        out.send(link, sim::wire::make_message(
-                           static_cast<sim::MsgKind>(Tag::kStatus), wire_,
-                           id_, interval_.lo, interval_.hi, d_, p_));
-      }
+      // (Figure 1 lines 6-7). Note this includes ourselves if elected. The
+      // report is the same for every member: built once, it is queued as
+      // one repeat entry.
+      const sim::Message report = sim::wire::make_message(
+          static_cast<sim::MsgKind>(Tag::kStatus), wire_, id_, interval_.lo,
+          interval_.hi, d_, p_);
+      for (NodeIndex link : announced_committee_) out.send(link, report);
       break;
+    }
     case 3:
       if (elected_) committee_action(round, out);
       break;
@@ -246,10 +256,9 @@ void CrashNode::committee_action(Round round, sim::Outbox& out) {
             /*subject=*/w.link);
       }
     }
-    out.send(w.link, sim::wire::make_message(
-                         static_cast<sim::MsgKind>(Tag::kResponse), wire_,
-                         w.id, reply_interval.lo, reply_interval.hi, reply_d,
-                         p_ | (done_flag << 32)));
+    sim::wire::send(out, w.link, static_cast<sim::MsgKind>(Tag::kResponse),
+                    wire_, w.id, reply_interval.lo, reply_interval.hi,
+                    reply_d, p_ | (done_flag << 32));
   }
 }
 
@@ -275,13 +284,12 @@ void CrashNode::receive(Round round, sim::InboxView inbox) {
           // buckets lo and hi in [1, n] and indexes a tree by hi.
           RENAMING_CHECK(1 <= m.w[1] && m.w[1] <= m.w[2] && m.w[2] <= n_,
                          "status interval outside [1, n]");
-          mailbox_.push_back(Status{
+          const Status& s = mailbox_.emplace_back(Status{
               m.w[0], Interval(m.w[1], m.w[2]),
               static_cast<std::uint32_t>(m.w[3]),
               static_cast<std::uint32_t>(m.w[4]), m.sender, m.bits});
+          p_ = std::max(p_, s.p);  // Figure 1 line 10: absorb the max p
         }
-        // Figure 1 line 10: absorb the maximum p seen.
-        for (const Status& s : mailbox_) p_ = std::max(p_, s.p);
       }
       break;
     case 3:
@@ -295,29 +303,30 @@ void CrashNode::receive(Round round, sim::InboxView inbox) {
 }
 
 void CrashNode::node_action(Round round, sim::InboxView inbox) {
-  // Figure 3. Decode the committee responses addressed to us.
-  struct Response {
-    Interval interval;
-    std::uint32_t d;
-    std::uint32_t p;
-    NodeIndex link;      // responding committee member
-    std::uint32_t bits;  // delivered wire size (provenance attribution)
+  // Figure 3, in one pass over the responses addressed to us: keep the
+  // first-ranked response by (d descending, lo ascending), the largest p
+  // and the DONE flag. Responses with equal (d, lo) carry the same
+  // interval, so whichever of them ranks first gives the same state.
+  // The id check is defensive: responses are per-recipient.
+  const auto mine = [this](const sim::Message& m) {
+    return m.kind == static_cast<sim::MsgKind>(Tag::kResponse) &&
+           m.w[0] == id_;
   };
-  std::vector<Response> responses;
+  const sim::Message* best = nullptr;
+  std::uint32_t max_p = 0;
+  bool done_flag = false;
   for (const sim::Message& m : inbox) {
-    if (m.kind != static_cast<sim::MsgKind>(Tag::kResponse)) continue;
-    if (m.w[0] != id_) continue;  // defensive: responses are per-recipient
-    responses.push_back(Response{Interval(m.w[1], m.w[2]),
-                                 static_cast<std::uint32_t>(m.w[3]),
-                                 static_cast<std::uint32_t>(m.w[4]),
-                                 m.sender, m.bits});
-    if (params_.early_stopping && (m.w[4] >> 32) != 0 &&
-        interval_.singleton()) {
-      finished_early_ = true;
-    }
+    if (!mine(m)) continue;
+    RENAMING_CHECK(m.w[1] <= m.w[2], "interval endpoints out of order");
+    if (best == nullptr || response_before(m, *best)) best = &m;
+    max_p = std::max(max_p, static_cast<std::uint32_t>(m.w[4]));
+    done_flag = done_flag || (m.w[4] >> 32) != 0;
+  }
+  if (params_.early_stopping && done_flag && interval_.singleton()) {
+    finished_early_ = true;
   }
 
-  if (responses.empty()) {
+  if (best == nullptr) {
     // Whole committee crashed before responding (proof of Lemma 2.4):
     // double the election probability and maybe join the committee.
     ++p_;
@@ -331,29 +340,34 @@ void CrashNode::node_action(Round round, sim::InboxView inbox) {
     return;
   }
 
-  // Sort by d descending, then left endpoint ascending; adopt the first.
-  std::sort(responses.begin(), responses.end(),
-            [](const Response& a, const Response& b) {
-              if (a.d != b.d) return a.d > b.d;
-              return a.interval.lo < b.interval.lo;
-            });
+  // Adopt the first-ranked response.
   if (!interval_.singleton()) {
-    d_ = responses.front().d;
-    interval_ = responses.front().interval;
+    d_ = static_cast<std::uint32_t>(best->w[3]);
+    interval_ = Interval(best->w[1], best->w[2]);
     if (provenance_ != nullptr) {
-      const Response& adopted = responses.front();
+      // The adopted reply's link names one of the tied first-ranked
+      // responses: the one std::sort puts first, so the recorded link
+      // (and the provenance pins) stay those of sort-and-adopt. Only a run
+      // with a recorder attached pays for the sort.
+      std::vector<const sim::Message*> ranked;
+      for (const sim::Message& m : inbox) {
+        if (mine(m)) ranked.push_back(&m);
+      }
+      std::sort(ranked.begin(), ranked.end(),
+                [](const sim::Message* a, const sim::Message* b) {
+                  return response_before(*a, *b);
+                });
+      const sim::Message& adopted = *ranked.front();
       provenance_->note_event(
           round, self_,
           interval_.singleton() ? obs::ProvEventKind::kNameClaim
                                 : obs::ProvEventKind::kNameProposal,
           static_cast<sim::MsgKind>(Tag::kResponse), interval_.lo,
           interval_.hi,
-          {{adopted.link, static_cast<sim::MsgKind>(Tag::kResponse),
+          {{adopted.sender, static_cast<sim::MsgKind>(Tag::kResponse),
             adopted.bits}});
     }
   }
-  std::uint32_t max_p = 0;
-  for (const Response& r : responses) max_p = std::max(max_p, r.p);
   if (max_p > p_) {
     p_ = max_p;
     try_elect(round);

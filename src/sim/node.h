@@ -72,32 +72,24 @@ class Outbox {
   void send(NodeIndex dest, Message m) {
     RENAMING_CHECK(dest < n_, "send to a link outside the system");
     RENAMING_CHECK(m.bits > 0, "every message must declare a wire size");
-    if (m.claimed_sender == kNoNode) m.claimed_sender = self_;
-    m.sender = self_;
-    // Coalesce a run of identical payloads into one kRepeat entry. Only
-    // the LAST queued entry is a candidate, so send order is preserved
-    // exactly and the check is O(nwords).
-    if (!queued_.empty()) {
-      auto& [last_dest, last_msg] = queued_.back();
-      if (last_dest == kRepeat && mspans_.back().first +
-                                          mspans_.back().second ==
-                                      mdests_.size() &&
-          same_payload(last_msg, m)) {
-        mdests_.push_back(dest);
-        ++mspans_.back().second;
-        return;
-      }
-      if (last_dest < n_ && same_payload(last_msg, m)) {
-        // Upgrade the previous unicast to a two-destination repeat.
-        mspans_.emplace_back(static_cast<std::uint32_t>(mdests_.size()),
-                             std::uint32_t{2});
-        mdests_.push_back(last_dest);
-        mdests_.push_back(dest);
-        last_dest = kRepeat;
-        return;
-      }
-    }
-    queued_.emplace_back(dest, std::move(m));
+    stamp(m);
+    if (!join_last(queued_.size(), dest, m)) queued_.emplace_back(dest, m);
+  }
+
+  /// Send over the link to `dest` a message that `fill(Message&)` writes
+  /// straight into its queue slot (wire::send), so no temporary Message is
+  /// built and copied. Queues exactly what send(dest, m) of the filled
+  /// message would, coalescing included. A slot that coalescing hands back
+  /// may still have grown the queue, so a payload meant for many links is
+  /// better built once and queued with send().
+  template <typename Fill>
+  void send_in_place(NodeIndex dest, Fill&& fill) {
+    RENAMING_CHECK(dest < n_, "send to a link outside the system");
+    Message& m = queued_.emplace_back(dest, Message{}).second;
+    fill(m);
+    RENAMING_CHECK(m.bits > 0, "every message must declare a wire size");
+    stamp(m);
+    if (join_last(queued_.size() - 1, dest, m)) queued_.pop_back();
   }
 
   /// Send one copy of `m` to every destination in `dests`, in list order.
@@ -106,8 +98,7 @@ class Outbox {
   /// Message copies.
   void multicast(std::span<const NodeIndex> dests, Message m) {
     RENAMING_CHECK(m.bits > 0, "every message must declare a wire size");
-    if (m.claimed_sender == kNoNode) m.claimed_sender = self_;
-    m.sender = self_;
+    stamp(m);
     mspans_.emplace_back(static_cast<std::uint32_t>(mdests_.size()),
                          static_cast<std::uint32_t>(dests.size()));
     for (NodeIndex d : dests) {
@@ -122,8 +113,7 @@ class Outbox {
   /// one compressed entry, not n copies.
   void broadcast(Message m) {
     RENAMING_CHECK(m.bits > 0, "every message must declare a wire size");
-    if (m.claimed_sender == kNoNode) m.claimed_sender = self_;
-    m.sender = self_;
+    stamp(m);
     queued_.emplace_back(kBroadcast, std::move(m));
   }
 
@@ -224,9 +214,46 @@ class Outbox {
   }
 
  private:
+  /// Engine-side origin fields: the true sender always, the claimed one
+  /// only where the sender left it unset.
+  void stamp(Message& m) const {
+    if (m.claimed_sender == kNoNode) m.claimed_sender = self_;
+    m.sender = self_;
+  }
+
+  /// The one coalescing rule: a unicast of `m` to `dest`, sent right after
+  /// the entry queued_[end - 1], joins that entry when their payloads are
+  /// identical and returns true. The entry is either a repeat (whose list
+  /// ends mdests_), which gains one destination, or a unicast, which
+  /// becomes a two-destination repeat. Only that one entry is a candidate,
+  /// so send order is preserved exactly and the check is O(nwords).
+  bool join_last(std::size_t end, NodeIndex dest, const Message& m) {
+    if (end == 0) return false;
+    auto& [last_dest, last_msg] = queued_[end - 1];
+    if (last_dest == kRepeat &&
+        mspans_.back().first + mspans_.back().second == mdests_.size() &&
+        same_payload(last_msg, m)) {
+      mdests_.push_back(dest);
+      ++mspans_.back().second;
+      return true;
+    }
+    if (last_dest < n_ && same_payload(last_msg, m)) {
+      mspans_.emplace_back(static_cast<std::uint32_t>(mdests_.size()),
+                           std::uint32_t{2});
+      mdests_.push_back(last_dest);
+      mdests_.push_back(dest);
+      last_dest = kRepeat;
+      return true;
+    }
+    return false;
+  }
+
   /// True when the two messages are indistinguishable on the wire: same
   /// origin claim, kind, declared bits, inline words and blob address.
+  /// The first word (an id, a rank) tells most distinct payloads apart,
+  /// so it is looked at first.
   static bool same_payload(const Message& a, const Message& b) {
+    if (a.nwords > 0 && a.w[0] != b.w[0]) return false;
     if (a.kind != b.kind || a.bits != b.bits || a.nwords != b.nwords ||
         a.claimed_sender != b.claimed_sender || a.blob != b.blob) {
       return false;

@@ -7,7 +7,7 @@
 //   * canonical_phase()  — the journal/doctor phase ledgers, and the
 //                           kind -> phase array every obs::Telemetry is
 //                           seeded with when it is constructed;
-//   * wire_bits() / make_message() — declared widths.
+//   * wire_bits() / make_message() / send() — declared widths.
 //
 // Adding a kind touches one row here plus the protocol's own `Tag`
 // enumerator (or file-local `constexpr sim::MsgKind`); lint rule R11
@@ -22,8 +22,8 @@
 // parameterized by (n, namespace_size), the constexpr wire_bits()
 // evaluator folds them, and:
 //
-//   * protocols obtain widths ONLY through wire_bits()/make_message()
-//     (enforced statically by lint rule R9);
+//   * protocols obtain widths ONLY through wire_bits()/make_message()/
+//     send() (enforced statically by lint rule R9);
 //   * BudgetAuditor cross-checks each honest run's per-kind emitted bits
 //     against the closed forms at runtime (obs/budget.h), and
 //     tests/wire_schema_test.cc pins the equivalence per protocol.
@@ -37,6 +37,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -150,14 +151,32 @@ inline constexpr WireSchema kWireSchemas[] = {
 inline constexpr std::size_t kWireSchemaCount =
     sizeof(kWireSchemas) / sizeof(kWireSchemas[0]);
 
+/// Every row's kind is below this bound, so a kind indexes a table.
+inline constexpr std::size_t kKindLimit = 64;
+
+namespace detail {
+/// kind -> its row in kWireSchemas, kWireSchemaCount when it has none:
+/// wire_bits() runs once per message sent, so the lookup is O(1).
+inline constexpr auto kRowOfKind = [] {
+  std::array<std::uint8_t, kKindLimit> rows{};
+  rows.fill(static_cast<std::uint8_t>(kWireSchemaCount));
+  for (std::size_t i = 0; i < kWireSchemaCount; ++i) {
+    // A kind past the bound fails rows_sorted_and_well_formed() below.
+    if (kWireSchemas[i].kind < kKindLimit) {
+      rows[kWireSchemas[i].kind] = static_cast<std::uint8_t>(i);
+    }
+  }
+  return rows;
+}();
+static_assert(kWireSchemaCount < 256, "row indices are stored as bytes");
+}  // namespace detail
+
 /// Index of `kind` in kWireSchemas; kWireSchemaCount when it has no row.
 /// Constant evaluation only ever compares indices: GCC 12 under
 /// -fsanitize=undefined cannot constant-evaluate `&kWireSchemas[i] !=
 /// nullptr`, which broke every static_assert below.
 constexpr std::size_t schema_index(MsgKind kind) {
-  std::size_t i = 0;
-  while (i < kWireSchemaCount && kWireSchemas[i].kind != kind) ++i;
-  return i;
+  return kind < kKindLimit ? detail::kRowOfKind[kind] : kWireSchemaCount;
 }
 
 /// Schema lookup; nullptr for kinds without a row (bench-/test-local).
@@ -221,6 +240,23 @@ Message make_message(MsgKind kind, const WireContext& ctx, Words... words) {
   return sim::make_message(kind, wire_bits(kind, ctx), words...);
 }
 
+/// In-place twin of make_message for a unicast: queues the same message on
+/// `out` to `dest`, written straight into its outbox slot (Outbox::
+/// send_in_place) instead of built and then copied. Queues exactly what
+/// `out.send(dest, make_message(kind, ctx, words...))` would.
+template <typename... Words>
+void send(Outbox& out, NodeIndex dest, MsgKind kind, const WireContext& ctx,
+          Words... words) {
+  static_assert(sizeof...(Words) <= kInlineWords);
+  out.send_in_place(dest, [&](Message& m) {
+    m.kind = kind;
+    m.bits = wire_bits(kind, ctx);
+    m.nwords = static_cast<std::uint8_t>(sizeof...(Words));
+    std::size_t i = 0;
+    ((m.w[i++] = static_cast<std::uint64_t>(words)), ...);
+  });
+}
+
 /// Schema-deriving builder for variable-width kinds: the width follows the
 /// payload's element count. `owner` — the outbox the message is queued on —
 /// keeps the payload until its end-of-round clear(); receivers copy what
@@ -259,6 +295,7 @@ constexpr bool rows_sorted_and_well_formed() {
   for (std::size_t i = 0; i < kWireSchemaCount; ++i) {
     const WireSchema& s = kWireSchemas[i];
     if (i > 0 && kWireSchemas[i - 1].kind >= s.kind) return false;
+    if (s.kind >= kKindLimit) return false;
     if (s.name == nullptr) return false;
     if (s.phase == obs::PhaseId::kUnattributed ||
         s.phase >= obs::PhaseId::kCount) {
@@ -304,9 +341,9 @@ constexpr std::size_t widest_fixed_layout() {
 }  // namespace detail
 
 static_assert(detail::rows_sorted_and_well_formed(),
-              "kWireSchemas must be ascending by kind, and every row needs a "
-              "name, a phase other than kUnattributed and a well-formed "
-              "field list");
+              "kWireSchemas must be ascending by kind, below kKindLimit, and "
+              "every row needs a name, a phase other than kUnattributed and "
+              "a well-formed field list");
 static_assert(detail::control_kinds_share_layout(),
               "the byz control kinds (ELECT/ID_REPORT/CONSENSUS/DIFF) must "
               "share one field layout");

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <map>
 #include <string>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "crash/crash_renaming.h"
+#include "obs/provenance.h"
 
 namespace renaming::crash {
 namespace {
@@ -443,6 +445,237 @@ TEST(CrashNodeUnit, ResponsesForOtherIdsAreIgnored) {
   // Treated as "no response for me": p bumped, interval unchanged.
   EXPECT_EQ(node.interval(), Interval(1, 4));
   EXPECT_EQ(node.p(), 1u);
+}
+
+// Figure 3 as sort-and-adopt: the node_action that collected the
+// responses addressed to the node, sorted them by (d descending, lo
+// ascending) with std::sort and adopted the front. Kept as the reference
+// for the one-pass node_action; it models the node's Figure 3 state, with
+// the election constant low enough that try_elect elects exactly when the
+// probability reaches 1.
+struct Figure3Reference {
+  struct Response {
+    Interval interval;
+    std::uint32_t d;
+    std::uint32_t p;
+    NodeIndex link;
+    std::uint32_t bits;
+  };
+
+  Figure3Reference(NodeIndex n_, OriginalId id_, CrashParams params_)
+      : n(n_), id(id_), params(params_), interval(1, n_) {}
+
+  NodeIndex n;
+  OriginalId id;
+  CrashParams params;
+  Interval interval;
+  std::uint32_t d = 0;
+  std::uint32_t p = 0;
+  bool elected = false;
+  bool finished_early = false;
+  /// Link of the adopted response, kNoNode when nothing was adopted.
+  NodeIndex adopted_link = kNoNode;
+  /// Every adoption so far: (round, link), the cause provenance records.
+  std::vector<std::pair<Round, NodeIndex>> adoptions;
+
+  void try_elect() {
+    const double prob = params.election_constant * std::ldexp(1.0, p) *
+                        protocol_log(n) / static_cast<double>(n);
+    elected = elected || prob >= 1.0;
+  }
+
+  void node_action(Round round, const std::vector<sim::Message>& inbox) {
+    adopted_link = kNoNode;
+    std::vector<Response> responses;
+    for (const sim::Message& m : inbox) {
+      if (m.kind != static_cast<sim::MsgKind>(Tag::kResponse)) continue;
+      if (m.w[0] != id) continue;
+      responses.push_back(Response{Interval(m.w[1], m.w[2]),
+                                   static_cast<std::uint32_t>(m.w[3]),
+                                   static_cast<std::uint32_t>(m.w[4]),
+                                   m.sender, m.bits});
+      if (params.early_stopping && (m.w[4] >> 32) != 0 &&
+          interval.singleton()) {
+        finished_early = true;
+      }
+    }
+    if (responses.empty()) {
+      ++p;
+      try_elect();
+      return;
+    }
+    std::sort(responses.begin(), responses.end(),
+              [](const Response& a, const Response& b) {
+                if (a.d != b.d) return a.d > b.d;
+                return a.interval.lo < b.interval.lo;
+              });
+    if (!interval.singleton()) {
+      d = responses.front().d;
+      interval = responses.front().interval;
+      adopted_link = responses.front().link;
+      adoptions.emplace_back(round, adopted_link);
+    }
+    std::uint32_t max_p = 0;
+    for (const Response& r : responses) max_p = std::max(max_p, r.p);
+    if (max_p > p) {
+      p = max_p;
+      try_elect();
+    }
+  }
+};
+
+// A response whose interval is a function of (d, lo), as in honest runs,
+// where equal (d, lo) means the same interval-tree vertex.
+sim::Message tree_response(NodeIndex sender, OriginalId dest_id, NodeIndex n,
+                           std::uint64_t lo, std::uint32_t d, std::uint64_t p,
+                           bool done_flag) {
+  const std::uint64_t hi = lo + (7 * d + 13 * lo) % (n - lo + 1);
+  auto m = response(sender, dest_id, Interval(lo, hi), d, 0);
+  m.w[4] = p | (std::uint64_t{done_flag ? 1u : 0u} << 32);
+  m.bits = static_cast<std::uint32_t>(40 + sender);
+  return m;
+}
+
+TEST(CrashNodeUnit, NodeActionMatchesSortAndAdopt) {
+  Xoshiro256 rng(0xf163);
+  int empty_inboxes = 0, reelections = 0, early_stops = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::string label = "trial " + std::to_string(trial);
+    SystemConfig cfg;
+    cfg.n = static_cast<NodeIndex>(4 + rng.below(61));
+    cfg.namespace_size = 1000;
+    for (NodeIndex v = 0; v < cfg.n; ++v) cfg.ids.push_back(100 * (v + 1));
+    cfg.seed = 1;
+    CrashParams params;
+    // Probability ~1e-14 at the small p values below (never elected) and
+    // >= 1 at p = kHighP: re-election is deterministic.
+    params.election_constant = 1e-15;
+    params.early_stopping = rng.below(2) == 0;
+    constexpr std::uint64_t kHighP = 60;
+
+    // `traced` runs the same inputs with a provenance recorder attached,
+    // whose adoption links must name the reference's sort front.
+    CrashNode node(0, cfg, params);
+    obs::Provenance prov;
+    prov.begin_run(cfg.n);
+    CrashNode traced(0, cfg, params, nullptr, &prov);
+    Figure3Reference ref(cfg.n, cfg.ids[0], params);
+    ASSERT_FALSE(node.elected()) << label;
+
+    const Round phases = 3 * ceil_log2(cfg.n);
+    for (Round phase = 0; phase < phases && !node.done(); ++phase) {
+      const Round r = 3 * phase;
+      for (const Round sub : {r + 1, r + 2}) {
+        node.receive(sub, {});
+        traced.receive(sub, {});
+      }
+      // Ties: half the responses draw lo and d from small pools.
+      std::vector<sim::Message> inbox;
+      const std::uint64_t count = rng.below(5) == 0 ? 0 : rng.below(30);
+      const std::uint64_t lo_pool[] = {1, 1 + cfg.n / 2, 1 + rng.below(cfg.n)};
+      for (std::uint64_t k = 0; k < count; ++k) {
+        const bool tie = rng.below(2) == 0;
+        const std::uint64_t lo =
+            tie ? lo_pool[rng.below(3)] : 1 + rng.below(cfg.n);
+        const auto d = static_cast<std::uint32_t>(rng.below(tie ? 2 : 6));
+        const std::uint64_t p = rng.below(20) == 0 ? kHighP : rng.below(4);
+        const bool done_flag = rng.below(4) == 0;
+        const auto sender = static_cast<NodeIndex>(rng.below(cfg.n));
+        switch (rng.below(8)) {
+          case 0:  // addressed to another identity
+            inbox.push_back(tree_response(sender, cfg.ids[1 + rng.below(
+                                                      cfg.n - 1)],
+                                          cfg.n, lo, d, p, done_flag));
+            break;
+          case 1:  // another kind from the same sender
+            inbox.push_back(status(sender, cfg.ids[0], Interval(lo, lo), d,
+                                   static_cast<std::uint32_t>(p)));
+            break;
+          default:
+            inbox.push_back(tree_response(sender, cfg.ids[0], cfg.n, lo, d,
+                                          p, done_flag));
+        }
+      }
+      node.receive(r + 3, inbox);
+      traced.receive(r + 3, inbox);
+      const bool was_elected = ref.elected;
+      ref.node_action(r + 3, inbox);
+      empty_inboxes += inbox.empty() ? 1 : 0;
+      reelections += !was_elected && ref.elected ? 1 : 0;
+      const std::string at = label + " phase " + std::to_string(phase);
+      for (const CrashNode* v : {&node, &traced}) {
+        ASSERT_EQ(v->interval(), ref.interval) << at;
+        ASSERT_EQ(v->depth(), ref.d) << at;
+        ASSERT_EQ(v->p(), ref.p) << at;
+        ASSERT_EQ(v->elected(), ref.elected) << at;
+        ASSERT_EQ(v->done(), ref.finished_early || phase + 1 == phases)
+            << at;
+      }
+    }
+    prov.end_run(3 * phases);
+    std::vector<std::pair<Round, NodeIndex>> recorded;
+    for (const obs::ProvEvent& ev : prov.data().events) {
+      if (ev.node == 0 && (ev.kind == obs::ProvEventKind::kNameProposal ||
+                           ev.kind == obs::ProvEventKind::kNameClaim)) {
+        ASSERT_EQ(ev.cause_count, 1u) << label;
+        recorded.emplace_back(ev.round, ev.causes[0].sender);
+      }
+    }
+    EXPECT_EQ(recorded, ref.adoptions) << label;
+    early_stops += ref.finished_early ? 1 : 0;
+  }
+  // The draws reach every branch of Figure 3.
+  EXPECT_GT(empty_inboxes, 0);
+  EXPECT_GT(reelections, 0);
+  EXPECT_GT(early_stops, 0);
+}
+
+TEST(CrashNodeUnit, AdoptionLinkIsSortFrontAmongManyTies) {
+  // More than 16 tied first-ranked responses: std::sort partitions
+  // instead of insertion-sorting, so the tie it puts first is not the
+  // first in inbox order, and provenance's adoption link names that one.
+  SystemConfig cfg;
+  cfg.n = 64;
+  cfg.namespace_size = 10000;
+  for (NodeIndex v = 0; v < cfg.n; ++v) cfg.ids.push_back(100 * (v + 1));
+  cfg.seed = 1;
+  CrashParams params;
+  params.election_constant = 0.0;
+  for (const std::size_t ties : {17u, 20u, 33u, 63u}) {
+    obs::Provenance prov;
+    prov.begin_run(cfg.n);
+    CrashNode node(0, cfg, params, nullptr, &prov);
+    Figure3Reference ref(cfg.n, cfg.ids[0], params);
+    node.receive(1, {});
+    node.receive(2, {});
+    std::vector<sim::Message> inbox;
+    for (NodeIndex k = 1; k <= ties; ++k) {
+      // A first-ranked tie, then a shallower response that ranks below.
+      inbox.push_back(tree_response(k, cfg.ids[0], cfg.n, 1, 3, 0, false));
+      inbox.push_back(tree_response(k, cfg.ids[0], cfg.n, 1 + 2 * (k % 3),
+                                    k % 3 == 0 ? 0 : 2, 0, false));
+    }
+    node.receive(3, inbox);
+    ref.node_action(3, inbox);
+    prov.end_run(3);
+    ASSERT_NE(ref.adopted_link, kNoNode);
+    ASSERT_NE(ref.adopted_link, NodeIndex{1})
+        << "the case must tell the sort's front from the first tie";
+    EXPECT_EQ(node.interval(), ref.interval);
+
+    const auto data = prov.data();
+    std::vector<obs::ProvEvent> adoptions;
+    for (const obs::ProvEvent& ev : data.events) {
+      if (ev.node == 0 && (ev.kind == obs::ProvEventKind::kNameProposal ||
+                           ev.kind == obs::ProvEventKind::kNameClaim)) {
+        adoptions.push_back(ev);
+      }
+    }
+    ASSERT_EQ(adoptions.size(), 1u) << ties;
+    ASSERT_EQ(adoptions[0].cause_count, 1u) << ties;
+    EXPECT_EQ(adoptions[0].causes[0].sender, ref.adopted_link) << ties;
+    EXPECT_EQ(adoptions[0].causes[0].bits, 40 + ref.adopted_link) << ties;
+  }
 }
 
 TEST(CrashNodeUnit, CommitteeAbsorbsMaxP) {

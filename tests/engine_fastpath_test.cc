@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/prng.h"
 #include "obs/journal.h"
 #include "obs/telemetry.h"
 #include "sim/adversary.h"
@@ -29,6 +30,7 @@
 #include "sim/message.h"
 #include "sim/node.h"
 #include "sim/trace.h"
+#include "sim/wire_schema.h"
 
 namespace renaming::sim {
 namespace {
@@ -553,6 +555,112 @@ TEST(Outbox, MulticastExpandAndSizeMatchSendLoop) {
               loop.entries()[i].second.kind);
     EXPECT_EQ(compressed.entries()[i].second.sender, 1u);
     EXPECT_EQ(compressed.entries()[i].second.claimed_sender, 1u);
+  }
+}
+
+// Field-by-field equality of two queued entries.
+void expect_same_entries(const Outbox& a, const Outbox& b,
+                         const std::string& label) {
+  ASSERT_EQ(a.entries().size(), b.entries().size()) << label;
+  for (std::size_t i = 0; i < a.entries().size(); ++i) {
+    const auto& [da, ma] = a.entries()[i];
+    const auto& [db, mb] = b.entries()[i];
+    EXPECT_EQ(da, db) << label << " entry " << i;
+    EXPECT_EQ(ma.sender, mb.sender) << label << " entry " << i;
+    EXPECT_EQ(ma.claimed_sender, mb.claimed_sender) << label << " entry " << i;
+    EXPECT_EQ(ma.kind, mb.kind) << label << " entry " << i;
+    EXPECT_EQ(ma.nwords, mb.nwords) << label << " entry " << i;
+    EXPECT_EQ(ma.bits, mb.bits) << label << " entry " << i;
+    EXPECT_EQ(ma.w, mb.w) << label << " entry " << i;
+    EXPECT_EQ(ma.blob, mb.blob) << label << " entry " << i;
+  }
+}
+
+TEST(Outbox, InPlaceUnicastMatchesMakeThenSend) {
+  // Random unicast sequences — runs of one payload, single sends, payloads
+  // that differ only in kind or word count — interleaved with broadcast
+  // and multicast entries, queued once through send(dest, make_message)
+  // and once through the in-place wire::send: the queues must agree entry
+  // for entry, coalescing included, before and after expand().
+  const wire::WireContext ctx{64, 5000};
+  Xoshiro256 rng(0x0b0c);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::string label = "trial " + std::to_string(trial);
+    const auto n = static_cast<NodeIndex>(2 + rng.below(40));
+    const auto self = static_cast<NodeIndex>(rng.below(n));
+    Outbox made(self, n), in_place(self, n);
+    // One unicast of shape 0 (STATUS, five words), 1 (NEW, one word) or
+    // 2 (ID_REPORT, one word), from a small value pool so neighbouring
+    // sends often carry equal payloads.
+    const auto unicast = [&](NodeIndex dest, std::uint64_t shape,
+                             std::uint64_t v) {
+      switch (shape) {
+        case 0:
+          made.send(dest, wire::make_message(2, ctx, v, 1, 2, 3, v));
+          wire::send(in_place, dest, 2, ctx, v, 1, 2, 3, v);
+          break;
+        case 1:
+          made.send(dest, wire::make_message(15, ctx, v));
+          wire::send(in_place, dest, 15, ctx, v);
+          break;
+        default:
+          made.send(dest, wire::make_message(11, ctx, v));
+          wire::send(in_place, dest, 11, ctx, v);
+      }
+    };
+    const std::uint64_t ops = 1 + rng.below(30);
+    for (std::uint64_t op = 0; op < ops; ++op) {
+      switch (rng.below(6)) {
+        case 0: {  // broadcast entry
+          const Message m = wire::make_message(1, ctx, rng.below(3));
+          made.broadcast(m);
+          in_place.broadcast(m);
+          break;
+        }
+        case 1: {  // multicast entry
+          std::vector<NodeIndex> dests;
+          for (std::uint64_t k = rng.below(5); k > 0; --k) {
+            dests.push_back(static_cast<NodeIndex>(rng.below(n)));
+          }
+          const Message m = wire::make_message(13, ctx, rng.below(3), 7);
+          made.multicast(dests, m);
+          in_place.multicast(dests, m);
+          break;
+        }
+        case 2:
+        case 3: {  // a run of one payload to random destinations
+          const std::uint64_t shape = rng.below(3);
+          const std::uint64_t v = rng.below(3);
+          for (std::uint64_t k = 1 + rng.below(6); k > 0; --k) {
+            unicast(static_cast<NodeIndex>(rng.below(n)), shape, v);
+          }
+          break;
+        }
+        default:  // a single send
+          unicast(static_cast<NodeIndex>(rng.below(n)), rng.below(3),
+                  rng.below(3));
+      }
+    }
+    expect_same_entries(made, in_place, label);
+    ASSERT_EQ(made.size(), in_place.size()) << label;
+    const auto lists = [](const Outbox& out) {
+      return std::count_if(out.entries().begin(), out.entries().end(),
+                           [](const auto& entry) {
+                             return entry.first == Outbox::kMulticast ||
+                                    entry.first == Outbox::kRepeat;
+                           });
+    };
+    ASSERT_EQ(lists(made), lists(in_place)) << label;
+    for (std::ptrdiff_t k = 0; k < lists(made); ++k) {
+      const auto a = made.multicast_dests(static_cast<std::size_t>(k));
+      const auto b = in_place.multicast_dests(static_cast<std::size_t>(k));
+      EXPECT_EQ(std::vector<NodeIndex>(a.begin(), a.end()),
+                std::vector<NodeIndex>(b.begin(), b.end()))
+          << label << " list " << k;
+    }
+    made.expand();
+    in_place.expand();
+    expect_same_entries(made, in_place, label + " expanded");
   }
 }
 
