@@ -54,6 +54,7 @@
 #include "sim/engine.h"
 #include "sim/parallel/plan.h"
 #include "sim/parallel/worker_pool.h"
+#include "test_support.h"
 
 namespace renaming {
 namespace {
@@ -69,7 +70,8 @@ class PingNode final : public sim::Node {
 
   void send(Round, sim::Outbox& out) override {
     out.broadcast(
-        sim::make_message(kPing, 32, static_cast<std::uint64_t>(self_)));
+        sim::make_message(kPing, test_support::raw_wire_bits(32),
+                          static_cast<std::uint64_t>(self_)));
   }
 
   void receive(Round round, sim::InboxView inbox) override {

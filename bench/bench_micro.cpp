@@ -20,6 +20,7 @@
 #include "sim/engine.h"
 #include "sim/node.h"
 #include "sim/wire_schema.h"
+#include "test_support.h"
 
 namespace renaming {
 namespace {
@@ -130,7 +131,7 @@ void BM_RabinOfRangeSparse(benchmark::State& state) {
   Xoshiro256 rng(9);
   for (std::int64_t i = 0; i < state.range(0); ++i) bits.set(rng.below(kN));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rabin.of_range(bits, 0, kN - 1));
+    benchmark::DoNotOptimize(test_support::of_range(rabin, bits, 0, kN - 1));
   }
   state.SetItemsProcessed(state.iterations() * bits.count());
 }
@@ -156,7 +157,8 @@ void BM_EngineRoundAllToAll(benchmark::State& state) {
   class Bcast final : public sim::Node {
    public:
     void send(Round, sim::Outbox& out) override {
-      out.broadcast(sim::make_message(1, 32, std::uint64_t{7}));
+      out.broadcast(sim::make_message(1, test_support::raw_wire_bits(32),
+                                      std::uint64_t{7}));
     }
     void receive(Round, sim::InboxView) override {}
     bool done() const override { return false; }
@@ -179,7 +181,7 @@ void BM_OutboxUnicast(benchmark::State& state) {
   constexpr NodeIndex kReplies = 8192;
   const bool in_place = state.range(0) != 0;
   const sim::wire::WireContext ctx{kReplies, 5ull * kReplies * kReplies};
-  const auto kind = static_cast<sim::MsgKind>(crash::Tag::kResponse);
+  const auto kind = sim::wire::Kind::kResponse;
   sim::Outbox out(0, kReplies);
   for (auto _ : state) {
     out.clear();
@@ -220,7 +222,8 @@ void BM_PhaseKingInstance(benchmark::State& state) {
   class Host final : public sim::Node {
    public:
     Host(const consensus::CommitteeView& v, std::size_t idx, bool input)
-        : king_(v, idx, 0, 5, 64, input) {}
+        : king_(v, idx, 0, sim::wire::Kind::kConsensus,
+                {v.size(), 5ull * v.size() * v.size()}, input) {}
     void send(Round r, sim::Outbox& out) override {
       if (!fin_) king_.send(r - 1, out);
     }

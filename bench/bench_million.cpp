@@ -153,7 +153,8 @@ int run(int argc, char** argv) {
     const std::uint64_t obg_copies = static_cast<std::uint64_t>(n) * n;
     const std::uint64_t obg_rounds = 3 + std::max<Round>(ceil_log2(n), 1);
     const bool obg_fits =
-        sim::wire::wire_bits(41, {n, cfg.namespace_size}, n) <=
+        sim::wire::wire_bits(sim::wire::Kind::kObgVector,
+                             {n, cfg.namespace_size}, n) <=
         UINT64_MAX / obg_copies / obg_rounds;
     if (obg_fits) {
       rows.push_back(bench::measure({.workload = "obg-closed", .n = n}, [&] {

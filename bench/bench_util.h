@@ -135,7 +135,10 @@ class Json {
   static Json array() { return Json(Kind::kArray); }
   static Json str(std::string v) {
     Json j(Kind::kScalar);
-    j.scalar_ = "\"" + obs::json_escape(v) + "\"";
+    // Appended, not `"\"" + std::string` (GCC 12 -Wrestrict misfires).
+    j.scalar_ = '"';
+    j.scalar_ += obs::json_escape(v);
+    j.scalar_ += '"';
     return j;
   }
   /// NaN and infinities have no JSON spelling; they become null.

@@ -14,6 +14,7 @@
 #include "crash/adversaries.h"
 #include "sim/auth.h"
 #include "crash/crash_renaming.h"
+#include "test_support.h"
 
 namespace {
 
@@ -93,8 +94,8 @@ void authentication_demo() {
   // this shows what the wire format would carry in a real system.
   std::printf("--- message authentication demo ---\n");
   sim::Authenticator alice_key(0xA11CE);
-  sim::Message m = sim::make_message(/*kind=*/1, /*bits=*/64,
-                                     std::uint64_t{42});
+  sim::Message m = sim::make_message(
+      /*kind=*/1, test_support::raw_wire_bits(64), std::uint64_t{42});
   m.claimed_sender = 3;
   const std::uint64_t tag = alice_key.tag(m);
   std::printf("tag(msg)                 = %016llx -> verify: %s\n",

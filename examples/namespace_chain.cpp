@@ -17,6 +17,7 @@
 #include "byzantine/byz_renaming.h"
 #include "common/math.h"
 #include "sim/engine.h"
+#include "test_support.h"
 
 namespace {
 
@@ -27,7 +28,9 @@ using namespace renaming;
 class GossipNode final : public sim::Node {
  public:
   GossipNode(OriginalId id, std::uint64_t namespace_size, Round rounds)
-      : best_(id), bits_(ceil_log2(namespace_size)), rounds_(rounds) {}
+      : best_(id),
+        bits_(test_support::raw_wire_bits(ceil_log2(namespace_size))),
+        rounds_(rounds) {}
 
   void send(Round, sim::Outbox& out) override {
     out.broadcast(sim::make_message(/*kind=*/70, bits_, best_));
@@ -41,7 +44,7 @@ class GossipNode final : public sim::Node {
 
  private:
   std::uint64_t best_;
-  std::uint32_t bits_;
+  sim::WireBits bits_;
   Round rounds_;
   Round executed_ = 0;
 };

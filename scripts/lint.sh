@@ -6,9 +6,9 @@
 #   scripts/lint.sh tidy       # clang-tidy over src/ (needs clang-tidy)
 #   scripts/lint.sh format     # clang-format check (needs clang-format)
 #
-# Steps whose tool is not installed are skipped with a warning so the
-# script stays green on minimal toolchains (the dev container ships only
-# g++); CI installs clang-tidy/clang-format and runs the identical
+# The protocol lint needs only python3. Steps whose tool is not installed
+# (clang-tidy, clang-format) are skipped with a warning so the script stays
+# green on minimal toolchains; CI installs them and runs the identical
 # entrypoints, so nothing skipped here goes unchecked upstream.
 set -euo pipefail
 

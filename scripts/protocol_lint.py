@@ -9,16 +9,23 @@ lines are isolated as single tokens) and runs per-rule passes over the
 token streams, so string contents and comments can never produce findings
 and suppression markers are tracked precisely per (line, rule).
 
+Five former rules are compile-time facts now and have no pass here
+(docs/TOOLING.md "Compile-time facts"): R5 header hygiene (one generated
+TU per src/ header in the build), R7 dense of_range (test-only header),
+R9 wire widths (sim::WireBits), R11 kind coverage (kWireSchemas rows are
+keyed by sim::wire::Kind) and R16 run info (set_run_info is private to
+sim::Observers). Their numbers stay retired.
+
   R1  nondeterminism  Executions must be pure functions of the seed. All
                       randomness flows through the seeded PRNGs in
                       common/prng.h / hashing/shared_random.h; wall-clock
                       time, rand(), std::random_device, pid/env lookups and
                       address-based hashing are banned in src/.
-  R2  msgkind         Every message tag (enum class Tag : sim::MsgKind
-                      enumerator, or file-local `constexpr sim::MsgKind`)
-                      must be referenced at least once outside its
-                      definition. A tag that is declared but never handled
-                      means a dispatch switch silently drops a message kind.
+  R2  msgkind         Every sim::wire::Kind enumerator (sim/wire_schema.h,
+                      the one declaration of each message kind) must be
+                      named as Kind::<enumerator> in some other file under
+                      src/. A kind that is declared but never sent or
+                      handled is a row no protocol speaks.
   R3  bits-width      Wire-size ("bits") accumulation must use 64-bit
                       types: a quadratic baseline at n = 1e5 with
                       Omega(n)-bit messages overflows 32-bit counters and
@@ -29,13 +36,6 @@ and suppression markers are tracked precisely per (line, rule).
                       or stats. Unordered containers are allowed for
                       lookup/membership only; iteration requires an ordered
                       container (or an explicit allow marker).
-  R5  header-hygiene  Every header under src/ must compile standalone
-                      (include-what-you-use smoke test with
-                      `g++ -fsyntax-only`). Results are memoized in a
-                      content-hash cache keyed on the header's transitive
-                      repo includes AND this script's own content hash (a
-                      rule change invalidates old verdicts), so incremental
-                      runs stay fast.
   R6  threading       The simulator is deterministic by design (ROADMAP
                       invariant; docs/PERFORMANCE.md): <thread>, <mutex>,
                       <shared_mutex>, <condition_variable>, <future>,
@@ -48,13 +48,6 @@ and suppression markers are tracked precisely per (line, rule).
                       "Shard-parallel engine"). Everywhere else under src/
                       the ban stands; protocol and engine code reach
                       parallelism only through sim::parallel::ShardPlan.
-  R7  dense-of-range  Protocol code (src/byzantine/, src/crash/) must not
-                      call SetFingerprint/RabinFingerprint::of_range: those
-                      evaluate a fingerprint by walking a dense BitVec over
-                      the identity space — an O(N)-shaped scan that the
-                      bucketed IdentityList's incremental summaries exist to
-                      avoid (docs/PERFORMANCE.md "Protocol hot path").
-                      of_range belongs in tests and cross-checks only.
   R8  raw-output      No raw std::cout/std::cerr/std::clog or stdio output
                       (printf/fprintf/puts/fputs/putchar/fputc) under src/:
                       library code reports through its sanctioned sinks —
@@ -67,26 +60,10 @@ and suppression markers are tracked precisely per (line, rule).
                       own every byte that reaches a terminal. The
                       RENAMING_CHECK abort path in common/check.h carries an
                       explicit allow marker.
-  R9  wire-schema     Declared message widths must flow from
-                      sim/wire_schema.h. At every sim::make_message /
-                      note_messages call site the bits argument must not
-                      contain a numeric literal, and any width-named
-                      identifier it references must (when initialized in
-                      the same file) derive from wire_bits()/
-                      wire::make_message or the named adversarial probe
-                      constants — a stale hand-written width silently
-                      falsifies every budget gate and BENCH_* cell.
   R10 stale-allow     A // lint:allow(<rule>) marker that suppresses
                       nothing is itself an error: stale markers hide the
                       next real finding on that line. Markers naming an
                       unknown rule are reported too (typo protection).
-  R11 kind-coverage   Every row of the message-kind table (kWireSchemas
-                      in sim/wire_schema.h, the one declaration of a
-                      shipped kind's name, phase and wire layout) must
-                      have a protocol dispatch declaration for its kind
-                      (an `enum class ... : sim::MsgKind` enumerator or a
-                      file-local `constexpr sim::MsgKind`) somewhere under
-                      src/.
   R12 full-width-alloc The engine's steady-state round loop must never
                       allocate full-width (O(n)) structures: that is what
                       keeps million-node runs at O(active) memory
@@ -120,16 +97,10 @@ and suppression markers are tracked precisely per (line, rule).
                       writer goes through its Writer/Reader, so the
                       shared header checks and length bounds cannot fork
                       into private copies again.
-  R16 run-info        One observer lifecycle. Outside src/obs/ and
-                      src/sim/observers.h, src/ code must not call
-                      set_run_info(): the run-info labelling lives in
-                      sim::Observers::begin(), so a run_* entry point
-                      cannot drift from the others.
 
 Findings can be suppressed per line with `// lint:allow(<rule>)` where
 <rule> is one of: nondeterminism, msgkind, bits-width,
-unordered-iteration, threading, dense-of-range, raw-output, wire-schema,
-full-width-alloc, wall-clock.
+unordered-iteration, threading, raw-output, full-width-alloc, wall-clock.
 Suppressions are tracked: a marker that matches no finding fails R10.
 
 Exit status: 0 if clean, 1 if any violation, 2 on usage error.
@@ -138,13 +109,9 @@ Exit status: 0 if clean, 1 if any violation, 2 on usage error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import re
-import shutil
-import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 SOURCE_SUFFIXES = {".h", ".cc"}
@@ -158,9 +125,7 @@ SUPPRESSIBLE = {
     "bits-width",
     "unordered-iteration",
     "threading",
-    "dense-of-range",
     "raw-output",
-    "wire-schema",
     "full-width-alloc",
     "wall-clock",
 }
@@ -358,13 +323,6 @@ def seq_at(sig: list[Token], i: int, *texts: str) -> bool:
     return all(sig[i + k].text == t for k, t in enumerate(texts))
 
 
-def skip_std(sig: list[Token], i: int) -> int:
-    """Returns the index past an optional `std ::` prefix at i."""
-    if seq_at(sig, i, "std", "::"):
-        return i + 2
-    return i
-
-
 def balanced_end(sig: list[Token], i: int, open_: str, close: str) -> int:
     """Index just past the token closing the group opened at sig[i]."""
     depth = 0
@@ -463,122 +421,55 @@ def check_nondeterminism(files: list[SourceFile]) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
-# R2: every message kind is handled somewhere
+# R2: every message kind is named outside its declaration
+
+_KIND_FILE = "sim/wire_schema.h"
 
 
-def _tag_enums(f: SourceFile):
-    """Yields (enum_name, [(enumerator, line)], body_range) for every
-    `enum class X : [sim::]MsgKind { ... }` in f."""
+def _kind_enumerators(f: SourceFile) -> list[tuple[str, int]]:
+    """(name, line) of each enumerator of `enum class Kind : ... { }`."""
     sig = f.sig
-    for i, t in enumerate(sig):
-        if t.text != "enum" or not seq_at(sig, i, "enum", "class"):
+    for i in range(len(sig) - 3):
+        if not seq_at(sig, i, "enum", "class", "Kind", ":"):
             continue
-        if i + 3 >= len(sig) or sig[i + 2].kind != "id":
-            continue
-        name = sig[i + 2].text
-        j = i + 3
-        if sig[j].text != ":":
-            continue
-        j = skip_std(sig, j + 1)
-        if seq_at(sig, j, "sim", "::"):
-            j += 2
-        if j >= len(sig) or sig[j].text != "MsgKind":
-            continue
-        j += 1
-        if j >= len(sig) or sig[j].text != "{":
-            continue
+        j = i + 4
+        while j < len(sig) and sig[j].text != "{":
+            j += 1
         end = balanced_end(sig, j, "{", "}")
-        enumerators = []
-        expect = True  # next id at depth 1 is an enumerator name
-        depth = 0
-        for k in range(j, end):
-            tk = sig[k]
-            if tk.text == "{":
-                depth += 1
-            elif tk.text == "}":
-                depth -= 1
-            elif depth == 1:
-                if expect and tk.kind == "id":
-                    enumerators.append((tk.text, tk.line, k))
-                    expect = False
-                elif tk.text == ",":
-                    expect = True
-        yield name, enumerators, (j, end)
-
-
-def _constexpr_kinds(f: SourceFile):
-    """Yields (name, line, value_index) for `constexpr [sim::]MsgKind k = v`."""
-    sig = f.sig
-    for i, t in enumerate(sig):
-        if t.text != "constexpr":
-            continue
-        j = i + 1
-        if seq_at(sig, j, "sim", "::"):
-            j += 2
-        if not seq_at(sig, j, "MsgKind"):
-            continue
-        j += 1
-        if j + 1 < len(sig) and sig[j].kind == "id" and sig[j + 1].text == "=":
-            yield sig[j].text, sig[j].line, j + 2
+        out, expect = [], True
+        for tk in sig[j + 1 : end - 1]:
+            if expect and tk.kind == "id":
+                out.append((tk.text, tk.line))
+                expect = False
+            elif tk.text == ",":
+                expect = True
+        return out
+    return []
 
 
 def check_msgkind_exhaustive(files: list[SourceFile]) -> list[Violation]:
-    out = []
+    decl = next((f for f in files if f.rel == _KIND_FILE), None)
+    if decl is None:
+        return []
+    named: set[str] = set()
     for f in files:
+        if f is decl:
+            continue
         sig = f.sig
-
-        # File-local constexpr MsgKind constants: must be referenced in the
-        # same translation unit outside their definition line.
-        for name, line, _ in _constexpr_kinds(f):
-            refs = sum(
-                1
-                for t in sig
-                if t.kind == "id" and t.text == name and t.line != line
-            )
-            if refs == 0:
-                out.append(
-                    Violation(
-                        "msgkind",
-                        f.path,
-                        line,
-                        f"message kind {name} is declared but never handled "
-                        "at any dispatch site in this file",
-                    )
-                )
-
-        # enum class Tag : sim::MsgKind enumerators: must be referenced as
-        # Enum::kName somewhere in the same protocol directory (outside the
-        # enum body itself).
-        for enum_name, enumerators, (body_lo, body_hi) in _tag_enums(f):
-            proto_dir = f.path.parent
-            body_ids = set(range(body_lo, body_hi))
-            for name, line, decl_idx in enumerators:
-                refs = 0
-                for other in files:
-                    if other.path.parent != proto_dir:
-                        continue
-                    osig = other.sig
-                    for k, tk in enumerate(osig):
-                        if tk.text != name or tk.kind != "id":
-                            continue
-                        if other is f and k in body_ids:
-                            continue
-                        if k >= 2 and osig[k - 1].text == "::" and \
-                                osig[k - 2].text == enum_name:
-                            refs += 1
-                if refs == 0:
-                    out.append(
-                        Violation(
-                            "msgkind",
-                            f.path,
-                            line,
-                            f"{enum_name}::{name} is declared but never "
-                            f"handled at any dispatch site under "
-                            f"{proto_dir.name}/ — a switch over {enum_name} "
-                            "is silently dropping this message kind",
-                        )
-                    )
-    return out
+        for k in range(2, len(sig)):
+            if sig[k - 1].text == "::" and sig[k - 2].text == "Kind":
+                named.add(sig[k].text)
+    return [
+        Violation(
+            "msgkind",
+            decl.path,
+            line,
+            f"Kind::{name} is declared but never named outside "
+            f"{_KIND_FILE}: no protocol sends or handles this kind",
+        )
+        for name, line in _kind_enumerators(decl)
+        if name not in named
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -750,36 +641,6 @@ def check_threading(files: list[SourceFile]) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
-# R7: protocol code must not evaluate fingerprints over the dense id space
-
-DENSE_SCAN_DIRS = {"byzantine", "crash"}
-
-
-def check_dense_of_range(files: list[SourceFile]) -> list[Violation]:
-    out = []
-    for f in files:
-        if f.path.parent.name not in DENSE_SCAN_DIRS:
-            continue
-        sig = f.sig
-        for i, t in enumerate(sig):
-            if t.text == "of_range" and i >= 1 and sig[i - 1].text == "." \
-                    and seq_at(sig, i + 1, "("):
-                out.append(
-                    Violation(
-                        "dense-of-range",
-                        f.path,
-                        t.line,
-                        "of_range scans a dense BitVec over the identity "
-                        "space; protocol code must use IdentityList's "
-                        "incremental summaries (summarize/rank/ids_in) "
-                        "instead — of_range is for tests and cross-checks "
-                        "only",
-                    )
-                )
-    return out
-
-
-# ---------------------------------------------------------------------------
 # R8: no raw terminal output in library code
 
 _STREAMS = {"cout", "cerr", "clog"}
@@ -819,220 +680,6 @@ def check_raw_output(files: list[SourceFile]) -> list[Violation]:
                     (i == 0 or sig[i - 1].text not in (".", "->")):
                 hit(f, t.line, "stdio output call")
     return out
-
-
-# ---------------------------------------------------------------------------
-# R9: declared message widths flow from sim/wire_schema.h
-
-# Identifiers that prove a width expression derives from the schema.
-_SCHEMA_SOURCES = {
-    "wire_bits", "make_blob_message",
-    "kForgedNewProbeBits", "kSpoofProbeBits",
-}
-# Files that ARE the schema layer: the table itself and the raw Message
-# builder it wraps. Their internals define the widths everyone else derives.
-_SCHEMA_LAYER = {"sim/wire_schema.h", "sim/message.h"}
-
-
-def _width_initializers(f: SourceFile, name: str):
-    """Yields (line, tokens) for every in-file initializer of `name`:
-    `name = expr;`, `name(expr)` / `name{expr}` (ctor-init or brace init),
-    and `name() [const] { body }` (width helper function definitions)."""
-    sig = f.sig
-    for i, t in enumerate(sig):
-        if t.kind != "id" or t.text != name or i + 1 >= len(sig):
-            continue
-        nxt = sig[i + 1].text
-        if nxt == "=" and not seq_at(sig, i + 1, "=="):
-            j = i + 2
-            depth = 0
-            start = j
-            while j < len(sig):
-                if sig[j].text in "([{":
-                    depth += 1
-                elif sig[j].text in ")]}":
-                    depth -= 1
-                elif sig[j].text in (";", ",") and depth <= 0:
-                    break
-                j += 1
-            yield t.line, sig[start:j]
-        elif nxt in ("(", "{"):
-            close = ")" if nxt == "(" else "}"
-            end = balanced_end(sig, i + 1, nxt, close)
-            inner = sig[i + 2 : end - 1]
-            if inner:
-                yield t.line, inner
-            elif nxt == "(":
-                # Possible width-helper definition: name() [const] { body }.
-                j = end
-                if j < len(sig) and sig[j].text == "const":
-                    j += 1
-                if j < len(sig) and sig[j].text == "{":
-                    yield t.line, sig[j : balanced_end(sig, j, "{", "}")]
-
-
-def _check_width_expr(f: SourceFile, arg: list[Token], call_line: int,
-                      out: list[Violation], seen: set[str]) -> None:
-    """Flags numeric literals in a bits-argument expression, then traces any
-    width-named identifiers it references to their in-file initializers."""
-    for t in arg:
-        if t.kind == "num":
-            out.append(
-                Violation(
-                    "wire-schema",
-                    f.path,
-                    t.line,
-                    f"raw bit-width literal '{t.text}' in a message-width "
-                    "argument; widths must flow from sim/wire_schema.h "
-                    "(wire_bits(), wire::make_message, or a named probe "
-                    "constant)",
-                )
-            )
-    texts = {t.text for t in arg if t.kind == "id"}
-    if texts & _SCHEMA_SOURCES:
-        return  # directly schema-derived
-    for i, t in enumerate(arg):
-        if t.kind != "id" or not _BITSY.search(t.text):
-            continue
-        if i >= 1 and arg[i - 1].text in (".", "->", "::"):
-            continue  # member of another object; checked where it is set
-        if t.text in seen:
-            continue
-        seen.add(t.text)
-        for line, init in _width_initializers(f, t.text):
-            if {x.text for x in init if x.kind == "id"} & _SCHEMA_SOURCES:
-                continue
-            for x in init:
-                if x.kind == "num":
-                    out.append(
-                        Violation(
-                            "wire-schema",
-                            f.path,
-                            line,
-                            f"width '{t.text}' (used as a message-width "
-                            f"argument at line {call_line}) is initialized "
-                            f"from a raw literal '{x.text}' instead of "
-                            "sim/wire_schema.h",
-                        )
-                    )
-
-
-def check_wire_schema(files: list[SourceFile]) -> list[Violation]:
-    out: list[Violation] = []
-    for f in files:
-        if f.rel in _SCHEMA_LAYER:
-            continue
-        sig = f.sig
-        seen: set[str] = set()
-        for i, t in enumerate(sig):
-            if t.kind != "id" or not seq_at(sig, i + 1, "("):
-                continue
-            # A call site is never directly preceded by a plain identifier
-            # or '>' — that shape is a declaration (`void note_messages(`,
-            # `Message make_message(`) or a template one.
-            if i >= 1 and (sig[i - 1].kind == "id" or sig[i - 1].text == ">"):
-                continue
-            if t.text == "make_message":
-                # wire::make_message derives its width from the schema.
-                if i >= 2 and sig[i - 1].text == "::" and \
-                        sig[i - 2].text == "wire":
-                    continue
-                args, _ = split_args(sig, i + 1)
-                if len(args) >= 2:
-                    _check_width_expr(f, args[1], t.line, out, seen)
-            elif t.text == "note_messages":
-                # RunStats(count, bits) / Telemetry(kind, count, bits):
-                # the width is the last argument either way.
-                args, _ = split_args(sig, i + 1)
-                if len(args) >= 2:
-                    _check_width_expr(f, args[-1], t.line, out, seen)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# R11: every message-kind table row has a dispatch declaration
-
-_SCHEMA_FILE = "sim/wire_schema.h"
-
-
-def _int_literal(text: str) -> int | None:
-    try:
-        return int(text.rstrip("uUlL"), 0)
-    except ValueError:
-        return None
-
-
-def _table_kinds(f: SourceFile, table: str) -> dict[int, int]:
-    """First number of each top-level {...} entry of `table` (the kind)."""
-    sig = f.sig
-    for i, t in enumerate(sig):
-        if t.text != table:
-            continue
-        j = i + 1
-        while j < len(sig) and sig[j].text != "{":
-            if sig[j].text == ";":
-                break
-            j += 1
-        if j >= len(sig) or sig[j].text != "{":
-            continue
-        end = balanced_end(sig, j, "{", "}")
-        kinds = {}
-        k = j + 1
-        while k < end - 1:
-            if sig[k].text == "{":
-                entry_end = balanced_end(sig, k, "{", "}")
-                for tk in sig[k + 1 : entry_end]:
-                    if tk.kind == "num":
-                        v = _int_literal(tk.text)
-                        if v is not None:
-                            kinds[v] = tk.line
-                        break
-                k = entry_end
-            else:
-                k += 1
-        return kinds
-    return {}
-
-
-def _declared_kinds(files: list[SourceFile]) -> dict[int, str]:
-    """All kind values declared by a Tag enumerator or constexpr MsgKind."""
-    declared: dict[int, str] = {}
-    for f in files:
-        sig = f.sig
-        for _, enumerators, (lo, hi) in _tag_enums(f):
-            for name, _, decl_idx in enumerators:
-                if decl_idx + 2 < len(sig) and \
-                        sig[decl_idx + 1].text == "=" and \
-                        sig[decl_idx + 2].kind == "num":
-                    v = _int_literal(sig[decl_idx + 2].text)
-                    if v is not None:
-                        declared.setdefault(v, f"{f.rel} ({name})")
-        for name, _, val_idx in _constexpr_kinds(f):
-            if val_idx < len(sig) and sig[val_idx].kind == "num":
-                v = _int_literal(sig[val_idx].text)
-                if v is not None:
-                    declared.setdefault(v, f"{f.rel} ({name})")
-    return declared
-
-
-def check_kind_coverage(files: list[SourceFile]) -> list[Violation]:
-    schema_file = next((f for f in files if f.rel == _SCHEMA_FILE), None)
-    if schema_file is None:
-        return []  # nothing to pin against (fixture trees without a table)
-    rows = _table_kinds(schema_file, "kWireSchemas")
-    declared = _declared_kinds(files)
-    return [
-        Violation(
-            "kind-coverage",
-            schema_file.path,
-            line,
-            f"message-kind table row for kind {kind} has no dispatch "
-            "declaration anywhere under src/ (expected an `enum class ... : "
-            "sim::MsgKind` enumerator or a `constexpr sim::MsgKind`)",
-        )
-        for kind, line in sorted(rows.items())
-        if kind not in declared
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1226,149 +873,6 @@ def check_binary_io(files: list[SourceFile]) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
-# R16: one observer lifecycle — run-info labelling lives in sim/observers.h
-# (and the obs layer that defines it)
-
-_OBSERVERS_FILE = "sim/observers.h"
-
-
-def check_run_info(files: list[SourceFile]) -> list[Violation]:
-    out = []
-    for f in files:
-        if f.rel.startswith("obs/") or f.rel == _OBSERVERS_FILE:
-            continue
-        sig = f.sig
-        for i, t in enumerate(sig):
-            if t.kind != "id" or t.text != "set_run_info" or \
-                    not seq_at(sig, i + 1, "("):
-                continue
-            out.append(
-                Violation(
-                    "run-info",
-                    f.path,
-                    t.line,
-                    f"set_run_info() call outside {_OBSERVERS_FILE}; attach "
-                    "observers through sim::Observers, whose begin() labels "
-                    "the run (docs/OBSERVABILITY.md \"Attaching observers\")",
-                )
-            )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# R5: headers are self-contained (with a content-hash cache)
-
-_INCLUDE_RE = re.compile(r'#\s*include\s*"([^"]+)"')
-
-
-def _include_closure(files_by_rel: dict[str, SourceFile], rel: str,
-                     seen: set[str]) -> None:
-    if rel in seen:
-        return
-    seen.add(rel)
-    f = files_by_rel.get(rel)
-    if f is None:
-        return
-    for t in f.pp_tokens:
-        m = _INCLUDE_RE.search(t.text)
-        if m:
-            _include_closure(files_by_rel, m.group(1), seen)
-
-
-def _lint_engine_hash() -> str:
-    """Content hash of this script itself. Mixed into every cache key so a
-    rule-set or engine change invalidates stale verdicts instead of letting
-    the cache keep vouching for headers a newer rule would reject."""
-    cached = getattr(_lint_engine_hash, "_memo", None)
-    if cached is None:
-        try:
-            cached = hashlib.sha256(Path(__file__).read_bytes()).hexdigest()
-        except OSError:
-            cached = "unreadable-lint-engine"
-        _lint_engine_hash._memo = cached
-    return cached
-
-
-def _header_fingerprint(files_by_rel: dict[str, SourceFile], rel: str,
-                        compiler: str) -> str:
-    """Content hash over the header and its transitive repo includes, the
-    compiler identity, and the lint engine's own content hash — any change
-    to any of them re-triggers the syntax-only check."""
-    closure: set[str] = set()
-    _include_closure(files_by_rel, rel, closure)
-    h = hashlib.sha256()
-    h.update(compiler.encode())
-    h.update(_lint_engine_hash().encode())
-    for dep in sorted(closure):
-        f = files_by_rel.get(dep)
-        if f is not None:
-            h.update(dep.encode())
-            h.update(f.text.encode())
-    return h.hexdigest()
-
-
-def check_header_hygiene(files: list[SourceFile], src: Path, compiler: str,
-                         cache_path: Path | None) -> list[Violation]:
-    if shutil.which(compiler) is None:
-        print(
-            f"protocol_lint: warning: '{compiler}' not found; "
-            "skipping header self-containment checks",
-            file=sys.stderr,
-        )
-        return []
-    files_by_rel = {f.rel: f for f in files}
-    headers = sorted(
-        (f for f in files if f.path.suffix == ".h"), key=lambda f: f.rel
-    )
-
-    cache: dict[str, str] = {}
-    if cache_path is not None and cache_path.is_file():
-        try:
-            cache = json.loads(cache_path.read_text())
-        except (json.JSONDecodeError, OSError):
-            cache = {}
-
-    violations = []
-    fresh: dict[str, str] = {}
-    with tempfile.TemporaryDirectory(prefix="protocol_lint_") as tmp:
-        tu = Path(tmp) / "tu.cc"
-        for header in headers:
-            fp = _header_fingerprint(files_by_rel, header.rel, compiler)
-            if cache.get(header.rel) == fp:
-                fresh[header.rel] = fp  # clean last time, unchanged since
-                continue
-            tu.write_text(f'#include "{header.rel}"\nint main() '
-                          "{ return 0; }\n")
-            proc = subprocess.run(
-                [compiler, "-std=c++20", "-fsyntax-only", "-Wall", "-Wextra",
-                 f"-I{src}", str(tu)],
-                capture_output=True,
-                text=True,
-            )
-            if proc.returncode != 0:
-                first = proc.stderr.strip().splitlines()
-                detail = first[0] if first else "compilation failed"
-                violations.append(
-                    Violation(
-                        "header-hygiene",
-                        header.path,
-                        1,
-                        f"header is not self-contained: {detail}",
-                    )
-                )
-            else:
-                fresh[header.rel] = fp  # only clean results are memoized
-    if cache_path is not None:
-        try:
-            cache_path.parent.mkdir(parents=True, exist_ok=True)
-            cache_path.write_text(json.dumps(fresh, indent=1, sort_keys=True))
-        except OSError as e:
-            print(f"protocol_lint: warning: cannot write cache: {e}",
-                  file=sys.stderr)
-    return violations
-
-
-# ---------------------------------------------------------------------------
 # Engine: run rule passes, apply suppressions, report stale markers (R10)
 
 RULES = (
@@ -1376,22 +880,16 @@ RULES = (
     "msgkind",
     "bits-width",
     "unordered-iteration",
-    "header-hygiene",
     "threading",
-    "dense-of-range",
     "raw-output",
-    "wire-schema",
     "stale-allow",
-    "kind-coverage",
     "full-width-alloc",
     "wall-clock",
     "binary-io",
-    "run-info",
 )
 
 
-def run_rules(files: list[SourceFile], src: Path, selected: list[str],
-              compiler: str, cache_path: Path | None):
+def run_rules(files: list[SourceFile], selected: list[str]):
     """Returns (violations, suppressed) after marker filtering + R10."""
     raw: list[Violation] = []
     if "nondeterminism" in selected:
@@ -1404,24 +902,14 @@ def run_rules(files: list[SourceFile], src: Path, selected: list[str],
         raw += check_unordered_iteration(files)
     if "threading" in selected:
         raw += check_threading(files)
-    if "dense-of-range" in selected:
-        raw += check_dense_of_range(files)
     if "raw-output" in selected:
         raw += check_raw_output(files)
-    if "wire-schema" in selected:
-        raw += check_wire_schema(files)
-    if "kind-coverage" in selected:
-        raw += check_kind_coverage(files)
     if "full-width-alloc" in selected:
         raw += check_full_width_alloc(files)
     if "wall-clock" in selected:
         raw += check_wall_clock(files)
     if "binary-io" in selected:
         raw += check_binary_io(files)
-    if "run-info" in selected:
-        raw += check_run_info(files)
-    if "header-hygiene" in selected:
-        raw += check_header_hygiene(files, src, compiler, cache_path)
 
     files_by_path = {f.path: f for f in files}
     violations: list[Violation] = []
@@ -1484,27 +972,10 @@ def main() -> int:
         + " (default: all)",
     )
     parser.add_argument(
-        "--compiler",
-        default="g++",
-        help="compiler used for the header self-containment smoke test",
-    )
-    parser.add_argument(
         "--report",
         type=Path,
         default=None,
         help="write a JSON report (violations + suppressions) to this path",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the header-hygiene content-hash cache",
-    )
-    parser.add_argument(
-        "--cache",
-        type=Path,
-        default=None,
-        help="header-hygiene cache file "
-        "(default: <root>/build/.protocol_lint_cache.json)",
     )
     args = parser.parse_args()
 
@@ -1526,17 +997,10 @@ def main() -> int:
             )
             return 2
 
-    cache_path = None
-    if not args.no_cache:
-        cache_path = args.cache or (
-            args.root / "build" / ".protocol_lint_cache.json"
-        )
-
     files = [SourceFile(p, src) for p in sorted(src.rglob("*"))
              if p.suffix in SOURCE_SUFFIXES and p.is_file()]
 
-    violations, suppressed = run_rules(files, src, selected, args.compiler,
-                                       cache_path)
+    violations, suppressed = run_rules(files, selected)
 
     for v in violations:
         print(v)

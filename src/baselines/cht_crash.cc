@@ -10,9 +10,10 @@
 
 namespace renaming::baselines {
 
-namespace {
+using sim::wire::Kind;
+using sim::wire::raw;
 
-constexpr sim::MsgKind kStatus = 31;
+namespace {
 
 class ChtNode final : public sim::Node {
  public:
@@ -21,7 +22,8 @@ class ChtNode final : public sim::Node {
       : self_(self),
         id_(cfg.ids[self]),
         n_(cfg.n),
-        bits_(sim::wire::wire_bits(kStatus, {cfg.n, cfg.namespace_size})),
+        bits_(sim::wire::wire_bits(Kind::kChtStatus,
+                                   {cfg.n, cfg.namespace_size})),
         total_phases_(ceil_log2(cfg.n)),
         interval_(1, cfg.n),
         // Watch-set gate, resolved once: cht's receive loop touches every
@@ -34,8 +36,8 @@ class ChtNode final : public sim::Node {
                         : nullptr) {}
 
   void send(Round, sim::Outbox& out) override {
-    out.broadcast(sim::make_message(kStatus, bits_, id_, interval_.lo,
-                                    interval_.hi));
+    out.broadcast(sim::make_message(raw(Kind::kChtStatus), bits_, id_,
+                                    interval_.lo, interval_.hi));
   }
 
   void receive(Round round, sim::InboxView inbox) override {
@@ -51,7 +53,7 @@ class ChtNode final : public sim::Node {
     const Interval bot = interval_.bot();
     std::uint64_t rank = 0, occupied = 0;
     for (const sim::Message& m : inbox) {
-      if (m.kind != kStatus || m.nwords < 3) continue;
+      if (m.kind != raw(Kind::kChtStatus) || m.nwords < 3) continue;
       const Interval other(std::min(m.w[1], m.w[2]),
                            std::max(m.w[1], m.w[2]));
       if (other == interval_ && m.w[0] <= id_) ++rank;
@@ -71,11 +73,11 @@ class ChtNode final : public sim::Node {
     obs::Provenance::Cause causes[obs::kMaxProvCauses];
     std::size_t cause_count = 0;
     for (const sim::Message& m : inbox) {
-      if (m.kind != kStatus || m.nwords < 3) continue;
+      if (m.kind != raw(Kind::kChtStatus) || m.nwords < 3) continue;
       const Interval other(std::min(m.w[1], m.w[2]),
                            std::max(m.w[1], m.w[2]));
       if (other == before && m.w[0] <= id_) {
-        causes[cause_count++] = {m.sender, kStatus, m.bits};
+        causes[cause_count++] = {m.sender, raw(Kind::kChtStatus), m.bits};
         if (cause_count == obs::kMaxProvCauses) break;
       }
     }
@@ -84,8 +86,8 @@ class ChtNode final : public sim::Node {
                             interval_.singleton()
                                 ? obs::ProvEventKind::kNameClaim
                                 : obs::ProvEventKind::kNameProposal,
-                            kStatus, interval_.lo, interval_.hi, causes,
-                            cause_count);
+                            raw(Kind::kChtStatus), interval_.lo, interval_.hi,
+                            causes, cause_count);
   }
 
   bool done() const override { return phase_ >= total_phases_; }
@@ -99,7 +101,7 @@ class ChtNode final : public sim::Node {
   NodeIndex self_;
   OriginalId id_;
   NodeIndex n_;
-  std::uint32_t bits_;
+  sim::WireBits bits_;
   Round total_phases_;
   Round phase_ = 0;
   Interval interval_;
@@ -107,7 +109,7 @@ class ChtNode final : public sim::Node {
 };
 
 // Closed-form accounting of the failure-free execution (PERFORMANCE.md
-// §10). With no crashes every node broadcasts one kStatus per round for
+// §10). With no crashes every node broadcasts one CHT_STATUS per round for
 // R = ceil_log2(n) rounds, and the halving rule degenerates to a
 // deterministic binary search: the node holding the r-th smallest identity
 // lands on new name r. The ledgers below replay the engine's accounting
@@ -123,8 +125,8 @@ ChtRunResult closed_form_cht(const SystemConfig& cfg,
                              const sim::Observers& observers) {
   const NodeIndex n = cfg.n;
   const Round rounds = ceil_log2(n);
-  const std::uint32_t bits =
-      sim::wire::wire_bits(kStatus, {cfg.n, cfg.namespace_size});
+  const sim::WireBits bits =
+      sim::wire::wire_bits(Kind::kChtStatus, {cfg.n, cfg.namespace_size});
   const std::uint64_t copies = static_cast<std::uint64_t>(n) * n;
 
   // The accumulators are 64-bit (sim/stats.h); a quadratic baseline at
@@ -144,7 +146,7 @@ ChtRunResult closed_form_cht(const SystemConfig& cfg,
     observers.on_round_begin(round);
     if (tel != nullptr) {
       tel->note_active_senders(n);
-      tel->note_messages(kStatus, copies, bits);
+      tel->note_messages(raw(Kind::kChtStatus), copies, bits);
     }
     result.stats.note_messages(copies, bits);
     if (tel != nullptr) tel->note_inbox(n, n);  // shared inbox

@@ -9,10 +9,10 @@
 
 namespace renaming::baselines {
 
-namespace {
+using sim::wire::Kind;
+using sim::wire::raw;
 
-constexpr sim::MsgKind kClaim = 50;
-constexpr sim::MsgKind kOwned = 51;
+namespace {
 
 class ClaimingNode final : public sim::Node {
  public:
@@ -21,15 +21,18 @@ class ClaimingNode final : public sim::Node {
       : self_(self),
         id_(cfg.ids[self]),
         n_(cfg.n),
-        // CLAIM and OWNED share one layout; one cached width serves both.
-        bits_(sim::wire::wire_bits(kClaim, {cfg.n, cfg.namespace_size})),
+        claim_bits_(
+            sim::wire::wire_bits(Kind::kClaim, {cfg.n, cfg.namespace_size})),
+        owned_bits_(
+            sim::wire::wire_bits(Kind::kOwned, {cfg.n, cfg.namespace_size})),
         rng_(SplitMix64(cfg.seed ^ 0xC1A141ULL).next() + self),
         provenance_(provenance) {}
 
   void send(Round, sim::Outbox& out) override {
     if (slot_ != 0) {
       // Heartbeat: keeps the slot out of everyone's free pool.
-      out.broadcast(sim::make_message(kOwned, bits_, id_, slot_));
+      out.broadcast(
+          sim::make_message(raw(Kind::kOwned), owned_bits_, id_, slot_));
       return;
     }
     // Claim a uniformly random slot believed free.
@@ -40,7 +43,8 @@ class ClaimingNode final : public sim::Node {
     }
     if (free_slots.empty()) return;  // transient; pool refills by recycling
     claimed_ = free_slots[rng_.below(free_slots.size())];
-    out.broadcast(sim::make_message(kClaim, bits_, id_, claimed_));
+    out.broadcast(
+        sim::make_message(raw(Kind::kClaim), claim_bits_, id_, claimed_));
   }
 
   void receive(Round round, sim::InboxView inbox) override {
@@ -56,17 +60,17 @@ class ClaimingNode final : public sim::Node {
       if (m.nwords < 2) continue;
       const std::uint64_t slot = m.w[1];
       if (slot < 1 || slot > n_) continue;
-      if (m.kind == kOwned) {
+      if (m.kind == raw(Kind::kOwned)) {
         taken[slot] = true;
         if (provenance_ != nullptr && slot == claimed_ && !have_blocker) {
-          blocker = {m.sender, kOwned, m.bits};
+          blocker = {m.sender, raw(Kind::kOwned), m.bits};
           have_blocker = true;
         }
-      } else if (m.kind == kClaim) {
+      } else if (m.kind == raw(Kind::kClaim)) {
         if (best[slot] == 0 || m.w[0] < best[slot]) {
           best[slot] = m.w[0];
           if (provenance_ != nullptr && slot == claimed_ && m.w[0] < id_) {
-            blocker = {m.sender, kClaim, m.bits};
+            blocker = {m.sender, raw(Kind::kClaim), m.bits};
             have_blocker = true;
           }
         }
@@ -78,14 +82,14 @@ class ClaimingNode final : public sim::Node {
       if (provenance_ != nullptr) {
         // a = the slot won, b = the round of the winning claim.
         provenance_->note_event(round, self_, obs::ProvEventKind::kNameClaim,
-                                kClaim, slot_, round, {});
+                                raw(Kind::kClaim), slot_, round, {});
       }
     } else if (provenance_ != nullptr && slot_ == 0 && claimed_ != 0) {
       // Lost the slot: a = the contested slot, b = the winning identity;
       // the cause is the heartbeat or stronger claim that defeated mine.
       provenance_->note_event(round, self_, obs::ProvEventKind::kConflictRetry,
-                              kOwned, claimed_, best[claimed_], &blocker,
-                              have_blocker ? 1 : 0);
+                              raw(Kind::kOwned), claimed_, best[claimed_],
+                              &blocker, have_blocker ? 1 : 0);
     }
     claimed_ = 0;
     // Slots won by others this round count as taken for the next claims;
@@ -107,7 +111,8 @@ class ClaimingNode final : public sim::Node {
   NodeIndex self_;
   OriginalId id_;
   NodeIndex n_;
-  std::uint32_t bits_;
+  sim::WireBits claim_bits_;
+  sim::WireBits owned_bits_;
   Xoshiro256 rng_;
   obs::Provenance* provenance_ = nullptr;
   std::uint64_t claimed_ = 0;  // slot claimed this round (0 = none)

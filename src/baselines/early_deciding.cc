@@ -8,9 +8,10 @@
 
 namespace renaming::baselines {
 
-namespace {
+using sim::wire::Kind;
+using sim::wire::raw;
 
-constexpr sim::MsgKind kSet = 45;
+namespace {
 
 class EarlyDecidingNode final : public sim::Node {
  public:
@@ -26,14 +27,15 @@ class EarlyDecidingNode final : public sim::Node {
   void send(Round, sim::Outbox& out) override {
     // Decided nodes keep broadcasting: stragglers that missed a partial
     // broadcast converge to the decided set through these echoes.
-    out.broadcast(sim::wire::make_blob_message(kSet, wire_, out, known_));
+    out.broadcast(
+        sim::wire::make_blob_message(Kind::kEarlySet, wire_, out, known_));
   }
 
   void receive(Round round, sim::InboxView inbox) override {
     std::vector<NodeIndex> heard;
     const std::size_t before = known_.size();
     for (const sim::Message& m : inbox) {
-      if (m.kind != kSet || !m.blob) continue;
+      if (m.kind != raw(Kind::kEarlySet) || !m.blob) continue;
       heard.push_back(m.sender);
       known_.insert(known_.end(), m.blob->begin(), m.blob->end());
     }
@@ -53,15 +55,17 @@ class EarlyDecidingNode final : public sim::Node {
         // Clean-round decision: a = the final rank, b = |known set|.
         const auto it = std::lower_bound(known_.begin(), known_.end(), id_);
         provenance_->note_event(
-            round, self_, obs::ProvEventKind::kNameClaim, kSet,
-            static_cast<NewId>(it - known_.begin()) + 1, known_.size(), {});
+            round, self_, obs::ProvEventKind::kNameClaim,
+            raw(Kind::kEarlySet), static_cast<NewId>(it - known_.begin()) + 1,
+            known_.size(), {});
       }
     } else if (provenance_ != nullptr && !decided_ && round >= 2 &&
                known_.size() != before) {
       // Dirty round: the identity set grew, the decision is postponed.
       provenance_->note_event(round, self_,
-                              obs::ProvEventKind::kConflictRetry, kSet,
-                              known_.size() - before, known_.size(), {});
+                              obs::ProvEventKind::kConflictRetry,
+                              raw(Kind::kEarlySet), known_.size() - before,
+                              known_.size(), {});
     }
     heard_prev_ = std::move(heard);
   }

@@ -7,9 +7,10 @@
 
 namespace renaming::baselines {
 
-namespace {
+using sim::wire::Kind;
+using sim::wire::raw;
 
-constexpr sim::MsgKind kId = 30;
+namespace {
 
 class NaiveNode final : public sim::Node {
  public:
@@ -17,11 +18,12 @@ class NaiveNode final : public sim::Node {
             obs::Provenance* provenance)
       : self_(self),
         id_(cfg.ids[self]),
-        bits_(sim::wire::wire_bits(kId, {cfg.n, cfg.namespace_size})),
+        bits_(sim::wire::wire_bits(Kind::kNaiveId,
+                                   {cfg.n, cfg.namespace_size})),
         provenance_(provenance) {}
 
   void send(Round, sim::Outbox& out) override {
-    out.broadcast(sim::make_message(kId, bits_, id_));
+    out.broadcast(sim::make_message(raw(Kind::kNaiveId), bits_, id_));
   }
 
   void receive(Round round, sim::InboxView inbox) override {
@@ -29,10 +31,10 @@ class NaiveNode final : public sim::Node {
     obs::Provenance::Cause causes[obs::kMaxProvCauses];
     std::size_t cause_count = 0;
     for (const sim::Message& m : inbox) {
-      if (m.kind == kId && m.nwords >= 1) {
+      if (m.kind == raw(Kind::kNaiveId) && m.nwords >= 1) {
         seen.push_back(m.w[0]);
         if (provenance_ != nullptr && cause_count < obs::kMaxProvCauses) {
-          causes[cause_count++] = {m.sender, kId, m.bits};
+          causes[cause_count++] = {m.sender, raw(Kind::kNaiveId), m.bits};
         }
       }
     }
@@ -44,7 +46,8 @@ class NaiveNode final : public sim::Node {
     if (provenance_ != nullptr) {
       // a = the claimed rank, b = distinct identities in view.
       provenance_->note_event(round, self_, obs::ProvEventKind::kNameClaim,
-                              kId, new_id_, seen.size(), causes, cause_count);
+                              raw(Kind::kNaiveId), new_id_, seen.size(),
+                              causes, cause_count);
     }
   }
 
@@ -57,7 +60,7 @@ class NaiveNode final : public sim::Node {
  private:
   NodeIndex self_;
   OriginalId id_;
-  std::uint32_t bits_;
+  sim::WireBits bits_;
   obs::Provenance* provenance_;
   NewId new_id_ = kNoNewId;
   bool decided_ = false;

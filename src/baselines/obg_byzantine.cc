@@ -14,11 +14,10 @@
 
 namespace renaming::baselines {
 
-namespace {
+using sim::wire::Kind;
+using sim::wire::raw;
 
-constexpr sim::MsgKind kAnnounce = 40;
-constexpr sim::MsgKind kVector = 41;
-constexpr sim::MsgKind kHalving = 42;
+namespace {
 
 class ObgNode : public sim::Node {
  public:
@@ -35,13 +34,14 @@ class ObgNode : public sim::Node {
 
   void send(Round round, sim::Outbox& out) override {
     if (round == 1) {
-      out.broadcast(sim::wire::make_message(kAnnounce, wire_, id_));
+      out.broadcast(sim::wire::make_message(Kind::kObgAnnounce, wire_, id_));
     } else if (round == 2 || round == 3) {
       // Full candidate vector: the Omega(n log N)-bit message of [34].
       out.broadcast(
-          sim::wire::make_blob_message(kVector, wire_, out, candidates_));
+          sim::wire::make_blob_message(Kind::kObgVector, wire_, out,
+                                       candidates_));
     } else {
-      out.broadcast(sim::wire::make_blob_message(kHalving, wire_, out,
+      out.broadcast(sim::wire::make_blob_message(Kind::kObgHalving, wire_, out,
                                                  candidates_, id_, interval_.lo,
                                                  interval_.hi));
     }
@@ -51,7 +51,7 @@ class ObgNode : public sim::Node {
     last_round_ = round;
     if (round == 1) {
       for (const sim::Message& m : inbox) {
-        if (m.kind != kAnnounce || m.nwords < 1) continue;
+        if (m.kind != raw(Kind::kObgAnnounce) || m.nwords < 1) continue;
         if (!directory_->verify(m.sender, m.w[0])) continue;
         candidates_.push_back(m.w[0]);
       }
@@ -94,7 +94,7 @@ class ObgNode : public sim::Node {
     std::map<OriginalId, std::size_t> counts;
     std::vector<bool> heard(n_, false);
     for (const sim::Message& m : inbox) {
-      if (m.kind != kVector || !m.blob) continue;
+      if (m.kind != raw(Kind::kObgVector) || !m.blob) continue;
       if (heard[m.sender]) continue;  // one vector per sender
       heard[m.sender] = true;
       for (std::uint64_t id : *m.blob) ++counts[id];
@@ -110,7 +110,8 @@ class ObgNode : public sim::Node {
     if (provenance_ == nullptr) return;
     // Vector filter: a = surviving candidates, b = the vote threshold.
     provenance_->note_event(round, self_, obs::ProvEventKind::kNameProposal,
-                            kVector, candidates_.size(), threshold, {});
+                            raw(Kind::kObgVector), candidates_.size(),
+                            threshold, {});
   }
 
   void halve(Round round, sim::InboxView inbox) {
@@ -120,7 +121,7 @@ class ObgNode : public sim::Node {
     obs::Provenance::Cause causes[obs::kMaxProvCauses];
     std::size_t cause_count = 0;
     for (const sim::Message& m : inbox) {
-      if (m.kind != kHalving || m.nwords < 3) continue;
+      if (m.kind != raw(Kind::kObgHalving) || m.nwords < 3) continue;
       if (!directory_->verify(m.sender, m.w[0])) continue;
       const Interval other(std::min(m.w[1], m.w[2]),
                            std::max(m.w[1], m.w[2]));
@@ -129,7 +130,7 @@ class ObgNode : public sim::Node {
       if (other.subset_of(bot)) ++occupied;
       if (provenance_ != nullptr && ranks_me &&
           cause_count < obs::kMaxProvCauses) {
-        causes[cause_count++] = {m.sender, kHalving, m.bits};
+        causes[cause_count++] = {m.sender, raw(Kind::kObgHalving), m.bits};
       }
     }
     interval_ = (occupied + rank <= bot.size()) ? bot : interval_.top();
@@ -139,7 +140,8 @@ class ObgNode : public sim::Node {
                               interval_.singleton()
                                   ? obs::ProvEventKind::kNameClaim
                                   : obs::ProvEventKind::kNameProposal,
-                              kHalving, interval_.lo, interval_.hi, causes,
+                              raw(Kind::kObgHalving), interval_.lo,
+                              interval_.hi, causes,
                               cause_count);
     }
   }
@@ -172,7 +174,7 @@ class ObgByzNode final : public ObgNode {
     if (behaviour_ == ObgByzBehaviour::kSplitAnnounce && round == 1) {
       // Announce to the even half only: the view-splitting attack.
       const sim::Message announce =
-          sim::wire::make_message(kAnnounce, wire_, id_);
+          sim::wire::make_message(Kind::kObgAnnounce, wire_, id_);
       for (NodeIndex d = 0; d < n_; d += 2) out.send(d, announce);
       return;
     }
@@ -183,7 +185,8 @@ class ObgByzNode final : public ObgNode {
       for (int k = 0; k < 8; ++k) padded.push_back(1 + rng_.below(1u << 20));
       normalize(padded);
       out.broadcast(
-          sim::wire::make_blob_message(kVector, wire_, out, std::move(padded)));
+          sim::wire::make_blob_message(Kind::kObgVector, wire_, out,
+                                       std::move(padded)));
       return;
     }
     ObgNode::send(round, out);
@@ -209,11 +212,11 @@ ObgRunResult closed_form_obg(const SystemConfig& cfg,
   const Round rounds = 3 + std::max<Round>(ceil_log2(cfg.n), 1);
   const std::uint64_t copies = static_cast<std::uint64_t>(n) * n;
 
-  // The bulk kVector/kHalving payloads carry n identities, so total bits
+  // The bulk OBG_VECTOR/OBG_HALVING payloads carry n identities, so total bits
   // grow as ~n^3 log N — past roughly n = 2^18 that exceeds the 64-bit
   // accumulators of sim/stats.h. Refuse loudly instead of wrapping (the
   // widest per-round charge bounds them all).
-  RENAMING_CHECK(sim::wire::wire_bits(kVector, ctx, n) <=
+  RENAMING_CHECK(sim::wire::wire_bits(Kind::kObgVector, ctx, n) <=
                      UINT64_MAX / copies / rounds,
                  "closed-form total bits overflow 64-bit accounting");
 
@@ -222,17 +225,18 @@ ObgRunResult closed_form_obg(const SystemConfig& cfg,
   obs::Telemetry* const tel = observers.telemetry;
   observers.on_run_begin(n, /*shards=*/1);
   for (Round round = 1; round <= rounds; ++round) {
-    const sim::MsgKind kind =
-        round == 1 ? kAnnounce : (round <= 3 ? kVector : kHalving);
-    const std::uint32_t bits = round == 1
-                                   ? sim::wire::wire_bits(kAnnounce, ctx)
+    const Kind kind = round == 1   ? Kind::kObgAnnounce
+                      : round <= 3 ? Kind::kObgVector
+                                   : Kind::kObgHalving;
+    const sim::WireBits bits = round == 1
+                                   ? sim::wire::wire_bits(kind, ctx)
                                    : sim::wire::wire_bits(kind, ctx, n);
     result.stats.rounds = round;
     result.stats.per_round.push_back({});
     observers.on_round_begin(round);
     if (tel != nullptr) {
       tel->note_active_senders(n);
-      tel->note_messages(kind, copies, bits);
+      tel->note_messages(raw(kind), copies, bits);
     }
     result.stats.note_messages(copies, bits);
     if (tel != nullptr) tel->note_inbox(n, n);  // shared inbox

@@ -9,11 +9,8 @@
 
 namespace renaming::byzantine {
 
-namespace {
-
-constexpr sim::MsgKind kind_of(Tag t) { return static_cast<sim::MsgKind>(t); }
-
-}  // namespace
+using sim::wire::Kind;
+using sim::wire::raw;
 
 ByzNode::ByzNode(NodeIndex self, const SystemConfig& cfg,
                  const Directory& directory, ByzParams params,
@@ -48,17 +45,6 @@ obs::PhaseId ByzNode::phase_of(Stage stage) {
   return obs::PhaseId::kUnattributed;
 }
 
-std::uint32_t ByzNode::fingerprint_bits() const {
-  // <fingerprint (61), count (log n), control>: O(log N) since N >= n.
-  return sim::wire::wire_bits(kind_of(Tag::kValidator), wire_);
-}
-
-std::uint32_t ByzNode::control_bits() const {
-  // One width for the whole control family — wire_schema.h static_asserts
-  // that ELECT/ID_REPORT/CONSENSUS/DIFF share a layout.
-  return sim::wire::wire_bits(kind_of(Tag::kElect), wire_);
-}
-
 bool ByzNode::done() const {
   return stage_ == Stage::kDone && new_id_.has_value();
 }
@@ -74,12 +60,12 @@ void ByzNode::send(Round round, sim::Outbox& out) {
                        id_, params_.pool_probability(n_))) {
         elected_ = true;
         out.broadcast(
-            sim::wire::make_message(kind_of(Tag::kElect), wire_, id_));
+            sim::wire::make_message(Kind::kElect, wire_, id_));
         if (provenance_ != nullptr) {
           // Pool self-election: a = the identity that won the beacon coin.
           provenance_->note_event(round, self_,
                                   obs::ProvEventKind::kCommitteeVote,
-                                  kind_of(Tag::kElect), id_, 1, {});
+                                  raw(Kind::kElect), id_, 1, {});
         }
       }
       break;
@@ -87,7 +73,7 @@ void ByzNode::send(Round round, sim::Outbox& out) {
     case Stage::kIdReport: {
       // One report for every member: built once, queued as one repeat.
       const sim::Message report =
-          sim::wire::make_message(kind_of(Tag::kIdReport), wire_, id_);
+          sim::wire::make_message(Kind::kIdReport, wire_, id_);
       for (const consensus::Member& m : view_->members()) {
         out.send(m.link, report);
       }
@@ -106,14 +92,14 @@ void ByzNode::send(Round round, sim::Outbox& out) {
       // the Omega(n log N)-bit pattern the fingerprint loop replaces.
       consensus::broadcast_to_committee(
           *view_, out,
-          sim::wire::make_blob_message(kind_of(Tag::kVector), wire_, out,
+          sim::wire::make_blob_message(Kind::kVector, wire_, out,
                                        list_->to_vector()));
       break;
     }
     case Stage::kDiffExchange:
       consensus::broadcast_to_committee(
           *view_, out,
-          sim::wire::make_message(kind_of(Tag::kDiff), wire_, session_,
+          sim::wire::make_message(Kind::kDiff, wire_, session_,
                                   static_cast<std::uint64_t>(diff_)));
       break;
     case Stage::kDistribute:
@@ -137,7 +123,7 @@ void ByzNode::receive(Round round, sim::InboxView inbox) {
     case Stage::kElect: {
       std::vector<consensus::Member> members;
       for (const sim::Message& m : inbox) {
-        if (m.kind != kind_of(Tag::kElect) || m.nwords < 1) continue;
+        if (m.kind != raw(Kind::kElect) || m.nwords < 1) continue;
         const OriginalId claimed = m.w[0];
         if (!directory_->verify(m.sender, claimed)) continue;  // forged id
         if (!beacon_.coin(
@@ -183,8 +169,8 @@ void ByzNode::receive(Round round, sim::InboxView inbox) {
       validator_same_ = validator_->same();
       agreed_ = validator_->output();
       king_ = std::make_unique<consensus::PhaseKing>(
-          *view_, my_view_index_, ++session_, kind_of(Tag::kConsensus),
-          control_bits(), validator_same_);
+          *view_, my_view_index_, ++session_, Kind::kConsensus, wire_,
+          validator_same_);
       step_ = 0;
       stage_ = Stage::kSameConsensus;
       break;
@@ -196,7 +182,7 @@ void ByzNode::receive(Round round, sim::InboxView inbox) {
         // b = the phase-king session that produced it.
         provenance_->note_event(round, self_,
                                 obs::ProvEventKind::kPhaseKingVerdict,
-                                kind_of(Tag::kConsensus),
+                                raw(Kind::kConsensus),
                                 king_->output() ? 1 : 0, session_, {});
       }
       if (!king_->output()) {
@@ -215,7 +201,7 @@ void ByzNode::receive(Round round, sim::InboxView inbox) {
       std::vector<bool> heard(view_->size(), false);
       std::size_t ones = 0;
       for (const sim::Message& m : inbox) {
-        if (m.kind != kind_of(Tag::kDiff) || m.nwords < 2) continue;
+        if (m.kind != raw(Kind::kDiff) || m.nwords < 2) continue;
         if (m.w[0] != session_) continue;
         const std::size_t idx = view_->index_of_link(m.sender);
         if (idx == consensus::CommitteeView::npos || heard[idx]) continue;
@@ -227,8 +213,8 @@ void ByzNode::receive(Round round, sim::InboxView inbox) {
       const bool diff_prime =
           ones >= view_->max_tolerated() + 1 ? true : diff_;
       king_ = std::make_unique<consensus::PhaseKing>(
-          *view_, my_view_index_, ++session_, kind_of(Tag::kConsensus),
-          control_bits(), diff_prime);
+          *view_, my_view_index_, ++session_, Kind::kConsensus, wire_,
+          diff_prime);
       step_ = 0;
       stage_ = Stage::kDiffConsensus;
       break;
@@ -238,7 +224,7 @@ void ByzNode::receive(Round round, sim::InboxView inbox) {
       if (provenance_ != nullptr) {
         provenance_->note_event(round, self_,
                                 obs::ProvEventKind::kPhaseKingVerdict,
-                                kind_of(Tag::kConsensus),
+                                raw(Kind::kConsensus),
                                 king_->output() ? 1 : 0, session_, {});
       }
       if (king_->output()) {
@@ -257,7 +243,7 @@ void ByzNode::receive(Round round, sim::InboxView inbox) {
         // Singleton segment: a = agreed presence bit, b = the identity.
         provenance_->note_event(round, self_,
                                 obs::ProvEventKind::kPhaseKingVerdict,
-                                kind_of(Tag::kConsensus), bit ? 1 : 0,
+                                raw(Kind::kConsensus), bit ? 1 : 0,
                                 current_.lo, {});
       }
       list_->set(current_.lo, bit);
@@ -272,7 +258,7 @@ void ByzNode::receive(Round round, sim::InboxView inbox) {
       std::vector<bool> heard(view_->size(), false);
       std::map<std::uint64_t, std::size_t> counts;
       for (const sim::Message& m : inbox) {
-        if (m.kind != kind_of(Tag::kVector) || !m.blob) continue;
+        if (m.kind != raw(Kind::kVector) || !m.blob) continue;
         const std::size_t idx = view_->index_of_link(m.sender);
         if (idx == consensus::CommitteeView::npos || heard[idx]) continue;
         heard[idx] = true;
@@ -290,7 +276,7 @@ void ByzNode::receive(Round round, sim::InboxView inbox) {
         // b = distinct identities seen across all vectors.
         provenance_->note_event(round, self_,
                                 obs::ProvEventKind::kNameProposal,
-                                kind_of(Tag::kVector), list_->size(),
+                                raw(Kind::kVector), list_->size(),
                                 counts.size(), {});
       }
       iterations_ = 1;
@@ -317,14 +303,13 @@ void ByzNode::start_iteration() {
   if (current_.singleton()) {
     const bool bit = list_->summarize(current_).count > 0;
     king_ = std::make_unique<consensus::PhaseKing>(
-        *view_, my_view_index_, ++session_, kind_of(Tag::kConsensus),
-        control_bits(), bit);
+        *view_, my_view_index_, ++session_, Kind::kConsensus, wire_,
+        bit);
     stage_ = Stage::kBitConsensus;
   } else {
     mine_ = list_->summarize(current_);
     validator_ = std::make_unique<consensus::Validator>(
-        *view_, my_view_index_, ++session_, kind_of(Tag::kValidator),
-        fingerprint_bits(),
+        *view_, my_view_index_, ++session_, Kind::kValidator, wire_,
         consensus::ValidatorValue{mine_.fingerprint, mine_.count});
     stage_ = Stage::kValidator;
   }
@@ -335,7 +320,7 @@ void ByzNode::split_current(Round round) {
   if (provenance_ != nullptr) {
     // Segment retry: consensus rejected [a..b], push both halves.
     provenance_->note_event(round, self_, obs::ProvEventKind::kConflictRetry,
-                            kind_of(Tag::kConsensus), current_.lo,
+                            raw(Kind::kConsensus), current_.lo,
                             current_.hi, {});
   }
   pending_.push_back(current_.top());
@@ -355,7 +340,7 @@ void ByzNode::accept_current(std::uint64_t agreed_count, bool dirty) {
 void ByzNode::load_reports(sim::InboxView inbox) {
   reporters_.reserve(inbox.size());
   for (const sim::Message& m : inbox) {
-    if (m.kind != kind_of(Tag::kIdReport) || m.nwords < 1) continue;
+    if (m.kind != raw(Kind::kIdReport) || m.nwords < 1) continue;
     const OriginalId claimed = m.w[0];
     if (claimed < 1 || claimed > namespace_size_) continue;
     if (!directory_->verify(m.sender, claimed)) continue;
@@ -403,14 +388,14 @@ void ByzNode::distribute(Round round, sim::Outbox& out) {
                                    : directory_->link_of(id);
         ++offset;
         if (link == kNoNode) continue;  // identity never joined: skip
-        sim::wire::send(out, link, kind_of(Tag::kNew), wire_,
+        sim::wire::send(out, link, Kind::kNew, wire_,
                         before + offset);
         ++ranks_sent;
       }
     } else {
       // NEW(null) to every reporter inside the dirty segment.
       const sim::Message null_new = sim::wire::make_message(
-          kind_of(Tag::kNew), wire_, std::uint64_t{0});
+          Kind::kNew, wire_, std::uint64_t{0});
       for (; report != reporters_.end() && report->id <= proc.segment.hi;
            ++report) {
         out.send(report->link, null_new);
@@ -422,14 +407,14 @@ void ByzNode::distribute(Round round, sim::Outbox& out) {
   if (provenance_ != nullptr) {
     // Rank distribution: a = NEW(rank) sent, b = NEW(null) abstentions.
     provenance_->note_event(round, self_, obs::ProvEventKind::kNameProposal,
-                            kind_of(Tag::kNew), ranks_sent, nulls_sent, {});
+                            raw(Kind::kNew), ranks_sent, nulls_sent, {});
   }
 }
 
 void ByzNode::consider_new_messages(Round round, sim::InboxView inbox) {
   if (new_id_.has_value() || view_->empty()) return;
   for (const sim::Message& m : inbox) {
-    if (m.kind != kind_of(Tag::kNew) || m.nwords < 1) continue;
+    if (m.kind != raw(Kind::kNew) || m.nwords < 1) continue;
     if (view_->index_of_link(m.sender) == consensus::CommitteeView::npos) {
       continue;  // only committee members distribute
     }
@@ -467,10 +452,10 @@ void ByzNode::consider_new_messages(Round round, sim::InboxView inbox) {
     std::vector<obs::Provenance::Cause> causes;
     for (const Vote& v : new_votes_) {
       if (v.value != *new_id_) continue;
-      causes.push_back({v.sender, kind_of(Tag::kNew), v.bits});
+      causes.push_back({v.sender, raw(Kind::kNew), v.bits});
     }
     provenance_->note_event(round, self_, obs::ProvEventKind::kNameClaim,
-                            kind_of(Tag::kNew), *new_id_, causes.size(),
+                            raw(Kind::kNew), *new_id_, causes.size(),
                             causes.data(), causes.size());
   }
 }

@@ -86,17 +86,6 @@ struct ByzParams {
   }
 };
 
-/// Message tags.
-enum class Tag : sim::MsgKind {
-  kElect = 10,      ///< round 1: <id>
-  kIdReport = 11,   ///< round 2: <id>
-  kValidator = 12,  ///< loop: Validator traffic
-  kConsensus = 13,  ///< loop: PhaseKing traffic
-  kDiff = 14,       ///< loop: <session, diff bit>
-  kNew = 15,        ///< distribution: <new id or 0=null>
-  kVector = 16,     ///< ablation: full identity vector (blob)
-};
-
 class ByzNode : public sim::Node {
  public:
   /// Fingerprint coefficients are drawn from the stateless beacon of
@@ -185,9 +174,6 @@ class ByzNode : public sim::Node {
   void load_reports(sim::InboxView inbox);
   void distribute(Round round, sim::Outbox& out);
   void consider_new_messages(Round round, sim::InboxView inbox);
-
-  std::uint32_t fingerprint_bits() const;
-  std::uint32_t control_bits() const;
 
   // --- immutable context ---
   NodeIndex self_;

@@ -71,6 +71,8 @@ class CorruptedNode : public sim::Node {
   bool done() const override { return true; }  // Byzantine: never awaited
 
  protected:
+  using Kind = sim::wire::Kind;
+
   /// Move/modify/drop staged entries into `out`.
   virtual void corrupt(Round round, sim::Outbox& staged, sim::Outbox& out) = 0;
 
@@ -101,7 +103,7 @@ class SplitReporter final : public CorruptedNode {
   void corrupt(Round round, sim::Outbox& staged, sim::Outbox& out) override {
     std::size_t report_index = 0;
     for (auto& [dest, msg] : staged.entries()) {
-      if (round == 2 && msg.kind == static_cast<sim::MsgKind>(Tag::kIdReport)) {
+      if (round == 2 && msg.kind == sim::wire::raw(Kind::kIdReport)) {
         if (report_index++ % 2 == 1) continue;  // starve odd members
       }
       out.send(dest, std::move(msg));
@@ -124,18 +126,18 @@ class LyingMember final : public CorruptedNode {
  private:
   void corrupt(Round round, sim::Outbox& staged, sim::Outbox& out) override {
     for (auto& [dest, msg] : staged.entries()) {
-      switch (static_cast<Tag>(msg.kind)) {
-        case Tag::kValidator:
-        case Tag::kConsensus:
+      switch (static_cast<Kind>(msg.kind)) {
+        case Kind::kValidator:
+        case Kind::kConsensus:
           // Equivocate: flip the value payload for a random half of the
           // recipients; scramble fingerprints entirely now and then.
           if (rng_.chance(0.5)) msg.w[2] ^= 1;
           if (msg.nwords >= 4 && rng_.chance(0.25)) msg.w[3] = rng_();
           break;
-        case Tag::kDiff:
+        case Kind::kDiff:
           if (rng_.chance(0.5)) msg.w[1] ^= 1;
           break;
-        case Tag::kNew:
+        case Kind::kNew:
           // Skew half the distributed ranks by one; zero out some others.
           if (rng_.chance(0.3)) {
             msg.w[0] += 1;
@@ -153,8 +155,8 @@ class LyingMember final : public CorruptedNode {
     // honest NEW schema — the attacker pays for what it actually sends.
     if (round == 3) {
       for (NodeIndex d = 0; d < n_; ++d) {
-        out.send(d, sim::make_message(static_cast<sim::MsgKind>(Tag::kNew),
-                                      sim::wire::kForgedNewProbeBits,
+        out.send(d, sim::make_message(sim::wire::raw(Kind::kNew),
+                                      sim::wire::ProbeWidths::kForgedNew,
                                       1 + rng_.below(n_)));
       }
     }
@@ -181,8 +183,8 @@ class Spoofer final : public CorruptedNode {
       // identities we do not own (receivers' certificate check drops them).
       for (NodeIndex d = 0; d < n_; ++d) {
         sim::Message forged = sim::make_message(
-            static_cast<sim::MsgKind>(round == 1 ? Tag::kElect : Tag::kIdReport),
-            sim::wire::kSpoofProbeBits, rng_.below(1u << 30) + 1);
+            sim::wire::raw(round == 1 ? Kind::kElect : Kind::kIdReport),
+            sim::wire::ProbeWidths::kSpoof, rng_.below(1u << 30) + 1);
         forged.claimed_sender = static_cast<NodeIndex>((self_ + 1) % n_);
         out.send(d, forged);
       }
@@ -212,7 +214,7 @@ class PrefixReporter final : public CorruptedNode {
     std::size_t index = 0;
     for (auto& [dest, msg] : staged.entries()) {
       if (round == 2 &&
-          msg.kind == static_cast<sim::MsgKind>(Tag::kIdReport)) {
+          msg.kind == sim::wire::raw(Kind::kIdReport)) {
         // Keep roughly two thirds: just below the m - t quorum at t ~ m/3.
         if (index++ * 3 >= total * 2) continue;
       }
@@ -239,18 +241,18 @@ class DoubleDealer final : public CorruptedNode {
   void corrupt(Round round, sim::Outbox& staged, sim::Outbox& out) override {
     std::size_t report_index = 0;
     for (auto& [dest, msg] : staged.entries()) {
-      switch (static_cast<Tag>(msg.kind)) {
-        case Tag::kIdReport:
+      switch (static_cast<Kind>(msg.kind)) {
+        case Kind::kIdReport:
           if (round == 2 && report_index++ % 2 == 1) continue;
           break;
-        case Tag::kValidator:
-        case Tag::kConsensus:
+        case Kind::kValidator:
+        case Kind::kConsensus:
           if (rng_.chance(0.5)) msg.w[2] ^= 1;
           break;
-        case Tag::kDiff:
+        case Kind::kDiff:
           if (rng_.chance(0.5)) msg.w[1] ^= 1;
           break;
-        case Tag::kNew:
+        case Kind::kNew:
           if (rng_.chance(0.5)) msg.w[0] = rng_.below(1u << 20);
           break;
         default:

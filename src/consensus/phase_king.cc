@@ -14,13 +14,13 @@ constexpr std::uint64_t kBottom = 2;  // "no proposal" marker
 }  // namespace
 
 PhaseKing::PhaseKing(const CommitteeView& view, std::size_t my_index,
-                     std::uint64_t session, sim::MsgKind kind,
-                     std::uint32_t message_bits, bool input)
+                     std::uint64_t session, sim::wire::Kind kind,
+                     const sim::wire::WireContext& ctx, bool input)
     : view_(view),
       my_index_(my_index),
       session_(session),
-      kind_(kind),
-      message_bits_(message_bits),
+      kind_(sim::wire::raw(kind)),
+      message_bits_(sim::wire::wire_bits(kind, ctx)),
       tolerated_(view.max_tolerated()),
       value_(input),
       heard_(view.size(), 0) {

@@ -25,6 +25,8 @@
 #include "consensus/committee.h"
 #include "consensus/subprotocol.h"
 #include "obs/phase.h"
+#include "sim/message.h"
+#include "sim/wire_schema.h"
 
 namespace renaming::consensus {
 
@@ -35,11 +37,10 @@ class PhaseKing final : public SubProtocol {
   static constexpr obs::PhaseId kPhase = obs::PhaseId::kConsensus;
 
   /// `session` disambiguates instances; `kind` is the host protocol's
-  /// message tag for consensus traffic; `message_bits` is the declared
-  /// wire size (the host knows its O(log N) budget).
+  /// message kind for consensus traffic, sent at its row's width in `ctx`.
   PhaseKing(const CommitteeView& view, std::size_t my_index,
-            std::uint64_t session, sim::MsgKind kind,
-            std::uint32_t message_bits, bool input);
+            std::uint64_t session, sim::wire::Kind kind,
+            const sim::wire::WireContext& ctx, bool input);
 
   void send(std::uint32_t step, sim::Outbox& out) override;
   bool receive(std::uint32_t step,
@@ -55,7 +56,7 @@ class PhaseKing final : public SubProtocol {
   std::size_t my_index_;
   std::uint64_t session_;
   sim::MsgKind kind_;
-  std::uint32_t message_bits_;
+  sim::WireBits message_bits_;  ///< kind_'s row width, computed once
   std::uint32_t tolerated_;
 
   bool value_;

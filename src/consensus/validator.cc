@@ -11,13 +11,13 @@ namespace renaming::consensus {
 using ValueKey = std::pair<std::uint64_t, std::uint64_t>;
 
 Validator::Validator(const CommitteeView& view, std::size_t my_index,
-                     std::uint64_t session, sim::MsgKind kind,
-                     std::uint32_t message_bits, ValidatorValue input)
+                     std::uint64_t session, sim::wire::Kind kind,
+                     const sim::wire::WireContext& ctx, ValidatorValue input)
     : view_(view),
       my_index_(my_index),
       session_(session),
-      kind_(kind),
-      message_bits_(message_bits),
+      kind_(sim::wire::raw(kind)),
+      message_bits_(sim::wire::wire_bits(kind, ctx)),
       tolerated_(view.max_tolerated()),
       in_(input),
       out_(input),

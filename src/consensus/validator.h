@@ -25,6 +25,8 @@
 #include "consensus/committee.h"
 #include "consensus/subprotocol.h"
 #include "obs/phase.h"
+#include "sim/message.h"
+#include "sim/wire_schema.h"
 
 namespace renaming::consensus {
 
@@ -40,9 +42,11 @@ class Validator final : public SubProtocol {
   /// fingerprint-validation phase of the host protocol's loop.
   static constexpr obs::PhaseId kPhase = obs::PhaseId::kFingerprintValidation;
 
+  /// `session` disambiguates instances; `kind` is the host protocol's
+  /// message kind for validator traffic, sent at its row's width in `ctx`.
   Validator(const CommitteeView& view, std::size_t my_index,
-            std::uint64_t session, sim::MsgKind kind,
-            std::uint32_t message_bits, ValidatorValue input);
+            std::uint64_t session, sim::wire::Kind kind,
+            const sim::wire::WireContext& ctx, ValidatorValue input);
 
   void send(std::uint32_t step, sim::Outbox& out) override;
   bool receive(std::uint32_t step,
@@ -59,7 +63,7 @@ class Validator final : public SubProtocol {
   std::size_t my_index_;
   std::uint64_t session_;
   sim::MsgKind kind_;
-  std::uint32_t message_bits_;
+  sim::WireBits message_bits_;  ///< kind_'s row width, computed once
   std::uint32_t tolerated_;
 
   ValidatorValue in_;

@@ -51,7 +51,14 @@ struct Interval {
   friend constexpr bool operator==(const Interval&, const Interval&) = default;
 
   std::string to_string() const {
-    return "[" + std::to_string(lo) + "," + std::to_string(hi) + "]";
+    // Appended, not `"[" + std::string`: GCC 12's -Wrestrict misfires on
+    // the front insertion that operator+(const char*, string&&) inlines.
+    std::string s = "[";
+    s += std::to_string(lo);
+    s += ',';
+    s += std::to_string(hi);
+    s += ']';
+    return s;
   }
 };
 

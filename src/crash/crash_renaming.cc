@@ -12,6 +12,9 @@
 
 namespace renaming::crash {
 
+using sim::wire::Kind;
+using sim::wire::raw;
+
 namespace {
 
 constexpr std::uint32_t kSubrounds = 3;
@@ -99,7 +102,7 @@ void CrashNode::try_elect(Round round) {
     if (provenance_ != nullptr) {
       provenance_->note_event(round, self_,
                               obs::ProvEventKind::kCommitteeVote,
-                              static_cast<sim::MsgKind>(Tag::kCommittee),
+                              raw(Kind::kCommittee),
                               /*a=*/p_, /*b=*/1, {});
     }
   }
@@ -122,8 +125,7 @@ void CrashNode::send(Round round, sim::Outbox& out) {
     case 1:
       // Committee announcement on all n links (Figure 1 line 5).
       if (elected_) {
-        out.broadcast(sim::wire::make_message(
-            static_cast<sim::MsgKind>(Tag::kCommittee), wire_, id_));
+        out.broadcast(sim::wire::make_message(Kind::kCommittee, wire_, id_));
       }
       break;
     case 2: {
@@ -132,8 +134,7 @@ void CrashNode::send(Round round, sim::Outbox& out) {
       // report is the same for every member: built once, it is queued as
       // one repeat entry.
       const sim::Message report = sim::wire::make_message(
-          static_cast<sim::MsgKind>(Tag::kStatus), wire_, id_, interval_.lo,
-          interval_.hi, d_, p_);
+          Kind::kStatus, wire_, id_, interval_.lo, interval_.hi, d_, p_);
       for (NodeIndex link : announced_committee_) out.send(link, report);
       break;
     }
@@ -250,15 +251,14 @@ void CrashNode::committee_action(Round round, sim::Outbox& out) {
         // *for w.link*, because of w.link's status report.
         provenance_->note_event(
             round, self_, obs::ProvEventKind::kCommitteeVote,
-            static_cast<sim::MsgKind>(Tag::kResponse), reply_interval.lo,
-            reply_interval.hi,
-            {{w.link, static_cast<sim::MsgKind>(Tag::kStatus), w.bits}},
+            raw(Kind::kResponse), reply_interval.lo, reply_interval.hi,
+            {{w.link, raw(Kind::kStatus), w.bits}},
             /*subject=*/w.link);
       }
     }
-    sim::wire::send(out, w.link, static_cast<sim::MsgKind>(Tag::kResponse),
-                    wire_, w.id, reply_interval.lo, reply_interval.hi,
-                    reply_d, p_ | (done_flag << 32));
+    sim::wire::send(out, w.link, Kind::kResponse, wire_, w.id,
+                    reply_interval.lo, reply_interval.hi, reply_d,
+                    p_ | (done_flag << 32));
   }
 }
 
@@ -270,7 +270,7 @@ void CrashNode::receive(Round round, sim::InboxView inbox) {
     case 1:
       announced_committee_.clear();
       for (const sim::Message& m : inbox) {
-        if (m.kind == static_cast<sim::MsgKind>(Tag::kCommittee)) {
+        if (m.kind == raw(Kind::kCommittee)) {
           announced_committee_.push_back(m.sender);
         }
       }
@@ -279,7 +279,7 @@ void CrashNode::receive(Round round, sim::InboxView inbox) {
       if (elected_) {
         mailbox_.clear();
         for (const sim::Message& m : inbox) {
-          if (m.kind != static_cast<sim::MsgKind>(Tag::kStatus)) continue;
+          if (m.kind != raw(Kind::kStatus)) continue;
           // Every crash-model status is honest; committee_action's sweep
           // buckets lo and hi in [1, n] and indexes a tree by hi.
           RENAMING_CHECK(1 <= m.w[1] && m.w[1] <= m.w[2] && m.w[2] <= n_,
@@ -309,8 +309,7 @@ void CrashNode::node_action(Round round, sim::InboxView inbox) {
   // interval, so whichever of them ranks first gives the same state.
   // The id check is defensive: responses are per-recipient.
   const auto mine = [this](const sim::Message& m) {
-    return m.kind == static_cast<sim::MsgKind>(Tag::kResponse) &&
-           m.w[0] == id_;
+    return m.kind == raw(Kind::kResponse) && m.w[0] == id_;
   };
   const sim::Message* best = nullptr;
   std::uint32_t max_p = 0;
@@ -333,7 +332,7 @@ void CrashNode::node_action(Round round, sim::InboxView inbox) {
     if (provenance_ != nullptr) {
       provenance_->note_event(round, self_,
                               obs::ProvEventKind::kConflictRetry,
-                              static_cast<sim::MsgKind>(Tag::kResponse),
+                              raw(Kind::kResponse),
                               /*a=*/p_, /*b=*/0, {});
     }
     try_elect(round);
@@ -362,10 +361,8 @@ void CrashNode::node_action(Round round, sim::InboxView inbox) {
           round, self_,
           interval_.singleton() ? obs::ProvEventKind::kNameClaim
                                 : obs::ProvEventKind::kNameProposal,
-          static_cast<sim::MsgKind>(Tag::kResponse), interval_.lo,
-          interval_.hi,
-          {{adopted.sender, static_cast<sim::MsgKind>(Tag::kResponse),
-            adopted.bits}});
+          raw(Kind::kResponse), interval_.lo, interval_.hi,
+          {{adopted.sender, raw(Kind::kResponse), adopted.bits}});
     }
   }
   if (max_p > p_) {

@@ -72,13 +72,6 @@ struct CrashParams {
   bool adaptive_reelection = true;
 };
 
-/// Message tags for this protocol.
-enum class Tag : sim::MsgKind {
-  kCommittee = 1,  ///< round 1: "I am a committee member"
-  kStatus = 2,     ///< round 2: <ID, I.lo, I.hi, d, p>
-  kResponse = 3,   ///< round 3: <ID, I.lo, I.hi, d, p>
-};
-
 class CrashNode final : public sim::Node {
  public:
   /// `telemetry` (optional) receives PhaseScope spans — one phase per

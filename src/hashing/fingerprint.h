@@ -19,9 +19,13 @@
 //  * RabinFingerprint — the classical polynomial fingerprint of the
 //    explicit bit string, sum b_j x^j mod p at a shared random point x.
 //    Content-based (two equal bit strings at different offsets hash equal),
-//    used as an independent cross-check in tests. of_range skips runs of
-//    zeros via a precomputed x^(2^j) jump table, so its cost is
-//    O(words + ones * log(gap)) rather than O(hi - lo) multiplications.
+//    used as an independent cross-check in tests. power() reads a
+//    precomputed x^(2^j) jump table, so a walk over a sparse string costs
+//    O(ones * log(gap)) multiplications rather than O(length).
+//
+// Neither class scans a dense BitVec: the reference evaluations over one
+// (of_range) live in tests/support/test_support.h, outside src/, so
+// protocol code cannot call them.
 //
 // The paper only requires: identical segments hash identically (trivially
 // true), and distinct segments hash distinctly w.h.p. (Property 3.7,
@@ -32,7 +36,6 @@
 #include <cstdint>
 #include <span>
 
-#include "common/bitvec.h"
 #include "hashing/mersenne61.h"
 #include "hashing/shared_random.h"
 
@@ -63,19 +66,6 @@ class SetFingerprint {
   /// Coefficient for namespace position `i` (1-based original identity).
   std::uint64_t coefficient(std::uint64_t i) const {
     return sample_coefficient(beacon_, i);
-  }
-
-  /// Fingerprint of the set positions of `bits` restricted to [lo, hi]
-  /// (inclusive, 0-based positions). O(hi-lo) scan; protocol code uses the
-  /// incremental bucket aggregates in byzantine/identity_list.h instead —
-  /// this is the reference the equivalence tests compare against.
-  std::uint64_t of_range(const BitVec& bits, std::uint64_t lo,
-                         std::uint64_t hi) const {
-    std::uint64_t h = 0;
-    for (std::uint64_t i = lo; i <= hi; ++i) {
-      if (bits.test(i)) h = m61_add(h, coefficient(i + 1));
-    }
-    return h;
   }
 
   /// Fingerprint of an explicit sorted list of set positions (1-based ids).
@@ -112,24 +102,6 @@ class RabinFingerprint {
       d &= d - 1;  // clear the lowest set bit
     }
     return r;
-  }
-
-  /// Fingerprint of the bit string bits[lo..hi]: sum bits[lo+j] * x^j mod p.
-  /// Walks only the *set* positions (BitVec::next_set), jumping the running
-  /// power across zero runs — identical results to the per-position scan,
-  /// which the regression tests pin.
-  std::uint64_t of_range(const BitVec& bits, std::uint64_t lo,
-                         std::uint64_t hi) const {
-    std::uint64_t h = 0;
-    std::uint64_t cur = lo;  // position the running power refers to
-    std::uint64_t xj = 1;    // x^(cur - lo)
-    for (std::uint64_t i = bits.next_set(lo); i <= hi;
-         i = bits.next_set(i + 1)) {
-      xj = m61_mul(xj, power(i - cur));
-      cur = i;
-      h = m61_add(h, xj);
-    }
-    return h;
   }
 
   std::uint64_t point() const { return x_; }

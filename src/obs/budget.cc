@@ -10,6 +10,8 @@
 
 namespace renaming::obs {
 
+using sim::wire::Kind;
+
 namespace {
 
 /// Wire context for schema lookups; namespace clamped like Scales so a
@@ -136,7 +138,7 @@ struct Auditor {
       exact(std::string("wire-schema:") + s->name + " bits",
             static_cast<double>(k.bits),
             static_cast<double>(k.messages) *
-                static_cast<double>(sim::wire::wire_bits(k.kind, ctx)));
+                static_cast<double>(sim::wire::wire_bits(s->kind, ctx)));
     }
   }
 
@@ -183,7 +185,7 @@ struct Auditor {
     // Wire format is exact: STATUS/RESPONSE are the widest crash kinds
     // (sim/wire_schema.h pins <id, lo, hi, depth, phase>).
     (void)logN;
-    const double maxbits = sim::wire::wire_bits(2, wire_ctx(p));
+    const double maxbits = sim::wire::wire_bits(Kind::kStatus, wire_ctx(p));
     totals(msgs, rounds, maxbits, msgs * maxbits);
     // Per-phase headroom against the run envelope (the split across
     // subrounds is an attack-dependent quantity the theorem does not pin).
@@ -212,8 +214,8 @@ struct Auditor {
     // astronomically large N; +8 keeps the historical envelope headroom.
     const sim::wire::WireContext wctx = wire_ctx(p);
     double maxbits =
-        std::max<double>(sim::wire::wire_bits(12, wctx),
-                         sim::wire::wire_bits(10, wctx)) + 8.0;
+        std::max<double>(sim::wire::wire_bits(Kind::kValidator, wctx),
+                         sim::wire::wire_bits(Kind::kElect, wctx)) + 8.0;
     double bits = msgs * maxbits;
     if (full_vector_ablation) {
       // Ablation A2 ships Omega(n log N)-bit vectors on purpose.
@@ -246,13 +248,13 @@ struct Auditor {
     if (p.algorithm == "naive") {
       msgs = 2.0 * n * n;
       rounds = 3.0;
-      maxbits = sim::wire::wire_bits(30, wctx) + 16.0;
+      maxbits = sim::wire::wire_bits(Kind::kNaiveId, wctx) + 16.0;
       bits = msgs * maxbits;
     } else if (p.algorithm == "cht") {
       // One all-to-all broadcast per halving phase, ceil(log2 n) + 2 phases.
       msgs = n * n * (ceil_log2(p.n) + 2.0);
       rounds = ceil_log2(p.n) + 2.0;
-      maxbits = sim::wire::wire_bits(31, wctx) + 16.0;
+      maxbits = sim::wire::wire_bits(Kind::kChtStatus, wctx) + 16.0;
       bits = msgs * maxbits;
     } else if (p.algorithm == "obg") {
       msgs = 2.0 * n * n * (logn + 4.0);
@@ -267,7 +269,7 @@ struct Auditor {
     } else if (p.algorithm == "claiming") {
       msgs = 2.0 * n * n * (logn + 4.0);
       rounds = 4.0 * logn + 8.0;
-      maxbits = sim::wire::wire_bits(50, wctx) + 16.0;
+      maxbits = sim::wire::wire_bits(Kind::kClaim, wctx) + 16.0;
       bits = msgs * maxbits;
     } else {
       RENAMING_CHECK(false, "audit_run: unknown baseline algorithm");
@@ -315,7 +317,7 @@ BudgetReport audit_run(const BudgetParams& params, const sim::RunStats& stats,
   }
   std::vector<KindTotals> kinds;
   for (const sim::wire::WireSchema& row : sim::wire::kWireSchemas) {
-    const sim::MsgKind k = row.kind;
+    const sim::MsgKind k = sim::wire::raw(row.kind);
     if (telemetry->kind_messages(k) == 0) continue;
     kinds.push_back({k, telemetry->kind_messages(k), telemetry->kind_bits(k)});
   }

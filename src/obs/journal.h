@@ -35,6 +35,10 @@
 #include "hashing/digest.h"
 #include "sim/message.h"
 
+namespace renaming::sim {
+struct Observers;
+}  // namespace renaming::sim
+
 namespace renaming::obs {
 
 /// Traffic of one message kind within one round.
@@ -106,13 +110,6 @@ class Journal {
   /// (flight-recorder ring), with run totals still spanning the whole run.
   explicit Journal(std::size_t capacity = 0) : capacity_(capacity) {}
 
-  // --- setup (cold path; called by run_* entry points) -------------------
-  void set_run_info(std::string algorithm, std::uint64_t n, std::uint64_t f) {
-    data_.algorithm = std::move(algorithm);
-    data_.n = n;
-    data_.f = f;
-  }
-
   // --- engine hooks (hot path; every value recorded is deterministic) ----
   void begin_run(NodeIndex n) {
     if (data_.n == 0) data_.n = n;
@@ -158,6 +155,15 @@ class Journal {
   std::size_t capacity() const { return capacity_; }
 
  private:
+  // Run identity stamped into every export; set only by
+  // sim::Observers::begin(), so every run_* labels its observers alike.
+  friend struct sim::Observers;
+  void set_run_info(std::string algorithm, std::uint64_t n, std::uint64_t f) {
+    data_.algorithm = std::move(algorithm);
+    data_.n = n;
+    data_.f = f;
+  }
+
   // Destination descriptors folded into the fingerprint. Distinct from any
   // NodeIndex (they exceed kNoNode as 64-bit values).
   static constexpr std::uint64_t kBroadcastCode = 0x62636173743a616cULL;

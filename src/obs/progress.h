@@ -34,6 +34,10 @@
 
 #include "common/types.h"
 
+namespace renaming::sim {
+struct Observers;
+}  // namespace renaming::sim
+
 namespace renaming::obs {
 
 inline constexpr char kProgressSchema[] = "renaming-progress-v1";
@@ -75,7 +79,6 @@ class Progress {
   /// Caller-supplied stream per lint rule R8 — the CLI and benches own
   /// the file handles.
   void set_sink(std::ostream* out) { sink_ = out; }
-  void set_run_info(std::string algorithm) { algorithm_ = std::move(algorithm); }
 
   // --- engine hooks (hot path: a counter compare per round unless the
   // cadence fires) --------------------------------------------------------
@@ -104,6 +107,13 @@ class Progress {
                            bool deterministic_only = false);
 
  private:
+  // Run identity stamped into every export; set only by
+  // sim::Observers::begin(), so every run_* labels its observers alike.
+  friend struct sim::Observers;
+  void set_run_info(std::string algorithm) {
+    algorithm_ = std::move(algorithm);
+  }
+
   void sample(Round round, std::uint64_t messages, std::uint64_t bits,
               std::uint64_t active_senders, std::uint64_t crashes,
               std::uint64_t outbox_live);

@@ -33,6 +33,10 @@
 #include "obs/provenance_kinds.h"
 #include "sim/message.h"
 
+namespace renaming::sim {
+struct Observers;
+}  // namespace renaming::sim
+
 namespace renaming::obs {
 
 /// Sentinel event id: cause did not resolve to a retained event.
@@ -120,9 +124,6 @@ class Provenance {
     std::uint32_t bits = 0;
   };
 
-  /// Run identity stamped into every export (mirrors Journal).
-  void set_run_info(std::string algorithm, std::uint64_t n, std::uint64_t f);
-
   /// Resets per-run state and sizes the frontier. Entry points call this
   /// *before* constructing nodes (protocol constructors may already record
   /// decision events, e.g. the crash protocol's initial self-election);
@@ -163,6 +164,11 @@ class Provenance {
   ProvenanceData data() const;
 
  private:
+  // Run identity stamped into every export; set only by
+  // sim::Observers::begin(), so every run_* labels its observers alike.
+  friend struct sim::Observers;
+  void set_run_info(std::string algorithm, std::uint64_t n, std::uint64_t f);
+
   struct Pending {
     ProvEvent ev;
     bool keep = false;

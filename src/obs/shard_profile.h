@@ -34,6 +34,10 @@
 
 #include "common/types.h"
 
+namespace renaming::sim {
+struct Observers;
+}  // namespace renaming::sim
+
 namespace renaming::obs {
 
 /// Engine phases the profiler distinguishes. Send and receive fan out
@@ -117,10 +121,6 @@ class ShardProfile {
   ShardProfile();
   explicit ShardProfile(Options opts);
 
-  void set_run_info(std::string algorithm) {
-    data_.algorithm = std::move(algorithm);
-  }
-
   // --- engine hooks (called from the caller thread only; the per-shard
   // stamps themselves live in engine scratch) -----------------------------
   void begin_run(NodeIndex n, unsigned shards);
@@ -139,6 +139,13 @@ class ShardProfile {
   unsigned shards() const { return data_.shards; }
 
  private:
+  // Run identity stamped into every export; set only by
+  // sim::Observers::begin(), so every run_* labels its observers alike.
+  friend struct sim::Observers;
+  void set_run_info(std::string algorithm) {
+    data_.algorithm = std::move(algorithm);
+  }
+
   Options opts_;
   ShardProfileData data_;
   ShardRoundSample open_;  // sample under construction

@@ -27,7 +27,8 @@ Telemetry::Telemetry()
       inbox_occupancy_(&registry_.histogram("inbox_occupancy")),
       round_wall_ns_(&registry_.histogram("round_wall_ns")) {
   for (const sim::wire::WireSchema& row : sim::wire::kWireSchemas) {
-    kind_phase_[row.kind] = static_cast<std::uint8_t>(row.phase);
+    kind_phase_[sim::wire::raw(row.kind)] =
+        static_cast<std::uint8_t>(row.phase);
   }
 }
 

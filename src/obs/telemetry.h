@@ -26,6 +26,10 @@
 #include "obs/phase.h"
 #include "sim/message.h"
 
+namespace renaming::sim {
+struct Observers;
+}  // namespace renaming::sim
+
 namespace renaming::obs {
 
 /// Monotonic wall clock in nanoseconds. The ONLY clock read in src/ —
@@ -110,11 +114,6 @@ class Telemetry {
   Telemetry();
 
   // --- setup (cold path; called by run_* entry points) -------------------
-  void set_run_info(std::string algorithm, std::uint64_t n, std::uint64_t f) {
-    algorithm_ = std::move(algorithm);
-    n_ = n;
-    f_ = f;
-  }
   /// Attaches a human-readable label to a node's Perfetto track (e.g.
   /// "committee"). May be called after the run.
   void label_node(NodeIndex node, std::string label) {
@@ -153,7 +152,7 @@ class Telemetry {
   /// Charges `count` messages of `bits` each, attributed by kind. Bulk on
   /// purpose: the broadcast fast path calls this once per logical entry.
   void note_messages(sim::MsgKind kind, std::uint64_t count,
-                     std::uint32_t bits) {
+                     sim::WireBits bits) {
     PhaseTotals& t = phases_[kind_phase_[kind]];
     const std::uint64_t total = static_cast<std::uint64_t>(bits) * count;
     t.messages += count;
@@ -253,6 +252,15 @@ class Telemetry {
   const MetricsRegistry& registry() const { return registry_; }
 
  private:
+  // Run identity stamped into every export; set only by
+  // sim::Observers::begin(), so every run_* labels its observers alike.
+  friend struct sim::Observers;
+  void set_run_info(std::string algorithm, std::uint64_t n, std::uint64_t f) {
+    algorithm_ = std::move(algorithm);
+    n_ = n;
+    f_ = f;
+  }
+
   struct OpenPhase {
     PhaseId phase = PhaseId::kUnattributed;
     Round since = 0;

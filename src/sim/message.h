@@ -14,6 +14,11 @@
 // messages and counts the attempt, which is exactly the guarantee a PKI
 // with certificate chains provides in the paper's discussion (Section 3.2).
 //
+// Widths are typed: a `WireBits` is minted only by wire::wire_bits() and the
+// named adversarial probe constants (sim/wire_schema.h), so a hand-written
+// integer width does not compile. Reading one back is an implicit
+// conversion to std::uint32_t.
+//
 // Layout (docs/PERFORMANCE.md "Message layout"): one 64-byte cache line —
 // a 16-byte header (origins, kind, word count, wire size), five inline
 // payload words and one blob pointer — so an outbox entry
@@ -34,9 +39,51 @@
 
 namespace renaming::sim {
 
-/// Protocol-defined message tag. Each protocol defines an `enum class`
-/// converted to this width; tags only need to be unique per protocol.
+/// Message tag as it travels in Message::kind. Shipped kinds are the
+/// enumerators of wire::Kind (sim/wire_schema.h); bench- and test-local
+/// kinds are bare numbers.
 using MsgKind = std::uint16_t;
+
+class WireBits;
+
+namespace wire {
+enum class Kind : MsgKind;
+struct WireContext;
+struct ProbeWidths;
+constexpr WireBits wire_bits(Kind kind, const WireContext& ctx);
+constexpr WireBits wire_bits(Kind kind, const WireContext& ctx,
+                             std::uint64_t payload_count);
+}  // namespace wire
+
+}  // namespace renaming::sim
+
+namespace renaming::test_support {
+/// Defined only in tests/support/test_support.h, outside src/.
+constexpr sim::WireBits raw_wire_bits(std::uint32_t bits);
+}  // namespace renaming::test_support
+
+namespace renaming::sim {
+
+/// A message's declared wire size in bits. Default-constructed it is 0,
+/// which every send path rejects; otherwise it comes from the schema.
+class WireBits {
+ public:
+  constexpr WireBits() = default;
+  constexpr operator std::uint32_t() const { return bits_; }
+
+ private:
+  constexpr explicit WireBits(std::uint32_t bits) : bits_(bits) {}
+
+  friend constexpr WireBits wire::wire_bits(wire::Kind,
+                                            const wire::WireContext&);
+  friend constexpr WireBits wire::wire_bits(wire::Kind,
+                                            const wire::WireContext&,
+                                            std::uint64_t);
+  friend struct wire::ProbeWidths;
+  friend constexpr WireBits test_support::raw_wire_bits(std::uint32_t);
+
+  std::uint32_t bits_ = 0;
+};
 
 /// Maximum number of inline payload words: the widest fixed layout in
 /// `kWireSchemas` (crash STATUS/RESPONSE, the validator vote). Every
@@ -51,7 +98,7 @@ struct Message {
   MsgKind kind = 0;
   std::uint8_t nwords = 0;             ///< Meaningful entries of `w`.
   /// Declared wire size in bits (for complexity accounting). Must be > 0.
-  std::uint32_t bits = 0;
+  WireBits bits;
   std::array<std::uint64_t, kInlineWords> w{};
   /// Optional bulk payload, owned by the queuing Outbox until its clear();
   /// every copy a broadcast creates points at the same vector.
@@ -66,7 +113,7 @@ static_assert(sizeof(std::pair<NodeIndex, Message>) == 72,
 
 /// Convenience builder for small (inline) messages.
 template <typename... Words>
-Message make_message(MsgKind kind, std::uint32_t bits, Words... words) {
+Message make_message(MsgKind kind, WireBits bits, Words... words) {
   static_assert(sizeof...(Words) <= kInlineWords);
   RENAMING_CHECK(bits > 0, "every message must declare a wire size");
   Message m;

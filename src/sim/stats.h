@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "sim/message.h"
 
 namespace renaming::sim {
 
@@ -36,7 +37,7 @@ struct RunStats {
   /// Charges one `bits`-sized message to the totals and to the current
   /// round's ledger. All accumulators are 64-bit: a quadratic baseline at
   /// n = 10^5 with Omega(n)-bit messages overflows 32-bit bit counters.
-  void note_message(std::uint32_t bits) {
+  void note_message(WireBits bits) {
     RENAMING_CHECK(!per_round.empty(),
                    "note_message before any round began");
     RENAMING_CHECK(bits > 0, "every message must declare a wire size");
@@ -53,7 +54,7 @@ struct RunStats {
   /// In particular count == 0 is a true no-op: zero note_message calls
   /// touch nothing — not max_message_bits, and not the precondition
   /// checks, which only guard actual charges.
-  void note_messages(std::uint64_t count, std::uint32_t bits) {
+  void note_messages(std::uint64_t count, WireBits bits) {
     if (count == 0) return;
     RENAMING_CHECK(!per_round.empty(),
                    "note_message before any round began");

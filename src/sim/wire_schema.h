@@ -1,7 +1,8 @@
 // The message-kind table: the one declaration of every shipped message
-// kind. A row gives the kind's number, its stable wire-protocol name, the
-// obs::PhaseId its traffic is charged to, and its bit layout; everything
-// else about a kind is a lookup on its row:
+// kind. `Kind` names each kind's number once; a row, keyed by its `Kind`,
+// gives the kind's stable wire-protocol name, the obs::PhaseId its traffic
+// is charged to, and its bit layout; everything else about a kind is a
+// lookup on its row:
 //
 //   * message_name()     — traces, CountingTrace, exporters, the doctor;
 //   * canonical_phase()  — the journal/doctor phase ledgers, and the
@@ -9,10 +10,9 @@
 //                           seeded with when it is constructed;
 //   * wire_bits() / make_message() / send() — declared widths.
 //
-// Adding a kind touches one row here plus the protocol's own `Tag`
-// enumerator (or file-local `constexpr sim::MsgKind`); lint rule R11
-// (scripts/protocol_lint.py) checks that every row has that declaration,
-// and tests/trace_test.cc pins the names against the Tag enums.
+// Adding a kind is one `Kind` enumerator plus one row here. A row keyed by
+// a bare number does not compile (a scoped enum has no implicit conversion
+// from an integer), and tests/trace_test.cc pins the names.
 //
 // Widths. The paper's headline claim is subquadratic *bits* (Theorems
 // 1.2/1.3), so each Message declares its wire size and the engine sums the
@@ -23,7 +23,9 @@
 // evaluator folds them, and:
 //
 //   * protocols obtain widths ONLY through wire_bits()/make_message()/
-//     send() (enforced statically by lint rule R9);
+//     send(): a sim::WireBits (sim/message.h) is minted only by
+//     wire_bits() and the named probe constants below, so an integer
+//     width does not compile;
 //   * BudgetAuditor cross-checks each honest run's per-kind emitted bits
 //     against the closed forms at runtime (obs/budget.h), and
 //     tests/wire_schema_test.cc pins the equivalence per protocol.
@@ -49,6 +51,34 @@
 #include "sim/node.h"
 
 namespace renaming::sim::wire {
+
+/// Every shipped message kind, numbered as it travels in Message::kind.
+enum class Kind : MsgKind {
+  // crash/crash_renaming.h — Figure 1-3 message formats.
+  kCommittee = 1,  ///< round 1: "I am a committee member"
+  kStatus = 2,     ///< round 2: <ID, I.lo, I.hi, d, p>
+  kResponse = 3,   ///< round 3: <ID, I.lo, I.hi, d, p>
+  // byzantine/byz_renaming.h.
+  kElect = 10,      ///< round 1: <id>
+  kIdReport = 11,   ///< round 2: <id>
+  kValidator = 12,  ///< loop: Validator traffic
+  kConsensus = 13,  ///< loop: PhaseKing traffic
+  kDiff = 14,       ///< loop: <session, diff bit>
+  kNew = 15,        ///< distribution: <new id or 0=null>
+  kVector = 16,     ///< ablation: full identity vector (blob)
+  // baselines (Table 1).
+  kNaiveId = 30,      ///< naive.cc: <id> to everyone
+  kChtStatus = 31,    ///< cht_crash.cc: <id, I.lo, I.hi>
+  kObgAnnounce = 40,  ///< obg_byzantine.cc: <id>
+  kObgVector = 41,    ///< obg_byzantine.cc: known identities (blob)
+  kObgHalving = 42,   ///< obg_byzantine.cc: half-split candidates (blob)
+  kEarlySet = 45,     ///< early_deciding.cc: known identities (blob)
+  kClaim = 50,        ///< claiming.cc: <id, slot> claim
+  kOwned = 51,        ///< claiming.cc: <id, slot> heartbeat
+};
+
+/// The number `kind` travels as in Message::kind.
+constexpr MsgKind raw(Kind kind) { return static_cast<MsgKind>(kind); }
 
 /// Run parameters every closed-form width is phrased in.
 struct WireContext {
@@ -77,7 +107,7 @@ inline constexpr std::size_t kMaxWireFields = kInlineWords;
 /// One row of the message-kind table. For `variable` kinds the single
 /// field describes the per-element width of the shipped set.
 struct WireSchema {
-  MsgKind kind = 0;
+  Kind kind{};
   const char* name = nullptr;  ///< stable wire-protocol name
   bool variable = false;
   obs::PhaseId phase = obs::PhaseId::kUnattributed;  ///< ledger it feeds
@@ -85,67 +115,68 @@ struct WireSchema {
   WireField fields[kMaxWireFields]{};
 };
 
-/// Bulk payloads clamp here so the width fits Message::bits (uint32_t).
+/// Bulk payloads clamp here so the width fits Message::bits (32 bits).
 inline constexpr std::uint32_t kVariableBitsCap = 1u << 30;
 
 /// The message-kind table, ascending by kind. Bench- and test-local kinds
 /// get no row; one that reuses a row's number (bench_engine's ping is 41)
 /// is named and attributed as that row.
 inline constexpr WireSchema kWireSchemas[] = {
-    // crash/crash_renaming.h (Tag) — Figure 1-3 message formats.
-    {1, "COMMITTEE", false, obs::PhaseId::kCommitteeAnnounce, 1,
+    // crash/crash_renaming.h — Figure 1-3 message formats.
+    {Kind::kCommittee, "COMMITTEE", false, obs::PhaseId::kCommitteeAnnounce, 1,
      {{"id", Width::kLogNamespace}}},
-    {2, "STATUS", false, obs::PhaseId::kStatusReport, 5,
+    {Kind::kStatus, "STATUS", false, obs::PhaseId::kStatusReport, 5,
      {{"id", Width::kLogNamespace},
       {"interval_lo", Width::kLogN},
       {"interval_hi", Width::kLogN},
       {"depth", Width::kConst8},
       {"phase", Width::kConst8}}},
-    {3, "RESPONSE", false, obs::PhaseId::kCommitteeResponse, 5,
+    {Kind::kResponse, "RESPONSE", false, obs::PhaseId::kCommitteeResponse, 5,
      {{"id", Width::kLogNamespace},
       {"interval_lo", Width::kLogN},
       {"interval_hi", Width::kLogN},
       {"depth", Width::kConst8},
       {"phase", Width::kConst8}}},
-    // byzantine/byz_renaming.h (Tag). The four control kinds (ELECT,
-    // ID_REPORT, CONSENSUS, DIFF) share one layout: an identity-sized
-    // value plus a 16-bit session/subkind control word.
-    {10, "ELECT", false, obs::PhaseId::kCommitteeElection, 2,
+    // byzantine/byz_renaming.h. The control kinds (ELECT, ID_REPORT,
+    // CONSENSUS, DIFF) carry an identity-sized value plus a 16-bit
+    // session/subkind control word.
+    {Kind::kElect, "ELECT", false, obs::PhaseId::kCommitteeElection, 2,
      {{"id", Width::kLogNamespace}, {"control", Width::kConst16}}},
-    {11, "ID_REPORT", false, obs::PhaseId::kIdentityAggregation, 2,
+    {Kind::kIdReport, "ID_REPORT", false, obs::PhaseId::kIdentityAggregation, 2,
      {{"id", Width::kLogNamespace}, {"control", Width::kConst16}}},
-    {12, "VALIDATOR", false, obs::PhaseId::kFingerprintValidation, 3,
+    {Kind::kValidator, "VALIDATOR", false,
+     obs::PhaseId::kFingerprintValidation, 3,
      {{"fingerprint", Width::kConst61},
       {"count", Width::kLogNPlus1},
       {"control", Width::kConst16}}},
-    {13, "CONSENSUS", false, obs::PhaseId::kConsensus, 2,
+    {Kind::kConsensus, "CONSENSUS", false, obs::PhaseId::kConsensus, 2,
      {{"value", Width::kLogNamespace}, {"control", Width::kConst16}}},
-    {14, "DIFF", false, obs::PhaseId::kDiffExchange, 2,
+    {Kind::kDiff, "DIFF", false, obs::PhaseId::kDiffExchange, 2,
      {{"payload", Width::kLogNamespace}, {"control", Width::kConst16}}},
-    {15, "NEW", false, obs::PhaseId::kDistribution, 2,
+    {Kind::kNew, "NEW", false, obs::PhaseId::kDistribution, 2,
      {{"rank", Width::kLogNPlus1}, {"control", Width::kConst8}}},
-    {16, "VECTOR", true, obs::PhaseId::kFullVectorExchange, 1,
+    {Kind::kVector, "VECTOR", true, obs::PhaseId::kFullVectorExchange, 1,
      {{"identity", Width::kLogNamespace}}},
-    // baselines (Table 1), each declared in its own baselines/*.cc:
-    // naive 30, cht_crash 31, obg_byzantine 40-42, early_deciding 45,
-    // claiming 50-51.
-    {30, "NAIVE_ID", false, obs::PhaseId::kBaselineExchange, 1,
+    // baselines (Table 1): naive, cht_crash, obg_byzantine, early_deciding
+    // and claiming.
+    {Kind::kNaiveId, "NAIVE_ID", false, obs::PhaseId::kBaselineExchange, 1,
      {{"id", Width::kLogNamespace}}},
-    {31, "CHT_STATUS", false, obs::PhaseId::kBaselineExchange, 3,
+    {Kind::kChtStatus, "CHT_STATUS", false, obs::PhaseId::kBaselineExchange, 3,
      {{"id", Width::kLogNamespace},
       {"interval_lo", Width::kLogN},
       {"interval_hi", Width::kLogN}}},
-    {40, "OBG_ANNOUNCE", false, obs::PhaseId::kBaselineExchange, 1,
+    {Kind::kObgAnnounce, "OBG_ANNOUNCE", false,
+     obs::PhaseId::kBaselineExchange, 1,
      {{"id", Width::kLogNamespace}}},
-    {41, "OBG_VECTOR", true, obs::PhaseId::kBaselineExchange, 1,
+    {Kind::kObgVector, "OBG_VECTOR", true, obs::PhaseId::kBaselineExchange, 1,
      {{"identity", Width::kLogNamespace}}},
-    {42, "OBG_HALVING", true, obs::PhaseId::kBaselineExchange, 1,
+    {Kind::kObgHalving, "OBG_HALVING", true, obs::PhaseId::kBaselineExchange, 1,
      {{"identity", Width::kLogNamespace}}},
-    {45, "EARLY_SET", true, obs::PhaseId::kBaselineExchange, 1,
+    {Kind::kEarlySet, "EARLY_SET", true, obs::PhaseId::kBaselineExchange, 1,
      {{"identity", Width::kLogNamespace}}},
-    {50, "CLAIM", false, obs::PhaseId::kBaselineExchange, 2,
+    {Kind::kClaim, "CLAIM", false, obs::PhaseId::kBaselineExchange, 2,
      {{"id", Width::kLogNamespace}, {"slot", Width::kLogN}}},
-    {51, "OWNED", false, obs::PhaseId::kBaselineExchange, 2,
+    {Kind::kOwned, "OWNED", false, obs::PhaseId::kBaselineExchange, 2,
      {{"id", Width::kLogNamespace}, {"slot", Width::kLogN}}},
 };
 inline constexpr std::size_t kWireSchemaCount =
@@ -162,8 +193,8 @@ inline constexpr auto kRowOfKind = [] {
   rows.fill(static_cast<std::uint8_t>(kWireSchemaCount));
   for (std::size_t i = 0; i < kWireSchemaCount; ++i) {
     // A kind past the bound fails rows_sorted_and_well_formed() below.
-    if (kWireSchemas[i].kind < kKindLimit) {
-      rows[kWireSchemas[i].kind] = static_cast<std::uint8_t>(i);
+    if (raw(kWireSchemas[i].kind) < kKindLimit) {
+      rows[raw(kWireSchemas[i].kind)] = static_cast<std::uint8_t>(i);
     }
   }
   return rows;
@@ -186,8 +217,8 @@ constexpr const WireSchema* schema_of_or_null(MsgKind kind) {
 }
 
 /// Schema lookup for kinds that must have a row.
-constexpr const WireSchema& schema_of(MsgKind kind) {
-  const std::size_t i = schema_index(kind);
+constexpr const WireSchema& schema_of(Kind kind) {
+  const std::size_t i = schema_index(raw(kind));
   RENAMING_CHECK(i < kWireSchemaCount,
                  "wire_schema: message kind without a row");
   return kWireSchemas[i];
@@ -208,7 +239,7 @@ constexpr std::uint32_t width_bits(Width w, const WireContext& ctx) {
 }
 
 /// Declared wire size of a fixed-layout kind: the sum of its field widths.
-constexpr std::uint32_t wire_bits(MsgKind kind, const WireContext& ctx) {
+constexpr WireBits wire_bits(Kind kind, const WireContext& ctx) {
   const WireSchema& s = schema_of(kind);
   RENAMING_CHECK(!s.variable,
                  "variable-width kind needs the payload-count overload");
@@ -216,28 +247,28 @@ constexpr std::uint32_t wire_bits(MsgKind kind, const WireContext& ctx) {
   for (std::size_t i = 0; i < s.field_count; ++i) {
     bits += width_bits(s.fields[i].width, ctx);
   }
-  return static_cast<std::uint32_t>(bits);
+  return WireBits(static_cast<std::uint32_t>(bits));
 }
 
 /// Declared wire size of a variable-width (bulk identity-set) kind:
 /// max(1, count) elements at the per-element width, clamped to the cap.
 /// The max(1, ...) floor keeps Message::bits > 0 for empty sets.
-constexpr std::uint32_t wire_bits(MsgKind kind, const WireContext& ctx,
-                                  std::uint64_t payload_count) {
+constexpr WireBits wire_bits(Kind kind, const WireContext& ctx,
+                             std::uint64_t payload_count) {
   const WireSchema& s = schema_of(kind);
   RENAMING_CHECK(s.variable,
                  "fixed-layout kind does not take a payload count");
   const std::uint64_t per = width_bits(s.fields[0].width, ctx);
   const std::uint64_t total = std::max<std::uint64_t>(1, payload_count) * per;
-  return static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(total, kVariableBitsCap));
+  return WireBits(static_cast<std::uint32_t>(
+      std::min<std::uint64_t>(total, kVariableBitsCap)));
 }
 
 /// Schema-deriving builder for fixed-layout kinds: the declared width
-/// flows from the table, never from a call-site literal (lint rule R9).
+/// flows from the table.
 template <typename... Words>
-Message make_message(MsgKind kind, const WireContext& ctx, Words... words) {
-  return sim::make_message(kind, wire_bits(kind, ctx), words...);
+Message make_message(Kind kind, const WireContext& ctx, Words... words) {
+  return sim::make_message(raw(kind), wire_bits(kind, ctx), words...);
 }
 
 /// In-place twin of make_message for a unicast: queues the same message on
@@ -245,11 +276,11 @@ Message make_message(MsgKind kind, const WireContext& ctx, Words... words) {
 /// send_in_place) instead of built and then copied. Queues exactly what
 /// `out.send(dest, make_message(kind, ctx, words...))` would.
 template <typename... Words>
-void send(Outbox& out, NodeIndex dest, MsgKind kind, const WireContext& ctx,
+void send(Outbox& out, NodeIndex dest, Kind kind, const WireContext& ctx,
           Words... words) {
   static_assert(sizeof...(Words) <= kInlineWords);
   out.send_in_place(dest, [&](Message& m) {
-    m.kind = kind;
+    m.kind = raw(kind);
     m.bits = wire_bits(kind, ctx);
     m.nwords = static_cast<std::uint8_t>(sizeof...(Words));
     std::size_t i = 0;
@@ -262,11 +293,11 @@ void send(Outbox& out, NodeIndex dest, MsgKind kind, const WireContext& ctx,
 /// keeps the payload until its end-of-round clear(); receivers copy what
 /// they keep.
 template <typename... Words>
-Message make_blob_message(MsgKind kind, const WireContext& ctx,
+Message make_blob_message(Kind kind, const WireContext& ctx,
                           Outbox& owner, std::vector<std::uint64_t> payload,
                           Words... words) {
-  Message m =
-      sim::make_message(kind, wire_bits(kind, ctx, payload.size()), words...);
+  Message m = sim::make_message(raw(kind), wire_bits(kind, ctx, payload.size()),
+                                words...);
   m.blob = owner.own_blob(std::move(payload));
   return m;
 }
@@ -275,17 +306,18 @@ Message make_blob_message(MsgKind kind, const WireContext& ctx,
 // Byzantine strategies (byzantine/strategies.h) forge messages whose
 // declared width deliberately does NOT follow the honest schema — the
 // attacker pays for whatever it puts on the wire (docs/MODEL.md
-// "Accounting"). The widths are named here so R9 can still insist every
-// bits argument flows from this header, and so the golden trace pins
-// record exactly these values.
+// "Accounting"). ProbeWidths is the one other minter of a WireBits, so
+// these two constants are every width that does not come from a row, and
+// the golden trace pins record exactly these values.
 
-/// LyingMember's premature fake NEW volley: a bare probe rank, smaller
-/// than any honest NEW the schema admits.
-inline constexpr std::uint32_t kForgedNewProbeBits = 16;
-
-/// Spoofer's forged ELECT/ID_REPORT probes: a flat 32-bit claim, sent only
-/// to show the authentication layer is load-bearing.
-inline constexpr std::uint32_t kSpoofProbeBits = 32;
+struct ProbeWidths {
+  /// LyingMember's premature fake NEW volley: a bare probe rank, smaller
+  /// than any honest NEW the schema admits.
+  static constexpr WireBits kForgedNew = WireBits(16);
+  /// Spoofer's forged ELECT/ID_REPORT probes: a flat 32-bit claim, sent
+  /// only to show the authentication layer is load-bearing.
+  static constexpr WireBits kSpoof = WireBits(32);
+};
 
 // --- exhaustiveness guards -------------------------------------------------
 
@@ -294,8 +326,8 @@ namespace detail {
 constexpr bool rows_sorted_and_well_formed() {
   for (std::size_t i = 0; i < kWireSchemaCount; ++i) {
     const WireSchema& s = kWireSchemas[i];
-    if (i > 0 && kWireSchemas[i - 1].kind >= s.kind) return false;
-    if (s.kind >= kKindLimit) return false;
+    if (i > 0 && raw(kWireSchemas[i - 1].kind) >= raw(s.kind)) return false;
+    if (raw(s.kind) >= kKindLimit) return false;
     if (s.name == nullptr) return false;
     if (s.phase == obs::PhaseId::kUnattributed ||
         s.phase >= obs::PhaseId::kCount) {
@@ -305,24 +337,6 @@ constexpr bool rows_sorted_and_well_formed() {
     if (s.variable && s.field_count != 1) return false;
     for (std::size_t j = 0; j < s.field_count; ++j) {
       if (s.fields[j].name == nullptr) return false;
-    }
-  }
-  return true;
-}
-
-constexpr bool control_kinds_share_layout() {
-  // ELECT, ID_REPORT, CONSENSUS and DIFF are one wire family (the byz
-  // control message); their widths must never drift apart, because the
-  // host protocol reuses one cached width for all four.
-  constexpr MsgKind family[] = {10, 11, 13, 14};
-  const WireSchema& ref = schema_of(family[0]);
-  for (MsgKind k : family) {
-    const WireSchema& s = schema_of(k);
-    if (s.variable != ref.variable || s.field_count != ref.field_count) {
-      return false;
-    }
-    for (std::size_t j = 0; j < s.field_count; ++j) {
-      if (s.fields[j].width != ref.fields[j].width) return false;
     }
   }
   return true;
@@ -344,9 +358,6 @@ static_assert(detail::rows_sorted_and_well_formed(),
               "kWireSchemas must be ascending by kind, below kKindLimit, and "
               "every row needs a name, a phase other than kUnattributed and "
               "a well-formed field list");
-static_assert(detail::control_kinds_share_layout(),
-              "the byz control kinds (ELECT/ID_REPORT/CONSENSUS/DIFF) must "
-              "share one field layout");
 static_assert(detail::widest_fixed_layout() == kInlineWords,
               "Message::w holds exactly the widest fixed layout: a wider "
               "row would not fit inline, a narrower table wastes bytes of "
@@ -355,20 +366,32 @@ static_assert(detail::widest_fixed_layout() == kInlineWords,
 // Closed-form pins at a concrete context (n = 48, N = 5*48*48): these are
 // the exact widths the pre-schema literals produced, and the golden trace
 // and journal byte pins depend on them. A schema edit that moves one of
-// these values is changing the wire protocol, not refactoring it.
+// these values is changing the wire protocol, not refactoring it. Each
+// kind is sent at its own row's width, so every byz control kind is pinned,
+// not only ELECT.
 namespace detail {
 inline constexpr WireContext kPinCtx{48, 5ull * 48 * 48};
 }  // namespace detail
-static_assert(wire_bits(1, detail::kPinCtx) == 14);    // ceil_log2(N)
-static_assert(wire_bits(2, detail::kPinCtx) == 42);    // logN + 2 logn + 16
-static_assert(wire_bits(3, detail::kPinCtx) == 42);
-static_assert(wire_bits(10, detail::kPinCtx) == 30);   // logN + 16
-static_assert(wire_bits(12, detail::kPinCtx) == 83);   // 61 + log(n+1) + 16
-static_assert(wire_bits(15, detail::kPinCtx) == 14);   // log(n+1) + 8
-static_assert(wire_bits(16, detail::kPinCtx, 0) == 14);    // max(1,.) floor
-static_assert(wire_bits(16, detail::kPinCtx, 10) == 140);  // 10 * logN
-static_assert(wire_bits(31, detail::kPinCtx) == 26);   // logN + 2 logn
-static_assert(wire_bits(50, detail::kPinCtx) == 20);   // logN + logn
+// ceil_log2(N)
+static_assert(wire_bits(Kind::kCommittee, detail::kPinCtx) == 14);
+// logN + 2 logn + 16
+static_assert(wire_bits(Kind::kStatus, detail::kPinCtx) == 42);
+static_assert(wire_bits(Kind::kResponse, detail::kPinCtx) == 42);
+static_assert(wire_bits(Kind::kElect, detail::kPinCtx) == 30);  // logN + 16
+static_assert(wire_bits(Kind::kIdReport, detail::kPinCtx) == 30);
+// 61 + log(n+1) + 16
+static_assert(wire_bits(Kind::kValidator, detail::kPinCtx) == 83);
+static_assert(wire_bits(Kind::kConsensus, detail::kPinCtx) == 30);
+static_assert(wire_bits(Kind::kDiff, detail::kPinCtx) == 30);
+static_assert(wire_bits(Kind::kNew, detail::kPinCtx) == 14);  // log(n+1) + 8
+// max(1,.) floor
+static_assert(wire_bits(Kind::kVector, detail::kPinCtx, 0) == 14);
+// 10 * logN
+static_assert(wire_bits(Kind::kVector, detail::kPinCtx, 10) == 140);
+// logN + 2 logn
+static_assert(wire_bits(Kind::kChtStatus, detail::kPinCtx) == 26);
+static_assert(wire_bits(Kind::kClaim, detail::kPinCtx) == 20);  // logN + logn
+static_assert(wire_bits(Kind::kOwned, detail::kPinCtx) == 20);
 
 }  // namespace renaming::sim::wire
 

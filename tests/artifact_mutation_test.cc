@@ -28,6 +28,7 @@
 #include "obs/journal.h"
 #include "obs/provenance.h"
 #include "obs/shard_profile.h"
+#include "sim/observers.h"
 
 // Live heap bytes, counted by the replaceable global allocation functions
 // so each mutant's peak can be bounded by its size.
@@ -187,7 +188,7 @@ TEST(ArtifactMutation, JournalReaderSurvivesEveryMutant) {
 
 obs::ShardProfileData two_shard_profile() {
   obs::ShardProfile profile;
-  profile.set_run_info("crash");
+  sim::Observers{.plan = {.profile = &profile}}.begin("crash", 48, 0);
   profile.begin_run(48, 2);
   for (Round r = 1; r <= 6; ++r) {
     profile.on_round_begin(r);

@@ -21,9 +21,12 @@
 #include "crash/crash_renaming.h"
 #include "obs/budget.h"
 #include "obs/telemetry.h"
+#include "test_support.h"
 
 namespace renaming {
 namespace {
+
+using test_support::raw_wire_bits;
 
 obs::BudgetParams base_params(const std::string& algorithm,
                               const SystemConfig& cfg, std::uint64_t f) {
@@ -149,7 +152,7 @@ TEST(BudgetAuditor, OverBudgetFixtureFails) {
   sim::RunStats stats;
   stats.per_round.push_back({});
   stats.rounds = 1;
-  stats.note_messages(1u << 30, 64);
+  stats.note_messages(1u << 30, raw_wire_bits(64));
   SystemConfig cfg = SystemConfig::random(64, 5ull * 64 * 64, 1);
   const auto report =
       obs::audit_run(base_params("crash", cfg, 4), stats, nullptr);
@@ -186,7 +189,7 @@ TEST(BudgetAuditor, BrokenPhaseAttributionFailsTheDoubleEntryCheck) {
   sim::RunStats stats;
   stats.per_round.push_back({});
   stats.rounds = 1;
-  stats.note_messages(10, 32);
+  stats.note_messages(10, raw_wire_bits(32));
   obs::Telemetry empty;
   SystemConfig cfg = SystemConfig::random(64, 5ull * 64 * 64, 2);
   auto p = base_params("crash", cfg, 0);
@@ -199,7 +202,7 @@ TEST(BudgetAuditor, SlackScalesTheEnvelopes) {
   sim::RunStats stats;
   stats.per_round.push_back({});
   stats.rounds = 1;
-  stats.note_messages(1u << 30, 64);
+  stats.note_messages(1u << 30, raw_wire_bits(64));
   SystemConfig cfg = SystemConfig::random(64, 5ull * 64 * 64, 3);
   auto p = base_params("crash", cfg, 4);
   ASSERT_FALSE(obs::audit_run(p, stats, nullptr).ok());

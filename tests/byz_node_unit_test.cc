@@ -7,9 +7,14 @@
 #include <algorithm>
 
 #include "byzantine/byz_renaming.h"
+#include "test_support.h"
 
 namespace renaming::byzantine {
 namespace {
+
+using sim::wire::Kind;
+using sim::wire::raw;
+using test_support::raw_wire_bits;
 
 SystemConfig fixed_config(NodeIndex n = 6) {
   SystemConfig cfg;
@@ -27,8 +32,8 @@ ByzParams everyone_in_pool() {
   return p;
 }
 
-sim::Message tagged(Tag tag, NodeIndex sender, std::uint64_t w0) {
-  auto m = sim::make_message(static_cast<sim::MsgKind>(tag), 32, w0);
+sim::Message tagged(Kind tag, NodeIndex sender, std::uint64_t w0) {
+  auto m = sim::make_message(raw(tag), raw_wire_bits(32), w0);
   m.sender = sender;
   m.claimed_sender = sender;
   return m;
@@ -43,7 +48,7 @@ TEST(ByzNodeUnit, ElectionBroadcastsWhenInPool) {
   EXPECT_TRUE(node.elected());
   ASSERT_EQ(out.size(), cfg.n);
   for (const auto& [dest, msg] : out.entries()) {
-    EXPECT_EQ(msg.kind, static_cast<sim::MsgKind>(Tag::kElect));
+    EXPECT_EQ(msg.kind, raw(Kind::kElect));
     EXPECT_EQ(msg.w[0], 50u);
   }
 }
@@ -68,10 +73,10 @@ TEST(ByzNodeUnit, ViewRejectsForgedIdentityClaims) {
   sim::Outbox out(0, cfg.n);
   node.send(1, out);
   std::vector<sim::Message> inbox = {
-      tagged(Tag::kElect, 0, 50),    // self, valid
-      tagged(Tag::kElect, 1, 100),   // valid
-      tagged(Tag::kElect, 2, 999),   // node 2 claims an id it does not own
-      tagged(Tag::kElect, 3, 100),   // node 3 claims node 1's identity
+      tagged(Kind::kElect, 0, 50),    // self, valid
+      tagged(Kind::kElect, 1, 100),   // valid
+      tagged(Kind::kElect, 2, 999),   // node 2 claims an id it does not own
+      tagged(Kind::kElect, 3, 100),   // node 3 claims node 1's identity
   };
   node.receive(1, inbox);
   EXPECT_EQ(node.view().size(), 2u);
@@ -88,9 +93,9 @@ TEST(ByzNodeUnit, ViewIsOrderedByOriginalId) {
   sim::Outbox out(0, cfg.n);
   node.send(1, out);
   std::vector<sim::Message> inbox = {
-      tagged(Tag::kElect, 3, 200),
-      tagged(Tag::kElect, 1, 100),
-      tagged(Tag::kElect, 5, 300),
+      tagged(Kind::kElect, 3, 200),
+      tagged(Kind::kElect, 1, 100),
+      tagged(Kind::kElect, 5, 300),
   };
   node.receive(1, inbox);
   ASSERT_EQ(node.view().size(), 3u);
@@ -105,14 +110,14 @@ TEST(ByzNodeUnit, IdReportGoesToWholeView) {
   ByzNode node(2, cfg, dir, everyone_in_pool());
   sim::Outbox skip(2, cfg.n);
   node.send(1, skip);
-  node.receive(1, std::vector<sim::Message>{tagged(Tag::kElect, 0, 50),
-                                            tagged(Tag::kElect, 4, 250)});
+  node.receive(1, std::vector<sim::Message>{tagged(Kind::kElect, 0, 50),
+                                            tagged(Kind::kElect, 4, 250)});
   sim::Outbox out(2, cfg.n);
   node.send(2, out);
   ASSERT_EQ(out.size(), 2u);
   out.expand();  // identical per-member reports coalesce into a kRepeat entry
   for (const auto& [dest, msg] : out.entries()) {
-    EXPECT_EQ(msg.kind, static_cast<sim::MsgKind>(Tag::kIdReport));
+    EXPECT_EQ(msg.kind, raw(Kind::kIdReport));
     EXPECT_EQ(msg.w[0], 150u);  // node 2's identity
     EXPECT_TRUE(dest == 0 || dest == 4);
   }
@@ -129,7 +134,7 @@ class ByzNodeDecisionTest : public ::testing::Test {
     // View: members at links 1..5 plus self => 6 members; majority = 4.
     std::vector<sim::Message> elects;
     for (NodeIndex v = 0; v < cfg_.n; ++v) {
-      elects.push_back(tagged(Tag::kElect, v, cfg_.ids[v]));
+      elects.push_back(tagged(Kind::kElect, v, cfg_.ids[v]));
     }
     node_->receive(1, elects);
     ASSERT_EQ(node_->view().size(), 6u);
@@ -142,18 +147,18 @@ class ByzNodeDecisionTest : public ::testing::Test {
 
 TEST_F(ByzNodeDecisionTest, MinorityNewMessagesDoNotDecide) {
   // 3 of 6 view members (not > half) push a fake name early.
-  std::vector<sim::Message> fakes = {tagged(Tag::kNew, 1, 5),
-                                     tagged(Tag::kNew, 2, 5),
-                                     tagged(Tag::kNew, 3, 5)};
+  std::vector<sim::Message> fakes = {tagged(Kind::kNew, 1, 5),
+                                     tagged(Kind::kNew, 2, 5),
+                                     tagged(Kind::kNew, 3, 5)};
   node_->receive(2, fakes);
   EXPECT_FALSE(node_->new_id().has_value());
 }
 
 TEST_F(ByzNodeDecisionTest, MajorityNewMessagesDecideOnPlurality) {
   std::vector<sim::Message> votes = {
-      tagged(Tag::kNew, 1, 4), tagged(Tag::kNew, 2, 4),
-      tagged(Tag::kNew, 3, 4), tagged(Tag::kNew, 4, 9),
-      tagged(Tag::kNew, 5, 0),  // null vote: counted for quorum, not value
+      tagged(Kind::kNew, 1, 4), tagged(Kind::kNew, 2, 4),
+      tagged(Kind::kNew, 3, 4), tagged(Kind::kNew, 4, 9),
+      tagged(Kind::kNew, 5, 0),  // null vote: counted for quorum, not value
   };
   node_->receive(2, votes);
   ASSERT_TRUE(node_->new_id().has_value());
@@ -164,8 +169,8 @@ TEST_F(ByzNodeDecisionTest, NonViewSendersAreIgnored) {
   // Link 1..3 are in view, but a burst from one sender repeated and one
   // non-member must not inflate the quorum.
   std::vector<sim::Message> votes = {
-      tagged(Tag::kNew, 1, 4), tagged(Tag::kNew, 1, 4),
-      tagged(Tag::kNew, 1, 4), tagged(Tag::kNew, 2, 4),
+      tagged(Kind::kNew, 1, 4), tagged(Kind::kNew, 1, 4),
+      tagged(Kind::kNew, 1, 4), tagged(Kind::kNew, 2, 4),
   };
   node_->receive(2, votes);
   EXPECT_FALSE(node_->new_id().has_value());  // only 2 distinct members
@@ -173,9 +178,9 @@ TEST_F(ByzNodeDecisionTest, NonViewSendersAreIgnored) {
 
 TEST_F(ByzNodeDecisionTest, OutOfRangeValuesNeverWin) {
   std::vector<sim::Message> votes = {
-      tagged(Tag::kNew, 1, 777), tagged(Tag::kNew, 2, 777),
-      tagged(Tag::kNew, 3, 777), tagged(Tag::kNew, 4, 777),
-      tagged(Tag::kNew, 5, 2),
+      tagged(Kind::kNew, 1, 777), tagged(Kind::kNew, 2, 777),
+      tagged(Kind::kNew, 3, 777), tagged(Kind::kNew, 4, 777),
+      tagged(Kind::kNew, 5, 2),
   };
   node_->receive(2, votes);
   // 777 > n is malformed; the only admissible value is 2.
@@ -188,8 +193,8 @@ TEST_F(ByzNodeDecisionTest, TwoWayTieDecidesTheSmallerValue) {
   // is "smallest among the most-voted", not "first seen". (Values must be
   // ranks in [1, n] = [1, 6] to count at all.)
   std::vector<sim::Message> votes = {
-      tagged(Tag::kNew, 1, 5), tagged(Tag::kNew, 2, 2),
-      tagged(Tag::kNew, 3, 5), tagged(Tag::kNew, 4, 2),
+      tagged(Kind::kNew, 1, 5), tagged(Kind::kNew, 2, 2),
+      tagged(Kind::kNew, 3, 5), tagged(Kind::kNew, 4, 2),
   };
   node_->receive(2, votes);
   ASSERT_TRUE(node_->new_id().has_value());
@@ -200,13 +205,13 @@ TEST_F(ByzNodeDecisionTest, FirstNewPerSenderWins) {
   // Sender 1 votes 4, then changes its mind to 6 in the same round and
   // again in the next one. With the first vote kept, 4 wins 3:2; had a
   // later vote replaced it, 6 would win 3:2.
-  node_->receive(2, std::vector<sim::Message>{tagged(Tag::kNew, 1, 4),
-                                              tagged(Tag::kNew, 1, 6),
-                                              tagged(Tag::kNew, 2, 4)});
+  node_->receive(2, std::vector<sim::Message>{tagged(Kind::kNew, 1, 4),
+                                              tagged(Kind::kNew, 1, 6),
+                                              tagged(Kind::kNew, 2, 4)});
   EXPECT_FALSE(node_->new_id().has_value());  // two distinct senders so far
   node_->receive(3, std::vector<sim::Message>{
-                        tagged(Tag::kNew, 1, 6), tagged(Tag::kNew, 3, 4),
-                        tagged(Tag::kNew, 4, 6), tagged(Tag::kNew, 5, 6)});
+                        tagged(Kind::kNew, 1, 6), tagged(Kind::kNew, 3, 4),
+                        tagged(Kind::kNew, 4, 6), tagged(Kind::kNew, 5, 6)});
   ASSERT_TRUE(node_->new_id().has_value());
   EXPECT_EQ(*node_->new_id(), 4u);
 }
@@ -224,7 +229,7 @@ std::vector<Sends> run_committee(const SystemConfig& cfg,
   const NodeIndex k = static_cast<NodeIndex>(members.size());
   std::vector<sim::Message> elects;
   for (NodeIndex v = 0; v < k; ++v) {
-    elects.push_back(tagged(Tag::kElect, v, cfg.ids[v]));
+    elects.push_back(tagged(Kind::kElect, v, cfg.ids[v]));
   }
   for (NodeIndex v = 0; v < k; ++v) {
     sim::Outbox out(v, cfg.n);
@@ -246,7 +251,7 @@ std::vector<Sends> run_committee(const SystemConfig& cfg,
       out.expand();
       for (const auto& [dest, msg] : out.entries()) {
         if (members[v]->idle()) {
-          EXPECT_EQ(msg.kind, static_cast<sim::MsgKind>(Tag::kNew));
+          EXPECT_EQ(msg.kind, raw(Kind::kNew));
           sent[v].emplace_back(dest, msg.w[0]);
         } else if (dest < k) {
           inbox[dest].push_back(msg);
@@ -271,12 +276,12 @@ TEST(ByzNodeUnit, RoundTwoKeepsEachVerifiedReportOnce) {
   const auto sent = run_committee(
       cfg, {&node},
       {{
-          tagged(Tag::kIdReport, 3, 200),   // valid, arrives first
-          tagged(Tag::kIdReport, 1, 100),   // valid
-          tagged(Tag::kIdReport, 1, 100),   // the same sender reports twice
-          tagged(Tag::kIdReport, 2, 250),   // forged: node 2 owns 150
-          tagged(Tag::kIdReport, 5, 1500),  // out of the namespace
-          tagged(Tag::kIdReport, 0, 50),    // self
+          tagged(Kind::kIdReport, 3, 200),   // valid, arrives first
+          tagged(Kind::kIdReport, 1, 100),   // valid
+          tagged(Kind::kIdReport, 1, 100),   // the same sender reports twice
+          tagged(Kind::kIdReport, 2, 250),   // forged: node 2 owns 150
+          tagged(Kind::kIdReport, 5, 1500),  // out of the namespace
+          tagged(Kind::kIdReport, 0, 50),    // self
       }});
   // The list is {50, 100, 200}: one NEW(rank) per held identity, addressed
   // to the node that reported it. A duplicate would shift the ranks, and an
@@ -286,7 +291,7 @@ TEST(ByzNodeUnit, RoundTwoKeepsEachVerifiedReportOnce) {
   EXPECT_EQ(node.segments_dirty(), 0u);
 
   // The member's own NEW(1) names it.
-  std::vector<sim::Message> mine = {tagged(Tag::kNew, 0, 1)};
+  std::vector<sim::Message> mine = {tagged(Kind::kNew, 0, 1)};
   node.receive(1000, mine);
   ASSERT_TRUE(node.new_id().has_value());
   EXPECT_EQ(*node.new_id(), 1u);
@@ -302,9 +307,9 @@ TEST(ByzNodeUnit, IdentityAddedBySingletonConsensusIsStillAddressed) {
   ByzNode a(0, cfg, dir, everyone_in_pool());
   ByzNode b(1, cfg, dir, everyone_in_pool());
   const std::vector<sim::Message> heard_by_both = {
-      tagged(Tag::kIdReport, 0, 50), tagged(Tag::kIdReport, 1, 100)};
+      tagged(Kind::kIdReport, 0, 50), tagged(Kind::kIdReport, 1, 100)};
   auto heard_by_a = heard_by_both;
-  heard_by_a.push_back(tagged(Tag::kIdReport, 3, 200));
+  heard_by_a.push_back(tagged(Kind::kIdReport, 3, 200));
   const auto sent = run_committee(cfg, {&a, &b}, {heard_by_a, heard_by_both});
   EXPECT_EQ(sent[0], (Sends{{0, 1}, {1, 2}, {3, 3}}));
   EXPECT_EQ(sent[1], sent[0]);
@@ -328,7 +333,7 @@ TEST(ByzNodeUnit, DirtyMemberSendsNullToItsReportersOnly) {
   }
   std::vector<sim::Message> all;
   for (NodeIndex v : {3, 1, 4, 0, 2}) {  // arrival order is not id order
-    all.push_back(tagged(Tag::kIdReport, v, cfg.ids[v]));
+    all.push_back(tagged(Kind::kIdReport, v, cfg.ids[v]));
   }
   std::vector<sim::Message> missing_node4 = all;
   missing_node4.erase(missing_node4.begin() + 2);
@@ -361,7 +366,7 @@ TEST(ByzNodeUnit, DirtySegmentPastTheFirstReachesOnlyItsOwnReporters) {
   }
   std::vector<sim::Message> all;
   for (NodeIndex v = 0; v < cfg.n; ++v) {
-    all.push_back(tagged(Tag::kIdReport, v, cfg.ids[v]));
+    all.push_back(tagged(Kind::kIdReport, v, cfg.ids[v]));
   }
   const std::vector<sim::Message> missing_250(all.begin(), all.begin() + 4);
   std::vector<sim::Message> missing_250_only = missing_250;
@@ -388,13 +393,13 @@ TEST(ByzNodeUnit, FullExchangeAblationMergesByWitnessCount) {
   node.send(1, out);
   std::vector<sim::Message> elects;
   for (NodeIndex v = 0; v < 4; ++v) {
-    elects.push_back(tagged(Tag::kElect, v, cfg.ids[v]));
+    elects.push_back(tagged(Kind::kElect, v, cfg.ids[v]));
   }
   node.receive(1, elects);  // view of 4 members, t = 1
   // Round 2: id reports.
   std::vector<sim::Message> reports;
   for (NodeIndex v = 0; v < cfg.n; ++v) {
-    reports.push_back(tagged(Tag::kIdReport, v, cfg.ids[v]));
+    reports.push_back(tagged(Kind::kIdReport, v, cfg.ids[v]));
   }
   node.receive(2, reports);
   // Round 3 send: must broadcast the identity vector blob to the view.
@@ -402,7 +407,7 @@ TEST(ByzNodeUnit, FullExchangeAblationMergesByWitnessCount) {
   node.send(3, vec_out);
   ASSERT_EQ(vec_out.size(), 4u);
   for (const auto& [dest, msg] : vec_out.entries()) {
-    EXPECT_EQ(msg.kind, static_cast<sim::MsgKind>(Tag::kVector));
+    EXPECT_EQ(msg.kind, raw(Kind::kVector));
     ASSERT_TRUE(msg.blob);
     EXPECT_EQ(msg.blob->size(), cfg.n);
   }

@@ -15,9 +15,12 @@
 #include "sim/engine.h"
 #include "sim/message.h"
 #include "sim/node.h"
+#include "test_support.h"
 
 namespace renaming::sim {
 namespace {
+
+using test_support::raw_wire_bits;
 
 constexpr MsgKind kPing = 3;
 
@@ -52,7 +55,7 @@ TEST(CheckInvariantsDeathTest, MarkByzantineOutOfRangeAborts) {
 class TamperingNode final : public QuietNode {
  public:
   void send(Round, Outbox& out) override {
-    Message m = make_message(kPing, 8, std::uint64_t{0});
+    Message m = make_message(kPing, raw_wire_bits(8), std::uint64_t{0});
     m.sender = 999;  // forged true-origin field, not just claimed_sender
     m.claimed_sender = 999;
     out.entries().emplace_back(0, m);
@@ -75,7 +78,7 @@ class FreeRiderNode final : public QuietNode {
   void send(Round, Outbox& out) override {
     Message m;
     m.kind = kPing;
-    m.bits = 0;
+    m.bits = raw_wire_bits(0);
     m.sender = 0;
     m.claimed_sender = 0;
     out.entries().emplace_back(1, m);
@@ -93,7 +96,8 @@ TEST(CheckInvariantsDeathTest, UndeclaredWireSizeAbortsDelivery) {
 
 TEST(CheckInvariantsDeathTest, OutboxRejectsOutOfRangeDestination) {
   Outbox out(0, 2);
-  EXPECT_DEATH(out.send(2, make_message(kPing, 8)), "outside the system");
+  EXPECT_DEATH(out.send(2, make_message(kPing, raw_wire_bits(8))),
+               "outside the system");
 }
 
 TEST(CheckInvariantsDeathTest, AdversaryCrashingUnknownNodeAborts) {
@@ -140,7 +144,7 @@ class KeepListAdversary final : public CrashAdversary {
 class UnicastNode final : public QuietNode {
  public:
   void send(Round, Outbox& out) override {
-    out.send(1, make_message(kPing, 8, std::uint64_t{7}));
+    out.send(1, make_message(kPing, raw_wire_bits(8), std::uint64_t{7}));
   }
   bool done() const override { return false; }
 };

@@ -11,12 +11,14 @@
 #include "consensus/phase_king.h"
 #include "consensus/validator.h"
 #include "sim/engine.h"
+#include "sim/wire_schema.h"
 
 namespace renaming::consensus {
 namespace {
 
-constexpr sim::MsgKind kKind = 99;
-constexpr std::uint32_t kBits = 80;
+// Every message below, honest or forged, is sent at kKind's row width.
+constexpr sim::wire::Kind kKind = sim::wire::Kind::kConsensus;
+constexpr sim::wire::WireContext kCtx{64, 5ull * 64 * 64};
 
 CommitteeView make_view(NodeIndex m) {
   std::vector<Member> members;
@@ -73,8 +75,9 @@ class EquivocatorNode : public sim::Node {
     for (int volley = 0; volley < 2; ++volley) {
       for (const Member& m : view_.members()) {
         out.send(m.link,
-                 sim::make_message(kKind, kBits, std::uint64_t{0},
-                                   rng_.below(3), rng_(), rng_(), rng_()));
+                 sim::wire::make_message(kKind, kCtx, std::uint64_t{0},
+                                         rng_.below(3), rng_(), rng_(),
+                                         rng_()));
       }
     }
   }
@@ -105,7 +108,7 @@ std::vector<bool> run_phase_king(const CommitteeView& view,
       nodes.push_back(std::make_unique<EquivocatorNode>(view, i, seed));
     } else {
       nodes.push_back(std::make_unique<HarnessNode>(
-          std::make_unique<PhaseKing>(view, i, /*session=*/0, kKind, kBits,
+          std::make_unique<PhaseKing>(view, i, /*session=*/0, kKind, kCtx,
                                       inputs[i] != 0)));
     }
   }
@@ -203,7 +206,7 @@ std::vector<ValidatorOutcome> run_validator(
       nodes.push_back(std::make_unique<EquivocatorNode>(view, i, seed));
     } else {
       nodes.push_back(std::make_unique<HarnessNode>(std::make_unique<Validator>(
-          view, i, /*session=*/0, kKind, kBits, inputs[i])));
+          view, i, /*session=*/0, kKind, kCtx, inputs[i])));
     }
   }
   sim::Engine engine(std::move(nodes));
@@ -299,7 +302,7 @@ class SplitVoteNode : public sim::Node {
     for (std::size_t i = 0; i < view_.size(); ++i) {
       const std::uint64_t value = i < view_.size() / 2 ? 0 : 1;
       out.send(view_.member(i).link,
-               sim::make_message(kKind, kBits, session_, subkind, value));
+               sim::wire::make_message(kKind, kCtx, session_, subkind, value));
     }
   }
   void receive(Round, sim::InboxView) override {}
@@ -324,7 +327,7 @@ TEST(PhaseKing, AgreementUnderSplitVoteAttack) {
         nodes.push_back(std::make_unique<SplitVoteNode>(view, 0));
       } else {
         nodes.push_back(std::make_unique<HarnessNode>(
-            std::make_unique<PhaseKing>(view, i, 0, kKind, kBits,
+            std::make_unique<PhaseKing>(view, i, 0, kKind, kCtx,
                                         inputs[i] != 0)));
       }
     }
@@ -357,7 +360,7 @@ TEST(Validator, SplitVoteAttackCannotFabricateOutput) {
         nodes.push_back(std::make_unique<SplitVoteNode>(view, 0));
       } else {
         nodes.push_back(std::make_unique<HarnessNode>(
-            std::make_unique<Validator>(view, i, 0, kKind, kBits,
+            std::make_unique<Validator>(view, i, 0, kKind, kCtx,
                                         i < 5 ? a : b)));
       }
     }

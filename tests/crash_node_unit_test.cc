@@ -14,9 +14,14 @@
 
 #include "crash/crash_renaming.h"
 #include "obs/provenance.h"
+#include "test_support.h"
 
 namespace renaming::crash {
 namespace {
+
+using sim::wire::Kind;
+using sim::wire::raw;
+using test_support::raw_wire_bits;
 
 SystemConfig fixed_config() {
   SystemConfig cfg;
@@ -35,7 +40,7 @@ CrashParams always_elected() {
 
 sim::Message status(NodeIndex sender, OriginalId id, Interval i,
                     std::uint32_t d, std::uint32_t p) {
-  auto m = sim::make_message(static_cast<sim::MsgKind>(Tag::kStatus), 64, id,
+  auto m = sim::make_message(raw(Kind::kStatus), raw_wire_bits(64), id,
                              i.lo, i.hi, d, p);
   m.sender = sender;
   m.claimed_sender = sender;
@@ -43,7 +48,7 @@ sim::Message status(NodeIndex sender, OriginalId id, Interval i,
 }
 
 sim::Message committee_notice(NodeIndex sender, OriginalId id) {
-  auto m = sim::make_message(static_cast<sim::MsgKind>(Tag::kCommittee), 16,
+  auto m = sim::make_message(raw(Kind::kCommittee), raw_wire_bits(16),
                              id);
   m.sender = sender;
   m.claimed_sender = sender;
@@ -52,7 +57,7 @@ sim::Message committee_notice(NodeIndex sender, OriginalId id) {
 
 sim::Message response(NodeIndex sender, OriginalId dest_id, Interval i,
                       std::uint32_t d, std::uint32_t p) {
-  auto m = sim::make_message(static_cast<sim::MsgKind>(Tag::kResponse), 64,
+  auto m = sim::make_message(raw(Kind::kResponse), raw_wire_bits(64),
                              dest_id, i.lo, i.hi, d, p);
   m.sender = sender;
   m.claimed_sender = sender;
@@ -77,7 +82,7 @@ TEST(CrashNodeUnit, Round1ElectedBroadcastsNotice) {
   node.send(1, out);
   ASSERT_EQ(out.size(), 4u);  // all n links, including self
   for (const auto& [dest, msg] : out.entries()) {
-    EXPECT_EQ(msg.kind, static_cast<sim::MsgKind>(Tag::kCommittee));
+    EXPECT_EQ(msg.kind, raw(Kind::kCommittee));
     EXPECT_EQ(msg.w[0], 200u);
   }
 }
@@ -96,7 +101,7 @@ TEST(CrashNodeUnit, Round2ReportsOnlyToAnnouncedLinks) {
   std::vector<NodeIndex> dests;
   for (const auto& [dest, msg] : out.entries()) {
     dests.push_back(dest);
-    EXPECT_EQ(msg.kind, static_cast<sim::MsgKind>(Tag::kStatus));
+    EXPECT_EQ(msg.kind, raw(Kind::kStatus));
     EXPECT_EQ(msg.w[0], 100u);           // its own identity
     EXPECT_EQ(Interval(msg.w[1], msg.w[2]), Interval(1, 4));
   }
@@ -124,7 +129,7 @@ std::map<OriginalId, Interval> committee_halving(
     std::map<OriginalId, std::uint32_t>* depths = nullptr) {
   std::map<OriginalId, Interval> replies;
   for (const auto& [dest, msg] : committee_round(member, 4, statuses)) {
-    EXPECT_EQ(msg.kind, static_cast<sim::MsgKind>(Tag::kResponse));
+    EXPECT_EQ(msg.kind, raw(Kind::kResponse));
     replies[msg.w[0]] = Interval(msg.w[1], msg.w[2]);
     if (depths != nullptr) {
       (*depths)[msg.w[0]] = static_cast<std::uint32_t>(msg.w[3]);
@@ -488,7 +493,7 @@ struct Figure3Reference {
     adopted_link = kNoNode;
     std::vector<Response> responses;
     for (const sim::Message& m : inbox) {
-      if (m.kind != static_cast<sim::MsgKind>(Tag::kResponse)) continue;
+      if (m.kind != raw(Kind::kResponse)) continue;
       if (m.w[0] != id) continue;
       responses.push_back(Response{Interval(m.w[1], m.w[2]),
                                    static_cast<std::uint32_t>(m.w[3]),
@@ -532,7 +537,7 @@ sim::Message tree_response(NodeIndex sender, OriginalId dest_id, NodeIndex n,
   const std::uint64_t hi = lo + (7 * d + 13 * lo) % (n - lo + 1);
   auto m = response(sender, dest_id, Interval(lo, hi), d, 0);
   m.w[4] = p | (std::uint64_t{done_flag ? 1u : 0u} << 32);
-  m.bits = static_cast<std::uint32_t>(40 + sender);
+  m.bits = raw_wire_bits(static_cast<std::uint32_t>(40 + sender));
   return m;
 }
 

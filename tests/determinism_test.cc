@@ -21,9 +21,12 @@
 #include "obs/journal.h"
 #include "obs/telemetry.h"
 #include "sim/trace.h"
+#include "test_support.h"
 
 namespace renaming {
 namespace {
+
+using test_support::raw_wire_bits;
 
 struct Traced {
   std::string jsonl;
@@ -101,7 +104,7 @@ TEST(Determinism, RunStatsEqualityComparesPerRoundLedgers) {
   // per-round ledger must not compare equal just because totals match.
   sim::RunStats a;
   a.per_round.push_back({});
-  a.note_message(8);
+  a.note_message(raw_wire_bits(8));
   sim::RunStats b = a;
   EXPECT_EQ(a, b);
   b.per_round.back().bits += 1;

@@ -5,9 +5,14 @@
 #include "byzantine/byz_renaming.h"
 #include "byzantine/strategies.h"
 #include "core/directory.h"
+#include "test_support.h"
 
 namespace renaming {
 namespace {
+
+using sim::wire::Kind;
+using sim::wire::raw;
+using test_support::raw_wire_bits;
 
 SystemConfig tiny() {
   SystemConfig cfg;
@@ -50,7 +55,7 @@ TEST(Strategies, SplitReporterDropsOddIdReports) {
   std::vector<sim::Message> elects;
   for (NodeIndex v = 0; v < cfg.n; ++v) {
     auto m = sim::make_message(
-        static_cast<sim::MsgKind>(byzantine::Tag::kElect), 16, cfg.ids[v]);
+        raw(Kind::kElect), raw_wire_bits(16), cfg.ids[v]);
     m.sender = v;
     m.claimed_sender = v;
     elects.push_back(m);

@@ -31,9 +31,13 @@
 #include "sim/node.h"
 #include "sim/trace.h"
 #include "sim/wire_schema.h"
+#include "test_support.h"
 
 namespace renaming::sim {
 namespace {
+
+using test_support::raw_wire_bits;
+using wire::Kind;
 
 constexpr MsgKind kWave = 11;
 constexpr MsgKind kExtra = 12;
@@ -54,9 +58,10 @@ class WaveNode : public Node {
   void send(Round round, Outbox& out) override {
     if (self_ % 3 == 0) {
       out.send((self_ + 1) % n_,
-               make_message(kExtra, 16, static_cast<std::uint64_t>(round)));
+               make_message(kExtra, raw_wire_bits(16),
+                            static_cast<std::uint64_t>(round)));
     }
-    Message wave = make_message(kWave, 32,
+    Message wave = make_message(kWave, raw_wire_bits(32),
                                 static_cast<std::uint64_t>(self_), round);
     if (spoof_) wave.claimed_sender = (self_ + 1) % n_;
     if (use_broadcast_) {
@@ -66,7 +71,8 @@ class WaveNode : public Node {
     }
     if (self_ % 4 == 0) {
       out.send((self_ + 2) % n_,
-               make_message(kExtra, 24, static_cast<std::uint64_t>(round)));
+               make_message(kExtra, raw_wire_bits(24),
+                            static_cast<std::uint64_t>(round)));
     }
   }
 
@@ -196,7 +202,8 @@ class PureBroadcaster final : public Node {
       : self_(self), rounds_(rounds), n_(n), use_broadcast_(use_broadcast),
         spoof_(spoof) {}
   void send(Round, Outbox& out) override {
-    Message m = make_message(kWave, 32, static_cast<std::uint64_t>(self_));
+    Message m = make_message(kWave, raw_wire_bits(32),
+                             static_cast<std::uint64_t>(self_));
     if (spoof_) m.claimed_sender = (self_ + 1) % n_;
     if (use_broadcast_) {
       out.broadcast(m);
@@ -284,13 +291,14 @@ class BurstyNode final : public Node {
     switch ((round - 1) % 3) {
       case 0:
         for (NodeIndex d = 0; d < n_; d += 2) {
-          out.send(d, make_message(kExtra, 8, static_cast<std::uint64_t>(d)));
+          out.send(d, make_message(kExtra, raw_wire_bits(8),
+                                   static_cast<std::uint64_t>(d)));
         }
         break;
       case 1:
         break;
       case 2:
-        out.broadcast(make_message(kWave, 32,
+        out.broadcast(make_message(kWave, raw_wire_bits(32),
                                    static_cast<std::uint64_t>(self_)));
         break;
     }
@@ -355,8 +363,9 @@ class SubsetCaster : public Node {
 
   void send(Round round, Outbox& out) override {
     out.send((self_ + 1) % n_,
-             make_message(kExtra, 16, static_cast<std::uint64_t>(round)));
-    Message wave = make_message(kWave, 32,
+             make_message(kExtra, raw_wire_bits(16),
+                          static_cast<std::uint64_t>(round)));
+    Message wave = make_message(kWave, raw_wire_bits(32),
                                 static_cast<std::uint64_t>(self_), round);
     if (spoof_) wave.claimed_sender = (self_ + 1) % n_;
     if (use_multicast_) {
@@ -366,7 +375,8 @@ class SubsetCaster : public Node {
     }
     if (self_ % 2 == 0) {
       out.send((self_ + 2) % n_,
-               make_message(kExtra, 24, static_cast<std::uint64_t>(round)));
+               make_message(kExtra, raw_wire_bits(24),
+                            static_cast<std::uint64_t>(round)));
     }
   }
 
@@ -497,7 +507,8 @@ TEST(MulticastFastPath, MulticastToAllNodesMatchesBroadcast) {
       AllCaster(NodeIndex self, std::vector<NodeIndex> all, bool broadcast)
           : self_(self), all_(std::move(all)), broadcast_(broadcast) {}
       void send(Round, Outbox& out) override {
-        Message m = make_message(kWave, 32, static_cast<std::uint64_t>(self_));
+        Message m = make_message(kWave, raw_wire_bits(32),
+                                 static_cast<std::uint64_t>(self_));
         if (broadcast_) {
           out.broadcast(m);
         } else {
@@ -536,11 +547,12 @@ TEST(MulticastFastPath, MulticastToAllNodesMatchesBroadcast) {
 TEST(Outbox, MulticastExpandAndSizeMatchSendLoop) {
   const std::vector<NodeIndex> dests = {3, 0, 2};
   Outbox compressed(1, 4), loop(1, 4);
-  compressed.send(1, make_message(kExtra, 8, std::uint64_t{7}));
-  loop.send(1, make_message(kExtra, 8, std::uint64_t{7}));
-  compressed.multicast(dests, make_message(kWave, 32, std::uint64_t{5}));
+  compressed.send(1, make_message(kExtra, raw_wire_bits(8), std::uint64_t{7}));
+  loop.send(1, make_message(kExtra, raw_wire_bits(8), std::uint64_t{7}));
+  compressed.multicast(dests, make_message(kWave, raw_wire_bits(32),
+                                           std::uint64_t{5}));
   for (NodeIndex d : dests) {
-    loop.send(d, make_message(kWave, 32, std::uint64_t{5}));
+    loop.send(d, make_message(kWave, raw_wire_bits(32), std::uint64_t{5}));
   }
   EXPECT_EQ(compressed.entries().size(), 2u);
   EXPECT_EQ(compressed.size(), 4u);
@@ -596,23 +608,25 @@ TEST(Outbox, InPlaceUnicastMatchesMakeThenSend) {
                              std::uint64_t v) {
       switch (shape) {
         case 0:
-          made.send(dest, wire::make_message(2, ctx, v, 1, 2, 3, v));
-          wire::send(in_place, dest, 2, ctx, v, 1, 2, 3, v);
+          made.send(dest,
+                    wire::make_message(Kind::kStatus, ctx, v, 1, 2, 3, v));
+          wire::send(in_place, dest, Kind::kStatus, ctx, v, 1, 2, 3, v);
           break;
         case 1:
-          made.send(dest, wire::make_message(15, ctx, v));
-          wire::send(in_place, dest, 15, ctx, v);
+          made.send(dest, wire::make_message(Kind::kNew, ctx, v));
+          wire::send(in_place, dest, Kind::kNew, ctx, v);
           break;
         default:
-          made.send(dest, wire::make_message(11, ctx, v));
-          wire::send(in_place, dest, 11, ctx, v);
+          made.send(dest, wire::make_message(Kind::kIdReport, ctx, v));
+          wire::send(in_place, dest, Kind::kIdReport, ctx, v);
       }
     };
     const std::uint64_t ops = 1 + rng.below(30);
     for (std::uint64_t op = 0; op < ops; ++op) {
       switch (rng.below(6)) {
         case 0: {  // broadcast entry
-          const Message m = wire::make_message(1, ctx, rng.below(3));
+          const Message m = wire::make_message(Kind::kCommittee, ctx,
+                                               rng.below(3));
           made.broadcast(m);
           in_place.broadcast(m);
           break;
@@ -622,7 +636,8 @@ TEST(Outbox, InPlaceUnicastMatchesMakeThenSend) {
           for (std::uint64_t k = rng.below(5); k > 0; --k) {
             dests.push_back(static_cast<NodeIndex>(rng.below(n)));
           }
-          const Message m = wire::make_message(13, ctx, rng.below(3), 7);
+          const Message m = wire::make_message(Kind::kConsensus, ctx,
+                                               rng.below(3), 7);
           made.multicast(dests, m);
           in_place.multicast(dests, m);
           break;
@@ -681,16 +696,18 @@ class NapNode : public Node {
 
   void send(Round round, Outbox& out) override {
     if (round <= active_rounds_) {
-      out.broadcast(make_message(kWave, 32,
+      out.broadcast(make_message(kWave, raw_wire_bits(32),
                                  static_cast<std::uint64_t>(self_), round));
     }
     if (self_ == 0 && round == wake_round_) {
       for (NodeIndex d = 1; d < n_; ++d) {
-        out.send(d, make_message(kPing, 16, static_cast<std::uint64_t>(d)));
+        out.send(d, make_message(kPing, raw_wire_bits(16),
+                                 static_cast<std::uint64_t>(d)));
       }
     }
     if (self_ != 0 && woke_ && !acked_) {
-      out.send(0, make_message(kAck, 16, static_cast<std::uint64_t>(self_)));
+      out.send(0, make_message(kAck, raw_wire_bits(16),
+                               static_cast<std::uint64_t>(self_)));
       acked_ = true;
     }
   }
@@ -788,7 +805,7 @@ TEST(InboxArena, LazyResetLeavesUntouchedNodesEmpty) {
   // Unicast-only rounds slice only the touched destinations; nodes the
   // round never addressed read an empty view through a stale stamp, with
   // no O(n) re-zeroing between rounds.
-  const Message a = make_message(kWave, 16, std::uint64_t{1});
+  const Message a = make_message(kWave, raw_wire_bits(16), std::uint64_t{1});
   InboxArena arena;
   arena.begin_round(64);
   arena.expect_unicast(7);
@@ -826,9 +843,9 @@ TEST(InboxArena, LazyResetLeavesUntouchedNodesEmpty) {
 
 TEST(Outbox, ExpandPreservesLogicalOrderAndStamps) {
   Outbox out(1, 3);
-  out.send(2, make_message(kExtra, 8, std::uint64_t{9}));
-  out.broadcast(make_message(kWave, 32, std::uint64_t{5}));
-  out.send(0, make_message(kExtra, 8, std::uint64_t{4}));
+  out.send(2, make_message(kExtra, raw_wire_bits(8), std::uint64_t{9}));
+  out.broadcast(make_message(kWave, raw_wire_bits(32), std::uint64_t{5}));
+  out.send(0, make_message(kExtra, raw_wire_bits(8), std::uint64_t{4}));
   EXPECT_EQ(out.entries().size(), 3u);
   EXPECT_EQ(out.size(), 5u);
   out.expand();
@@ -852,7 +869,7 @@ TEST(Outbox, ExpandPreservesLogicalOrderAndStamps) {
 TEST(InboxView, DirectAndIndirectModesIterateIdentically) {
   std::vector<Message> msgs;
   for (std::uint64_t i = 0; i < 4; ++i) {
-    msgs.push_back(make_message(kWave, 16, i));
+    msgs.push_back(make_message(kWave, raw_wire_bits(16), i));
   }
   std::vector<const Message*> ptrs;
   for (const Message& m : msgs) ptrs.push_back(&m);
@@ -874,8 +891,8 @@ TEST(InboxArena, UpperBoundSlicesReportOnlyDeliveredSlots) {
   // Two nodes; node 0 is expected to receive up to 3 messages but only 1
   // is delivered (the others are "spoofed/crashed away"): view(0) must see
   // exactly the delivered one, and node 1's slice must be unaffected.
-  const Message a = make_message(kWave, 16, std::uint64_t{1});
-  const Message b = make_message(kWave, 16, std::uint64_t{2});
+  const Message a = make_message(kWave, raw_wire_bits(16), std::uint64_t{1});
+  const Message b = make_message(kWave, raw_wire_bits(16), std::uint64_t{2});
   InboxArena arena;
   arena.begin_round(2);
   arena.expect_unicast(0);

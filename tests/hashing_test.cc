@@ -10,9 +10,12 @@
 #include "hashing/fingerprint.h"
 #include "hashing/mersenne61.h"
 #include "hashing/shared_random.h"
+#include "test_support.h"
 
 namespace renaming::hashing {
 namespace {
+
+using test_support::of_range;
 
 TEST(SharedRandomness, SameSeedSameValues) {
   SharedRandomness a(123), b(123);
@@ -89,9 +92,9 @@ TEST_F(FingerprintTest, EqualSegmentsHashEqual) {
     a.set(i);
     b.set(i);
   }
-  EXPECT_EQ(set_.of_range(a, 0, 999), set_.of_range(b, 0, 999));
-  EXPECT_EQ(rabin_.of_range(a, 0, 999), rabin_.of_range(b, 0, 999));
-  EXPECT_EQ(set_.of_range(a, 50, 600), set_.of_range(b, 50, 600));
+  EXPECT_EQ(of_range(set_, a, 0, 999), of_range(set_, b, 0, 999));
+  EXPECT_EQ(of_range(rabin_, a, 0, 999), of_range(rabin_, b, 0, 999));
+  EXPECT_EQ(of_range(set_, a, 50, 600), of_range(set_, b, 50, 600));
 }
 
 TEST_F(FingerprintTest, SingleBitFlipChangesBothHashes) {
@@ -106,9 +109,9 @@ TEST_F(FingerprintTest, SingleBitFlipChangesBothHashes) {
   for (std::uint64_t flip : {0ULL, 63ULL, 64ULL, 2048ULL, 4095ULL}) {
     BitVec c = b;
     c.set(flip, !c.test(flip));
-    EXPECT_NE(set_.of_range(a, 0, 4095), set_.of_range(c, 0, 4095))
+    EXPECT_NE(of_range(set_, a, 0, 4095), of_range(set_, c, 0, 4095))
         << "flip=" << flip;
-    EXPECT_NE(rabin_.of_range(a, 0, 4095), rabin_.of_range(c, 0, 4095))
+    EXPECT_NE(of_range(rabin_, a, 0, 4095), of_range(rabin_, c, 0, 4095))
         << "flip=" << flip;
   }
 }
@@ -121,8 +124,8 @@ TEST_F(FingerprintTest, AdversariallySimilarSegmentsDoNotCollide) {
     a.set(i);
     b.set(i + 1);
   }
-  EXPECT_NE(set_.of_range(a, 0, 2047), set_.of_range(b, 0, 2047));
-  EXPECT_NE(rabin_.of_range(a, 0, 2047), rabin_.of_range(b, 0, 2047));
+  EXPECT_NE(of_range(set_, a, 0, 2047), of_range(set_, b, 0, 2047));
+  EXPECT_NE(of_range(rabin_, a, 0, 2047), of_range(rabin_, b, 0, 2047));
   // Same popcount by construction:
   EXPECT_EQ(a.count(), b.count());
 }
@@ -131,9 +134,9 @@ TEST_F(FingerprintTest, SetHashIsAdditiveOverDisjointRanges) {
   BitVec a(512);
   Xoshiro256 rng(17);
   for (int i = 0; i < 64; ++i) a.set(rng.below(512));
-  const auto whole = set_.of_range(a, 0, 511);
-  const auto left = set_.of_range(a, 0, 255);
-  const auto right = set_.of_range(a, 256, 511);
+  const auto whole = of_range(set_, a, 0, 511);
+  const auto left = of_range(set_, a, 0, 255);
+  const auto right = of_range(set_, a, 256, 511);
   EXPECT_EQ(whole, m61_add(left, right));
 }
 
@@ -144,7 +147,7 @@ TEST_F(FingerprintTest, OfIdsMatchesOfRange) {
     a.set(pos);
     ids.push_back(pos + 1);
   }
-  EXPECT_EQ(set_.of_range(a, 0, 299), set_.of_ids(ids));
+  EXPECT_EQ(of_range(set_, a, 0, 299), set_.of_ids(ids));
 }
 
 TEST_F(FingerprintTest, DifferentBeaconsGiveDifferentFunctions) {
@@ -198,19 +201,19 @@ TEST_F(FingerprintTest, RabinSparseScanMatchesNaiveReference) {
   Xoshiro256 rng(42);
   for (int i = 0; i < 6000; ++i) dense.set(rng.below(kBits));
   for (const BitVec* v : {&sparse, &empty, &dense}) {
-    EXPECT_EQ(rabin_.of_range(*v, 0, kBits - 1),
+    EXPECT_EQ(of_range(rabin_, *v, 0, kBits - 1),
               rabin_naive(rabin_, *v, 0, kBits - 1));
     for (int trial = 0; trial < 60; ++trial) {
       std::uint64_t lo = rng.below(kBits);
       std::uint64_t hi = rng.below(kBits);
       if (lo > hi) std::swap(lo, hi);
-      ASSERT_EQ(rabin_.of_range(*v, lo, hi), rabin_naive(rabin_, *v, lo, hi))
+      ASSERT_EQ(of_range(rabin_, *v, lo, hi), rabin_naive(rabin_, *v, lo, hi))
           << lo << ".." << hi;
     }
   }
   // Singleton ranges: set and unset positions.
-  EXPECT_EQ(rabin_.of_range(sparse, 64, 64), 1u);
-  EXPECT_EQ(rabin_.of_range(sparse, 65, 65), 0u);
+  EXPECT_EQ(of_range(rabin_, sparse, 64, 64), 1u);
+  EXPECT_EQ(of_range(rabin_, sparse, 65, 65), 0u);
 }
 
 TEST_F(FingerprintTest, RandomPairsNeverCollide) {
@@ -221,7 +224,7 @@ TEST_F(FingerprintTest, RandomPairsNeverCollide) {
   for (int k = 0; k < 200; ++k) {
     BitVec v(256);
     for (int i = 0; i < 128; ++i) v.set(rng.below(256));
-    hashes.push_back(set_.of_range(v, 0, 255));
+    hashes.push_back(of_range(set_, v, 0, 255));
   }
   std::sort(hashes.begin(), hashes.end());
   EXPECT_EQ(std::adjacent_find(hashes.begin(), hashes.end()), hashes.end());

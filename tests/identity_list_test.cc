@@ -10,9 +10,12 @@
 #include "common/bitvec.h"
 #include "common/prng.h"
 #include "hashing/fingerprint.h"
+#include "test_support.h"
 
 namespace renaming::byzantine {
 namespace {
+
+using test_support::of_range;
 
 class IdentityListTest : public ::testing::Test {
  protected:
@@ -56,7 +59,7 @@ TEST_F(IdentityListTest, MatchesDenseReferenceOnRandomContents) {
     if (lo > hi) std::swap(lo, hi);
     const auto s = list.summarize(Interval(lo, hi));
     ASSERT_EQ(s.count, dense.count_range(lo - 1, hi - 1)) << lo << ".." << hi;
-    ASSERT_EQ(s.fingerprint, reference_.of_range(dense, lo - 1, hi - 1))
+    ASSERT_EQ(s.fingerprint, of_range(reference_, dense, lo - 1, hi - 1))
         << lo << ".." << hi;
   }
 }
@@ -162,7 +165,7 @@ TEST_F(IdentityListTest, RandomInterleavingsMatchDenseAcrossBucketSplits) {
     if (lo > hi) std::swap(lo, hi);
     const auto s = list.summarize(Interval(lo, hi));
     ASSERT_EQ(s.count, dense.count_range(lo - 1, hi - 1)) << "step " << step;
-    ASSERT_EQ(s.fingerprint, reference_.of_range(dense, lo - 1, hi - 1))
+    ASSERT_EQ(s.fingerprint, of_range(reference_, dense, lo - 1, hi - 1))
         << "step " << step;
     ASSERT_EQ(list.rank(hi), dense.rank(hi - 1)) << "step " << step;
     const auto window = list.ids_in(Interval(lo, hi));

@@ -29,10 +29,14 @@
 #include "obs/provenance.h"
 #include "obs/telemetry.h"
 #include "sim/engine.h"
+#include "sim/observers.h"
 #include "sim/trace.h"
+#include "test_support.h"
 
 namespace renaming {
 namespace {
+
+using test_support::raw_wire_bits;
 
 std::string to_bytes(const obs::JournalData& data) {
   std::ostringstream out;
@@ -190,7 +194,7 @@ TEST(Journal, JsonlWritersEscapeTheAlgorithmName) {
   provenance.algorithm = algorithm;
   obs::write_provenance_jsonl(out, provenance);
   obs::Progress progress;
-  progress.set_run_info(algorithm);
+  sim::Observers{.progress = &progress}.begin(algorithm, 4, 0);
   progress.set_sink(&out);
   progress.begin_run(4);
 
@@ -271,7 +275,8 @@ TEST(JsonEscape, AnyBytesBecomeValidUtf8AndValidTextIsUnchanged) {
   for (const std::uint32_t cp :
        {0x80u, 0x7FFu, 0x800u, 0xD7FFu, 0xE000u, 0xFFFDu, 0xFFFFu, 0x10000u,
         0x10FFFFu}) {
-    const std::string in = "a" + utf8_encode(cp) + "z";
+    // Appended, not `"a" + std::string` (GCC 12 -Wrestrict misfires).
+    const std::string in = std::string("a").append(utf8_encode(cp)) + "z";
     EXPECT_EQ(check(in), in) << cp;
   }
   // ...while overlongs, surrogates, values past U+10FFFF, invalid leads and
@@ -381,7 +386,7 @@ class ProbeNode final : public sim::Node {
   void send(Round round, sim::Outbox& out) override {
     std::uint64_t word = (static_cast<std::uint64_t>(self_) << 20) | round;
     if (round == flip_round_) word ^= 1ull << 17;
-    out.broadcast(sim::make_message(kProbe, 32, word));
+    out.broadcast(sim::make_message(kProbe, raw_wire_bits(32), word));
   }
 
   void receive(Round round, sim::InboxView) override { executed_ = round; }
@@ -401,7 +406,7 @@ obs::JournalData probe_run(NodeIndex n, Round rounds, Round flip_round) {
         v, rounds, v == 3 ? flip_round : Round{0}));
   }
   obs::Journal journal;
-  journal.set_run_info("probe", n, 0);
+  sim::Observers{.journal = &journal}.begin("probe", n, 0);
   sim::Engine engine(std::move(nodes), nullptr, {.journal = &journal});
   engine.run(rounds);
   return journal.data();

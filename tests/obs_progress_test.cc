@@ -37,6 +37,7 @@
 #include "obs/rss.h"
 #include "obs/shard_profile.h"
 #include "obs/telemetry.h"
+#include "sim/observers.h"
 #include "sim/parallel/worker_pool.h"
 #include "sim/trace.h"
 
@@ -228,7 +229,7 @@ TEST(Progress, SinkReceivesHeaderEverySampleAndDoneLine) {
   std::ostringstream out;
   obs::Progress progress;
   progress.set_sink(&out);
-  progress.set_run_info("unit");
+  sim::Observers{.progress = &progress}.begin("unit", 4, 0);
   progress.begin_run(4);
   progress.on_round_end(1, 10, 100, 4, 0, 4);
   progress.end_run(1);
@@ -290,7 +291,7 @@ TEST(Progress, HeartbeatPeakRssIsMeasuredAndFollowsThePerCellReset) {
 
 TEST(ShardProfile, AggregatesPerPhaseTotalsAndDerivedMetrics) {
   obs::ShardProfile profile;
-  profile.set_run_info("unit");
+  sim::Observers{.plan = {.profile = &profile}}.begin("unit", 100, 0);
   profile.begin_run(100, 2);
   profile.on_round_begin(1);
   profile.note_shard(obs::ShardPhase::kSend, 0, 100, 200);
@@ -344,7 +345,7 @@ TEST(ShardProfile, SampleRingDropsOldRoundsButKeepsTotals) {
 
 TEST(ShardProfile, BinaryFormatRoundTrips) {
   obs::ShardProfile profile;
-  profile.set_run_info("roundtrip");
+  sim::Observers{.plan = {.profile = &profile}}.begin("roundtrip", 64, 0);
   profile.begin_run(64, 3);
   for (Round r = 1; r <= 4; ++r) {
     profile.on_round_begin(r);

@@ -19,6 +19,7 @@
 #include "json_check.h"
 #include "obs/doctor.h"
 #include "obs/provenance.h"
+#include "sim/observers.h"
 #include "sim/parallel/plan.h"
 #include "sim/parallel/worker_pool.h"
 
@@ -104,8 +105,7 @@ TEST(Provenance, WatchSetRetainsWatchedAndPinnedCausesOnly) {
   opts.watch_nodes = {2};
   opts.horizon = 4;
   obs::Provenance prov(opts);
-  prov.set_run_info("unit", 8, 0);
-  prov.begin_run(8);
+  sim::Observers{.provenance = &prov}.begin("unit", 8, 0);
   EXPECT_TRUE(prov.watched(2));
   EXPECT_FALSE(prov.watched(3));
 
@@ -148,8 +148,7 @@ TEST(Provenance, SampleModeWatchesStridedNodes) {
   obs::ProvenanceOptions opts;
   opts.sample = 4;
   obs::Provenance prov(opts);
-  prov.set_run_info("unit", 16, 0);
-  prov.begin_run(16);
+  sim::Observers{.provenance = &prov}.begin("unit", 16, 0);
   EXPECT_TRUE(prov.watched(0));
   EXPECT_FALSE(prov.watched(1));
   prov.end_run(1);
@@ -214,8 +213,7 @@ TEST(ProvenanceDoctor, WhyReportsUnwatchedNodes) {
   // A node with no retained events at all: found = false and the
   // explanation points at the watch-set flags.
   obs::Provenance empty(opts);
-  empty.set_run_info("unit", 8, 0);
-  empty.begin_run(8);
+  sim::Observers{.provenance = &empty}.begin("unit", 8, 0);
   empty.note_event(1, 0, obs::ProvEventKind::kNameClaim, 30, 1, 0, {});
   empty.end_run(1);
   const auto report = obs::diagnose_why(empty.data(), 5);

@@ -24,9 +24,12 @@
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "sim/wire_schema.h"
+#include "test_support.h"
 
 namespace renaming {
 namespace {
+
+using test_support::raw_wire_bits;
 
 // --- instruments ------------------------------------------------------------
 
@@ -212,7 +215,7 @@ TEST(Telemetry, UnregisteredKindsFallBackToUnattributed) {
   obs::Telemetry t;
   t.begin_run(2);
   t.on_round_begin(1);
-  t.note_messages(/*kind=*/777, /*count=*/5, /*bits=*/32);
+  t.note_messages(/*kind=*/777, /*count=*/5, /*bits=*/raw_wire_bits(32));
   t.on_round_end(1);
   t.end_run(1);
   EXPECT_EQ(t.phase(obs::PhaseId::kUnattributed).messages, 5u);
@@ -226,7 +229,8 @@ TEST(Telemetry, FreshObjectAttributesEveryTableRow) {
   // attribution comes from the message-kind table alone.
   const obs::Telemetry t;
   for (const sim::wire::WireSchema& row : sim::wire::kWireSchemas) {
-    EXPECT_EQ(t.phase_of_kind(row.kind), row.phase) << row.name;
+    EXPECT_EQ(t.phase_of_kind(sim::wire::raw(row.kind)), row.phase)
+        << row.name;
   }
   EXPECT_EQ(t.phase_of_kind(777), obs::PhaseId::kUnattributed);
 }

@@ -11,9 +11,12 @@
 #include "sim/engine.h"
 #include "sim/message.h"
 #include "sim/node.h"
+#include "test_support.h"
 
 namespace renaming::sim {
 namespace {
+
+using test_support::raw_wire_bits;
 
 constexpr MsgKind kPing = 7;
 
@@ -23,7 +26,8 @@ class PingNode : public Node {
   PingNode(NodeIndex self, Round rounds) : self_(self), rounds_(rounds) {}
 
   void send(Round, Outbox& out) override {
-    out.broadcast(make_message(kPing, 32, static_cast<std::uint64_t>(self_)));
+    out.broadcast(make_message(kPing, raw_wire_bits(32),
+                               static_cast<std::uint64_t>(self_)));
   }
 
   void receive(Round round, InboxView inbox) override {
@@ -138,7 +142,8 @@ class SpooferNode final : public PingNode {
  public:
   using PingNode::PingNode;
   void send(Round, Outbox& out) override {
-    Message m = make_message(kPing, 32, static_cast<std::uint64_t>(self_));
+    Message m = make_message(kPing, raw_wire_bits(32),
+                             static_cast<std::uint64_t>(self_));
     m.claimed_sender = (self_ + 1) % 3;  // masquerade as a neighbour
     for (NodeIndex d = 0; d < 3; ++d) out.send(d, m);
   }
@@ -171,7 +176,7 @@ TEST(Engine, RandomCrashAdversaryHonoursBudget) {
 
 TEST(Authenticator, TagRoundTripAndTamperDetection) {
   Authenticator auth(0xDEADBEEF);
-  Message m = make_message(kPing, 32, 1ULL, 2ULL, 3ULL);
+  Message m = make_message(kPing, raw_wire_bits(32), 1ULL, 2ULL, 3ULL);
   m.claimed_sender = 4;
   const std::uint64_t t = auth.tag(m);
   EXPECT_TRUE(auth.verify(m, t));
@@ -241,7 +246,7 @@ TEST(Engine, CrashOrderKeepIndicesMayBeUnsorted) {
 
 TEST(OutboxBroadcastIncludesSelf, Basic) {
   Outbox out(2, 4);
-  out.broadcast(make_message(kPing, 8, 0ULL));
+  out.broadcast(make_message(kPing, raw_wire_bits(8), 0ULL));
   // Compressed: one stored entry, four logical messages.
   ASSERT_EQ(out.entries().size(), 1u);
   ASSERT_EQ(out.size(), 4u);

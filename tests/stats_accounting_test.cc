@@ -11,31 +11,35 @@
 #include "byzantine/strategies.h"
 #include "sim/stats.h"
 #include "sim/trace.h"
+#include "test_support.h"
 
 namespace renaming {
 namespace {
+
+using test_support::raw_wire_bits;
 
 TEST(StatsAccountingDeathTest, NoteMessageBeforeAnyRoundAborts) {
   // per_round.back() on an empty vector was undefined behaviour; now it is
   // a RENAMING_CHECK abort in every build type, including RelWithDebInfo.
   sim::RunStats stats;
   ASSERT_TRUE(stats.per_round.empty());
-  EXPECT_DEATH(stats.note_message(8), "note_message before any round began");
+  EXPECT_DEATH(stats.note_message(raw_wire_bits(8)),
+               "note_message before any round began");
 }
 
 TEST(StatsAccountingDeathTest, ZeroBitMessageAborts) {
   sim::RunStats stats;
   stats.per_round.push_back({});
-  EXPECT_DEATH(stats.note_message(0), "wire size");
+  EXPECT_DEATH(stats.note_message(raw_wire_bits(0)), "wire size");
 }
 
 TEST(StatsAccounting, NoteMessageUpdatesTotalsAndCurrentRound) {
   sim::RunStats stats;
   stats.per_round.push_back({});
-  stats.note_message(16);
-  stats.note_message(48);
+  stats.note_message(raw_wire_bits(16));
+  stats.note_message(raw_wire_bits(48));
   stats.per_round.push_back({});
-  stats.note_message(32);
+  stats.note_message(raw_wire_bits(32));
   EXPECT_EQ(stats.total_messages, 3u);
   EXPECT_EQ(stats.total_bits, 96u);
   EXPECT_EQ(stats.per_round[0].messages, 2u);
@@ -47,10 +51,12 @@ TEST(StatsAccounting, NoteMessageUpdatesTotalsAndCurrentRound) {
 TEST(StatsAccounting, MaxMessageBitsTracksHighWaterMark) {
   sim::RunStats stats;
   stats.per_round.push_back({});
-  stats.note_message(8);
+  stats.note_message(raw_wire_bits(8));
   EXPECT_EQ(stats.max_message_bits, 8u);
-  stats.note_message(1u << 30);  // a quadratic-baseline-sized blob
-  stats.note_message(8);         // smaller traffic must not lower the mark
+  // A quadratic-baseline-sized blob, then smaller traffic, which must not
+  // lower the mark.
+  stats.note_message(raw_wire_bits(1u << 30));
+  stats.note_message(raw_wire_bits(8));
   EXPECT_EQ(stats.max_message_bits, 1u << 30);
   EXPECT_EQ(stats.total_bits, 16u + (1u << 30));
 }
@@ -60,7 +66,7 @@ TEST(StatsAccounting, BitTotalsUse64BitAccumulators) {
   // must carry them exactly (the protocol lint enforces this statically).
   sim::RunStats stats;
   stats.per_round.push_back({});
-  for (int i = 0; i < 8; ++i) stats.note_message(1u << 30);
+  for (int i = 0; i < 8; ++i) stats.note_message(raw_wire_bits(1u << 30));
   EXPECT_EQ(stats.total_bits, 8ull << 30);
   EXPECT_EQ(stats.per_round[0].bits, 8ull << 30);
 }
@@ -76,9 +82,9 @@ TEST(StatsAccounting, BulkNoteMessagesEqualsRepeatedNoteMessage) {
     bulk.per_round.push_back({});
     repeated.per_round.push_back({});
     for (std::size_t i = 0; i < 4; ++i) {
-      bulk.note_messages(counts[i], sizes[i]);
+      bulk.note_messages(counts[i], raw_wire_bits(sizes[i]));
       for (std::uint64_t k = 0; k < counts[i]; ++k) {
-        repeated.note_message(sizes[i]);
+        repeated.note_message(raw_wire_bits(sizes[i]));
       }
     }
   }
@@ -92,11 +98,12 @@ TEST(StatsAccounting, BulkNoteMessagesWithZeroCountIsANoOp) {
   // legal even before any round began and even with bits == 0 (the engine's
   // broadcast fast path may face an empty recipient set).
   sim::RunStats stats;
-  stats.note_messages(0, 64);  // empty per_round: must not abort
-  stats.note_messages(0, 0);   // bits unchecked when nothing is charged
+  stats.note_messages(0, raw_wire_bits(64));  // empty per_round: must not abort
+  // bits unchecked when nothing is charged
+  stats.note_messages(0, raw_wire_bits(0));
   EXPECT_EQ(stats, sim::RunStats{});
   stats.per_round.push_back({});
-  stats.note_messages(0, 1u << 30);
+  stats.note_messages(0, raw_wire_bits(1u << 30));
   EXPECT_EQ(stats.total_messages, 0u);
   EXPECT_EQ(stats.total_bits, 0u);
   EXPECT_EQ(stats.max_message_bits, 0u);

@@ -15,9 +15,14 @@
 #include "sim/engine.h"
 #include "sim/wire_schema.h"
 #include "sim/trace.h"
+#include "test_support.h"
 
 namespace renaming {
 namespace {
+
+using sim::wire::Kind;
+using sim::wire::raw;
+using test_support::raw_wire_bits;
 
 TEST(CountingTrace, AgreesWithEngineStats) {
   const NodeIndex n = 64;
@@ -50,14 +55,13 @@ TEST(CountingTrace, BreaksDownCrashProtocolTraffic) {
   const auto result =
       crash::run_crash_renaming(cfg, params, nullptr, {.trace = &trace});
   ASSERT_TRUE(result.report.ok());
-  const auto kind = [](crash::Tag t) { return static_cast<sim::MsgKind>(t); };
   // All three tags present; statuses and responses pair up one-to-one in a
   // failure-free run (every status gets exactly one response).
-  EXPECT_GT(trace.sent(kind(crash::Tag::kCommittee)), 0u);
-  EXPECT_GT(trace.sent(kind(crash::Tag::kStatus)), 0u);
-  EXPECT_EQ(trace.sent(kind(crash::Tag::kStatus)),
-            trace.sent(kind(crash::Tag::kResponse)));
-  EXPECT_EQ(trace.undelivered(kind(crash::Tag::kStatus)), 0u);
+  EXPECT_GT(trace.sent(raw(Kind::kCommittee)), 0u);
+  EXPECT_GT(trace.sent(raw(Kind::kStatus)), 0u);
+  EXPECT_EQ(trace.sent(raw(Kind::kStatus)),
+            trace.sent(raw(Kind::kResponse)));
+  EXPECT_EQ(trace.undelivered(raw(Kind::kStatus)), 0u);
 }
 
 TEST(CountingTrace, SeesByzantineProtocolKinds) {
@@ -71,17 +75,14 @@ TEST(CountingTrace, SeesByzantineProtocolKinds) {
       cfg, params, {1, 17}, &byzantine::SplitReporter::make, 0,
       {.trace = &trace});
   ASSERT_TRUE(result.report.ok(true));
-  const auto kind = [](byzantine::Tag t) {
-    return static_cast<sim::MsgKind>(t);
-  };
-  EXPECT_GT(trace.sent(kind(byzantine::Tag::kElect)), 0u);
-  EXPECT_GT(trace.sent(kind(byzantine::Tag::kIdReport)), 0u);
-  EXPECT_GT(trace.sent(kind(byzantine::Tag::kValidator)), 0u);
-  EXPECT_GT(trace.sent(kind(byzantine::Tag::kConsensus)), 0u);
-  EXPECT_GT(trace.sent(kind(byzantine::Tag::kNew)), 0u);
+  EXPECT_GT(trace.sent(raw(Kind::kElect)), 0u);
+  EXPECT_GT(trace.sent(raw(Kind::kIdReport)), 0u);
+  EXPECT_GT(trace.sent(raw(Kind::kValidator)), 0u);
+  EXPECT_GT(trace.sent(raw(Kind::kConsensus)), 0u);
+  EXPECT_GT(trace.sent(raw(Kind::kNew)), 0u);
   // Consensus traffic dominates (the phase-king cost of the loop).
-  EXPECT_GT(trace.sent(kind(byzantine::Tag::kConsensus)),
-            trace.sent(kind(byzantine::Tag::kElect)));
+  EXPECT_GT(trace.sent(raw(Kind::kConsensus)),
+            trace.sent(raw(Kind::kElect)));
 }
 
 // --- per-logical-destination contract --------------------------------------
@@ -131,14 +132,17 @@ class FanoutNode final : public sim::Node {
 
   void send(Round, sim::Outbox& out) override {
     if (self_ == 0) {
-      out.broadcast(sim::make_message(kBcast, 32, std::uint64_t{1}));
+      out.broadcast(sim::make_message(kBcast, raw_wire_bits(32),
+                                      std::uint64_t{1}));
     } else if (self_ == 1) {
       static constexpr NodeIndex dests[] = {0, 2, 4};
-      out.multicast(dests, sim::make_message(kMcast, 24, std::uint64_t{2}));
+      out.multicast(dests, sim::make_message(kMcast, raw_wire_bits(24),
+                                             std::uint64_t{2}));
     } else if (self_ == 2) {
-      out.send(0, sim::make_message(kUni, 16, std::uint64_t{3}));
+      out.send(0, sim::make_message(kUni, raw_wire_bits(16), std::uint64_t{3}));
     } else if (self_ == 3 && spoof_) {
-      sim::Message m = sim::make_message(kBcast, 32, std::uint64_t{4});
+      sim::Message m = sim::make_message(kBcast, raw_wire_bits(32),
+                                         std::uint64_t{4});
       m.claimed_sender = (self_ + 1) % n_;
       out.broadcast(m);
     }
@@ -262,7 +266,8 @@ class BroadcastOnlyNode final : public sim::Node {
   BroadcastOnlyNode(NodeIndex self, Round rounds)
       : self_(self), rounds_(rounds) {}
   void send(Round round, sim::Outbox& out) override {
-    out.broadcast(sim::make_message(kBcast, 32, std::uint64_t{self_}, round));
+    out.broadcast(sim::make_message(kBcast, raw_wire_bits(32),
+                                    std::uint64_t{self_}, round));
   }
   void receive(Round round, sim::InboxView inbox) override {
     executed_ = round;
@@ -310,33 +315,19 @@ TEST(TraceContract, TracedRunMatchesSharedInboxFastPathStats) {
 }
 
 TEST(MessageNames, CanonicalTableMatchesProtocolTags) {
-  // The message-kind table in sim/wire_schema.h writes kinds as literals
-  // and avoids protocol includes; this pin keeps it honest against the
-  // real Tag enums.
+  // The names are the wire protocol's: traces, journals and the doctor
+  // print them, so a renamed row must fail here.
   using sim::message_name;
-  EXPECT_STREQ(message_name(static_cast<sim::MsgKind>(crash::Tag::kCommittee)),
-               "COMMITTEE");
-  EXPECT_STREQ(message_name(static_cast<sim::MsgKind>(crash::Tag::kStatus)),
-               "STATUS");
-  EXPECT_STREQ(message_name(static_cast<sim::MsgKind>(crash::Tag::kResponse)),
-               "RESPONSE");
-  EXPECT_STREQ(message_name(static_cast<sim::MsgKind>(byzantine::Tag::kElect)),
-               "ELECT");
-  EXPECT_STREQ(
-      message_name(static_cast<sim::MsgKind>(byzantine::Tag::kIdReport)),
-      "ID_REPORT");
-  EXPECT_STREQ(
-      message_name(static_cast<sim::MsgKind>(byzantine::Tag::kValidator)),
-      "VALIDATOR");
-  EXPECT_STREQ(
-      message_name(static_cast<sim::MsgKind>(byzantine::Tag::kConsensus)),
-      "CONSENSUS");
-  EXPECT_STREQ(message_name(static_cast<sim::MsgKind>(byzantine::Tag::kDiff)),
-               "DIFF");
-  EXPECT_STREQ(message_name(static_cast<sim::MsgKind>(byzantine::Tag::kNew)),
-               "NEW");
-  EXPECT_STREQ(message_name(static_cast<sim::MsgKind>(byzantine::Tag::kVector)),
-               "VECTOR");
+  EXPECT_STREQ(message_name(raw(Kind::kCommittee)), "COMMITTEE");
+  EXPECT_STREQ(message_name(raw(Kind::kStatus)), "STATUS");
+  EXPECT_STREQ(message_name(raw(Kind::kResponse)), "RESPONSE");
+  EXPECT_STREQ(message_name(raw(Kind::kElect)), "ELECT");
+  EXPECT_STREQ(message_name(raw(Kind::kIdReport)), "ID_REPORT");
+  EXPECT_STREQ(message_name(raw(Kind::kValidator)), "VALIDATOR");
+  EXPECT_STREQ(message_name(raw(Kind::kConsensus)), "CONSENSUS");
+  EXPECT_STREQ(message_name(raw(Kind::kDiff)), "DIFF");
+  EXPECT_STREQ(message_name(raw(Kind::kNew)), "NEW");
+  EXPECT_STREQ(message_name(raw(Kind::kVector)), "VECTOR");
   EXPECT_STREQ(message_name(999), "?");
 }
 
@@ -424,7 +415,7 @@ TEST(CappedTraceDeathTest, RefusesPinningAfterDrops) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   sim::CountingTrace inner;
   sim::CappedTrace capped(inner, 1);
-  const sim::Message m = sim::make_message(2, 42, 1, 2, 3);
+  const sim::Message m = sim::make_message(2, raw_wire_bits(42), 1, 2, 3);
   capped.on_round_begin(1);
   capped.on_message(1, m, 0, true);  // forwarded (1/1)
   capped.on_message(1, m, 1, true);  // dropped

@@ -31,6 +31,8 @@
 namespace renaming {
 namespace {
 
+using sim::wire::Kind;
+
 // Every kind a run touched must book bits consistent with its schema:
 // fixed layouts exactly, bulk identity sets as a positive multiple of the
 // per-element width (exactness per message needs the payload count, which
@@ -39,9 +41,10 @@ void expect_ledger_matches_schema(const obs::Telemetry& telemetry,
                                   const SystemConfig& cfg) {
   const sim::wire::WireContext ctx{cfg.n, cfg.namespace_size};
   for (const sim::wire::WireSchema& schema : sim::wire::kWireSchemas) {
-    const std::uint64_t messages = telemetry.kind_messages(schema.kind);
+    const sim::MsgKind kind = sim::wire::raw(schema.kind);
+    const std::uint64_t messages = telemetry.kind_messages(kind);
     if (messages == 0) continue;
-    const std::uint64_t bits = telemetry.kind_bits(schema.kind);
+    const std::uint64_t bits = telemetry.kind_bits(kind);
     if (schema.variable) {
       const std::uint64_t per =
           sim::wire::width_bits(schema.fields[0].width, ctx);
@@ -59,24 +62,25 @@ TEST(WireSchema, ClosedFormsAtPinnedContext) {
   // n = 48, N = 5 n^2 = 11520: ceil(lg N) = 14, ceil(lg n) = 6,
   // ceil(lg (n+1)) = 6.
   const sim::wire::WireContext ctx{48, 5ull * 48 * 48};
-  EXPECT_EQ(sim::wire::wire_bits(1, ctx), 14u);            // COMMITTEE
-  EXPECT_EQ(sim::wire::wire_bits(2, ctx), 14u + 6 + 6 + 8 + 8);  // STATUS
-  EXPECT_EQ(sim::wire::wire_bits(3, ctx), sim::wire::wire_bits(2, ctx));
-  EXPECT_EQ(sim::wire::wire_bits(10, ctx), 14u + 16);      // ELECT
-  EXPECT_EQ(sim::wire::wire_bits(12, ctx), 61u + 6 + 16);  // VALIDATOR
-  EXPECT_EQ(sim::wire::wire_bits(15, ctx), 6u + 8);        // NEW
-  EXPECT_EQ(sim::wire::wire_bits(30, ctx), 14u);           // NAIVE_ID
-  EXPECT_EQ(sim::wire::wire_bits(31, ctx), 14u + 6 + 6);   // CHT_STATUS
-  EXPECT_EQ(sim::wire::wire_bits(50, ctx), 14u + 6);       // CLAIM
+  using sim::wire::wire_bits;
+  EXPECT_EQ(wire_bits(Kind::kCommittee, ctx), 14u);
+  EXPECT_EQ(wire_bits(Kind::kStatus, ctx), 14u + 6 + 6 + 8 + 8);
+  EXPECT_EQ(wire_bits(Kind::kResponse, ctx), wire_bits(Kind::kStatus, ctx));
+  EXPECT_EQ(wire_bits(Kind::kElect, ctx), 14u + 16);
+  EXPECT_EQ(wire_bits(Kind::kValidator, ctx), 61u + 6 + 16);
+  EXPECT_EQ(wire_bits(Kind::kNew, ctx), 6u + 8);
+  EXPECT_EQ(wire_bits(Kind::kNaiveId, ctx), 14u);
+  EXPECT_EQ(wire_bits(Kind::kChtStatus, ctx), 14u + 6 + 6);
+  EXPECT_EQ(wire_bits(Kind::kClaim, ctx), 14u + 6);
 }
 
 TEST(WireSchema, VariableWidthFloorAndClamp) {
   const sim::wire::WireContext ctx{48, 5ull * 48 * 48};  // 14 bits/element
-  EXPECT_EQ(sim::wire::wire_bits(16, ctx, 7), 7u * 14);
+  EXPECT_EQ(sim::wire::wire_bits(Kind::kVector, ctx, 7), 7u * 14);
   // Empty sets still cost one element so Message::bits stays positive.
-  EXPECT_EQ(sim::wire::wire_bits(16, ctx, 0), 14u);
+  EXPECT_EQ(sim::wire::wire_bits(Kind::kVector, ctx, 0), 14u);
   // Oversized payloads clamp at the cap instead of overflowing uint32_t.
-  EXPECT_EQ(sim::wire::wire_bits(16, ctx, 1ull << 40),
+  EXPECT_EQ(sim::wire::wire_bits(Kind::kVector, ctx, 1ull << 40),
             sim::wire::kVariableBitsCap);
 }
 
