@@ -87,10 +87,21 @@ class CorruptedNode : public sim::Node {
   sim::Outbox staged_{self_, n_};
 };
 
-/// Reports its identity to only the even-indexed committee members.
-class SplitReporter final : public CorruptedNode {
+/// A strategy whose corrupt() only drops or edits what the honest core
+/// staged, and sends nothing of its own. An idle core then means an empty
+/// outbox and no RNG draw, so the node keeps the Node::idle contract by
+/// forwarding the core's idle(), and the engine skips it exactly when it
+/// would skip the core (docs/ADVERSARIES.md).
+class PureFilter : public CorruptedNode {
  public:
   using CorruptedNode::CorruptedNode;
+  bool idle() const override { return honest_.idle(); }
+};
+
+/// Reports its identity to only the even-indexed committee members.
+class SplitReporter final : public PureFilter {
+ public:
+  using PureFilter::PureFilter;
 
   static std::unique_ptr<sim::Node> make(NodeIndex self,
                                          const SystemConfig& cfg,
@@ -112,6 +123,8 @@ class SplitReporter final : public CorruptedNode {
 };
 
 /// A corrupted committee member: per-recipient equivocation everywhere.
+/// Not a PureFilter: its round-3 fake-NEW volley does not depend on the
+/// core, so it must run even while the core is idle.
 class LyingMember final : public CorruptedNode {
  public:
   using CorruptedNode::CorruptedNode;
@@ -197,9 +210,9 @@ class Spoofer final : public CorruptedNode {
 /// order). Unlike SplitReporter's even/odd split, a prefix split puts the
 /// disagreement boundary through the quorum structure asymmetrically —
 /// the Validator sees "almost a quorum" instead of a clean half/half.
-class PrefixReporter final : public CorruptedNode {
+class PrefixReporter final : public PureFilter {
  public:
-  using CorruptedNode::CorruptedNode;
+  using PureFilter::PureFilter;
 
   static std::unique_ptr<sim::Node> make(NodeIndex self,
                                          const SystemConfig& cfg,
@@ -226,9 +239,9 @@ class PrefixReporter final : public CorruptedNode {
 /// Combines the two attacks: splits its identity report (forcing the
 /// divide-and-conquer to work) AND equivocates inside every consensus
 /// instance that work triggers.
-class DoubleDealer final : public CorruptedNode {
+class DoubleDealer final : public PureFilter {
  public:
-  using CorruptedNode::CorruptedNode;
+  using PureFilter::PureFilter;
 
   static std::unique_ptr<sim::Node> make(NodeIndex self,
                                          const SystemConfig& cfg,

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -35,22 +36,33 @@ struct Member {
 /// phase-king schedule is identical wherever the views are identical).
 class CommitteeView {
  public:
-  CommitteeView() = default;
+  CommitteeView() : CommitteeView(std::vector<Member>{}) {}
   explicit CommitteeView(std::vector<Member> members)
       : members_(std::move(members)) {
     std::sort(members_.begin(), members_.end());
     members_.erase(std::unique(members_.begin(), members_.end()),
                    members_.end());
+    links_.reserve(members_.size());
+    for (const Member& m : members_) links_.push_back(m.link);
     // Link lookup table: every inbound committee message resolves its
     // sender through index_of_link, so the per-message cost must not be a
-    // linear scan of the member list (docs/PERFORMANCE.md).
-    by_link_.reserve(members_.size());
-    links_.reserve(members_.size());
+    // search of the member list (docs/PERFORMANCE.md). Open addressing
+    // with linear probing over a power-of-two table at most half full, so
+    // every probe sequence ends at an empty slot. Sized by m, never by n.
+    std::size_t size = 2;
+    while (size < 2 * members_.size()) size *= 2;
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(size));
+    table_.assign(size, Slot{});
     for (std::size_t i = 0; i < members_.size(); ++i) {
-      by_link_.emplace_back(members_[i].link, i);
-      links_.push_back(members_[i].link);
+      std::size_t s = slot_of(members_[i].link);
+      while (table_[s].link != kNoNode && table_[s].link != members_[i].link) {
+        s = (s + 1) & (size - 1);
+      }
+      // A link named twice keeps its first (lowest) index.
+      if (table_[s].link == kNoNode) {
+        table_[s] = {members_[i].link, static_cast<std::uint32_t>(i + 1)};
+      }
     }
-    std::sort(by_link_.begin(), by_link_.end());
   }
 
   std::size_t size() const { return members_.size(); }
@@ -67,14 +79,17 @@ class CommitteeView {
                : static_cast<std::uint32_t>((members_.size() - 1) / 3);
   }
 
-  /// Index of the member with this link, or npos.
+  /// Index of the member with this link, or npos. O(1) expected.
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   std::size_t index_of_link(NodeIndex link) const {
-    const auto it = std::lower_bound(
-        by_link_.begin(), by_link_.end(), link,
-        [](const auto& entry, NodeIndex l) { return entry.first < l; });
-    if (it == by_link_.end() || it->first != link) return npos;
-    return it->second;
+    const std::size_t mask = table_.size() - 1;
+    for (std::size_t s = slot_of(link);; s = (s + 1) & mask) {
+      const Slot& slot = table_[s];
+      // An empty slot ends the probe; its pos of 0 answers npos.
+      if (slot.link == link || slot.link == kNoNode) {
+        return static_cast<std::size_t>(slot.pos) - 1;
+      }
+    }
   }
 
   bool contains_link(NodeIndex link) const {
@@ -82,11 +97,26 @@ class CommitteeView {
   }
 
  private:
+  /// One table slot: a member's link and its index + 1. An empty slot
+  /// holds kNoNode, which no link reaches, and 0.
+  struct Slot {
+    NodeIndex link = kNoNode;
+    std::uint32_t pos = 0;
+  };
+
+  /// Fibonacci hashing: the top bits of link * 2^64/phi, which spread even
+  /// a run of consecutive links over the table.
+  std::size_t slot_of(NodeIndex link) const {
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(link) * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+
   std::vector<Member> members_;
-  /// (link, index into members_) sorted by link.
-  std::vector<std::pair<NodeIndex, std::uint32_t>> by_link_;
   /// Member links in view order, for Outbox::multicast.
   std::vector<NodeIndex> links_;
+  /// link -> index into members_, power-of-two size >= 2m.
+  std::vector<Slot> table_;
+  unsigned shift_ = 63;
 };
 
 /// Hash-consing pool for committee views (docs/PERFORMANCE.md §10).

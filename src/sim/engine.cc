@@ -1,6 +1,7 @@
 #include "sim/engine.h"
 
 #include <algorithm>
+#include <iterator>
 #include <span>
 #include <utility>
 
@@ -176,11 +177,11 @@ RunStats Engine::run(Round max_rounds) {
   std::vector<NodeIndex> receivers;  // nodes whose receive() must run
   std::vector<NodeIndex> victims;    // crashed this round
   std::vector<char> crashed_now(n, 0);
-  // Shared inbox for broadcast-only rounds: when every queued entry is a
-  // broadcast (the steady state of all-to-all protocols) each alive node
-  // receives exactly the same messages in the same order, so one slot list
-  // serves every recipient and delivery is O(#broadcasts), not O(n^2).
+  // Shared inbox for rounds whose entries all address one destination list
+  // (the delivery phase below): the round's unspoofed messages, read by
+  // every alive node on the list, and the round that last listed each node.
   std::vector<const Message*> shared_slots;
+  std::vector<Round> listed_in(n, 0);
 
   // lint:engine-setup-end
 
@@ -396,19 +397,43 @@ RunStats Engine::run(Round max_rounds) {
       alive_dests_dirty = false;
     }
 
-    // Broadcast-only rounds use the shared inbox; the traced path falls
-    // back to the general one so per-copy trace events keep their order.
-    bool broadcast_only = trace == nullptr;
-    for (std::size_t i = 0; i < senders.size() && broadcast_only; ++i) {
-      for (const auto& entry : outboxes.get(senders[i]).entries()) {
-        if (entry.first != Outbox::kBroadcast) {
-          broadcast_only = false;
+    // One shared inbox (docs/PERFORMANCE.md §3): when every queued entry
+    // addresses the same destination list — [0, n) for broadcasts, or one
+    // multicast or repeat list such as a committee's links — each alive
+    // node on it receives exactly the round's unspoofed entries in sender
+    // order, so one slot list serves them all and delivery is O(entries),
+    // not O(copies). Lists are compared by pointer, then by contents. A
+    // list naming a node twice owes it two copies per entry, and a trace
+    // records per-copy events in arena order: both take the arena path, as
+    // does any round with a partial crash (its victim's expanded unicasts
+    // address single nodes).
+    bool shared = trace == nullptr;
+    bool have_list = false;
+    std::span<const NodeIndex> shared_list;
+    for (std::size_t i = 0; i < senders.size() && shared; ++i) {
+      const Outbox& ob = outboxes.get(senders[i]);
+      std::size_t mc = 0;
+      for (const auto& entry : ob.entries()) {
+        const std::span<const NodeIndex> dests = dests_of(ob, entry, mc);
+        if (!have_list) {
+          shared_list = dests;
+          have_list = true;
+        } else if (dests.data() != shared_list.data() &&
+                   (dests.size() != shared_list.size() ||
+                    !std::equal(dests.begin(), dests.end(),
+                                shared_list.begin()))) {
+          shared = false;
           break;
         }
       }
     }
+    for (std::size_t i = 0; i < shared_list.size() && shared; ++i) {
+      const NodeIndex d = shared_list[i];
+      shared = listed_in[d] != round;
+      listed_in[d] = round;
+    }
 
-    if (!broadcast_only) {
+    if (!shared) {
       inbox.begin_round(n);
       for (NodeIndex v : senders) {
         const Outbox& ob = outboxes.get(v);
@@ -478,14 +503,14 @@ RunStats Engine::run(Round max_rounds) {
           // Authentication (PKI assumption of Theorem 1.3): forged origins
           // are detected by every receiver and discarded.
           stats_.spoofs_rejected += dests.size();
-        } else if (entry.first != Outbox::kBroadcast) {
+        } else if (shared) {
+          shared_slots.push_back(&msg);
+        } else if (entry.first == Outbox::kBroadcast) {
+          inbox.deliver_broadcast(msg, alive_dests);
+        } else {
           for (NodeIndex d : dests) {
             if (alive_[d]) inbox.deliver(d, msg);
           }
-        } else if (broadcast_only) {
-          shared_slots.push_back(&msg);
-        } else {
-          inbox.deliver_broadcast(msg, alive_dests);
         }
       }
     }
@@ -500,28 +525,44 @@ RunStats Engine::run(Round max_rounds) {
     // whose send() ran (even with an empty inbox — stage machines may
     // advance on silence) plus every idle node that was actually addressed;
     // an idle node with an empty inbox is a no-op by contract and skipped.
-    // A shared broadcast inbox addresses every alive node.
-    const InboxView shared_view(shared_slots.data(), shared_slots.size());
-    const std::vector<NodeIndex>* receive_list = &alive_dests;
-    if (!broadcast_only || shared_slots.empty()) {
-      receive_list = &receivers;
-      receivers.clear();
-      for (NodeIndex v : senders) {
-        if (alive_[v]) receivers.push_back(v);
-      }
-      if (!broadcast_only) {
-        for (NodeIndex v : inbox.touched()) {
-          // active[v] == 1 exactly for the alive senders collected above.
-          if (alive_[v] && active[v] == 0 && !inbox.view(v).empty()) {
-            receivers.push_back(v);
-          }
+    // active[v] == 1 exactly for the alive senders, so the addressed idle
+    // nodes are the alive inactive ones with a non-empty inbox: the shared
+    // list's when its slots are non-empty, else the arena's touched ones.
+    receivers.clear();
+    for (NodeIndex v : senders) {
+      if (alive_[v]) receivers.push_back(v);
+    }
+    const std::size_t idle_begin = receivers.size();
+    if (!shared) {
+      for (NodeIndex v : inbox.touched()) {
+        if (alive_[v] && active[v] == 0 && !inbox.view(v).empty()) {
+          receivers.push_back(v);
         }
-        std::sort(receivers.begin(), receivers.end());
+      }
+    } else if (!shared_slots.empty()) {
+      for (NodeIndex v : shared_list) {
+        if (alive_[v] && active[v] == 0) receivers.push_back(v);
       }
     }
-    fan_out(obs::ShardPhase::kReceive, *receive_list,
+    if (idle_begin != receivers.size()) {
+      // Both halves ascending, then one merge: a broadcast's list and a
+      // broadcast round's touched nodes are [0, n) and skip the sort.
+      const auto mid =
+          receivers.begin() + static_cast<std::ptrdiff_t>(idle_begin);
+      if (!std::is_sorted(mid, receivers.end())) {
+        std::sort(mid, receivers.end());
+      }
+      merge_scratch.clear();
+      std::merge(receivers.begin(), mid, mid, receivers.end(),
+                 std::back_inserter(merge_scratch));
+      std::swap(receivers, merge_scratch);
+    }
+    const InboxView shared_view(shared_slots.data(), shared_slots.size());
+    fan_out(obs::ShardPhase::kReceive, receivers,
             [&](NodeIndex v, ShardScratch& scratch) {
-              const InboxView in = broadcast_only ? shared_view : inbox.view(v);
+              const InboxView in =
+                  !shared ? inbox.view(v)
+                          : (listed_in[v] == round ? shared_view : InboxView());
               if (tel != nullptr) tel->note_inbox(1, in.size());
               nodes_[v]->receive(round, in);
               refresh_into(v, scratch);

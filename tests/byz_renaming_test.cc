@@ -3,12 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <sstream>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "byzantine/byz_renaming.h"
 #include "byzantine/strategies.h"
 #include "common/math.h"
+#include "obs/journal.h"
+#include "sim/trace.h"
 
 namespace renaming::byzantine {
 namespace {
@@ -212,6 +217,181 @@ TEST(ByzRenaming, NewIdsAreContiguousRanks) {
   // Gaps can only be ranks consumed by Byzantine identities (<= |byz|).
   std::uint64_t gaps = ids.back() - ids.size();
   EXPECT_LE(gaps, byz.size());
+}
+
+// --- Idle forwarding of the pure-filter strategies ------------------------
+
+/// Runs a strategy with its idle() withheld: every callback forwards, and
+/// the engine runs the node every round as it did before the strategy
+/// forwarded its core's idle().
+class ForcedActive final : public sim::Node {
+ public:
+  explicit ForcedActive(std::unique_ptr<sim::Node> inner)
+      : inner_(std::move(inner)) {}
+  void send(Round round, sim::Outbox& out) override {
+    inner_->send(round, out);
+  }
+  void receive(Round round, sim::InboxView inbox) override {
+    inner_->receive(round, inbox);
+  }
+  bool done() const override { return inner_->done(); }
+
+ private:
+  std::unique_ptr<sim::Node> inner_;
+};
+
+template <ByzStrategyFactory Make>
+std::unique_ptr<sim::Node> forced_active(NodeIndex v, const SystemConfig& cfg,
+                                         const Directory& directory,
+                                         const ByzParams& params) {
+  return std::make_unique<ForcedActive>(Make(v, cfg, directory, params));
+}
+
+/// Six nodes; node 2's identity misses the candidate pool and node 0's
+/// makes it, under the first shared seed where both hold.
+struct NonMemberSetup {
+  SystemConfig cfg;
+  ByzParams params;
+  std::vector<sim::Message> elects;  // round-1 inbox: the pool's ELECTs
+
+  NonMemberSetup() {
+    cfg.n = 6;
+    cfg.namespace_size = 1000;
+    for (NodeIndex v = 0; v < cfg.n; ++v) cfg.ids.push_back(50 * (v + 1));
+    cfg.seed = 3;
+    params.pool_constant = 1.0;
+    const Directory directory(cfg);
+    for (params.shared_seed = 1;; ++params.shared_seed) {
+      std::vector<sim::Message> round_one;
+      for (NodeIndex v = 0; v < cfg.n; ++v) {
+        ByzNode node(v, cfg, directory, params);
+        sim::Outbox out(v, cfg.n);
+        node.send(1, out);
+        if (node.elected()) round_one.push_back(out.entries()[0].second);
+      }
+      const auto elected = [&](NodeIndex v) {
+        return std::any_of(
+            round_one.begin(), round_one.end(),
+            [v](const sim::Message& m) { return m.sender == v; });
+      };
+      if (!elected(2) && elected(0)) {
+        elects = std::move(round_one);
+        return;
+      }
+    }
+  }
+};
+
+TEST(StrategyIdle, PureFiltersIdleOnceTheirCoreIsDone) {
+  const NonMemberSetup setup;
+  const Directory directory(setup.cfg);
+  for (ByzStrategyFactory make :
+       {&SplitReporter::make, &PrefixReporter::make, &DoubleDealer::make}) {
+    std::unique_ptr<sim::Node> node =
+        make(2, setup.cfg, directory, setup.params);
+    EXPECT_FALSE(node->idle());
+    sim::Outbox out(2, setup.cfg.n);
+    node->send(1, out);
+    node->receive(1, setup.elects);
+    EXPECT_FALSE(node->idle()) << "its identity report is still owed";
+    out.clear();
+    node->send(2, out);
+    EXPECT_GT(out.size(), 0u) << "a non-member reports to the view";
+    node->receive(2, sim::InboxView());
+    EXPECT_TRUE(node->idle()) << "the core waits in kDone";
+    out.clear();
+    node->send(3, out);
+    EXPECT_EQ(out.size(), 0u);
+  }
+}
+
+TEST(StrategyIdle, LyingMemberNeverIdlesAndItsVolleyLands) {
+  const NonMemberSetup setup;
+  const Directory directory(setup.cfg);
+  std::unique_ptr<sim::Node> node =
+      LyingMember::make(2, setup.cfg, directory, setup.params);
+  sim::Outbox out(2, setup.cfg.n);
+  node->send(1, out);
+  node->receive(1, setup.elects);
+  out.clear();
+  node->send(2, out);
+  node->receive(2, sim::InboxView());
+  EXPECT_FALSE(node->idle());
+  out.clear();
+  node->send(3, out);
+  EXPECT_EQ(out.size(), setup.cfg.n) << "one forged NEW per link";
+
+  // In a run, every LyingMember's round-3 volley reaches the wire, the
+  // non-members' too (a small pool leaves most of them outside).
+  const NodeIndex n = 48;
+  const auto cfg =
+      SystemConfig::random(n, static_cast<std::uint64_t>(n) * n * 5, 41);
+  const auto byz = pick_byz(n, 6, 15);
+  struct NewCounter final : sim::TraceSink {
+    const std::vector<NodeIndex>* byz = nullptr;
+    std::uint64_t forged = 0;
+    void on_message(Round round, const sim::Message& m, NodeIndex,
+                    bool) override {
+      if (round == 3 && m.kind == sim::wire::raw(sim::wire::Kind::kNew) &&
+          std::find(byz->begin(), byz->end(), m.sender) != byz->end()) {
+        ++forged;
+      }
+    }
+  } counter;
+  counter.byz = &byz;
+  const auto result = run_byz_renaming(cfg, test_params(1.5), byz,
+                                       &LyingMember::make, 0,
+                                       {.trace = &counter});
+  EXPECT_TRUE(result.report.ok(true));
+  EXPECT_GE(counter.forged, std::uint64_t{byz.size()} * n);
+}
+
+TEST(StrategyIdle, ForwardingIsObservationallyInvisible) {
+  // Same RunStats, outcomes and trace bytes as the same strategies forced
+  // active, while the forwarding run skips its idle faulty nodes.
+  const NodeIndex n = 48;
+  const auto cfg =
+      SystemConfig::random(n, static_cast<std::uint64_t>(n) * n * 5, 22);
+  const auto byz = pick_byz(n, 4, 6);
+  struct Observed {
+    sim::RunStats stats;
+    std::vector<NodeOutcome> outcomes;
+    std::string trace;
+    std::uint64_t active_senders = 0;
+  };
+  const auto run = [&](ByzStrategyFactory factory) {
+    std::ostringstream out;
+    sim::JsonlTrace trace(out);
+    obs::Journal journal;
+    // A small pool leaves the faulty nodes outside the committee.
+    const auto result =
+        run_byz_renaming(cfg, test_params(1.5), byz, factory, 0,
+                         {.trace = &trace, .journal = &journal});
+    EXPECT_TRUE(result.report.ok(true));
+    Observed o{result.stats, result.outcomes, out.str()};
+    for (const obs::JournalRound& r : journal.data().records) {
+      o.active_senders += r.active_senders;
+    }
+    return o;
+  };
+  const std::pair<ByzStrategyFactory, ByzStrategyFactory> pairs[] = {
+      {&SplitReporter::make, &forced_active<&SplitReporter::make>},
+      {&PrefixReporter::make, &forced_active<&PrefixReporter::make>},
+      {&DoubleDealer::make, &forced_active<&DoubleDealer::make>}};
+  for (const auto& [forwarding, forced] : pairs) {
+    const Observed a = run(forwarding);
+    const Observed b = run(forced);
+    EXPECT_EQ(a.stats, b.stats);
+    ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
+    for (std::size_t v = 0; v < a.outcomes.size(); ++v) {
+      EXPECT_EQ(a.outcomes[v].original_id, b.outcomes[v].original_id);
+      EXPECT_EQ(a.outcomes[v].new_id, b.outcomes[v].new_id) << "node " << v;
+      EXPECT_EQ(a.outcomes[v].correct, b.outcomes[v].correct);
+    }
+    EXPECT_FALSE(a.trace.empty());
+    EXPECT_EQ(a.trace, b.trace);
+    EXPECT_LT(a.active_senders, b.active_senders);
+  }
 }
 
 // --- Parameterized sweep over (n, f, strategy, seed) ---------------------

@@ -3,6 +3,9 @@
 // engine with honest and equivocating members.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -39,6 +42,77 @@ TEST(CommitteeView, SortedDedupedAndTolerance) {
   EXPECT_EQ(make_view(10).max_tolerated(), 3u);
   EXPECT_EQ(v.index_of_link(1), 1u);
   EXPECT_EQ(v.index_of_link(9), CommitteeView::npos);
+}
+
+TEST(CommitteeView, IndexOfLinkMatchesLinearScan) {
+  // Views of 0..300 members whose links are spread at random, packed into
+  // one consecutive run, packed against n, or chosen to share one home
+  // slot of the lookup table (its Fibonacci hash at the table size the
+  // view picks), so probes walk long collision chains. Every link in
+  // [0, n) is checked, on a private view and on an interned one.
+  Xoshiro256 rng(0x100c);
+  ViewInterner interner;
+  for (int trial = 0; trial < 240; ++trial) {
+    auto n = static_cast<NodeIndex>(512 + rng.below(8192));
+    std::size_t m = static_cast<std::size_t>(trial) * 301 / 240;
+    std::vector<NodeIndex> links;
+    switch (trial % 4) {
+      case 0: {  // random, possibly naming one link twice
+        for (std::size_t i = 0; i < m; ++i) {
+          links.push_back(static_cast<NodeIndex>(rng.below(n)));
+        }
+        break;
+      }
+      case 1: {  // one consecutive run
+        const auto start = static_cast<NodeIndex>(rng.below(n - m));
+        for (std::size_t i = 0; i < m; ++i) {
+          links.push_back(start + static_cast<NodeIndex>(i));
+        }
+        break;
+      }
+      case 2: {  // against n
+        for (std::size_t i = 0; i < m; ++i) {
+          links.push_back(n - 1 - static_cast<NodeIndex>(i));
+        }
+        break;
+      }
+      default: {  // one home slot
+        m = std::min<std::size_t>(m, 40);
+        std::size_t table = 2;
+        while (table < 2 * m) table *= 2;
+        const int shift = 64 - std::countr_zero(table);
+        const std::uint64_t home = rng.below(table);
+        n = std::max(n, static_cast<NodeIndex>(table * m));
+        for (NodeIndex link = 0; link < n && links.size() < m; ++link) {
+          if (((std::uint64_t{link} * 0x9e3779b97f4a7c15ULL) >> shift) ==
+              home) {
+            links.push_back(link);
+          }
+        }
+      }
+    }
+    std::vector<Member> members;
+    for (NodeIndex link : links) {
+      members.push_back({1 + rng.below(1u << 30), link});
+    }
+    const CommitteeView view(members);
+    const std::shared_ptr<const CommitteeView> interned =
+        interner.intern(members);
+    ASSERT_EQ(view.members(), interned->members());
+    // Linear scan: the first member (in view order) holding each link.
+    std::vector<std::size_t> expected(n, CommitteeView::npos);
+    for (std::size_t i = view.size(); i-- > 0;) {
+      expected[view.member(i).link] = i;
+    }
+    for (NodeIndex link = 0; link < n; ++link) {
+      ASSERT_EQ(view.index_of_link(link), expected[link])
+          << "trial " << trial << " link " << link;
+      ASSERT_EQ(interned->index_of_link(link), expected[link])
+          << "trial " << trial << " link " << link;
+    }
+    EXPECT_EQ(view.index_of_link(kNoNode), CommitteeView::npos);
+  }
+  EXPECT_EQ(CommitteeView().index_of_link(0), CommitteeView::npos);
 }
 
 /// Drives one SubProtocol instance per node over the engine.

@@ -256,6 +256,240 @@ TEST(BroadcastFastPath, UntracedSharedInboxMatchesSendFanout) {
   }
 }
 
+// ----- One shared inbox per destination list ------------------------------
+//
+// A round whose entries all address one destination list shares one slot
+// list among the alive nodes on it; every other receiver reads an empty
+// view. Attaching any trace sink forces the per-node arena path, so each
+// scenario below runs twice — untraced and with a sink that records
+// nothing — and must agree on RunStats, every node's inbox sequence and
+// the set and order of receive() calls.
+
+/// The script every ListNode of one run follows.
+struct ListScript {
+  NodeIndex n = 0;
+  Round rounds = 6;
+  std::vector<NodeIndex> list;      // the destination list of every entry
+  NodeIndex odd_sender = kNoNode;   // addresses `odd_list` instead
+  std::vector<NodeIndex> odd_list;
+  NodeIndex spoofer = kNoNode;      // forges its origin on odd rounds
+  std::vector<NodeIndex> nappers;   // idle from round 2 on
+  std::uint64_t seed = 0;
+};
+
+using CallLog = std::vector<std::pair<Round, NodeIndex>>;
+
+/// Sends zero to two entries per round to its script's list, each in a
+/// seeded form: a multicast of the list, a send() loop over it (which the
+/// outbox coalesces into a repeat), or a broadcast where the list is
+/// [0, n) in order. Nappers queue nothing after round 1 and report idle(),
+/// so they run receive() only when the shared list wakes them.
+class ListNode final : public Node {
+ public:
+  ListNode(NodeIndex self, const ListScript& script, CallLog* calls)
+      : self_(self), script_(script), calls_(calls),
+        napper_(std::find(script.nappers.begin(), script.nappers.end(),
+                          self) != script.nappers.end()) {}
+
+  void send(Round round, Outbox& out) override {
+    if (napping_) return;
+    const std::vector<NodeIndex>& dests =
+        self_ == script_.odd_sender ? script_.odd_list : script_.list;
+    bool everyone = dests.size() == script_.n;
+    for (NodeIndex i = 0; everyone && i < dests.size(); ++i) {
+      everyone = dests[i] == i;
+    }
+    SplitMix64 rng(script_.seed * 0x9e3779b97f4a7c15ULL + round * 131 +
+                   self_);
+    const std::uint64_t entries = rng.next() % 3;
+    for (std::uint64_t k = 0; k < entries; ++k) {
+      Message m = make_message(kWave, raw_wire_bits(32),
+                               static_cast<std::uint64_t>(self_),
+                               std::uint64_t{round} * 4 + k);
+      if (self_ == script_.spoofer && round % 2 == 1) {
+        m.claimed_sender = (self_ + 1) % script_.n;
+      }
+      switch (rng.next() % 3) {
+        case 0:
+          out.multicast(dests, m);
+          break;
+        case 1:
+          for (NodeIndex d : dests) out.send(d, m);
+          break;
+        default:
+          if (everyone) {
+            out.broadcast(m);
+          } else {
+            out.multicast(dests, m);
+          }
+      }
+    }
+  }
+
+  void receive(Round round, InboxView inbox) override {
+    calls_->emplace_back(round, self_);
+    executed_ = round;
+    if (napper_) napping_ = true;
+    for (const Message& m : inbox) log_.emplace_back(round, m.sender, m.w[1]);
+  }
+
+  bool done() const override {
+    return napping_ || executed_ >= script_.rounds;
+  }
+  bool idle() const override { return napping_; }
+
+  const ReceiveLog& log() const { return log_; }
+
+ private:
+  NodeIndex self_;
+  const ListScript& script_;
+  CallLog* calls_;
+  bool napper_;
+  bool napping_ = false;
+  Round executed_ = 0;
+  ReceiveLog log_;
+};
+
+/// Crash orders by round: (round, victim, keep the victim's first logical
+/// message if it queued one).
+class ScriptedCrashes final : public CrashAdversary {
+ public:
+  struct Crash {
+    Round round;
+    NodeIndex victim;
+    bool keep_first;
+  };
+  explicit ScriptedCrashes(std::vector<Crash> crashes)
+      : crashes_(std::move(crashes)) {}
+
+  std::vector<CrashOrder> decide(const AdversaryView& view) override {
+    std::vector<CrashOrder> orders;
+    for (const Crash& c : crashes_) {
+      if (c.round != view.round || !view.is_alive(c.victim)) continue;
+      CrashOrder o;
+      o.victim = c.victim;
+      if (c.keep_first && view.outbox(c.victim).size() > 0) o.keep = {0};
+      orders.push_back(std::move(o));
+    }
+    return orders;
+  }
+  std::uint64_t budget() const override { return crashes_.size(); }
+
+ private:
+  std::vector<Crash> crashes_;
+};
+
+/// Records nothing; attaching it is what forces the arena path.
+class NullTrace final : public TraceSink {};
+
+struct ListRun {
+  RunStats stats;
+  std::vector<ReceiveLog> logs;
+  CallLog calls;
+};
+
+ListRun run_lists(const ListScript& script, bool traced,
+                  std::vector<ScriptedCrashes::Crash> crashes = {}) {
+  ListRun result;
+  std::vector<std::unique_ptr<Node>> nodes;
+  for (NodeIndex v = 0; v < script.n; ++v) {
+    nodes.push_back(std::make_unique<ListNode>(v, script, &result.calls));
+  }
+  NullTrace sink;
+  Observers observers;
+  if (traced) observers.trace = &sink;
+  Engine engine(std::move(nodes),
+                std::make_unique<ScriptedCrashes>(std::move(crashes)),
+                observers);
+  if (script.spoofer != kNoNode) engine.mark_byzantine(script.spoofer);
+  result.stats = engine.run(script.rounds);
+  for (NodeIndex v = 0; v < script.n; ++v) {
+    result.logs.push_back(dynamic_cast<const ListNode&>(engine.node(v)).log());
+  }
+  return result;
+}
+
+void expect_shared_matches_arena(const ListScript& script,
+                                 std::vector<ScriptedCrashes::Crash> crashes,
+                                 const std::string& label) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    ListScript seeded = script;
+    seeded.seed = seed;
+    const ListRun shared = run_lists(seeded, false, crashes);
+    const ListRun arena = run_lists(seeded, true, crashes);
+    ASSERT_GT(shared.stats.total_messages, 0u) << label << " seed " << seed;
+    EXPECT_EQ(shared.stats, arena.stats) << label << " seed " << seed;
+    EXPECT_EQ(shared.calls, arena.calls)
+        << label << " seed " << seed << ": receive() calls differ";
+    for (NodeIndex v = 0; v < seeded.n; ++v) {
+      EXPECT_EQ(shared.logs[v], arena.logs[v])
+          << label << " seed " << seed << ": inbox of node " << v;
+    }
+  }
+}
+
+TEST(SharedInboxFastPath, ListOutOfOrderMatchesArena) {
+  // Nodes 1, 4, 6 and 8 send but are not listed: they read empty views.
+  ListScript script;
+  script.n = 9;
+  script.list = {5, 2, 7, 0, 3};
+  expect_shared_matches_arena(script, {}, "out of order");
+}
+
+TEST(SharedInboxFastPath, ListWithCrashedAndIdleMembersMatchesArena) {
+  // Node 7 falls in round 1 before sending, so later rounds list a dead
+  // node; node 3 falls in round 3 keeping one message, so that round's
+  // expanded unicast takes the arena path. Nappers 0 and 5 are listed idle
+  // nodes that only the shared list wakes; napper 6 is unlisted and stays
+  // asleep.
+  ListScript script;
+  script.n = 10;
+  script.list = {5, 2, 7, 0, 3, 9};
+  script.nappers = {0, 5, 6};
+  expect_shared_matches_arena(script, {{1, 7, false}, {3, 3, true}},
+                              "crashed and idle");
+}
+
+TEST(SharedInboxFastPath, SpoofedEntryIsChargedButNeverShared) {
+  ListScript script;
+  script.n = 8;
+  script.list = {6, 1, 4, 2};
+  script.spoofer = 4;
+  script.nappers = {1};
+  expect_shared_matches_arena(script, {}, "spoofed");
+  const ListRun run = run_lists(script, false);
+  EXPECT_GT(run.stats.spoofs_rejected, 0u);
+}
+
+TEST(SharedInboxFastPath, RepeatMulticastAndBroadcastOfOneListShare) {
+  // [0, n) in order: broadcasts, multicasts and coalesced repeats all
+  // address the same list, with one napper and one crash.
+  ListScript script;
+  script.n = 7;
+  for (NodeIndex d = 0; d < script.n; ++d) script.list.push_back(d);
+  script.nappers = {2};
+  expect_shared_matches_arena(script, {{2, 5, false}}, "one list, forms");
+}
+
+TEST(SharedInboxFastPath, ListNamingANodeTwiceTakesTheArena) {
+  // Node 5 is owed two copies of every entry.
+  ListScript script;
+  script.n = 8;
+  script.list = {5, 2, 5, 0};
+  script.nappers = {2};
+  expect_shared_matches_arena(script, {}, "duplicate");
+}
+
+TEST(SharedInboxFastPath, ListDifferingInItsLastEntryTakesTheArena) {
+  ListScript script;
+  script.n = 8;
+  script.list = {6, 1, 4, 2};
+  script.odd_sender = 3;
+  script.odd_list = {6, 1, 4, 7};
+  script.nappers = {7};
+  expect_shared_matches_arena(script, {}, "last entry differs");
+}
+
 TEST(BroadcastFastPath, MidSendCrashKeepIndicesAddressBroadcastRecipients) {
   // Victim 0 broadcasts to 5 nodes (logical entries 0..4, dest == index)
   // and crashes keeping logical indices {1, 3}: exactly nodes 1 and 3 see
