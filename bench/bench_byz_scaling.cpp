@@ -108,9 +108,9 @@ int sweep(int argc, char** argv) {
 
   // E5b — shard-parallel engine scaling on the protocol hot path: the
   // f = log n cell re-run with the engine callbacks fanned over T threads.
-  // Telemetry stays detached (a live recorder forces serial callbacks), so
-  // these rows carry no phase layers; messages/bits/rounds are
-  // byte-identical across the whole column and asserted so.
+  // Telemetry stays detached, so these rows time the bare engine and carry
+  // no phase layers; messages/bits/rounds are byte-identical across the
+  // whole column and asserted so.
   {
     const NodeIndex n = smoke ? 256u : 1024u;
     const NodeIndex f = ceil_log2(n);

@@ -5,6 +5,8 @@
 //   renaming_cli crash     --n 512 --seed 1 --constant 2
 //                          --adversary hunter --budget 64 [--early-stop]
 //   renaming_cli byz       --n 256 --seed 1 --pool 3 --f 8 --strategy split
+//                          (strategies: split, lying, spoof, silent, prefix,
+//                          double)
 //   renaming_cli cht       --n 256 --budget 32
 //   renaming_cli claiming  --n 256 --budget 32
 //   renaming_cli early     --n 128 --budget 16
@@ -56,10 +58,8 @@
 //   --provenance-horizon H   cause-retention ring: causes further than H
 //                        events back degrade to "(evicted)" in doctor why
 //                        (default for large runs: 1000000; 0 = unbounded).
-//                        With neither watch flag every node is watched;
-//                        combined with a provenance flag the engine runs
-//                        serial callbacks (deterministic event order), so
-//                        the exported bytes are identical across --threads.
+//                        With neither watch flag every node is watched.
+//                        The exported bytes are identical across --threads.
 //
 // Live observability (docs/OBSERVABILITY.md §8):
 //   --progress-out FILE  stream a heartbeat (renaming-progress-v1 JSONL):
@@ -73,11 +73,7 @@
 //                        renaming-shard-profile-v1); render with
 //                        renaming_doctor profile. Combined with
 //                        --perfetto-out the trace gains per-shard busy /
-//                        barrier-wait tracks (pid 3). Note: live telemetry
-//                        (--audit/--metrics-out/--perfetto-out) forces
-//                        serial callbacks, so profile shard lanes collapse
-//                        to one — profile a run without those flags to see
-//                        real shard parallelism.
+//                        barrier-wait tracks (pid 3).
 //   --telemetry-rounds K keep only the last K per-round telemetry samples
 //                        (default for large runs: 4096; unbounded
 //                        otherwise). K must be a positive integer — an
@@ -347,16 +343,28 @@ bool parse_watch_nodes(const std::string& csv, NodeIndex n,
   return true;
 }
 
-// The byz --strategy names; nullptr for an unknown one.
+// The byz --strategy table: it serves both parsing and the usage message.
+struct Strategy {
+  const char* name;
+  byzantine::ByzStrategyFactory make;
+};
+constexpr Strategy kStrategies[] = {
+    {"split", &byzantine::SplitReporter::make},
+    {"lying", &byzantine::LyingMember::make},
+    {"spoof", &byzantine::Spoofer::make},
+    {"silent",
+     [](NodeIndex, const SystemConfig&, const Directory&,
+        const byzantine::ByzParams&) -> std::unique_ptr<sim::Node> {
+       return std::make_unique<byzantine::SilentNode>();
+     }},
+    {"prefix", &byzantine::PrefixReporter::make},
+    {"double", &byzantine::DoubleDealer::make},
+};
+
+// The factory named `name`; nullptr for an unknown one.
 byzantine::ByzStrategyFactory strategy_factory(const std::string& name) {
-  if (name == "split") return &byzantine::SplitReporter::make;
-  if (name == "lying") return &byzantine::LyingMember::make;
-  if (name == "spoof") return &byzantine::Spoofer::make;
-  if (name == "silent") {
-    return [](NodeIndex, const SystemConfig&, const Directory&,
-              const byzantine::ByzParams&) -> std::unique_ptr<sim::Node> {
-      return std::make_unique<byzantine::SilentNode>();
-    };
+  for (const Strategy& s : kStrategies) {
+    if (name == s.name) return s.make;
   }
   return nullptr;
 }
@@ -407,8 +415,12 @@ int main(int argc, char** argv) {
   }
   if (args.command == "byz" &&
       strategy_factory(args.str("strategy", "split")) == nullptr) {
-    std::fprintf(stderr,
-                 "--strategy must be one of split, lying, spoof, silent\n");
+    std::string names;
+    for (const Strategy& s : kStrategies) {
+      names += names.empty() ? "" : ", ";
+      names += s.name;
+    }
+    std::fprintf(stderr, "--strategy must be one of %s\n", names.c_str());
     return usage();
   }
   const std::uint64_t seed = args.num("seed", 1);
@@ -494,7 +506,7 @@ int main(int argc, char** argv) {
   }
 
   // Shard profiler: attached via the shard plan below; purely
-  // observational, so it never changes the engine's serial/parallel choice.
+  // observational, like every observer.
   std::unique_ptr<obs::ShardProfile> profile;
   if (args.has("shard-profile-out")) {
     profile = std::make_unique<obs::ShardProfile>();
@@ -538,8 +550,7 @@ int main(int argc, char** argv) {
 
   // --threads T > 1 (0 = all cores) runs the engine's send/receive
   // callbacks shard-parallel on a persistent pool; output stays
-  // byte-identical. Live telemetry (--audit/--metrics-out/--perfetto-out)
-  // makes the engine fall back to serial callbacks on its own.
+  // byte-identical, whatever observers are attached.
   // Both flags are bounded before the unsigned narrowing below: a huge
   // value would otherwise spawn that many threads / size per-run scratch
   // by that many shards.

@@ -223,7 +223,7 @@ ObgRunResult closed_form_obg(const SystemConfig& cfg,
   ObgRunResult result;
   result.closed_form = true;
   obs::Telemetry* const tel = observers.telemetry;
-  observers.on_run_begin(n, /*shards=*/1);
+  observers.on_run_begin(n, /*shards=*/nullptr);
   for (Round round = 1; round <= rounds; ++round) {
     const Kind kind = round == 1   ? Kind::kObgAnnounce
                       : round <= 3 ? Kind::kObgVector
@@ -239,7 +239,7 @@ ObgRunResult closed_form_obg(const SystemConfig& cfg,
       tel->note_messages(raw(kind), copies, bits);
     }
     result.stats.note_messages(copies, bits);
-    if (tel != nullptr) tel->note_inbox(n, n);  // shared inbox
+    if (tel != nullptr) tel->note_inbox(0, n, n);  // n share one inbox
     // Every node sends every round; no outbox table exists to occupy.
     observers.on_round_end(round, result.stats, /*active_senders=*/n,
                            /*outbox_live=*/0);

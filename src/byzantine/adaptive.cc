@@ -10,14 +10,16 @@ AdaptiveRunResult run_adaptive_experiment(const SystemConfig& cfg,
                                           Round max_rounds) {
   const Directory directory(cfg);
   AdaptiveController controller(budget);
+  consensus::ViewInterner views;
 
   std::vector<std::unique_ptr<sim::Node>> nodes;
   nodes.reserve(cfg.n);
   for (NodeIndex v = 0; v < cfg.n; ++v) {
     nodes.push_back(std::make_unique<TurncoatNode>(v, cfg, directory, params,
-                                                   controller));
+                                                   views, controller));
   }
   sim::Engine engine(std::move(nodes));
+  views.bind_shards(&engine.shard_map());
 
   if (max_rounds == 0) {
     // A wrecked run never terminates on its own; keep the cap modest so

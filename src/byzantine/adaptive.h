@@ -60,9 +60,9 @@ class TurncoatNode final : public sim::Node {
  public:
   TurncoatNode(NodeIndex self, const SystemConfig& cfg,
                const Directory& directory, const ByzParams& params,
-               AdaptiveController& controller)
+               consensus::ViewInterner& views, AdaptiveController& controller)
       : self_(self),
-        honest_(self, cfg, directory, params),
+        honest_(self, cfg, directory, params, views),
         controller_(&controller) {}
 
   void send(Round round, sim::Outbox& out) override {

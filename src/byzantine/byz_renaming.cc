@@ -14,7 +14,7 @@ using sim::wire::raw;
 
 ByzNode::ByzNode(NodeIndex self, const SystemConfig& cfg,
                  const Directory& directory, ByzParams params,
-                 obs::Telemetry* telemetry, consensus::ViewInterner* interner,
+                 consensus::ViewInterner& views, obs::Telemetry* telemetry,
                  obs::Provenance* provenance)
     : self_(self),
       n_(cfg.n),
@@ -25,7 +25,7 @@ ByzNode::ByzNode(NodeIndex self, const SystemConfig& cfg,
       params_(params),
       beacon_(params.shared_seed),
       telemetry_(telemetry),
-      interner_(interner),
+      views_(&views),
       provenance_(provenance),
       view_(consensus::empty_committee_view()) {}
 
@@ -135,14 +135,9 @@ void ByzNode::receive(Round round, sim::InboxView inbox) {
       }
       // One immutable view object per distinct member list: honest nodes
       // all derive the same list here, so the interner collapses their
-      // views into one shared allocation (O(log n) instead of O(n log n)
-      // resident members at million-node scale).
-      if (interner_ != nullptr) {
-        view_ = interner_->intern(std::move(members));
-      } else {
-        view_ = std::make_shared<const consensus::CommitteeView>(
-            std::move(members));
-      }
+      // views into one shared allocation per shard (O(log n) instead of
+      // O(n log n) resident members at million-node scale).
+      view_ = views_->intern(self_, std::move(members));
       my_view_index_ = view_->index_of_link(self_);
       if (elected_ && my_view_index_ == consensus::CommitteeView::npos) {
         elected_ = false;  // defensive; cannot happen with self-delivery
@@ -472,14 +467,10 @@ ByzRunResult run_byz_renaming(const SystemConfig& cfg, const ByzParams& params,
                   byzantine.size());
   obs::Telemetry* const tel = observers.telemetry;
 
-  // Run-wide committee-view pool: interning happens inside receive(),
-  // which a shard plan may run in parallel, so the pool only exists on
-  // serial runs. Declared before the
-  // nodes (and the engine that owns them) so the views it hands out
-  // outlive every node holding one.
-  consensus::ViewInterner view_interner;
-  consensus::ViewInterner* const interner =
-      observers.plan.active() ? nullptr : &view_interner;
+  // Run-wide committee-view pool, one map per engine shard. Declared
+  // before the nodes (and the engine that owns them) so the views it hands
+  // out outlive every node holding one.
+  consensus::ViewInterner views;
 
   std::vector<std::unique_ptr<sim::Node>> nodes;
   nodes.reserve(cfg.n);
@@ -488,11 +479,12 @@ ByzRunResult run_byz_renaming(const SystemConfig& cfg, const ByzParams& params,
       nodes.push_back(factory(v, cfg, directory, params));
     } else {
       nodes.push_back(std::make_unique<ByzNode>(v, cfg, directory, params,
-                                                tel, interner,
+                                                views, tel,
                                                 observers.provenance));
     }
   }
   sim::Engine engine(std::move(nodes), nullptr, observers);
+  views.bind_shards(&engine.shard_map());
   for (NodeIndex b : byzantine) engine.mark_byzantine(b);
 
   if (max_rounds == 0) {

@@ -91,13 +91,12 @@ class ByzNode : public sim::Node {
   /// Fingerprint coefficients are drawn from the stateless beacon of
   /// params.shared_seed on every query (hashing/fingerprint.h), so a node
   /// needs no run-wide state to agree with the others on them.
-  /// `interner` (optional) is the run-wide committee-view pool
-  /// (consensus::ViewInterner): honest nodes deriving the same view then
-  /// share one immutable CommitteeView instead of storing n private copies,
-  /// the difference between O(n log n) and O(log n) resident view state at
-  /// n = 2^20. Null (the strategy-factory default, and whenever a shard
-  /// plan runs receive() in parallel) means private views — byte-identical
-  /// behaviour either way.
+  /// `views` is the committee-view pool (consensus::ViewInterner) the node
+  /// builds its view from: honest nodes deriving the same view then share
+  /// one immutable CommitteeView (at most one per engine shard) instead of
+  /// storing n private copies, the difference between O(n log n) and
+  /// O(log n) resident view state at n = 2^20. A run shares one pool among
+  /// all its nodes; a Byzantine strategy's core brings its own.
   /// `telemetry` (optional) receives PhaseScope spans and per-phase wall
   /// time; it never influences behaviour.
   /// `provenance` (optional) records the node's decision events — election,
@@ -105,8 +104,8 @@ class ByzNode : public sim::Node {
   /// majority claim — with cause links to the deliveries that produced
   /// them; also purely observational.
   ByzNode(NodeIndex self, const SystemConfig& cfg, const Directory& directory,
-          ByzParams params, obs::Telemetry* telemetry = nullptr,
-          consensus::ViewInterner* interner = nullptr,
+          ByzParams params, consensus::ViewInterner& views,
+          obs::Telemetry* telemetry = nullptr,
           obs::Provenance* provenance = nullptr);
 
   void send(Round round, sim::Outbox& out) override;
@@ -185,7 +184,7 @@ class ByzNode : public sim::Node {
   ByzParams params_;
   hashing::SharedRandomness beacon_;
   obs::Telemetry* telemetry_;  // non-owning, may be null
-  consensus::ViewInterner* interner_;  // non-owning, may be null
+  consensus::ViewInterner* views_;  // non-owning, never null
   obs::Provenance* provenance_;  // non-owning, may be null
 
   // --- common state ---

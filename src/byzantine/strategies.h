@@ -48,7 +48,7 @@ class CorruptedNode : public sim::Node {
                 const Directory& directory, const ByzParams& params)
       : self_(self),
         n_(cfg.n),
-        honest_(self, cfg, directory, params),
+        honest_(self, cfg, directory, params, views_),
         rng_(SplitMix64(cfg.seed ^ 0xBADBADULL).next() + self) {}
 
   void send(Round round, sim::Outbox& out) override {
@@ -78,6 +78,8 @@ class CorruptedNode : public sim::Node {
 
   NodeIndex self_;
   NodeIndex n_;
+  /// The core's own view pool: only this node's callbacks touch it.
+  consensus::ViewInterner views_;
   ByzNode honest_;
   Xoshiro256 rng_;
 

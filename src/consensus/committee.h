@@ -19,6 +19,7 @@
 
 #include "common/check.h"
 #include "common/types.h"
+#include "sim/parallel/shard.h"
 
 namespace renaming::consensus {
 
@@ -130,12 +131,18 @@ class CommitteeView {
 /// that fabricate per-node views simply intern distinct lists and share
 /// nothing — correctness never depends on sharing.
 ///
-/// Not thread-safe: it is the one piece of cross-node shared mutable state
-/// in a Byzantine run, so callers only intern from engine-serial sections
-/// (the run_* entry points skip the interner when a shard plan is active).
+/// Nodes intern inside receive(), which the engine may run on K shards at
+/// once, so the pool keeps one map per shard (sim/parallel/shard.h): a
+/// caller touches only its shard's, and a view costs at most K copies.
 class ViewInterner {
  public:
-  std::shared_ptr<const CommitteeView> intern(std::vector<Member> members) {
+  /// Follows the engine's fan-outs (null detaches). Unbound, one pool.
+  void bind_shards(const sim::parallel::ShardMap* map) { pools_.bind(map); }
+
+  /// The shared view of `members`, from the pool of the shard running
+  /// `caller`'s callback.
+  std::shared_ptr<const CommitteeView> intern(NodeIndex caller,
+                                              std::vector<Member> members) {
     // Normalize first so logically identical lists hash identically; the
     // CommitteeView constructor re-running the sort is a no-op.
     std::sort(members.begin(), members.end());
@@ -146,27 +153,20 @@ class ViewInterner {
       h ^= (static_cast<std::uint64_t>(m.link) * 0xc4ceb9fe1a85ec53ULL) +
            (h << 6) + (h >> 2);
     }
-    for (const auto& candidate : pool_[h]) {
+    Views& bucket = pools_.at(caller)[h];
+    for (const auto& candidate : bucket) {
       if (candidate->members() == members) return candidate;
     }
-    auto view = std::make_shared<const CommitteeView>(std::move(members));
-    pool_[h].push_back(view);
-    return pool_[h].back();
-  }
-
-  /// Number of distinct views interned (the memory claim: stays O(1) per
-  /// honest execution, not O(n)).
-  std::size_t distinct() const {
-    std::size_t total = 0;
-    for (const auto& [h, views] : pool_) total += views.size();
-    return total;
+    bucket.push_back(std::make_shared<const CommitteeView>(std::move(members)));
+    return bucket.back();
   }
 
  private:
   // Ordered map (R4): iteration order never feeds observers, but keeping
   // the repo-wide determinism rule is cheaper than arguing the exception.
-  std::map<std::uint64_t, std::vector<std::shared_ptr<const CommitteeView>>>
-      pool_;
+  using Views = std::vector<std::shared_ptr<const CommitteeView>>;
+  using Pool = std::map<std::uint64_t, Views>;
+  sim::parallel::ShardSlots<Pool> pools_;
 };
 
 /// The shared empty view every node starts from before its announcement

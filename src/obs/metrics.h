@@ -66,6 +66,13 @@ class LogHistogram {
     add(value, weight);
   }
 
+  /// Adds every sample of `other`, as if each had been added here.
+  void merge(const LogHistogram& other) {
+    for (std::size_t b = 0; b < kBuckets; ++b) buckets_[b] += other.buckets_[b];
+    count_ += other.count_;
+    sum_ += other.sum_;
+  }
+
   std::uint64_t count() const { return count_; }
   std::uint64_t sum() const { return sum_; }
 

@@ -38,7 +38,9 @@ void Provenance::set_run_info(std::string algorithm, std::uint64_t n,
   f_info_ = f;
 }
 
-void Provenance::begin_run(NodeIndex n) {
+void Provenance::begin_run(NodeIndex n,
+                           const sim::parallel::ShardMap* shards) {
+  shards_.bind(shards);
   if (active_ && frontier_.size() == n) return;  // already begun this run
   active_ = true;
   rounds_ = 0;
@@ -62,6 +64,7 @@ void Provenance::begin_run(NodeIndex n) {
 void Provenance::end_run(Round rounds) {
   rounds_ = rounds;
   active_ = false;
+  shards_.bind(nullptr);
   while (!pending_.empty()) evict_front();
 }
 
@@ -122,7 +125,6 @@ std::uint64_t Provenance::note_event(Round round, NodeIndex node,
                                      std::size_t cause_count,
                                      NodeIndex subject) {
   ProvEvent ev;
-  ev.id = next_id_++;
   ev.round = round;
   ev.node = node;
   ev.subject = subject;
@@ -138,9 +140,28 @@ std::uint64_t Provenance::note_event(Round round, NodeIndex node,
     ev.causes[i].sender = causes[i].sender;
     ev.causes[i].msg_kind = causes[i].msg_kind;
     ev.causes[i].bits = causes[i].bits;
-    ev.causes[i].event = resolve_cause(causes[i].sender, node);
   }
+  if (shards_.running()) {
+    shards_.at(node).push_back(ev);
+    return kNoProvEvent;
+  }
+  return record(ev);
+}
 
+void Provenance::fold_shards() {
+  shards_.fold([&](unsigned, std::vector<ProvEvent>& events) {
+    for (const ProvEvent& ev : events) record(ev);
+    events.clear();
+  });
+}
+
+std::uint64_t Provenance::record(ProvEvent ev) {
+  ev.id = next_id_++;
+  for (std::uint8_t i = 0; i < ev.cause_count; ++i) {
+    ev.causes[i].event = resolve_cause(ev.causes[i].sender, ev.node);
+  }
+  const NodeIndex node = ev.node;
+  const NodeIndex subject = ev.subject;
   const bool keep = watch_all_ || watched(node) ||
                     (subject != kNoNode && watched(subject));
   if (keep) pin_causes(ev);

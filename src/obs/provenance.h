@@ -32,6 +32,7 @@
 #include "common/types.h"
 #include "obs/provenance_kinds.h"
 #include "sim/message.h"
+#include "sim/parallel/shard.h"
 
 namespace renaming::sim {
 struct Observers;
@@ -109,9 +110,11 @@ struct ProvenanceOptions {
 };
 
 /// The recorder. Plumbed like Telemetry: engine + protocol nodes hold a
-/// (possibly null) pointer and call the note_* hooks at order-pinned
-/// serial sites, so recording order — and therefore the exported bytes —
-/// is identical across thread counts.
+/// (possibly null) pointer and call the note_* hooks. A note_event inside
+/// an engine fan-out goes to the calling shard's slot; the engine folds
+/// the slots in shard order after the join (sim/parallel/shard.h), and the
+/// fold assigns ids and resolves causes, so recording order — and
+/// therefore the exported bytes — is the serial one at any thread count.
 class Provenance {
  public:
   explicit Provenance(ProvenanceOptions opts = {});
@@ -129,8 +132,9 @@ class Provenance {
   /// decision events, e.g. the crash protocol's initial self-election);
   /// the engine calls it again at run start, where it is a no-op for an
   /// already-active recorder of the same size — so construction-time
-  /// events survive into the run.
-  void begin_run(NodeIndex n);
+  /// events survive into the run — except that the recorder then follows
+  /// the engine's shard map `shards` until end_run.
+  void begin_run(NodeIndex n, const sim::parallel::ShardMap* shards = nullptr);
   void end_run(Round rounds);
   void note_crash(Round round, NodeIndex victim);
   void note_spoof(Round round, NodeIndex sender, NodeIndex claimed,
@@ -140,9 +144,10 @@ class Provenance {
   /// corruptions); `renaming_doctor blame` unions this with spoof senders.
   void mark_faulty(NodeIndex v);
 
-  /// Protocol hook: record one decision at `node`. Causes beyond
-  /// kMaxProvCauses are counted in causes_dropped, not silently lost.
-  /// Returns the event id (for tests; protocols ignore it).
+  /// Protocol hook: record one decision at `node`, the node whose callback
+  /// runs. Causes beyond kMaxProvCauses are counted in causes_dropped, not
+  /// silently lost. Returns the event id (for tests; protocols ignore it),
+  /// or kNoProvEvent inside a fan-out, where the fold assigns it.
   std::uint64_t note_event(Round round, NodeIndex node, ProvEventKind kind,
                            sim::MsgKind msg_kind, std::uint64_t a,
                            std::uint64_t b, const Cause* causes,
@@ -160,6 +165,9 @@ class Provenance {
   /// True when events at `v` are retained (not merely recorded).
   bool watched(NodeIndex v) const;
 
+  /// Engine side: records the last fan-out's events in shard order.
+  void fold_shards();
+
   /// Snapshot for the exporters / doctor. Call after end_run.
   ProvenanceData data() const;
 
@@ -174,6 +182,8 @@ class Provenance {
     bool keep = false;
   };
 
+  /// Assigns `ev` the next id, resolves its causes and retains it.
+  std::uint64_t record(ProvEvent ev);
   std::uint64_t resolve_cause(NodeIndex sender, NodeIndex about) const;
   void pin_causes(const ProvEvent& ev);
   void evict_front();
@@ -204,6 +214,9 @@ class Provenance {
   std::map<std::uint64_t, std::uint64_t> last_about_;
 
   std::vector<NodeIndex> faulty_;
+
+  /// Per-shard events of the running fan-out, causes not yet resolved.
+  sim::parallel::ShardSlots<std::vector<ProvEvent>> shards_;
 };
 
 /// RNPV v1 writers/readers over the shared obs/binio.h codec. The reader

@@ -18,9 +18,8 @@
 // Perfetto per-shard tracks, the doctor's report), never in traces,
 // journals, stats or outcomes; byte-identity of those with profiling on
 // and off at every thread count is pinned by tests/obs_progress_test.cc.
-// A live Telemetry or Provenance forces the engine callbacks serial (see
-// sim::Engine::run); the profile then records what really ran — one
-// shard.
+// No observer changes K, so the profile records the run's real shards
+// whatever else is attached.
 //
 // Bounded memory: totals are O(shards); the per-round samples feeding the
 // Perfetto tracks live in a ring of the last `ring_capacity` rounds.

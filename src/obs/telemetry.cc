@@ -32,6 +32,21 @@ Telemetry::Telemetry()
   }
 }
 
+void Telemetry::fold_shards() {
+  shards_.fold([&](unsigned, ShardSlot& slot) {
+    spans_.insert(spans_.end(), slot.spans.begin(), slot.spans.end());
+    slot.spans.clear();
+    for (std::size_t p = 0; p < kPhaseCount; ++p) {
+      phases_[p].wall_ns += slot.wall_ns[p];
+    }
+    slot.wall_ns.fill(0);
+    if (slot.inbox_occupancy.count() != 0) {
+      inbox_occupancy_->merge(slot.inbox_occupancy);
+      slot.inbox_occupancy = LogHistogram();
+    }
+  });
+}
+
 void Telemetry::end_run(Round last_round) {
   run_wall_ns_ = now_ns() - run_begin_ns_;
   // Close every open span at the round after the last executed one, so a
@@ -43,6 +58,7 @@ void Telemetry::end_run(Round last_round) {
     }
   }
   node_phase_.clear();
+  shards_.bind(nullptr);
 }
 
 }  // namespace renaming::obs

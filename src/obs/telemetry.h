@@ -4,7 +4,11 @@
 // One Telemetry object per run, explicitly wired (engine + protocol nodes
 // hold non-owning pointers) — never a global or a thread_local, because the
 // bench drivers run independent simulations concurrently and src/ is
-// single-threaded by the R6 lint invariant.
+// single-threaded by the R6 lint invariant. What node callbacks record
+// (PhaseScope spans and wall time, the engine's per-receiver inbox sample)
+// goes to the calling shard's slot and folds in shard order after each
+// fan-out (sim/parallel/shard.h), so the recorded spans come out in the
+// serial order at any thread count.
 //
 // Determinism contract: telemetry is observational. It never feeds back
 // into protocol or engine behaviour, so stats, traces and outcomes are
@@ -25,6 +29,7 @@
 #include "obs/metrics.h"
 #include "obs/phase.h"
 #include "sim/message.h"
+#include "sim/parallel/shard.h"
 
 namespace renaming::sim {
 struct Observers;
@@ -131,8 +136,11 @@ class Telemetry {
   }
 
   // --- engine hooks (hot path: pointer bumps and array indexing only) ----
-  void begin_run(NodeIndex n) {
+  /// `shards` is the engine's shard map, whose fan-outs the recorder
+  /// follows until end_run (null: no engine, every write is direct).
+  void begin_run(NodeIndex n, const sim::parallel::ShardMap* shards = nullptr) {
     node_phase_.assign(n, OpenPhase{});
+    shards_.bind(shards);
     run_begin_ns_ = now_ns();
   }
 
@@ -164,10 +172,14 @@ class Telemetry {
     message_bits_->add_weighted_sum(bits, count);
   }
 
-  /// Records the inbox occupancy seen by `receivers` nodes this round
-  /// (bulk: the shared-inbox path hands every receiver the same view).
-  void note_inbox(std::uint64_t receivers, std::uint64_t occupancy) {
-    inbox_occupancy_->add(occupancy, receivers);
+  /// Records the inbox occupancy seen by `receivers` nodes this round,
+  /// `receiver` the first of them (bulk: a closed form hands all n the
+  /// same view). Inside a fan-out the sample goes to `receiver`'s shard.
+  void note_inbox(NodeIndex receiver, std::uint64_t occupancy,
+                  std::uint64_t receivers = 1) {
+    (shards_.running() ? shards_.at(receiver).inbox_occupancy
+                       : *inbox_occupancy_)
+        .add(occupancy, receivers);
   }
 
   void note_active_senders(std::uint64_t count) {
@@ -191,22 +203,32 @@ class Telemetry {
   // --- protocol hooks (via PhaseScope) -----------------------------------
   /// Marks `node` as being in `phase` from `round` on; consecutive calls
   /// with the same phase are a single compare. Phase changes close the
-  /// previous span.
+  /// previous span. Inside a fan-out `node` must be the node whose
+  /// callback runs: its shard's slot takes the span.
   void enter_phase(NodeIndex node, PhaseId phase, Round round) {
     RENAMING_CHECK(node < node_phase_.size(),
                    "enter_phase before begin_run or node out of range");
     OpenPhase& open = node_phase_[node];
     if (open.phase == phase) return;
     if (open.phase != PhaseId::kUnattributed) {
-      spans_.push_back({node, open.phase, open.since, round});
+      (shards_.running() ? shards_.at(node).spans : spans_)
+          .push_back({node, open.phase, open.since, round});
     }
     open.phase = phase;
     open.since = round;
   }
 
-  void add_phase_wall(PhaseId phase, std::int64_t ns) {
-    phases_[static_cast<std::size_t>(phase)].wall_ns += ns;
+  /// Charges `ns` of `node`'s callback wall time to `phase`.
+  void add_phase_wall(NodeIndex node, PhaseId phase, std::int64_t ns) {
+    const auto p = static_cast<std::size_t>(phase);
+    std::int64_t& wall =
+        shards_.running() ? shards_.at(node).wall_ns[p] : phases_[p].wall_ns;
+    wall += ns;
   }
+
+  /// Engine side: folds the last fan-out's slots in shard order (spans
+  /// append, wall times and inbox samples add).
+  void fold_shards();
 
   /// Closes every open span; `last_round` is the final executed round.
   void end_run(Round last_round);
@@ -266,6 +288,13 @@ class Telemetry {
     Round since = 0;
   };
 
+  /// What one shard's callbacks recorded since the last fold.
+  struct ShardSlot {
+    std::vector<PhaseSpan> spans;
+    std::array<std::int64_t, kPhaseCount> wall_ns{};
+    LogHistogram inbox_occupancy;
+  };
+
   MetricsRegistry registry_;
   // Standard instruments, resolved once in the constructor (hot-path
   // recording is a pointer bump; the registry map is never touched again).
@@ -285,6 +314,7 @@ class Telemetry {
   std::array<PhaseTotals, kPhaseCount> phases_{};
   std::vector<OpenPhase> node_phase_;
   std::vector<PhaseSpan> spans_;
+  sim::parallel::ShardSlots<ShardSlot> shards_;
   std::vector<Instant> instants_;
   RoundRing<std::int64_t> per_round_wall_ns_;
   RoundRing<std::uint32_t> per_round_active_;
@@ -304,7 +334,7 @@ class Telemetry {
 class PhaseScope {
  public:
   PhaseScope(Telemetry* telemetry, NodeIndex node, PhaseId phase, Round round)
-      : telemetry_(telemetry), phase_(phase) {
+      : telemetry_(telemetry), node_(node), phase_(phase) {
     if (telemetry_ == nullptr) return;
     telemetry_->enter_phase(node, phase, round);
     start_ns_ = now_ns();
@@ -312,7 +342,7 @@ class PhaseScope {
 
   ~PhaseScope() {
     if (telemetry_ == nullptr) return;
-    telemetry_->add_phase_wall(phase_, now_ns() - start_ns_);
+    telemetry_->add_phase_wall(node_, phase_, now_ns() - start_ns_);
   }
 
   PhaseScope(const PhaseScope&) = delete;
@@ -320,6 +350,7 @@ class PhaseScope {
 
  private:
   Telemetry* telemetry_;
+  NodeIndex node_;
   PhaseId phase_;
   std::int64_t start_ns_ = 0;
 };

@@ -30,6 +30,15 @@ unsigned effective_shards(std::size_t items, unsigned shards) {
   return cap < shards ? static_cast<unsigned>(cap) : shards;
 }
 
+// The run's K: the plan's shard count (by default its pool's width), 1
+// without a pool, never above n — every per-shard slot set is sized by K,
+// so an absurd --shards value is capped here, not allocated.
+unsigned plan_shards(const parallel::ShardPlan& plan, std::size_t n) {
+  if (plan.pool == nullptr) return 1;
+  const std::size_t k = plan.shards != 0 ? plan.shards : plan.pool->threads();
+  return static_cast<unsigned>(std::min(k, std::max<std::size_t>(n, 1)));
+}
+
 }  // namespace
 
 Engine::Engine(std::vector<std::unique_ptr<Node>> nodes,
@@ -40,7 +49,8 @@ Engine::Engine(std::vector<std::unique_ptr<Node>> nodes,
                            : std::make_unique<NoCrashAdversary>()),
       alive_(nodes_.size(), true),
       byzantine_(nodes_.size(), false),
-      observers_(observers) {
+      observers_(observers),
+      shards_(plan_shards(observers.plan, nodes_.size())) {
   RENAMING_CHECK(!nodes_.empty(), "an engine needs at least one node");
   for (const std::unique_ptr<Node>& node : nodes_) {
     RENAMING_CHECK(node != nullptr, "every node slot must be populated");
@@ -81,14 +91,14 @@ RunStats Engine::run(Round max_rounds) {
   const NodeIndex n = size();
 
   // Observers are observational: every hook below mirrors an accounting
-  // site (stats/trace) without influencing behaviour. Journal hooks fire
-  // once per copy of a unicast or repeat and once per *logical* multicast
-  // or broadcast entry (never per broadcast copy), keeping the attached
-  // cost within the hot-path budget. Provenance records like the
-  // journal (no wall clock, hooks only at order-pinned serial sites): the
-  // engine contributes the boundary events nodes cannot see (spoof
+  // site (stats/trace) without influencing behaviour, and none of them
+  // picks K or the delivery path. Journal hooks fire once per copy of a
+  // unicast or repeat and once per *logical* multicast or broadcast entry
+  // (never per broadcast copy), keeping the attached cost within the
+  // hot-path budget. Provenance records like the journal (no wall clock):
+  // the engine contributes the boundary events nodes cannot see (spoof
   // rejections, crashes) and the faulty set; nodes record their own
-  // decisions.
+  // decisions into their shard's slot, folded after each fan-out.
   TraceSink* const trace = observers_.trace;
   obs::Telemetry* const tel = observers_.telemetry;
   obs::Journal* const jrn = observers_.journal;
@@ -101,25 +111,10 @@ RunStats Engine::run(Round max_rounds) {
   // own state) — while the adversary and the whole delivery/accounting
   // sweep stay on this thread in their original order, so stats, traces,
   // journal bytes and delivery order cannot change by construction. A
-  // serial run is K = 1 of the same fan-out. A live telemetry or
-  // provenance forces K = 1: PhaseScope spans and provenance events inside
-  // protocol node code mutate the shared recorder directly, the observers
-  // the engine does not mediate.
+  // serial run is K = 1 of the same fan-out.
   parallel::WorkerPool* const pool = observers_.plan.pool;
-  unsigned plan_shards = 1;
-  if (pool != nullptr && tel == nullptr && prov == nullptr) {
-    plan_shards = observers_.plan.shards != 0 ? observers_.plan.shards
-                                              : pool->threads();
-    if (plan_shards == 0) plan_shards = 1;
-    // A shard never holds fewer than one node, so K > n buys nothing —
-    // and the scratch vector below is sized by K, so an absurd --shards
-    // value (the CLI forwards it as a raw unsigned) must be capped here
-    // rather than turned into a multi-gigabyte allocation.
-    const unsigned max_shards = n != 0 ? n : 1;
-    if (plan_shards > max_shards) plan_shards = max_shards;
-  }
 
-  observers_.on_run_begin(n, plan_shards);
+  observers_.on_run_begin(n, &shards_);
   if (prov != nullptr) {
     for (NodeIndex v = 0; v < n; ++v) {
       if (byzantine_[v]) prov->mark_faulty(v);
@@ -186,8 +181,7 @@ RunStats Engine::run(Round max_rounds) {
   // lint:engine-setup-end
 
   // Per-shard scratch: shard s writes only its own slot inside a phase
-  // (done/active deltas and profile stamps), and fan_out folds the slots
-  // in fixed order 0..K-1 after the phase.
+  // (done/active deltas and profile stamps).
   struct ShardScratch {
     std::int64_t remaining_delta = 0;
     bool active_dirty = false;
@@ -195,18 +189,20 @@ RunStats Engine::run(Round max_rounds) {
     std::int64_t busy_begin_ns = 0;
     std::int64_t busy_end_ns = 0;
   };
-  std::vector<ShardScratch> shard_scratch(plan_shards);
+  parallel::ShardSlots<ShardScratch> shard_scratch;
+  shard_scratch.bind(&shards_);
 
   // The one way send() and receive() run: body(v, scratch) for every node
   // of an ascending list, over K contiguous shards on the pool. K = 1 is
-  // the same shard body inline on this thread. The fold is the whole
-  // determinism argument, so it is written once: scratch in shard order,
-  // then the per-shard profile (obs/shard_profile.h) — busy is a shard's
-  // callback window, wait is from its finish to the slowest finisher. A
-  // profile is engine-mediated, so attaching one never forces K = 1.
+  // the same shard body inline on this thread. shards_ tells node code
+  // which shard runs it; after the join every slot set folds in shard
+  // order — the engine's scratch, then the per-shard profile
+  // (obs/shard_profile.h: busy is a shard's callback window, wait is from
+  // its finish to the slowest finisher), then the recorders node code
+  // wrote.
   auto fan_out = [&](obs::ShardPhase phase, const std::vector<NodeIndex>& list,
                      auto&& body) {
-    const unsigned k = effective_shards(list.size(), plan_shards);
+    const unsigned k = effective_shards(list.size(), shards_.capacity());
     const parallel::Partition part(list.size(), k);
     auto shard = [&](std::size_t s) {
       ShardScratch& scratch = shard_scratch[s];
@@ -215,17 +211,18 @@ RunStats Engine::run(Round max_rounds) {
       for (std::size_t i = r.begin; i < r.end; ++i) body(list[i], scratch);
       if (prof != nullptr) scratch.busy_end_ns = obs::now_ns();
     };
+    shards_.open(list, part);
     if (k == 1) {
       shard(0);
     } else {
       pool->run(k, shard);
     }
+    shards_.close();
     std::int64_t join_ns = 0;
-    for (unsigned s = 0; s < k; ++s) {
-      join_ns = std::max(join_ns, shard_scratch[s].busy_end_ns);
-    }
-    for (unsigned s = 0; s < k; ++s) {
-      ShardScratch& scratch = shard_scratch[s];
+    shard_scratch.fold([&](unsigned, const ShardScratch& scratch) {
+      join_ns = std::max(join_ns, scratch.busy_end_ns);
+    });
+    shard_scratch.fold([&](unsigned s, ShardScratch& scratch) {
       if (prof != nullptr) {
         prof->note_shard(phase, s, scratch.busy_end_ns - scratch.busy_begin_ns,
                          join_ns - scratch.busy_end_ns);
@@ -239,7 +236,9 @@ RunStats Engine::run(Round max_rounds) {
       scratch.remaining_delta = 0;
       scratch.active_dirty = false;
       scratch.activated.clear();
-    }
+    });
+    if (tel != nullptr) tel->fold_shards();
+    if (prov != nullptr) prov->fold_shards();
   };
 
   // Re-query a node whose receive() just ran; the only place done()/idle()
@@ -403,11 +402,11 @@ RunStats Engine::run(Round max_rounds) {
     // node on it receives exactly the round's unspoofed entries in sender
     // order, so one slot list serves them all and delivery is O(entries),
     // not O(copies). Lists are compared by pointer, then by contents. A
-    // list naming a node twice owes it two copies per entry, and a trace
-    // records per-copy events in arena order: both take the arena path, as
-    // does any round with a partial crash (its victim's expanded unicasts
-    // address single nodes).
-    bool shared = trace == nullptr;
+    // list naming a node twice owes it two copies per entry and takes the
+    // arena path, as does any round with a partial crash (its victim's
+    // expanded unicasts address single nodes). A trace takes its per-copy
+    // events from the accounting walk below, the same on either path.
+    bool shared = true;
     bool have_list = false;
     std::span<const NodeIndex> shared_list;
     for (std::size_t i = 0; i < senders.size() && shared; ++i) {
@@ -563,7 +562,7 @@ RunStats Engine::run(Round max_rounds) {
               const InboxView in =
                   !shared ? inbox.view(v)
                           : (listed_in[v] == round ? shared_view : InboxView());
-              if (tel != nullptr) tel->note_inbox(1, in.size());
+              if (tel != nullptr) tel->note_inbox(v, in.size());
               nodes_[v]->receive(round, in);
               refresh_into(v, scratch);
             });

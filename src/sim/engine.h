@@ -23,6 +23,7 @@
 #include "sim/adversary.h"
 #include "sim/node.h"
 #include "sim/observers.h"
+#include "sim/parallel/shard.h"
 #include "sim/stats.h"
 
 namespace renaming::sim {
@@ -39,11 +40,11 @@ class Engine {
   /// (docs/PERFORMANCE.md §9) sets K and the worker pool, and a serial run
   /// is K = 1, the same shard body inline on the calling thread. Every
   /// order-sensitive sweep (adversary, delivery, stats, traces, journal)
-  /// stays on the calling thread and per-shard bookkeeping folds in fixed
-  /// shard order 0..K-1, so output is byte-identical at any thread/shard
-  /// count. A live telemetry or provenance forces K = 1: PhaseScope spans
-  /// and provenance events inside node code are the observers the engine
-  /// does not mediate. Default bundle = K = 1, unobserved.
+  /// stays on the calling thread. What node code records inside a callback
+  /// (telemetry spans, provenance events, interned views) goes to its
+  /// shard's slot (parallel::ShardSlots), folded in shard order 0..K-1
+  /// after the join, so output is byte-identical at any thread/shard count
+  /// and no observer changes K. Default bundle = K = 1, unobserved.
   Engine(std::vector<std::unique_ptr<Node>> nodes,
          std::unique_ptr<CrashAdversary> adversary = nullptr,
          Observers observers = {});
@@ -64,6 +65,10 @@ class Engine {
   Node& node(NodeIndex v) { return *nodes_[v]; }
   const Node& node(NodeIndex v) const { return *nodes_[v]; }
   const RunStats& stats() const { return stats_; }
+  /// Which shard runs a node's callback: the map a recorder that node code
+  /// writes binds to (parallel::ShardSlots::bind). Its capacity is fixed at
+  /// construction.
+  const parallel::ShardMap& shard_map() const { return shards_; }
 
  private:
   // Aborts (RENAMING_CHECK) if the per-round ledgers disagree with the run
@@ -76,6 +81,7 @@ class Engine {
   std::vector<bool> byzantine_;
   RunStats stats_;
   Observers observers_;
+  parallel::ShardMap shards_;
 };
 
 }  // namespace renaming::sim

@@ -45,6 +45,11 @@ class InboxView {
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  /// The buffer the view reads: one for every view of a shared inbox
+  /// (docs/PERFORMANCE.md §3), one per node on the arena path.
+  const void* buffer() const {
+    return slots_ != nullptr ? static_cast<const void*>(slots_) : direct_;
+  }
 
   const Message& operator[](std::size_t i) const {
     RENAMING_CHECK(i < size_, "inbox index out of range");

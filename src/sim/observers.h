@@ -24,6 +24,7 @@
 #include "obs/shard_profile.h"
 #include "obs/telemetry.h"
 #include "sim/parallel/plan.h"
+#include "sim/parallel/shard.h"
 #include "sim/stats.h"
 #include "sim/trace.h"
 
@@ -59,13 +60,19 @@ struct Observers {
   }
 
   // --- lifecycle fan-outs (cold: once per run, round or crash) -----------
-  void on_run_begin(NodeIndex n, unsigned shards) const {
-    if (telemetry != nullptr) telemetry->begin_run(n);
+  /// `shards` is the engine's shard map: the recorders node code writes
+  /// follow its fan-outs (parallel::ShardSlots), and its capacity sets the
+  /// profile's lanes. Null for a run without an engine (a closed form).
+  void on_run_begin(NodeIndex n, const parallel::ShardMap* shards) const {
+    if (telemetry != nullptr) telemetry->begin_run(n, shards);
     if (journal != nullptr) journal->begin_run(n);
     if (progress != nullptr) progress->begin_run(n);
-    // A no-op after begin(): node constructors may already have recorded.
-    if (provenance != nullptr) provenance->begin_run(n);
-    if (plan.profile != nullptr) plan.profile->begin_run(n, shards);
+    // Past begin() this only binds `shards`: node constructors may already
+    // have recorded.
+    if (provenance != nullptr) provenance->begin_run(n, shards);
+    if (plan.profile != nullptr) {
+      plan.profile->begin_run(n, shards != nullptr ? shards->capacity() : 1);
+    }
   }
 
   void on_round_begin(Round round) const {

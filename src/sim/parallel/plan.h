@@ -27,11 +27,8 @@ struct ShardPlan {
   /// Optional per-shard, per-phase profiler (obs/shard_profile.h). Purely
   /// observational: the engine stamps shard windows into its own scratch
   /// and folds them here from the calling thread, so attaching a profile
-  /// perturbs no bytes and — unlike a live Telemetry — does NOT force the
-  /// callbacks serial. A run without a pool profiles too, as K = 1.
+  /// perturbs no bytes. A run without a pool profiles too, as K = 1.
   obs::ShardProfile* profile = nullptr;
-
-  bool active() const { return pool != nullptr; }
 };
 
 }  // namespace renaming::sim::parallel

@@ -42,7 +42,8 @@ sim::Message tagged(Kind tag, NodeIndex sender, std::uint64_t w0) {
 TEST(ByzNodeUnit, ElectionBroadcastsWhenInPool) {
   const auto cfg = fixed_config();
   const Directory dir(cfg);
-  ByzNode node(0, cfg, dir, everyone_in_pool());
+  consensus::ViewInterner views;
+  ByzNode node(0, cfg, dir, everyone_in_pool(), views);
   sim::Outbox out(0, cfg.n);
   node.send(1, out);
   EXPECT_TRUE(node.elected());
@@ -59,7 +60,8 @@ TEST(ByzNodeUnit, NoElectionWhenPoolEmpty) {
   ByzParams params;
   params.pool_constant = 1e-12;  // p0 ~ 0
   params.shared_seed = 11;
-  ByzNode node(0, cfg, dir, params);
+  consensus::ViewInterner views;
+  ByzNode node(0, cfg, dir, params, views);
   sim::Outbox out(0, cfg.n);
   node.send(1, out);
   EXPECT_FALSE(node.elected());
@@ -69,7 +71,8 @@ TEST(ByzNodeUnit, NoElectionWhenPoolEmpty) {
 TEST(ByzNodeUnit, ViewRejectsForgedIdentityClaims) {
   const auto cfg = fixed_config();
   const Directory dir(cfg);
-  ByzNode node(0, cfg, dir, everyone_in_pool());
+  consensus::ViewInterner views;
+  ByzNode node(0, cfg, dir, everyone_in_pool(), views);
   sim::Outbox out(0, cfg.n);
   node.send(1, out);
   std::vector<sim::Message> inbox = {
@@ -89,7 +92,8 @@ TEST(ByzNodeUnit, ViewRejectsForgedIdentityClaims) {
 TEST(ByzNodeUnit, ViewIsOrderedByOriginalId) {
   const auto cfg = fixed_config();
   const Directory dir(cfg);
-  ByzNode node(0, cfg, dir, everyone_in_pool());
+  consensus::ViewInterner views;
+  ByzNode node(0, cfg, dir, everyone_in_pool(), views);
   sim::Outbox out(0, cfg.n);
   node.send(1, out);
   std::vector<sim::Message> inbox = {
@@ -107,7 +111,8 @@ TEST(ByzNodeUnit, ViewIsOrderedByOriginalId) {
 TEST(ByzNodeUnit, IdReportGoesToWholeView) {
   const auto cfg = fixed_config();
   const Directory dir(cfg);
-  ByzNode node(2, cfg, dir, everyone_in_pool());
+  consensus::ViewInterner views;
+  ByzNode node(2, cfg, dir, everyone_in_pool(), views);
   sim::Outbox skip(2, cfg.n);
   node.send(1, skip);
   node.receive(1, std::vector<sim::Message>{tagged(Kind::kElect, 0, 50),
@@ -128,7 +133,8 @@ class ByzNodeDecisionTest : public ::testing::Test {
   void SetUp() override {
     cfg_ = fixed_config();
     dir_ = std::make_unique<Directory>(cfg_);
-    node_ = std::make_unique<ByzNode>(0, cfg_, *dir_, everyone_in_pool());
+    node_ = std::make_unique<ByzNode>(0, cfg_, *dir_, everyone_in_pool(),
+                                      views_);
     sim::Outbox out(0, cfg_.n);
     node_->send(1, out);
     // View: members at links 1..5 plus self => 6 members; majority = 4.
@@ -142,6 +148,7 @@ class ByzNodeDecisionTest : public ::testing::Test {
 
   SystemConfig cfg_;
   std::unique_ptr<Directory> dir_;
+  consensus::ViewInterner views_;
   std::unique_ptr<ByzNode> node_;
 };
 
@@ -272,7 +279,8 @@ TEST(ByzNodeUnit, RoundTwoKeepsEachVerifiedReportOnce) {
   auto cfg = fixed_config();
   cfg.ids[5] = 1500;  // genuinely owned, but outside the namespace [1, 1000]
   const Directory dir(cfg);
-  ByzNode node(0, cfg, dir, everyone_in_pool());
+  consensus::ViewInterner views;
+  ByzNode node(0, cfg, dir, everyone_in_pool(), views);
   const auto sent = run_committee(
       cfg, {&node},
       {{
@@ -304,8 +312,9 @@ TEST(ByzNodeUnit, IdentityAddedBySingletonConsensusIsStillAddressed) {
   // 1 must then address NEW(3) to node 3 although no report told it where.
   const auto cfg = fixed_config();
   const Directory dir(cfg);
-  ByzNode a(0, cfg, dir, everyone_in_pool());
-  ByzNode b(1, cfg, dir, everyone_in_pool());
+  consensus::ViewInterner views;
+  ByzNode a(0, cfg, dir, everyone_in_pool(), views);
+  ByzNode b(1, cfg, dir, everyone_in_pool(), views);
   const std::vector<sim::Message> heard_by_both = {
       tagged(Kind::kIdReport, 0, 50), tagged(Kind::kIdReport, 1, 100)};
   auto heard_by_a = heard_by_both;
@@ -324,11 +333,12 @@ TEST(ByzNodeUnit, DirtyMemberSendsNullToItsReportersOnly) {
   // heard, in id order, while the others send every rank.
   const auto cfg = fixed_config();
   const Directory dir(cfg);
+  consensus::ViewInterner views;
   std::vector<std::unique_ptr<ByzNode>> nodes;
   std::vector<ByzNode*> members;
   for (NodeIndex v = 0; v < 4; ++v) {
     nodes.push_back(
-        std::make_unique<ByzNode>(v, cfg, dir, everyone_in_pool()));
+        std::make_unique<ByzNode>(v, cfg, dir, everyone_in_pool(), views));
     members.push_back(nodes.back().get());
   }
   std::vector<sim::Message> all;
@@ -357,11 +367,12 @@ TEST(ByzNodeUnit, DirtySegmentPastTheFirstReachesOnlyItsOwnReporters) {
   // no NEW(null) at all, while its ranks below 251 still go out.
   const auto cfg = fixed_config();
   const Directory dir(cfg);
+  consensus::ViewInterner views;
   std::vector<std::unique_ptr<ByzNode>> nodes;
   std::vector<ByzNode*> members;
   for (NodeIndex v = 0; v < 4; ++v) {
     nodes.push_back(
-        std::make_unique<ByzNode>(v, cfg, dir, everyone_in_pool()));
+        std::make_unique<ByzNode>(v, cfg, dir, everyone_in_pool(), views));
     members.push_back(nodes.back().get());
   }
   std::vector<sim::Message> all;
@@ -388,7 +399,8 @@ TEST(ByzNodeUnit, FullExchangeAblationMergesByWitnessCount) {
   const Directory dir(cfg);
   ByzParams params = everyone_in_pool();
   params.use_fingerprints = false;
-  ByzNode node(0, cfg, dir, params);
+  consensus::ViewInterner views;
+  ByzNode node(0, cfg, dir, params, views);
   sim::Outbox out(0, cfg.n);
   node.send(1, out);
   std::vector<sim::Message> elects;

@@ -13,6 +13,9 @@
 #include "byzantine/strategies.h"
 #include "common/math.h"
 #include "obs/journal.h"
+#include "sim/engine.h"
+#include "sim/parallel/plan.h"
+#include "sim/parallel/worker_pool.h"
 #include "sim/trace.h"
 
 namespace renaming::byzantine {
@@ -199,6 +202,43 @@ TEST(ByzRenaming, PoolProbabilityFormula) {
   EXPECT_LE(small.pool_probability(4), 1.0);
 }
 
+TEST(ViewInterner, HonestViewsStayOnePerShardUnderAPlan) {
+  // The committee-view pool keeps one map per engine shard, so a plan of K
+  // shards leaves honest nodes at most K distinct view objects (exactly
+  // one at K = 1), never one private copy each.
+  const NodeIndex n = 512;
+  const auto cfg = SystemConfig::random(n, 5ull * n * n, 41);
+  const ByzParams params = test_params(3.0, 41);
+  const Directory directory(cfg);
+  sim::parallel::WorkerPool pool(4);
+  for (unsigned shards : {1u, 2u, 3u, 8u}) {
+    consensus::ViewInterner views;
+    std::vector<std::unique_ptr<sim::Node>> nodes;
+    for (NodeIndex v = 0; v < n; ++v) {
+      nodes.push_back(
+          std::make_unique<ByzNode>(v, cfg, directory, params, views));
+    }
+    sim::Engine engine(std::move(nodes), nullptr,
+                       {.plan = {.pool = &pool, .shards = shards}});
+    views.bind_shards(&engine.shard_map());
+    const sim::RunStats stats = engine.run(100000);
+    ASSERT_GT(stats.rounds, 1u);
+    std::vector<const consensus::CommitteeView*> distinct;
+    for (NodeIndex v = 0; v < n; ++v) {
+      const auto& node = dynamic_cast<const ByzNode&>(engine.node(v));
+      ASSERT_FALSE(node.view().empty()) << "node " << v;
+      distinct.push_back(&node.view());
+    }
+    std::sort(distinct.begin(), distinct.end());
+    distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                   distinct.end());
+    EXPECT_LE(distinct.size(), shards) << "K=" << shards;
+    if (shards == 1) {
+      EXPECT_EQ(distinct.size(), 1u);
+    }
+  }
+}
+
 TEST(ByzRenaming, NewIdsAreContiguousRanks) {
   // Implementation property stronger than Definition 1.1: the assigned
   // names are exactly the ranks 1..M for some M <= n with no holes among
@@ -261,10 +301,11 @@ struct NonMemberSetup {
     cfg.seed = 3;
     params.pool_constant = 1.0;
     const Directory directory(cfg);
+    consensus::ViewInterner views;
     for (params.shared_seed = 1;; ++params.shared_seed) {
       std::vector<sim::Message> round_one;
       for (NodeIndex v = 0; v < cfg.n; ++v) {
-        ByzNode node(v, cfg, directory, params);
+        ByzNode node(v, cfg, directory, params, views);
         sim::Outbox out(v, cfg.n);
         node.send(1, out);
         if (node.elected()) round_one.push_back(out.entries()[0].second);

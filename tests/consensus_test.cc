@@ -97,7 +97,7 @@ TEST(CommitteeView, IndexOfLinkMatchesLinearScan) {
     }
     const CommitteeView view(members);
     const std::shared_ptr<const CommitteeView> interned =
-        interner.intern(members);
+        interner.intern(/*caller=*/0, members);
     ASSERT_EQ(view.members(), interned->members());
     // Linear scan: the first member (in view order) holding each link.
     std::vector<std::size_t> expected(n, CommitteeView::npos);

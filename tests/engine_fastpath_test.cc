@@ -14,7 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -260,10 +262,11 @@ TEST(BroadcastFastPath, UntracedSharedInboxMatchesSendFanout) {
 //
 // A round whose entries all address one destination list shares one slot
 // list among the alive nodes on it; every other receiver reads an empty
-// view. Attaching any trace sink forces the per-node arena path, so each
-// scenario below runs twice — untraced and with a sink that records
-// nothing — and must agree on RunStats, every node's inbox sequence and
-// the set and order of receive() calls.
+// view. Each scenario below is checked against a reference delivery kept
+// in this file, computed from what the nodes sent: sender ascending, then
+// send order, then list order, to alive destinations of unspoofed entries
+// only. The run must agree with it on every node's inbox sequence, the set
+// and order of receive() calls, and the message and spoof counts.
 
 /// The script every ListNode of one run follows.
 struct ListScript {
@@ -279,6 +282,24 @@ struct ListScript {
 
 using CallLog = std::vector<std::pair<Round, NodeIndex>>;
 
+/// One logical entry a ListNode queued: its payload tag, its destination
+/// list and whether it forged its origin.
+struct SentEntry {
+  Round round;
+  NodeIndex sender;
+  std::uint64_t tag;
+  const std::vector<NodeIndex>* dests;
+  bool spoofed;
+};
+
+/// What the nodes of one run did: their receive() and send() calls, and
+/// every entry they queued, in call order.
+struct RunLog {
+  CallLog calls;
+  CallLog sends;
+  std::vector<SentEntry> sent;
+};
+
 /// Sends zero to two entries per round to its script's list, each in a
 /// seeded form: a multicast of the list, a send() loop over it (which the
 /// outbox coalesces into a repeat), or a broadcast where the list is
@@ -286,12 +307,13 @@ using CallLog = std::vector<std::pair<Round, NodeIndex>>;
 /// so they run receive() only when the shared list wakes them.
 class ListNode final : public Node {
  public:
-  ListNode(NodeIndex self, const ListScript& script, CallLog* calls)
-      : self_(self), script_(script), calls_(calls),
+  ListNode(NodeIndex self, const ListScript& script, RunLog* log)
+      : self_(self), script_(script), run_(log),
         napper_(std::find(script.nappers.begin(), script.nappers.end(),
                           self) != script.nappers.end()) {}
 
   void send(Round round, Outbox& out) override {
+    run_->sends.emplace_back(round, self_);
     if (napping_) return;
     const std::vector<NodeIndex>& dests =
         self_ == script_.odd_sender ? script_.odd_list : script_.list;
@@ -306,9 +328,9 @@ class ListNode final : public Node {
       Message m = make_message(kWave, raw_wire_bits(32),
                                static_cast<std::uint64_t>(self_),
                                std::uint64_t{round} * 4 + k);
-      if (self_ == script_.spoofer && round % 2 == 1) {
-        m.claimed_sender = (self_ + 1) % script_.n;
-      }
+      const bool spoof = self_ == script_.spoofer && round % 2 == 1;
+      if (spoof) m.claimed_sender = (self_ + 1) % script_.n;
+      run_->sent.push_back({round, self_, m.w[1], &dests, spoof});
       switch (rng.next() % 3) {
         case 0:
           out.multicast(dests, m);
@@ -327,10 +349,11 @@ class ListNode final : public Node {
   }
 
   void receive(Round round, InboxView inbox) override {
-    calls_->emplace_back(round, self_);
+    run_->calls.emplace_back(round, self_);
     executed_ = round;
     if (napper_) napping_ = true;
     for (const Message& m : inbox) log_.emplace_back(round, m.sender, m.w[1]);
+    if (!inbox.empty()) buffers_.emplace_back(round, inbox.buffer());
   }
 
   bool done() const override {
@@ -339,15 +362,20 @@ class ListNode final : public Node {
   bool idle() const override { return napping_; }
 
   const ReceiveLog& log() const { return log_; }
+  /// The buffer behind each non-empty inbox, by round.
+  const std::vector<std::pair<Round, const void*>>& buffers() const {
+    return buffers_;
+  }
 
  private:
   NodeIndex self_;
   const ListScript& script_;
-  CallLog* calls_;
+  RunLog* run_;
   bool napper_;
   bool napping_ = false;
   Round executed_ = 0;
   ReceiveLog log_;
+  std::vector<std::pair<Round, const void*>> buffers_;
 };
 
 /// Crash orders by round: (round, victim, keep the victim's first logical
@@ -379,50 +407,130 @@ class ScriptedCrashes final : public CrashAdversary {
   std::vector<Crash> crashes_;
 };
 
-/// Records nothing; attaching it is what forces the arena path.
-class NullTrace final : public TraceSink {};
+/// Records every copy the accounting walk reports, in order.
+class CopyTrace final : public TraceSink {
+ public:
+  void on_message(Round round, const Message& m, NodeIndex dest,
+                  bool delivered) override {
+    copies.emplace_back(round, m.sender, dest, m.w[1], delivered);
+  }
+  std::vector<std::tuple<Round, NodeIndex, NodeIndex, std::uint64_t, bool>>
+      copies;
+};
 
 struct ListRun {
   RunStats stats;
   std::vector<ReceiveLog> logs;
-  CallLog calls;
+  std::vector<std::vector<std::pair<Round, const void*>>> buffers;
+  RunLog log;
+  CopyTrace trace;
 };
 
+using Crashes = std::vector<ScriptedCrashes::Crash>;
+
 ListRun run_lists(const ListScript& script, bool traced,
-                  std::vector<ScriptedCrashes::Crash> crashes = {}) {
+                  const Crashes& crashes = {}) {
   ListRun result;
   std::vector<std::unique_ptr<Node>> nodes;
   for (NodeIndex v = 0; v < script.n; ++v) {
-    nodes.push_back(std::make_unique<ListNode>(v, script, &result.calls));
+    nodes.push_back(std::make_unique<ListNode>(v, script, &result.log));
   }
-  NullTrace sink;
   Observers observers;
-  if (traced) observers.trace = &sink;
-  Engine engine(std::move(nodes),
-                std::make_unique<ScriptedCrashes>(std::move(crashes)),
+  if (traced) observers.trace = &result.trace;
+  Engine engine(std::move(nodes), std::make_unique<ScriptedCrashes>(crashes),
                 observers);
   if (script.spoofer != kNoNode) engine.mark_byzantine(script.spoofer);
   result.stats = engine.run(script.rounds);
   for (NodeIndex v = 0; v < script.n; ++v) {
-    result.logs.push_back(dynamic_cast<const ListNode&>(engine.node(v)).log());
+    const auto& node = dynamic_cast<const ListNode&>(engine.node(v));
+    result.logs.push_back(node.log());
+    result.buffers.push_back(node.buffers());
   }
   return result;
 }
 
-void expect_shared_matches_arena(const ListScript& script,
-                                 std::vector<ScriptedCrashes::Crash> crashes,
-                                 const std::string& label) {
+/// The reference delivery of a run, from what its nodes sent.
+struct Reference {
+  std::vector<ReceiveLog> logs;
+  CallLog calls;
+  CallLog copies;  ///< (round, destination) of every copy, in walk order
+  std::uint64_t messages = 0;
+  std::uint64_t spoofs = 0;
+};
+
+Reference reference_delivery(const ListScript& script, const RunLog& log,
+                             const Crashes& crashes) {
+  Reference ref;
+  ref.logs.resize(script.n);
+  const auto crash_of = [&](NodeIndex v) -> const ScriptedCrashes::Crash* {
+    for (const auto& c : crashes) {
+      if (c.victim == v) return &c;
+    }
+    return nullptr;
+  };
+  const auto alive = [&](NodeIndex v, Round round) {
+    const ScriptedCrashes::Crash* c = crash_of(v);
+    return c == nullptr || c->round > round;
+  };
+  std::vector<SentEntry> sent = log.sent;
+  std::stable_sort(sent.begin(), sent.end(),
+                   [](const SentEntry& a, const SentEntry& b) {
+                     return std::tie(a.round, a.sender) <
+                            std::tie(b.round, b.sender);
+                   });
+  Round last_round = 0;
+  for (const auto& [round, v] : log.sends) {
+    last_round = std::max(last_round, round);
+  }
+  for (Round round = 1; round <= last_round; ++round) {
+    std::vector<char> heard(script.n, 0);
+    NodeIndex kept_by = kNoNode;  // a victim keeps only its first copy
+    for (const SentEntry& e : sent) {
+      if (e.round != round) continue;
+      const ScriptedCrashes::Crash* c = crash_of(e.sender);
+      const bool victim = c != nullptr && c->round == round;
+      for (NodeIndex d : *e.dests) {
+        if (victim && (!c->keep_first || kept_by == e.sender)) break;
+        if (victim) kept_by = e.sender;
+        ++ref.messages;
+        ref.copies.emplace_back(round, d);
+        if (e.spoofed) {
+          ++ref.spoofs;
+        } else if (alive(d, round)) {
+          ref.logs[d].emplace_back(round, e.sender, e.tag);
+          heard[d] = 1;
+        }
+      }
+    }
+    // receive() runs for the alive nodes that sent and for every alive
+    // node that heard something, ascending.
+    for (const auto& [r, v] : log.sends) {
+      if (r == round && alive(v, round)) heard[v] = 1;
+    }
+    for (NodeIndex v = 0; v < script.n; ++v) {
+      if (heard[v] != 0 && alive(v, round)) ref.calls.emplace_back(round, v);
+    }
+  }
+  return ref;
+}
+
+void expect_matches_reference(const ListScript& script,
+                              const Crashes& crashes,
+                              const std::string& label) {
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     ListScript seeded = script;
     seeded.seed = seed;
-    const ListRun shared = run_lists(seeded, false, crashes);
-    const ListRun arena = run_lists(seeded, true, crashes);
-    ASSERT_GT(shared.stats.total_messages, 0u) << label << " seed " << seed;
-    EXPECT_EQ(shared.stats, arena.stats) << label << " seed " << seed;
-    EXPECT_EQ(shared.calls, arena.calls)
+    const ListRun run = run_lists(seeded, false, crashes);
+    const Reference ref = reference_delivery(seeded, run.log, crashes);
+    ASSERT_GT(run.stats.total_messages, 0u) << label << " seed " << seed;
+    EXPECT_EQ(run.stats.total_messages, ref.messages)
+        << label << " seed " << seed;
+    EXPECT_EQ(run.stats.spoofs_rejected, ref.spoofs)
+        << label << " seed " << seed;
+    EXPECT_EQ(run.log.calls, ref.calls)
         << label << " seed " << seed << ": receive() calls differ";
     for (NodeIndex v = 0; v < seeded.n; ++v) {
-      EXPECT_EQ(shared.logs[v], arena.logs[v])
+      EXPECT_EQ(run.logs[v], ref.logs[v])
           << label << " seed " << seed << ": inbox of node " << v;
     }
   }
@@ -433,7 +541,7 @@ TEST(SharedInboxFastPath, ListOutOfOrderMatchesArena) {
   ListScript script;
   script.n = 9;
   script.list = {5, 2, 7, 0, 3};
-  expect_shared_matches_arena(script, {}, "out of order");
+  expect_matches_reference(script, {}, "out of order");
 }
 
 TEST(SharedInboxFastPath, ListWithCrashedAndIdleMembersMatchesArena) {
@@ -446,8 +554,8 @@ TEST(SharedInboxFastPath, ListWithCrashedAndIdleMembersMatchesArena) {
   script.n = 10;
   script.list = {5, 2, 7, 0, 3, 9};
   script.nappers = {0, 5, 6};
-  expect_shared_matches_arena(script, {{1, 7, false}, {3, 3, true}},
-                              "crashed and idle");
+  expect_matches_reference(script, {{1, 7, false}, {3, 3, true}},
+                           "crashed and idle");
 }
 
 TEST(SharedInboxFastPath, SpoofedEntryIsChargedButNeverShared) {
@@ -456,7 +564,7 @@ TEST(SharedInboxFastPath, SpoofedEntryIsChargedButNeverShared) {
   script.list = {6, 1, 4, 2};
   script.spoofer = 4;
   script.nappers = {1};
-  expect_shared_matches_arena(script, {}, "spoofed");
+  expect_matches_reference(script, {}, "spoofed");
   const ListRun run = run_lists(script, false);
   EXPECT_GT(run.stats.spoofs_rejected, 0u);
 }
@@ -468,7 +576,7 @@ TEST(SharedInboxFastPath, RepeatMulticastAndBroadcastOfOneListShare) {
   script.n = 7;
   for (NodeIndex d = 0; d < script.n; ++d) script.list.push_back(d);
   script.nappers = {2};
-  expect_shared_matches_arena(script, {{2, 5, false}}, "one list, forms");
+  expect_matches_reference(script, {{2, 5, false}}, "one list, forms");
 }
 
 TEST(SharedInboxFastPath, ListNamingANodeTwiceTakesTheArena) {
@@ -477,7 +585,7 @@ TEST(SharedInboxFastPath, ListNamingANodeTwiceTakesTheArena) {
   script.n = 8;
   script.list = {5, 2, 5, 0};
   script.nappers = {2};
-  expect_shared_matches_arena(script, {}, "duplicate");
+  expect_matches_reference(script, {}, "duplicate");
 }
 
 TEST(SharedInboxFastPath, ListDifferingInItsLastEntryTakesTheArena) {
@@ -487,7 +595,53 @@ TEST(SharedInboxFastPath, ListDifferingInItsLastEntryTakesTheArena) {
   script.odd_sender = 3;
   script.odd_list = {6, 1, 4, 7};
   script.nappers = {7};
-  expect_shared_matches_arena(script, {}, "last entry differs");
+  expect_matches_reference(script, {}, "last entry differs");
+}
+
+TEST(SharedInboxFastPath, TracedRunSharesTheInboxAndTracesTheWalk) {
+  // A trace no longer picks the delivery path: a traced run hands every
+  // listed receiver of a round the same buffer, delivers exactly what the
+  // untraced run does, and traces every copy of the reference walk —
+  // spoofed and dead-destination copies as undelivered.
+  ListScript script;
+  script.n = 9;
+  script.list = {5, 2, 7, 0, 3};
+  script.spoofer = 7;
+  script.nappers = {0};
+  const Crashes crashes = {{2, 3, false}};
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    script.seed = seed;
+    const ListRun traced = run_lists(script, true, crashes);
+    const ListRun untraced = run_lists(script, false, crashes);
+    const Reference ref = reference_delivery(script, traced.log, crashes);
+    EXPECT_EQ(traced.stats, untraced.stats) << "seed " << seed;
+    EXPECT_EQ(traced.logs, untraced.logs) << "seed " << seed;
+    ASSERT_EQ(traced.trace.copies.size(), ref.copies.size())
+        << "seed " << seed;
+    for (std::size_t i = 0; i < ref.copies.size(); ++i) {
+      const auto& [round, sender, dest, tag, delivered] =
+          traced.trace.copies[i];
+      EXPECT_EQ(std::make_pair(round, dest), ref.copies[i])
+          << "seed " << seed << " copy " << i;
+      const bool landed = std::find(ref.logs[dest].begin(),
+                                    ref.logs[dest].end(),
+                                    std::make_tuple(round, sender, tag)) !=
+                          ref.logs[dest].end();
+      EXPECT_EQ(delivered, landed) << "seed " << seed << " copy " << i;
+    }
+    // Shared rounds: every listed receiver read one buffer.
+    std::map<Round, std::set<const void*>> buffers;
+    for (NodeIndex v = 0; v < script.n; ++v) {
+      for (const auto& [round, buffer] : traced.buffers[v]) {
+        buffers[round].insert(buffer);
+      }
+    }
+    std::size_t shared_rounds = 0;
+    for (const auto& [round, seen] : buffers) {
+      if (seen.size() == 1) ++shared_rounds;
+    }
+    EXPECT_EQ(shared_rounds, buffers.size()) << "seed " << seed;
+  }
 }
 
 TEST(BroadcastFastPath, MidSendCrashKeepIndicesAddressBroadcastRecipients) {

@@ -298,6 +298,7 @@ TEST(ByzInvariants, CommitteeLockstepUnderSplitReporters) {
   std::vector<NodeIndex> byz = {2, 13, 29, 47};
 
   const Directory directory(cfg);
+  consensus::ViewInterner views;
   std::vector<std::unique_ptr<sim::Node>> nodes;
   std::vector<bool> is_byz(n, false);
   for (NodeIndex b : byz) is_byz[b] = true;
@@ -307,7 +308,8 @@ TEST(ByzInvariants, CommitteeLockstepUnderSplitReporters) {
                                                      params));
     } else {
       nodes.push_back(
-          std::make_unique<byzantine::ByzNode>(v, cfg, directory, params));
+          std::make_unique<byzantine::ByzNode>(v, cfg, directory, params,
+                                               views));
     }
   }
   sim::Engine engine(std::move(nodes));

@@ -1,9 +1,9 @@
 // Decision-provenance tests (obs/provenance.h, obs/doctor.h why/blame).
 //
 // The recorder's contract mirrors the journal's determinism: its exported
-// RNPV bytes must be byte-identical across shard counts K (the engine
-// forces serial callbacks while a live recorder is attached) and match a
-// pin recorded from the retired dense engine layout.
+// RNPV bytes must be byte-identical across shard counts K (events recorded
+// inside callbacks fold in shard order, which is the serial order) and
+// match a pin recorded from the retired dense engine layout.
 #include <gtest/gtest.h>
 
 #include <memory>

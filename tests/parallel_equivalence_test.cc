@@ -18,8 +18,11 @@
 //     corrupted nodes' staged outboxes, read by every shard's receivers);
 //   * the CHT baseline (untraced broadcast-only rounds: the shared-inbox
 //     fast path).
-// Plus the RNG-stream pin (outcomes identical across K — shard count must
-// not perturb any node's PRNG) and death tests for the plan/pool misuse
+// Plus the same four with every observer attached (trace, journal,
+// telemetry, provenance, progress, shard profile), which must not change
+// K or the delivery path and must record what K = 1 records; the
+// RNG-stream pin (outcomes identical across K — shard count must not
+// perturb any node's PRNG); and death tests for the plan/pool misuse
 // checks.
 #include <gtest/gtest.h>
 
@@ -36,6 +39,9 @@
 #include "crash/adversaries.h"
 #include "crash/crash_renaming.h"
 #include "obs/journal.h"
+#include "obs/progress.h"
+#include "obs/provenance.h"
+#include "obs/shard_profile.h"
 #include "obs/telemetry.h"
 #include "sim/adversary.h"
 #include "sim/parallel/shard.h"
@@ -63,6 +69,75 @@ struct Artifacts {
   std::string journal;
   sim::RunStats stats;
   std::vector<NodeOutcome> outcomes;
+  std::string provenance;  ///< RNPV bytes; empty unless fully observed
+  std::string telemetry;   ///< telemetry_digest; empty unless fully observed
+};
+
+// The deterministic part of a telemetry recording: the per-kind ledgers,
+// the spans and instants in recording order, and the inbox histogram.
+std::string telemetry_digest(const obs::Telemetry& tel) {
+  std::ostringstream out;
+  for (unsigned kind = 0; kind < 256; ++kind) {
+    const auto k = static_cast<sim::MsgKind>(kind);
+    if (tel.kind_messages(k) == 0) continue;
+    out << "kind " << kind << " " << tel.kind_messages(k) << " "
+        << tel.kind_bits(k) << "\n";
+  }
+  for (const obs::PhaseSpan& sp : tel.spans()) {
+    out << "span " << sp.node << " " << static_cast<unsigned>(sp.phase) << " "
+        << sp.begin_round << " " << sp.end_round << "\n";
+  }
+  for (const obs::Instant& in : tel.instants()) {
+    out << "instant " << static_cast<unsigned>(in.kind) << " " << in.round
+        << " " << in.node << " " << in.msg_kind << "\n";
+  }
+  const obs::LogHistogram& inbox =
+      *tel.registry().histograms().at("inbox_occupancy");
+  out << "inbox " << inbox.count() << " " << inbox.sum();
+  for (std::size_t b = 0; b < obs::LogHistogram::kBuckets; ++b) {
+    out << " " << inbox.bucket(b);
+  }
+  return out.str();
+}
+
+// What one scenario run records. Every run carries a trace and a journal;
+// `all` also attaches telemetry, provenance, a heartbeat and a shard
+// profile.
+struct Recorders {
+  explicit Recorders(bool everything) : all(everything) {}
+
+  sim::Observers bundle(sim::parallel::ShardPlan plan, bool traced = true) {
+    plan.profile = all ? &profile : nullptr;
+    return {.trace = traced ? &trace : nullptr,
+            .telemetry = all ? &telemetry : nullptr,
+            .journal = &journal,
+            .progress = all ? &progress : nullptr,
+            .provenance = all ? &provenance : nullptr,
+            .plan = plan};
+  }
+
+  Artifacts artifacts(const sim::RunStats& stats,
+                      const std::vector<NodeOutcome>& outcomes) const {
+    std::ostringstream journal_out;
+    obs::write_journal_binary(journal_out, journal.data());
+    Artifacts a{trace_out.str(), journal_out.str(), stats, outcomes, {}, {}};
+    if (all) {
+      std::ostringstream prov_out;
+      obs::write_provenance_binary(prov_out, provenance.data());
+      a.provenance = prov_out.str();
+      a.telemetry = telemetry_digest(telemetry);
+    }
+    return a;
+  }
+
+  bool all;
+  std::ostringstream trace_out;
+  sim::JsonlTrace trace{trace_out};
+  obs::Journal journal;
+  obs::Telemetry telemetry;
+  obs::Provenance provenance;
+  obs::Progress progress;
+  obs::ShardProfile profile;
 };
 
 void expect_identical(const Artifacts& serial, const Artifacts& parallel,
@@ -71,6 +146,12 @@ void expect_identical(const Artifacts& serial, const Artifacts& parallel,
       << "golden trace bytes diverged at K=" << shards;
   EXPECT_EQ(serial.journal, parallel.journal)
       << "journal fingerprint stream diverged at K=" << shards;
+  EXPECT_EQ(serial.provenance, parallel.provenance)
+      << "provenance bytes diverged at K=" << shards;
+  EXPECT_EQ(serial.telemetry, parallel.telemetry)
+      << "telemetry ledgers, spans, instants or inbox histogram diverged "
+         "at K="
+      << shards;
   EXPECT_EQ(serial.stats, parallel.stats) << "RunStats diverged at K="
                                           << shards;
   ASSERT_EQ(serial.outcomes.size(), parallel.outcomes.size());
@@ -83,29 +164,19 @@ void expect_identical(const Artifacts& serial, const Artifacts& parallel,
   }
 }
 
-std::string journal_bytes(const obs::Journal& journal) {
-  std::ostringstream out;
-  obs::write_journal_binary(out, journal.data());
-  return out.str();
-}
-
 // --- crash renaming under mid-send crashes -------------------------------
 
-Artifacts run_crash(sim::parallel::ShardPlan plan) {
+Artifacts run_crash(sim::parallel::ShardPlan plan, bool all = false) {
   const NodeIndex n = 256;
   const auto cfg = SystemConfig::random(n, 5ull * n * n, 77);
   crash::CrashParams params;
   params.election_constant = 3.0;
   auto adversary = std::make_unique<crash::CommitteeHunter>(
       40, crash::CommitteeHunter::Mode::kMidResponse, 77, 0.5);
-  std::ostringstream trace_out;
-  sim::JsonlTrace trace(trace_out);
-  obs::Journal journal;
-  const auto r = crash::run_crash_renaming(
-      cfg, params, std::move(adversary),
-      {.trace = &trace, .journal = &journal, .plan = plan});
-  return Artifacts{trace_out.str(), journal_bytes(journal), r.stats,
-                   r.outcomes};
+  Recorders rec(all);
+  const auto r = crash::run_crash_renaming(cfg, params, std::move(adversary),
+                                           rec.bundle(plan));
+  return rec.artifacts(r.stats, r.outcomes);
 }
 
 TEST(ParallelEquivalence, CrashMidSendIsByteIdenticalAtAnyShardCount) {
@@ -121,20 +192,17 @@ TEST(ParallelEquivalence, CrashMidSendIsByteIdenticalAtAnyShardCount) {
 
 // --- Byzantine renaming with spoof rejections ----------------------------
 
-Artifacts run_byz(sim::parallel::ShardPlan plan) {
+Artifacts run_byz(sim::parallel::ShardPlan plan, bool all = false) {
   const NodeIndex n = 144;
   const auto cfg = SystemConfig::random(n, 5ull * n * n, 91);
   byzantine::ByzParams params;
   params.pool_constant = 4.0;
   params.shared_seed = 91;
-  std::ostringstream trace_out;
-  sim::JsonlTrace trace(trace_out);
-  obs::Journal journal;
+  Recorders rec(all);
   const auto r = byzantine::run_byz_renaming(
       cfg, params, {3, 50, 97, 120}, &byzantine::Spoofer::make, 0,
-      {.trace = &trace, .journal = &journal, .plan = plan});
-  return Artifacts{trace_out.str(), journal_bytes(journal), r.stats,
-                   r.outcomes};
+      rec.bundle(plan));
+  return rec.artifacts(r.stats, r.outcomes);
 }
 
 TEST(ParallelEquivalence, ByzantineSpoofingIsByteIdenticalAtAnyShardCount) {
@@ -156,23 +224,20 @@ TEST(ParallelEquivalence, ByzantineSpoofingIsByteIdenticalAtAnyShardCount) {
 const std::vector<NodeIndex> kFullVectorByzantine = {3, 17, 50, 64, 97, 120};
 
 Artifacts run_byz_full_vectors(sim::parallel::ShardPlan plan,
-                               byzantine::ByzStrategyFactory factory) {
+                               byzantine::ByzStrategyFactory factory,
+                               bool all = false) {
   const NodeIndex n = 144;
   const auto cfg = SystemConfig::random(n, 5ull * n * n, 93);
   byzantine::ByzParams params;
   params.pool_constant = 4.0;
   params.shared_seed = 93;
   params.use_fingerprints = false;
-  std::ostringstream trace_out;
-  sim::JsonlTrace trace(trace_out);
-  obs::Journal journal;
+  Recorders rec(all);
   const auto r = byzantine::run_byz_renaming(
-      cfg, params, kFullVectorByzantine, factory, 0,
-      {.trace = &trace, .journal = &journal, .plan = plan});
+      cfg, params, kFullVectorByzantine, factory, 0, rec.bundle(plan));
   EXPECT_TRUE(r.report.ok(/*require_order=*/false))
       << (r.report.violations.empty() ? "" : r.report.violations[0]);
-  return Artifacts{trace_out.str(), journal_bytes(journal), r.stats,
-                   r.outcomes};
+  return rec.artifacts(r.stats, r.outcomes);
 }
 
 // True when some Byzantine node's VECTOR blob reached the wire, i.e. a
@@ -211,15 +276,14 @@ TEST(ParallelEquivalence,
 
 // --- CHT baseline: the shared-inbox broadcast fast path ------------------
 
-Artifacts run_cht(sim::parallel::ShardPlan plan) {
+Artifacts run_cht(sim::parallel::ShardPlan plan, bool all = false) {
   const NodeIndex n = 256;
   const auto cfg = SystemConfig::random(n, 5ull * n * n, 55);
-  obs::Journal journal;
+  Recorders rec(all);
   const auto r = baselines::run_cht_renaming(
       cfg, nullptr, /*closed_form_cutoff=*/0,
-      {.journal = &journal, .plan = plan});
-  return Artifacts{std::string(), journal_bytes(journal), r.stats,
-                   r.outcomes};
+      rec.bundle(plan, /*traced=*/all));
+  return rec.artifacts(r.stats, r.outcomes);
 }
 
 TEST(ParallelEquivalence, ChtBroadcastFastPathIsByteIdenticalAtAnyShardCount) {
@@ -231,13 +295,44 @@ TEST(ParallelEquivalence, ChtBroadcastFastPathIsByteIdenticalAtAnyShardCount) {
   }
 }
 
+// --- every observer attached ---------------------------------------------
+
+TEST(ParallelEquivalence, FullyObservedRunsMatchSerialAtAnyShardCount) {
+  // With every observer attached the callbacks still run on K shards:
+  // PhaseScope spans, the engine's inbox samples and provenance events go
+  // to the calling shard's slot and fold in shard order, so every
+  // recording equals the planless run's at each K.
+  sim::parallel::WorkerPool pool(4);
+  const auto check = [&](const char* scenario, auto&& run) {
+    SCOPED_TRACE(scenario);
+    const Artifacts serial = run(sim::parallel::ShardPlan{});
+    ASSERT_FALSE(serial.provenance.empty());
+    ASSERT_NE(serial.telemetry.find("kind "), std::string::npos);
+    // The paper protocols open PhaseScopes; the CHT baseline does not.
+    ASSERT_EQ(serial.telemetry.find("span ") != std::string::npos,
+              std::string(scenario) != "cht");
+    for (unsigned shards : kShardCounts) {
+      expect_identical(serial, run(plan_for(&pool, shards)), shards);
+    }
+  };
+  check("crash", [](auto plan) { return run_crash(plan, true); });
+  check("byz", [](auto plan) { return run_byz(plan, true); });
+  for (byzantine::ByzStrategyFactory factory :
+       {&byzantine::SplitReporter::make, &byzantine::LyingMember::make}) {
+    check("byz full vectors", [&](auto plan) {
+      return run_byz_full_vectors(plan, factory, true);
+    });
+  }
+  check("cht", [](auto plan) { return run_cht(plan, true); });
+}
+
 // --- telemetry ledgers under a plan --------------------------------------
 
 TEST(ParallelEquivalence, TelemetryKindLedgersMatchSerialUnderAPlan) {
-  // A live telemetry recorder makes the engine run its callbacks serial
-  // (PhaseScope inside node code writes shared state); the observable
-  // contract is that attaching a plan anyway changes nothing: every
-  // per-kind message/bit ledger matches the planless run exactly.
+  // A live telemetry recorder runs on the plan's shards like any other
+  // observer; the observable contract is that attaching a plan changes
+  // nothing: every per-kind message/bit ledger matches the planless run
+  // exactly.
   const NodeIndex n = 192;
   const auto cfg = SystemConfig::random(n, 5ull * n * n, 33);
   crash::CrashParams params;
