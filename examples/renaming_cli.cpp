@@ -4,6 +4,8 @@
 //
 //   renaming_cli crash     --n 512 --seed 1 --constant 2
 //                          --adversary hunter --budget 64 [--early-stop]
+//                          (adversaries: hunter, midresponse, random,
+//                          chaos, splitter)
 //   renaming_cli byz       --n 256 --seed 1 --pool 3 --f 8 --strategy split
 //                          (strategies: split, lying, spoof, silent, prefix,
 //                          double)
@@ -19,16 +21,16 @@
 // callbacks on T threads, 0 = all cores; results byte-identical to
 // --threads 1), --shards K (override the shard count, default one per
 // thread).
+//   --trace-cap M        forward at most M per-copy trace events, then
+//                        count drops (default at every n: 1000000;
+//                        0 = unbounded). A capped trace is not
+//                        byte-comparable to golden pins.
 //
 // Million-node mode (docs/PERFORMANCE.md §10). A run with n >= 8192 nodes
 // (kLargeSystemNodes) counts as large and gets bounded defaults:
 //   --closed-form C      baselines (cht/obg) switch to exact closed-form
 //                        accounting at n >= C when failure-free and
 //                        journal-less (default: 8192; 0 = always simulate).
-//   --trace-cap M        forward at most M per-copy trace events, then
-//                        count drops (default for large runs: 1000000;
-//                        0 = unbounded). A capped trace is not
-//                        byte-comparable to golden pins.
 //   --journal-rounds K   keep only the last K journal round records
 //                        (flight-recorder ring; run totals still cover the
 //                        whole run). Default for large runs: 64;
@@ -343,7 +345,40 @@ bool parse_watch_nodes(const std::string& csv, NodeIndex n,
   return true;
 }
 
-// The byz --strategy table: it serves both parsing and the usage message.
+// The name → factory tables of crash --adversary and byz --strategy: each
+// serves both parsing and its usage message.
+using AdversaryPtr = std::unique_ptr<sim::CrashAdversary>;
+struct Adversary {
+  const char* name;
+  AdversaryPtr (*make)(std::uint64_t budget, std::uint64_t seed);
+};
+constexpr Adversary kAdversaries[] = {
+    {"hunter",
+     [](std::uint64_t budget, std::uint64_t seed) -> AdversaryPtr {
+       return std::make_unique<crash::CommitteeHunter>(
+           budget, crash::CommitteeHunter::Mode::kAtAnnounce, seed * 7);
+     }},
+    {"midresponse",
+     [](std::uint64_t budget, std::uint64_t seed) -> AdversaryPtr {
+       return std::make_unique<crash::CommitteeHunter>(
+           budget, crash::CommitteeHunter::Mode::kMidResponse, seed * 7, 0.5);
+     }},
+    {"random",
+     [](std::uint64_t budget, std::uint64_t seed) -> AdversaryPtr {
+       return std::make_unique<sim::RandomCrashAdversary>(budget, 0.1,
+                                                          seed * 7);
+     }},
+    {"chaos",
+     [](std::uint64_t budget, std::uint64_t seed) -> AdversaryPtr {
+       return std::make_unique<sim::ChaosCrashAdversary>(budget, 0.1,
+                                                         seed * 7);
+     }},
+    {"splitter",
+     [](std::uint64_t budget, std::uint64_t seed) -> AdversaryPtr {
+       return std::make_unique<crash::StatusSplitter>(budget, 0.1, seed * 7);
+     }},
+};
+
 struct Strategy {
   const char* name;
   byzantine::ByzStrategyFactory make;
@@ -361,12 +396,27 @@ constexpr Strategy kStrategies[] = {
     {"double", &byzantine::DoubleDealer::make},
 };
 
-// The factory named `name`; nullptr for an unknown one.
-byzantine::ByzStrategyFactory strategy_factory(const std::string& name) {
-  for (const Strategy& s : kStrategies) {
-    if (name == s.name) return s.make;
+// The entry of `table` named `name`; nullptr for an unknown one.
+template <typename Entry, std::size_t N>
+const Entry* find_named(const Entry (&table)[N], const std::string& name) {
+  for (const Entry& e : table) {
+    if (name == e.name) return &e;
   }
   return nullptr;
+}
+
+// Rejects a flag value that names no entry of `table`, listing the names.
+template <typename Entry, std::size_t N>
+bool named_ok(const Entry (&table)[N], const char* flag,
+              const std::string& name) {
+  if (find_named(table, name) != nullptr) return true;
+  std::string names;
+  for (const Entry& e : table) {
+    names += names.empty() ? "" : ", ";
+    names += e.name;
+  }
+  std::fprintf(stderr, "--%s must be one of %s\n", flag, names.c_str());
+  return false;
 }
 
 }  // namespace
@@ -404,35 +454,24 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--f must be below --n\n");
     return usage();
   }
-  if (args.command == "crash") {
-    const std::string kind = args.str("adversary", "hunter");
-    if (kind != "hunter" && kind != "midresponse" && kind != "random" &&
-        kind != "chaos") {
-      std::fprintf(stderr, "--adversary must be one of hunter, midresponse, "
-                           "random, chaos\n");
-      return usage();
-    }
-  }
-  if (args.command == "byz" &&
-      strategy_factory(args.str("strategy", "split")) == nullptr) {
-    std::string names;
-    for (const Strategy& s : kStrategies) {
-      names += names.empty() ? "" : ", ";
-      names += s.name;
-    }
-    std::fprintf(stderr, "--strategy must be one of %s\n", names.c_str());
+  if ((args.command == "crash" &&
+       !named_ok(kAdversaries, "adversary",
+                 args.str("adversary", "hunter"))) ||
+      (args.command == "byz" &&
+       !named_ok(kStrategies, "strategy", args.str("strategy", "split")))) {
     return usage();
   }
   const std::uint64_t seed = args.num("seed", 1);
   const std::uint64_t N = args.num("namespace", 5ull * n * n);
   const auto cfg = SystemConfig::random(n, N, seed);
 
-  // Memory-bounded observability defaults: for a large run a full
-  // per-copy trace or per-round journal would itself be O(n^2)-ish, so the
-  // trace caps and the journal rings unless explicitly unbounded (0).
+  // Memory-bounded observability defaults: a per-copy trace grows with
+  // messages times rounds at any n (byz at n = 2048 with 24 split
+  // reporters traces ~7 GB), so it always caps unless explicitly unbounded
+  // (0); for a large run a per-round journal would itself be O(n^2)-ish,
+  // so it rings.
   const bool big = n >= kLargeSystemNodes;
-  const std::uint64_t trace_cap =
-      args.num("trace-cap", big ? 1000000 : 0);
+  const std::uint64_t trace_cap = args.num("trace-cap", 1000000);
   const std::uint64_t journal_rounds = args.num("journal-rounds", big ? 64 : 0);
 
   std::ofstream trace_file;
@@ -607,21 +646,10 @@ int main(int argc, char** argv) {
     params.adaptive_reelection = !args.has("no-doubling");
     const std::uint64_t budget = args.num("budget", 0);
     std::unique_ptr<sim::CrashAdversary> adversary;
-    const std::string kind = args.str("adversary", "hunter");
     if (budget > 0) {
-      if (kind == "hunter") {
-        adversary = std::make_unique<crash::CommitteeHunter>(
-            budget, crash::CommitteeHunter::Mode::kAtAnnounce, seed * 7);
-      } else if (kind == "midresponse") {
-        adversary = std::make_unique<crash::CommitteeHunter>(
-            budget, crash::CommitteeHunter::Mode::kMidResponse, seed * 7, 0.5);
-      } else if (kind == "random") {
-        adversary = std::make_unique<sim::RandomCrashAdversary>(budget, 0.1,
-                                                                seed * 7);
-      } else {
-        adversary = std::make_unique<sim::ChaosCrashAdversary>(budget, 0.1,
-                                                               seed * 7);
-      }
+      adversary = find_named(kAdversaries,
+                             args.str("adversary", "hunter"))
+                      ->make(budget, seed);
     }
     const auto r = crash::run_crash_renaming(cfg, params, std::move(adversary),
                                              observers);
@@ -642,7 +670,7 @@ int main(int argc, char** argv) {
     const auto f = static_cast<NodeIndex>(args.num("f", 0));
     const std::vector<NodeIndex> byz = spread_faulty(n, f);
     const byzantine::ByzStrategyFactory factory =
-        strategy_factory(args.str("strategy", "split"));
+        find_named(kStrategies, args.str("strategy", "split"))->make;
     const auto r =
         byzantine::run_byz_renaming(cfg, params, byz, factory, 0, observers);
     report(args, "byz", r.stats, r.report, n, byz.size());

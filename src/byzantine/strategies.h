@@ -57,10 +57,6 @@ class CorruptedNode : public sim::Node {
     // dead.
     staged_.clear();
     honest_.send(round, staged_);
-    // The strategies tamper per recipient (split a report, equivocate to a
-    // random half): expand any compressed broadcast into the per-recipient
-    // entries so entry indices mean "one message to one destination".
-    staged_.expand();
     corrupt(round, staged_, out);
   }
 
@@ -72,9 +68,11 @@ class CorruptedNode : public sim::Node {
 
  protected:
   using Kind = sim::wire::Kind;
+  using Outbox = sim::Outbox;
 
-  /// Move/modify/drop staged entries into `out`.
-  virtual void corrupt(Round round, sim::Outbox& staged, sim::Outbox& out) = 0;
+  /// Forwards, edits or drops the staged copies into `out`, walking them
+  /// per recipient (Outbox::for_each_copy) to split or equivocate.
+  virtual void corrupt(Round round, const Outbox& staged, Outbox& out) = 0;
 
   NodeIndex self_;
   NodeIndex n_;
@@ -113,14 +111,14 @@ class SplitReporter final : public PureFilter {
   }
 
  private:
-  void corrupt(Round round, sim::Outbox& staged, sim::Outbox& out) override {
+  void corrupt(Round round, const Outbox& staged, Outbox& out) override {
     std::size_t report_index = 0;
-    for (auto& [dest, msg] : staged.entries()) {
+    staged.for_each_copy([&](NodeIndex dest, const sim::Message& msg) {
       if (round == 2 && msg.kind == sim::wire::raw(Kind::kIdReport)) {
-        if (report_index++ % 2 == 1) continue;  // starve odd members
+        if (report_index++ % 2 == 1) return;  // starve odd members
       }
-      out.send(dest, std::move(msg));
-    }
+      out.send(dest, msg);
+    });
   }
 };
 
@@ -139,8 +137,8 @@ class LyingMember final : public CorruptedNode {
   }
 
  private:
-  void corrupt(Round round, sim::Outbox& staged, sim::Outbox& out) override {
-    for (auto& [dest, msg] : staged.entries()) {
+  void corrupt(Round round, const Outbox& staged, Outbox& out) override {
+    staged.for_each_copy([&](NodeIndex dest, sim::Message msg) {
       switch (static_cast<Kind>(msg.kind)) {
         case Kind::kValidator:
         case Kind::kConsensus:
@@ -163,8 +161,8 @@ class LyingMember final : public CorruptedNode {
         default:
           break;
       }
-      out.send(dest, std::move(msg));
-    }
+      out.send(dest, msg);
+    });
     // Premature fake NEW volley: tries to trick nodes into deciding early.
     // The declared width is the named adversarial probe constant, not the
     // honest NEW schema — the attacker pays for what it actually sends.
@@ -191,8 +189,9 @@ class Spoofer final : public CorruptedNode {
   }
 
  private:
-  void corrupt(Round round, sim::Outbox& staged, sim::Outbox& out) override {
-    for (auto& [dest, msg] : staged.entries()) out.send(dest, std::move(msg));
+  void corrupt(Round round, const Outbox& staged, Outbox& out) override {
+    staged.for_each_copy(
+        [&](NodeIndex dest, const sim::Message& msg) { out.send(dest, msg); });
     if (round <= 2) {
       // Forge transport origin (engine drops + counts these) and claim
       // identities we do not own (receivers' certificate check drops them).
@@ -224,17 +223,17 @@ class PrefixReporter final : public PureFilter {
   }
 
  private:
-  void corrupt(Round round, sim::Outbox& staged, sim::Outbox& out) override {
-    const std::size_t total = staged.entries().size();
+  void corrupt(Round round, const Outbox& staged, Outbox& out) override {
+    const std::size_t total = staged.size();
     std::size_t index = 0;
-    for (auto& [dest, msg] : staged.entries()) {
+    staged.for_each_copy([&](NodeIndex dest, const sim::Message& msg) {
       if (round == 2 &&
           msg.kind == sim::wire::raw(Kind::kIdReport)) {
         // Keep roughly two thirds: just below the m - t quorum at t ~ m/3.
-        if (index++ * 3 >= total * 2) continue;
+        if (index++ * 3 >= total * 2) return;
       }
-      out.send(dest, std::move(msg));
-    }
+      out.send(dest, msg);
+    });
   }
 };
 
@@ -253,12 +252,12 @@ class DoubleDealer final : public PureFilter {
   }
 
  private:
-  void corrupt(Round round, sim::Outbox& staged, sim::Outbox& out) override {
+  void corrupt(Round round, const Outbox& staged, Outbox& out) override {
     std::size_t report_index = 0;
-    for (auto& [dest, msg] : staged.entries()) {
+    staged.for_each_copy([&](NodeIndex dest, sim::Message msg) {
       switch (static_cast<Kind>(msg.kind)) {
         case Kind::kIdReport:
-          if (round == 2 && report_index++ % 2 == 1) continue;
+          if (round == 2 && report_index++ % 2 == 1) return;
           break;
         case Kind::kValidator:
         case Kind::kConsensus:
@@ -273,8 +272,8 @@ class DoubleDealer final : public PureFilter {
         default:
           break;
       }
-      out.send(dest, std::move(msg));
-    }
+      out.send(dest, msg);
+    });
   }
 };
 

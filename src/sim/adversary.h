@@ -28,11 +28,11 @@ namespace renaming::sim {
 
 /// Read-only view of the execution the crash adversary may inspect.
 ///
-/// Outboxes are stored compressed: a broadcast is one entry with the
-/// Outbox::kBroadcast destination. Adversaries that reason about individual
-/// (dest, message) sends should use Outbox::size() for the logical count —
-/// that is the index space CrashOrder::keep addresses — and remember that a
-/// broadcast entry's recipients are 0..n-1 in order. A node that queued
+/// Outboxes are stored compressed: a broadcast, a multicast or a run of
+/// identical sends is one entry. Adversaries that reason about individual
+/// (dest, message) sends read them with Outbox::for_each_copy(), whose
+/// index space (Outbox::size() copies, a broadcast's recipients 0..n-1 in
+/// order) is the one CrashOrder::keep addresses. A node that queued
 /// nothing this round (and so may have no outbox allocated) presents as an
 /// empty outbox (OutboxTable::peek).
 struct AdversaryView {
@@ -47,10 +47,11 @@ struct AdversaryView {
   const Outbox& outbox(NodeIndex v) const { return outboxes->peek(v); }
 };
 
-/// One crash order: victim plus the indices (into its logical per-recipient
-/// outbox sequence, in send order; broadcasts expand to n entries) of the
-/// messages that are still delivered. An empty keep list is a crash "before
-/// sending anything"; a full list is a crash "after sending".
+/// One crash order: victim plus the indices (into its per-recipient copy
+/// sequence, Outbox::for_each_copy() order; a broadcast counts n copies) of
+/// the messages that are still delivered, in any order, none twice. The
+/// engine applies it with Outbox::keep(). An empty keep list is a crash
+/// "before sending anything"; a full list is a crash "after sending".
 struct CrashOrder {
   NodeIndex victim = kNoNode;
   std::vector<std::uint32_t> keep;

@@ -357,30 +357,14 @@ RunStats Engine::run(Round max_rounds) {
       alive_dests_dirty = true;
       ++stats_.crashes;
       ++stats_.per_round.back().crashes;
-      // Keep-indices address the logical per-recipient sequence, so a
-      // victim's compressed broadcasts are expanded first; the adversary
-      // may cut a broadcast anywhere mid-fanout. ensure(): an idle victim
-      // has no outbox yet — it presents (correctly) as empty, so any
-      // non-empty keep list trips the check below.
+      // The cut (Outbox::keep) keeps what the adversary lets escape, in the
+      // copy index space, so it may stop a broadcast anywhere mid-fanout.
+      // ensure(): an idle victim has no outbox yet — it presents
+      // (correctly) as empty, so any non-empty keep list trips keep()'s
+      // check.
       Outbox& victim_box = outboxes.ensure(v);
-      victim_box.expand();
-      auto& entries = victim_box.entries();
-      observers_.on_crash(round, v, order.keep.size(), entries.size());
-      // Retain only the messages the adversary lets escape.
-      std::vector<std::pair<NodeIndex, Message>> kept;
-      kept.reserve(order.keep.size());
-      std::sort(order.keep.begin(), order.keep.end());
-      for (std::size_t i = 0; i < order.keep.size(); ++i) {
-        const std::uint32_t idx = order.keep[i];
-        RENAMING_CHECK(idx < entries.size(),
-                       "crash order keeps a message that was never queued");
-        // A crash only omits messages: a repeated index would deliver (and
-        // count) one send twice.
-        RENAMING_CHECK(i == 0 || order.keep[i - 1] < idx,
-                       "crash order keeps a message twice");
-        kept.push_back(std::move(entries[idx]));
-      }
-      entries = std::move(kept);
+      observers_.on_crash(round, v, order.keep.size(), victim_box.size());
+      victim_box.keep(std::move(order.keep));
     }
 
     // --- Delivery phase: authenticate, account, deliver. ---------------
@@ -403,9 +387,10 @@ RunStats Engine::run(Round max_rounds) {
     // order, so one slot list serves them all and delivery is O(entries),
     // not O(copies). Lists are compared by pointer, then by contents. A
     // list naming a node twice owes it two copies per entry and takes the
-    // arena path, as does any round with a partial crash (its victim's
-    // expanded unicasts address single nodes). A trace takes its per-copy
-    // events from the accounting walk below, the same on either path.
+    // arena path, as does, in practice, a round with a partial crash: its
+    // victim's cut entries are repeats over the kept subset, which differs
+    // from the other senders' list. A trace takes its per-copy events from
+    // the accounting walk below, the same on either path.
     bool shared = true;
     bool have_list = false;
     std::span<const NodeIndex> shared_list;

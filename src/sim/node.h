@@ -12,6 +12,7 @@
 // through the inbox.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <forward_list>
 #include <span>
@@ -41,11 +42,12 @@ namespace renaming::sim {
 /// *unicast fidelity*: the engine accounts, journals and traces every copy
 /// exactly as if the individual send() calls had been queued, so observable
 /// bytes are unchanged (docs/PERFORMANCE.md §10). The engine delivers all
-/// compressed forms by reference. All *index-based* semantics
-/// (CrashOrder::keep, the Byzantine strategies' per-recipient tampering)
-/// are defined over the expanded per-recipient sequence — call expand()
-/// first to materialize it; the expansion is byte-equivalent to what the
-/// individual send() calls would have queued.
+/// compressed forms by reference. There is one outbox form: per-recipient
+/// semantics (size(), CrashOrder::keep, the Byzantine strategies'
+/// tampering) use for_each_copy()'s index space, every copy in send order,
+/// a broadcast's to 0..n-1. The crash cut, keep(), queues the kept copies
+/// again by send()'s coalescing rule, so a cut broadcast or multicast
+/// becomes a repeat.
 ///
 /// Blob ownership (docs/PERFORMANCE.md "Message layout"): own_blob() keeps
 /// a bulk payload alive until this outbox's next clear(). The engine clears
@@ -126,8 +128,8 @@ class Outbox {
   }
 
   /// Number of *logical* (per-recipient) messages queued: a broadcast entry
-  /// counts n, a multicast or repeat entry its destination count. This is
-  /// the index space of CrashOrder::keep.
+  /// counts n, a multicast or repeat entry its destination count: the index
+  /// space of for_each_copy(), keep() and CrashOrder::keep.
   std::size_t size() const {
     std::size_t total = 0;
     std::size_t mc = 0;
@@ -155,37 +157,48 @@ class Outbox {
     n_ = n;
   }
 
-  /// Replaces every compressed broadcast/multicast/repeat entry with its
-  /// per-recipient copies (broadcast: destinations 0..n-1 in order;
-  /// multicast/repeat: its destination list in order), preserving the
-  /// logical send order. After expand(), entries() indices coincide with
-  /// the logical per-recipient indices. O(size()); only the crash and
-  /// tampering paths need it.
-  void expand() {
-    bool compressed = false;
-    for (const auto& entry : queued_) {
-      compressed |= entry.first == kBroadcast || entry.first == kMulticast ||
-                    entry.first == kRepeat;
-    }
-    if (!compressed) return;
-    std::vector<std::pair<NodeIndex, Message>> flat;
-    flat.reserve(size());
+  /// Calls f(dest, message) for every per-recipient copy, in index order:
+  /// entries in send order, a broadcast's copies to 0..n-1, a multicast's
+  /// or repeat's in list order.
+  template <typename F>
+  void for_each_copy(F&& f) const {
     std::size_t mc = 0;
-    for (auto& [dest, msg] : queued_) {
+    for (const auto& [dest, msg] : queued_) {
       if (dest == kBroadcast) {
-        for (NodeIndex d = 0; d < n_; ++d) flat.emplace_back(d, msg);
+        for (NodeIndex d = 0; d < n_; ++d) f(d, msg);
       } else if (dest == kMulticast || dest == kRepeat) {
-        const auto [off, len] = mspans_[mc++];
-        for (std::uint32_t i = 0; i < len; ++i) {
-          flat.emplace_back(mdests_[off + i], msg);
-        }
+        for (NodeIndex d : multicast_dests(mc++)) f(d, msg);
       } else {
-        flat.emplace_back(dest, std::move(msg));
+        f(dest, msg);
       }
     }
-    queued_ = std::move(flat);
-    mdests_.clear();
-    mspans_.clear();
+  }
+
+  /// The crash cut: keeps the copies at the listed indices (any order; an
+  /// index from size() on, or one listed twice, aborts), queued again by
+  /// send()'s coalescing rule: a cut broadcast or multicast becomes a
+  /// repeat, accounted per copy. Owned blobs stay until clear().
+  void keep(std::vector<std::uint32_t> indices) {
+    std::sort(indices.begin(), indices.end());
+    const std::size_t total = size();
+    for (std::size_t i = 0; i < indices.size(); ++i) {
+      RENAMING_CHECK(indices[i] < total,
+                     "crash order keeps a message that was never queued");
+      RENAMING_CHECK(i == 0 || indices[i - 1] < indices[i],
+                     "crash order keeps a message twice");
+    }
+    Outbox cut(self_, n_);
+    std::swap(*this, cut);    // cut takes the entries,
+    blobs_.swap(cut.blobs_);  // this keeps the blobs they point at
+    std::size_t next = 0;
+    std::uint32_t index = 0;
+    cut.for_each_copy([&](NodeIndex dest, const Message& m) {
+      if (next < indices.size() && indices[next] == index) {
+        if (!join_last(queued_.size(), dest, m)) queued_.emplace_back(dest, m);
+        ++next;
+      }
+      ++index;
+    });
   }
 
   /// Drops all queued entries and owned blobs but keeps the entry
@@ -198,8 +211,8 @@ class Outbox {
   }
 
   /// Engine access: the queued (dest, message) entries, in send order. A
-  /// dest of kBroadcast is a compressed broadcast (one entry, n logical
-  /// messages); unicast entries hold a real destination.
+  /// dest of kBroadcast, kMulticast or kRepeat marks a compressed entry; a
+  /// unicast entry holds a real destination (per copy: for_each_copy()).
   std::vector<std::pair<NodeIndex, Message>>& entries() { return queued_; }
   const std::vector<std::pair<NodeIndex, Message>>& entries() const {
     return queued_;

@@ -14,6 +14,7 @@ namespace {
 
 using sim::wire::Kind;
 using sim::wire::raw;
+using test_support::copies;
 using test_support::raw_wire_bits;
 
 SystemConfig fixed_config(NodeIndex n = 6) {
@@ -120,8 +121,7 @@ TEST(ByzNodeUnit, IdReportGoesToWholeView) {
   sim::Outbox out(2, cfg.n);
   node.send(2, out);
   ASSERT_EQ(out.size(), 2u);
-  out.expand();  // identical per-member reports coalesce into a kRepeat entry
-  for (const auto& [dest, msg] : out.entries()) {
+  for (const auto& [dest, msg] : copies(out)) {
     EXPECT_EQ(msg.kind, raw(Kind::kIdReport));
     EXPECT_EQ(msg.w[0], 150u);  // node 2's identity
     EXPECT_TRUE(dest == 0 || dest == 4);
@@ -255,8 +255,7 @@ std::vector<Sends> run_committee(const SystemConfig& cfg,
       if (members[v]->idle()) continue;
       sim::Outbox out(v, cfg.n);
       members[v]->send(r, out);
-      out.expand();
-      for (const auto& [dest, msg] : out.entries()) {
+      for (const auto& [dest, msg] : copies(out)) {
         if (members[v]->idle()) {
           EXPECT_EQ(msg.kind, raw(Kind::kNew));
           sent[v].emplace_back(dest, msg.w[0]);

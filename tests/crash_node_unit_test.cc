@@ -21,6 +21,7 @@ namespace {
 
 using sim::wire::Kind;
 using sim::wire::raw;
+using test_support::copies;
 using test_support::raw_wire_bits;
 
 SystemConfig fixed_config() {
@@ -97,9 +98,8 @@ TEST(CrashNodeUnit, Round2ReportsOnlyToAnnouncedLinks) {
   sim::Outbox out(0, 4);
   node.send(2, out);
   ASSERT_EQ(out.size(), 2u);
-  out.expand();  // identical per-link reports coalesce into a kRepeat entry
   std::vector<NodeIndex> dests;
-  for (const auto& [dest, msg] : out.entries()) {
+  for (const auto& [dest, msg] : copies(out)) {
     dests.push_back(dest);
     EXPECT_EQ(msg.kind, raw(Kind::kStatus));
     EXPECT_EQ(msg.w[0], 100u);           // its own identity
@@ -110,16 +110,15 @@ TEST(CrashNodeUnit, Round2ReportsOnlyToAnnouncedLinks) {
 }
 
 // Drives one committee round-3 action of `member` (node 0 of an n-node
-// system) with a crafted mailbox and returns its responses, expanded, in
-// send order.
+// system) with a crafted mailbox and returns its responses, one per
+// recipient, in send order.
 std::vector<std::pair<NodeIndex, sim::Message>> committee_round(
     CrashNode& member, NodeIndex n, const std::vector<sim::Message>& statuses) {
   member.receive(1, std::vector<sim::Message>{committee_notice(0, 100)});
   member.receive(2, statuses);
   sim::Outbox out(0, n);
   member.send(3, out);
-  out.expand();
-  return out.entries();
+  return copies(out);
 }
 
 // committee_round in the fixed n = 4 system, with the responses decoded

@@ -7,8 +7,9 @@
 // before it was deleted; the engine must keep reproducing them exactly — the
 // same golden trace bytes, flight-recorder journal, RunStats, outcomes and
 // telemetry per-kind ledgers — on the paths with different delivery shapes:
-//   * crash renaming under a mid-send CommitteeHunter (outbox expansion,
-//     keep-index slow path, idle-victim ensure());
+//   * crash renaming under a mid-send CommitteeHunter (the crash cut,
+//     Outbox::keep, turning a victim's broadcast into repeat entries;
+//     idle-victim ensure());
 //   * Byzantine renaming with Spoofer nodes (authentication rejections,
 //     committee multicast, kRepeat coalescing, view interning);
 //   * crash renaming under a ChaosCrashAdversary (crashes spread over the

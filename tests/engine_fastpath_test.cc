@@ -38,6 +38,7 @@
 namespace renaming::sim {
 namespace {
 
+using test_support::copies;
 using test_support::raw_wire_bits;
 using wire::Kind;
 
@@ -546,8 +547,8 @@ TEST(SharedInboxFastPath, ListOutOfOrderMatchesArena) {
 
 TEST(SharedInboxFastPath, ListWithCrashedAndIdleMembersMatchesArena) {
   // Node 7 falls in round 1 before sending, so later rounds list a dead
-  // node; node 3 falls in round 3 keeping one message, so that round's
-  // expanded unicast takes the arena path. Nappers 0 and 5 are listed idle
+  // node; node 3 falls in round 3 keeping one message, so that round's cut
+  // entry, a unicast, takes the arena path. Nappers 0 and 5 are listed idle
   // nodes that only the shared list wakes; napper 6 is unlisted and stays
   // asleep.
   ListScript script;
@@ -820,7 +821,7 @@ TEST(MulticastFastPath, MatchesSendLoopWithoutFailures) {
 }
 
 TEST(MulticastFastPath, MatchesSendLoopUnderChaosMidSendCrashes) {
-  // The chaos adversary's keep-indices address the expanded per-recipient
+  // The chaos adversary's keep-indices address the per-recipient copy
   // sequence — they cut straight through compressed multicast entries.
   const Observed fast = run_subset_casts(
       true, 8, 4, std::make_unique<ChaosCrashAdversary>(5, 0.35, 131));
@@ -932,7 +933,7 @@ TEST(MulticastFastPath, MulticastToAllNodesMatchesBroadcast) {
   expect_equivalent(run(false), run(true));
 }
 
-TEST(Outbox, MulticastExpandAndSizeMatchSendLoop) {
+TEST(Outbox, MulticastCopiesAndSizeMatchSendLoop) {
   const std::vector<NodeIndex> dests = {3, 0, 2};
   Outbox compressed(1, 4), loop(1, 4);
   compressed.send(1, make_message(kExtra, raw_wire_bits(8), std::uint64_t{7}));
@@ -946,25 +947,28 @@ TEST(Outbox, MulticastExpandAndSizeMatchSendLoop) {
   EXPECT_EQ(compressed.size(), 4u);
   EXPECT_EQ(compressed.multicast_dests(0).size(), 3u);
   EXPECT_EQ(loop.size(), 4u);  // identical sends coalesced, same logical size
-  compressed.expand();
-  loop.expand();
-  ASSERT_EQ(compressed.entries().size(), loop.entries().size());
-  for (std::size_t i = 0; i < loop.entries().size(); ++i) {
-    EXPECT_EQ(compressed.entries()[i].first, loop.entries()[i].first);
-    EXPECT_EQ(compressed.entries()[i].second.kind,
-              loop.entries()[i].second.kind);
-    EXPECT_EQ(compressed.entries()[i].second.sender, 1u);
-    EXPECT_EQ(compressed.entries()[i].second.claimed_sender, 1u);
+  const auto a = copies(compressed);
+  const auto b = copies(loop);
+  ASSERT_EQ(a.size(), 4u);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    EXPECT_EQ(a[i].first, b[i].first);
+    EXPECT_EQ(a[i].second.kind, b[i].second.kind);
+    EXPECT_EQ(a[i].second.sender, 1u);
+    EXPECT_EQ(a[i].second.claimed_sender, 1u);
   }
 }
 
-// Field-by-field equality of two queued entries.
-void expect_same_entries(const Outbox& a, const Outbox& b,
+using Copies = std::vector<std::pair<NodeIndex, Message>>;
+
+// Field-by-field equality of two (dest, message) lists: queued entries or
+// per-recipient copies.
+void expect_same_entries(const Copies& a, const Copies& b,
                          const std::string& label) {
-  ASSERT_EQ(a.entries().size(), b.entries().size()) << label;
-  for (std::size_t i = 0; i < a.entries().size(); ++i) {
-    const auto& [da, ma] = a.entries()[i];
-    const auto& [db, mb] = b.entries()[i];
+  ASSERT_EQ(a.size(), b.size()) << label;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const auto& [da, ma] = a[i];
+    const auto& [db, mb] = b[i];
     EXPECT_EQ(da, db) << label << " entry " << i;
     EXPECT_EQ(ma.sender, mb.sender) << label << " entry " << i;
     EXPECT_EQ(ma.claimed_sender, mb.claimed_sender) << label << " entry " << i;
@@ -981,7 +985,7 @@ TEST(Outbox, InPlaceUnicastMatchesMakeThenSend) {
   // that differ only in kind or word count — interleaved with broadcast
   // and multicast entries, queued once through send(dest, make_message)
   // and once through the in-place wire::send: the queues must agree entry
-  // for entry, coalescing included, before and after expand().
+  // for entry, coalescing included, and copy for copy.
   const wire::WireContext ctx{64, 5000};
   Xoshiro256 rng(0x0b0c);
   for (int trial = 0; trial < 200; ++trial) {
@@ -1044,7 +1048,7 @@ TEST(Outbox, InPlaceUnicastMatchesMakeThenSend) {
                   rng.below(3));
       }
     }
-    expect_same_entries(made, in_place, label);
+    expect_same_entries(made.entries(), in_place.entries(), label);
     ASSERT_EQ(made.size(), in_place.size()) << label;
     const auto lists = [](const Outbox& out) {
       return std::count_if(out.entries().begin(), out.entries().end(),
@@ -1061,9 +1065,7 @@ TEST(Outbox, InPlaceUnicastMatchesMakeThenSend) {
                 std::vector<NodeIndex>(b.begin(), b.end()))
           << label << " list " << k;
     }
-    made.expand();
-    in_place.expand();
-    expect_same_entries(made, in_place, label + " expanded");
+    expect_same_entries(copies(made), copies(in_place), label + " copies");
   }
 }
 
@@ -1229,29 +1231,344 @@ TEST(InboxArena, LazyResetLeavesUntouchedNodesEmpty) {
   EXPECT_TRUE(arena.view(1).empty());
 }
 
-TEST(Outbox, ExpandPreservesLogicalOrderAndStamps) {
-  Outbox out(1, 3);
-  out.send(2, make_message(kExtra, raw_wire_bits(8), std::uint64_t{9}));
-  out.broadcast(make_message(kWave, raw_wire_bits(32), std::uint64_t{5}));
-  out.send(0, make_message(kExtra, raw_wire_bits(8), std::uint64_t{4}));
-  EXPECT_EQ(out.entries().size(), 3u);
-  EXPECT_EQ(out.size(), 5u);
-  out.expand();
-  ASSERT_EQ(out.entries().size(), 5u);
-  EXPECT_EQ(out.size(), 5u);
-  const std::vector<NodeIndex> expected_dests = {2, 0, 1, 2, 0};
-  for (std::size_t i = 0; i < expected_dests.size(); ++i) {
-    EXPECT_EQ(out.entries()[i].first, expected_dests[i]) << "entry " << i;
-    EXPECT_EQ(out.entries()[i].second.sender, 1u);
-    EXPECT_EQ(out.entries()[i].second.claimed_sender, 1u);
+/// A fixed-seed outbox mixing every entry form — unicasts, runs that
+/// coalesce into repeats, multicasts (some naming a node twice) and
+/// broadcasts, some carrying a blob or a forged claimed origin — and, kept
+/// by hand as it is built, the per-recipient copy sequence its sends stand
+/// for, stamped as the engine's stamp() would.
+struct MixedOutbox {
+  explicit MixedOutbox(std::uint64_t seed) : rng(seed) {
+    n = static_cast<NodeIndex>(3 + rng.below(6));
+    self = static_cast<NodeIndex>(rng.below(n));
+    out = std::make_unique<Outbox>(self, n);
+    blob = out->own_blob({seed, 0xB10B, seed * 3});
+    for (std::uint64_t op = 4 + rng.below(8); op > 0; --op) {
+      Message m = make_message(kWave, raw_wire_bits(8 + rng.below(3)),
+                               rng.below(3), op);
+      if (rng.chance(0.3)) m.blob = blob;
+      if (rng.chance(0.2)) m.claimed_sender = (self + 1) % n;
+      switch (rng.below(4)) {
+        case 0:
+          unicast(static_cast<NodeIndex>(rng.below(n)), m);
+          break;
+        case 1:  // a run of one payload: coalesces into a repeat
+          for (std::uint64_t k = 2 + rng.below(3); k > 0; --k) {
+            unicast(static_cast<NodeIndex>(rng.below(n)), m);
+          }
+          break;
+        case 2: {
+          std::vector<NodeIndex> dests;
+          for (std::uint64_t k = 1 + rng.below(4); k > 0; --k) {
+            dests.push_back(static_cast<NodeIndex>(rng.below(n)));
+          }
+          out->multicast(dests, m);
+          for (NodeIndex d : dests) sequence.emplace_back(d, stamped(m));
+          break;
+        }
+        default:
+          out->broadcast(m);
+          for (NodeIndex d = 0; d < n; ++d) {
+            sequence.emplace_back(d, stamped(m));
+          }
+      }
+    }
   }
-  for (std::size_t i = 1; i <= 3; ++i) {
-    EXPECT_EQ(out.entries()[i].second.kind, kWave);
-    EXPECT_EQ(out.entries()[i].second.w[0], 5u);
+
+  void unicast(NodeIndex dest, const Message& m) {
+    out->send(dest, m);
+    sequence.emplace_back(dest, stamped(m));
   }
-  // Idempotent: a second expand is a no-op.
-  out.expand();
-  EXPECT_EQ(out.entries().size(), 5u);
+
+  Message stamped(Message m) const {
+    if (m.claimed_sender == kNoNode) m.claimed_sender = self;
+    m.sender = self;
+    return m;
+  }
+
+  /// The copy range [first, last] of every stored entry, read off the
+  /// entries and their destination lists.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> entry_ranges() const {
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> ranges;
+    std::uint32_t first = 0;
+    std::size_t lists = 0;
+    for (const auto& [dest, msg] : out->entries()) {
+      std::size_t len = 1;
+      if (dest == Outbox::kBroadcast) {
+        len = n;
+      } else if (dest == Outbox::kMulticast || dest == Outbox::kRepeat) {
+        len = out->multicast_dests(lists++).size();
+      }
+      const auto last = static_cast<std::uint32_t>(first + len - 1);
+      ranges.emplace_back(first, last);
+      first = last + 1;
+    }
+    return ranges;
+  }
+
+  Xoshiro256 rng;
+  NodeIndex n = 0;
+  NodeIndex self = 0;
+  std::unique_ptr<Outbox> out;
+  const std::vector<std::uint64_t>* blob = nullptr;
+  Copies sequence;
+};
+
+/// The destination lists of an outbox's multicast and repeat entries.
+std::vector<std::vector<NodeIndex>> lists_of(const Outbox& out) {
+  std::vector<std::vector<NodeIndex>> lists;
+  std::size_t k = 0;
+  for (const auto& [dest, msg] : out.entries()) {
+    if (dest != Outbox::kMulticast && dest != Outbox::kRepeat) continue;
+    const auto list = out.multicast_dests(k++);
+    lists.emplace_back(list.begin(), list.end());
+  }
+  return lists;
+}
+
+TEST(Outbox, CopyWalkFollowsTheSendSequence) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    const MixedOutbox mixed(seed);
+    const std::string label = "seed " + std::to_string(seed);
+    EXPECT_EQ(mixed.out->size(), mixed.sequence.size()) << label;
+    expect_same_entries(copies(*mixed.out), mixed.sequence, label);
+  }
+}
+
+TEST(Outbox, KeepLeavesTheKeptCopiesAsPlainSends) {
+  // Every fixed-seed mixed outbox, cut with each keep set: nothing, a
+  // prefix, everything, a shuffled random subset, and one index at each
+  // entry's first and last copy. After the cut the copy walk must be the
+  // send sequence filtered by the keep set (stamps and blob pointers
+  // included, the blobs still readable), size() its length, and the stored
+  // entries those of an outbox that send()s the kept copies one by one.
+  std::size_t cuts = 0;
+  unsigned forms_cut = 0;  // bit per entry form met in a cut outbox
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    const MixedOutbox probe(seed);
+    const auto total = static_cast<std::uint32_t>(probe.sequence.size());
+    std::vector<std::vector<std::uint32_t>> keep_sets(3);
+    for (std::uint32_t i = 0; i < total; ++i) {
+      keep_sets[2].push_back(i);
+      if (i < total / 2) keep_sets[1].push_back(i);
+    }
+    Xoshiro256 rng(seed * 977);
+    std::vector<std::uint32_t> subset;
+    for (std::uint32_t i = 0; i < total; ++i) {
+      if (rng.chance(0.5)) subset.push_back(i);
+    }
+    for (std::size_t i = subset.size(); i > 1; --i) {
+      std::swap(subset[i - 1], subset[rng.below(i)]);
+    }
+    keep_sets.push_back(subset);
+    for (const auto& [first, last] : probe.entry_ranges()) {
+      keep_sets.push_back({first});
+      if (last != first) keep_sets.push_back({last});
+    }
+    for (std::size_t set = 0; set < keep_sets.size(); ++set) {
+      const std::vector<std::uint32_t>& keep = keep_sets[set];
+      MixedOutbox mixed(seed);
+      const std::string label = "seed " + std::to_string(seed) +
+                                " keep set " + std::to_string(set);
+      for (const auto& [dest, msg] : mixed.out->entries()) {
+        forms_cut |= dest == Outbox::kBroadcast   ? 1u
+                     : dest == Outbox::kMulticast ? 2u
+                     : dest == Outbox::kRepeat    ? 4u
+                                                  : 8u;
+      }
+      std::vector<std::uint32_t> sorted = keep;
+      std::sort(sorted.begin(), sorted.end());
+      Copies expected;
+      for (std::uint32_t i : sorted) expected.push_back(mixed.sequence[i]);
+      mixed.out->keep(keep);
+      ++cuts;
+      EXPECT_EQ(mixed.out->size(), keep.size()) << label;
+      const Copies kept = copies(*mixed.out);
+      expect_same_entries(kept, expected, label);
+      for (const auto& [dest, msg] : kept) {
+        if (msg.blob == nullptr) continue;
+        EXPECT_EQ(*msg.blob,
+                  (std::vector<std::uint64_t>{seed, 0xB10B, seed * 3}))
+            << label;
+      }
+      Outbox plain(mixed.self, mixed.n);
+      for (const auto& [dest, msg] : expected) plain.send(dest, msg);
+      expect_same_entries(mixed.out->entries(), plain.entries(), label);
+      EXPECT_EQ(lists_of(*mixed.out), lists_of(plain)) << label;
+    }
+  }
+  EXPECT_GT(cuts, 60u * 5);
+  EXPECT_EQ(forms_cut, 0b1111u) << "broadcast, multicast, repeat, unicast";
+}
+
+constexpr NodeIndex kFormsN = 6;
+
+/// Payload `tag` of the forms victim's outbox.
+Message form_message(std::uint64_t tag,
+                     const std::vector<std::uint64_t>* blob = nullptr) {
+  Message m = make_message(kWave, raw_wire_bits(16 + tag), tag);
+  m.blob = blob;
+  return m;
+}
+
+/// The forms victim's round-1 sends, one stamped copy per recipient: a
+/// unicast to 3 (copy 0), a run to 1, 4, 2 that coalesces into a repeat
+/// (1..3), a multicast to 5, 1, 3, 1 (4..7), a broadcast carrying a blob
+/// (8..13) and a unicast to 2 (14).
+Copies forms_sequence(const std::vector<std::uint64_t>* blob) {
+  Copies seq;
+  const auto add = [&](NodeIndex d, Message m) {
+    m.sender = 0;
+    m.claimed_sender = 0;
+    seq.emplace_back(d, m);
+  };
+  add(3, form_message(1));
+  for (NodeIndex d : {1u, 4u, 2u}) add(d, form_message(2));
+  for (NodeIndex d : {5u, 1u, 3u, 1u}) add(d, form_message(3));
+  for (NodeIndex d = 0; d < kFormsN; ++d) add(d, form_message(4, blob));
+  add(2, form_message(5));
+  return seq;
+}
+
+/// Round 1: node 0 queues forms_sequence() through its entry forms, or —
+/// the plain twin — only the copies at `plain_keep` as individual send()s;
+/// node 2 broadcasts a wave. Every node logs (round, sender, tag, blob's
+/// second word) of what it receives, so a blob is read through.
+class FormsNode final : public Node {
+ public:
+  FormsNode(NodeIndex self, const std::vector<std::uint32_t>* plain_keep)
+      : self_(self), plain_keep_(plain_keep) {}
+
+  void send(Round round, Outbox& out) override {
+    if (round != 1) return;
+    if (self_ == 2) {
+      out.broadcast(make_message(kExtra, raw_wire_bits(12), 99));
+    }
+    if (self_ != 0) return;
+    const auto* blob = out.own_blob({41, 42});
+    if (plain_keep_ != nullptr) {
+      const Copies seq = forms_sequence(blob);
+      for (std::uint32_t i : *plain_keep_) out.send(seq[i].first, seq[i].second);
+      return;
+    }
+    out.send(3, form_message(1));
+    for (NodeIndex d : {1u, 4u, 2u}) out.send(d, form_message(2));
+    out.multicast(std::vector<NodeIndex>{5, 1, 3, 1}, form_message(3));
+    out.broadcast(form_message(4, blob));
+    out.send(2, form_message(5));
+  }
+
+  void receive(Round round, InboxView inbox) override {
+    executed_ = round;
+    for (const Message& m : inbox) {
+      log_.emplace_back(round, m.sender, m.w[0],
+                        m.blob != nullptr ? (*m.blob)[1] : 0);
+    }
+  }
+  bool done() const override { return executed_ >= 1; }
+
+  std::vector<std::tuple<Round, NodeIndex, std::uint64_t, std::uint64_t>> log_;
+
+ private:
+  NodeIndex self_;
+  const std::vector<std::uint32_t>* plain_keep_;
+  Round executed_ = 0;
+};
+
+/// Every per-copy message event and every crash the engine reports.
+class FormsTrace final : public TraceSink {
+ public:
+  void on_message(Round, const Message& m, NodeIndex dest,
+                  bool delivered) override {
+    messages.emplace_back(m.sender, dest, m.w[0], delivered);
+  }
+  void on_crash(Round round, NodeIndex victim, std::size_t kept,
+                std::size_t queued) override {
+    crashes.emplace_back(round, victim, kept, queued);
+  }
+  std::vector<std::tuple<NodeIndex, NodeIndex, std::uint64_t, bool>> messages;
+  std::vector<std::tuple<Round, NodeIndex, std::size_t, std::size_t>> crashes;
+};
+
+struct FormsRun {
+  RunStats stats;
+  std::vector<decltype(FormsNode::log_)> logs;
+  FormsTrace trace;
+  std::string journal;
+};
+
+/// Crashes node 0 in round 1 with `keep`: from its entry forms, or, given
+/// `plain_keep`, from the plain twin that queued only those copies and
+/// keeps all of them.
+FormsRun run_forms(const std::vector<std::uint32_t>& keep,
+                   const std::vector<std::uint32_t>* plain_keep) {
+  std::vector<std::unique_ptr<Node>> nodes;
+  for (NodeIndex v = 0; v < kFormsN; ++v) {
+    nodes.push_back(std::make_unique<FormsNode>(v, plain_keep));
+  }
+  FormsRun run;
+  obs::Journal journal;
+  Engine engine(std::move(nodes), std::make_unique<ScriptedKeep>(0, keep),
+                {.trace = &run.trace, .journal = &journal});
+  run.stats = engine.run(3);
+  for (NodeIndex v = 0; v < kFormsN; ++v) {
+    run.logs.push_back(dynamic_cast<const FormsNode&>(engine.node(v)).log_);
+  }
+  std::ostringstream bytes;
+  obs::write_journal_binary(bytes, journal.data());
+  run.journal = bytes.str();
+  return run;
+}
+
+TEST(CrashCut, VictimOfEveryEntryFormDeliversExactlyItsKeptCopies) {
+  // Keep sets: nothing, a prefix, everything, a subset, copies in the
+  // middle of the broadcast, and one copy at each entry's first and last.
+  const std::vector<std::vector<std::uint32_t>> keep_sets = {
+      {},          {0, 1, 2, 3, 4, 5, 6},
+      {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14},
+      {13, 2, 5, 9, 7, 14, 10},
+      {9, 11},     {0}, {1}, {3}, {4}, {7}, {8}, {13}, {14}};
+  const std::vector<std::uint64_t> blob = {41, 42};
+  const Copies seq = forms_sequence(&blob);
+  for (const std::vector<std::uint32_t>& keep : keep_sets) {
+    std::vector<std::uint32_t> sorted = keep;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<std::uint32_t> all_kept(sorted.size());
+    for (std::uint32_t i = 0; i < all_kept.size(); ++i) all_kept[i] = i;
+    std::string label = "keep {";
+    for (std::uint32_t i : keep) label += " " + std::to_string(i);
+    label += " }";
+
+    const FormsRun cut = run_forms(keep, nullptr);
+    const FormsRun plain = run_forms(all_kept, &sorted);
+
+    // Reference delivery: node 0's kept copies in index order, then node
+    // 2's wave, to every alive node; node 0 itself has crashed.
+    std::vector<decltype(FormsNode::log_)> logs(kFormsN);
+    std::uint64_t bits = 0;
+    for (std::uint32_t i : sorted) {
+      const auto& [dest, msg] = seq[i];
+      bits += msg.bits;
+      if (dest != 0) {
+        logs[dest].emplace_back(1, 0, msg.w[0],
+                                msg.blob != nullptr ? (*msg.blob)[1] : 0);
+      }
+    }
+    for (NodeIndex d = 1; d < kFormsN; ++d) logs[d].emplace_back(1, 2, 99, 0);
+    EXPECT_EQ(cut.logs, logs) << label;
+    EXPECT_EQ(plain.logs, logs) << label;
+    ASSERT_EQ(cut.stats.per_round.size(), 1u) << label;
+    EXPECT_EQ(cut.stats.per_round[0].messages, sorted.size() + kFormsN)
+        << label;
+    EXPECT_EQ(cut.stats.per_round[0].bits, bits + 12u * kFormsN) << label;
+    EXPECT_EQ(cut.stats.crashes, 1u) << label;
+    EXPECT_EQ(cut.stats, plain.stats) << label;
+    EXPECT_EQ(cut.trace.messages, plain.trace.messages) << label;
+    ASSERT_EQ(cut.trace.crashes.size(), 1u) << label;
+    EXPECT_EQ(cut.trace.crashes[0],
+              std::make_tuple(Round{1}, NodeIndex{0}, keep.size(), seq.size()))
+        << label;
+    EXPECT_EQ(cut.journal, plain.journal) << label;
+  }
 }
 
 TEST(InboxView, DirectAndIndirectModesIterateIdentically) {

@@ -11,14 +11,19 @@
 //    incremental summaries exist to avoid (docs/PERFORMANCE.md "Protocol
 //    hot path"). The equivalence tests and the micro-benchmarks compare
 //    against them.
+//  * copies — an outbox's per-recipient copies (Outbox::for_each_copy) as
+//    a list, for tests that inspect what a node queued.
 #pragma once
 
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "common/bitvec.h"
 #include "hashing/fingerprint.h"
 #include "hashing/mersenne61.h"
 #include "sim/message.h"
+#include "sim/node.h"
 
 namespace renaming::test_support {
 
@@ -54,6 +59,15 @@ inline std::uint64_t of_range(const hashing::RabinFingerprint& fp,
     h = hashing::m61_add(h, xj);
   }
   return h;
+}
+
+/// The (dest, message) copies `out` queued, in for_each_copy() order.
+inline std::vector<std::pair<NodeIndex, sim::Message>> copies(
+    const sim::Outbox& out) {
+  std::vector<std::pair<NodeIndex, sim::Message>> all;
+  out.for_each_copy(
+      [&](NodeIndex dest, const sim::Message& m) { all.emplace_back(dest, m); });
+  return all;
 }
 
 }  // namespace renaming::test_support
