@@ -8,8 +8,8 @@
 //                  made bench_crash_scaling dodge n >= 4096 before the
 //                  broadcast fast path existed;
 //   * cht-crash  — same under a random crash adversary (f = log n),
-//                  exercising the mid-send crash (outbox expansion) slow
-//                  path;
+//                  exercising the mid-send crash cut (Outbox::keep) and
+//                  the per-node inbox slices it sends a round to;
 //   * byz        — the full Byzantine renaming protocol (committee
 //                  multicast, identity-list summaries, fingerprint
 //                  consensus, f = log n split reporters): the

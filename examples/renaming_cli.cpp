@@ -60,7 +60,10 @@
 //   --provenance-horizon H   cause-retention ring: causes further than H
 //                        events back degrade to "(evicted)" in doctor why
 //                        (default for large runs: 1000000; 0 = unbounded).
-//                        With neither watch flag every node is watched.
+//                        With neither watch flag a large run watches a
+//                        stride sample of 64 nodes (--trace-sample 64;
+//                        --trace-sample 0 watches every node), a smaller
+//                        one every node.
 //                        The exported bytes are identical across --threads.
 //
 // Live observability (docs/OBSERVABILITY.md §8):
@@ -350,31 +353,40 @@ bool parse_watch_nodes(const std::string& csv, NodeIndex n,
 using AdversaryPtr = std::unique_ptr<sim::CrashAdversary>;
 struct Adversary {
   const char* name;
-  AdversaryPtr (*make)(std::uint64_t budget, std::uint64_t seed);
+  AdversaryPtr (*make)(std::uint64_t budget, NodeIndex n, std::uint64_t seed);
 };
+
+// The per-round, per-node crash probability that spreads `budget` random
+// crashes over a whole crash run (budget / (n * its round cap)), so victims
+// fall in every phase, mid-send too, instead of all in round 1.
+double spread_over_run(std::uint64_t budget, NodeIndex n) {
+  return static_cast<double>(budget) /
+         (static_cast<double>(n) * crash::CrashParams{}.max_rounds(n));
+}
+
 constexpr Adversary kAdversaries[] = {
     {"hunter",
-     [](std::uint64_t budget, std::uint64_t seed) -> AdversaryPtr {
+     [](std::uint64_t budget, NodeIndex, std::uint64_t seed) -> AdversaryPtr {
        return std::make_unique<crash::CommitteeHunter>(
            budget, crash::CommitteeHunter::Mode::kAtAnnounce, seed * 7);
      }},
     {"midresponse",
-     [](std::uint64_t budget, std::uint64_t seed) -> AdversaryPtr {
+     [](std::uint64_t budget, NodeIndex, std::uint64_t seed) -> AdversaryPtr {
        return std::make_unique<crash::CommitteeHunter>(
            budget, crash::CommitteeHunter::Mode::kMidResponse, seed * 7, 0.5);
      }},
     {"random",
-     [](std::uint64_t budget, std::uint64_t seed) -> AdversaryPtr {
-       return std::make_unique<sim::RandomCrashAdversary>(budget, 0.1,
-                                                          seed * 7);
+     [](std::uint64_t budget, NodeIndex n, std::uint64_t seed) -> AdversaryPtr {
+       return std::make_unique<sim::RandomCrashAdversary>(
+           budget, spread_over_run(budget, n), seed * 7);
      }},
     {"chaos",
-     [](std::uint64_t budget, std::uint64_t seed) -> AdversaryPtr {
-       return std::make_unique<sim::ChaosCrashAdversary>(budget, 0.1,
-                                                         seed * 7);
+     [](std::uint64_t budget, NodeIndex n, std::uint64_t seed) -> AdversaryPtr {
+       return std::make_unique<sim::ChaosCrashAdversary>(
+           budget, spread_over_run(budget, n), seed * 7);
      }},
     {"splitter",
-     [](std::uint64_t budget, std::uint64_t seed) -> AdversaryPtr {
+     [](std::uint64_t budget, NodeIndex, std::uint64_t seed) -> AdversaryPtr {
        return std::make_unique<crash::StatusSplitter>(budget, 0.1, seed * 7);
      }},
 };
@@ -473,6 +485,11 @@ int main(int argc, char** argv) {
   const bool big = n >= kLargeSystemNodes;
   const std::uint64_t trace_cap = args.num("trace-cap", 1000000);
   const std::uint64_t journal_rounds = args.num("journal-rounds", big ? 64 : 0);
+  // Watching every node's decisions records O(n) events per round; a large
+  // run watches a 64-node stride sample unless --trace-sample says
+  // otherwise (0 = every node).
+  const std::uint64_t provenance_sample =
+      args.num("trace-sample", big ? 64 : 0);
 
   std::ofstream trace_file;
   std::unique_ptr<sim::JsonlTrace> trace;
@@ -519,7 +536,7 @@ int main(int argc, char** argv) {
       return usage();
     }
     if (!args.has("trace-nodes")) {
-      popts.sample = static_cast<NodeIndex>(args.num("trace-sample", 0));
+      popts.sample = static_cast<NodeIndex>(provenance_sample);
     }
     popts.horizon = args.num("provenance-horizon", big ? 1000000 : 0);
     provenance = std::make_unique<obs::Provenance>(std::move(popts));
@@ -574,11 +591,11 @@ int main(int argc, char** argv) {
     }
     if (progress != nullptr) add("heartbeat");
     if (profile != nullptr) add("shard profile");
-    const std::uint64_t sample = args.num("trace-sample", 0);
     if (provenance != nullptr && args.has("trace-nodes")) {
       add("provenance watch(list)");
-    } else if (provenance != nullptr && sample > 0) {
-      add("provenance watch(sample " + std::to_string(sample) + ")");
+    } else if (provenance != nullptr && provenance_sample > 0) {
+      add("provenance watch(sample " + std::to_string(provenance_sample) +
+          ")");
     } else if (provenance != nullptr) {
       add("provenance full");
     }
@@ -649,7 +666,7 @@ int main(int argc, char** argv) {
     if (budget > 0) {
       adversary = find_named(kAdversaries,
                              args.str("adversary", "hunter"))
-                      ->make(budget, seed);
+                      ->make(budget, n, seed);
     }
     const auto r = crash::run_crash_renaming(cfg, params, std::move(adversary),
                                              observers);

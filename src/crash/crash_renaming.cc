@@ -74,6 +74,10 @@ bool response_before(const sim::Message& a, const sim::Message& b) {
 
 }  // namespace
 
+Round CrashParams::max_rounds(NodeIndex n) const {
+  return phase_multiplier * ceil_log2(n) * kSubrounds;
+}
+
 CrashNode::CrashNode(NodeIndex self, const SystemConfig& cfg,
                      CrashParams params, obs::Telemetry* telemetry,
                      obs::Provenance* provenance)
@@ -385,10 +389,8 @@ CrashRunResult run_crash_renaming(
   }
   sim::Engine engine(std::move(nodes), std::move(adversary), observers);
 
-  const Round max_rounds =
-      params.phase_multiplier * ceil_log2(cfg.n) * kSubrounds;
   CrashRunResult result;
-  result.stats = engine.run(max_rounds);
+  result.stats = engine.run(params.max_rounds(cfg.n));
 
   result.outcomes.reserve(cfg.n);
   for (NodeIndex v = 0; v < cfg.n; ++v) {

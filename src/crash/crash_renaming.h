@@ -70,6 +70,10 @@ struct CrashParams {
   /// p counter still propagates (the protocol structure is unchanged),
   /// only the resource-competitive lever of Lemma 2.4/2.7 is disabled.
   bool adaptive_reelection = true;
+
+  /// The run's round cap at n nodes: phase_multiplier * ceil(log2 n)
+  /// phases of three rounds each.
+  Round max_rounds(NodeIndex n) const;
 };
 
 class CrashNode final : public sim::Node {

@@ -130,8 +130,8 @@ RunStats Engine::run(Round max_rounds) {
 
   // Persistent round buffers (docs/PERFORMANCE.md): per-node outboxes,
   // allocated on first send and recycled (sim/outbox_table.h), and one
-  // flat delivery arena, clear()ed per round, so the steady-state round
-  // has no per-message allocation at all.
+  // inbox arena, reset lazily per round (sim/inbox.h), so the steady-state
+  // round has no per-message allocation at all.
   OutboxTable outboxes;
   outboxes.reset(n);
   InboxArena inbox;
@@ -146,12 +146,6 @@ RunStats Engine::run(Round max_rounds) {
   std::vector<char> active(n, 0);       // alive and not idle
   std::vector<NodeIndex> active_list;   // ascending; the round's work list
   std::uint64_t correct_remaining = 0;  // alive, non-Byzantine, not done
-  // Ascending list of alive destinations: the broadcast fast path iterates
-  // it instead of bit-testing alive_ per recipient. Maintained by
-  // filtering crashed nodes out in place (identical bytes to a rebuild, no
-  // O(n) rescan per crash round). Ascending order keeps delivery order
-  // identical to n individual sends.
-  std::vector<NodeIndex> alive_dests;
   // [0, n): the destination list of every broadcast entry.
   std::vector<NodeIndex> all_dests(n);
   for (NodeIndex v = 0; v < n; ++v) {
@@ -159,11 +153,9 @@ RunStats Engine::run(Round max_rounds) {
     active[v] = (alive_[v] && !nodes_[v]->idle()) ? 1 : 0;
     if (active[v] != 0) active_list.push_back(v);
     if (alive_[v] && !byzantine_[v] && node_done[v] == 0) ++correct_remaining;
-    if (alive_[v]) alive_dests.push_back(v);
     all_dests[v] = v;
   }
   bool active_dirty = false;
-  bool alive_dests_dirty = false;
   // active_list is maintained by merging newly activated nodes into the
   // (sorted) previous list instead of rescanning [0, n).
   std::vector<NodeIndex> activated;  // 0->1 transitions since last merge
@@ -172,11 +164,6 @@ RunStats Engine::run(Round max_rounds) {
   std::vector<NodeIndex> receivers;  // nodes whose receive() must run
   std::vector<NodeIndex> victims;    // crashed this round
   std::vector<char> crashed_now(n, 0);
-  // Shared inbox for rounds whose entries all address one destination list
-  // (the delivery phase below): the round's unspoofed messages, read by
-  // every alive node on the list, and the round that last listed each node.
-  std::vector<const Message*> shared_slots;
-  std::vector<Round> listed_in(n, 0);
 
   // lint:engine-setup-end
 
@@ -354,7 +341,6 @@ RunStats Engine::run(Round max_rounds) {
         active_dirty = true;
       }
       if (!byzantine_[v] && node_done[v] == 0) --correct_remaining;
-      alive_dests_dirty = true;
       ++stats_.crashes;
       ++stats_.per_round.back().crashes;
       // The cut (Outbox::keep) keeps what the adversary lets escape, in the
@@ -368,72 +354,23 @@ RunStats Engine::run(Round max_rounds) {
     }
 
     // --- Delivery phase: authenticate, account, deliver. ---------------
-    // Pass 1 sizes each node's arena slice (an upper bound is enough);
-    // pass 2 walks the same entries in order, so inbox order is exactly
-    // sender-index-ascending, send order within a sender — identical to
-    // delivering every copy individually. Only the senders' outboxes can
-    // hold entries, so both passes iterate `senders` (ascending).
-    if (alive_dests_dirty) {
-      // Nodes only ever leave the alive set, so filtering the previous
-      // (ascending) list in place yields exactly what a rescan would.
-      std::erase_if(alive_dests, [&](NodeIndex d) { return !alive_[d]; });
-      alive_dests_dirty = false;
-    }
-
-    // One shared inbox (docs/PERFORMANCE.md §3): when every queued entry
-    // addresses the same destination list — [0, n) for broadcasts, or one
-    // multicast or repeat list such as a committee's links — each alive
-    // node on it receives exactly the round's unspoofed entries in sender
-    // order, so one slot list serves them all and delivery is O(entries),
-    // not O(copies). Lists are compared by pointer, then by contents. A
-    // list naming a node twice owes it two copies per entry and takes the
-    // arena path, as does, in practice, a round with a partial crash: its
-    // victim's cut entries are repeats over the kept subset, which differs
-    // from the other senders' list. A trace takes its per-copy events from
-    // the accounting walk below, the same on either path.
-    bool shared = true;
-    bool have_list = false;
-    std::span<const NodeIndex> shared_list;
-    for (std::size_t i = 0; i < senders.size() && shared; ++i) {
-      const Outbox& ob = outboxes.get(senders[i]);
+    // The inbox module lays the round out (sim/inbox.h): pass 1 hands it
+    // every entry's destination list, and it chooses one shared slot list
+    // or per-node slices; pass 2 walks the same entries in order and hands
+    // it the unspoofed ones, so inbox order is exactly sender-index-
+    // ascending, send order within a sender — identical to delivering
+    // every copy individually. Only the senders' outboxes can hold entries,
+    // so both passes iterate `senders` (ascending). A trace takes its
+    // per-copy events from the accounting walk below, whatever the layout.
+    inbox.begin_round(alive_);
+    for (NodeIndex v : senders) {
+      const Outbox& ob = outboxes.get(v);
       std::size_t mc = 0;
       for (const auto& entry : ob.entries()) {
-        const std::span<const NodeIndex> dests = dests_of(ob, entry, mc);
-        if (!have_list) {
-          shared_list = dests;
-          have_list = true;
-        } else if (dests.data() != shared_list.data() &&
-                   (dests.size() != shared_list.size() ||
-                    !std::equal(dests.begin(), dests.end(),
-                                shared_list.begin()))) {
-          shared = false;
-          break;
-        }
+        inbox.expect(dests_of(ob, entry, mc));
       }
     }
-    for (std::size_t i = 0; i < shared_list.size() && shared; ++i) {
-      const NodeIndex d = shared_list[i];
-      shared = listed_in[d] != round;
-      listed_in[d] = round;
-    }
-
-    if (!shared) {
-      inbox.begin_round(n);
-      for (NodeIndex v : senders) {
-        const Outbox& ob = outboxes.get(v);
-        std::size_t mc = 0;
-        for (const auto& entry : ob.entries()) {
-          const std::span<const NodeIndex> dests = dests_of(ob, entry, mc);
-          if (entry.first == Outbox::kBroadcast) {
-            inbox.expect_broadcast();
-          } else {
-            for (NodeIndex d : dests) inbox.expect_unicast(d);
-          }
-        }
-      }
-      inbox.commit();
-    }
-    shared_slots.clear();
+    inbox.commit();
 
     for (NodeIndex v : senders) {
       // A node felled in an earlier round is never a sender; only this
@@ -487,14 +424,8 @@ RunStats Engine::run(Round max_rounds) {
           // Authentication (PKI assumption of Theorem 1.3): forged origins
           // are detected by every receiver and discarded.
           stats_.spoofs_rejected += dests.size();
-        } else if (shared) {
-          shared_slots.push_back(&msg);
-        } else if (entry.first == Outbox::kBroadcast) {
-          inbox.deliver_broadcast(msg, alive_dests);
         } else {
-          for (NodeIndex d : dests) {
-            if (alive_[d]) inbox.deliver(d, msg);
-          }
+          inbox.deliver(msg, dests);
         }
       }
     }
@@ -504,33 +435,24 @@ RunStats Engine::run(Round max_rounds) {
     }
 
     // --- Receive phase. -------------------------------------------------
-    // The arena slices point into the outboxes, which stay untouched until
+    // The inbox's slots point into the outboxes, which stay untouched until
     // the end-of-round clear below. receive() runs for every alive node
     // whose send() ran (even with an empty inbox — stage machines may
     // advance on silence) plus every idle node that was actually addressed;
     // an idle node with an empty inbox is a no-op by contract and skipped.
     // active[v] == 1 exactly for the alive senders, so the addressed idle
-    // nodes are the alive inactive ones with a non-empty inbox: the shared
-    // list's when its slots are non-empty, else the arena's touched ones.
+    // nodes are the inactive ones among the alive addressed nodes.
     receivers.clear();
     for (NodeIndex v : senders) {
       if (alive_[v]) receivers.push_back(v);
     }
     const std::size_t idle_begin = receivers.size();
-    if (!shared) {
-      for (NodeIndex v : inbox.touched()) {
-        if (alive_[v] && active[v] == 0 && !inbox.view(v).empty()) {
-          receivers.push_back(v);
-        }
-      }
-    } else if (!shared_slots.empty()) {
-      for (NodeIndex v : shared_list) {
-        if (alive_[v] && active[v] == 0) receivers.push_back(v);
-      }
-    }
+    inbox.for_each_addressed([&](NodeIndex v) {
+      if (active[v] == 0) receivers.push_back(v);
+    });
     if (idle_begin != receivers.size()) {
-      // Both halves ascending, then one merge: a broadcast's list and a
-      // broadcast round's touched nodes are [0, n) and skip the sort.
+      // Both halves ascending, then one merge: a round led by a broadcast
+      // addresses [0, n) in order and skips the sort.
       const auto mid =
           receivers.begin() + static_cast<std::ptrdiff_t>(idle_begin);
       if (!std::is_sorted(mid, receivers.end())) {
@@ -541,12 +463,9 @@ RunStats Engine::run(Round max_rounds) {
                  std::back_inserter(merge_scratch));
       std::swap(receivers, merge_scratch);
     }
-    const InboxView shared_view(shared_slots.data(), shared_slots.size());
     fan_out(obs::ShardPhase::kReceive, receivers,
             [&](NodeIndex v, ShardScratch& scratch) {
-              const InboxView in =
-                  !shared ? inbox.view(v)
-                          : (listed_in[v] == round ? shared_view : InboxView());
+              const InboxView in = inbox.view(v);
               if (tel != nullptr) tel->note_inbox(v, in.size());
               nodes_[v]->receive(round, in);
               refresh_into(v, scratch);

@@ -11,7 +11,7 @@
 // Only nodes with traffic cost anything (docs/PERFORMANCE.md §10): per-node
 // outboxes are allocated on first send and recycled when their node goes
 // quiet, the round's work list is maintained by incremental sorted merges,
-// and delivery scratch shrinks by filtering in place. Setup holds per-node
+// and the inbox resets lazily (sim/inbox.h). Setup holds per-node
 // bytes (flags and slot indices), never per-node objects, so a round where
 // only an O(log n) committee is active costs O(active + messages).
 #pragma once

@@ -1,19 +1,36 @@
-// Delivery-side buffers for the engine hot path (docs/PERFORMANCE.md).
+// Delivery side of the engine's round (docs/PERFORMANCE.md §2–3).
 //
-// The engine never materializes one Message per recipient. A broadcast is
-// stored once in its sender's outbox; delivery appends a *pointer* to that
-// single message into each recipient's slice of a flat, offset-indexed
-// arena. Receivers read their round's traffic through InboxView, which
-// iterates either a contiguous Message array (unit tests drive nodes
-// directly with a std::vector<Message>) or an arena slice of pointers (the
-// engine path) — the protocol code is identical either way.
+// The engine never materializes one Message per recipient. Every queued
+// entry — a unicast, a repeat, a multicast or a broadcast — is stored once
+// in its sender's outbox together with its destination list ([0, n) for a
+// broadcast). InboxArena lays out one round's delivery from those lists:
 //
-// The arena is a persistent round buffer: it is sized once and reset per
-// round, so the steady-state delivery cost is one pointer store per
-// (message, recipient) pair with no allocation at all.
+//   arena.begin_round(alive);
+//   for every queued entry:      arena.expect(dests);     // pass 1
+//   arena.commit();              // chooses the layout, sizes the slots
+//   for every unspoofed entry:   arena.deliver(msg, dests);  // pass 2
+//   for every receiver:          node.receive(round, arena.view(v));
+//
+// It alone chooses between two layouts of one flat slot buffer:
+//
+//  * One shared slot list, when every entry addresses the same list
+//    (pointer, then contents) and no node is listed twice. Every node on
+//    the list reads the same slots, one pointer per delivered entry, so the
+//    round costs O(entries), not O(copies).
+//  * Per-node slices otherwise. Every entry fills them through its list,
+//    one pointer per (message, alive destination); a broadcast is just the
+//    list [0, n).
+//
+// Either way a node reads its round's traffic in sender order, then send
+// order, then list order, as if every copy had been sent on its own.
+// Receivers read it through InboxView, one slot-list form for every
+// protocol. The buffers persist across rounds and reset lazily through a
+// round stamp per node, so nodes a round never addressed cost nothing.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <span>
 #include <vector>
 
@@ -24,36 +41,25 @@
 namespace renaming::sim {
 
 /// Read-only view of the messages delivered to one node in one round, in
-/// delivery order (sender index ascending, each sender's send order). Views
-/// are invalidated when the buffers behind them are cleared — i.e. at the
-/// end of the receive callback they were passed to.
+/// delivery order (sender index ascending, each sender's send order): a
+/// list of slots, each pointing at a message. Views are invalidated when
+/// the buffers behind them are cleared — i.e. at the end of the receive
+/// callback they were passed to.
 class InboxView {
  public:
   InboxView() = default;
-  /// Contiguous messages (direct mode, used by unit tests and drivers).
-  InboxView(const Message* msgs, std::size_t size)
-      : direct_(msgs), size_(size) {}
-  // NOLINTNEXTLINE(google-explicit-constructor)
-  InboxView(std::span<const Message> msgs)
-      : direct_(msgs.data()), size_(msgs.size()) {}
-  // NOLINTNEXTLINE(google-explicit-constructor)
-  InboxView(const std::vector<Message>& msgs)
-      : direct_(msgs.data()), size_(msgs.size()) {}
-  /// Arena slice (indirect mode, the engine delivery path).
   InboxView(const Message* const* slots, std::size_t size)
       : slots_(slots), size_(size) {}
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  /// The buffer the view reads: one for every view of a shared inbox
-  /// (docs/PERFORMANCE.md §3), one per node on the arena path.
-  const void* buffer() const {
-    return slots_ != nullptr ? static_cast<const void*>(slots_) : direct_;
-  }
+  /// The slot list the view reads: one for every view of a shared inbox
+  /// (docs/PERFORMANCE.md §3), one per node otherwise.
+  const void* buffer() const { return slots_; }
 
   const Message& operator[](std::size_t i) const {
     RENAMING_CHECK(i < size_, "inbox index out of range");
-    return get(i);
+    return *slots_[i];
   }
 
   class Iterator {
@@ -64,155 +70,189 @@ class InboxView {
     using pointer = const Message*;
     using reference = const Message&;
 
-    Iterator(const InboxView& view, std::size_t i) : view_(&view), i_(i) {}
-    reference operator*() const { return view_->get(i_); }
-    pointer operator->() const { return &view_->get(i_); }
+    explicit Iterator(const Message* const* slot) : slot_(slot) {}
+    reference operator*() const { return **slot_; }
+    pointer operator->() const { return *slot_; }
     Iterator& operator++() {
-      ++i_;
+      ++slot_;
       return *this;
     }
     Iterator operator++(int) {
       Iterator tmp = *this;
-      ++i_;
+      ++slot_;
       return tmp;
     }
     friend bool operator==(const Iterator&, const Iterator&) = default;
 
    private:
-    const InboxView* view_;
-    std::size_t i_;
+    const Message* const* slot_ = nullptr;
   };
 
-  Iterator begin() const { return Iterator(*this, 0); }
-  Iterator end() const { return Iterator(*this, size_); }
+  Iterator begin() const { return Iterator(slots_); }
+  Iterator end() const { return Iterator(slots_ + size_); }
 
  private:
-  const Message& get(std::size_t i) const {
-    return slots_ != nullptr ? *slots_[i] : direct_[i];
-  }
-
   const Message* const* slots_ = nullptr;
-  const Message* direct_ = nullptr;
   std::size_t size_ = 0;
 };
 
-/// Flat, offset-indexed per-round delivery buffer: one slice of Message
-/// pointers per node, all in a single backing vector that is reused across
-/// rounds. Usage per round:
-///
-///   arena.begin_round(n);
-///   for every queued entry:   expect_unicast(dest) / expect_broadcast();
-///   arena.commit();           // offsets from the (upper-bound) counts
-///   for every delivery:       arena.deliver(dest, msg);
-///   for every node:           node.receive(round, arena.view(v));
-///
-/// The expectation pass only has to be an upper bound per node (spoofed or
-/// crashed-destination traffic may end up undelivered); slices never
-/// overlap and view(v) reports the slots actually filled.
-///
-/// The reset is lazy (the idle fast path, docs/PERFORMANCE.md): a round
-/// stamp per node replaces the O(n) re-zeroing of the old implementation,
-/// so a unicast-only round costs O(touched destinations), not O(n). Nodes
-/// the round never addressed read an empty view through a stale stamp;
-/// rounds containing any broadcast slice every node as before.
+/// One round's delivery layout (see the header comment). Pass 1 hands it
+/// every entry's destination list, spoofed entries included, so the slots
+/// are an upper bound; pass 2 hands it the unspoofed entries in the same
+/// order. Deciding the layout is O(entries) on a shared round: per-node
+/// counting starts only at the first list that differs, which counts the
+/// identical lists before it in one walk.
 class InboxArena {
  public:
-  void begin_round(NodeIndex n) {
+  /// Starts a round of the system whose alive set is `alive` (n is its
+  /// size). The arena reads `alive` until the round's last view().
+  void begin_round(const std::vector<bool>& alive) {
+    alive_ = &alive;
+    const auto n = static_cast<NodeIndex>(alive.size());
     if (n != n_) {
       n_ = n;
-      unicasts_.assign(n, 0);
-      begin_.assign(n, 0);
-      end_.assign(n, 0);
-      cursor_.assign(n, 0);
       stamp_.assign(n, 0);
+      counts_.clear();
       epoch_ = 0;
     }
     ++epoch_;
-    broadcasts_ = 0;
     touched_.clear();
+    first_ = {};
+    repeats_ = 0;
+    sliced_ = false;
   }
 
-  void expect_unicast(NodeIndex dest) {
-    RENAMING_CHECK(dest < n_, "message addressed outside the system");
-    if (stamp_[dest] != epoch_) {
-      stamp_[dest] = epoch_;
-      unicasts_[dest] = 0;
-      touched_.push_back(dest);
+  /// Pass 1: the destination list of the round's next entry. The list
+  /// must stay readable until the round's last deliver().
+  void expect(std::span<const NodeIndex> dests) {
+    if (!sliced_) {
+      if (repeats_ == 0 || same_list(dests, first_)) {
+        if (repeats_++ == 0) first_ = dests;
+        return;
+      }
+      slice();
     }
-    ++unicasts_[dest];
+    count(dests, 1);
   }
-  void expect_broadcast() { ++broadcasts_; }
 
+  /// Ends pass 1: one shared slot list if every entry named first_ and
+  /// first_ names no node twice, per-node slices otherwise.
   void commit() {
-    std::size_t total = 0;
-    if (broadcasts_ == 0) {
-      // Unicast-only round: only the touched destinations get slices (in
-      // expectation order; slices are disjoint, so their relative layout
-      // is unobservable).
+    shared_ = !sliced_ && listed_once();
+    if (!shared_ && !sliced_) slice();
+    std::size_t total = repeats_;
+    if (!shared_) {
+      total = 0;
       for (NodeIndex v : touched_) {
         begin_[v] = total;
         cursor_[v] = total;
-        total += unicasts_[v];
-        end_[v] = total;
-      }
-    } else {
-      // A broadcast addresses everyone: every node gets a slice.
-      touched_.clear();
-      for (NodeIndex v = 0; v < n_; ++v) {
-        if (stamp_[v] != epoch_) {
-          stamp_[v] = epoch_;
-          unicasts_[v] = 0;
-        }
-        touched_.push_back(v);
-        begin_[v] = total;
-        cursor_[v] = total;
-        total += unicasts_[v] + broadcasts_;
+        total += counts_[v];
         end_[v] = total;
       }
     }
+    filled_ = 0;
     if (slots_.size() < total) slots_.resize(total);
   }
 
-  void deliver(NodeIndex dest, const Message& m) {
-    RENAMING_CHECK(stamp_[dest] == epoch_ && cursor_[dest] < end_[dest],
-                   "delivery overflows the node's arena slice");
-    slots_[cursor_[dest]++] = &m;
-  }
-
-  /// Bulk form of deliver() for the broadcast fast path: appends `m` to
-  /// every destination in `dests` (which the engine keeps in ascending
-  /// order, so delivery order matches n individual deliver() calls).
-  void deliver_broadcast(const Message& m, const std::vector<NodeIndex>& dests) {
+  /// Pass 2: an unspoofed entry and its list, in pass 1's order. A slice
+  /// takes it only at alive destinations.
+  void deliver(const Message& m, std::span<const NodeIndex> dests) {
     const Message** slots = slots_.data();
+    if (shared_) {
+      RENAMING_CHECK(filled_ < repeats_,
+                     "delivery overflows the shared inbox");
+      slots[filled_++] = &m;
+      return;
+    }
+    const std::vector<bool>& alive = *alive_;
     std::size_t* cursor = cursor_.data();
     for (NodeIndex d : dests) {
+      if (!alive[d]) continue;
       RENAMING_CHECK(stamp_[d] == epoch_ && cursor[d] < end_[d],
                      "delivery overflows the node's arena slice");
       slots[cursor[d]++] = &m;
     }
   }
 
-  InboxView view(NodeIndex dest) const {
-    if (stamp_[dest] != epoch_) return InboxView();
-    return InboxView(slots_.data() + begin_[dest],
-                     cursor_[dest] - begin_[dest]);
+  /// What node `v` receives this round: the shared slots if it is listed,
+  /// its slice otherwise, empty if the round never addressed it.
+  InboxView view(NodeIndex v) const {
+    if (stamp_[v] != epoch_) return InboxView();
+    if (shared_) return InboxView(slots_.data(), filled_);
+    return InboxView(slots_.data() + begin_[v], cursor_[v] - begin_[v]);
   }
 
-  /// Destinations holding a slice this round (every node on broadcast
-  /// rounds). The engine unions this with the senders to know who must run
-  /// receive() without scanning all n nodes.
-  const std::vector<NodeIndex>& touched() const { return touched_; }
+  /// Calls f(v) for every alive node with a non-empty inbox this round, in
+  /// no particular order (a list's order, then first addressing).
+  template <typename F>
+  void for_each_addressed(F&& f) const {
+    if (shared_ && filled_ == 0) return;
+    for (NodeIndex v : touched_) {
+      if (shared_ ? (*alive_)[v] : cursor_[v] != begin_[v]) f(v);
+    }
+  }
 
  private:
+  static bool same_list(std::span<const NodeIndex> a,
+                        std::span<const NodeIndex> b) {
+    return a.size() == b.size() &&
+           (a.data() == b.data() || std::equal(a.begin(), a.end(), b.begin()));
+  }
+
+  // Stamps first_'s nodes with the round; false if it names one twice.
+  bool listed_once() {
+    for (NodeIndex d : first_) {
+      RENAMING_CHECK(d < n_, "message addressed outside the system");
+      if (stamp_[d] == epoch_) return false;
+      stamp_[d] = epoch_;
+      touched_.push_back(d);
+    }
+    return true;
+  }
+
+  // Switches the round to per-node slices, counting the entries that
+  // named first_ in one walk. The slice arrays are allocated by the first
+  // round that needs them: a round that shares touches only the stamps.
+  void slice() {
+    sliced_ = true;
+    ++epoch_;  // forgets listed_once()'s stamps
+    touched_.clear();
+    if (counts_.size() != n_) {
+      counts_.assign(n_, 0);
+      begin_.assign(n_, 0);
+      end_.assign(n_, 0);
+      cursor_.assign(n_, 0);
+    }
+    count(first_, repeats_);
+  }
+
+  // Adds `copies` slots for each destination of `dests`.
+  void count(std::span<const NodeIndex> dests, std::size_t copies) {
+    for (NodeIndex d : dests) {
+      RENAMING_CHECK(d < n_, "message addressed outside the system");
+      if (stamp_[d] != epoch_) {
+        stamp_[d] = epoch_;
+        counts_[d] = 0;
+        touched_.push_back(d);
+      }
+      counts_[d] += static_cast<std::uint32_t>(copies);
+    }
+  }
+
+  const std::vector<bool>* alive_ = nullptr;
   NodeIndex n_ = 0;
   std::uint64_t epoch_ = 0;
-  std::size_t broadcasts_ = 0;
-  std::vector<std::uint32_t> unicasts_;
+  std::span<const NodeIndex> first_;  // the round's first list
+  std::size_t repeats_ = 0;           // entries naming first_ so far
+  bool sliced_ = false;               // the round takes per-node slices
+  bool shared_ = false;               // commit()'s choice
+  std::size_t filled_ = 0;            // shared slots delivered
+  std::vector<std::uint32_t> counts_;
   std::vector<std::size_t> begin_;
   std::vector<std::size_t> end_;
   std::vector<std::size_t> cursor_;
   std::vector<std::uint64_t> stamp_;
-  std::vector<NodeIndex> touched_;
+  std::vector<NodeIndex> touched_;  // stamped this round, in that order
   std::vector<const Message*> slots_;
 };
 

@@ -16,6 +16,7 @@ using sim::wire::Kind;
 using sim::wire::raw;
 using test_support::copies;
 using test_support::raw_wire_bits;
+using test_support::Slots;
 
 SystemConfig fixed_config(NodeIndex n = 6) {
   SystemConfig cfg;
@@ -82,7 +83,7 @@ TEST(ByzNodeUnit, ViewRejectsForgedIdentityClaims) {
       tagged(Kind::kElect, 2, 999),   // node 2 claims an id it does not own
       tagged(Kind::kElect, 3, 100),   // node 3 claims node 1's identity
   };
-  node.receive(1, inbox);
+  node.receive(1, Slots(inbox));
   EXPECT_EQ(node.view().size(), 2u);
   EXPECT_TRUE(node.view().contains_link(0));
   EXPECT_TRUE(node.view().contains_link(1));
@@ -102,7 +103,7 @@ TEST(ByzNodeUnit, ViewIsOrderedByOriginalId) {
       tagged(Kind::kElect, 1, 100),
       tagged(Kind::kElect, 5, 300),
   };
-  node.receive(1, inbox);
+  node.receive(1, Slots(inbox));
   ASSERT_EQ(node.view().size(), 3u);
   EXPECT_EQ(node.view().member(0).id, 100u);
   EXPECT_EQ(node.view().member(1).id, 200u);
@@ -116,8 +117,8 @@ TEST(ByzNodeUnit, IdReportGoesToWholeView) {
   ByzNode node(2, cfg, dir, everyone_in_pool(), views);
   sim::Outbox skip(2, cfg.n);
   node.send(1, skip);
-  node.receive(1, std::vector<sim::Message>{tagged(Kind::kElect, 0, 50),
-                                            tagged(Kind::kElect, 4, 250)});
+  node.receive(1, Slots({tagged(Kind::kElect, 0, 50),
+                         tagged(Kind::kElect, 4, 250)}));
   sim::Outbox out(2, cfg.n);
   node.send(2, out);
   ASSERT_EQ(out.size(), 2u);
@@ -142,7 +143,7 @@ class ByzNodeDecisionTest : public ::testing::Test {
     for (NodeIndex v = 0; v < cfg_.n; ++v) {
       elects.push_back(tagged(Kind::kElect, v, cfg_.ids[v]));
     }
-    node_->receive(1, elects);
+    node_->receive(1, Slots(elects));
     ASSERT_EQ(node_->view().size(), 6u);
   }
 
@@ -157,7 +158,7 @@ TEST_F(ByzNodeDecisionTest, MinorityNewMessagesDoNotDecide) {
   std::vector<sim::Message> fakes = {tagged(Kind::kNew, 1, 5),
                                      tagged(Kind::kNew, 2, 5),
                                      tagged(Kind::kNew, 3, 5)};
-  node_->receive(2, fakes);
+  node_->receive(2, Slots(fakes));
   EXPECT_FALSE(node_->new_id().has_value());
 }
 
@@ -167,7 +168,7 @@ TEST_F(ByzNodeDecisionTest, MajorityNewMessagesDecideOnPlurality) {
       tagged(Kind::kNew, 3, 4), tagged(Kind::kNew, 4, 9),
       tagged(Kind::kNew, 5, 0),  // null vote: counted for quorum, not value
   };
-  node_->receive(2, votes);
+  node_->receive(2, Slots(votes));
   ASSERT_TRUE(node_->new_id().has_value());
   EXPECT_EQ(*node_->new_id(), 4u);
 }
@@ -179,7 +180,7 @@ TEST_F(ByzNodeDecisionTest, NonViewSendersAreIgnored) {
       tagged(Kind::kNew, 1, 4), tagged(Kind::kNew, 1, 4),
       tagged(Kind::kNew, 1, 4), tagged(Kind::kNew, 2, 4),
   };
-  node_->receive(2, votes);
+  node_->receive(2, Slots(votes));
   EXPECT_FALSE(node_->new_id().has_value());  // only 2 distinct members
 }
 
@@ -189,7 +190,7 @@ TEST_F(ByzNodeDecisionTest, OutOfRangeValuesNeverWin) {
       tagged(Kind::kNew, 3, 777), tagged(Kind::kNew, 4, 777),
       tagged(Kind::kNew, 5, 2),
   };
-  node_->receive(2, votes);
+  node_->receive(2, Slots(votes));
   // 777 > n is malformed; the only admissible value is 2.
   ASSERT_TRUE(node_->new_id().has_value());
   EXPECT_EQ(*node_->new_id(), 2u);
@@ -203,7 +204,7 @@ TEST_F(ByzNodeDecisionTest, TwoWayTieDecidesTheSmallerValue) {
       tagged(Kind::kNew, 1, 5), tagged(Kind::kNew, 2, 2),
       tagged(Kind::kNew, 3, 5), tagged(Kind::kNew, 4, 2),
   };
-  node_->receive(2, votes);
+  node_->receive(2, Slots(votes));
   ASSERT_TRUE(node_->new_id().has_value());
   EXPECT_EQ(*node_->new_id(), 2u);
 }
@@ -212,13 +213,12 @@ TEST_F(ByzNodeDecisionTest, FirstNewPerSenderWins) {
   // Sender 1 votes 4, then changes its mind to 6 in the same round and
   // again in the next one. With the first vote kept, 4 wins 3:2; had a
   // later vote replaced it, 6 would win 3:2.
-  node_->receive(2, std::vector<sim::Message>{tagged(Kind::kNew, 1, 4),
-                                              tagged(Kind::kNew, 1, 6),
-                                              tagged(Kind::kNew, 2, 4)});
+  node_->receive(2, Slots({tagged(Kind::kNew, 1, 4), tagged(Kind::kNew, 1, 6),
+                           tagged(Kind::kNew, 2, 4)}));
   EXPECT_FALSE(node_->new_id().has_value());  // two distinct senders so far
-  node_->receive(3, std::vector<sim::Message>{
-                        tagged(Kind::kNew, 1, 6), tagged(Kind::kNew, 3, 4),
-                        tagged(Kind::kNew, 4, 6), tagged(Kind::kNew, 5, 6)});
+  node_->receive(3, Slots({tagged(Kind::kNew, 1, 6), tagged(Kind::kNew, 3, 4),
+                           tagged(Kind::kNew, 4, 6),
+                           tagged(Kind::kNew, 5, 6)}));
   ASSERT_TRUE(node_->new_id().has_value());
   EXPECT_EQ(*node_->new_id(), 4u);
 }
@@ -241,11 +241,11 @@ std::vector<Sends> run_committee(const SystemConfig& cfg,
   for (NodeIndex v = 0; v < k; ++v) {
     sim::Outbox out(v, cfg.n);
     members[v]->send(1, out);
-    members[v]->receive(1, elects);
+    members[v]->receive(1, Slots(elects));
     EXPECT_EQ(members[v]->view().size(), k);
     sim::Outbox report(v, cfg.n);
     members[v]->send(2, report);
-    members[v]->receive(2, mailboxes[v]);
+    members[v]->receive(2, Slots(mailboxes[v]));
   }
   std::vector<Sends> sent(k);
   for (Round r = 3; r < 2000; ++r) {
@@ -268,7 +268,9 @@ std::vector<Sends> run_committee(const SystemConfig& cfg,
       all_done &= members[v]->idle();
     }
     if (all_done) return sent;
-    for (NodeIndex v = 0; v < k; ++v) members[v]->receive(r, inbox[v]);
+    for (NodeIndex v = 0; v < k; ++v) {
+      members[v]->receive(r, Slots(inbox[v]));
+    }
   }
   ADD_FAILURE() << "the committee never reached distribution";
   return sent;
@@ -299,7 +301,7 @@ TEST(ByzNodeUnit, RoundTwoKeepsEachVerifiedReportOnce) {
 
   // The member's own NEW(1) names it.
   std::vector<sim::Message> mine = {tagged(Kind::kNew, 0, 1)};
-  node.receive(1000, mine);
+  node.receive(1000, Slots(mine));
   ASSERT_TRUE(node.new_id().has_value());
   EXPECT_EQ(*node.new_id(), 1u);
 }
@@ -406,13 +408,13 @@ TEST(ByzNodeUnit, FullExchangeAblationMergesByWitnessCount) {
   for (NodeIndex v = 0; v < 4; ++v) {
     elects.push_back(tagged(Kind::kElect, v, cfg.ids[v]));
   }
-  node.receive(1, elects);  // view of 4 members, t = 1
+  node.receive(1, Slots(elects));  // view of 4 members, t = 1
   // Round 2: id reports.
   std::vector<sim::Message> reports;
   for (NodeIndex v = 0; v < cfg.n; ++v) {
     reports.push_back(tagged(Kind::kIdReport, v, cfg.ids[v]));
   }
-  node.receive(2, reports);
+  node.receive(2, Slots(reports));
   // Round 3 send: must broadcast the identity vector blob to the view.
   sim::Outbox vec_out(0, cfg.n);
   node.send(3, vec_out);

@@ -17,6 +17,7 @@
 #include "sim/parallel/plan.h"
 #include "sim/parallel/worker_pool.h"
 #include "sim/trace.h"
+#include "test_support.h"
 
 namespace renaming::byzantine {
 namespace {
@@ -333,7 +334,7 @@ TEST(StrategyIdle, PureFiltersIdleOnceTheirCoreIsDone) {
     EXPECT_FALSE(node->idle());
     sim::Outbox out(2, setup.cfg.n);
     node->send(1, out);
-    node->receive(1, setup.elects);
+    node->receive(1, test_support::Slots(setup.elects));
     EXPECT_FALSE(node->idle()) << "its identity report is still owed";
     out.clear();
     node->send(2, out);
@@ -353,7 +354,7 @@ TEST(StrategyIdle, LyingMemberNeverIdlesAndItsVolleyLands) {
       LyingMember::make(2, setup.cfg, directory, setup.params);
   sim::Outbox out(2, setup.cfg.n);
   node->send(1, out);
-  node->receive(1, setup.elects);
+  node->receive(1, test_support::Slots(setup.elects));
   out.clear();
   node->send(2, out);
   node->receive(2, sim::InboxView());

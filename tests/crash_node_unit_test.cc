@@ -23,6 +23,7 @@ using sim::wire::Kind;
 using sim::wire::raw;
 using test_support::copies;
 using test_support::raw_wire_bits;
+using test_support::Slots;
 
 SystemConfig fixed_config() {
   SystemConfig cfg;
@@ -94,7 +95,7 @@ TEST(CrashNodeUnit, Round2ReportsOnlyToAnnouncedLinks) {
   // Round 1: notices from links 2 and 3 only.
   std::vector<sim::Message> inbox = {committee_notice(2, 300),
                                      committee_notice(3, 400)};
-  node.receive(1, inbox);
+  node.receive(1, Slots(inbox));
   sim::Outbox out(0, 4);
   node.send(2, out);
   ASSERT_EQ(out.size(), 2u);
@@ -114,8 +115,8 @@ TEST(CrashNodeUnit, Round2ReportsOnlyToAnnouncedLinks) {
 // recipient, in send order.
 std::vector<std::pair<NodeIndex, sim::Message>> committee_round(
     CrashNode& member, NodeIndex n, const std::vector<sim::Message>& statuses) {
-  member.receive(1, std::vector<sim::Message>{committee_notice(0, 100)});
-  member.receive(2, statuses);
+  member.receive(1, Slots({committee_notice(0, 100)}));
+  member.receive(2, Slots(statuses));
   sim::Outbox out(0, n);
   member.send(3, out);
   return copies(out);
@@ -382,9 +383,9 @@ TEST(CrashNodeUnit, CommitteeSweepMatchesFigure2) {
 TEST(CrashNodeUnitDeathTest, StatusOutsideTheNamespaceIsRejected) {
   const auto cfg = fixed_config();  // n = 4
   CrashNode member(0, cfg, always_elected());
-  member.receive(1, std::vector<sim::Message>{committee_notice(0, 100)});
-  EXPECT_DEATH(member.receive(2, std::vector<sim::Message>{
-                                     status(1, 200, Interval(1, 5), 0, 0)}),
+  member.receive(1, Slots({committee_notice(0, 100)}));
+  EXPECT_DEATH(
+      member.receive(2, Slots({status(1, 200, Interval(1, 5), 0, 0)})),
                "status interval outside");
 }
 
@@ -393,14 +394,14 @@ TEST(CrashNodeUnit, NodeAdoptsDeepestThenLeftmostResponse) {
   CrashParams params;
   params.election_constant = 0.0;  // never elected: pure NodeAction
   CrashNode node(0, cfg, params);
-  node.receive(1, std::vector<sim::Message>{committee_notice(1, 200)});
-  node.receive(2, std::vector<sim::Message>{});
+  node.receive(1, Slots({committee_notice(1, 200)}));
+  node.receive(2, {});
   std::vector<sim::Message> responses = {
       response(1, 100, Interval(3, 4), 1, 0),
       response(2, 100, Interval(1, 2), 1, 0),  // same depth, smaller lo
       response(3, 100, Interval(1, 4), 0, 0),  // shallower: ignored
   };
-  node.receive(3, responses);
+  node.receive(3, Slots(responses));
   EXPECT_EQ(node.interval(), Interval(1, 2));
   EXPECT_EQ(node.depth(), 1u);
 }
@@ -411,17 +412,15 @@ TEST(CrashNodeUnit, DecidedNodeKeepsIntervalButTracksP) {
   params.election_constant = 0.0;
   CrashNode node(0, cfg, params);
   // Drive to a decided state: adopt singleton response.
-  node.receive(1, std::vector<sim::Message>{committee_notice(1, 200)});
+  node.receive(1, Slots({committee_notice(1, 200)}));
   node.receive(2, {});
-  node.receive(3, std::vector<sim::Message>{
-                      response(1, 100, Interval(2, 2), 2, 0)});
+  node.receive(3, Slots({response(1, 100, Interval(2, 2), 2, 0)}));
   ASSERT_EQ(node.new_id(), NewId{2});
   // Later response with a different interval must not move it, but a
   // larger p must still propagate.
-  node.receive(4, std::vector<sim::Message>{committee_notice(1, 200)});
+  node.receive(4, Slots({committee_notice(1, 200)}));
   node.receive(5, {});
-  node.receive(6, std::vector<sim::Message>{
-                      response(1, 100, Interval(3, 3), 2, 5)});
+  node.receive(6, Slots({response(1, 100, Interval(3, 3), 2, 5)}));
   EXPECT_EQ(node.new_id(), NewId{2});
   EXPECT_EQ(node.p(), 5u);
 }
@@ -441,11 +440,10 @@ TEST(CrashNodeUnit, ResponsesForOtherIdsAreIgnored) {
   CrashParams params;
   params.election_constant = 0.0;
   CrashNode node(0, cfg, params);
-  node.receive(1, std::vector<sim::Message>{committee_notice(1, 200)});
+  node.receive(1, Slots({committee_notice(1, 200)}));
   node.receive(2, {});
   // A response addressed to id 200 reaches node 0 (misrouted/Byzantine-ish).
-  node.receive(3, std::vector<sim::Message>{
-                      response(1, 200, Interval(3, 4), 1, 0)});
+  node.receive(3, Slots({response(1, 200, Interval(3, 4), 1, 0)}));
   // Treated as "no response for me": p bumped, interval unchanged.
   EXPECT_EQ(node.interval(), Interval(1, 4));
   EXPECT_EQ(node.p(), 1u);
@@ -600,8 +598,8 @@ TEST(CrashNodeUnit, NodeActionMatchesSortAndAdopt) {
                                           p, done_flag));
         }
       }
-      node.receive(r + 3, inbox);
-      traced.receive(r + 3, inbox);
+      node.receive(r + 3, Slots(inbox));
+      traced.receive(r + 3, Slots(inbox));
       const bool was_elected = ref.elected;
       ref.node_action(r + 3, inbox);
       empty_inboxes += inbox.empty() ? 1 : 0;
@@ -659,7 +657,7 @@ TEST(CrashNodeUnit, AdoptionLinkIsSortFrontAmongManyTies) {
       inbox.push_back(tree_response(k, cfg.ids[0], cfg.n, 1 + 2 * (k % 3),
                                     k % 3 == 0 ? 0 : 2, 0, false));
     }
-    node.receive(3, inbox);
+    node.receive(3, Slots(inbox));
     ref.node_action(3, inbox);
     prov.end_run(3);
     ASSERT_NE(ref.adopted_link, kNoNode);
@@ -685,10 +683,9 @@ TEST(CrashNodeUnit, AdoptionLinkIsSortFrontAmongManyTies) {
 TEST(CrashNodeUnit, CommitteeAbsorbsMaxP) {
   const auto cfg = fixed_config();
   CrashNode member(0, cfg, always_elected());
-  member.receive(1, std::vector<sim::Message>{committee_notice(0, 100)});
-  member.receive(2, std::vector<sim::Message>{
-                        status(0, 100, Interval(1, 4), 0, 0),
-                        status(1, 200, Interval(1, 4), 0, 3)});
+  member.receive(1, Slots({committee_notice(0, 100)}));
+  member.receive(2, Slots({status(0, 100, Interval(1, 4), 0, 0),
+                           status(1, 200, Interval(1, 4), 0, 3)}));
   EXPECT_EQ(member.p(), 3u);
   // And it is stamped into the responses.
   sim::Outbox out(0, 4);

@@ -13,6 +13,7 @@ namespace {
 using sim::wire::Kind;
 using sim::wire::raw;
 using test_support::raw_wire_bits;
+using test_support::Slots;
 
 SystemConfig tiny() {
   SystemConfig cfg;
@@ -60,7 +61,7 @@ TEST(Strategies, SplitReporterDropsOddIdReports) {
     m.claimed_sender = v;
     elects.push_back(m);
   }
-  node->receive(1, elects);
+  node->receive(1, Slots(elects));
 
   // Round 2: the honest node would report to all 4 members; the split
   // reporter starves every second one.

@@ -279,6 +279,9 @@ struct ListScript {
   NodeIndex spoofer = kNoNode;      // forges its origin on odd rounds
   std::vector<NodeIndex> nappers;   // idle from round 2 on
   std::uint64_t seed = 0;
+  /// When set, every entry draws its list from these instead, so lists
+  /// differ within a round.
+  std::vector<std::vector<NodeIndex>> mixed;
 };
 
 using CallLog = std::vector<std::pair<Round, NodeIndex>>;
@@ -301,11 +304,12 @@ struct RunLog {
   std::vector<SentEntry> sent;
 };
 
-/// Sends zero to two entries per round to its script's list, each in a
-/// seeded form: a multicast of the list, a send() loop over it (which the
-/// outbox coalesces into a repeat), or a broadcast where the list is
-/// [0, n) in order. Nappers queue nothing after round 1 and report idle(),
-/// so they run receive() only when the shared list wakes them.
+/// Sends zero to two entries per round to its script's list (or a seeded
+/// one of its mixed lists), each in a seeded form: a multicast of the list,
+/// a send() loop over it (which the outbox coalesces into a repeat, or
+/// leaves a unicast), or a broadcast where the list is [0, n) in order.
+/// Nappers queue nothing after round 1 and report idle(), so they run
+/// receive() only when a list wakes them.
 class ListNode final : public Node {
  public:
   ListNode(NodeIndex self, const ListScript& script, RunLog* log)
@@ -316,16 +320,19 @@ class ListNode final : public Node {
   void send(Round round, Outbox& out) override {
     run_->sends.emplace_back(round, self_);
     if (napping_) return;
-    const std::vector<NodeIndex>& dests =
-        self_ == script_.odd_sender ? script_.odd_list : script_.list;
-    bool everyone = dests.size() == script_.n;
-    for (NodeIndex i = 0; everyone && i < dests.size(); ++i) {
-      everyone = dests[i] == i;
-    }
     SplitMix64 rng(script_.seed * 0x9e3779b97f4a7c15ULL + round * 131 +
                    self_);
     const std::uint64_t entries = rng.next() % 3;
     for (std::uint64_t k = 0; k < entries; ++k) {
+      const std::vector<NodeIndex>& dests =
+          !script_.mixed.empty()
+              ? script_.mixed[rng.next() % script_.mixed.size()]
+          : self_ == script_.odd_sender ? script_.odd_list
+                                        : script_.list;
+      bool everyone = dests.size() == script_.n;
+      for (NodeIndex i = 0; everyone && i < dests.size(); ++i) {
+        everyone = dests[i] == i;
+      }
       Message m = make_message(kWave, raw_wire_bits(32),
                                static_cast<std::uint64_t>(self_),
                                std::uint64_t{round} * 4 + k);
@@ -379,14 +386,14 @@ class ListNode final : public Node {
   std::vector<std::pair<Round, const void*>> buffers_;
 };
 
-/// Crash orders by round: (round, victim, keep the victim's first logical
-/// message if it queued one).
+/// Crash orders by round: (round, victim, how many of the victim's first
+/// copies it keeps, at most all it queued).
 class ScriptedCrashes final : public CrashAdversary {
  public:
   struct Crash {
     Round round;
     NodeIndex victim;
-    bool keep_first;
+    std::uint32_t keep;
   };
   explicit ScriptedCrashes(std::vector<Crash> crashes)
       : crashes_(std::move(crashes)) {}
@@ -397,7 +404,10 @@ class ScriptedCrashes final : public CrashAdversary {
       if (c.round != view.round || !view.is_alive(c.victim)) continue;
       CrashOrder o;
       o.victim = c.victim;
-      if (c.keep_first && view.outbox(c.victim).size() > 0) o.keep = {0};
+      const std::size_t queued = view.outbox(c.victim).size();
+      for (std::uint32_t i = 0; i < c.keep && i < queued; ++i) {
+        o.keep.push_back(i);
+      }
       orders.push_back(std::move(o));
     }
     return orders;
@@ -485,14 +495,14 @@ Reference reference_delivery(const ListScript& script, const RunLog& log,
   }
   for (Round round = 1; round <= last_round; ++round) {
     std::vector<char> heard(script.n, 0);
-    NodeIndex kept_by = kNoNode;  // a victim keeps only its first copy
+    std::vector<std::uint32_t> kept(script.n, 0);  // copies a victim kept
     for (const SentEntry& e : sent) {
       if (e.round != round) continue;
       const ScriptedCrashes::Crash* c = crash_of(e.sender);
       const bool victim = c != nullptr && c->round == round;
       for (NodeIndex d : *e.dests) {
-        if (victim && (!c->keep_first || kept_by == e.sender)) break;
-        if (victim) kept_by = e.sender;
+        if (victim && kept[e.sender] == c->keep) break;
+        if (victim) ++kept[e.sender];
         ++ref.messages;
         ref.copies.emplace_back(round, d);
         if (e.spoofed) {
@@ -555,7 +565,7 @@ TEST(SharedInboxFastPath, ListWithCrashedAndIdleMembersMatchesArena) {
   script.n = 10;
   script.list = {5, 2, 7, 0, 3, 9};
   script.nappers = {0, 5, 6};
-  expect_matches_reference(script, {{1, 7, false}, {3, 3, true}},
+  expect_matches_reference(script, {{1, 7, 0}, {3, 3, 1}},
                            "crashed and idle");
 }
 
@@ -577,7 +587,7 @@ TEST(SharedInboxFastPath, RepeatMulticastAndBroadcastOfOneListShare) {
   script.n = 7;
   for (NodeIndex d = 0; d < script.n; ++d) script.list.push_back(d);
   script.nappers = {2};
-  expect_matches_reference(script, {{2, 5, false}}, "one list, forms");
+  expect_matches_reference(script, {{2, 5, 0}}, "one list, forms");
 }
 
 TEST(SharedInboxFastPath, ListNamingANodeTwiceTakesTheArena) {
@@ -599,6 +609,24 @@ TEST(SharedInboxFastPath, ListDifferingInItsLastEntryTakesTheArena) {
   expect_matches_reference(script, {}, "last entry differs");
 }
 
+TEST(SharedInboxFastPath, MixedListsMatchReference) {
+  // Lists differ within a round, so rounds take per-node slices: [0, n)
+  // sent as a broadcast, a unicast, a multicast naming node 6 twice and an
+  // out-of-order list; node 9 spoofs on odd rounds. Node 3 falls in round 2
+  // keeping its first three copies (a cut broadcast or multicast becomes a
+  // repeat), node 0 in round 3 keeping none and node 6 in round 4 keeping
+  // one; later rounds still list all three.
+  ListScript script;
+  script.n = 10;
+  std::vector<NodeIndex> everyone;
+  for (NodeIndex d = 0; d < script.n; ++d) everyone.push_back(d);
+  script.mixed = {everyone, {4}, {6, 2, 6}, {5, 2, 7, 0, 3}};
+  script.spoofer = 9;
+  script.nappers = {1, 8};
+  expect_matches_reference(script, {{2, 3, 3}, {3, 0, 0}, {4, 6, 1}},
+                           "mixed lists");
+}
+
 TEST(SharedInboxFastPath, TracedRunSharesTheInboxAndTracesTheWalk) {
   // A trace no longer picks the delivery path: a traced run hands every
   // listed receiver of a round the same buffer, delivers exactly what the
@@ -609,7 +637,7 @@ TEST(SharedInboxFastPath, TracedRunSharesTheInboxAndTracesTheWalk) {
   script.list = {5, 2, 7, 0, 3};
   script.spoofer = 7;
   script.nappers = {0};
-  const Crashes crashes = {{2, 3, false}};
+  const Crashes crashes = {{2, 3, 0}};
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     script.seed = seed;
     const ListRun traced = run_lists(script, true, crashes);
@@ -1191,41 +1219,58 @@ TEST(IdleFastPath, SkippingIdleNodesIsObservationallyInvisible) {
   }
 }
 
+/// The nodes an arena's round addressed, in its order.
+std::vector<NodeIndex> addressed(const InboxArena& arena) {
+  std::vector<NodeIndex> nodes;
+  arena.for_each_addressed([&](NodeIndex v) { nodes.push_back(v); });
+  return nodes;
+}
+
 TEST(InboxArena, LazyResetLeavesUntouchedNodesEmpty) {
-  // Unicast-only rounds slice only the touched destinations; nodes the
+  // Lists that differ slice only the destinations they name; nodes the
   // round never addressed read an empty view through a stale stamp, with
   // no O(n) re-zeroing between rounds.
   const Message a = make_message(kWave, raw_wire_bits(16), std::uint64_t{1});
+  const std::vector<NodeIndex> seven = {7};
+  const std::vector<NodeIndex> nine = {9};
+  const std::vector<NodeIndex> three = {3};
+  std::vector<NodeIndex> everyone(64);
+  for (NodeIndex v = 0; v < 64; ++v) everyone[v] = v;
+  std::vector<bool> alive(64, true);
   InboxArena arena;
-  arena.begin_round(64);
-  arena.expect_unicast(7);
+  arena.begin_round(alive);
+  arena.expect(seven);
   arena.commit();
-  EXPECT_EQ(arena.touched().size(), 1u);
-  EXPECT_EQ(arena.touched()[0], 7u);
-  arena.deliver(7, a);
+  arena.deliver(a, seven);
+  EXPECT_EQ(addressed(arena), std::vector<NodeIndex>{7});
   ASSERT_EQ(arena.view(7).size(), 1u);
   EXPECT_TRUE(arena.view(8).empty());
   EXPECT_TRUE(arena.view(0).empty());
 
   // Next round touches a different node: node 7's old slice is invisible.
-  arena.begin_round(64);
-  arena.expect_unicast(9);
+  arena.begin_round(alive);
+  arena.expect(nine);
   arena.commit();
-  arena.deliver(9, a);
+  arena.deliver(a, nine);
   EXPECT_TRUE(arena.view(7).empty());
   ASSERT_EQ(arena.view(9).size(), 1u);
 
-  // A broadcast round slices every node again.
-  arena.begin_round(64);
-  arena.expect_broadcast();
+  // A [0, 64) list and a unicast differ: every node gets a slice again.
+  // The unicast is spoofed (counted, never delivered), and node 4, crashed,
+  // never takes a slot.
+  alive[4] = false;
+  arena.begin_round(alive);
+  arena.expect(everyone);
+  arena.expect(three);
   arena.commit();
-  EXPECT_EQ(arena.touched().size(), 64u);
-  arena.deliver(3, a);
+  arena.deliver(a, everyone);
   EXPECT_EQ(arena.view(3).size(), 1u);
   EXPECT_TRUE(arena.view(4).empty());
+  EXPECT_EQ(addressed(arena).size(), 63u);
 
   // Changing n resets everything.
-  arena.begin_round(2);
+  const std::vector<bool> two(2, true);
+  arena.begin_round(two);
   arena.commit();
   EXPECT_TRUE(arena.view(0).empty());
   EXPECT_TRUE(arena.view(1).empty());
@@ -1571,47 +1616,31 @@ TEST(CrashCut, VictimOfEveryEntryFormDeliversExactlyItsKeptCopies) {
   }
 }
 
-TEST(InboxView, DirectAndIndirectModesIterateIdentically) {
-  std::vector<Message> msgs;
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    msgs.push_back(make_message(kWave, raw_wire_bits(16), i));
-  }
-  std::vector<const Message*> ptrs;
-  for (const Message& m : msgs) ptrs.push_back(&m);
-
-  const InboxView direct(msgs);
-  const InboxView indirect(ptrs.data(), ptrs.size());
-  ASSERT_EQ(direct.size(), indirect.size());
-  EXPECT_FALSE(direct.empty());
-  std::size_t i = 0;
-  for (const Message& m : indirect) {
-    EXPECT_EQ(m.w[0], direct[i].w[0]);
-    ++i;
-  }
-  EXPECT_EQ(i, 4u);
-  EXPECT_TRUE(InboxView().empty());
-}
-
 TEST(InboxArena, UpperBoundSlicesReportOnlyDeliveredSlots) {
   // Two nodes; node 0 is expected to receive up to 3 messages but only 1
-  // is delivered (the others are "spoofed/crashed away"): view(0) must see
-  // exactly the delivered one, and node 1's slice must be unaffected.
+  // is delivered (a spoofed unicast, and the [0, 2) entry's copy to node 0
+  // crashed away): view(0) must see exactly the delivered one, and node
+  // 1's slice must be unaffected.
   const Message a = make_message(kWave, raw_wire_bits(16), std::uint64_t{1});
   const Message b = make_message(kWave, raw_wire_bits(16), std::uint64_t{2});
+  const std::vector<NodeIndex> zero = {0};
+  const std::vector<NodeIndex> one = {1};
+  const std::vector<NodeIndex> both = {0, 1};
+  const std::vector<bool> alive(2, true);
   InboxArena arena;
-  arena.begin_round(2);
-  arena.expect_unicast(0);
-  arena.expect_unicast(0);
-  arena.expect_broadcast();
+  arena.begin_round(alive);
+  arena.expect(zero);
+  arena.expect(zero);
+  arena.expect(both);
   arena.commit();
-  arena.deliver(0, a);
-  arena.deliver(1, b);
+  arena.deliver(a, zero);
+  arena.deliver(b, one);
   ASSERT_EQ(arena.view(0).size(), 1u);
   EXPECT_EQ(arena.view(0)[0].w[0], 1u);
   ASSERT_EQ(arena.view(1).size(), 1u);
   EXPECT_EQ(arena.view(1)[0].w[0], 2u);
   // Round reuse: everything resets.
-  arena.begin_round(2);
+  arena.begin_round(alive);
   arena.commit();
   EXPECT_TRUE(arena.view(0).empty());
   EXPECT_TRUE(arena.view(1).empty());

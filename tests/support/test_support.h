@@ -13,6 +13,8 @@
 //    against them.
 //  * copies — an outbox's per-recipient copies (Outbox::for_each_copy) as
 //    a list, for tests that inspect what a node queued.
+//  * Slots — the slot list of an InboxView over a list of messages, the
+//    one form the engine delivers, for tests that drive receive() by hand.
 #pragma once
 
 #include <cstdint>
@@ -69,5 +71,21 @@ inline std::vector<std::pair<NodeIndex, sim::Message>> copies(
       [&](NodeIndex dest, const sim::Message& m) { all.emplace_back(dest, m); });
   return all;
 }
+
+/// An inbox of `msgs` for a hand-driven receive(): node.receive(round,
+/// Slots(msgs)). The view reads these slots and `msgs`, so both must
+/// outlive it; temporaries last until the end of the call's full
+/// expression.
+class Slots {
+ public:
+  explicit Slots(const std::vector<sim::Message>& msgs) {
+    for (const sim::Message& m : msgs) slots_.push_back(&m);
+  }
+  // NOLINTNEXTLINE(google-explicit-constructor)
+  operator sim::InboxView() const { return {slots_.data(), slots_.size()}; }
+
+ private:
+  std::vector<const sim::Message*> slots_;
+};
 
 }  // namespace renaming::test_support
