@@ -30,6 +30,7 @@ namespace {
 using bench::Row;
 
 int sweep(int argc, char** argv) {
+  bench::pin_malloc_thresholds();
   const bool smoke = bench::has_flag(argc, argv, "--smoke");
   const bool json = bench::has_flag(argc, argv, "--json");
   const bool audit = bench::has_flag(argc, argv, "--audit");

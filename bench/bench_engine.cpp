@@ -36,9 +36,6 @@
 #include <memory>
 #include <string>
 #include <vector>
-#if defined(__GLIBC__)  // defined by the headers above
-#include <malloc.h>
-#endif
 
 #include "baselines/cht_crash.h"
 #include "bench_util.h"
@@ -197,15 +194,7 @@ Row measure(const std::string& workload, NodeIndex n, std::uint64_t seeds,
 }
 
 int run(int argc, char** argv) {
-#if defined(__GLIBC__)
-  // Pin glibc's thresholds at their defaults. Left dynamic, every free of
-  // a large mmapped block raises them, so the next cell's big vectors land
-  // on arena heaps that are never given back: each row's peak_rss_bytes
-  // would then start from the heap an earlier cell (or its own warm-up)
-  // left resident instead of from this cell's own allocations.
-  mallopt(M_MMAP_THRESHOLD, 128 * 1024);
-  mallopt(M_TRIM_THRESHOLD, 128 * 1024);
-#endif
+  bench::pin_malloc_thresholds();
   const bool smoke = bench::has_flag(argc, argv, "--smoke");
   const bool json = bench::has_flag(argc, argv, "--json");
   const std::string out_path =

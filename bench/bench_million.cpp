@@ -78,6 +78,7 @@ class TeeBuf : public std::streambuf {
 };
 
 int run(int argc, char** argv) {
+  bench::pin_malloc_thresholds();
   const bool smoke = bench::has_flag(argc, argv, "--smoke");
   const bool json = bench::has_flag(argc, argv, "--json");
   const std::string out_path =

@@ -16,6 +16,9 @@
 #include <fstream>
 #include <string>
 #include <vector>
+#if defined(__GLIBC__)  // defined by the headers above
+#include <malloc.h>
+#endif
 
 #include "common/check.h"
 #include "common/types.h"
@@ -338,6 +341,19 @@ inline void parallel_jobs(std::size_t count, Fn&& fn, unsigned threads = 0) {
 
 // ---------------------------------------------------------------------------
 // Process metrics + tiny CLI-flag helpers
+
+/// Pins glibc's malloc thresholds at their defaults; a row-writing bench
+/// calls it first thing. Left dynamic, every free of a large mmapped block
+/// raises them, so the next cell's big vectors land on arena heaps that
+/// are never given back: each row's peak_rss_bytes would then start from
+/// the heap an earlier cell (or its own warm-up) left resident instead of
+/// from this cell's own allocations.
+inline void pin_malloc_thresholds() {
+#if defined(__GLIBC__)
+  mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+  mallopt(M_TRIM_THRESHOLD, 128 * 1024);
+#endif
+}
 
 /// Resets the high-water mark to the current resident set (writes 5 to
 /// /proc/self/clear_refs), so the next obs::peak_rss_bytes() (obs/rss.h) is

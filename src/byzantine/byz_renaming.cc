@@ -58,7 +58,7 @@ void ByzNode::send(Round round, sim::Outbox& out) {
       // Shared-randomness pool: my identity elects itself with prob p0.
       if (beacon_.coin(hashing::SharedRandomness::Domain::kCommitteeElection,
                        id_, params_.pool_probability(n_))) {
-        elected_ = true;
+        member_ = std::make_unique<Member>(namespace_size_, beacon_);
         out.broadcast(
             sim::wire::make_message(Kind::kElect, wire_, id_));
         if (provenance_ != nullptr) {
@@ -80,12 +80,12 @@ void ByzNode::send(Round round, sim::Outbox& out) {
       break;
     }
     case Stage::kValidator:
-      validator_->send(step_, out);
+      member_->validator->send(member_->step, out);
       break;
     case Stage::kSameConsensus:
     case Stage::kDiffConsensus:
     case Stage::kBitConsensus:
-      king_->send(step_, out);
+      member_->king->send(member_->step, out);
       break;
     case Stage::kFullExchange: {
       // Ablation A2: ship the entire identity vector to the committee —
@@ -93,14 +93,14 @@ void ByzNode::send(Round round, sim::Outbox& out) {
       consensus::broadcast_to_committee(
           *view_, out,
           sim::wire::make_blob_message(Kind::kVector, wire_, out,
-                                       list_->to_vector()));
+                                       member_->list.to_vector()));
       break;
     }
     case Stage::kDiffExchange:
       consensus::broadcast_to_committee(
           *view_, out,
-          sim::wire::make_message(Kind::kDiff, wire_, session_,
-                                  static_cast<std::uint64_t>(diff_)));
+          sim::wire::make_message(Kind::kDiff, wire_, member_->session,
+                                  static_cast<std::uint64_t>(member_->diff)));
       break;
     case Stage::kDistribute:
       distribute(round, out);
@@ -138,18 +138,20 @@ void ByzNode::receive(Round round, sim::InboxView inbox) {
       // views into one shared allocation per shard (O(log n) instead of
       // O(n log n) resident members at million-node scale).
       view_ = views_->intern(self_, std::move(members));
-      my_view_index_ = view_->index_of_link(self_);
-      if (elected_ && my_view_index_ == consensus::CommitteeView::npos) {
-        elected_ = false;  // defensive; cannot happen with self-delivery
+      if (member_ != nullptr) {
+        member_->view_index = view_->index_of_link(self_);
+        if (member_->view_index == consensus::CommitteeView::npos) {
+          member_.reset();  // defensive; cannot happen with self-delivery
+        }
       }
       stage_ = Stage::kIdReport;
       break;
     }
     case Stage::kIdReport: {
-      if (elected_) {
+      if (member_ != nullptr) {
         load_reports(inbox);
         if (params_.use_fingerprints) {
-          pending_.push_back(Interval(1, namespace_size_));
+          member_->pending.push_back(Interval(1, namespace_size_));
           start_iteration();
         } else {
           stage_ = Stage::kFullExchange;  // ablation A2
@@ -160,44 +162,47 @@ void ByzNode::receive(Round round, sim::InboxView inbox) {
       break;
     }
     case Stage::kValidator: {
-      if (!validator_->receive(step_++, inbox)) break;
-      validator_same_ = validator_->same();
-      agreed_ = validator_->output();
-      king_ = std::make_unique<consensus::PhaseKing>(
-          *view_, my_view_index_, ++session_, Kind::kConsensus, wire_,
-          validator_same_);
-      step_ = 0;
+      Member& me = *member_;
+      if (!me.validator->receive(me.step++, inbox)) break;
+      me.agreed = me.validator->output();
+      me.king = std::make_unique<consensus::PhaseKing>(
+          *view_, me.view_index, ++me.session, Kind::kConsensus, wire_,
+          me.validator->same());
+      me.step = 0;
       stage_ = Stage::kSameConsensus;
       break;
     }
     case Stage::kSameConsensus: {
-      if (!king_->receive(step_++, inbox)) break;
+      Member& me = *member_;
+      if (!me.king->receive(me.step++, inbox)) break;
       if (provenance_ != nullptr) {
         // Verdict on "do we all hold the same fingerprint": a = bit,
         // b = the phase-king session that produced it.
         provenance_->note_event(round, self_,
                                 obs::ProvEventKind::kPhaseKingVerdict,
                                 raw(Kind::kConsensus),
-                                king_->output() ? 1 : 0, session_, {});
+                                me.king->output() ? 1 : 0, me.session, {});
       }
-      if (!king_->output()) {
+      if (!me.king->output()) {
         split_current(round);
         start_iteration();
       } else {
-        diff_ = !(mine_.fingerprint == agreed_.a && mine_.count == agreed_.b);
-        ++session_;  // tags the DIFF exchange
-        step_ = 0;
+        me.diff = !(me.mine.fingerprint == me.agreed.a &&
+                    me.mine.count == me.agreed.b);
+        ++me.session;  // tags the DIFF exchange
+        me.step = 0;
         stage_ = Stage::kDiffExchange;
       }
       break;
     }
     case Stage::kDiffExchange: {
       // One round: count members reporting diff = 1 for this session.
+      Member& me = *member_;
       std::vector<bool> heard(view_->size(), false);
       std::size_t ones = 0;
       for (const sim::Message& m : inbox) {
         if (m.kind != raw(Kind::kDiff) || m.nwords < 2) continue;
-        if (m.w[0] != session_) continue;
+        if (m.w[0] != me.session) continue;
         const std::size_t idx = view_->index_of_link(m.sender);
         if (idx == consensus::CommitteeView::npos || heard[idx]) continue;
         heard[idx] = true;
@@ -206,42 +211,45 @@ void ByzNode::receive(Round round, sim::InboxView inbox) {
       // "Many" = t + 1: Byzantine members alone can never force it, and a
       // passed vote implies >= m - 2t correct preimage holders.
       const bool diff_prime =
-          ones >= view_->max_tolerated() + 1 ? true : diff_;
-      king_ = std::make_unique<consensus::PhaseKing>(
-          *view_, my_view_index_, ++session_, Kind::kConsensus, wire_,
+          ones >= view_->max_tolerated() + 1 ? true : me.diff;
+      me.king = std::make_unique<consensus::PhaseKing>(
+          *view_, me.view_index, ++me.session, Kind::kConsensus, wire_,
           diff_prime);
-      step_ = 0;
+      me.step = 0;
       stage_ = Stage::kDiffConsensus;
       break;
     }
     case Stage::kDiffConsensus: {
-      if (!king_->receive(step_++, inbox)) break;
+      Member& me = *member_;
+      if (!me.king->receive(me.step++, inbox)) break;
       if (provenance_ != nullptr) {
         provenance_->note_event(round, self_,
                                 obs::ProvEventKind::kPhaseKingVerdict,
                                 raw(Kind::kConsensus),
-                                king_->output() ? 1 : 0, session_, {});
+                                me.king->output() ? 1 : 0, me.session, {});
       }
-      if (king_->output()) {
+      if (me.king->output()) {
         split_current(round);
       } else {
-        accept_current(agreed_.b, /*dirty=*/mine_.fingerprint != agreed_.a ||
-                                      mine_.count != agreed_.b);
+        accept_current(me.agreed.b,
+                       /*dirty=*/me.mine.fingerprint != me.agreed.a ||
+                           me.mine.count != me.agreed.b);
       }
       start_iteration();
       break;
     }
     case Stage::kBitConsensus: {
-      if (!king_->receive(step_++, inbox)) break;
-      const bool bit = king_->output();
+      Member& me = *member_;
+      if (!me.king->receive(me.step++, inbox)) break;
+      const bool bit = me.king->output();
       if (provenance_ != nullptr) {
         // Singleton segment: a = agreed presence bit, b = the identity.
         provenance_->note_event(round, self_,
                                 obs::ProvEventKind::kPhaseKingVerdict,
                                 raw(Kind::kConsensus), bit ? 1 : 0,
-                                current_.lo, {});
+                                me.current.lo, {});
       }
-      list_->set(current_.lo, bit);
+      me.list.set(me.current.lo, bit);
       accept_current(bit ? 1 : 0, /*dirty=*/false);
       start_iteration();
       break;
@@ -250,6 +258,7 @@ void ByzNode::receive(Round round, sim::InboxView inbox) {
       // Witness filter: keep identities vouched by >= t+1 members (at
       // least one correct first-hand witness); all correct members see
       // the same broadcast blobs, so the result is consistent.
+      Member& me = *member_;
       std::vector<bool> heard(view_->size(), false);
       std::map<std::uint64_t, std::size_t> counts;
       for (const sim::Message& m : inbox) {
@@ -261,22 +270,22 @@ void ByzNode::receive(Round round, sim::InboxView inbox) {
           if (id >= 1 && id <= namespace_size_) ++counts[id];
         }
       }
-      scratch_ids_.clear();
+      std::vector<std::uint64_t> kept;
       for (const auto& [id, count] : counts) {  // ascending ids
-        if (count >= view_->max_tolerated() + 1) scratch_ids_.push_back(id);
+        if (count >= view_->max_tolerated() + 1) kept.push_back(id);
       }
-      list_->assign_sorted(scratch_ids_);
+      me.list.assign_sorted(kept);
       if (provenance_ != nullptr) {
         // Ablation A2 merge: a = identities kept by the witness filter,
         // b = distinct identities seen across all vectors.
         provenance_->note_event(round, self_,
                                 obs::ProvEventKind::kNameProposal,
-                                raw(Kind::kVector), list_->size(),
+                                raw(Kind::kVector), me.list.size(),
                                 counts.size(), {});
       }
-      iterations_ = 1;
-      processed_.assign(1, Processed{Interval(1, namespace_size_),
-                                     list_->size(), /*dirty=*/false});
+      me.iterations = 1;
+      me.processed.assign(1, Processed{Interval(1, namespace_size_),
+                                       me.list.size(), /*dirty=*/false});
       stage_ = Stage::kDistribute;
       break;
     }
@@ -287,111 +296,113 @@ void ByzNode::receive(Round round, sim::InboxView inbox) {
 }
 
 void ByzNode::start_iteration() {
-  if (pending_.empty()) {
+  Member& me = *member_;
+  if (me.pending.empty()) {
     stage_ = Stage::kDistribute;
     return;
   }
-  ++iterations_;
-  current_ = pending_.back();
-  pending_.pop_back();
-  step_ = 0;
-  if (current_.singleton()) {
-    const bool bit = list_->summarize(current_).count > 0;
-    king_ = std::make_unique<consensus::PhaseKing>(
-        *view_, my_view_index_, ++session_, Kind::kConsensus, wire_,
-        bit);
+  ++me.iterations;
+  me.current = me.pending.back();
+  me.pending.pop_back();
+  me.step = 0;
+  if (me.current.singleton()) {
+    const bool bit = me.list.summarize(me.current).count > 0;
+    me.king = std::make_unique<consensus::PhaseKing>(
+        *view_, me.view_index, ++me.session, Kind::kConsensus, wire_, bit);
     stage_ = Stage::kBitConsensus;
   } else {
-    mine_ = list_->summarize(current_);
-    validator_ = std::make_unique<consensus::Validator>(
-        *view_, my_view_index_, ++session_, Kind::kValidator, wire_,
-        consensus::ValidatorValue{mine_.fingerprint, mine_.count});
+    me.mine = me.list.summarize(me.current);
+    me.validator = std::make_unique<consensus::Validator>(
+        *view_, me.view_index, ++me.session, Kind::kValidator, wire_,
+        consensus::ValidatorValue{me.mine.fingerprint, me.mine.count});
     stage_ = Stage::kValidator;
   }
 }
 
 void ByzNode::split_current(Round round) {
-  ++splits_;
+  Member& me = *member_;
+  ++me.splits;
   if (provenance_ != nullptr) {
     // Segment retry: consensus rejected [a..b], push both halves.
     provenance_->note_event(round, self_, obs::ProvEventKind::kConflictRetry,
-                            raw(Kind::kConsensus), current_.lo,
-                            current_.hi, {});
+                            raw(Kind::kConsensus), me.current.lo,
+                            me.current.hi, {});
   }
-  pending_.push_back(current_.top());
-  pending_.push_back(current_.bot());  // bot processed first (LIFO)
+  me.pending.push_back(me.current.top());
+  me.pending.push_back(me.current.bot());  // bot processed first (LIFO)
 }
 
 void ByzNode::accept_current(std::uint64_t agreed_count, bool dirty) {
-  if (dirty) ++dirties_;
+  Member& me = *member_;
+  if (dirty) ++me.dirties;
   // split_current() pushes top() under bot(), so the DFS finishes every
   // segment left to right.
   RENAMING_CHECK(
-      processed_.empty() || processed_.back().segment.hi < current_.lo,
+      me.processed.empty() || me.processed.back().segment.hi < me.current.lo,
       "J-hat must grow in ascending segment order");
-  processed_.push_back(Processed{current_, agreed_count, dirty});
+  me.processed.push_back(Processed{me.current, agreed_count, dirty});
 }
 
 void ByzNode::load_reports(sim::InboxView inbox) {
-  reporters_.reserve(inbox.size());
+  std::vector<Report>& reporters = member_->reporters;
+  reporters.reserve(inbox.size());
   for (const sim::Message& m : inbox) {
     if (m.kind != raw(Kind::kIdReport) || m.nwords < 1) continue;
     const OriginalId claimed = m.w[0];
     if (claimed < 1 || claimed > namespace_size_) continue;
     if (!directory_->verify(m.sender, claimed)) continue;
-    reporters_.push_back({claimed, m.sender});
+    reporters.push_back({claimed, m.sender});
   }
   // One sort per round; the stable sort keeps the first report per id.
   std::stable_sort(
-      reporters_.begin(), reporters_.end(),
+      reporters.begin(), reporters.end(),
       [](const Report& a, const Report& b) { return a.id < b.id; });
-  reporters_.erase(std::unique(reporters_.begin(), reporters_.end(),
-                               [](const Report& a, const Report& b) {
-                                 return a.id == b.id;
-                               }),
-                   reporters_.end());
-  scratch_ids_.clear();
-  scratch_ids_.reserve(reporters_.size());
-  for (const Report& r : reporters_) scratch_ids_.push_back(r.id);
-  list_ = std::make_unique<IdentityList>(namespace_size_, beacon_);
-  list_->assign_sorted(scratch_ids_);
+  reporters.erase(std::unique(reporters.begin(), reporters.end(),
+                              [](const Report& a, const Report& b) {
+                                return a.id == b.id;
+                              }),
+                  reporters.end());
+  std::vector<std::uint64_t> ids;
+  ids.reserve(reporters.size());
+  for (const Report& r : reporters) ids.push_back(r.id);
+  member_->list.assign_sorted(ids);
 }
 
 void ByzNode::distribute(Round round, sim::Outbox& out) {
+  const Member& me = *member_;
   // Ranks follow from the *agreed* per-segment counts, so dirty segments
   // never skew positions; the member simply abstains inside them (sending
   // NEW(null) to the reporters it knows there).
   std::uint64_t before = 0;  // agreed ones before the current segment
   std::uint64_t ranks_sent = 0, nulls_sent = 0;
-  for (const Processed& proc : processed_) {
-    scratch_ids_.clear();
-    list_->append_ids_in(proc.segment, scratch_ids_);
-    const auto& ids = scratch_ids_;
+  // At most one NEW(rank) per held identity; the NEW(null)s coalesce.
+  out.reserve(me.list.size());
+  for (const Processed& proc : me.processed) {
     const bool usable =
-        !proc.dirty && static_cast<std::uint64_t>(ids.size()) == proc.count;
+        !proc.dirty && me.list.summarize(proc.segment).count == proc.count;
     auto report = std::lower_bound(
-        reporters_.begin(), reporters_.end(), proc.segment.lo,
+        me.reporters.begin(), me.reporters.end(), proc.segment.lo,
         [](const Report& r, std::uint64_t lo) { return r.id < lo; });
     if (usable) {
       std::uint64_t offset = 0;
-      for (std::uint64_t id : ids) {
-        while (report != reporters_.end() && report->id < id) ++report;
+      me.list.for_each_id_in(proc.segment, [&](std::uint64_t id) {
+        while (report != me.reporters.end() && report->id < id) ++report;
         // An id nobody reported to me was added by singleton consensus:
         // address it through the directory instead.
-        const NodeIndex link = report != reporters_.end() && report->id == id
-                                   ? report->link
-                                   : directory_->link_of(id);
+        const NodeIndex link =
+            report != me.reporters.end() && report->id == id
+                ? report->link
+                : directory_->link_of(id);
         ++offset;
-        if (link == kNoNode) continue;  // identity never joined: skip
-        sim::wire::send(out, link, Kind::kNew, wire_,
-                        before + offset);
+        if (link == kNoNode) return;  // identity never joined: skip
+        sim::wire::send(out, link, Kind::kNew, wire_, before + offset);
         ++ranks_sent;
-      }
+      });
     } else {
       // NEW(null) to every reporter inside the dirty segment.
       const sim::Message null_new = sim::wire::make_message(
           Kind::kNew, wire_, std::uint64_t{0});
-      for (; report != reporters_.end() && report->id <= proc.segment.hi;
+      for (; report != me.reporters.end() && report->id <= proc.segment.hi;
            ++report) {
         out.send(report->link, null_new);
         ++nulls_sent;
@@ -453,6 +464,9 @@ void ByzNode::consider_new_messages(Round round, sim::InboxView inbox) {
                             raw(Kind::kNew), *new_id_, causes.size(),
                             causes.data(), causes.size());
   }
+  // A decided node reads no more votes: release their storage (clear()
+  // would keep the capacity for the rest of the run).
+  if (new_id_.has_value()) std::vector<Vote>().swap(new_votes_);
 }
 
 ByzRunResult run_byz_renaming(const SystemConfig& cfg, const ByzParams& params,

@@ -117,13 +117,17 @@ class ByzNode : public sim::Node {
   bool idle() const override { return stage_ == Stage::kDone; }
 
   // Introspection for tests/benches/adversaries.
-  bool elected() const { return elected_; }
+  bool elected() const { return member_ != nullptr; }
   OriginalId original_id() const { return id_; }
   std::optional<NewId> new_id() const { return new_id_; }
   const consensus::CommitteeView& view() const { return *view_; }
-  std::uint32_t loop_iterations() const { return iterations_; }
-  std::uint32_t segments_split() const { return splits_; }
-  std::uint32_t segments_dirty() const { return dirties_; }
+  std::uint32_t loop_iterations() const {
+    return member_ ? member_->iterations : 0;
+  }
+  std::uint32_t segments_split() const { return member_ ? member_->splits : 0; }
+  std::uint32_t segments_dirty() const {
+    return member_ ? member_->dirties : 0;
+  }
 
  protected:
   // Hooks used by Byzantine strategy subclasses (see strategies.h): the
@@ -158,11 +162,41 @@ class ByzNode : public sim::Node {
     NodeIndex link = kNoNode;
   };
   /// A NEW vote: the first value `sender` sent (0 = null), and its
-  /// delivered wire bits for provenance cause attribution.
+  /// delivered wire bits for provenance cause attribution. Held only
+  /// while the node is undecided.
   struct Vote {
     NodeIndex sender = kNoNode;
     std::uint32_t bits = 0;
     std::uint64_t value = 0;
+  };
+  /// Everything only a committee member keeps: its identity list, the
+  /// divide-and-conquer loop and its consensus instances. Allocated when
+  /// the pool coin elects the node, so the ordinary nodes (all but
+  /// O(log n) of the system) carry one null pointer instead.
+  struct Member {
+    Member(std::uint64_t namespace_size,
+           const hashing::SharedRandomness& beacon)
+        : list(namespace_size, beacon) {}
+
+    IdentityList list;
+    // The verified round-2 reports, sorted by id with one entry per id
+    // (the first to arrive). distribute() walks it beside each segment's
+    // ids to address NEW(rank), and emits NEW(null) to it in id order.
+    std::vector<Report> reporters;
+    std::vector<Interval> pending;     // the stack J
+    std::vector<Processed> processed;  // J-hat, ascending and disjoint
+    Interval current{1, 1};
+    SegmentSummary mine;
+    consensus::ValidatorValue agreed;
+    bool diff = false;
+    std::size_t view_index = consensus::CommitteeView::npos;
+    std::unique_ptr<consensus::Validator> validator;
+    std::unique_ptr<consensus::PhaseKing> king;
+    std::uint32_t step = 0;
+    std::uint64_t session = 0;
+    std::uint32_t iterations = 0;
+    std::uint32_t splits = 0;
+    std::uint32_t dirties = 0;
   };
 
   void start_iteration();
@@ -189,38 +223,17 @@ class ByzNode : public sim::Node {
 
   // --- common state ---
   Stage stage_ = Stage::kElect;
-  bool elected_ = false;
   /// Immutable, possibly shared across nodes via the interner; starts as
   /// the process-wide empty view. Never null.
   std::shared_ptr<const consensus::CommitteeView> view_;
   std::optional<NewId> new_id_;
-  // NEW votes accumulated across rounds, at most one per view member (the
-  // first wins), kept sorted by sender: the provenance causes list them in
-  // that order.
+  // NEW votes accumulated across rounds until the node decides, at most
+  // one per view member (the first wins), kept sorted by sender: the
+  // provenance causes list them in that order. Freed on the decision, so
+  // a decided node holds no vote storage for the rest of the run.
   std::vector<Vote> new_votes_;
-
-  // --- committee-member state ---
-  std::unique_ptr<IdentityList> list_;
-  // The verified round-2 reports, sorted by id with one entry per id (the
-  // first to arrive). distribute() walks it beside each segment's ids to
-  // address NEW(rank), and emits NEW(null) to it in id order.
-  std::vector<Report> reporters_;
-  std::vector<Interval> pending_;     // the stack J
-  std::vector<Processed> processed_;  // J-hat, ascending and disjoint
-  Interval current_{1, 1};
-  SegmentSummary mine_;
-  consensus::ValidatorValue agreed_;
-  bool validator_same_ = false;
-  bool diff_ = false;
-  std::size_t my_view_index_ = consensus::CommitteeView::npos;
-  std::unique_ptr<consensus::Validator> validator_;
-  std::unique_ptr<consensus::PhaseKing> king_;
-  std::uint32_t step_ = 0;
-  std::uint64_t session_ = 0;
-  std::uint32_t iterations_ = 0;
-  std::uint32_t splits_ = 0;
-  std::uint32_t dirties_ = 0;
-  std::vector<std::uint64_t> scratch_ids_;  // reused sorted-id buffer
+  /// Non-null exactly while the node is an elected committee member.
+  std::unique_ptr<Member> member_;
 };
 
 /// Outcome of one full execution.

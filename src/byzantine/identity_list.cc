@@ -154,21 +154,9 @@ std::uint64_t IdentityList::rank(std::uint64_t id) const {
   return r;
 }
 
-void IdentityList::append_ids_in(const Interval& j,
-                                 std::vector<std::uint64_t>& out) const {
-  for (std::size_t b = bucket_for(j.lo); b < buckets_.size(); ++b) {
-    const Bucket& bucket = buckets_[b];
-    if (bucket.ids.front() > j.hi) break;
-    const auto lo_it =
-        std::lower_bound(bucket.ids.begin(), bucket.ids.end(), j.lo);
-    const auto hi_it = std::upper_bound(lo_it, bucket.ids.end(), j.hi);
-    out.insert(out.end(), lo_it, hi_it);
-  }
-}
-
 std::vector<std::uint64_t> IdentityList::ids_in(const Interval& j) const {
   std::vector<std::uint64_t> out;
-  append_ids_in(j, out);
+  for_each_id_in(j, [&](std::uint64_t id) { out.push_back(id); });
   return out;
 }
 

@@ -21,6 +21,7 @@
 // src/hashing.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -70,9 +71,19 @@ class IdentityList {
   /// Number of ones strictly before position `id`.
   std::uint64_t rank(std::uint64_t id) const;
 
-  /// Appends all present identities within [j.lo, j.hi] to `out`,
-  /// ascending. The allocation-free form used by the distribution loop.
-  void append_ids_in(const Interval& j, std::vector<std::uint64_t>& out) const;
+  /// Calls f(id) for every present identity within [j.lo, j.hi],
+  /// ascending, reading the leaves in place: the distribution loop walks a
+  /// segment without copying it.
+  template <typename F>
+  void for_each_id_in(const Interval& j, F&& f) const {
+    for (std::size_t b = bucket_for(j.lo); b < buckets_.size(); ++b) {
+      const std::vector<std::uint64_t>& ids = buckets_[b].ids;
+      if (ids.front() > j.hi) break;
+      const auto lo_it = std::lower_bound(ids.begin(), ids.end(), j.lo);
+      const auto hi_it = std::upper_bound(lo_it, ids.end(), j.hi);
+      for (auto it = lo_it; it != hi_it; ++it) f(*it);
+    }
+  }
 
   /// All present identities within [j.lo, j.hi], ascending.
   std::vector<std::uint64_t> ids_in(const Interval& j) const;

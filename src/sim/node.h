@@ -119,6 +119,14 @@ class Outbox {
     queued_.emplace_back(kBroadcast, std::move(m));
   }
 
+  /// Makes room for `entries` more queued entries in one allocation: a
+  /// node about to queue many distinct unicasts grows the queue once
+  /// instead of by doubling, which would hold the old and the new array
+  /// at once.
+  void reserve(std::size_t entries) {
+    queued_.reserve(queued_.size() + entries);
+  }
+
   /// Takes ownership of a bulk payload until the next clear() and returns
   /// the pointer a Message::blob carries (wire::make_blob_message). The
   /// address stays stable while further blobs are added.

@@ -7,6 +7,7 @@
 #include <algorithm>
 
 #include "byzantine/byz_renaming.h"
+#include "obs/provenance.h"
 #include "test_support.h"
 
 namespace renaming::byzantine {
@@ -39,6 +40,18 @@ sim::Message tagged(Kind tag, NodeIndex sender, std::uint64_t w0) {
   m.sender = sender;
   m.claimed_sender = sender;
   return m;
+}
+
+// Runs round 1 for a node whose pool holds everyone: all n nodes elect,
+// so its view is the whole system.
+void elect_everyone(ByzNode& node, NodeIndex self, const SystemConfig& cfg) {
+  sim::Outbox out(self, cfg.n);
+  node.send(1, out);
+  std::vector<sim::Message> elects;
+  for (NodeIndex v = 0; v < cfg.n; ++v) {
+    elects.push_back(tagged(Kind::kElect, v, cfg.ids[v]));
+  }
+  node.receive(1, Slots(elects));
 }
 
 TEST(ByzNodeUnit, ElectionBroadcastsWhenInPool) {
@@ -136,14 +149,8 @@ class ByzNodeDecisionTest : public ::testing::Test {
     dir_ = std::make_unique<Directory>(cfg_);
     node_ = std::make_unique<ByzNode>(0, cfg_, *dir_, everyone_in_pool(),
                                       views_);
-    sim::Outbox out(0, cfg_.n);
-    node_->send(1, out);
     // View: members at links 1..5 plus self => 6 members; majority = 4.
-    std::vector<sim::Message> elects;
-    for (NodeIndex v = 0; v < cfg_.n; ++v) {
-      elects.push_back(tagged(Kind::kElect, v, cfg_.ids[v]));
-    }
-    node_->receive(1, Slots(elects));
+    elect_everyone(*node_, 0, cfg_);
     ASSERT_EQ(node_->view().size(), 6u);
   }
 
@@ -221,6 +228,73 @@ TEST_F(ByzNodeDecisionTest, FirstNewPerSenderWins) {
                            tagged(Kind::kNew, 5, 6)}));
   ASSERT_TRUE(node_->new_id().has_value());
   EXPECT_EQ(*node_->new_id(), 4u);
+}
+
+TEST_F(ByzNodeDecisionTest, VotesSpreadOverRoundsDecideLikeOneInbox) {
+  // The votes a node collects while undecided persist across rounds; the
+  // decision frees them. Spread over three rounds they must decide what
+  // the same deliveries decide in one inbox: 4 (first votes 4, 6, 6, 4;
+  // the tie goes to the smaller). Had member 5's round-3 repeat replaced
+  // its first vote, 6 would win 3:1.
+  node_->receive(2, Slots({tagged(Kind::kNew, 5, 4),
+                           tagged(Kind::kNew, 2, 6)}));
+  EXPECT_FALSE(node_->new_id().has_value());  // 2 of 6: a minority
+  node_->receive(3, Slots({tagged(Kind::kNew, 5, 6),
+                           tagged(Kind::kNew, 1, 6)}));
+  EXPECT_FALSE(node_->new_id().has_value());  // the repeat is no vote
+  node_->receive(4, Slots({tagged(Kind::kNew, 3, 4)}));
+  ASSERT_TRUE(node_->new_id().has_value());
+  EXPECT_EQ(*node_->new_id(), 4u);
+
+  ByzNode at_once(0, cfg_, *dir_, everyone_in_pool(), views_);
+  elect_everyone(at_once, 0, cfg_);
+  at_once.receive(2, Slots({tagged(Kind::kNew, 5, 4), tagged(Kind::kNew, 2, 6),
+                            tagged(Kind::kNew, 5, 6), tagged(Kind::kNew, 1, 6),
+                            tagged(Kind::kNew, 3, 4)}));
+  EXPECT_EQ(at_once.new_id(), node_->new_id());
+
+  // A decided node reads no further NEW message, not even a fresh
+  // majority for another rank.
+  node_->receive(5, Slots({tagged(Kind::kNew, 0, 5), tagged(Kind::kNew, 1, 5),
+                           tagged(Kind::kNew, 2, 5), tagged(Kind::kNew, 4, 5),
+                           tagged(Kind::kNew, 5, 5)}));
+  EXPECT_EQ(*node_->new_id(), 4u);
+}
+
+TEST(ByzNodeUnit, NameClaimListsItsVotersInSenderOrder) {
+  // Votes arrive out of sender order over two rounds; the claim's causes
+  // name the voters of the adopted rank by ascending sender, each with the
+  // wire bits of its vote.
+  const auto cfg = fixed_config();
+  const Directory dir(cfg);
+  consensus::ViewInterner views;
+  obs::Provenance provenance;
+  provenance.begin_run(cfg.n);
+  ByzNode node(0, cfg, dir, everyone_in_pool(), views, nullptr, &provenance);
+  elect_everyone(node, 0, cfg);
+  node.receive(2, Slots({tagged(Kind::kNew, 4, 2), tagged(Kind::kNew, 1, 2),
+                         tagged(Kind::kNew, 5, 3)}));
+  node.receive(3, Slots({tagged(Kind::kNew, 3, 2)}));
+  ASSERT_TRUE(node.new_id().has_value());
+  EXPECT_EQ(*node.new_id(), 2u);
+  provenance.end_run(3);
+
+  std::vector<obs::ProvEvent> claims;
+  for (const obs::ProvEvent& e : provenance.data().events) {
+    if (e.kind == obs::ProvEventKind::kNameClaim) claims.push_back(e);
+  }
+  ASSERT_EQ(claims.size(), 1u);
+  const obs::ProvEvent& claim = claims[0];
+  EXPECT_EQ(claim.round, 3u);
+  EXPECT_EQ(claim.a, 2u);  // the adopted rank
+  EXPECT_EQ(claim.b, 3u);  // its supporting votes
+  ASSERT_EQ(claim.cause_count, 3u);
+  const NodeIndex voters[] = {1, 3, 4};
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(claim.causes[i].sender, voters[i]) << "cause " << i;
+    EXPECT_EQ(claim.causes[i].msg_kind, raw(Kind::kNew));
+    EXPECT_EQ(claim.causes[i].bits, 32u);
+  }
 }
 
 using Sends = std::vector<std::pair<NodeIndex, std::uint64_t>>;

@@ -292,6 +292,167 @@ TEST_F(IdentityListTest, BulkLoadEqualsInsertBuiltAndStaysEqualUnderFlips) {
   }
 }
 
+// The leaf layout IdentityList keeps: assign_sorted() fills leaves to
+// capacity; an insert goes to the first leaf whose last id is not smaller
+// (else the last leaf), and a leaf over capacity splits in half; an erase
+// drops a leaf it empties. The test below uses it only to aim segments at
+// leaf edges, and bucket_count() checks that it still matches the list.
+class LeafModel {
+ public:
+  LeafModel(const std::vector<std::uint64_t>& sorted, std::size_t capacity)
+      : capacity_(capacity) {
+    for (std::size_t at = 0; at < sorted.size(); at += capacity) {
+      leaves_.emplace_back(
+          sorted.begin() + static_cast<std::ptrdiff_t>(at),
+          sorted.begin() + static_cast<std::ptrdiff_t>(
+                               std::min(sorted.size(), at + capacity)));
+    }
+  }
+
+  void set(std::uint64_t id, bool present) {
+    std::size_t b = 0;
+    while (b < leaves_.size() && leaves_[b].back() < id) ++b;
+    if (!present) {
+      if (b == leaves_.size()) return;
+      auto& ids = leaves_[b];
+      const auto it = std::lower_bound(ids.begin(), ids.end(), id);
+      if (it == ids.end() || *it != id) return;
+      ids.erase(it);
+      if (ids.empty()) {
+        leaves_.erase(leaves_.begin() + static_cast<std::ptrdiff_t>(b));
+      }
+      return;
+    }
+    if (leaves_.empty()) {
+      leaves_.push_back({id});
+      return;
+    }
+    if (b == leaves_.size()) --b;
+    auto& ids = leaves_[b];
+    const auto it = std::lower_bound(ids.begin(), ids.end(), id);
+    if (it != ids.end() && *it == id) return;
+    ids.insert(it, id);
+    if (ids.size() <= capacity_) return;
+    const auto half = ids.begin() + static_cast<std::ptrdiff_t>(ids.size() / 2);
+    std::vector<std::uint64_t> upper(half, ids.end());
+    ids.erase(half, ids.end());
+    leaves_.insert(leaves_.begin() + static_cast<std::ptrdiff_t>(b) + 1,
+                   std::move(upper));
+  }
+
+  const std::vector<std::vector<std::uint64_t>>& leaves() const {
+    return leaves_;
+  }
+
+ private:
+  std::size_t capacity_;
+  std::vector<std::vector<std::uint64_t>> leaves_;
+};
+
+TEST_F(IdentityListTest, ForEachIdInMatchesDenseReference) {
+  // for_each_id_in reads the leaves in place, so its edge cases are the
+  // leaf edges: every segment below is walked and compared with the dense
+  // mirror, after a bulk load and again as set() inserts split leaves and
+  // erases empty them.
+  Xoshiro256 rng(81);
+  for (const std::size_t capacity :
+       {std::size_t{2}, std::size_t{3}, std::size_t{256}}) {
+    const std::string where = "capacity " + std::to_string(capacity);
+    const std::size_t initial = capacity == 256 ? 700 : 60;
+    BitVec dense(kN);
+    std::vector<std::uint64_t> sorted;
+    while (sorted.size() < initial) {
+      const std::uint64_t id = 1 + rng.below(kN);
+      if (dense.test(id - 1)) continue;
+      dense.set(id - 1);
+      sorted.push_back(id);
+    }
+    std::sort(sorted.begin(), sorted.end());
+    IdentityList list(kN, beacon_, capacity);
+    list.assign_sorted(sorted);
+    LeafModel model(sorted, capacity);
+    bool split = false, emptied = false;
+
+    for (int check = 0; check < 6; ++check) {
+      ASSERT_EQ(model.leaves().size(), list.bucket_count()) << where;
+      std::vector<std::uint64_t> present;
+      for (std::uint64_t id = 1; id <= kN; ++id) {
+        if (dense.test(id - 1)) present.push_back(id);
+      }
+      // Segments with lo > hi after a ±1 shift are dropped, not clamped.
+      std::vector<Interval> segments = {Interval(1, kN)};
+      const auto add = [&](std::int64_t lo, std::int64_t hi) {
+        if (lo >= 1 && lo <= hi && hi <= static_cast<std::int64_t>(kN)) {
+          segments.emplace_back(static_cast<std::uint64_t>(lo),
+                                static_cast<std::uint64_t>(hi));
+        }
+      };
+      const auto& leaves = model.leaves();
+      for (std::size_t b = 0; b < leaves.size(); ++b) {
+        const auto first = static_cast<std::int64_t>(leaves[b].front());
+        const auto last = static_cast<std::int64_t>(leaves[b].back());
+        add(first, first);  // a single id
+        add(first, last);   // exactly one leaf
+        for (std::int64_t d : {-1, 1}) {
+          add(first + d, last);
+          add(first, last + d);
+          add(first + d, last - d);
+        }
+        if (b + 1 < leaves.size()) {
+          // Across the boundary to the next leaf, each end moved by ±1,
+          // and the gap between them (empty when they are neighbours).
+          const auto next = static_cast<std::int64_t>(leaves[b + 1].front());
+          for (std::int64_t dl : {-1, 0, 1}) {
+            for (std::int64_t dh : {-1, 0, 1}) add(last + dl, next + dh);
+          }
+          add(last + 1, next - 1);
+        }
+      }
+      if (!present.empty()) {
+        add(1, static_cast<std::int64_t>(present.front()) - 1);  // empty
+        add(static_cast<std::int64_t>(present.back()) + 1,
+            static_cast<std::int64_t>(kN));                       // empty
+      }
+      for (int r = 0; r < 50; ++r) {
+        std::uint64_t lo = 1 + rng.below(kN);
+        std::uint64_t hi = 1 + rng.below(kN);
+        if (lo > hi) std::swap(lo, hi);
+        segments.emplace_back(lo, hi);
+      }
+
+      for (const Interval& j : segments) {
+        std::vector<std::uint64_t> walked;
+        list.for_each_id_in(j, [&](std::uint64_t id) { walked.push_back(id); });
+        const std::vector<std::uint64_t> expected(
+            std::lower_bound(present.begin(), present.end(), j.lo),
+            std::upper_bound(present.begin(), present.end(), j.hi));
+        ASSERT_EQ(walked, expected) << where << " check " << check << " ["
+                                    << j.lo << ", " << j.hi << "]";
+        ASSERT_EQ(list.ids_in(j), expected) << where;
+        ASSERT_EQ(list.summarize(j).count, expected.size()) << where;
+      }
+
+      // Mutate: inserts into full leaves split them, erases of a leaf's
+      // last ids drop it.
+      for (int step = 0; step < 120; ++step) {
+        const std::size_t leaves_before = list.bucket_count();
+        std::uint64_t id = 1 + rng.below(kN);
+        bool insert = rng.chance(0.5);
+        if (!insert && !present.empty()) {
+          id = present[rng.below(present.size())];
+        }
+        list.set(id, insert);
+        model.set(id, insert);
+        dense.set(id - 1, insert);
+        split |= list.bucket_count() > leaves_before;
+        emptied |= list.bucket_count() < leaves_before;
+      }
+    }
+    EXPECT_TRUE(split) << where;
+    EXPECT_TRUE(emptied || capacity == 256) << where;
+  }
+}
+
 using IdentityListDeathTest = IdentityListTest;
 
 TEST_F(IdentityListDeathTest, BulkLoadRejectsUnsortedDuplicateAndForeignIds) {
